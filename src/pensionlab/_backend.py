@@ -1,8 +1,7 @@
 """Kernel backend selection.
 
-Hot numeric kernels (the finite-collective value step and the binomial
-sampler) exist twice: a numba @njit version and a pure-numpy version.  The
-environment variable PENSIONLAB_BACKEND picks one:
+The binomial sampler exists twice: a numba @njit version and a pure-numpy
+version.  The environment variable PENSIONLAB_BACKEND picks one:
 
     auto   (default) numba when importable, numpy otherwise
     numba  require numba, fail loudly if missing

@@ -1,18 +1,21 @@
-"""Hot numeric kernels, in numba and pure-numpy variants.
+"""Hot numeric kernels.
 
 Two operations dominate runtime and live here:
 
 * ``finite_value_step`` - one backward step of the finite-collective value
-  recursion, O(n^2) in the survivor count, evaluated in log space so z^alpha
-  stays representable for large |alpha|.
+  recursion, evaluated in log space so z^alpha stays representable for large
+  |alpha|.  Each survivor-count row is a binomial mixture summed only over a
+  window of O(sqrt(n)) terms around its mean, with a proven bound on the
+  dropped mass, so a step costs O(n^1.5) time and O(n + chunk * window)
+  memory instead of O(n^2) for both.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode, so the expected work per draw is
   O(sqrt(n s (1-s))) instead of O(n).
 
-The module-level names dispatch to the backend chosen in ``_backend``; the
-``*_numpy`` / ``*_numba`` variants stay importable for cross-checking and
-benchmarks.  Both variants apply the same floating-point operations in the
-same per-element order.
+The sampler exists in a numba and a pure-numpy variant; ``binomial_inverse``
+dispatches to the backend chosen in ``_backend`` and ``*_numpy`` /
+``*_numba`` stay importable for cross-checking.  Both variants apply the
+same floating-point operations in the same per-element order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "lgamma_table",
     "log_survivor_mixture_numpy",
     "finite_value_step",
-    "finite_value_step_numpy",
     "binomial_inverse",
     "binomial_inverse_numpy",
 ]
@@ -50,6 +52,69 @@ def lgamma_table(nmax: int) -> np.ndarray:
 #   z_m      = y_m^((1-rho)/rho)
 #
 # computed throughout as log z.  s == 1 collapses the sum to the i = m term.
+#
+# Row m of lam sums the terms B_i g_i h_i, with B_i the Binomial(m, s) pmf
+# at i, g_i = (i/m)^(1-alpha) and h_i = z'_i^alpha.  It is summed only over
+# i in [lo, hi], a window that holds every i with |i - ms| < t.  The terms
+# left out are at most max(g h) P(|X - ms| >= t) and the terms kept at least
+# min_window(g h) (P(X >= 1) - P(|X - ms| >= t)).  With
+#
+#   max(g h) / min_window(g h) <= (m/lo)^(1-alpha) * exp(range_{i<=m} alpha log z'_i)
+#
+# (g is increasing in i and at most 1 for alpha < 1), the dropped mass is
+# below exp(-TAIL_NATS) < 1e-17 of the kept mass once
+#
+#   P(|X - ms| >= t) <= exp(-L),
+#   L = TAIL_NATS + (1-alpha) log(m/lo) + range alpha log z' - log P(X >= 1).
+#
+# Bernstein's inequality, P(|X - ms| >= t) <= 2 exp(-t^2 / (2 (v + t/3))) with
+# v = m s (1-s), gives t = L'/3 + sqrt((L'/3)^2 + 2 L' v), L' = L + log 2.  So
+# the window is O(sqrt(m)) wide wherever z' varies by a bounded factor.  L
+# depends on lo and lo on t; _row_windows iterates lo down to a fixed point,
+# where the bound holds for the window actually used.  Rows whose bound
+# covers all of 1..m (small m, or an infinite log z') get lo = 1, hi = m.
+#
+# Rows are evaluated CHUNK_ROWS at a time on a (rows x widest window) block,
+# so memory is O(n + CHUNK_ROWS * window), never O(n^2).
+
+TAIL_NATS = 40.0  # exp(-40) = 4.2e-18: the dropped/kept mass bound per row
+CHUNK_ROWS = 128
+
+
+def _row_windows(alpha_logw, s, alpha):
+    """Per-row window bounds lo, hi (1-based, inclusive) for 0 < s < 1."""
+    m = np.arange(1, alpha_logw.shape[0] + 1, dtype=np.float64)
+    ms = m * s
+    v = ms * (1.0 - s)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        base = (
+            TAIL_NATS
+            + math.log(2.0)
+            + (np.maximum.accumulate(alpha_logw) - np.minimum.accumulate(alpha_logw))
+            - np.log(-np.expm1(m * math.log1p(-s)))
+        )
+        # lo only moves down, and a lower lo only widens t, so this ends;
+        # fmax/fmin map a NaN bound (inf - inf, inf * 0) to the whole row
+        lo = np.fmax(1.0, np.floor(ms))
+        while True:
+            big_l = base + (1.0 - alpha) * np.log(m / lo)
+            t = big_l / 3.0 + np.sqrt((big_l / 3.0) ** 2 + 2.0 * big_l * v)
+            new_lo = np.fmax(1.0, np.floor(ms - t))
+            if np.array_equal(new_lo, lo):
+                break
+            lo = new_lo
+        hi = np.fmin(m, np.ceil(ms + t))
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _log_sum_exp_rows(t):
+    mx = t.max(axis=1)
+    # rows whose max is +-inf are exact limits (lam = inf or 0); bypass the
+    # log-sum-exp there to avoid inf - inf
+    finite = np.isfinite(mx)
+    with np.errstate(over="ignore", divide="ignore"):
+        adj = np.exp(t - np.where(finite, mx, 0.0)[:, None]).sum(axis=1)
+        return np.where(finite, mx + np.log(adj), mx)
 
 
 def log_survivor_mixture_numpy(logw, s, lgam, alpha):
@@ -57,91 +122,44 @@ def log_survivor_mixture_numpy(logw, s, lgam, alpha):
 
         lam_m = sum_{i=1..m} (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) exp(alpha logw_i)
 
-    via a row-wise log-sum-exp over the masked (m, i) triangle.
+    via a row-wise log-sum-exp over each row's certified window of i.
     """
     n = logw.shape[0]
-    idx = np.arange(1, n + 1)
     if s >= 1.0:
         return alpha * logw
     ls = math.log(s)
     l1s = math.log1p(-s)
-    logi = np.log(idx.astype(np.float64))
-    m_col = idx[:, None]
-    i_row = idx[None, :]
-    mask = i_row <= m_col
-    d = np.where(mask, m_col - i_row, 0)
-    t = (
-        lgam[m_col]
-        - lgam[i_row]
-        - lgam[d]
-        + i_row * ls
-        + d * l1s
-        + (1.0 - alpha) * (logi[None, :] - logi[:, None])
-        + alpha * logw[None, :]
-    )
-    t = np.where(mask, t, -np.inf)
-    mx = t.max(axis=1)
-    # rows whose max is +-inf are exact limits (lam = inf or 0); bypass the
-    # log-sum-exp there to avoid inf - inf
-    finite = np.isfinite(mx)
-    with np.errstate(over="ignore"):
-        adj = np.exp(t - np.where(finite, mx, 0.0)[:, None]).sum(axis=1)
-    return np.where(finite, mx + np.log(adj), mx)
+    logi = np.log(np.arange(1, n + 1, dtype=np.float64))
+    lo, hi = _row_windows(alpha * logw, s, alpha)
+    out = np.empty(n)
+    for start in range(0, n, CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, n))
+        m_col = np.arange(rows.start + 1, rows.stop + 1)[:, None]
+        lo_col, hi_col = lo[rows, None], hi[rows, None]
+        i_row = lo_col + np.arange(int((hi_col - lo_col).max()) + 1)[None, :]
+        mask = i_row <= hi_col
+        i_row = np.where(mask, i_row, lo_col)
+        d = m_col - i_row
+        t = (
+            lgam[m_col]
+            - lgam[i_row]
+            - lgam[d]
+            + i_row * ls
+            + d * l1s
+            + (1.0 - alpha) * (logi[i_row - 1] - logi[m_col - 1])
+            + alpha * logw[i_row - 1]
+        )
+        out[rows] = _log_sum_exp_rows(np.where(mask, t, -np.inf))
+    return out
 
 
-def finite_value_step_numpy(logz_next, s, lgam, alpha, log_pref, q, zexp):
+def finite_value_step(logz_next, s, lgam, alpha, log_pref, q, zexp):
     loglam = log_survivor_mixture_numpy(logz_next, s, lgam, alpha)
     logtheta = log_pref + loglam / alpha
     # overflow to inf is how divergence is detected, not a fault
     with np.errstate(over="ignore"):
         y = 1.0 + np.exp(q * logtheta)
     return zexp * np.log(y)
-
-
-if HAS_NUMBA:
-
-    @jit
-    def _finite_step_nb(logz_next, s, lgam, alpha, log_pref, q, zexp):  # pragma: no cover
-        n = logz_next.shape[0]
-        out = np.empty(n)
-        terms = np.empty(n)
-        if s >= 1.0:
-            for m in range(1, n + 1):
-                loglam = alpha * logz_next[m - 1]
-                logtheta = log_pref + loglam / alpha
-                y = 1.0 + math.exp(q * logtheta)
-                out[m - 1] = zexp * math.log(y)
-            return out
-        ls = math.log(s)
-        l1s = math.log1p(-s)
-        for m in range(1, n + 1):
-            logm = math.log(float(m))
-            mx = -np.inf
-            for i in range(1, m + 1):
-                t = (
-                    lgam[m]
-                    - lgam[i]
-                    - lgam[m - i]
-                    + i * ls
-                    + (m - i) * l1s
-                    + (1.0 - alpha) * (math.log(float(i)) - logm)
-                    + alpha * logz_next[i - 1]
-                )
-                terms[i - 1] = t
-                if t > mx:
-                    mx = t
-            acc = 0.0
-            for i in range(m):
-                acc += math.exp(terms[i] - mx)
-            loglam = mx + math.log(acc)
-            logtheta = log_pref + loglam / alpha
-            y = 1.0 + math.exp(q * logtheta)
-            out[m - 1] = zexp * math.log(y)
-        return out
-
-    finite_value_step_numba = _finite_step_nb
-else:  # pragma: no cover
-    finite_value_step_numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +258,4 @@ else:  # pragma: no cover
     binomial_inverse_numba = None
 
 
-if BACKEND == "numba":
-    finite_value_step = finite_value_step_numba
-    binomial_inverse = binomial_inverse_numba
-else:
-    finite_value_step = finite_value_step_numpy
-    binomial_inverse = binomial_inverse_numpy
+binomial_inverse = binomial_inverse_numba if BACKEND == "numba" else binomial_inverse_numpy

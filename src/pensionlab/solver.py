@@ -73,7 +73,7 @@ class CollectiveMode:
         if n > MAX_FINITE_N:
             raise ConfigurationError(
                 f"finite collective size {n} exceeds the supported cap {MAX_FINITE_N} "
-                f"(cost grows as n^2 per grid point)"
+                "(the largest size tested; use mode 'infinite' for larger funds)"
             )
         return cls("finite", int(n))
 

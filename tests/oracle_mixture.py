@@ -1,0 +1,56 @@
+"""Full-triangle survivor mixture: the reference for the banded kernel.
+
+Sums every term i = 1..m of every row m, with no window, so it costs O(n^2)
+time and memory.  ``_kernels.log_survivor_mixture_numpy`` must match it to
+within rounding; it is kept here only to check that.
+"""
+
+import math
+
+import numpy as np
+
+
+def mixture_terms(logw, s, lgam, alpha):
+    """log of every term (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) exp(alpha logw_i)
+    of the (m, i) triangle, rows m = 1..n, columns i = 1..n, -inf for i > m."""
+    n = logw.shape[0]
+    idx = np.arange(1, n + 1)
+    ls = math.log(s)
+    l1s = math.log1p(-s)
+    logi = np.log(idx.astype(np.float64))
+    m_col = idx[:, None]
+    i_row = idx[None, :]
+    mask = i_row <= m_col
+    d = np.where(mask, m_col - i_row, 0)
+    t = (
+        lgam[m_col]
+        - lgam[i_row]
+        - lgam[d]
+        + i_row * ls
+        + d * l1s
+        + (1.0 - alpha) * (logi[None, :] - logi[:, None])
+        + alpha * logw[None, :]
+    )
+    return np.where(mask, t, -np.inf)
+
+
+def log_sum_exp_rows(t):
+    mx = t.max(axis=1)
+    # rows whose max is +-inf are exact limits (lam = inf or 0); bypass the
+    # log-sum-exp there to avoid inf - inf
+    finite = np.isfinite(mx)
+    with np.errstate(over="ignore", divide="ignore"):
+        adj = np.exp(t - np.where(finite, mx, 0.0)[:, None]).sum(axis=1)
+        return np.where(finite, mx + np.log(adj), mx)
+
+
+def log_survivor_mixture_full(logw, s, lgam, alpha):
+    """log lam_m for m = 1..n, where
+
+        lam_m = sum_{i=1..m} (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) exp(alpha logw_i)
+
+    via a row-wise log-sum-exp over the masked (m, i) triangle.
+    """
+    if s >= 1.0:
+        return alpha * logw
+    return log_sum_exp_rows(mixture_terms(logw, s, lgam, alpha))

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pensionlab
 from pensionlab.analytics import (
     Direction,
     consumption_direction,
@@ -36,6 +37,8 @@ from pensionlab.studies import annuity_outperformance, convergence_study, improv
 from conftest import random_mortality
 from oracle_dp import oracle_values
 from test_solver import random_market, random_prefs
+
+SRC_DIR = Path(pensionlab.__file__).resolve().parents[1]
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -291,6 +294,10 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
 
     def run(out_dir, threads):
         env = dict(os.environ, NUMBA_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        # the child runs from tmp_path, so a relative PYTHONPATH would not resolve
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+        )
         for cmd in ("solve", "simulate"):
             r = subprocess.run(
                 [sys.executable, "-m", "pensionlab.cli", cmd,

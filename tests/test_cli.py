@@ -8,6 +8,8 @@ import pytest
 
 from pensionlab.cli import main, parse_config
 
+REPO = Path(__file__).resolve().parents[1]
+
 TRIVIAL = {
     "market": {"mu": 0.0, "r": 0.0, "sigma": 0.15},
     "preferences": {"alpha": -1.0, "rho": -1.0, "b": 0.0},
@@ -182,6 +184,21 @@ class TestConvergeCommand:
     def test_n_list_required(self, tmp_path):
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["converge", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_bundled_study_matches_full_triangle_output(self, tmp_path):
+        # tests/data/convergence_studies.csv was written by the full-triangle
+        # (unwindowed) value step; the windowed one rounds differently only
+        # far below the printed digits of z_n
+        config = REPO / "configs" / "studies.json"
+        assert main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "convergence.csv")
+        gold_header, gold = read_csv(Path(__file__).parent / "data" / "convergence_studies.csv")
+        assert header == gold_header
+        assert [row[:2] for row in rows] == [row[:2] for row in gold]
+        scale = max(float(row[1]) for row in gold)
+        for row, ref in zip(rows, gold):
+            for col in (2, 3):
+                assert abs(float(row[col]) - float(ref[col])) <= 1e-13 * scale
 
 
 class TestConfigHandling:

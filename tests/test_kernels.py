@@ -3,17 +3,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pensionlab._backend import HAS_NUMBA
 from pensionlab._kernels import (
+    TAIL_NATS,
+    _row_windows,
     binomial_inverse_numpy,
-    finite_value_step_numpy,
+    finite_value_step,
     lgamma_table,
+    log_survivor_mixture_numpy,
 )
 from pensionlab._rng import inverse_normal_cdf, uniforms
 
+from oracle_mixture import log_sum_exp_rows, log_survivor_mixture_full, mixture_terms
+
 if HAS_NUMBA:
-    from pensionlab._kernels import binomial_inverse_numba, finite_value_step_numba
+    from pensionlab._kernels import binomial_inverse_numba
 
 
 class TestUniforms:
@@ -127,25 +134,12 @@ class TestBinomialInverse:
 
 
 class TestFiniteValueStep:
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(23)
-        for s in (1e-8, 0.4, 0.97, 1.0):
-            for alpha, rho in ((-1.0, -1.0), (-4.0, 0.5), (0.5, -2.0)):
-                n = 40
-                logz = rng.normal(-1.0, 0.8, size=n)
-                q = rho / (1.0 - rho)
-                args = (logz, s, lgamma_table(n), alpha, -0.01, q, 1.0 / q)
-                a = finite_value_step_numpy(*args)
-                b = finite_value_step_numba(*args)
-                assert np.allclose(a, b, rtol=1e-12, atol=1e-13)
-
     def test_single_member_matches_scalar_recursion(self):
         # row 1 is the individual recursion: theta = pref * s^(1/alpha) * z
         s, alpha, rho = 0.8, -1.5, -0.5
         q = rho / (1.0 - rho)
         logz = np.array([math.log(0.7)])
-        out = finite_value_step_numpy(logz, s, lgamma_table(1), alpha, 0.02, q, 1.0 / q)
+        out = finite_value_step(logz, s, lgamma_table(1), alpha, 0.02, q, 1.0 / q)
         theta = math.exp(0.02) * s ** (1.0 / alpha) * 0.7
         y = 1.0 + theta**q
         assert out[0] == pytest.approx((1.0 / q) * math.log(y), rel=1e-13)
@@ -155,3 +149,73 @@ class TestFiniteValueStep:
         assert lg[0] == 0.0
         for k in (1, 5, 20):
             assert lg[k] == pytest.approx(math.lgamma(k + 1.0), rel=1e-15)
+
+
+survival = st.one_of(
+    st.just(1.0),
+    st.floats(1e-12, 1.0 - 1e-12),
+    st.floats(-12.0, 0.0).map(lambda e: max(10.0**e, 1e-12)),
+    st.floats(-12.0, -0.5).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+@st.composite
+def mixture_inputs(draw):
+    """(logw, s, alpha): smooth or rough log z', optionally with +-inf entries."""
+    n = draw(st.integers(1, 400))
+    alpha = draw(st.floats(-20.0, 0.95).filter(lambda a: a != 0.0))
+    s = draw(survival)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        logw = rng.uniform(-5.0, 5.0, n)
+    else:
+        x = np.linspace(0.0, 1.0, n)
+        a, b, c = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 6.0)
+        logw = a + b * np.sin(c * x)
+    infinite = draw(st.sampled_from(["none", "one", "prefix"]))
+    if infinite != "none":
+        j = draw(st.integers(1, n))
+        value = draw(st.sampled_from([-np.inf, np.inf]))
+        if infinite == "one":
+            logw[j - 1] = value
+        else:
+            logw[:j] = value
+    return logw, s, alpha
+
+
+class TestBandedMixture:
+    @settings(max_examples=300, deadline=None)
+    @given(mixture_inputs())
+    def test_matches_full_triangle(self, inputs):
+        logw, s, alpha = inputs
+        lgam = lgamma_table(logw.shape[0])
+        got = log_survivor_mixture_numpy(logw, s, lgam, alpha)
+        want = log_survivor_mixture_full(logw, s, lgam, alpha)
+        limit = ~np.isfinite(want)
+        assert np.array_equal(got[limit], want[limit])
+        assert np.all(np.abs(got[~limit] - want[~limit]) <= 1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture_inputs().filter(lambda inputs: inputs[1] < 1.0))
+    def test_dropped_mass_is_certified(self, inputs):
+        # the terms outside each row's window, summed exactly over the full
+        # triangle, stay below exp(-TAIL_NATS) of the terms inside it
+        logw, s, alpha = inputs
+        n = logw.shape[0]
+        t = mixture_terms(logw, s, lgamma_table(n), alpha)
+        lo, hi = _row_windows(alpha * logw, s, alpha)
+        i = np.arange(1, n + 1)[None, :]
+        inside = (i >= lo[:, None]) & (i <= hi[:, None])
+        assert np.all((lo >= 1) & (hi <= np.arange(1, n + 1)) & (lo <= hi))
+        kept = log_sum_exp_rows(np.where(inside, t, -np.inf))
+        dropped = log_sum_exp_rows(np.where(inside, -np.inf, t))
+        rows = np.isfinite(kept)
+        assert np.all(dropped[rows] - kept[rows] <= -TAIL_NATS + 1e-12)
+
+    def test_window_is_a_band_at_large_n(self):
+        # on a smooth z' the windows hold O(sqrt(m)) terms, not O(m)
+        n = 4096
+        logw = np.linspace(0.7, 3.0, n)
+        for s, kept in ((0.95, 0.11), (0.6, 0.25), (8.8e-10, 0.03)):
+            lo, hi = _row_windows(-1.0 * logw, s, -1.0)
+            assert (hi - lo + 1).sum() < kept * n * (n + 1) / 2

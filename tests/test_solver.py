@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pensionlab.core import (
 )
 from pensionlab.mortality import MortalityTable
 from pensionlab.solver import (
+    MAX_FINITE_N,
     CollectiveMode,
     Strategy,
     consumption_rate,
@@ -230,6 +232,18 @@ class TestSolve:
             CollectiveMode.finite(10_001)
         with pytest.raises(ConfigurationError):
             CollectiveMode.finite(0)
+
+    def test_largest_fund_solves_in_bounded_memory(self, default_table, base_market, vnm_prefs):
+        grid, mt = default_table
+        tracemalloc.start()
+        try:
+            table = solve(CollectiveMode.finite(MAX_FINITE_N), grid, base_market, vnm_prefs, mt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.z.shape == (MAX_FINITE_N, grid.n_steps)
+        assert np.all(np.isfinite(table.z)) and np.all(np.isfinite(table.cstar))
+        assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
 
 
 class TestEvaluatePolicy:
