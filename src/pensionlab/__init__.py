@@ -44,7 +44,7 @@ from .analytics import (
     eis,
     wealth_schedule,
 )
-from .montecarlo import SimulationConfig, SimulationResult, simulate, summarize
+from .montecarlo import SimulationConfig, SimulationResult, simulate
 from .studies import (
     ConvergenceReport,
     FundSizeReport,

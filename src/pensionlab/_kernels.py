@@ -9,13 +9,19 @@ Two operations dominate runtime and live here:
   dropped mass, so a step costs O(n^1.5) time and O(n + chunk * window)
   memory instead of O(n^2) for both.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
-  chop-down inversion starting at the mode, so the expected work per draw is
-  O(sqrt(n s (1-s))) instead of O(n).
+  chop-down inversion starting at the mode.  The numpy variant is a table
+  sampler: it builds the cumulative chop-down sums once per distinct count
+  among the draws, each row only as far as its largest uniform needs, and
+  binary-searches every uniform in its row.  A call costs
+  O(draws log window + distinct * window) time and O(draws + distinct *
+  window) memory, window being the pieces a row needs, O(sqrt(n s (1-s)))
+  for moderate uniforms.
 
-The sampler exists in a numba and a pure-numpy variant; ``binomial_inverse``
-dispatches to the backend chosen in ``_backend`` and ``*_numpy`` /
-``*_numba`` stay importable for cross-checking.  Both variants apply the
-same floating-point operations in the same per-element order.
+The sampler exists in a numba (per-draw loop) and a pure-numpy variant;
+``binomial_inverse`` dispatches to the backend chosen in ``_backend`` and
+``*_numpy`` / ``*_numba`` stay importable for cross-checking.  Both variants
+apply the same floating-point operations in the same order to each piece,
+so they return the same draws.
 """
 
 from __future__ import annotations
@@ -170,6 +176,48 @@ def finite_value_step(logz_next, s, lgam, alpha, log_pref, q, zexp):
 # order mode, mode+1, mode-1, mode+2, mode-2, ...; the draw is the k whose
 # piece contains u.  This is an exact sampler for any u ~ Uniform(0,1); the
 # (~1e-15) residual rounding mass at the end of the interval maps to the mode.
+#
+# The pieces depend only on the count n, and a call's counts take few
+# distinct values (at most n0 + 1 in a simulation), so the numpy variant
+# builds each distinct count's cumulative sums once, as one row of a table,
+# with the per-draw recurrences and float additions; the draws are therefore
+# those of a per-draw loop, bit for bit.  A row stops growing once its sum
+# exceeds the largest uniform of its draws, or once both its tails are
+# exactly 0, after which further pieces add nothing.  Each draw is the first
+# entry of its row greater than u.
+
+
+def _chop_down_table(counts, s, umax, lgam):
+    """(cumulative piece sums, draw of each piece) per row, for 0 < s < 1.
+
+    Row r holds the running sums pm, pm + p(m+1), pm + p(m+1) + p(m-1), ...
+    for n = counts[r] with mode m, padded by repeating the last sum to a
+    width 2^k - 1, plus one final column; ``draws`` maps every column past
+    the row's real pieces (residual mass) to the mode.
+    """
+    ls = math.log(s)
+    l1s = math.log1p(-s)
+    m = np.minimum(np.floor((counts + 1) * s).astype(np.int64), counts)
+    pm = np.exp(lgam[counts] - lgam[m] - lgam[counts - m] + m * ls + (counts - m) * l1s)
+    acc = pr = pl = pm
+    sums = [acc]
+    j = 0
+    while not np.all((umax < acc) | ((pr == 0.0) & (pl == 0.0))):
+        j += 1
+        ir = m + j
+        pr = np.where(ir <= counts, pr * (((counts - ir + 1) * s) / (ir * (1.0 - s))), 0.0)
+        acc = acc + pr
+        sums.append(acc)
+        il = m - j
+        pl = np.where(il >= 0, pl * (((il + 1) * (1.0 - s)) / ((counts - il) * s)), 0.0)
+        acc = acc + pl
+        sums.append(acc)
+    width = (1 << len(sums).bit_length()) - 1
+    sums.extend([acc] * (width + 1 - len(sums)))
+    offset = np.zeros(width + 1, dtype=np.int64)
+    offset[1 : 2 * j + 1 : 2] = np.arange(1, j + 1)
+    offset[2 : 2 * j + 1 : 2] = -np.arange(1, j + 1)
+    return np.stack(sums, axis=1), m[:, None] + offset
 
 
 def binomial_inverse_numpy(n, s, u, lgam):
@@ -179,26 +227,23 @@ def binomial_inverse_numpy(n, s, u, lgam):
         return np.zeros_like(n)
     if s >= 1.0:
         return n.copy()
-    ls = math.log(s)
-    l1s = math.log1p(-s)
-    m = np.minimum(np.floor((n + 1) * s).astype(np.int64), n)
-    pm = np.exp(lgam[n] - lgam[m] - lgam[n - m] + m * ls + (n - m) * l1s)
-    acc = pm.copy()
-    res = np.where(u < acc, m, np.int64(-1))
-    pr = pm.copy()
-    pl = pm.copy()
-    for j in range(1, int(n.max()) + 2):
-        ir = m + j
-        pr = np.where(ir <= n, pr * (((n - ir + 1) * s) / (ir * (1.0 - s))), 0.0)
-        acc = acc + pr
-        res = np.where((res < 0) & (u < acc), ir, res)
-        il = m - j
-        pl = np.where(il >= 0, pl * (((il + 1) * (1.0 - s)) / ((n - il) * s)), 0.0)
-        acc = acc + pl
-        res = np.where((res < 0) & (u < acc), il, res)
-        if np.all(res >= 0):
-            break
-    return np.where(res < 0, m, res)
+    flat_n, flat_u = n.ravel(), u.ravel()
+    present = np.bincount(flat_n) > 0
+    counts = np.flatnonzero(present)
+    row = (np.cumsum(present) - 1)[flat_n]
+    umax = np.zeros(counts.size)
+    np.maximum.at(umax, row, flat_u)
+    sums, draws = _chop_down_table(counts, s, umax, lgam)
+    # binary search: advance each draw's position while the entry it would
+    # step over is <= u, so it stops at the first entry greater than u
+    width = sums.shape[1]
+    pos = row * width
+    sums = sums.ravel()
+    step = width // 2
+    while step:
+        pos += (sums.take(pos + (step - 1)) <= flat_u) * step
+        step //= 2
+    return draws.ravel()[pos].reshape(n.shape)
 
 
 if HAS_NUMBA:

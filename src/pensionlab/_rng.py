@@ -21,7 +21,7 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64 finaliser (full avalanche) on uint64 values."""
-    x = (x + _GOLDEN).astype(np.uint64)
+    x = x + _GOLDEN
     x = (x ^ (x >> _U64(30))) * _MIX1
     x = (x ^ (x >> _U64(27))) * _MIX2
     return x ^ (x >> _U64(31))
@@ -37,8 +37,8 @@ def uniforms(seed: int, paths: np.ndarray | int, step: int, stream: int) -> np.n
         paths = np.arange(int(paths), dtype=np.uint64)
     else:
         paths = np.asarray(paths, dtype=np.uint64)
-    h = _mix(np.full(paths.shape, _U64(seed & 0xFFFFFFFFFFFFFFFF)))
-    h = _mix(h ^ paths)
+    key = _mix(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))[0]
+    h = _mix(key ^ paths)
     h = _mix(h ^ _U64(step))
     h = _mix(h ^ _U64(stream))
     return (h >> _U64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
@@ -116,19 +116,30 @@ def _poly(coeffs, x):
 
 
 def inverse_normal_cdf(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of p in (0, 1), vectorised."""
+    """Standard normal quantile of p in (0, 1), vectorised.
+
+    Each element is evaluated only on its own branch: the central polynomial
+    for |p - 0.5| <= 0.425, else sqrt(-log(min(p, 1 - p))) and the near
+    (r <= 5) or far tail polynomial.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = p - 0.5
     central = np.abs(q) <= 0.425
+    out = np.empty_like(p)
 
-    r_c = 0.180625 - q * q
-    x_central = q * _poly(_A, r_c) / _poly(_B, r_c)
+    qc = q[central]
+    r_c = 0.180625 - qc * qc
+    out[central] = qc * _poly(_A, r_c) / _poly(_B, r_c)
 
-    r_t = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    tail = ~central
+    pt = p[tail]
+    r_t = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
     near = r_t <= 5.0
-    r1 = r_t - 1.6
-    r2 = r_t - 5.0
-    x_tail = np.where(near, _poly(_C, r1) / _poly(_D, r1), _poly(_E, r2) / _poly(_F, r2))
-    x_tail = np.where(q < 0.0, -x_tail, x_tail)
-
-    return np.where(central, x_central, x_tail)
+    x_tail = np.empty_like(r_t)
+    r1 = r_t[near] - 1.6
+    x_tail[near] = _poly(_C, r1) / _poly(_D, r1)
+    far = ~near
+    r2 = r_t[far] - 5.0
+    x_tail[far] = _poly(_E, r2) / _poly(_F, r2)
+    out[tail] = np.where(q[tail] < 0.0, -x_tail, x_tail)
+    return out

@@ -37,7 +37,7 @@ from .core import (
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
 from .solver import CollectiveMode, solve
 from .analytics import wealth_schedule
-from .montecarlo import SimulationConfig, simulate, summarize
+from .montecarlo import SimulationConfig, simulate
 from .studies import convergence_study, improvement, run_scenarios
 
 __all__ = ["main", "RunConfig", "parse_config"]
@@ -214,10 +214,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         raise ConfigurationError("the simulate command needs a 'simulation' block")
     table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
     sim = simulate(
-        SimulationConfig(paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table, x0=cfg.budget),
+        SimulationConfig(
+            paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table, x0=cfg.budget,
+            record=(), quantiles=_QUANTILES,
+        ),
         cfg.grid, cfg.market, cfg.mortality,
     )
-    pct = summarize(sim, _QUANTILES)
     if cfg.mode.is_finite:
         n_pts = cfg.grid.n_steps
         overlay_mu = np.full(n_pts, np.nan)
@@ -229,7 +231,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     for k, t in enumerate(cfg.grid.points):
         rows.append(
             [_fmt(t)]
-            + [_fmt(pct.x[j, k]) for j in range(len(_QUANTILES))]
+            + [_fmt(sim.summary.x_quantiles[j, k]) for j in range(len(_QUANTILES))]
             + [
                 _fmt(sim.summary.mean_log_x[k]),
                 _fmt(math.sqrt(sim.summary.var_log_x[k]) if sim.summary.var_log_x[k] >= 0 else float("nan")),

@@ -3,12 +3,20 @@
 Within a period the constant-mix fund value is geometric Brownian motion, so
 each period is sampled exactly: multiply by exp((abar - a^2 sigma^2/2) dt +
 a sigma sqrt(dt) Z) with abar = a(mu-r) + r; there is no discretisation
-error.  Survivor counts follow binomial draws (deterministic fraction decay
-for the infinite fund), and the dead's wealth is redistributed through the
-budget identity
+error.  Survivors follow one of two models, both stepped by the same loop:
+a deterministic fraction prod s_k for the infinite fund, or per-path
+binomial survivor counts for a finite fund (the individual problem is a
+one-member fund).  The dead's wealth is redistributed through the budget
+identity
 
     Xbar_t = (n_t / n_{t+dt}) (X_t - gamma_t)        finite fund,
     Xbar_t = (X_t - gamma_t) / s_t                   infinite fund.
+
+The summary (moments of log wealth and log consumption, empirical
+quantiles of wealth and consumption, survivor means) is computed inside the
+step loop over the paths still alive, so a run needs O(paths) memory.  Full
+``paths x n_steps`` series are kept only for the names in
+``SimulationConfig.record``.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, path, step): stream 0 drives market growth, stream 1 the survivor
@@ -34,9 +42,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "SummaryStats",
-    "PercentileTable",
     "simulate",
-    "summarize",
 ]
 
 _RECORD_CHOICES = ("survivors", "wealth", "consumption")
@@ -46,12 +52,20 @@ _STREAM_SURVIVAL = 1
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One simulation run.
+
+    ``record`` names the full ``paths x n_steps`` series to keep (none by
+    default); ``quantiles`` are the probabilities of the per-step wealth and
+    consumption quantiles in the summary.
+    """
+
     paths: int
     seed: int
     mode: CollectiveMode
     policy: Union[ValueTable, Strategy]
     x0: float = 1.0
-    record: Sequence[str] = _RECORD_CHOICES
+    record: Sequence[str] = ()
+    quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95)
 
     def __post_init__(self):
         if self.paths < 1:
@@ -61,11 +75,22 @@ class SimulationConfig:
         unknown = set(self.record) - set(_RECORD_CHOICES)
         if unknown:
             raise ConfigurationError(f"unknown record series {sorted(unknown)}")
+        probs = np.asarray(list(self.quantiles), dtype=np.float64)
+        if probs.size == 0:
+            raise ConfigurationError("need at least one probability")
+        if np.any((probs <= 0.0) | (probs >= 1.0)):
+            raise ConfigurationError("probabilities must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Per-grid-point moments over paths still alive (n_t > 0)."""
+    """Per-grid-point statistics over paths still alive (n_t > 0).
+
+    ``x_quantiles`` and ``gamma_quantiles`` have one row per entry of
+    ``probs`` and are NaN where no path is alive.  Quantiles use numpy's
+    linear interpolation convention, so the 0.5 quantile of a two-value
+    sample is their midpoint.
+    """
 
     mean_log_x: np.ndarray
     var_log_x: np.ndarray
@@ -73,6 +98,9 @@ class SummaryStats:
     var_log_gamma: np.ndarray
     mean_survivors: np.ndarray
     alive_paths: np.ndarray
+    probs: np.ndarray
+    x_quantiles: np.ndarray
+    gamma_quantiles: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,15 +140,53 @@ def _policy_arrays(config: SimulationConfig, grid: TimeGrid):
     return a, c
 
 
-def _masked_moments(values: np.ndarray, alive: np.ndarray):
-    """Mean and ddof=1 variance of log(values) over the alive mask."""
-    count = int(alive.sum())
-    if count == 0:
+class _SurvivorFraction:
+    """Infinite fund: the fraction prod s_k survives on every path."""
+
+    alive = slice(None)
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+        self.survivors = 1.0
+
+    def rate(self, k: int):
+        return self.c[k]
+
+    def redistribute(self, k: int, s_k: float, spare: np.ndarray) -> np.ndarray:
+        self.survivors *= s_k
+        return spare / s_k
+
+
+class _BinomialSurvivors:
+    """Finite fund: each path's survivor count is a Binomial(n_t, s_t) draw."""
+
+    def __init__(self, c: np.ndarray, n0: int, paths: int, seed: int):
+        self.c = c
+        self.seed = seed
+        self.lgam = lgamma_table(n0)
+        self.survivors = np.full(paths, n0, dtype=np.int64)
+        self.alive = self.survivors > 0
+
+    def rate(self, k: int) -> np.ndarray:
+        return np.where(self.alive, self.c[np.maximum(self.survivors, 1) - 1, k], 0.0)
+
+    def redistribute(self, k: int, s_k: float, spare: np.ndarray) -> np.ndarray:
+        n_cur = self.survivors
+        u = uniforms(self.seed, n_cur.size, k, _STREAM_SURVIVAL)
+        n_next = binomial_inverse(n_cur, s_k, u, self.lgam)
+        self.survivors = n_next
+        self.alive = n_next > 0
+        return np.where(self.alive, (n_cur / np.maximum(n_next, 1)) * spare, 0.0)
+
+
+def _log_moments(values: np.ndarray):
+    """Mean and ddof=1 variance of log(values)."""
+    if values.size == 0:
         return math.nan, math.nan
     with np.errstate(divide="ignore"):
-        logs = np.log(values[alive])
+        logs = np.log(values)
     mean = float(logs.mean())
-    var = float(logs.var(ddof=1)) if count > 1 else 0.0
+    var = float(logs.var(ddof=1)) if values.size > 1 else 0.0
     return mean, var
 
 
@@ -138,79 +204,47 @@ def simulate(
     paths = config.paths
     dt = grid.dt
     seed = config.seed
-    infinite = config.mode.kind == "infinite"
-    # the individual problem is a one-member fund
-    n0 = 1 if config.mode.kind == "individual" else (config.mode.n if config.mode.is_finite else 0)
+    mode = config.mode
+    if mode.kind == "infinite":
+        model = _SurvivorFraction(c_arr)
+    elif mode.is_finite:
+        model = _BinomialSurvivors(c_arr, mode.n, paths, seed)
+    else:  # the individual problem is a one-member fund
+        model = _BinomialSurvivors(c_arr[None, :], 1, paths, seed)
 
-    rec_surv = "survivors" in config.record
-    rec_wealth = "wealth" in config.record
-    rec_cons = "consumption" in config.record
-    surv_out = np.empty((paths, n_steps)) if rec_surv else None
-    wealth_out = np.empty((paths, n_steps)) if rec_wealth else None
-    cons_out = np.empty((paths, n_steps)) if rec_cons else None
-
+    recorded = {name: np.empty((paths, n_steps)) for name in config.record}
+    probs = np.asarray(list(config.quantiles), dtype=np.float64)
     mean_lx = np.empty(n_steps)
     var_lx = np.empty(n_steps)
     mean_lg = np.empty(n_steps)
     var_lg = np.empty(n_steps)
     mean_n = np.empty(n_steps)
     alive_ct = np.empty(n_steps, dtype=np.int64)
+    xq = np.full((probs.size, n_steps), np.nan)
+    gq = np.full((probs.size, n_steps), np.nan)
 
     growth_base = (a_arr * (market.mu - market.r) + market.r - 0.5 * a_arr**2 * market.sigma**2) * dt
     growth_vol = a_arr * market.sigma * math.sqrt(dt)
 
     x = np.full(paths, config.x0)
-
-    if infinite:
-        frac = 1.0
-        for k in range(n_steps):
-            gamma = c_arr[k] * x
-            if rec_surv:
-                surv_out[:, k] = frac
-            if rec_wealth:
-                wealth_out[:, k] = x
-            if rec_cons:
-                cons_out[:, k] = gamma
-            alive = np.ones(paths, dtype=bool)
-            mean_lx[k], var_lx[k] = _masked_moments(x, alive)
-            mean_lg[k], var_lg[k] = _masked_moments(gamma, alive)
-            mean_n[k] = frac
-            alive_ct[k] = paths
-            if k < n_steps - 1:
-                s_k = float(mortality.s[k])
-                xbar = (x - gamma) / s_k
-                z = inverse_normal_cdf(uniforms(seed, paths, k, _STREAM_GROWTH))
-                x = xbar * np.exp(growth_base[k] + growth_vol[k] * z)
-                frac *= s_k
-    else:
-        lgam = lgamma_table(n0)
-        n_cur = np.full(paths, n0, dtype=np.int64)
-        c_lookup = c_arr if config.mode.is_finite else c_arr[None, :]
-        for k in range(n_steps):
-            alive = n_cur > 0
-            rate = np.where(alive, c_lookup[np.maximum(n_cur, 1) - 1, k], 0.0)
-            gamma = rate * x
-            if rec_surv:
-                surv_out[:, k] = n_cur
-            if rec_wealth:
-                wealth_out[:, k] = x
-            if rec_cons:
-                cons_out[:, k] = gamma
-            mean_lx[k], var_lx[k] = _masked_moments(x, alive)
-            mean_lg[k], var_lg[k] = _masked_moments(gamma, alive)
-            mean_n[k] = float(n_cur.mean())
-            alive_ct[k] = int(alive.sum())
-            if k < n_steps - 1:
-                s_k = float(mortality.s[k])
-                u = uniforms(seed, paths, k, _STREAM_SURVIVAL)
-                n_next = binomial_inverse(n_cur, s_k, u, lgam)
-                surviving = n_next > 0
-                xbar = np.where(
-                    surviving, (n_cur / np.maximum(n_next, 1)) * (x - gamma), 0.0
-                )
-                z = inverse_normal_cdf(uniforms(seed, paths, k, _STREAM_GROWTH))
-                x = xbar * np.exp(growth_base[k] + growth_vol[k] * z)
-                n_cur = n_next
+    for k in range(n_steps):
+        gamma = model.rate(k) * x
+        series = {"survivors": model.survivors, "wealth": x, "consumption": gamma}
+        for name, out in recorded.items():
+            out[:, k] = series[name]
+        x_alive = x[model.alive]
+        gamma_alive = gamma[model.alive]
+        mean_lx[k], var_lx[k] = _log_moments(x_alive)
+        mean_lg[k], var_lg[k] = _log_moments(gamma_alive)
+        if x_alive.size:
+            xq[:, k] = np.quantile(x_alive, probs, method="linear")
+            gq[:, k] = np.quantile(gamma_alive, probs, method="linear")
+        mean_n[k] = np.mean(model.survivors)
+        alive_ct[k] = x_alive.size
+        if k < n_steps - 1:
+            xbar = model.redistribute(k, float(mortality.s[k]), x - gamma)
+            z = inverse_normal_cdf(uniforms(seed, paths, k, _STREAM_GROWTH))
+            x = xbar * np.exp(growth_base[k] + growth_vol[k] * z)
 
     summary = SummaryStats(
         mean_log_x=mean_lx,
@@ -219,50 +253,16 @@ def simulate(
         var_log_gamma=var_lg,
         mean_survivors=mean_n,
         alive_paths=alive_ct,
+        probs=probs,
+        x_quantiles=xq,
+        gamma_quantiles=gq,
     )
     return SimulationResult(
         grid=grid,
-        mode=config.mode,
+        mode=mode,
         x0=config.x0,
         summary=summary,
-        survivors=surv_out,
-        wealth=wealth_out,
-        consumption=cons_out,
+        survivors=recorded.get("survivors"),
+        wealth=recorded.get("wealth"),
+        consumption=recorded.get("consumption"),
     )
-
-
-@dataclass(frozen=True)
-class PercentileTable:
-    """Empirical quantiles per grid point, over alive paths.
-
-    Quantiles use numpy's linear interpolation convention, so the 0.5
-    quantile of a two-value sample is their midpoint.
-    """
-
-    probs: np.ndarray
-    x: np.ndarray
-    gamma: np.ndarray
-
-
-def summarize(result: SimulationResult, probs: Sequence[float]) -> PercentileTable:
-    """Empirical quantiles of wealth and consumption at every grid point."""
-    probs = np.asarray(list(probs), dtype=np.float64)
-    if probs.size == 0:
-        raise ConfigurationError("need at least one probability")
-    if np.any((probs <= 0.0) | (probs >= 1.0)):
-        raise ConfigurationError("probabilities must lie strictly inside (0, 1)")
-    if result.wealth is None or result.consumption is None:
-        raise ConfigurationError("summarize needs wealth and consumption recorded")
-    n_steps = result.grid.n_steps
-    xq = np.full((probs.size, n_steps), np.nan)
-    gq = np.full((probs.size, n_steps), np.nan)
-    if result.survivors is not None:
-        alive = result.survivors > 0
-    else:
-        alive = np.ones_like(result.wealth, dtype=bool)
-    for k in range(n_steps):
-        mask = alive[:, k]
-        if mask.any():
-            xq[:, k] = np.quantile(result.wealth[mask, k], probs, method="linear")
-            gq[:, k] = np.quantile(result.consumption[mask, k], probs, method="linear")
-    return PercentileTable(probs=probs, x=xq, gamma=gq)

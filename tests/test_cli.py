@@ -131,6 +131,21 @@ class TestSimulateCommand:
             quantiles = {row[1], row[2], row[3], row[4], row[5]}
             assert len(quantiles) == 1  # single path: all quantiles identical
 
+    @pytest.mark.parametrize(
+        "mode, golden", [(None, "paths_summary_default.csv"), ("finite:100", "paths_summary_finite100.csv")]
+    )
+    def test_bundled_config_matches_golden_output(self, tmp_path, mode, golden):
+        # the golden files were written by the per-path chop-down sampler and
+        # the summary computed from recorded paths; the table sampler and the
+        # in-loop summary must reproduce them byte for byte
+        cfg = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
+        if mode is not None:
+            cfg["mode"] = mode
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path)]) == 0
+        gold = Path(__file__).parent / "data" / golden
+        assert (tmp_path / "paths_summary.csv").read_bytes() == gold.read_bytes()
+
     def test_simulation_block_required(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2

@@ -17,7 +17,9 @@ from pensionlab._kernels import (
 )
 from pensionlab._rng import inverse_normal_cdf, uniforms
 
+from oracle_binomial import binomial_inverse_loop, chop_down_sums
 from oracle_mixture import log_sum_exp_rows, log_survivor_mixture_full, mixture_terms
+from oracle_normal import inverse_normal_cdf_all_branches
 
 if HAS_NUMBA:
     from pensionlab._kernels import binomial_inverse_numba
@@ -40,6 +42,17 @@ class TestUniforms:
         full = uniforms(99, 1000, step=5, stream=0)
         single = uniforms(99, np.array([421]), step=5, stream=0)
         assert full[421] == single[0]
+
+    def test_golden_values(self):
+        # pinned from the implementation that hashed the seed once per path
+        assert uniforms(12345, 8, step=3, stream=1).tolist() == [
+            0.6077405153369708, 0.4744116663223192, 0.253264101149189, 0.7887265065971674,
+            0.5524181681024696, 0.8277142129465946, 0.8798613262080888, 0.8370982829321414,
+        ]
+        assert uniforms(0, np.array([0, 2**40]), 7, 0).tolist() == [
+            0.7304758844200925, 0.2555907184034763,
+        ]
+        assert uniforms(-1, np.array([5]), 2**63, 2**32).tolist() == [0.46342369398685573]
 
     def test_roughly_uniform(self):
         u = uniforms(7, 200_000, step=0, stream=0)
@@ -67,6 +80,26 @@ class TestInverseNormal:
         assert inverse_normal_cdf(np.array([0.5]))[0] == 0.0
         p = np.array([0.01, 0.2, 0.43])
         assert np.allclose(inverse_normal_cdf(p), -inverse_normal_cdf(1.0 - p), atol=1e-13)
+
+    # the central/tail switch, the near/far tail switch at r = 5, and the
+    # extremes 2^-54 and 1 - 2^-53 (1 - 2^-54 itself rounds to 1.0)
+    SWITCHES = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0), 2.0**-54, 1.0 - 2.0**-53]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                st.sampled_from(SWITCHES),
+                st.sampled_from(SWITCHES).map(lambda p: np.nextafter(p, 0.0)),
+                st.sampled_from(SWITCHES).map(lambda p: np.nextafter(p, 1.0)),
+            ).filter(lambda p: 0.0 < p < 1.0),
+            max_size=64,
+        )
+    )
+    def test_matches_all_branch_formula(self, p):
+        p = np.array(p, dtype=np.float64)
+        assert np.array_equal(inverse_normal_cdf(p), inverse_normal_cdf_all_branches(p))
 
 
 def _exact_binomial_pmf(n, s_frac):
@@ -120,6 +153,32 @@ class TestBinomialInverse:
         assert abs(k.mean() - n0 * s) < 4 * mean_se
         var = n0 * s * (1 - s)
         assert abs(k.var() - var) < 5 * var * math.sqrt(2.0 / (draws - 1))
+
+    def test_empty_input(self):
+        out = binomial_inverse_numpy(np.array([], dtype=np.int64), 0.5, np.array([]), lgamma_table(3))
+        assert out.shape == (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_table_matches_per_path_loop(self, data):
+        n0 = data.draw(st.integers(1, 10_000), label="n0")
+        s = data.draw(st.floats(1e-12, 1.0 - 1e-12), label="s")
+        size = data.draw(st.integers(1, 40), label="size")
+        n = np.array(data.draw(st.lists(st.integers(0, n0), min_size=size, max_size=size)))
+        n[data.draw(st.integers(0, size - 1))] = 0
+        lgam = lgamma_table(n0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        kinds = rng.integers(0, 3, size)
+        u = rng.uniform(0.0, 1.0, size)
+        # u within 2^-54 .. 2^-20 of 1
+        near_one = 1.0 - 2.0 ** -rng.integers(20, 55, size)
+        u = np.where(kinds == 1, near_one, u)
+        # u exactly equal to one of the running sums of its count
+        for i in np.flatnonzero(kinds == 2):
+            sums = chop_down_sums(n[i], s, lgam, rounds=6)
+            u[i] = sums[rng.integers(0, len(sums))]
+        u = np.clip(u, 2.0**-54, 1.0 - 2.0**-54)
+        assert np.array_equal(binomial_inverse_numpy(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
 
     @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
     def test_backends_agree(self):

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pensionlab.analytics import wealth_schedule
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
-from pensionlab.montecarlo import SimulationConfig, simulate, summarize
+from pensionlab.montecarlo import SimulationConfig, simulate
 from pensionlab.mortality import MortalityTable, gompertz_makeham
-from pensionlab.solver import CollectiveMode, Strategy, solve
+from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, solve
+
+
+ALL_SERIES = ("survivors", "wealth", "consumption")
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +28,8 @@ class TestDeterministicCases:
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
         res = simulate(
-            SimulationConfig(paths=32, seed=1, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=32, seed=1, mode=CollectiveMode.infinite(), policy=table,
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         assert np.all(res.wealth[:, 0] == 1.0)
@@ -34,14 +39,16 @@ class TestDeterministicCases:
     def test_same_seed_bitwise_identical(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
         table = solve(CollectiveMode.finite(30), grid, base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=500, seed=77, mode=CollectiveMode.finite(30), policy=table)
+        cfg = SimulationConfig(paths=500, seed=77, mode=CollectiveMode.finite(30), policy=table,
+                                record=ALL_SERIES)
         a = simulate(cfg, grid, base_market, mt)
         b = simulate(cfg, grid, base_market, mt)
         assert np.array_equal(a.wealth, b.wealth)
         assert np.array_equal(a.survivors, b.survivors)
         assert np.array_equal(a.summary.mean_log_x, b.summary.mean_log_x, equal_nan=True)
         c = simulate(
-            SimulationConfig(paths=500, seed=78, mode=CollectiveMode.finite(30), policy=table),
+            SimulationConfig(paths=500, seed=78, mode=CollectiveMode.finite(30), policy=table,
+                             record=ALL_SERIES),
             grid, base_market, mt,
         )
         assert not np.array_equal(a.wealth, c.wealth)
@@ -53,7 +60,8 @@ class TestBudgetIdentity:
         market = MarketParams(mu=0.02, r=0.02, sigma=0.2)  # a* = 0: no market noise
         table = solve(CollectiveMode.finite(40), grid, market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=300, seed=5, mode=CollectiveMode.finite(40), policy=table),
+            SimulationConfig(paths=300, seed=5, mode=CollectiveMode.finite(40), policy=table,
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         growth = math.exp(market.r * grid.dt)
@@ -71,7 +79,8 @@ class TestBudgetIdentity:
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         table = solve(CollectiveMode.infinite(), grid, market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=10, seed=9, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=10, seed=9, mode=CollectiveMode.infinite(), policy=table,
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         for k in range(grid.n_steps - 1):
@@ -83,7 +92,8 @@ class TestBudgetIdentity:
         market = MarketParams(mu=0.02, r=0.02, sigma=0.2)  # a* = 0
         table = solve(CollectiveMode.individual(), grid, market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=200, seed=15, mode=CollectiveMode.individual(), policy=table),
+            SimulationConfig(paths=200, seed=15, mode=CollectiveMode.individual(), policy=table,
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         growth = math.exp(market.r * grid.dt)
@@ -98,7 +108,8 @@ class TestBudgetIdentity:
         grid, mt = short_table
         table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=50, seed=3, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=50, seed=3, mode=CollectiveMode.infinite(), policy=table,
+                             record=ALL_SERIES),
             grid, base_market, mt,
         )
         # gamma was stored as cstar * wealth, so this recomposition is bitwise
@@ -147,7 +158,8 @@ class TestDistributionAgreement:
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
         res = simulate(
-            SimulationConfig(paths=16, seed=6, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=16, seed=6, mode=CollectiveMode.infinite(), policy=table,
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         first = res.consumption[:, :1]
@@ -155,6 +167,8 @@ class TestDistributionAgreement:
 
 
 class TestSummarize:
+    """Per-step quantiles in ``SimulationResult.summary``."""
+
     def test_single_deterministic_path(self):
         grid = make_time_grid(0, 1, 3)
         mt = MortalityTable.from_pmf(grid, [0.0, 0.0, 1.0])
@@ -162,57 +176,59 @@ class TestSummarize:
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
         res = simulate(
-            SimulationConfig(paths=1, seed=4, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=1, seed=4, mode=CollectiveMode.infinite(), policy=table,
+                             record=ALL_SERIES, quantiles=[0.05, 0.5, 0.95]),
             grid, market, mt,
         )
-        pct = summarize(res, [0.05, 0.5, 0.95])
+        pct = res.summary
         for j in range(3):
-            assert np.array_equal(pct.x[j], res.wealth[0])
-            assert np.array_equal(pct.gamma[j], res.consumption[0])
+            assert np.array_equal(pct.x_quantiles[j], res.wealth[0])
+            assert np.array_equal(pct.gamma_quantiles[j], res.consumption[0])
 
     def test_median_of_two_paths_is_midpoint(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
         table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=2, seed=8, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=2, seed=8, mode=CollectiveMode.infinite(), policy=table,
+                             record=ALL_SERIES, quantiles=[0.5]),
             grid, base_market, mt,
         )
-        pct = summarize(res, [0.5])
+        pct = res.summary
         k = grid.n_steps // 2
-        assert pct.x[0, k] == pytest.approx(res.wealth[:, k].mean(), rel=1e-15)
+        assert pct.x_quantiles[0, k] == pytest.approx(res.wealth[:, k].mean(), rel=1e-15)
 
     def test_median_tracks_lognormal_median(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
         paths = 20_000
         res = simulate(
-            SimulationConfig(paths=paths, seed=13, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=paths, seed=13, mode=CollectiveMode.infinite(), policy=table,
+                             quantiles=[0.5]),
             grid, base_market, mt,
         )
         sched = wealth_schedule(table, mt, 1.0)
-        pct = summarize(res, [0.5])
+        pct = res.summary
         k = 10
         se = 1.2533 * sched.sigma_x[k] / math.sqrt(paths)  # asymptotic median error
-        assert abs(math.log(pct.x[0, k]) - sched.mu_x[k]) <= 3.0 * se
+        assert abs(math.log(pct.x_quantiles[0, k]) - sched.mu_x[k]) <= 3.0 * se
 
     def test_validation(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
         table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        # quantiles no longer need recorded series
         res = simulate(
             SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
-                             record=("wealth",)),
+                             record=("wealth",), quantiles=[0.5]),
             grid, base_market, mt,
         )
+        assert res.consumption is None
+        assert res.summary.gamma_quantiles.shape == (1, grid.n_steps)
         with pytest.raises(ConfigurationError):
-            summarize(res, [0.5])  # consumption not recorded
-        full = simulate(
-            SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table),
-            grid, base_market, mt,
-        )
+            SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
+                             quantiles=[])
         with pytest.raises(ConfigurationError):
-            summarize(full, [])
-        with pytest.raises(ConfigurationError):
-            summarize(full, [0.0, 0.5])
+            SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
+                             quantiles=[0.0, 0.5])
 
 
 class TestValidation:
@@ -232,7 +248,8 @@ class TestValidation:
         c[-1] = 1.0
         strat = Strategy(a=np.zeros(grid.n_steps), c=c)
         res = simulate(
-            SimulationConfig(paths=3, seed=2, mode=CollectiveMode.infinite(), policy=strat),
+            SimulationConfig(paths=3, seed=2, mode=CollectiveMode.infinite(), policy=strat,
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         assert np.all(res.consumption[:, 0] == 0.2)
@@ -244,7 +261,8 @@ class TestValidation:
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         table = solve(CollectiveMode.finite(2), grid, market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=4000, seed=21, mode=CollectiveMode.finite(2), policy=table),
+            SimulationConfig(paths=4000, seed=21, mode=CollectiveMode.finite(2), policy=table,
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         assert res.summary.alive_paths[0] == 4000
@@ -255,3 +273,25 @@ class TestValidation:
         for k in range(grid.n_steps - 1):
             gone = res.survivors[:, k] == 0
             assert np.all(res.survivors[gone, k + 1] == 0)
+
+
+class TestBoundedMemory:
+    def test_largest_fund_simulates_in_o_paths_memory(self, default_table, base_market):
+        # nothing is recorded by default, so memory is O(paths) plus the
+        # sampler's (distinct counts x window) table, not O(paths x n_steps)
+        grid, mt = default_table
+        c = np.full((MAX_FINITE_N, grid.n_steps), 0.05)
+        c[:, -1] = 1.0
+        strat = Strategy(a=np.full(grid.n_steps, 0.5), c=c)
+        cfg = SimulationConfig(paths=20_000, seed=3, mode=CollectiveMode.finite(MAX_FINITE_N),
+                               policy=strat)
+        tracemalloc.start()
+        try:
+            res = simulate(cfg, grid, base_market, mt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.wealth is None and res.survivors is None and res.consumption is None
+        assert res.summary.alive_paths[0] == 20_000
+        assert np.all(np.isfinite(res.summary.x_quantiles[:, 0]))
+        assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
