@@ -2,29 +2,81 @@
 
 Every variate is a pure function of (seed, path, step, stream), so results
 are identical regardless of evaluation order, vectorisation or thread count.
-The generator is a chain of splitmix64 finalisers absorbing each key in turn;
-uniforms take the top 53 bits, and normals come from the rational-polynomial
-inverse normal CDF (Wichura's PPND16), accurate to ~1e-15.
+The generator is a chain of splitmix64 finalisers absorbing each key in
+turn, split into the pieces a simulation reuses:
+
+* ``path_keys(seed, paths)`` = mix(mix(seed) ^ path), once per run;
+* ``step_hash(keys, step)`` = mix(keys ^ step), once per step and shared by
+  every stream of that step;
+* ``stream_uniforms(h, stream)`` = mix(h ^ stream) mapped to a float.
+
+``uniforms(seed, paths, step, stream)`` is their composition.  A uniform is
+the top 53 bits of the hash plus half a unit, (k + 1/2) 2^-53, clamped to
+1 - 2^-53 so that the largest k (which rounds to 1.0) stays inside (0, 1).
+Normals come from the rational-polynomial inverse normal CDF (Wichura's
+PPND16), accurate to ~1e-15.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["uniforms", "inverse_normal_cdf"]
+__all__ = ["uniforms", "path_keys", "step_hash", "stream_uniforms", "inverse_normal_cdf"]
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finaliser (full avalanche) on uint64 values."""
+    """splitmix64 finaliser (full avalanche) on uint64 values, into a new array."""
     x = x + _GOLDEN
-    x = (x ^ (x >> _U64(30))) * _MIX1
-    x = (x ^ (x >> _U64(27))) * _MIX2
-    return x ^ (x >> _U64(31))
+    t = np.empty_like(x)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(x, _U64(shift), out=t)
+        x ^= t
+        x *= mult
+    np.right_shift(x, _U64(31), out=t)
+    x ^= t
+    return x
+
+
+def _key(value: int) -> np.uint64:
+    """An integer key reduced modulo 2^64."""
+    return _U64(value & 0xFFFFFFFFFFFFFFFF)
+
+
+def path_keys(seed: int, paths: np.ndarray | int) -> np.ndarray:
+    """Per-path keys mix(mix(seed) ^ path) of one run.
+
+    ``paths`` may be an index array or a count (meaning arange(count)).
+    """
+    if np.isscalar(paths):
+        paths = np.arange(int(paths), dtype=np.uint64)
+    else:
+        paths = np.asarray(paths, dtype=np.uint64)
+    seed_key = _mix(np.array([_key(seed)]))[0]
+    return _mix(seed_key ^ paths)
+
+
+def step_hash(keys: np.ndarray, step: int) -> np.ndarray:
+    """mix(keys ^ step): the hash every stream of one step starts from."""
+    return _mix(keys ^ _key(step))
+
+
+def _unit_interval(h: np.ndarray) -> np.ndarray:
+    """(top 53 bits of h + 1/2) 2^-53, clamped to at most 1 - 2^-53."""
+    u = (h >> _U64(11)).astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def stream_uniforms(h: np.ndarray, stream: int) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) of one stream from a step hash."""
+    return _unit_interval(_mix(h ^ _key(stream)))
 
 
 def uniforms(seed: int, paths: np.ndarray | int, step: int, stream: int) -> np.ndarray:
@@ -33,15 +85,7 @@ def uniforms(seed: int, paths: np.ndarray | int, step: int, stream: int) -> np.n
     ``paths`` may be an index array or a count (meaning arange(count)).
     Values lie strictly inside (0, 1).
     """
-    if np.isscalar(paths):
-        paths = np.arange(int(paths), dtype=np.uint64)
-    else:
-        paths = np.asarray(paths, dtype=np.uint64)
-    key = _mix(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))[0]
-    h = _mix(key ^ paths)
-    h = _mix(h ^ _U64(step))
-    h = _mix(h ^ _U64(stream))
-    return (h >> _U64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    return stream_uniforms(step_hash(path_keys(seed, paths), step), stream)
 
 
 # PPND16 (applied-statistics algorithm AS 241): rational approximations on a
@@ -109,29 +153,34 @@ _F = (
 
 
 def _poly(coeffs, x):
-    acc = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
+    """Horner evaluation of sum(coeffs[i] x^i), in place on one new array."""
+    acc = np.multiply(x, coeffs[-1])
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= x
+        acc += c
     return acc
 
 
 def inverse_normal_cdf(p: np.ndarray) -> np.ndarray:
     """Standard normal quantile of p in (0, 1), vectorised.
 
-    Each element is evaluated only on its own branch: the central polynomial
-    for |p - 0.5| <= 0.425, else sqrt(-log(min(p, 1 - p))) and the near
-    (r <= 5) or far tail polynomial.
+    The central polynomial (the branch for |p - 0.5| <= 0.425) is evaluated
+    in place on every element; only the tail elements, about 15% of uniform
+    draws, are gathered for sqrt(-log(min(p, 1 - p))) and the near (r <= 5)
+    or far tail polynomial, and written back over it.
     """
     p = np.asarray(p, dtype=np.float64)
+    shape = p.shape
+    p = p.ravel()
     q = p - 0.5
-    central = np.abs(q) <= 0.425
-    out = np.empty_like(p)
+    r = np.multiply(q, q)
+    np.subtract(0.180625, r, out=r)
+    out = _poly(_A, r)
+    out *= q
+    out /= _poly(_B, r)
 
-    qc = q[central]
-    r_c = 0.180625 - qc * qc
-    out[central] = qc * _poly(_A, r_c) / _poly(_B, r_c)
-
-    tail = ~central
+    tail = np.flatnonzero(np.abs(q) > 0.425)
     pt = p[tail]
     r_t = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
     near = r_t <= 5.0
@@ -142,4 +191,4 @@ def inverse_normal_cdf(p: np.ndarray) -> np.ndarray:
     r2 = r_t[far] - 5.0
     x_tail[far] = _poly(_E, r2) / _poly(_F, r2)
     out[tail] = np.where(q[tail] < 0.0, -x_tail, x_tail)
-    return out
+    return out.reshape(shape)

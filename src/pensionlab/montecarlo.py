@@ -14,14 +14,18 @@ identity
 
 The summary (moments of log wealth and log consumption, empirical
 quantiles of wealth and consumption, survivor means) is computed inside the
-step loop over the paths still alive, so a run needs O(paths) memory.  Full
-``paths x n_steps`` series are kept only for the names in
-``SimulationConfig.record``.
+step loop over the paths still alive (no gather while every path is), so a
+run needs O(paths) memory.  Quantiles are taken on a sorted copy, which
+gives np.quantile's result at less cost; moments use the unsorted values,
+as summation order matters.  Full ``paths x n_steps`` series are kept only
+for the names in ``SimulationConfig.record``.
 
 All randomness is drawn from counter-based streams keyed by
-(seed, path, step): stream 0 drives market growth, stream 1 the survivor
-transition.  Results are therefore bitwise reproducible for a given seed,
-independent of evaluation order or thread count.
+(seed, path, step, stream): stream 0 drives market growth, stream 1 the
+survivor transition.  The per-path keys are hashed once per run and each
+step's hash once, shared by both streams.  Results are therefore bitwise
+reproducible for a given seed, independent of evaluation order or thread
+count.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .core import ConfigurationError, MarketParams, TimeGrid
 from .mortality import MortalityTable
 from .solver import CollectiveMode, Strategy, ValueTable
 from ._kernels import binomial_inverse, lgamma_table
-from ._rng import inverse_normal_cdf, uniforms
+from ._rng import inverse_normal_cdf, path_keys, step_hash, stream_uniforms
 
 __all__ = [
     "SimulationConfig",
@@ -48,6 +52,7 @@ __all__ = [
 _RECORD_CHOICES = ("survivors", "wealth", "consumption")
 _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
+_ALL = slice(None)  # the alive selector while no path has died out
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ def _policy_arrays(config: SimulationConfig, grid: TimeGrid):
 class _SurvivorFraction:
     """Infinite fund: the fraction prod s_k survives on every path."""
 
-    alive = slice(None)
+    alive = _ALL
 
     def __init__(self, c: np.ndarray):
         self.c = c
@@ -152,31 +157,43 @@ class _SurvivorFraction:
     def rate(self, k: int):
         return self.c[k]
 
-    def redistribute(self, k: int, s_k: float, spare: np.ndarray) -> np.ndarray:
+    def redistribute(self, k: int, s_k: float, spare: np.ndarray, h: np.ndarray) -> np.ndarray:
         self.survivors *= s_k
         return spare / s_k
 
 
 class _BinomialSurvivors:
-    """Finite fund: each path's survivor count is a Binomial(n_t, s_t) draw."""
+    """Finite fund: each path's survivor count is a Binomial(n_t, s_t) draw.
 
-    def __init__(self, c: np.ndarray, n0: int, paths: int, seed: int):
+    ``alive`` is ``_ALL`` until the first path dies out, then a boolean
+    mask.  ``redistribute`` finishes the survival stream from the step hash
+    ``h`` the growth stream shares.
+    """
+
+    def __init__(self, c: np.ndarray, n0: int, paths: int):
         self.c = c
-        self.seed = seed
         self.lgam = lgamma_table(n0)
         self.survivors = np.full(paths, n0, dtype=np.int64)
-        self.alive = self.survivors > 0
+        self.alive = _ALL
 
     def rate(self, k: int) -> np.ndarray:
-        return np.where(self.alive, self.c[np.maximum(self.survivors, 1) - 1, k], 0.0)
+        rates = self.c[np.maximum(self.survivors, 1) - 1, k]
+        if self.alive is not _ALL:
+            rates[~self.alive] = 0.0
+        return rates
 
-    def redistribute(self, k: int, s_k: float, spare: np.ndarray) -> np.ndarray:
+    def redistribute(self, k: int, s_k: float, spare: np.ndarray, h: np.ndarray) -> np.ndarray:
         n_cur = self.survivors
-        u = uniforms(self.seed, n_cur.size, k, _STREAM_SURVIVAL)
+        u = stream_uniforms(h, _STREAM_SURVIVAL)
         n_next = binomial_inverse(n_cur, s_k, u, self.lgam)
         self.survivors = n_next
-        self.alive = n_next > 0
-        return np.where(self.alive, (n_cur / np.maximum(n_next, 1)) * spare, 0.0)
+        xbar = n_cur / np.maximum(n_next, 1)
+        xbar *= spare
+        dead = n_next == 0
+        if dead.any():
+            self.alive = ~dead
+            xbar[dead] = 0.0
+        return xbar
 
 
 def _log_moments(values: np.ndarray):
@@ -188,6 +205,16 @@ def _log_moments(values: np.ndarray):
     mean = float(logs.mean())
     var = float(logs.var(ddof=1)) if values.size > 1 else 0.0
     return mean, var
+
+
+def _quantiles(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile (linear) taken on a sorted copy.
+
+    Sorting gives the same order statistics, and so the same result, as the
+    partition np.quantile runs on unsorted data, and at 100k values costs
+    less than a partition over several kth values.
+    """
+    return np.quantile(np.sort(values), probs, method="linear")
 
 
 def simulate(
@@ -208,9 +235,9 @@ def simulate(
     if mode.kind == "infinite":
         model = _SurvivorFraction(c_arr)
     elif mode.is_finite:
-        model = _BinomialSurvivors(c_arr, mode.n, paths, seed)
+        model = _BinomialSurvivors(c_arr, mode.n, paths)
     else:  # the individual problem is a one-member fund
-        model = _BinomialSurvivors(c_arr[None, :], 1, paths, seed)
+        model = _BinomialSurvivors(c_arr[None, :], 1, paths)
 
     recorded = {name: np.empty((paths, n_steps)) for name in config.record}
     probs = np.asarray(list(config.quantiles), dtype=np.float64)
@@ -226,6 +253,7 @@ def simulate(
     growth_base = (a_arr * (market.mu - market.r) + market.r - 0.5 * a_arr**2 * market.sigma**2) * dt
     growth_vol = a_arr * market.sigma * math.sqrt(dt)
 
+    keys = path_keys(seed, paths)
     x = np.full(paths, config.x0)
     for k in range(n_steps):
         gamma = model.rate(k) * x
@@ -237,14 +265,20 @@ def simulate(
         mean_lx[k], var_lx[k] = _log_moments(x_alive)
         mean_lg[k], var_lg[k] = _log_moments(gamma_alive)
         if x_alive.size:
-            xq[:, k] = np.quantile(x_alive, probs, method="linear")
-            gq[:, k] = np.quantile(gamma_alive, probs, method="linear")
+            xq[:, k] = _quantiles(x_alive, probs)
+            gq[:, k] = _quantiles(gamma_alive, probs)
         mean_n[k] = np.mean(model.survivors)
         alive_ct[k] = x_alive.size
+        # free the gathered copies (and the counts series refers to) before the update
+        del x_alive, gamma_alive, series
         if k < n_steps - 1:
-            xbar = model.redistribute(k, float(mortality.s[k]), x - gamma)
-            z = inverse_normal_cdf(uniforms(seed, paths, k, _STREAM_GROWTH))
-            x = xbar * np.exp(growth_base[k] + growth_vol[k] * z)
+            h = step_hash(keys, k)
+            x -= gamma  # x is this step's own array: reuse it for the spare wealth
+            x = model.redistribute(k, float(mortality.s[k]), x, h)
+            z = inverse_normal_cdf(stream_uniforms(h, _STREAM_GROWTH))
+            z *= growth_vol[k]
+            z += growth_base[k]
+            x *= np.exp(z, out=z)
 
     summary = SummaryStats(
         mean_log_x=mean_lx,

@@ -132,12 +132,18 @@ class TestSimulateCommand:
             assert len(quantiles) == 1  # single path: all quantiles identical
 
     @pytest.mark.parametrize(
-        "mode, golden", [(None, "paths_summary_default.csv"), ("finite:100", "paths_summary_finite100.csv")]
+        "mode, golden",
+        [
+            (None, "paths_summary_default.csv"),
+            ("finite:100", "paths_summary_finite100.csv"),
+            ("individual", "paths_summary_individual.csv"),
+        ],
     )
     def test_bundled_config_matches_golden_output(self, tmp_path, mode, golden):
-        # the golden files were written by the per-path chop-down sampler and
-        # the summary computed from recorded paths; the table sampler and the
-        # in-loop summary must reproduce them byte for byte
+        # default and finite:100 were written by the per-path chop-down sampler
+        # and a summary of recorded paths, individual by a per-call hash chain
+        # and partition-based quantiles; the table sampler, the shared step
+        # hash and the sorted quantiles must reproduce them byte for byte
         cfg = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
         if mode is not None:
             cfg["mode"] = mode

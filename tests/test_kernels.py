@@ -15,11 +15,19 @@ from pensionlab._kernels import (
     lgamma_table,
     log_survivor_mixture_numpy,
 )
-from pensionlab._rng import inverse_normal_cdf, uniforms
+from pensionlab._rng import (
+    _unit_interval,
+    inverse_normal_cdf,
+    path_keys,
+    step_hash,
+    stream_uniforms,
+    uniforms,
+)
 
 from oracle_binomial import binomial_inverse_loop, chop_down_sums
 from oracle_mixture import log_sum_exp_rows, log_survivor_mixture_full, mixture_terms
 from oracle_normal import inverse_normal_cdf_all_branches
+from oracle_rng import uniform as uniform_scalar
 
 if HAS_NUMBA:
     from pensionlab._kernels import binomial_inverse_numba
@@ -58,6 +66,36 @@ class TestUniforms:
         u = uniforms(7, 200_000, step=0, stream=0)
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.001
+
+    def test_extreme_hashes_stay_inside_unit_interval(self):
+        # (2^53 - 1) 2^-53 + 2^-54 rounds to 1.0; the clamp keeps it below
+        h = np.array([0, 2**64 - 1], dtype=np.uint64)
+        u = _unit_interval(h)
+        assert u.tolist() == [2.0**-54, 1.0 - 2.0**-53]
+        assert u[1] < 1.0
+        assert np.all(np.isfinite(inverse_normal_cdf(u)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(-(2**64), -1), st.integers(2**63, 2**64 - 1), st.just(0)),
+        step=st.integers(0, 2**63),
+        stream=st.integers(0, 2**63),
+        paths=st.one_of(
+            st.integers(1, 200),
+            st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20).map(
+                lambda p: np.array(p, dtype=np.uint64)
+            ),
+        ),
+    )
+    def test_split_chain_matches_uniforms(self, seed, step, stream, paths):
+        # path keys -> step hash -> stream is how simulate draws; uniforms
+        # must be the same chain, and both must match the scalar reference
+        split = stream_uniforms(step_hash(path_keys(seed, paths), step), stream)
+        whole = uniforms(seed, paths, step, stream)
+        assert split.tobytes() == whole.tobytes()
+        index = np.arange(paths) if np.isscalar(paths) else paths
+        ref = [uniform_scalar(seed, int(i), step, stream) for i in index]
+        assert whole.tolist() == ref
 
 
 class TestInverseNormal:
@@ -100,6 +138,14 @@ class TestInverseNormal:
     def test_matches_all_branch_formula(self, p):
         p = np.array(p, dtype=np.float64)
         assert np.array_equal(inverse_normal_cdf(p), inverse_normal_cdf_all_branches(p))
+
+    def test_keeps_input_shape(self):
+        p = np.array([[0.01, 0.5, 0.99], [0.2, 1e-20, 0.93]])
+        got = inverse_normal_cdf(p)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, inverse_normal_cdf_all_branches(p))
+        assert inverse_normal_cdf(0.975).shape == ()
+        assert inverse_normal_cdf(0.975) == inverse_normal_cdf(np.array([0.975]))[0]
 
 
 def _exact_binomial_pmf(n, s_frac):

@@ -3,15 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pensionlab.analytics import wealth_schedule
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
-from pensionlab.montecarlo import SimulationConfig, simulate
+from pensionlab.montecarlo import SimulationConfig, _quantiles, simulate
 from pensionlab.mortality import MortalityTable, gompertz_makeham
 from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, solve
 
 
 ALL_SERIES = ("survivors", "wealth", "consumption")
+CLI_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +215,53 @@ class TestSummarize:
         k = 10
         se = 1.2533 * sched.sigma_x[k] / math.sqrt(paths)  # asymptotic median error
         assert abs(math.log(pct.x_quantiles[0, k]) - sched.mu_x[k]) <= 3.0 * se
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.integers(1, 2000),
+            elements=st.one_of(
+                st.floats(-1e6, 1e6),
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan]),
+            ),
+        ),
+        probs=st.one_of(
+            st.just(CLI_PROBS),
+            st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     min_size=1, max_size=10),
+        ),
+    )
+    def test_sorted_quantile_matches_np_quantile(self, values, probs):
+        probs = np.array(probs)
+        with np.errstate(invalid="ignore"):
+            got = _quantiles(values, probs)
+            ref = np.quantile(values, probs, method="linear")
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_quantiles_of_alive_paths_in_dying_fund(self, default_table, base_market, vnm_prefs):
+        grid, mt = default_table
+        mode = CollectiveMode.finite(3)
+        table = solve(mode, grid, base_market, vnm_prefs, mt)
+        res = simulate(
+            SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, record=ALL_SERIES),
+            grid, base_market, mt,
+        )
+        alive = res.survivors > 0
+        # members die, some funds die out, and later every fund has
+        counts = res.summary.alive_paths
+        assert np.any(np.diff(res.survivors, axis=1) < 0)
+        assert np.any((counts > 0) & (counts < 3000)) and counts[-1] == 0
+        assert np.array_equal(res.summary.probs, CLI_PROBS)
+        for k in range(grid.n_steps):
+            live = alive[:, k]
+            for got, series in ((res.summary.x_quantiles, res.wealth),
+                                (res.summary.gamma_quantiles, res.consumption)):
+                if live.any():
+                    ref = np.quantile(series[live, k], CLI_PROBS, method="linear")
+                    assert np.array_equal(got[:, k], ref)
+                else:
+                    assert np.all(np.isnan(got[:, k]))
 
     def test_validation(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
