@@ -7,11 +7,12 @@ Two operations dominate runtime and live here:
   |alpha|.  Each survivor-count row is a binomial mixture summed only over a
   window of O(sqrt(n)) terms around its mean, with a proven bound on the
   dropped mass, so a step costs O(n^1.5) time and O(n + chunk * window)
-  memory instead of O(n^2) for both.
+  memory instead of O(n^2) for both.  Each term costs a few float
+  operations on row copies of per-index vectors, not per-term gathers.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode.  The numpy variant is a table
   sampler: it builds the cumulative chop-down sums once per distinct count
-  among the draws, each row only as far as its largest uniform needs, and
+  among the draws, only as far as the call's largest uniform needs, and
   binary-searches every uniform in its row.  A call costs
   O(draws log window + distinct * window) time and O(draws + distinct *
   window) memory, window being the pieces a row needs, O(sqrt(n s (1-s)))
@@ -29,12 +30,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._backend import BACKEND, HAS_NUMBA, jit
 
 __all__ = [
     "lgamma_table",
-    "log_survivor_mixture_numpy",
+    "log_survivor_mixture",
     "finite_value_step",
     "binomial_inverse",
     "binomial_inverse_numpy",
@@ -81,7 +83,14 @@ def lgamma_table(nmax: int) -> np.ndarray:
 # covers all of 1..m (small m, or an infinite log z') get lo = 1, hi = m.
 #
 # Rows are evaluated CHUNK_ROWS at a time on a (rows x widest window) block,
-# so memory is O(n + CHUNK_ROWS * window), never O(n^2).
+# so memory is O(n + CHUNK_ROWS * window), never O(n^2).  Every operand of a
+# term depends on m alone, on i alone or on d = m - i alone, so each call
+# tabulates the i- and d-operands once as vectors, and a block row, which
+# runs over consecutive i (and consecutive d), is a contiguous slice of each
+# vector: a block costs one row copy per operand plus the per-term
+# arithmetic, with no per-term gathers or index arithmetic.  The block shape
+# and the left-to-right order of the additions fix every rounding, and the
+# masked cells are -inf, as if the block had been evaluated term by term.
 
 TAIL_NATS = 40.0  # exp(-40) = 4.2e-18: the dropped/kept mass bound per row
 CHUNK_ROWS = 128
@@ -114,16 +123,19 @@ def _row_windows(alpha_logw, s, alpha):
 
 
 def _log_sum_exp_rows(t):
+    """Row-wise log-sum-exp of a C-contiguous block, overwriting the block."""
     mx = t.max(axis=1)
     # rows whose max is +-inf are exact limits (lam = inf or 0); bypass the
     # log-sum-exp there to avoid inf - inf
     finite = np.isfinite(mx)
     with np.errstate(over="ignore", divide="ignore"):
-        adj = np.exp(t - np.where(finite, mx, 0.0)[:, None]).sum(axis=1)
+        t -= np.where(finite, mx, 0.0)[:, None]
+        np.exp(t, out=t)
+        adj = t.sum(axis=1)
         return np.where(finite, mx + np.log(adj), mx)
 
 
-def log_survivor_mixture_numpy(logw, s, lgam, alpha):
+def log_survivor_mixture(logw, s, lgam, alpha):
     """log lam_m for m = 1..n, where
 
         lam_m = sum_{i=1..m} (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) exp(alpha logw_i)
@@ -137,30 +149,42 @@ def log_survivor_mixture_numpy(logw, s, lgam, alpha):
     l1s = math.log1p(-s)
     logi = np.log(np.arange(1, n + 1, dtype=np.float64))
     lo, hi = _row_windows(alpha * logw, s, alpha)
+    span = hi - lo
+    width = int(span.max(initial=0)) + 1
+    # the operands of term (m, i) that depend on i alone sit at column i - 1,
+    # those of d = m - i at column n - d, zero-padded by the widest window, so
+    # the operands of a block row i = lo..lo+w-1 are one row of each view
+    ops = np.zeros((6, n + 1 + width))
+    ops[0, :n] = lgam[1 : n + 1]
+    ops[1, :n] = np.arange(1, n + 1) * ls
+    ops[2, :n] = logi
+    ops[3, :n] = alpha * logw
+    ops[4, : n + 1] = lgam[n::-1]
+    ops[5, : n + 1] = np.arange(n, -1, -1) * l1s
+    lgam_i, ls_i, logi_i, aw_i, lgam_d, l1s_d = sliding_window_view(ops, width, axis=1)
     out = np.empty(n)
     for start in range(0, n, CHUNK_ROWS):
         rows = slice(start, min(start + CHUNK_ROWS, n))
-        m_col = np.arange(rows.start + 1, rows.stop + 1)[:, None]
-        lo_col, hi_col = lo[rows, None], hi[rows, None]
-        i_row = lo_col + np.arange(int((hi_col - lo_col).max()) + 1)[None, :]
-        mask = i_row <= hi_col
-        i_row = np.where(mask, i_row, lo_col)
-        d = m_col - i_row
-        t = (
-            lgam[m_col]
-            - lgam[i_row]
-            - lgam[d]
-            + i_row * ls
-            + d * l1s
-            + (1.0 - alpha) * (logi[i_row - 1] - logi[m_col - 1])
-            + alpha * logw[i_row - 1]
-        )
-        out[rows] = _log_sum_exp_rows(np.where(mask, t, -np.inf))
+        m0 = np.arange(rows.start, rows.stop)  # m - 1
+        at_i = lo[rows] - 1
+        at_d = n - 1 - m0 + lo[rows]
+        w = int(span[rows].max()) + 1
+        t = lgam[m0 + 1, None] - lgam_i[at_i, :w]
+        t -= lgam_d[at_d, :w]
+        t += ls_i[at_i, :w]
+        t += l1s_d[at_d, :w]
+        g = logi_i[at_i, :w]
+        g -= logi[m0, None]
+        g *= 1.0 - alpha
+        t += g
+        t += aw_i[at_i, :w]
+        np.copyto(t, -np.inf, where=np.arange(w) > span[rows, None])
+        out[rows] = _log_sum_exp_rows(t)
     return out
 
 
 def finite_value_step(logz_next, s, lgam, alpha, log_pref, q, zexp):
-    loglam = log_survivor_mixture_numpy(logz_next, s, lgam, alpha)
+    loglam = log_survivor_mixture(logz_next, s, lgam, alpha)
     logtheta = log_pref + loglam / alpha
     # overflow to inf is how divergence is detected, not a fault
     with np.errstate(over="ignore"):
@@ -181,10 +205,10 @@ def finite_value_step(logz_next, s, lgam, alpha, log_pref, q, zexp):
 # distinct values (at most n0 + 1 in a simulation), so the numpy variant
 # builds each distinct count's cumulative sums once, as one row of a table,
 # with the per-draw recurrences and float additions; the draws are therefore
-# those of a per-draw loop, bit for bit.  A row stops growing once its sum
-# exceeds the largest uniform of its draws, or once both its tails are
-# exactly 0, after which further pieces add nothing.  Each draw is the first
-# entry of its row greater than u.
+# those of a per-draw loop, bit for bit.  The table stops growing once each
+# row's sum exceeds the call's largest uniform, or both of the row's tails
+# are exactly 0, after which further pieces add nothing.  Each draw is the
+# first entry of its row greater than u; entries past it do not change it.
 
 
 def _chop_down_table(counts, s, umax, lgam):
@@ -231,9 +255,7 @@ def binomial_inverse_numpy(n, s, u, lgam):
     present = np.bincount(flat_n) > 0
     counts = np.flatnonzero(present)
     row = (np.cumsum(present) - 1)[flat_n]
-    umax = np.zeros(counts.size)
-    np.maximum.at(umax, row, flat_u)
-    sums, draws = _chop_down_table(counts, s, umax, lgam)
+    sums, draws = _chop_down_table(counts, s, flat_u.max(initial=0.0), lgam)
     # binary search: advance each draw's position while the entry it would
     # step over is <= u, so it stops at the first entry greater than u
     width = sums.shape[1]

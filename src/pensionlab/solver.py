@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, Preferences, TimeGrid
 from .mortality import MortalityTable
-from ._kernels import finite_value_step, lgamma_table, log_survivor_mixture_numpy
+from ._kernels import finite_value_step, lgamma_table, log_survivor_mixture
 
 __all__ = [
     "CollectiveMode",
@@ -327,7 +327,7 @@ def evaluate_policy(
         log1c = np.log1p(-c)
         logv = logc[:, -1].copy()
         for k in range(n_steps - 2, -1, -1):
-            loglam = log_survivor_mixture_numpy(logv, float(mortality.s[k]), lgam, prefs.alpha)
+            loglam = log_survivor_mixture(logv, float(mortality.s[k]), lgam, prefs.alpha)
             kap = growth_exponent(market, prefs.alpha, a=float(a[k]))
             logtheta = math.log(beta) / rho + kap * grid.dt + loglam / prefs.alpha
             logv = (1.0 / rho) * np.logaddexp(

@@ -1,13 +1,20 @@
-"""Full-triangle survivor mixture: the reference for the banded kernel.
+"""Reference survivor mixtures for the banded kernel.
 
-Sums every term i = 1..m of every row m, with no window, so it costs O(n^2)
-time and memory.  ``_kernels.log_survivor_mixture_numpy`` must match it to
-within rounding; it is kept here only to check that.
+``log_survivor_mixture_full`` sums every term i = 1..m of every row m, with
+no window, so it costs O(n^2) time and memory.
+``_kernels.log_survivor_mixture`` must match it to within rounding.
+
+``log_survivor_mixture_gather`` is the banded kernel as it was first
+written: the same windows and (rows x widest window) blocks, with every
+term's operands gathered element by element.  The kernel must match it
+bit for bit.  Both are kept here only to check the kernel.
 """
 
 import math
 
 import numpy as np
+
+from pensionlab._kernels import CHUNK_ROWS, _row_windows
 
 
 def mixture_terms(logw, s, lgam, alpha):
@@ -54,3 +61,35 @@ def log_survivor_mixture_full(logw, s, lgam, alpha):
     if s >= 1.0:
         return alpha * logw
     return log_sum_exp_rows(mixture_terms(logw, s, lgam, alpha))
+
+
+def log_survivor_mixture_gather(logw, s, lgam, alpha):
+    """log lam_m for m = 1..n over each row's certified window, with the
+    block's operands gathered per term by integer index arithmetic."""
+    n = logw.shape[0]
+    if s >= 1.0:
+        return alpha * logw
+    ls = math.log(s)
+    l1s = math.log1p(-s)
+    logi = np.log(np.arange(1, n + 1, dtype=np.float64))
+    lo, hi = _row_windows(alpha * logw, s, alpha)
+    out = np.empty(n)
+    for start in range(0, n, CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, n))
+        m_col = np.arange(rows.start + 1, rows.stop + 1)[:, None]
+        lo_col, hi_col = lo[rows, None], hi[rows, None]
+        i_row = lo_col + np.arange(int((hi_col - lo_col).max()) + 1)[None, :]
+        mask = i_row <= hi_col
+        i_row = np.where(mask, i_row, lo_col)
+        d = m_col - i_row
+        t = (
+            lgam[m_col]
+            - lgam[i_row]
+            - lgam[d]
+            + i_row * ls
+            + d * l1s
+            + (1.0 - alpha) * (logi[i_row - 1] - logi[m_col - 1])
+            + alpha * logw[i_row - 1]
+        )
+        out[rows] = log_sum_exp_rows(np.where(mask, t, -np.inf))
+    return out

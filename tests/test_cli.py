@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from pensionlab.cli import main, parse_config
+from pensionlab.solver import solve
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -86,6 +88,29 @@ class TestSolveCommand:
         _, rows = read_csv(tmp_path / "value.csv")
         pat = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
         assert pat.match(rows[0][2]) and pat.match(rows[0][3])
+
+    # The digests below were taken from the value step that gathered every
+    # term's operands by index; at these sizes most rows' windows are
+    # narrower than the row, and any change of rounding changes the digest.
+
+    def test_finite_table_matches_golden_digest(self):
+        raw = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
+        cfg = parse_config(dict(raw, mode="finite:2048"), REPO / "configs")
+        table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
+        assert hashlib.sha256(table.z.tobytes()).hexdigest() == (
+            "82bde32ba2ba2aa78639ceab22c91a75d3350fa33ac63d17e01f6187fe7a05a0"
+        )
+        assert hashlib.sha256(table.cstar.tobytes()).hexdigest() == (
+            "cd3e051e06b841f6d37ff3d1faca70e90b622523ebebbbadb0dde726b24d305d"
+        )
+
+    def test_finite_value_csv_matches_golden_digest(self, tmp_path):
+        cfg = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
+        p = write_cfg(tmp_path, dict(cfg, mode="finite:512"))
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "value.csv").read_bytes()).hexdigest() == (
+            "af364f623f57dd346887aea9ee55677df5330de0b429f4b5f56fc5402ab14da8"
+        )
 
 
 class TestDistributionCommand:

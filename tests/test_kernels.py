@@ -13,7 +13,7 @@ from pensionlab._kernels import (
     binomial_inverse_numpy,
     finite_value_step,
     lgamma_table,
-    log_survivor_mixture_numpy,
+    log_survivor_mixture,
 )
 from pensionlab._rng import (
     _unit_interval,
@@ -25,7 +25,12 @@ from pensionlab._rng import (
 )
 
 from oracle_binomial import binomial_inverse_loop, chop_down_sums
-from oracle_mixture import log_sum_exp_rows, log_survivor_mixture_full, mixture_terms
+from oracle_mixture import (
+    log_sum_exp_rows,
+    log_survivor_mixture_full,
+    log_survivor_mixture_gather,
+    mixture_terms,
+)
 from oracle_normal import inverse_normal_cdf_all_branches
 from oracle_rng import uniform as uniform_scalar
 
@@ -265,9 +270,9 @@ survival = st.one_of(
 
 
 @st.composite
-def mixture_inputs(draw):
+def mixture_inputs(draw, max_n=400, survival=survival):
     """(logw, s, alpha): smooth or rough log z', optionally with +-inf entries."""
-    n = draw(st.integers(1, 400))
+    n = draw(st.integers(1, max_n))
     alpha = draw(st.floats(-20.0, 0.95).filter(lambda a: a != 0.0))
     s = draw(survival)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -294,7 +299,7 @@ class TestBandedMixture:
     def test_matches_full_triangle(self, inputs):
         logw, s, alpha = inputs
         lgam = lgamma_table(logw.shape[0])
-        got = log_survivor_mixture_numpy(logw, s, lgam, alpha)
+        got = log_survivor_mixture(logw, s, lgam, alpha)
         want = log_survivor_mixture_full(logw, s, lgam, alpha)
         limit = ~np.isfinite(want)
         assert np.array_equal(got[limit], want[limit])
@@ -316,6 +321,31 @@ class TestBandedMixture:
         dropped = log_sum_exp_rows(np.where(inside, -np.inf, t))
         rows = np.isfinite(kept)
         assert np.all(dropped[rows] - kept[rows] <= -TAIL_NATS + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mixture_inputs(
+            max_n=700, survival=st.sampled_from([1e-12, 0.3, 0.6, 0.99, 1.0 - 1e-12, 1.0])
+        )
+    )
+    def test_matches_gathered_block_bitwise(self, inputs):
+        # row copies of per-index vectors give the same terms, in the same
+        # block shape, as gathering every term's operands by index
+        logw, s, alpha = inputs
+        lgam = lgamma_table(logw.shape[0])
+        got = log_survivor_mixture(logw, s, lgam, alpha)
+        want = log_survivor_mixture_gather(logw, s, lgam, alpha)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_matches_gathered_block_bitwise_on_banded_rows(self):
+        n, s, alpha = 2048, 0.5, -1.0
+        logw = np.linspace(0.7, 3.0, n)
+        lo, hi = _row_windows(alpha * logw, s, alpha)
+        assert np.any(hi < np.arange(1, n + 1)) and np.any(lo > 1)
+        lgam = lgamma_table(n)
+        got = log_survivor_mixture(logw, s, lgam, alpha)
+        want = log_survivor_mixture_gather(logw, s, lgam, alpha)
+        assert np.array_equal(got, want)
 
     def test_window_is_a_band_at_large_n(self):
         # on a smooth z' the windows hold O(sqrt(m)) terms, not O(m)
