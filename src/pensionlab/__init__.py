@@ -5,8 +5,6 @@ Carlo and analytic machinery to verify them."""
 from .core import (
     ConfigurationError,
     DivergenceError,
-    Eps,
-    Finite,
     MarketParams,
     Preferences,
     TimeGrid,

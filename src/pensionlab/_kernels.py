@@ -2,27 +2,23 @@
 
 Two operations dominate runtime and live here:
 
-* ``finite_value_step`` - one backward step of the finite-collective value
-  recursion, evaluated in log space so z^alpha stays representable for large
-  |alpha|.  Each survivor-count row is a binomial mixture summed only over a
-  window of O(sqrt(n)) terms around its mean, with a proven bound on the
-  dropped mass, so a step costs O(n^1.5) time and O(n + chunk * window)
+* ``log_survivor_mixture`` - the binomial survivor mixture at the heart of
+  one backward step of the finite-collective value recursion (see
+  ``solver._backward``), evaluated in log space so z^alpha stays
+  representable for large |alpha|.  Each survivor-count row is summed only
+  over a window of O(sqrt(n)) terms around its mean, with a proven bound on
+  the dropped mass, so a step costs O(n^1.5) time and O(n + chunk * window)
   memory instead of O(n^2) for both.  Each term costs a few float
   operations on row copies of per-index vectors, not per-term gathers.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
-  chop-down inversion starting at the mode.  The numpy variant is a table
-  sampler: it builds the cumulative chop-down sums once per distinct count
-  among the draws, only as far as the call's largest uniform needs, and
+  chop-down inversion starting at the mode.  It is a table sampler: it
+  builds the cumulative chop-down sums once per distinct count among the
+  draws, only as far as the call's largest uniform needs, and
   binary-searches every uniform in its row.  A call costs
   O(draws log window + distinct * window) time and O(draws + distinct *
   window) memory, window being the pieces a row needs, O(sqrt(n s (1-s)))
-  for moderate uniforms.
-
-The sampler exists in a numba (per-draw loop) and a pure-numpy variant;
-``binomial_inverse`` dispatches to the backend chosen in ``_backend`` and
-``*_numpy`` / ``*_numba`` stay importable for cross-checking.  Both variants
-apply the same floating-point operations in the same order to each piece,
-so they return the same draws.
+  for moderate uniforms.  Its draws are those of a per-draw loop, bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -32,14 +28,10 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._backend import BACKEND, HAS_NUMBA, jit
-
 __all__ = [
     "lgamma_table",
     "log_survivor_mixture",
-    "finite_value_step",
     "binomial_inverse",
-    "binomial_inverse_numpy",
 ]
 
 
@@ -49,17 +41,16 @@ def lgamma_table(nmax: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite-collective value step
+# finite-collective survivor mixture
 # ---------------------------------------------------------------------------
 #
 # For each current survivor count m = 1..n, with z' the next-step values:
 #
-#   lam_m    = sum_{i=1..m} (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) z'_i^alpha
-#   theta_m  = exp(log_pref) * lam_m^(1/alpha),  log_pref = log(beta)/rho + xi dt
-#   y_m      = 1 + theta_m^(rho/(1-rho))
-#   z_m      = y_m^((1-rho)/rho)
+#   lam_m = sum_{i=1..m} (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) z'_i^alpha
 #
-# computed throughout as log z.  s == 1 collapses the sum to the i = m term.
+# computed throughout as log lam from log z'.  The backward step turns it
+# into the continuation theta_m = beta^(1/rho) exp(kappa dt) lam_m^(1/alpha).
+# s == 1 collapses the sum to the i = m term.
 #
 # Row m of lam sums the terms B_i g_i h_i, with B_i the Binomial(m, s) pmf
 # at i, g_i = (i/m)^(1-alpha) and h_i = z'_i^alpha.  It is summed only over
@@ -183,15 +174,6 @@ def log_survivor_mixture(logw, s, lgam, alpha):
     return out
 
 
-def finite_value_step(logz_next, s, lgam, alpha, log_pref, q, zexp):
-    loglam = log_survivor_mixture(logz_next, s, lgam, alpha)
-    logtheta = log_pref + loglam / alpha
-    # overflow to inf is how divergence is detected, not a fault
-    with np.errstate(over="ignore"):
-        y = 1.0 + np.exp(q * logtheta)
-    return zexp * np.log(y)
-
-
 # ---------------------------------------------------------------------------
 # binomial sampling by chop-down inversion from the mode
 # ---------------------------------------------------------------------------
@@ -202,7 +184,7 @@ def finite_value_step(logz_next, s, lgam, alpha, log_pref, q, zexp):
 # (~1e-15) residual rounding mass at the end of the interval maps to the mode.
 #
 # The pieces depend only on the count n, and a call's counts take few
-# distinct values (at most n0 + 1 in a simulation), so the numpy variant
+# distinct values (at most n0 + 1 in a simulation), so the sampler
 # builds each distinct count's cumulative sums once, as one row of a table,
 # with the per-draw recurrences and float additions; the draws are therefore
 # those of a per-draw loop, bit for bit.  The table stops growing once each
@@ -244,7 +226,7 @@ def _chop_down_table(counts, s, umax, lgam):
     return np.stack(sums, axis=1), m[:, None] + offset
 
 
-def binomial_inverse_numpy(n, s, u, lgam):
+def binomial_inverse(n, s, u, lgam):
     n = np.asarray(n, dtype=np.int64)
     u = np.asarray(u, dtype=np.float64)
     if s <= 0.0:
@@ -268,61 +250,4 @@ def binomial_inverse_numpy(n, s, u, lgam):
     return draws.ravel()[pos].reshape(n.shape)
 
 
-if HAS_NUMBA:
-
-    @jit
-    def _binom_inv_nb(n, s, u, lgam):  # pragma: no cover
-        out = np.empty(n.shape[0], dtype=np.int64)
-        if s <= 0.0:
-            for k in range(n.shape[0]):
-                out[k] = 0
-            return out
-        if s >= 1.0:
-            for k in range(n.shape[0]):
-                out[k] = n[k]
-            return out
-        ls = math.log(s)
-        l1s = math.log1p(-s)
-        for k in range(n.shape[0]):
-            nk = n[k]
-            uk = u[k]
-            m = int(math.floor((nk + 1) * s))
-            if m > nk:
-                m = nk
-            pm = math.exp(lgam[nk] - lgam[m] - lgam[nk - m] + m * ls + (nk - m) * l1s)
-            acc = pm
-            if uk < acc:
-                out[k] = m
-                continue
-            pr = pm
-            pl = pm
-            found = -1
-            for j in range(1, nk + 2):
-                moved = False
-                ir = m + j
-                if ir <= nk:
-                    pr = pr * (((nk - ir + 1) * s) / (ir * (1.0 - s)))
-                    acc += pr
-                    moved = True
-                    if uk < acc:
-                        found = ir
-                        break
-                il = m - j
-                if il >= 0:
-                    pl = pl * (((il + 1) * (1.0 - s)) / ((nk - il) * s))
-                    acc += pl
-                    moved = True
-                    if uk < acc:
-                        found = il
-                        break
-                if not moved:
-                    break
-            out[k] = m if found < 0 else found
-        return out
-
-    binomial_inverse_numba = _binom_inv_nb
-else:  # pragma: no cover
-    binomial_inverse_numba = None
-
-
-binomial_inverse = binomial_inverse_numba if BACKEND == "numba" else binomial_inverse_numpy
+binomial_inverse_numpy = binomial_inverse  # the name perfbench/tests still imports

@@ -50,13 +50,45 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _require_keys(block: dict, allowed: set, required: set, where: str) -> None:
+def _require_keys(block: dict, allowed: set, required: set, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {type(block).__name__}")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigurationError(f"unknown key {sorted(unknown)[0]!r} in {where}")
     missing = required - set(block)
     if missing:
         raise ConfigurationError(f"missing key {sorted(missing)[0]!r} in {where}")
+    return block
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number (not a string or a boolean) as a float."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(block: dict, allowed: set, required: set, where: str) -> dict:
+    """A config block whose values are all numbers, as floats."""
+    block = _require_keys(block, allowed, required, where)
+    return {key: _number(value, f"{where}.{key}") for key, value in block.items()}
+
+
+def _integer(value, where: str) -> int:
+    """A JSON number with an integral value as an int (2.7 is rejected, not truncated)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -76,8 +108,6 @@ class RunConfig:
 
 
 def parse_config(raw: dict, base_dir: Path) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
     _require_keys(
         raw,
         allowed={
@@ -88,72 +118,67 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
         where="config",
     )
 
-    mkt = raw["market"]
-    _require_keys(mkt, {"mu", "r", "sigma", "r_CPI"}, {"mu", "r", "sigma"}, "market")
-    r_cpi = float(mkt.get("r_CPI", 0.0))
-    market = MarketParams(
-        mu=float(mkt["mu"]) - r_cpi, r=float(mkt["r"]) - r_cpi, sigma=float(mkt["sigma"])
+    mkt = _numbers(raw["market"], {"mu", "r", "sigma", "r_CPI"}, {"mu", "r", "sigma"}, "market")
+    r_cpi = mkt.get("r_CPI", 0.0)
+    market = MarketParams(mu=mkt["mu"] - r_cpi, r=mkt["r"] - r_cpi, sigma=mkt["sigma"])
+    prefs = Preferences(
+        **_numbers(raw["preferences"], {"alpha", "rho", "b"}, {"alpha", "rho"}, "preferences")
     )
+    grid = make_time_grid(**_numbers(raw["grid"], {"t0", "dt", "T"}, {"t0", "dt", "T"}, "grid"))
 
-    pb = raw["preferences"]
-    _require_keys(pb, {"alpha", "rho", "b"}, {"alpha", "rho"}, "preferences")
-    prefs = Preferences(alpha=float(pb["alpha"]), rho=float(pb["rho"]), b=float(pb.get("b", 0.0)))
-
-    gb = raw["grid"]
-    _require_keys(gb, {"t0", "dt", "T"}, {"t0", "dt", "T"}, "grid")
-    grid = make_time_grid(float(gb["t0"]), float(gb["dt"]), float(gb["T"]))
-
-    mb = raw["mortality"]
-    _require_keys(mb, {"csv", "gompertz", "age_at_t0"}, set(), "mortality")
+    mb = _require_keys(raw["mortality"], {"csv", "gompertz", "age_at_t0"}, set(), "mortality")
     if ("csv" in mb) == ("gompertz" in mb):
         raise ConfigurationError("mortality needs exactly one of 'csv' or 'gompertz'")
     if "csv" in mb:
+        if not isinstance(mb["csv"], str):
+            raise ConfigurationError(f"mortality.csv must be a file name, got {mb['csv']!r}")
         path = Path(mb["csv"])
         if not path.is_absolute():
             path = base_dir / path
         age0 = mb.get("age_at_t0")
-        mortality = load_mortality_csv(path, grid, None if age0 is None else float(age0))
+        mortality = load_mortality_csv(
+            path, grid, None if age0 is None else _number(age0, "mortality.age_at_t0")
+        )
     else:
-        g = mb["gompertz"]
-        _require_keys(g, {"a", "b", "c"}, {"a", "b", "c"}, "mortality.gompertz")
-        mortality = gompertz_makeham(float(g["a"]), float(g["b"]), float(g["c"]), grid)
+        g = _numbers(mb["gompertz"], {"a", "b", "c"}, {"a", "b", "c"}, "mortality.gompertz")
+        mortality = gompertz_makeham(**g, grid=grid)
 
     mode = _parse_mode(raw["mode"])
 
-    budget = float(raw["budget"])
+    budget = _number(raw["budget"], "budget")
     if not budget > 0.0:
         raise ConfigurationError(f"budget must be positive, got {budget}")
 
     paths = seed = None
     if "simulation" in raw:
-        sb = raw["simulation"]
-        _require_keys(sb, {"paths", "seed"}, {"paths", "seed"}, "simulation")
-        paths, seed = int(sb["paths"]), int(sb["seed"])
+        sb = _require_keys(raw["simulation"], {"paths", "seed"}, {"paths", "seed"}, "simulation")
+        paths = _integer(sb["paths"], "simulation.paths")
+        seed = _integer(sb["seed"], "simulation.seed")
 
     scenarios = None
     if "scenarios" in raw:
         scenarios = []
-        for idx, sc in enumerate(raw["scenarios"]):
-            _require_keys(sc, {"id", "mu", "r", "n"}, {"id", "mu", "r", "n"}, f"scenarios[{idx}]")
-            n = sc["n"]
-            if n == "infinite":
-                n = None
-            elif isinstance(n, int):
-                if n < 1:
-                    raise ConfigurationError(f"scenarios[{idx}].n must be >= 1, got {n}")
-            else:
-                raise ConfigurationError(
-                    f"scenarios[{idx}].n must be an integer or 'infinite', got {n!r}"
-                )
-            scenarios.append((str(sc["id"]), float(sc["mu"]), float(sc["r"]), n))
+        for idx, sc in enumerate(_list(raw["scenarios"], "scenarios")):
+            where = f"scenarios[{idx}]"
+            _require_keys(sc, {"id", "mu", "r", "n"}, {"id", "mu", "r", "n"}, where)
+            n = None if sc["n"] == "infinite" else _integer(sc["n"], f"{where}.n")
+            if n is not None and n < 1:
+                raise ConfigurationError(f"{where}.n must be >= 1, got {n}")
+            scenarios.append(
+                (str(sc["id"]), _number(sc["mu"], f"{where}.mu"), _number(sc["r"], f"{where}.r"), n)
+            )
 
     n_list = None
     if "n_list" in raw:
-        n_list = [int(n) for n in raw["n_list"]]
+        n_list = [_integer(n, "n_list entry") for n in _list(raw["n_list"], "n_list")]
+
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigurationError(f"output must be a directory name, got {output!r}")
 
     return RunConfig(
         market=market, prefs=prefs, grid=grid, mortality=mortality, mode=mode,
-        budget=budget, paths=paths, seed=seed, output=raw.get("output"),
+        budget=budget, paths=paths, seed=seed, output=output,
         scenarios=scenarios, n_list=n_list, raw=raw,
     )
 
@@ -221,9 +246,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         cfg.grid, cfg.market, cfg.mortality,
     )
     if cfg.mode.is_finite:
-        n_pts = cfg.grid.n_steps
-        overlay_mu = np.full(n_pts, np.nan)
-        overlay_sd = np.full(n_pts, np.nan)
+        overlay_mu = overlay_sd = np.full(cfg.grid.n_steps, np.nan)
     else:
         sched = wealth_schedule(table, cfg.mortality, cfg.budget)
         overlay_mu, overlay_sd = sched.mu_x, sched.sigma_x

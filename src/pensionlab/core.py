@@ -1,6 +1,5 @@
 """Domain types shared by every module: the consumption-date grid, market and
-preference parameters, and the extended positive reals used to reason about
-utility after death.
+preference parameters, and the errors the library raises.
 
 Times are held internally as step indices on the grid; real-valued times only
 appear at construction and output boundaries, so the grid never accumulates
@@ -21,8 +20,6 @@ __all__ = [
     "make_time_grid",
     "MarketParams",
     "Preferences",
-    "Finite",
-    "Eps",
 ]
 
 
@@ -123,86 +120,3 @@ class Preferences:
         """Per-step discount factor exp(-b * dt), in (0, 1]."""
         return math.exp(-self.b * dt)
 
-
-# ---------------------------------------------------------------------------
-# Extended positive reals
-# ---------------------------------------------------------------------------
-#
-# The algebra adjoins symbols eps^a (a != 0) for infinitesimal (a > 0) and
-# infinite (a < 0) values to the non-negative reals.  It exists to express
-# and unit-test the utility-after-death convention; the production value
-# recursions never run on it (the terminal step is resolved analytically).
-
-
-@dataclass(frozen=True)
-class Finite:
-    """A non-negative real number in the extended algebra."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value >= 0.0:
-            raise ConfigurationError(f"Finite value must be >= 0, got {self.value}")
-
-    def __add__(self, other):
-        if isinstance(other, Finite):
-            return Finite(self.value + other.value)
-        if isinstance(other, Eps):
-            # x + eps^a = x for a > 0, else the infinite value dominates
-            return self if other.exponent > 0 else other
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Finite):
-            return Finite(self.value * other.value)
-        if isinstance(other, Eps):
-            if self.value == 0.0:
-                # 0 * eps^a is left undefined by the algebra
-                raise ConfigurationError("0 * eps^a is undefined")
-            return other
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: float):
-        if self.value == 0.0 and exponent < 0.0:
-            raise ConfigurationError("0 raised to a negative power is not a positive real")
-        return Finite(self.value ** exponent)
-
-
-@dataclass(frozen=True)
-class Eps:
-    """The symbol eps^exponent; exponent must be nonzero."""
-
-    exponent: float
-
-    def __post_init__(self):
-        if self.exponent == 0.0:
-            raise ConfigurationError("eps^0 is not an element of the algebra")
-
-    def __add__(self, other):
-        if isinstance(other, Eps):
-            return Eps(min(self.exponent, other.exponent))
-        if isinstance(other, Finite):
-            return other + self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Eps):
-            if self.exponent + other.exponent == 0.0:
-                raise ConfigurationError("eps^a * eps^-a is undefined (eps^0 is excluded)")
-            return Eps(self.exponent + other.exponent)
-        if isinstance(other, Finite):
-            return other * self
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: float):
-        if exponent == 0.0:
-            raise ConfigurationError("eps^a raised to 0 would give eps^0, which is excluded")
-        return Eps(self.exponent * exponent)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import ConfigurationError, MarketParams, TimeGrid
 from .mortality import MortalityTable
-from .solver import CollectiveMode, Strategy, ValueTable
+from .solver import CollectiveMode, Strategy, ValueTable, _strategy_arrays, extract_strategy
 from ._kernels import binomial_inverse, lgamma_table
 from ._rng import inverse_normal_cdf, path_keys, step_hash, stream_uniforms
 
@@ -121,7 +121,6 @@ class SimulationResult:
 
 def _policy_arrays(config: SimulationConfig, grid: TimeGrid):
     """(a per step, c lookup) from a ValueTable or explicit Strategy."""
-    n_steps = grid.n_steps
     pol = config.policy
     if isinstance(pol, ValueTable):
         if pol.mode != config.mode:
@@ -130,19 +129,8 @@ def _policy_arrays(config: SimulationConfig, grid: TimeGrid):
             )
         if pol.grid != grid:
             raise ConfigurationError("value table was solved on a different grid")
-        a = np.full(n_steps, pol.astar)
-        c = np.array(pol.cstar, copy=True)
-    else:
-        a = np.asarray(pol.a, dtype=np.float64)
-        c = np.asarray(pol.c, dtype=np.float64)
-    if a.shape != (n_steps,):
-        raise ConfigurationError(f"policy a must have shape ({n_steps},), got {a.shape}")
-    expected = (config.mode.n, n_steps) if config.mode.is_finite else (n_steps,)
-    if c.shape != expected:
-        raise ConfigurationError(f"policy c must have shape {expected}, got {c.shape}")
-    if np.any((c < 0.0) | (c > 1.0)):
-        raise ConfigurationError("consumption rates must lie in [0, 1]")
-    return a, c
+        pol = extract_strategy(pol)
+    return _strategy_arrays(pol, config.mode, grid.n_steps)
 
 
 class _SurvivorFraction:

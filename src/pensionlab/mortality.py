@@ -177,8 +177,11 @@ def load_mortality_csv(
     t0, i.e. the grid is already in age coordinates).
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_mortality_csv(fh, grid, age_at_t0)
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                return load_mortality_csv(fh, grid, age_at_t0)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IngestionError(f"cannot read mortality CSV {source}: {exc}") from None
 
     reader = csv.reader(source)
     try:

@@ -14,12 +14,12 @@ per-period growth exponent xi are constants of the market and alpha alone.
 A finite collective of n members is solved on the triangular table z_{i,t}
 (i = 1..n survivors): the continuation mixes next-step values over the
 binomial survivor transition, weighted by the wealth concentration
-(i/n)^(1-alpha); see ``_kernels.finite_value_step``.
+(i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.  This solve and
+``evaluate_policy`` in every mode share one log-space driver, ``_backward``.
 
 The terminal step is c* = 1, z = 1 for every survivor count: with death
 certain by T, consuming everything at the last date is forced, which is the
-resolved form of the symbolic utility-after-death convention (the extended
-positive reals in ``core`` exist to unit-test that algebra, not to run here).
+resolved form of the symbolic utility-after-death convention.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, Preferences, TimeGrid
 from .mortality import MortalityTable
-from ._kernels import finite_value_step, lgamma_table, log_survivor_mixture
+from ._kernels import lgamma_table, log_survivor_mixture
 
 __all__ = [
     "CollectiveMode",
@@ -106,7 +106,8 @@ def growth_exponent(market: MarketParams, alpha: float, a: float | None = None) 
     """Certainty-equivalent growth rate a(mu-r) + r - a^2 (1-alpha) sigma^2 / 2.
 
     With ``a`` omitted this is xi, the value at the optimal proportion a*
-    (the extremum for every sign of alpha).
+    (the extremum for every sign of alpha); an array ``a`` gives one rate
+    per entry.
     """
     if a is None:
         a = optimal_proportion(market, alpha)
@@ -126,23 +127,20 @@ def continuation_factor(
     s: float,
     collective: int,
     dt: float,
-    a: float | None = None,
 ) -> float:
     """The per-step factor phi multiplying next-period value per unit wealth:
 
         beta^(1/rho) exp(xi dt) s^(1/alpha - C)
 
-    with C = ``collective`` (0 individual, 1 infinite).  With ``a`` given,
-    xi is replaced by the growth exponent of that fixed proportion (used for
-    evaluating sub-optimal policies).  Only valid at non-terminal points,
-    where s > 0.
+    with C = ``collective`` (0 individual, 1 infinite).  Only valid at
+    non-terminal points, where s > 0.
     """
     if not 0.0 < s <= 1.0:
         raise ConfigurationError(
             f"survival probability must be in (0, 1] at non-terminal points, got {s}"
         )
-    kap = growth_exponent(market, prefs.alpha, a=a)
-    phi = prefs.beta(dt) ** (1.0 / prefs.rho) * math.exp(kap * dt) * s ** (1.0 / prefs.alpha)
+    xi = growth_exponent(market, prefs.alpha)
+    phi = prefs.beta(dt) ** (1.0 / prefs.rho) * math.exp(xi * dt) * s ** (1.0 / prefs.alpha)
     if collective:
         phi /= s
     return phi
@@ -179,17 +177,40 @@ class ValueTable:
         return float(self.z[-1, 0] if self.mode.is_finite else self.z[0])
 
 
-def _check_table(mode, grid, z, y, cstar):
-    bad = ~(np.isfinite(z) & (z > 0.0) & np.isfinite(y) & (cstar > 0.0) & (cstar <= 1.0))
-    if np.any(bad):
-        where = np.argwhere(bad)[0]
+def _diverged(mode, grid, k, row=0):
+    count = f"for survivor count {row + 1} " if mode.is_finite else ""
+    return DivergenceError(f"value recursion diverged {count}at t={grid.points[k]}")
+
+
+def _backward(mode, grid, prefs, mortality, kappa, last, rule):
+    """Log values log v on the grid, backward from their last-date values
+    ``last`` (one per survivor count for a finite fund).  Step k forms
+
+        finite:  log theta_k = log(beta)/rho + kappa_k dt + log lam_k / alpha,
+        pooled:  log theta_k = log(beta)/rho + kappa_k dt + (1/alpha - C) log s_k + log v_{k+1},
+
+    lam_k being the survivor mixture of v_{k+1}, and log v_k = rule(k, log theta_k).
+    NaN and +inf are divergence; -inf is v = 0, which a policy consuming
+    nothing at some date earns when rho < 0.
+    """
+    if mortality.grid != grid:
+        raise ConfigurationError("mortality table was built on a different grid")
+    alpha = prefs.alpha
+    logv = np.empty(np.shape(last) + (grid.n_steps,))
+    logv[..., -1] = last
+    log_beta = math.log(prefs.beta(grid.dt)) / prefs.rho
+    lgam = lgamma_table(mode.n) if mode.is_finite else None
+    for k in range(grid.n_steps - 2, -1, -1):
+        s = float(mortality.s[k])
         if mode.is_finite:
-            i, k = int(where[0]) + 1, int(where[1])
-            raise DivergenceError(
-                f"value recursion diverged for survivor count {i} at t={grid.points[k]}"
-            )
-        k = int(where[0])
-        raise DivergenceError(f"value recursion diverged at t={grid.points[k]}")
+            cont = log_survivor_mixture(logv[:, k + 1], s, lgam, alpha) / alpha
+        else:
+            cont = (1.0 / alpha - mode.pooling) * math.log(s) + logv[k + 1]
+        logv[..., k] = rule(k, log_beta + kappa[k] * grid.dt + cont)
+        bad = np.isnan(logv[..., k]) | (logv[..., k] == np.inf)
+        if np.any(bad):
+            raise _diverged(mode, grid, k, int(np.argmax(bad)))
+    return logv
 
 
 def solve(
@@ -200,53 +221,41 @@ def solve(
     mortality: MortalityTable,
 ) -> ValueTable:
     """Backward induction for the optimal value and consumption tables."""
-    if mortality.grid != grid:
-        raise ConfigurationError("mortality table was built on a different grid")
     astar = optimal_proportion(market, prefs.alpha)
     xi = growth_exponent(market, prefs.alpha)
-    n_steps = grid.n_steps
-    rho = prefs.rho
-    q = rho / (1.0 - rho)
+    q = prefs.rho / (1.0 - prefs.rho)
 
     if mode.is_finite:
-        n = mode.n
-        lgam = lgamma_table(n)
-        log_pref = math.log(prefs.beta(grid.dt)) / rho + xi * grid.dt
-        logz = np.zeros((n, n_steps))
-        for k in range(n_steps - 2, -1, -1):
-            logz[:, k] = finite_value_step(
-                np.ascontiguousarray(logz[:, k + 1]),
-                float(mortality.s[k]),
-                lgam,
-                prefs.alpha,
-                log_pref,
-                q,
-                1.0 / q,
-            )
-            bad = ~np.isfinite(logz[:, k])
-            if np.any(bad):
-                i = int(np.argmax(bad)) + 1
-                raise DivergenceError(
-                    f"value recursion diverged for survivor count {i} at t={grid.points[k]}"
-                )
+
+        def optimal(k, logtheta):
+            # overflow is divergence; as NaN, a negative q cannot make it log z = -inf
+            with np.errstate(over="ignore"):
+                y = 1.0 + np.exp(q * logtheta)
+            y[y == np.inf] = np.nan
+            return (1.0 / q) * np.log(y)
+
+        kappa = np.full(grid.n_steps, xi)
+        logz = _backward(mode, grid, prefs, mortality, kappa, np.zeros(mode.n), optimal)
         z = np.exp(logz)
         y = np.exp(q * logz)
-        cstar = 1.0 / y
     else:
+        # the linear recursion in y, whose roundings the log-space driver would change
+        if mortality.grid != grid:
+            raise ConfigurationError("mortality table was built on a different grid")
         p = mode.pooling
-        y = np.empty(n_steps)
-        y[-1] = 1.0
-        # overflow to inf is how divergence is detected, not a fault
-        with np.errstate(over="ignore"):
-            for k in range(n_steps - 2, -1, -1):
+        y = np.ones(grid.n_steps)
+        with np.errstate(over="ignore"):  # overflow to inf is how divergence is detected
+            for k in range(grid.n_steps - 2, -1, -1):
                 phi = continuation_factor(prefs, market, float(mortality.s[k]), p, grid.dt)
                 y[k] = 1.0 + phi**q * y[k + 1]
                 if not math.isfinite(y[k]):
-                    raise DivergenceError(f"value recursion diverged at t={grid.points[k]}")
+                    raise _diverged(mode, grid, k)
         z = y ** (1.0 / q)
-        cstar = 1.0 / y
-
-    _check_table(mode, grid, z, y, cstar)
+    cstar = 1.0 / y
+    bad = ~(np.isfinite(z) & (z > 0.0) & np.isfinite(y) & (cstar > 0.0) & (cstar <= 1.0))
+    if np.any(bad):
+        where = np.argwhere(bad)[0]
+        raise _diverged(mode, grid, where[-1], where[0])
     for arr in (z, y, cstar):
         arr.flags.writeable = False
     return ValueTable(
@@ -275,6 +284,20 @@ def extract_strategy(table: ValueTable) -> Strategy:
     )
 
 
+def _strategy_arrays(strategy: Strategy, mode: CollectiveMode, n_steps: int):
+    """(a, c) of a strategy as float arrays, checked against the mode and grid."""
+    a = np.asarray(strategy.a, dtype=np.float64)
+    c = np.asarray(strategy.c, dtype=np.float64)
+    if a.shape != (n_steps,):
+        raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {a.shape}")
+    expected = (mode.n, n_steps) if mode.is_finite else (n_steps,)
+    if c.shape != expected:
+        raise ConfigurationError(f"strategy.c must have shape {expected}, got {c.shape}")
+    if np.any((c < 0.0) | (c > 1.0)):
+        raise ConfigurationError("consumption rates must lie in [0, 1]")
+    return a, c
+
+
 def evaluate_policy(
     strategy: Strategy,
     mode: CollectiveMode,
@@ -285,57 +308,23 @@ def evaluate_policy(
 ) -> float:
     """Utility per unit initial wealth of a given strategy.
 
-    Runs the same backward recursion as ``solve`` but with the consumption
-    rate fixed and the one-period wealth-power moment exp(alpha kappa(a) dt)
-    of the given proportion in place of the optimum; the supremum is removed,
-    so comparing against ``solve`` checks optimality.
+    Runs the backward recursion of ``solve`` with the consumption rate fixed,
+
+        v = (c^rho + (theta (1 - c))^rho)^(1/rho),
+
+    and the growth exponent kappa(a) of the given proportion in place of
+    the optimum; the supremum is removed, so comparing against ``solve``
+    checks optimality.
     """
-    if mortality.grid != grid:
-        raise ConfigurationError("mortality table was built on a different grid")
-    n_steps = grid.n_steps
-    a = np.asarray(strategy.a, dtype=np.float64)
-    c = np.asarray(strategy.c, dtype=np.float64)
-    if a.shape != (n_steps,):
-        raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {a.shape}")
-    expected = (mode.n, n_steps) if mode.is_finite else (n_steps,)
-    if c.shape != expected:
-        raise ConfigurationError(f"strategy.c must have shape {expected}, got {c.shape}")
-    if np.any((c < 0.0) | (c > 1.0)):
-        raise ConfigurationError("consumption rates must lie in [0, 1]")
-
+    a, c = _strategy_arrays(strategy, mode, grid.n_steps)
     rho = prefs.rho
-
-    if not mode.is_finite:
-        p = mode.pooling
-        with np.errstate(divide="ignore"):
-            v = np.float64(c[-1])
-            for k in range(n_steps - 2, -1, -1):
-                phi = continuation_factor(
-                    prefs, market, float(mortality.s[k]), p, grid.dt, a=float(a[k])
-                )
-                inner = np.float64(c[k]) ** rho + (phi * (1.0 - c[k]) * v) ** rho
-                v = inner ** (1.0 / rho)
-        if not np.isfinite(v):
-            raise DivergenceError("policy evaluation diverged")
-        return float(v)
-
-    n = mode.n
-    lgam = lgamma_table(n)
-    beta = prefs.beta(grid.dt)
     with np.errstate(divide="ignore"):
         logc = np.log(c)
         log1c = np.log1p(-c)
-        logv = logc[:, -1].copy()
-        for k in range(n_steps - 2, -1, -1):
-            loglam = log_survivor_mixture(logv, float(mortality.s[k]), lgam, prefs.alpha)
-            kap = growth_exponent(market, prefs.alpha, a=float(a[k]))
-            logtheta = math.log(beta) / rho + kap * grid.dt + loglam / prefs.alpha
-            logv = (1.0 / rho) * np.logaddexp(
-                rho * logc[:, k], rho * (logtheta + log1c[:, k])
-            )
-            if np.any(np.isnan(logv) | (logv == np.inf)):
-                i = int(np.argmax(np.isnan(logv) | (logv == np.inf))) + 1
-                raise DivergenceError(
-                    f"policy evaluation diverged for survivor count {i} at t={grid.points[k]}"
-                )
-    return float(np.exp(logv[n - 1]))
+
+    def fixed(k, logtheta):
+        return (1.0 / rho) * np.logaddexp(rho * logc[..., k], rho * (logtheta + log1c[..., k]))
+
+    kappa = growth_exponent(market, prefs.alpha, a=a)
+    logv = _backward(mode, grid, prefs, mortality, kappa, logc[..., -1], fixed)
+    return float(np.exp(logv[-1, 0] if mode.is_finite else logv[0]))

@@ -2,7 +2,7 @@
 
 Walks every path outward from its mode, one piece of the unit interval per
 side per round, until the farthest draw is found, so a call costs
-O(paths x max offset).  ``_kernels.binomial_inverse_numpy`` must return the
+O(paths x max offset).  ``_kernels.binomial_inverse`` must return the
 same draws bitwise; it is kept here only to check that.
 """
 

@@ -247,7 +247,38 @@ class TestConvergeCommand:
                 assert abs(float(row[col]) - float(ref[col])) <= 1e-13 * scale
 
 
+MARKET = TRIVIAL["market"]
+
+# each case once ended in a traceback (exit 1) or was silently truncated
+MALFORMED = {
+    "n_list-not-a-list": {"n_list": 5},
+    "n_list-entry-string": {"n_list": ["a"]},
+    "n_list-entry-fraction": {"n_list": [4.5, 64]},
+    "paths-string": {"simulation": {"paths": "x", "seed": 1}},
+    "paths-fraction": {"simulation": {"paths": 2.7, "seed": 1}},
+    "mu-string": {"market": dict(MARKET, mu="abc")},
+    "mu-null": {"market": dict(MARKET, mu=None)},
+    "sigma-boolean": {"market": dict(MARKET, sigma=True)},
+    "r_CPI-string": {"market": dict(MARKET, r_CPI="x")},
+    "alpha-string": {"preferences": {"alpha": "x", "rho": -1.0}},
+    "preferences-not-an-object": {"preferences": [-1.0, -1.0]},
+    "budget-string": {"budget": "x"},
+    "budget-nan": {"budget": float("nan")},
+    "scenarios-not-a-list": {"scenarios": 5},
+    "scenario-not-an-object": {"scenarios": ["base"]},
+    "mortality-csv-missing": {"mortality": {"csv": "missing.csv"}},
+    "mortality-csv-not-a-name": {"mortality": {"csv": 5}},
+    "output-not-a-name": {"output": 5},
+}
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_config_exits_2_with_error_line(self, tmp_path, capsys, change):
+        p = write_cfg(tmp_path, dict(TRIVIAL, **change))
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["solve", "--config", str(p), "--print-config"]) == 0

@@ -1,12 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from pensionlab.core import (
     ConfigurationError,
-    Eps,
-    Finite,
     MarketParams,
     Preferences,
     TimeGrid,
@@ -66,67 +62,3 @@ class TestMarketAndPreferences:
             assert 0.0 < beta <= 1.0
         assert Preferences(alpha=-1.0, rho=-1.0, b=0.0).beta(1.0) == 1.0
 
-
-class TestExtendedReals:
-    def test_finite_plus_eps(self):
-        assert Finite(3) + Eps(2) == Finite(3)
-        assert Finite(3) + Eps(-2) == Eps(-2)
-
-    def test_eps_plus_eps_min(self):
-        assert Eps(2) + Eps(-1) == Eps(-1)
-
-    def test_power_multiplies_exponents(self):
-        assert Eps(3) ** -2 == Eps(-6)
-
-    def test_finite_arithmetic_is_ordinary(self):
-        assert Finite(2) + Finite(3) == Finite(5)
-        assert Finite(2) * Finite(3) == Finite(6)
-        assert Finite(2) ** 3 == Finite(8)
-
-    def test_scaling_absorbs_finite(self):
-        assert Finite(7) * Eps(2) == Eps(2)
-        assert Eps(2) * Finite(7) == Eps(2)
-
-    def test_eps_product_adds_exponents(self):
-        assert Eps(1.5) * Eps(2.0) == Eps(3.5)
-
-    def test_excluded_cases(self):
-        with pytest.raises(ConfigurationError):
-            Eps(0.0)
-        with pytest.raises(ConfigurationError):
-            Eps(2) * Eps(-2)
-        with pytest.raises(ConfigurationError):
-            Finite(0) * Eps(2)
-        with pytest.raises(ConfigurationError):
-            Eps(2) ** 0
-        with pytest.raises(ConfigurationError):
-            Finite(0) ** -1
-        with pytest.raises(ConfigurationError):
-            Finite(-1)
-
-    def _random_element(self, rng):
-        if rng.random() < 0.5:
-            # dyadic integers so float addition is exact and associativity
-            # can be asserted bitwise
-            return Finite(float(rng.integers(0, 1 << 20)))
-        e = 0.0
-        while e == 0.0:
-            e = float(rng.integers(-50, 50))
-        return Eps(e)
-
-    def test_addition_commutative_and_associative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            a, b, c = (self._random_element(rng) for _ in range(3))
-            assert a + b == b + a
-            assert (a + b) + c == a + (b + c)
-
-    def test_multiplication_distributes_over_exponent_addition(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            ea = 0.0
-            eb = 0.0
-            while ea == 0.0 or eb == 0.0 or ea + eb == 0.0:
-                ea = float(rng.integers(-30, 30))
-                eb = float(rng.integers(-30, 30))
-            assert Eps(ea) * Eps(eb) == Eps(ea + eb)

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pensionlab._backend import HAS_NUMBA
 from pensionlab._kernels import (
     TAIL_NATS,
     _row_windows,
-    binomial_inverse_numpy,
-    finite_value_step,
+    binomial_inverse,
     lgamma_table,
     log_survivor_mixture,
 )
@@ -33,9 +31,6 @@ from oracle_mixture import (
 )
 from oracle_normal import inverse_normal_cdf_all_branches
 from oracle_rng import uniform as uniform_scalar
-
-if HAS_NUMBA:
-    from pensionlab._kernels import binomial_inverse_numba
 
 
 class TestUniforms:
@@ -167,7 +162,7 @@ class TestBinomialInverse:
         n, s = 20, 0.3
         grid_n = 400_000
         u = (np.arange(grid_n) + 0.5) / grid_n
-        k = binomial_inverse_numpy(np.full(grid_n, n, dtype=np.int64), s, u, lgamma_table(n))
+        k = binomial_inverse(np.full(grid_n, n, dtype=np.int64), s, u, lgamma_table(n))
         counts = np.bincount(k, minlength=n + 1) / grid_n
         pmf = _exact_binomial_pmf(n, Fraction(3, 10))
         assert np.max(np.abs(counts - pmf)) < 2.0 / grid_n * (n + 1)
@@ -176,8 +171,8 @@ class TestBinomialInverse:
         n = np.array([4, 7, 0], dtype=np.int64)
         u = np.array([0.3, 0.9, 0.5])
         lg = lgamma_table(7)
-        assert np.array_equal(binomial_inverse_numpy(n, 0.0, u, lg), [0, 0, 0])
-        assert np.array_equal(binomial_inverse_numpy(n, 1.0, u, lg), [4, 7, 0])
+        assert np.array_equal(binomial_inverse(n, 0.0, u, lg), [0, 0, 0])
+        assert np.array_equal(binomial_inverse(n, 1.0, u, lg), [4, 7, 0])
 
     def test_whole_support_reachable(self):
         # the partition is ordered mode-outward, so edges are reached by the
@@ -185,28 +180,28 @@ class TestBinomialInverse:
         n = 10
         grid_n = 200_000
         u = (np.arange(grid_n) + 0.5) / grid_n
-        k = binomial_inverse_numpy(np.full(grid_n, n, dtype=np.int64), 0.5, u, lgamma_table(n))
+        k = binomial_inverse(np.full(grid_n, n, dtype=np.int64), 0.5, u, lgamma_table(n))
         assert set(np.unique(k)) == set(range(n + 1))
 
     def test_large_n_small_survival_no_underflow(self):
         # pmf(0) underflows in linear space; mode-start inversion must not care
         n = np.full(1000, 10_000, dtype=np.int64)
         u = uniforms(3, 1000, step=0, stream=0)
-        k = binomial_inverse_numpy(n, 0.5, u, lgamma_table(10_000))
+        k = binomial_inverse(n, 0.5, u, lgamma_table(10_000))
         assert np.all((k > 4600) & (k < 5400))
         assert abs(k.mean() - 5000.0) < 4 * 50.0 / math.sqrt(1000)
 
     def test_moments_on_hashed_stream(self):
         n0, s, draws = 1000, 0.97, 100_000
         u = uniforms(99, draws, step=0, stream=1)
-        k = binomial_inverse_numpy(np.full(draws, n0, dtype=np.int64), s, u, lgamma_table(n0))
+        k = binomial_inverse(np.full(draws, n0, dtype=np.int64), s, u, lgamma_table(n0))
         mean_se = math.sqrt(n0 * s * (1 - s) / draws)
         assert abs(k.mean() - n0 * s) < 4 * mean_se
         var = n0 * s * (1 - s)
         assert abs(k.var() - var) < 5 * var * math.sqrt(2.0 / (draws - 1))
 
     def test_empty_input(self):
-        out = binomial_inverse_numpy(np.array([], dtype=np.int64), 0.5, np.array([]), lgamma_table(3))
+        out = binomial_inverse(np.array([], dtype=np.int64), 0.5, np.array([]), lgamma_table(3))
         assert out.shape == (0,)
 
     @settings(max_examples=100, deadline=None)
@@ -229,31 +224,10 @@ class TestBinomialInverse:
             sums = chop_down_sums(n[i], s, lgam, rounds=6)
             u[i] = sums[rng.integers(0, len(sums))]
         u = np.clip(u, 2.0**-54, 1.0 - 2.0**-54)
-        assert np.array_equal(binomial_inverse_numpy(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(17)
-        lg = lgamma_table(500)
-        for s in (0.02, 0.5, 0.93, 0.999):
-            n = rng.integers(0, 500, size=5000).astype(np.int64)
-            u = uniforms(5, 5000, step=2, stream=1)
-            a = binomial_inverse_numpy(n, s, u, lg)
-            b = binomial_inverse_numba(n, s, u, lg)
-            assert np.array_equal(a, b)
+        assert np.array_equal(binomial_inverse(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
 
 
 class TestFiniteValueStep:
-    def test_single_member_matches_scalar_recursion(self):
-        # row 1 is the individual recursion: theta = pref * s^(1/alpha) * z
-        s, alpha, rho = 0.8, -1.5, -0.5
-        q = rho / (1.0 - rho)
-        logz = np.array([math.log(0.7)])
-        out = finite_value_step(logz, s, lgamma_table(1), alpha, 0.02, q, 1.0 / q)
-        theta = math.exp(0.02) * s ** (1.0 / alpha) * 0.7
-        y = 1.0 + theta**q
-        assert out[0] == pytest.approx((1.0 / q) * math.log(y), rel=1e-13)
-
     def test_lgamma_table(self):
         lg = lgamma_table(20)
         assert lg[0] == 0.0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,19 @@ class TestSolve:
         with pytest.raises(DivergenceError, match="survivor count"):
             solve(CollectiveMode.finite(2), grid, market, prefs, mt)
 
+    def test_divergence_with_negative_q_reported_where_it_overflows(self):
+        # rho < 0: y overflows to inf and z = y^(1/q) would read 0, not diverge
+        grid = make_time_grid(0, 1, 200)
+        p = np.zeros(200)
+        p[-1] = 1.0
+        mt = MortalityTable.from_pmf(grid, p)
+        market = MarketParams(mu=-10.0, r=-10.0, sigma=0.2)
+        prefs = Preferences(alpha=-1.0, rho=-3.0, b=0.0)
+        with pytest.raises(DivergenceError, match=r"diverged at t=104\.0"):
+            solve(CollectiveMode.individual(), grid, market, prefs, mt)
+        with pytest.raises(DivergenceError, match=r"survivor count 1 at t=104\.0"):
+            solve(CollectiveMode.finite(2), grid, market, prefs, mt)
+
     def test_grid_mismatch_rejected(self, mild_table, base_market, vnm_prefs):
         _, mt = mild_table
         other = make_time_grid(0, 1, 5)
@@ -314,3 +328,41 @@ class TestEvaluatePolicy:
                 Strategy(a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 1.2)),
                 CollectiveMode.individual(), grid, base_market, vnm_prefs, mt,
             )
+
+    def test_zero_consumption_at_a_date(self):
+        # a policy that consumes nothing at t=1 has v = 0 there when rho < 0,
+        # and v = 0 propagates back to t0 as log v = -inf, not as divergence
+        grid = make_time_grid(0, 1, 6)
+        mt = MortalityTable.from_pmf(grid, [0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
+        market = MarketParams(mu=0.06, r=0.03, sigma=0.15)
+        modes = (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(3))
+        expected = {-1.0: (0.0, 0.0, 0.0),
+                    0.5: (10.300855153090351, 23.064952046523132, 15.62701358472201)}
+        for rho, values in expected.items():
+            prefs = Preferences(alpha=-1.0, rho=rho)
+            for mode, value in zip(modes, values):
+                strat = extract_strategy(solve(mode, grid, market, prefs, mt))
+                strat.c[..., 1] = 0.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    v = evaluate_policy(strat, mode, grid, market, prefs, mt)
+                if value == 0.0:
+                    assert v == 0.0
+                else:
+                    assert v == pytest.approx(value, rel=1e-12)
+
+
+class TestBackwardDriver:
+    def test_single_member_matches_scalar_recursion(self):
+        # two dates: the one-member fund is the individual recursion
+        # z_0 = (1 + theta^q)^(1/q), theta = beta^(1/rho) exp(xi dt) s^(1/alpha) z_1
+        grid = make_time_grid(0, 1, 2)
+        s, alpha, rho, b = 0.8, -1.5, -0.5, 0.01
+        mt = MortalityTable.from_pmf(grid, [1.0 - s, s])
+        market = MarketParams(mu=0.06, r=0.03, sigma=0.15)
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        q = rho / (1.0 - rho)
+        table = solve(CollectiveMode.finite(1), grid, market, prefs, mt)
+        theta = math.exp(-b / rho) * math.exp(growth_exponent(market, alpha)) * s ** (1.0 / alpha)
+        assert table.z[0, 1] == 1.0
+        assert table.z[0, 0] == pytest.approx((1.0 + theta**q) ** (1.0 / q), rel=1e-13)
