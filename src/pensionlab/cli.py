@@ -7,10 +7,13 @@ The config is strict UTF-8 JSON: unknown keys are rejected so typos surface
 immediately.  Rates in the ``market`` block are nominal; the optional
 ``r_CPI`` is subtracted from mu and r before solving.  Scenario entries give
 mu and r directly in real terms and reuse the shared sigma, preferences,
-grid and mortality.
+grid and mortality.  A config that asks for more grid points, Monte Carlo
+paths or finite value-table cells (fund size times grid points) than the
+``MAX_*`` caps in ``solver`` is rejected before anything is allocated.
 
-Every emitted CSV prints numbers with 12 significant digits and is
-byte-identical across reruns of the same config and seed.  Exit codes:
+Each command hands whole columns to one CSV writer, which streams the rows
+a block at a time.  Numbers print with 12 significant digits, and every CSV
+is byte-identical across reruns of the same config and seed.  Exit codes:
 0 success, 2 validation error, 3 numeric divergence.
 """
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +37,7 @@ from .core import (
     make_time_grid,
 )
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
-from .solver import CollectiveMode, solve
+from .solver import MAX_FINITE_CELLS, MAX_GRID_POINTS, MAX_PATHS, CollectiveMode, solve
 from .analytics import wealth_schedule
 from .montecarlo import SimulationConfig, simulate
 from .studies import convergence_study, improvement, run_scenarios
@@ -43,6 +45,7 @@ from .studies import convergence_study, improvement, run_scenarios
 __all__ = ["main", "RunConfig", "parse_config"]
 
 _QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
+_BLOCK_ROWS = 4096  # CSV rows formatted per write
 
 
 def _fmt(x: float) -> str:
@@ -125,19 +128,18 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
         **_numbers(raw["preferences"], {"alpha", "rho", "b"}, {"alpha", "rho"}, "preferences")
     )
     grid = make_time_grid(**_numbers(raw["grid"], {"t0", "dt", "T"}, {"t0", "dt", "T"}, "grid"))
+    _capped(grid.n_steps, MAX_GRID_POINTS, "grid points")
 
     mb = _require_keys(raw["mortality"], {"csv", "gompertz", "age_at_t0"}, set(), "mortality")
     if ("csv" in mb) == ("gompertz" in mb):
         raise ConfigurationError("mortality needs exactly one of 'csv' or 'gompertz'")
     if "csv" in mb:
-        if not isinstance(mb["csv"], str):
+        if not isinstance(mb["csv"], str) or "\0" in mb["csv"]:
             raise ConfigurationError(f"mortality.csv must be a file name, got {mb['csv']!r}")
-        path = Path(mb["csv"])
-        if not path.is_absolute():
-            path = base_dir / path
         age0 = mb.get("age_at_t0")
-        mortality = load_mortality_csv(
-            path, grid, None if age0 is None else _number(age0, "mortality.age_at_t0")
+        mortality = load_mortality_csv(  # an absolute path replaces base_dir
+            base_dir / mb["csv"], grid,
+            None if age0 is None else _number(age0, "mortality.age_at_t0"),
         )
     else:
         g = _numbers(mb["gompertz"], {"a", "b", "c"}, {"a", "b", "c"}, "mortality.gompertz")
@@ -152,7 +154,7 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
     paths = seed = None
     if "simulation" in raw:
         sb = _require_keys(raw["simulation"], {"paths", "seed"}, {"paths", "seed"}, "simulation")
-        paths = _integer(sb["paths"], "simulation.paths")
+        paths = _capped(_integer(sb["paths"], "simulation.paths"), MAX_PATHS, "simulation.paths")
         seed = _integer(sb["seed"], "simulation.seed")
 
     scenarios = None
@@ -172,8 +174,13 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
     if "n_list" in raw:
         n_list = [_integer(n, "n_list entry") for n in _list(raw["n_list"], "n_list")]
 
+    # no command builds a value table larger than the largest fund on the grid
+    largest = max([mode.n or 0, *(sc[3] or 0 for sc in scenarios or ()), *(n_list or ())])
+    _capped(largest * grid.n_steps, MAX_FINITE_CELLS,
+            f"value cells of a fund of {largest} on {grid.n_steps} grid points")
+
     output = raw.get("output")
-    if output is not None and not isinstance(output, str):
+    if output is not None and (not isinstance(output, str) or "\0" in output):
         raise ConfigurationError(f"output must be a directory name, got {output!r}")
 
     return RunConfig(
@@ -181,6 +188,13 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
         budget=budget, paths=paths, seed=seed, output=output,
         scenarios=scenarios, n_list=n_list, raw=raw,
     )
+
+
+def _capped(count: int, cap: int, what: str) -> int:
+    """``count``, checked against ``cap`` before anything of that size is allocated."""
+    if count > cap:
+        raise ConfigurationError(f"{what} = {count} exceeds the cap {cap}")
+    return count
 
 
 def _parse_mode(text) -> CollectiveMode:
@@ -198,40 +212,38 @@ def _parse_mode(text) -> CollectiveMode:
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns (arrays or short lists) as CSV rows, ``_BLOCK_ROWS``
+    at a time.  Float columns print as ``%.11e``, the text of ``_fmt``; others as ``str``."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("%.11e" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.write("".join(row % cells for cells in zip(*block)))
     print(f"wrote {path}")
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> None:
     table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
-    points = cfg.grid.points
-    rows = []
-    if cfg.mode.is_finite:
-        for k in range(cfg.grid.n_steps):
-            for i in range(1, cfg.mode.n + 1):
-                rows.append(
-                    [_fmt(points[k]), str(i), _fmt(table.z[i - 1, k]), _fmt(table.cstar[i - 1, k])]
-                )
-    else:
-        for k in range(cfg.grid.n_steps):
-            rows.append([_fmt(points[k]), "0", _fmt(table.z[k]), _fmt(table.cstar[k])])
-    _write_csv(out / "value.csv", ["t", "i", "z", "c_star"], rows)
-    _write_csv(out / "meta.csv", ["a_star", "xi"], [[_fmt(table.astar), _fmt(table.xi)]])
+    counts = np.arange(1, cfg.mode.n + 1) if cfg.mode.is_finite else np.zeros(1, dtype=np.int64)
+    z, cstar = np.atleast_2d(table.z, table.cstar)
+    _write_csv(
+        out / "value.csv", ["t", "i", "z", "c_star"],
+        [np.repeat(cfg.grid.points, counts.size), np.tile(counts, cfg.grid.n_steps),
+         z.T.ravel(), cstar.T.ravel()],
+    )
+    _write_csv(out / "meta.csv", ["a_star", "xi"], [[table.astar], [table.xi]])
 
 
 def cmd_distribution(cfg: RunConfig, out: Path) -> None:
     table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
     sched = wealth_schedule(table, cfg.mortality, cfg.budget)
-    rows = [
-        [_fmt(t), _fmt(mx), _fmt(sx), _fmt(mg), _fmt(sg)]
-        for t, mx, sx, mg, sg in zip(
-            cfg.grid.points, sched.mu_x, sched.sigma_x, sched.mu_gamma, sched.sigma_gamma
-        )
-    ]
-    _write_csv(out / "dist.csv", ["t", "mu_x", "sigma_x", "mu_gamma", "sigma_gamma"], rows)
+    _write_csv(
+        out / "dist.csv", ["t", "mu_x", "sigma_x", "mu_gamma", "sigma_gamma"],
+        [cfg.grid.points, sched.mu_x, sched.sigma_x, sched.mu_gamma, sched.sigma_gamma],
+    )
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
@@ -250,23 +262,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     else:
         sched = wealth_schedule(table, cfg.mortality, cfg.budget)
         overlay_mu, overlay_sd = sched.mu_x, sched.sigma_x
-    rows = []
-    for k, t in enumerate(cfg.grid.points):
-        rows.append(
-            [_fmt(t)]
-            + [_fmt(sim.summary.x_quantiles[j, k]) for j in range(len(_QUANTILES))]
-            + [
-                _fmt(sim.summary.mean_log_x[k]),
-                _fmt(math.sqrt(sim.summary.var_log_x[k]) if sim.summary.var_log_x[k] >= 0 else float("nan")),
-                _fmt(overlay_mu[k]),
-                _fmt(overlay_sd[k]),
-            ]
-        )
     _write_csv(
         out / "paths_summary.csv",
         ["t", "q05", "q25", "q50", "q75", "q95", "mean_log_x", "sd_log_x",
          "mean_log_x_analytic", "sd_log_x_analytic"],
-        rows,
+        [cfg.grid.points, *sim.summary.x_quantiles, sim.summary.mean_log_x,
+         np.sqrt(sim.summary.var_log_x), overlay_mu, overlay_sd],
     )
 
 
@@ -276,33 +277,31 @@ def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
     reports = run_scenarios(
         cfg.scenarios, cfg.grid, cfg.market.sigma, cfg.prefs, cfg.mortality, cfg.budget
     )
-    rows = [
-        [rep.scenario, _fmt(rep.mu), _fmt(rep.r), "inf" if rep.n is None else str(rep.n),
-         _fmt(rep.outperformance)]
-        for rep in reports
-    ]
-    _write_csv(out / "scenarios.csv", ["scenario", "mu", "r", "n", "outperformance"], rows)
-    pair_rows = []
-    for ra in reports:
-        for rb in reports:
-            if ra.scenario != rb.scenario:
-                pair_rows.append(
-                    [ra.scenario, rb.scenario,
-                     _fmt(improvement(ra.outperformance, rb.outperformance))]
-                )
-    _write_csv(out / "improvements.csv", ["scenario_a", "scenario_b", "improvement"], pair_rows)
+    _write_csv(
+        out / "scenarios.csv", ["scenario", "mu", "r", "n", "outperformance"],
+        [[rep.scenario for rep in reports], [rep.mu for rep in reports],
+         [rep.r for rep in reports], ["inf" if rep.n is None else rep.n for rep in reports],
+         [rep.outperformance for rep in reports]],
+    )
+    pairs = [(ra, rb) for ra in reports for rb in reports if ra.scenario != rb.scenario]
+    _write_csv(
+        out / "improvements.csv", ["scenario_a", "scenario_b", "improvement"],
+        [[ra.scenario for ra, _ in pairs], [rb.scenario for _, rb in pairs],
+         [improvement(ra.outperformance, rb.outperformance) for ra, rb in pairs]],
+    )
 
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:
     if not cfg.n_list:
         raise ConfigurationError("the converge command needs a non-empty 'n_list'")
     report = convergence_study(cfg.n_list, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
-    rows = []
-    for n, zn in report.entries:
-        diff = abs(zn - report.z_infinity)
-        bound = report.bound_constant * n**-0.5
-        rows.append([str(n), _fmt(zn), _fmt(diff), _fmt(bound)])
-    _write_csv(out / "convergence.csv", ["n", "z_n", "abs_diff", "bound"], rows)
+    n, zn = map(np.array, zip(*report.entries))
+    # Python pow per entry: numpy's vectorised power need not round the same
+    _write_csv(
+        out / "convergence.csv", ["n", "z_n", "abs_diff", "bound"],
+        [n, zn, np.abs(zn - report.z_infinity),
+         [report.bound_constant * k**-0.5 for k in n.tolist()]],
+    )
     print(
         f"fit: |z_n - z_inf| ~ {_fmt(report.fit_constant)} * n^{report.fit_exponent:.4f}; "
         f"bound {_fmt(report.bound_constant)} * n^-1/2 anchored at n={report.bound_anchor}; "

@@ -71,6 +71,8 @@ def make_time_grid(t0: float, dt: float, T: float) -> TimeGrid:
     if dt <= 0.0:
         raise ConfigurationError(f"grid dt must be > 0, got {dt}")
     ratio = (T - t0) / dt
+    if not math.isfinite(ratio):
+        raise ConfigurationError(f"grid step count (T - t0)/dt = {ratio!r} is not finite")
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ConfigurationError(

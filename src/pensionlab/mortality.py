@@ -145,22 +145,18 @@ def gompertz_makeham(a: float, b: float, c: float, grid: TimeGrid) -> MortalityT
         raise ConfigurationError("Gompertz-Makeham parameters must be non-negative")
     t = grid.points
     dt = grid.dt
-    if c > 0.0:
-        integral = a * dt + (b / c) * (np.exp(c * (t + dt)) - np.exp(c * t))
-    else:
-        integral = (a + b) * dt * np.ones_like(t)
-    step_surv = np.exp(-integral)
-    cum = np.ones(grid.n_steps)
-    np.cumprod(step_surv[:-1], out=cum[1:])
-    if not cum[-1] > 0.0:
-        raise ConfigurationError(
-            "hazard so large that survival underflows to zero before the final "
-            "grid point; reduce the horizon or the parameters"
-        )
-    p = np.empty(grid.n_steps)
-    p[:-1] = cum[:-1] * (1.0 - step_surv[:-1])
-    p[-1] = cum[-1]
-    return MortalityTable.from_pmf(grid, p)
+    # an integral that overflows to inf (or inf - inf = nan) before the final
+    # step leaves zero or nan survival, which the underflow check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c > 0.0:
+            integral = a * dt + (b / c) * (np.exp(c * (t + dt)) - np.exp(c * t))
+        else:
+            integral = (a + b) * dt * np.ones_like(t)
+    return _table_from_step_survival(
+        grid, np.exp(-integral)[:-1],
+        "hazard so large that survival underflows to zero before the final "
+        "grid point; reduce the horizon or the parameters",
+    )
 
 
 def load_mortality_csv(
@@ -233,14 +229,22 @@ def load_mortality_csv(
             a += 1
         log_step[k] = acc
 
-    step_surv = np.exp(log_step)
+    return _table_from_step_survival(
+        grid, np.exp(log_step),
+        "qx values force certain death before the final grid point; shorten the horizon",
+    )
+
+
+def _table_from_step_survival(
+    grid: TimeGrid, step_surv: np.ndarray, underflow: str
+) -> MortalityTable:
+    """Table whose survival over step k is ``step_surv[k]`` (k < n_steps - 1),
+    with all mass left at the final point placed there.  ``underflow`` is the
+    error text when survival to the final point is zero."""
     cum = np.ones(grid.n_steps)
     np.cumprod(step_surv, out=cum[1:])
     if not cum[-1] > 0.0:
-        raise ConfigurationError(
-            "qx values force certain death before the final grid point; "
-            "shorten the horizon"
-        )
+        raise ConfigurationError(underflow)
     p = np.empty(grid.n_steps)
     p[:-1] = cum[:-1] * (1.0 - step_surv)
     p[-1] = cum[-1]

@@ -38,6 +38,9 @@ __all__ = [
     "ValueTable",
     "Strategy",
     "MAX_FINITE_N",
+    "MAX_GRID_POINTS",
+    "MAX_FINITE_CELLS",
+    "MAX_PATHS",
     "optimal_proportion",
     "growth_exponent",
     "drift_growth_exponent",
@@ -49,6 +52,16 @@ __all__ = [
 ]
 
 MAX_FINITE_N = 10_000
+
+# Caps on what one accepted CLI config may ask for, so that a config at all
+# three caps keeps its tables and path arrays near 1 GiB on a 7.8 GiB machine.
+# Measured tracemalloc peaks per unit: about 200 B per grid point (simulate's
+# per-date statistics; solve needs 60 B), 60 B per finite table cell (the
+# value.csv columns of solve; simulate and converge need 32 B) and 90 B per
+# Monte Carlo path, i.e. at most about 200 + 300 + 450 MiB.
+MAX_GRID_POINTS = 1_000_000
+MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
+MAX_PATHS = 5_000_000
 
 
 @dataclass(frozen=True)

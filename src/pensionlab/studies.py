@@ -157,19 +157,14 @@ def fund_size_study(
     budget: float,
 ) -> FundSizeReport:
     """Annuity outperformance as the fund size grows, with the n = infinity
-    asymptote.
-
-    One solve at max(n) yields every smaller fund: the recursion for i
-    survivors only references counts <= i, so the triangular table is shared.
-    """
+    asymptote."""
     n_list = _checked_sizes(n_list)
-    table = solve(CollectiveMode.finite(n_list[-1]), grid, market, prefs, mortality)
+    z_n, z_inf = _start_values(n_list, grid, market, prefs, mortality)
     entries = []
-    for n in n_list:
-        _, outperf = _outperformance(float(table.z[n - 1, 0]), budget, mortality, market, prefs)
+    for n, zn in zip(n_list, z_n):
+        _, outperf = _outperformance(zn, budget, mortality, market, prefs)
         entries.append((n, outperf))
-    inf_table = solve(CollectiveMode.infinite(), grid, market, prefs, mortality)
-    _, inf_outperf = _outperformance(inf_table.z_at_start(), budget, mortality, market, prefs)
+    _, inf_outperf = _outperformance(z_inf, budget, mortality, market, prefs)
     n_at_90 = None
     for n, outperf in entries:
         if outperf >= 0.9 * inf_outperf:
@@ -209,9 +204,8 @@ def convergence_study(
     if not anchors:
         raise ConfigurationError("need a fund size >= 4 to anchor the root-n bound")
 
-    table = solve(CollectiveMode.finite(n_list[-1]), grid, market, prefs, mortality)
-    z_inf = solve(CollectiveMode.infinite(), grid, market, prefs, mortality).z_at_start()
-    entries = [(n, float(table.z[n - 1, 0])) for n in n_list]
+    z_n, z_inf = _start_values(n_list, grid, market, prefs, mortality)
+    entries = list(zip(n_list, z_n))
     diffs = np.array([abs(zn - z_inf) for _, zn in entries])
     if not np.all(np.isfinite(diffs)):
         raise DivergenceError("non-finite difference in the convergence study")
@@ -227,6 +221,24 @@ def convergence_study(
         bound_constant=bound_constant,
         bound_anchor=anchor,
     )
+
+
+def _start_values(
+    n_list: list[int],
+    grid: TimeGrid,
+    market: MarketParams,
+    prefs: Preferences,
+    mortality: MortalityTable,
+) -> tuple[list[float], float]:
+    """z at t0 for each fund size in the ascending ``n_list``, and for the
+    infinite collective.
+
+    One solve at max(n) yields every smaller fund: the recursion for i
+    survivors only references counts <= i, so the triangular table is shared.
+    """
+    table = solve(CollectiveMode.finite(n_list[-1]), grid, market, prefs, mortality)
+    z_inf = solve(CollectiveMode.infinite(), grid, market, prefs, mortality).z_at_start()
+    return [float(table.z[n - 1, 0]) for n in n_list], z_inf
 
 
 def _checked_sizes(n_list: Sequence[int]) -> list[int]:

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pensionlab.cli import main, parse_config
 from pensionlab.solver import solve
@@ -88,6 +91,19 @@ class TestSolveCommand:
         _, rows = read_csv(tmp_path / "value.csv")
         pat = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
         assert pat.match(rows[0][2]) and pat.match(rows[0][3])
+
+    def test_largest_fund_table_streams_in_bounded_memory(self, tmp_path):
+        # the rows of value.csv were once all held as strings: 173 MiB here
+        cfg = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
+        p = write_cfg(tmp_path, dict(cfg, mode="finite:10000"))
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert (tmp_path / "value.csv").read_bytes().count(b"\n") == 1 + 10000 * 30
 
     # The digests below were taken from the value step that gathered every
     # term's operands by index; at these sizes most rows' windows are
@@ -177,6 +193,31 @@ class TestSimulateCommand:
         gold = Path(__file__).parent / "data" / golden
         assert (tmp_path / "paths_summary.csv").read_bytes() == gold.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, config, goldens",
+        [
+            ("solve", "default.json", {"value.csv": "value_default.csv", "meta.csv": "meta_default.csv"}),
+            ("distribution", "default.json", {"dist.csv": "dist_default.csv"}),
+            (
+                "scenarios", "studies.json",
+                {"scenarios.csv": "scenarios_studies.csv", "improvements.csv": "improvements_studies.csv"},
+            ),
+            ("converge", "studies.json", {"convergence.csv": "convergence_studies_exact.csv"}),
+        ],
+    )
+    def test_bundled_config_matches_golden_csvs(self, tmp_path, capsys, command, config, goldens):
+        # written by the per-cell formatter that built each row as a list of
+        # strings; the column writer must reproduce every byte
+        p = REPO / "configs" / config
+        assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 0
+        for name, golden in goldens.items():
+            gold = Path(__file__).parent / "data" / golden
+            assert (tmp_path / name).read_bytes() == gold.read_bytes(), name
+        if command == "converge":
+            fit = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fit:")]
+            gold = Path(__file__).parent / "data" / "converge_fit_studies.txt"
+            assert fit == gold.read_text(encoding="utf-8").splitlines()
+
     def test_simulation_block_required(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -249,7 +290,8 @@ class TestConvergeCommand:
 
 MARKET = TRIVIAL["market"]
 
-# each case once ended in a traceback (exit 1) or was silently truncated
+# each case once ended in a traceback (exit 1), was silently truncated, or
+# was accepted with no bound on the memory it asks for
 MALFORMED = {
     "n_list-not-a-list": {"n_list": 5},
     "n_list-entry-string": {"n_list": ["a"]},
@@ -269,6 +311,14 @@ MALFORMED = {
     "mortality-csv-missing": {"mortality": {"csv": "missing.csv"}},
     "mortality-csv-not-a-name": {"mortality": {"csv": 5}},
     "output-not-a-name": {"output": 5},
+    "output-nul-byte": {"output": "a\0b"},
+    "mortality-csv-nul-byte": {"mortality": {"csv": "a\0b"}},
+    "paths-over-cap": {"simulation": {"paths": 10**15, "seed": 1}},
+    "grid-points-over-cap": {"grid": {"t0": 0, "dt": 1e-12, "T": 1e6}},
+    "grid-steps-not-finite": {"grid": {"t0": 0, "dt": 5e-324, "T": 30}},
+    "mode-over-cell-cap": {"mode": "finite:10000", "grid": {"t0": 0, "dt": 1, "T": 1000}},
+    "n_list-over-cell-cap": {"n_list": [1, 10000], "grid": {"t0": 0, "dt": 0.001, "T": 1}},
+    "gompertz-hazard-overflows": {"mortality": {"gompertz": {"a": 0.0, "b": 1.0, "c": 800.0}}},
 }
 
 
@@ -335,3 +385,84 @@ class TestConfigHandling:
         }
         p = write_cfg(tmp_path, cfg)
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 3
+
+
+def _slots(node, path=()):
+    """Key path of every value in a parsed JSON config, blocks and list entries included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.floats(),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([-1, 0, 10**6, 10**9, 10**15, 2**63, 10**30, 1e308, -1e308, 5e-324, -0.0]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled config with one to three mutations: a value of any JSON type
+    (NaN, infinities, huge and negative counts included), a deleted key or list
+    entry, an unknown key, or a tiny grid step."""
+    name = draw(st.sampled_from(["default.json", "studies.json"]))
+    cfg = json.loads((REPO / "configs" / name).read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["replace", "delete", "add", "tiny-dt"]))
+        if kind == "tiny-dt":
+            dt = draw(st.one_of(
+                st.integers(1, 10**13).map(lambda k: 30.0 / k),
+                st.floats(min_value=5e-324, max_value=1e-3),
+            ))
+            cfg["grid"] = {"t0": 65, "dt": dt, "T": 95}
+            continue
+        if kind == "add":
+            blocks = [()] + [p for p in _slots(cfg) if isinstance(_at(cfg, p), dict)]
+            block = _at(cfg, draw(st.sampled_from(blocks)))
+            block[draw(st.text(min_size=1, max_size=4))] = draw(JSON_VALUES)
+            continue
+        path = draw(st.sampled_from(list(_slots(cfg))))
+        parent = _at(cfg, path[:-1])
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return cfg
+
+
+class TestConfigFuzz:
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cfg=mutated_configs(),
+        command=st.sampled_from(["solve", "distribution", "simulate", "scenarios", "converge"]),
+    )
+    def test_mutated_bundled_config_exits_0_or_2(self, tmp_path, capsys, cfg, command):
+        # the grid, fund-size and path caps keep every accepted example small;
+        # any exception or warning escaping main fails the example
+        p = write_cfg(tmp_path, cfg)
+        code = main([command, "--config", str(p), "--print-config"])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: ")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 
 from pensionlab.core import ConfigurationError, make_time_grid
 from pensionlab.mortality import (
+    DEFAULT_GRID,
+    GOMPERTZ_DEFAULT,
     IngestionError,
     MortalityTable,
     annuity_factor,
@@ -110,6 +113,11 @@ class TestCSVIngestion:
         t = self._load("age,qx\n65,0.0\n66,1.0\n", g)
         assert np.allclose(t.p, [0.0, 1.0], atol=1e-15)
 
+    def test_certain_death_before_horizon_rejected(self):
+        g = make_time_grid(65, 1, 68)
+        with pytest.raises(ConfigurationError, match="force certain death"):
+            self._load("age,qx\n65,1.0\n66,0.1\n67,0.1\n", g)
+
     def test_death_only_at_horizon(self):
         g = make_time_grid(65, 1, 70)
         t = self._load("age,qx\n65,0\n66,0\n67,0\n68,0\n69,1\n", g)
@@ -183,6 +191,30 @@ class TestGompertzMakeham:
         g = make_time_grid(65, 1, 110)
         with pytest.raises(ConfigurationError, match="underflow"):
             gompertz_makeham(0.0, 1e-10, 0.9, g)
+
+
+# SHA-256 of p, s and tail, taken while the Gompertz and CSV builders each
+# ended in their own copy of the step-survival -> pmf tail
+QX_TEXT = "age,qx\n" + "".join(
+    f"{a},{min(1.0, 0.004 * 1.11 ** (a - 65)):.6f}\n" for a in range(65, 96)
+)
+TABLE_DIGESTS = {
+    "gompertz": "a437d67be5bd8b9ad8740983ac5f44f36bbd2d9cced040668f8f9e0548ca3a83",
+    "csv-dt1": "da32bc782cfb3a9192110512948f203deb119444c2a9d116d81f1b267a40c9dd",
+    "csv-dt0.25": "40698e87d949c7e4e4014b8b66210652d177a4d8a47c22054c88e11b40d1190e",
+}
+
+
+class TestStepSurvivalTail:
+    @pytest.mark.parametrize("source", TABLE_DIGESTS)
+    def test_tables_match_golden_digest(self, source):
+        if source == "gompertz":
+            t = gompertz_makeham(**GOMPERTZ_DEFAULT, grid=make_time_grid(*DEFAULT_GRID))
+        else:
+            dt = float(source.removeprefix("csv-dt"))
+            t = load_mortality_csv(io.StringIO(QX_TEXT), make_time_grid(65.0, dt, 95.0))
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (t.p, t.s, t.tail))).hexdigest()
+        assert digest == TABLE_DIGESTS[source]
 
 
 class TestAnnuityFactor:
