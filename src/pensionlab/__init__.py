@@ -16,10 +16,8 @@ from .mortality import (
     IngestionError,
     MortalityTable,
     annuity_factor,
-    binomial_transition,
     gompertz_makeham,
     load_mortality_csv,
-    survival_prob,
 )
 from .solver import (
     CollectiveMode,
@@ -27,7 +25,6 @@ from .solver import (
     ValueTable,
     consumption_rate,
     continuation_factor,
-    drift_growth_exponent,
     evaluate_policy,
     extract_strategy,
     growth_exponent,

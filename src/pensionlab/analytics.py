@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ConfigurationError, MarketParams, Preferences, TimeGrid
 from .mortality import MortalityTable
-from .solver import ValueTable, continuation_factor, drift_growth_exponent
+from .solver import ValueTable, continuation_factor, growth_exponent, optimal_proportion
 
 __all__ = [
     "LognormalSchedule",
@@ -67,7 +67,7 @@ def wealth_schedule(table: ValueTable, mortality: MortalityTable, x0: float) -> 
     pool = table.mode.pooling
     prefs = table.prefs
     q = prefs.rho / (1.0 - prefs.rho)
-    xi_drift = drift_growth_exponent(table.market, prefs.alpha)
+    xi_drift = growth_exponent(table.market, 0.0, table.astar)
 
     mu_x = np.empty(n)
     mu_x[0] = math.log(x0)
@@ -115,7 +115,7 @@ def consumption_drift(
     return (
         -collective * math.log(s)
         + (rho / (1.0 - rho)) * math.log(phi)
-        + drift_growth_exponent(market, prefs.alpha) * dt
+        + growth_exponent(market, 0.0, optimal_proportion(market, prefs.alpha)) * dt
     )
 
 

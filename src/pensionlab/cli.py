@@ -39,12 +39,11 @@ from .core import (
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
 from .solver import MAX_FINITE_CELLS, MAX_GRID_POINTS, MAX_PATHS, CollectiveMode, solve
 from .analytics import wealth_schedule
-from .montecarlo import SimulationConfig, simulate
+from .montecarlo import QUANTILES, SimulationConfig, simulate
 from .studies import convergence_study, improvement, run_scenarios
 
 __all__ = ["main", "RunConfig", "parse_config"]
 
-_QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 _BLOCK_ROWS = 4096  # CSV rows formatted per write
 
 
@@ -247,13 +246,11 @@ def cmd_distribution(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
-    if cfg.paths is None:
-        raise ConfigurationError("the simulate command needs a 'simulation' block")
     table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
     sim = simulate(
         SimulationConfig(
             paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table, x0=cfg.budget,
-            record=(), quantiles=_QUANTILES,
+            record=(),
         ),
         cfg.grid, cfg.market, cfg.mortality,
     )
@@ -264,7 +261,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         overlay_mu, overlay_sd = sched.mu_x, sched.sigma_x
     _write_csv(
         out / "paths_summary.csv",
-        ["t", "q05", "q25", "q50", "q75", "q95", "mean_log_x", "sd_log_x",
+        ["t", *(f"q{round(100 * p):02d}" for p in QUANTILES), "mean_log_x", "sd_log_x",
          "mean_log_x_analytic", "sd_log_x_analytic"],
         [cfg.grid.points, *sim.summary.x_quantiles, sim.summary.mean_log_x,
          np.sqrt(sim.summary.var_log_x), overlay_mu, overlay_sd],
@@ -272,8 +269,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
-    if not cfg.scenarios:
-        raise ConfigurationError("the scenarios command needs a non-empty 'scenarios' list")
     reports = run_scenarios(
         cfg.scenarios, cfg.grid, cfg.market.sigma, cfg.prefs, cfg.mortality, cfg.budget
     )
@@ -292,8 +287,6 @@ def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:
-    if not cfg.n_list:
-        raise ConfigurationError("the converge command needs a non-empty 'n_list'")
     report = convergence_study(cfg.n_list, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
     n, zn = map(np.array, zip(*report.entries))
     # Python pow per entry: numpy's vectorised power need not round the same
@@ -315,6 +308,13 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "scenarios": cmd_scenarios,
     "converge": cmd_converge,
+}
+# the config field each command needs beyond the required blocks, checked
+# before the output directory is made
+_NEEDS = {
+    "simulate": ("paths", "a 'simulation' block"),
+    "scenarios": ("scenarios", "a non-empty 'scenarios' list"),
+    "converge": ("n_list", "a non-empty 'n_list'"),
 }
 
 
@@ -344,6 +344,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.print_config:
             print(json.dumps(cfg.raw, indent=2, sort_keys=True))
             return 0
+        field, what = _NEEDS.get(args.command, (None, None))
+        if field is not None and getattr(cfg, field) in (None, []):
+            raise ConfigurationError(f"the {args.command} command needs {what}")
         out = Path(args.out if args.out is not None else (cfg.output or "."))
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out)

@@ -12,8 +12,8 @@ identity
     Xbar_t = (n_t / n_{t+dt}) (X_t - gamma_t)        finite fund,
     Xbar_t = (X_t - gamma_t) / s_t                   infinite fund.
 
-The summary (moments of log wealth and log consumption, empirical
-quantiles of wealth and consumption, survivor means) is computed inside the
+The summary (moments of log wealth and log consumption, the empirical
+``QUANTILES`` of wealth and consumption, survivor means) is computed inside the
 step loop over the paths still alive (no gather while every path is), so a
 run needs O(paths) memory.  Quantiles are taken on a sorted copy, which
 gives np.quantile's result at less cost; moments use the unsorted values,
@@ -38,17 +38,21 @@ import numpy as np
 
 from .core import ConfigurationError, MarketParams, TimeGrid
 from .mortality import MortalityTable
-from .solver import CollectiveMode, Strategy, ValueTable, _strategy_arrays, extract_strategy
+from .solver import (
+    CollectiveMode, Strategy, ValueTable, _strategy_arrays, extract_strategy, growth_exponent,
+)
 from ._kernels import binomial_inverse, lgamma_table
 from ._rng import inverse_normal_cdf, path_keys, step_hash, stream_uniforms
 
 __all__ = [
+    "QUANTILES",
     "SimulationConfig",
     "SimulationResult",
     "SummaryStats",
     "simulate",
 ]
 
+QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)  # probabilities of the summary quantiles
 _RECORD_CHOICES = ("survivors", "wealth", "consumption")
 _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
@@ -60,8 +64,7 @@ class SimulationConfig:
     """One simulation run.
 
     ``record`` names the full ``paths x n_steps`` series to keep (none by
-    default); ``quantiles`` are the probabilities of the per-step wealth and
-    consumption quantiles in the summary.
+    default).
     """
 
     paths: int
@@ -70,7 +73,6 @@ class SimulationConfig:
     policy: Union[ValueTable, Strategy]
     x0: float = 1.0
     record: Sequence[str] = ()
-    quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95)
 
     def __post_init__(self):
         if self.paths < 1:
@@ -80,11 +82,6 @@ class SimulationConfig:
         unknown = set(self.record) - set(_RECORD_CHOICES)
         if unknown:
             raise ConfigurationError(f"unknown record series {sorted(unknown)}")
-        probs = np.asarray(list(self.quantiles), dtype=np.float64)
-        if probs.size == 0:
-            raise ConfigurationError("need at least one probability")
-        if np.any((probs <= 0.0) | (probs >= 1.0)):
-            raise ConfigurationError("probabilities must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ class SummaryStats:
     """Per-grid-point statistics over paths still alive (n_t > 0).
 
     ``x_quantiles`` and ``gamma_quantiles`` have one row per entry of
-    ``probs`` and are NaN where no path is alive.  Quantiles use numpy's
+    ``QUANTILES`` and are NaN where no path is alive.  Quantiles use numpy's
     linear interpolation convention, so the 0.5 quantile of a two-value
     sample is their midpoint.
     """
@@ -103,7 +100,6 @@ class SummaryStats:
     var_log_gamma: np.ndarray
     mean_survivors: np.ndarray
     alive_paths: np.ndarray
-    probs: np.ndarray
     x_quantiles: np.ndarray
     gamma_quantiles: np.ndarray
 
@@ -228,17 +224,16 @@ def simulate(
         model = _BinomialSurvivors(c_arr[None, :], 1, paths)
 
     recorded = {name: np.empty((paths, n_steps)) for name in config.record}
-    probs = np.asarray(list(config.quantiles), dtype=np.float64)
     mean_lx = np.empty(n_steps)
     var_lx = np.empty(n_steps)
     mean_lg = np.empty(n_steps)
     var_lg = np.empty(n_steps)
     mean_n = np.empty(n_steps)
     alive_ct = np.empty(n_steps, dtype=np.int64)
-    xq = np.full((probs.size, n_steps), np.nan)
-    gq = np.full((probs.size, n_steps), np.nan)
+    xq = np.full((len(QUANTILES), n_steps), np.nan)
+    gq = np.full((len(QUANTILES), n_steps), np.nan)
 
-    growth_base = (a_arr * (market.mu - market.r) + market.r - 0.5 * a_arr**2 * market.sigma**2) * dt
+    growth_base = growth_exponent(market, 0.0, a_arr) * dt  # the drift of log wealth
     growth_vol = a_arr * market.sigma * math.sqrt(dt)
 
     keys = path_keys(seed, paths)
@@ -253,8 +248,8 @@ def simulate(
         mean_lx[k], var_lx[k] = _log_moments(x_alive)
         mean_lg[k], var_lg[k] = _log_moments(gamma_alive)
         if x_alive.size:
-            xq[:, k] = _quantiles(x_alive, probs)
-            gq[:, k] = _quantiles(gamma_alive, probs)
+            xq[:, k] = _quantiles(x_alive, QUANTILES)
+            gq[:, k] = _quantiles(gamma_alive, QUANTILES)
         mean_n[k] = np.mean(model.survivors)
         alive_ct[k] = x_alive.size
         # free the gathered copies (and the counts series refers to) before the update
@@ -275,7 +270,6 @@ def simulate(
         var_log_gamma=var_lg,
         mean_survivors=mean_n,
         alive_paths=alive_ct,
-        probs=probs,
         x_quantiles=xq,
         gamma_quantiles=gq,
     )

@@ -27,8 +27,6 @@ from .core import ConfigurationError, TimeGrid
 __all__ = [
     "IngestionError",
     "MortalityTable",
-    "survival_prob",
-    "binomial_transition",
     "load_mortality_csv",
     "gompertz_makeham",
     "annuity_factor",
@@ -90,37 +88,6 @@ class MortalityTable:
         for arr in (p, s, tail):
             arr.flags.writeable = False
         return cls(grid=grid, p=p, s=s, tail=tail)
-
-
-def survival_prob(table: MortalityTable, t: int) -> float:
-    """One-step survival probability s_t at grid index t."""
-    if not 0 <= t < table.grid.n_steps:
-        raise ConfigurationError(f"grid index {t} out of range")
-    return float(table.s[t])
-
-
-def binomial_transition(n: int, i: int, s: float) -> float:
-    """Probability that i of n survivors remain after one step.
-
-    C(n,i) s^i (1-s)^(n-i), evaluated in log space with log-gamma so it
-    stays accurate for n in the thousands.
-    """
-    if i < 0 or i > n or n < 0:
-        raise ConfigurationError(f"survivor count i={i} outside 0..{n}")
-    if not 0.0 <= s <= 1.0:
-        raise ConfigurationError(f"survival probability {s} outside [0, 1]")
-    if s == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if s == 1.0:
-        return 1.0 if i == n else 0.0
-    log_pmf = (
-        math.lgamma(n + 1.0)
-        - math.lgamma(i + 1.0)
-        - math.lgamma(n - i + 1.0)
-        + i * math.log(s)
-        + (n - i) * math.log1p(-s)
-    )
-    return math.exp(log_pmf)
 
 
 def annuity_factor(table: MortalityTable, r: float) -> float:
@@ -211,10 +178,19 @@ def load_mortality_csv(
 
     base_age = grid.t0 if age_at_t0 is None else float(age_at_t0)
     dt = grid.dt
+    first, last = next(iter(qx)), prev_age
     log_step = np.zeros(grid.n_steps - 1)
     for k in range(grid.n_steps - 1):
         lo = base_age + k * dt
         hi = lo + dt
+        # the loop below visits only ages in [first - 1, last + 1]; past 2^53
+        # a unit age step leaves a float unchanged and it would never end
+        if not (first - 1 <= lo and hi - 1e-12 <= last + 2):
+            gap = f"below {first}" if lo < first - 1 else f"above {last}"
+            raise IngestionError(
+                f"mortality CSV does not cover the ages {gap} needed for the grid "
+                f"step from age {lo} to {hi}"
+            )
         acc = 0.0
         a = math.floor(lo)
         while a < hi - 1e-12:

@@ -43,7 +43,6 @@ __all__ = [
     "MAX_PATHS",
     "optimal_proportion",
     "growth_exponent",
-    "drift_growth_exponent",
     "continuation_factor",
     "consumption_rate",
     "solve",
@@ -125,13 +124,6 @@ def growth_exponent(market: MarketParams, alpha: float, a: float | None = None) 
     if a is None:
         a = optimal_proportion(market, alpha)
     return a * (market.mu - market.r) + market.r - 0.5 * a * a * (1.0 - alpha) * market.sigma**2
-
-
-def drift_growth_exponent(market: MarketParams, alpha: float) -> float:
-    """The log-wealth drift rate: the growth quadratic at a*, with alpha set
-    to zero in the quadratic itself."""
-    a = optimal_proportion(market, alpha)
-    return a * (market.mu - market.r) + market.r - 0.5 * a * a * market.sigma**2
 
 
 def continuation_factor(

@@ -12,7 +12,7 @@ from pensionlab.analytics import (
 )
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
 from pensionlab.mortality import MortalityTable
-from pensionlab.solver import CollectiveMode, drift_growth_exponent, solve
+from pensionlab.solver import CollectiveMode, growth_exponent, optimal_proportion, solve
 
 from conftest import random_mortality
 from test_solver import random_market, random_prefs
@@ -61,7 +61,7 @@ class TestWealthSchedule:
         prefs = Preferences(alpha=-0.7, rho=-2.0, b=0.02)
         table = solve(CollectiveMode.infinite(), grid, base_market, prefs, mt)
         sched = wealth_schedule(table, mt, 1.0)
-        xi_drift = drift_growth_exponent(base_market, prefs.alpha)
+        xi_drift = growth_exponent(base_market, 0.0, optimal_proportion(base_market, prefs.alpha))
         mu = math.log(1.0)
         for k in range(grid.n_steps - 1):
             mu += -math.log(mt.s[k]) + math.log1p(-table.cstar[k]) + xi_drift * grid.dt

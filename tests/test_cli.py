@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -364,6 +365,28 @@ class TestConfigHandling:
         p = write_cfg(tmp_path, cfg)
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("age", [1.7e308, -1.7e308])
+    def test_csv_mortality_at_far_ages_exits_2_quickly(self, tmp_path, capsys, age):
+        # once stepped through every integer age past 2^53, never finishing
+        (tmp_path / "mort.csv").write_text("age,qx\n65,0.1\n", encoding="utf-8")
+        cfg = dict(TRIVIAL, mortality={"csv": "mort.csv", "age_at_t0": age},
+                   grid={"t0": 0, "dt": 1e307, "T": 1e308})
+        p = write_cfg(tmp_path, cfg)
+        start = time.perf_counter()
+        assert main(["solve", "--config", str(p), "--print-config"]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("simulate", "studies.json"), ("scenarios", "default.json"), ("converge", "default.json")],
+    )
+    def test_missing_command_block_leaves_no_output_dir(self, tmp_path, capsys, command, config):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(REPO / "configs" / config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: the {command} command needs ")
+        assert not out.exists()
+
     def test_missing_file_and_bad_json(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
         bad = tmp_path / "bad.json"
@@ -422,17 +445,24 @@ JSON_VALUES = st.one_of(
 def mutated_configs(draw):
     """A bundled config with one to three mutations: a value of any JSON type
     (NaN, infinities, huge and negative counts included), a deleted key or list
-    entry, an unknown key, or a tiny grid step."""
+    entry, an unknown key, a tiny grid step, or CSV mortality (``mort.csv``)
+    at any ``age_at_t0`` on a grid of huge steps."""
     name = draw(st.sampled_from(["default.json", "studies.json"]))
     cfg = json.loads((REPO / "configs" / name).read_text(encoding="utf-8"))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["replace", "delete", "add", "tiny-dt"]))
+        kind = draw(st.sampled_from(["replace", "delete", "add", "tiny-dt", "csv-mortality"]))
         if kind == "tiny-dt":
             dt = draw(st.one_of(
                 st.integers(1, 10**13).map(lambda k: 30.0 / k),
                 st.floats(min_value=5e-324, max_value=1e-3),
             ))
             cfg["grid"] = {"t0": 65, "dt": dt, "T": 95}
+            continue
+        if kind == "csv-mortality":
+            age = draw(st.one_of(st.sampled_from([65, 1.7e308, -1.7e308, 2.0**53]), JSON_VALUES))
+            cfg["mortality"] = {"csv": "mort.csv", "age_at_t0": age}
+            dt = draw(st.floats(min_value=1.0, max_value=1e307))
+            cfg["grid"] = {"t0": 0, "dt": dt, "T": 10 * dt}
             continue
         if kind == "add":
             blocks = [()] + [p for p in _slots(cfg) if isinstance(_at(cfg, p), dict)]
@@ -460,6 +490,9 @@ class TestConfigFuzz:
     def test_mutated_bundled_config_exits_0_or_2(self, tmp_path, capsys, cfg, command):
         # the grid, fund-size and path caps keep every accepted example small;
         # any exception or warning escaping main fails the example
+        (tmp_path / "mort.csv").write_text(
+            "age,qx\n" + "".join(f"{a},0.1\n" for a in range(65, 96)), encoding="utf-8"
+        )
         p = write_cfg(tmp_path, cfg)
         code = main([command, "--config", str(p), "--print-config"])
         err = capsys.readouterr().err

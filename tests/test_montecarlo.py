@@ -9,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from pensionlab.analytics import wealth_schedule
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
-from pensionlab.montecarlo import SimulationConfig, _quantiles, simulate
+from pensionlab.montecarlo import QUANTILES, SimulationConfig, _quantiles, simulate
 from pensionlab.mortality import MortalityTable, gompertz_makeham
 from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, solve
 
 
 ALL_SERIES = ("survivors", "wealth", "consumption")
-CLI_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
+MEDIAN = QUANTILES.index(0.5)
 
 
 @pytest.fixture(scope="module")
@@ -181,11 +181,11 @@ class TestSummarize:
         table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
         res = simulate(
             SimulationConfig(paths=1, seed=4, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES, quantiles=[0.05, 0.5, 0.95]),
+                             record=ALL_SERIES),
             grid, market, mt,
         )
         pct = res.summary
-        for j in range(3):
+        for j in range(len(QUANTILES)):
             assert np.array_equal(pct.x_quantiles[j], res.wealth[0])
             assert np.array_equal(pct.gamma_quantiles[j], res.consumption[0])
 
@@ -194,27 +194,26 @@ class TestSummarize:
         table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=2, seed=8, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES, quantiles=[0.5]),
+                             record=ALL_SERIES),
             grid, base_market, mt,
         )
         pct = res.summary
         k = grid.n_steps // 2
-        assert pct.x_quantiles[0, k] == pytest.approx(res.wealth[:, k].mean(), rel=1e-15)
+        assert pct.x_quantiles[MEDIAN, k] == pytest.approx(res.wealth[:, k].mean(), rel=1e-15)
 
     def test_median_tracks_lognormal_median(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
         paths = 20_000
         res = simulate(
-            SimulationConfig(paths=paths, seed=13, mode=CollectiveMode.infinite(), policy=table,
-                             quantiles=[0.5]),
+            SimulationConfig(paths=paths, seed=13, mode=CollectiveMode.infinite(), policy=table),
             grid, base_market, mt,
         )
         sched = wealth_schedule(table, mt, 1.0)
         pct = res.summary
         k = 10
         se = 1.2533 * sched.sigma_x[k] / math.sqrt(paths)  # asymptotic median error
-        assert abs(math.log(pct.x_quantiles[0, k]) - sched.mu_x[k]) <= 3.0 * se
+        assert abs(math.log(pct.x_quantiles[MEDIAN, k]) - sched.mu_x[k]) <= 3.0 * se
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -227,7 +226,7 @@ class TestSummarize:
             ),
         ),
         probs=st.one_of(
-            st.just(CLI_PROBS),
+            st.just(QUANTILES),
             st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                      min_size=1, max_size=10),
         ),
@@ -252,13 +251,12 @@ class TestSummarize:
         counts = res.summary.alive_paths
         assert np.any(np.diff(res.survivors, axis=1) < 0)
         assert np.any((counts > 0) & (counts < 3000)) and counts[-1] == 0
-        assert np.array_equal(res.summary.probs, CLI_PROBS)
         for k in range(grid.n_steps):
             live = alive[:, k]
             for got, series in ((res.summary.x_quantiles, res.wealth),
                                 (res.summary.gamma_quantiles, res.consumption)):
                 if live.any():
-                    ref = np.quantile(series[live, k], CLI_PROBS, method="linear")
+                    ref = np.quantile(series[live, k], QUANTILES, method="linear")
                     assert np.array_equal(got[:, k], ref)
                 else:
                     assert np.all(np.isnan(got[:, k]))
@@ -269,17 +267,11 @@ class TestSummarize:
         # quantiles no longer need recorded series
         res = simulate(
             SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
-                             record=("wealth",), quantiles=[0.5]),
+                             record=("wealth",)),
             grid, base_market, mt,
         )
         assert res.consumption is None
-        assert res.summary.gamma_quantiles.shape == (1, grid.n_steps)
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
-                             quantiles=[])
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
-                             quantiles=[0.0, 0.5])
+        assert res.summary.gamma_quantiles.shape == (len(QUANTILES), grid.n_steps)
 
 
 class TestValidation:

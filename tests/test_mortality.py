@@ -1,7 +1,5 @@
 import hashlib
 import io
-import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +11,8 @@ from pensionlab.mortality import (
     IngestionError,
     MortalityTable,
     annuity_factor,
-    binomial_transition,
     gompertz_makeham,
     load_mortality_csv,
-    survival_prob,
 )
 
 from conftest import random_mortality
@@ -26,25 +22,19 @@ class TestSurvivalProb:
     def test_certain_death_at_last_date(self):
         g = make_time_grid(0, 1, 2)
         t = MortalityTable.from_pmf(g, [0.0, 1.0])
-        assert survival_prob(t, 0) == 1.0
-        assert survival_prob(t, 1) == 0.0
+        assert t.s[0] == 1.0
+        assert t.s[1] == 0.0
 
     def test_ratio_of_tails(self):
         g = make_time_grid(0, 1, 2)
         t = MortalityTable.from_pmf(g, [0.5, 0.5])
-        assert survival_prob(t, 0) == pytest.approx(0.5, abs=1e-15)
+        assert t.s[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_four_dates(self):
         g = make_time_grid(0, 1, 4)
         t = MortalityTable.from_pmf(g, [0.25] * 4)
         # third date: remaining tail 0.5, surviving tail 0.25
-        assert survival_prob(t, 2) == pytest.approx(0.5, abs=1e-12)
-
-    def test_index_range(self):
-        g = make_time_grid(0, 1, 2)
-        t = MortalityTable.from_pmf(g, [0.5, 0.5])
-        with pytest.raises(ConfigurationError):
-            survival_prob(t, 2)
+        assert t.s[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_tail_product_identity(self):
         g = make_time_grid(0, 1, 12)
@@ -66,42 +56,6 @@ class TestSurvivalProb:
             MortalityTable.from_pmf(g, [0.5, 0.5, 0.0])  # no mass at final date
         with pytest.raises(ConfigurationError):
             MortalityTable.from_pmf(g, [0.5, 0.5])
-
-
-class TestBinomialTransition:
-    def test_symmetric_coin(self):
-        assert binomial_transition(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
-
-    def test_all_survive(self):
-        for n, s in [(3, 0.9), (10, 0.4), (100, 0.99)]:
-            assert binomial_transition(n, n, s) == pytest.approx(s**n, rel=1e-13)
-
-    def test_large_n_matches_exact_rational(self):
-        # frozen from Fraction(comb(1000,900)) * (9/10)^900 * (1/10)^100
-        expected = 0.04201679086108544
-        got = binomial_transition(1000, 900, 0.9)
-        assert got == pytest.approx(expected, rel=1e-12)
-        exact = Fraction(math.comb(1000, 900)) * Fraction(9, 10) ** 900 * Fraction(1, 10) ** 100
-        assert float(exact) == expected
-
-    def test_domain_error(self):
-        with pytest.raises(ConfigurationError):
-            binomial_transition(5, 6, 0.5)
-        with pytest.raises(ConfigurationError):
-            binomial_transition(5, -1, 0.5)
-        with pytest.raises(ConfigurationError):
-            binomial_transition(5, 2, 1.5)
-
-    def test_degenerate_probabilities(self):
-        assert binomial_transition(5, 0, 0.0) == 1.0
-        assert binomial_transition(5, 3, 0.0) == 0.0
-        assert binomial_transition(5, 5, 1.0) == 1.0
-
-    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
-    def test_rows_sum_to_one(self, n):
-        for s in (0.03, 0.42, 0.5, 0.97):
-            total = sum(binomial_transition(n, i, s) for i in range(n + 1))
-            assert abs(total - 1.0) < 1e-10
 
 
 class TestCSVIngestion:
@@ -154,6 +108,12 @@ class TestCSVIngestion:
             self._load("age,qx\n65,0.1\n67,0.1\n", g)
         with pytest.raises(IngestionError, match="empty"):
             self._load("", g)
+        # ages past 2^53 were once stepped through one at a time, never ending
+        far = make_time_grid(0, 1e307, 1e308)
+        with pytest.raises(IngestionError, match="ages above 67"):
+            self._load("age,qx\n65,0.1\n66,0.1\n67,0.1\n", far, age_at_t0=1.7e308)
+        with pytest.raises(IngestionError, match="ages below 65"):
+            self._load("age,qx\n65,0.1\n66,0.1\n67,0.1\n", far, age_at_t0=-1.7e308)
 
     def test_roundtrip_through_text(self):
         g = make_time_grid(65, 1, 80)

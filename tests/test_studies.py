@@ -1,12 +1,16 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pensionlab.cli import parse_config
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
 from pensionlab.mortality import MortalityTable, annuity_factor, gompertz_makeham
 from pensionlab.solver import CollectiveMode, solve
 from pensionlab.studies import (
+    _start_values,
     annuity_outperformance,
     annuity_utility,
     convergence_study,
@@ -125,10 +129,6 @@ class TestScenarios:
         # report invariant: outperformance == equivalent/budget - 1 exactly
         for rep in reports:
             assert rep.outperformance == rep.annuity_equivalent / 1.0 - 1.0
-        assert reports[0].improvement_vs_baseline == 0.0
-        assert reports[1].improvement_vs_baseline == pytest.approx(
-            improvement(o[1], o[0]), rel=1e-14
-        )
 
     def test_finite_scenario_size(self, default_table, vnm_prefs):
         grid, mt = default_table
@@ -202,3 +202,38 @@ class TestConvergenceStudy:
             convergence_study([2, 4, 8], grid, base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="increasing"):
             convergence_study([8, 4, 2, 64], grid, base_market, vnm_prefs, mt)
+
+
+@pytest.fixture(scope="module")
+def studies_config():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    return parse_config(json.loads((configs / "studies.json").read_text()), configs)
+
+
+def _z_at_start(cfg, prefs, n):
+    """z at t0 for every fund size 1..n, and for the infinite collective."""
+    z_n, z_inf = _start_values(list(range(1, n + 1)), cfg.grid, cfg.market, prefs, cfg.mortality)
+    return np.array(z_n), z_inf
+
+
+class TestConvergenceRegimes:
+    """The large-n rate depends on the preferences, so n^(-1/2) is no law."""
+
+    @pytest.mark.parametrize(
+        "alpha, rho, lo, hi",
+        [(None, None, -1.0, -0.9), (-5.0, -0.5, -0.6, -0.4)],
+        ids=["config-preferences", "alpha-5-rho-0.5"],
+    )
+    def test_exponent_from_2048_to_8192(self, studies_config, alpha, rho, lo, hi):
+        prefs = studies_config.prefs
+        if alpha is not None:
+            prefs = Preferences(alpha=alpha, rho=rho, b=prefs.b)
+        z, z_inf = _z_at_start(studies_config, prefs, 8192)
+        exponent = math.log(abs(z[8191] - z_inf) / abs(z[2047] - z_inf)) / math.log(4.0)
+        assert lo <= exponent <= hi
+
+    def test_linear_in_n_without_convergence(self, studies_config):
+        prefs = Preferences(alpha=0.5, rho=-1.0, b=studies_config.prefs.b)
+        z, _ = _z_at_start(studies_config, prefs, 4096)
+        n = np.arange(1, 4097)
+        assert np.max(np.abs(z / (n * z[0]) - 1.0)) <= 1e-9
