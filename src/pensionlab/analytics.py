@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, MarketParams, Preferences, TimeGrid
-from .mortality import MortalityTable
 from .solver import ValueTable, continuation_factor, growth_exponent, optimal_proportion
 
 __all__ = [
@@ -46,8 +45,9 @@ class LognormalSchedule:
     sigma_gamma: np.ndarray
 
 
-def wealth_schedule(table: ValueTable, mortality: MortalityTable, x0: float) -> LognormalSchedule:
-    """Lognormal parameters of per-survivor wealth and consumption over time.
+def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
+    """Lognormal parameters of per-survivor wealth and consumption over time,
+    starting from wealth ``x0`` under the mortality and market of ``table``.
 
     Only individual and infinite modes: with a random survivor count the
     per-survivor wealth of a finite fund is not lognormal (use Monte Carlo).
@@ -57,12 +57,11 @@ def wealth_schedule(table: ValueTable, mortality: MortalityTable, x0: float) -> 
             "wealth_schedule supports individual and infinite modes only; "
             "finite collectives need simulation"
         )
-    if mortality.grid != table.grid:
-        raise ConfigurationError("mortality table was built on a different grid")
     if not x0 > 0.0:
         raise ConfigurationError(f"initial wealth must be positive, got {x0}")
 
-    grid = table.grid
+    mortality = table.mortality
+    grid = mortality.grid
     n = grid.n_steps
     pool = table.mode.pooling
     prefs = table.prefs

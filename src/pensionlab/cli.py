@@ -33,7 +33,6 @@ from .core import (
     DivergenceError,
     MarketParams,
     Preferences,
-    TimeGrid,
     make_time_grid,
 )
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
@@ -97,8 +96,7 @@ def _list(value, where: str) -> list:
 class RunConfig:
     market: MarketParams  # inflation-adjusted
     prefs: Preferences
-    grid: TimeGrid
-    mortality: MortalityTable
+    mortality: MortalityTable  # on the config's grid
     mode: CollectiveMode
     budget: float
     paths: Optional[int]
@@ -158,15 +156,24 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
 
     scenarios = None
     if "scenarios" in raw:
-        scenarios = []
+        scenarios, ids = [], set()
         for idx, sc in enumerate(_list(raw["scenarios"], "scenarios")):
             where = f"scenarios[{idx}]"
             _require_keys(sc, {"id", "mu", "r", "n"}, {"id", "mu", "r", "n"}, where)
+            sid = sc["id"]  # a CSV cell, and a unique key of improvements.csv
+            if not isinstance(sid, str) or not sid or any(ch in sid for ch in ',"\r\n'):
+                raise ConfigurationError(
+                    f"{where}.id must be a non-empty string without commas, quotes or "
+                    f"line breaks, got {sid!r}"
+                )
+            if sid in ids:
+                raise ConfigurationError(f"{where}.id {sid!r} repeats an earlier scenario id")
+            ids.add(sid)
             n = None if sc["n"] == "infinite" else _integer(sc["n"], f"{where}.n")
             if n is not None and n < 1:
                 raise ConfigurationError(f"{where}.n must be >= 1, got {n}")
             scenarios.append(
-                (str(sc["id"]), _number(sc["mu"], f"{where}.mu"), _number(sc["r"], f"{where}.r"), n)
+                (sid, _number(sc["mu"], f"{where}.mu"), _number(sc["r"], f"{where}.r"), n)
             )
 
     n_list = None
@@ -183,7 +190,7 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
         raise ConfigurationError(f"output must be a directory name, got {output!r}")
 
     return RunConfig(
-        market=market, prefs=prefs, grid=grid, mortality=mortality, mode=mode,
+        market=market, prefs=prefs, mortality=mortality, mode=mode,
         budget=budget, paths=paths, seed=seed, output=output,
         scenarios=scenarios, n_list=n_list, raw=raw,
     )
@@ -225,53 +232,52 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> None:
-    table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
+    table = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
     counts = np.arange(1, cfg.mode.n + 1) if cfg.mode.is_finite else np.zeros(1, dtype=np.int64)
     z, cstar = np.atleast_2d(table.z, table.cstar)
     _write_csv(
         out / "value.csv", ["t", "i", "z", "c_star"],
-        [np.repeat(cfg.grid.points, counts.size), np.tile(counts, cfg.grid.n_steps),
+        [np.repeat(table.grid.points, counts.size), np.tile(counts, table.grid.n_steps),
          z.T.ravel(), cstar.T.ravel()],
     )
     _write_csv(out / "meta.csv", ["a_star", "xi"], [[table.astar], [table.xi]])
 
 
 def cmd_distribution(cfg: RunConfig, out: Path) -> None:
-    table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
-    sched = wealth_schedule(table, cfg.mortality, cfg.budget)
+    table = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
+    sched = wealth_schedule(table, cfg.budget)
     _write_csv(
         out / "dist.csv", ["t", "mu_x", "sigma_x", "mu_gamma", "sigma_gamma"],
-        [cfg.grid.points, sched.mu_x, sched.sigma_x, sched.mu_gamma, sched.sigma_gamma],
+        [table.grid.points, sched.mu_x, sched.sigma_x, sched.mu_gamma, sched.sigma_gamma],
     )
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
-    table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
+    table = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
+    grid = table.grid
     sim = simulate(
         SimulationConfig(
             paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table, x0=cfg.budget,
             record=(),
         ),
-        cfg.grid, cfg.market, cfg.mortality,
+        grid, cfg.market, cfg.mortality,
     )
     if cfg.mode.is_finite:
-        overlay_mu = overlay_sd = np.full(cfg.grid.n_steps, np.nan)
+        overlay_mu = overlay_sd = np.full(grid.n_steps, np.nan)
     else:
-        sched = wealth_schedule(table, cfg.mortality, cfg.budget)
+        sched = wealth_schedule(table, cfg.budget)
         overlay_mu, overlay_sd = sched.mu_x, sched.sigma_x
     _write_csv(
         out / "paths_summary.csv",
         ["t", *(f"q{round(100 * p):02d}" for p in QUANTILES), "mean_log_x", "sd_log_x",
          "mean_log_x_analytic", "sd_log_x_analytic"],
-        [cfg.grid.points, *sim.summary.x_quantiles, sim.summary.mean_log_x,
+        [grid.points, *sim.summary.x_quantiles, sim.summary.mean_log_x,
          np.sqrt(sim.summary.var_log_x), overlay_mu, overlay_sd],
     )
 
 
 def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
-    reports = run_scenarios(
-        cfg.scenarios, cfg.grid, cfg.market.sigma, cfg.prefs, cfg.mortality, cfg.budget
-    )
+    reports = run_scenarios(cfg.scenarios, cfg.market.sigma, cfg.prefs, cfg.mortality, cfg.budget)
     _write_csv(
         out / "scenarios.csv", ["scenario", "mu", "r", "n", "outperformance"],
         [[rep.scenario for rep in reports], [rep.mu for rep in reports],
@@ -287,7 +293,7 @@ def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:
-    report = convergence_study(cfg.n_list, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
+    report = convergence_study(cfg.n_list, cfg.market, cfg.prefs, cfg.mortality)
     n, zn = map(np.array, zip(*report.entries))
     # Python pow per entry: numpy's vectorised power need not round the same
     _write_csv(

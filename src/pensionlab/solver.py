@@ -164,11 +164,13 @@ class ValueTable:
 
     ``z``, ``y`` and ``cstar`` have shape (n_steps,) for individual/infinite
     modes and (n, n_steps) for a finite collective, row i-1 holding the
-    values with i survivors.  ``astar`` and ``xi`` are scalars.
+    values with i survivors.  ``astar`` and ``xi`` are scalars.  The table
+    keeps the mortality, market and preferences it was solved for; its grid
+    is the mortality table's.
     """
 
     mode: CollectiveMode
-    grid: TimeGrid
+    mortality: MortalityTable
     market: MarketParams
     prefs: Preferences
     z: np.ndarray
@@ -176,6 +178,10 @@ class ValueTable:
     cstar: np.ndarray
     astar: float
     xi: float
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.mortality.grid
 
     def z_at_start(self) -> float:
         """z at t0 (for a finite fund: with all n members alive)."""
@@ -187,7 +193,7 @@ def _diverged(mode, grid, k, row=0):
     return DivergenceError(f"value recursion diverged {count}at t={grid.points[k]}")
 
 
-def _backward(mode, grid, prefs, mortality, kappa, last, rule):
+def _backward(mode, prefs, mortality, kappa, last, rule):
     """Log values log v on the grid, backward from their last-date values
     ``last`` (one per survivor count for a finite fund).  Step k forms
 
@@ -198,8 +204,7 @@ def _backward(mode, grid, prefs, mortality, kappa, last, rule):
     NaN and +inf are divergence; -inf is v = 0, which a policy consuming
     nothing at some date earns when rho < 0.
     """
-    if mortality.grid != grid:
-        raise ConfigurationError("mortality table was built on a different grid")
+    grid = mortality.grid
     alpha = prefs.alpha
     logv = np.empty(np.shape(last) + (grid.n_steps,))
     logv[..., -1] = last
@@ -220,12 +225,13 @@ def _backward(mode, grid, prefs, mortality, kappa, last, rule):
 
 def solve(
     mode: CollectiveMode,
-    grid: TimeGrid,
     market: MarketParams,
     prefs: Preferences,
     mortality: MortalityTable,
 ) -> ValueTable:
-    """Backward induction for the optimal value and consumption tables."""
+    """Backward induction for the optimal value and consumption tables on the
+    grid of ``mortality``."""
+    grid = mortality.grid
     astar = optimal_proportion(market, prefs.alpha)
     xi = growth_exponent(market, prefs.alpha)
     q = prefs.rho / (1.0 - prefs.rho)
@@ -240,13 +246,11 @@ def solve(
             return (1.0 / q) * np.log(y)
 
         kappa = np.full(grid.n_steps, xi)
-        logz = _backward(mode, grid, prefs, mortality, kappa, np.zeros(mode.n), optimal)
+        logz = _backward(mode, prefs, mortality, kappa, np.zeros(mode.n), optimal)
         z = np.exp(logz)
         y = np.exp(q * logz)
     else:
         # the linear recursion in y, whose roundings the log-space driver would change
-        if mortality.grid != grid:
-            raise ConfigurationError("mortality table was built on a different grid")
         p = mode.pooling
         y = np.ones(grid.n_steps)
         with np.errstate(over="ignore"):  # overflow to inf is how divergence is detected
@@ -264,7 +268,7 @@ def solve(
     for arr in (z, y, cstar):
         arr.flags.writeable = False
     return ValueTable(
-        mode=mode, grid=grid, market=market, prefs=prefs,
+        mode=mode, mortality=mortality, market=market, prefs=prefs,
         z=z, y=y, cstar=cstar, astar=astar, xi=xi,
     )
 
@@ -306,12 +310,12 @@ def _strategy_arrays(strategy: Strategy, mode: CollectiveMode, n_steps: int):
 def evaluate_policy(
     strategy: Strategy,
     mode: CollectiveMode,
-    grid: TimeGrid,
     market: MarketParams,
     prefs: Preferences,
     mortality: MortalityTable,
 ) -> float:
-    """Utility per unit initial wealth of a given strategy.
+    """Utility per unit initial wealth of a given strategy on the grid of
+    ``mortality``.
 
     Runs the backward recursion of ``solve`` with the consumption rate fixed,
 
@@ -321,7 +325,7 @@ def evaluate_policy(
     the optimum; the supremum is removed, so comparing against ``solve``
     checks optimality.
     """
-    a, c = _strategy_arrays(strategy, mode, grid.n_steps)
+    a, c = _strategy_arrays(strategy, mode, mortality.grid.n_steps)
     rho = prefs.rho
     with np.errstate(divide="ignore"):
         logc = np.log(c)
@@ -331,5 +335,5 @@ def evaluate_policy(
         return (1.0 / rho) * np.logaddexp(rho * logc[..., k], rho * (logtheta + log1c[..., k]))
 
     kappa = growth_exponent(market, prefs.alpha, a=a)
-    logv = _backward(mode, grid, prefs, mortality, kappa, logc[..., -1], fixed)
+    logv = _backward(mode, prefs, mortality, kappa, logc[..., -1], fixed)
     return float(np.exp(logv[-1, 0] if mode.is_finite else logv[0]))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, DivergenceError, MarketParams, Preferences, TimeGrid
+from .core import ConfigurationError, DivergenceError, MarketParams, Preferences
 from .mortality import MortalityTable, annuity_factor
 from .solver import CollectiveMode, ValueTable, solve
 
@@ -57,15 +57,11 @@ def annuity_utility(gamma: float, mortality: MortalityTable, prefs: Preferences)
     return u
 
 
-def annuity_outperformance(
-    table: ValueTable,
-    budget: float,
-    mortality: MortalityTable,
-    market: MarketParams,
-    prefs: Preferences,
-) -> float:
-    """Annuity outperformance of the optimal strategy in ``table``."""
-    return _outperformance(table.z_at_start(), budget, mortality, market, prefs)[1]
+def annuity_outperformance(table: ValueTable, budget: float) -> float:
+    """Annuity outperformance of the optimal strategy in ``table``, priced at
+    the mortality, market and preferences it was solved for."""
+    z0 = table.z_at_start()
+    return _outperformance(z0, budget, table.mortality, table.market, table.prefs)[1]
 
 
 def _outperformance(z0, budget, mortality, market, prefs):
@@ -97,7 +93,6 @@ class ScenarioReport:
 
 def run_scenarios(
     scenarios: Sequence[tuple],
-    grid: TimeGrid,
     sigma: float,
     prefs: Preferences,
     mortality: MortalityTable,
@@ -119,7 +114,7 @@ def run_scenarios(
             mode = CollectiveMode.individual()
         else:
             mode = CollectiveMode.finite(int(n))
-        table = solve(mode, grid, market, prefs, mortality)
+        table = solve(mode, market, prefs, mortality)
         equivalent, outperf = _outperformance(
             table.z_at_start(), budget, mortality, market, prefs
         )
@@ -140,31 +135,32 @@ def run_scenarios(
 class FundSizeReport:
     entries: list  # (n, outperformance), ascending in n
     infinite_outperformance: float
-    n_at_90pct: Optional[int]  # smallest n reaching 90% of the asymptote
+    n_at_90pct: Optional[int]  # smallest n capturing 90% of the pooling benefit
 
 
 def fund_size_study(
     n_list: Sequence[int],
-    grid: TimeGrid,
     market: MarketParams,
     prefs: Preferences,
     mortality: MortalityTable,
     budget: float,
 ) -> FundSizeReport:
     """Annuity outperformance as the fund size grows, with the n = infinity
-    asymptote."""
+    asymptote.  ``n_at_90pct`` is the smallest listed n whose gain over a
+    one-member fund is at least 90% of the infinite fund's:
+    o_n - o_1 >= 0.9 (o_inf - o_1).
+    """
     n_list = _checked_sizes(n_list)
-    z_n, z_inf = _start_values(n_list, grid, market, prefs, mortality)
-    entries = []
-    for n, zn in zip(n_list, z_n):
-        _, outperf = _outperformance(zn, budget, mortality, market, prefs)
-        entries.append((n, outperf))
-    _, inf_outperf = _outperformance(z_inf, budget, mortality, market, prefs)
-    n_at_90 = None
-    for n, outperf in entries:
-        if outperf >= 0.9 * inf_outperf:
-            n_at_90 = n
-            break
+    z0, z_inf = _start_values(n_list[-1], market, prefs, mortality)
+
+    def outperformance(z):
+        return _outperformance(float(z), budget, mortality, market, prefs)[1]
+
+    entries = [(n, outperformance(z0[n - 1])) for n in n_list]
+    one, inf_outperf = outperformance(z0[0]), outperformance(z_inf)
+    n_at_90 = next(
+        (n for n, outperf in entries if outperf - one >= 0.9 * (inf_outperf - one)), None
+    )
     return FundSizeReport(
         entries=entries, infinite_outperformance=inf_outperf, n_at_90pct=n_at_90
     )
@@ -192,7 +188,6 @@ class ConvergenceReport:
 
 def convergence_study(
     n_list: Sequence[int],
-    grid: TimeGrid,
     market: MarketParams,
     prefs: Preferences,
     mortality: MortalityTable,
@@ -206,8 +201,8 @@ def convergence_study(
     if not anchors:
         raise ConfigurationError("need a fund size >= 4 to anchor the root-n bound")
 
-    z_n, z_inf = _start_values(n_list, grid, market, prefs, mortality)
-    entries = list(zip(n_list, z_n))
+    z0, z_inf = _start_values(n_list[-1], market, prefs, mortality)
+    entries = [(n, float(z0[n - 1])) for n in n_list]
     diffs = np.array([abs(zn - z_inf) for _, zn in entries])
     if not np.all(np.isfinite(diffs)):
         raise DivergenceError("non-finite difference in the convergence study")
@@ -225,22 +220,16 @@ def convergence_study(
     )
 
 
-def _start_values(
-    n_list: list[int],
-    grid: TimeGrid,
-    market: MarketParams,
-    prefs: Preferences,
-    mortality: MortalityTable,
-) -> tuple[list[float], float]:
-    """z at t0 for each fund size in the ascending ``n_list``, and for the
-    infinite collective.
+def _start_values(n_max, market, prefs, mortality):
+    """z at t0 for every fund size 1..n_max (entry n-1), and for the infinite
+    collective.
 
-    One solve at max(n) yields every smaller fund: the recursion for i
+    One solve at n_max yields every smaller fund: the recursion for i
     survivors only references counts <= i, so the triangular table is shared.
     """
-    table = solve(CollectiveMode.finite(n_list[-1]), grid, market, prefs, mortality)
-    z_inf = solve(CollectiveMode.infinite(), grid, market, prefs, mortality).z_at_start()
-    return [float(table.z[n - 1, 0]) for n in n_list], z_inf
+    table = solve(CollectiveMode.finite(n_max), market, prefs, mortality)
+    z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z_at_start()
+    return table.z[:, 0], z_inf
 
 
 def _checked_sizes(n_list: Sequence[int]) -> list[int]:

@@ -57,7 +57,6 @@ def warm_kernels():
     mt = MortalityTable.from_pmf(grid, [0.2, 0.3, 0.5])
     solve(
         CollectiveMode.finite(2),
-        grid,
         MarketParams(mu=0.03, r=0.01, sigma=0.2),
         Preferences(alpha=-1.0, rho=-1.0),
         mt,

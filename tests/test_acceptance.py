@@ -51,9 +51,9 @@ def test_criterion_01_two_period_equal_split():
     mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
     market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
     prefs = Preferences(alpha=-2.0, rho=-1.0, b=0.0)
-    solve(CollectiveMode.individual(), grid, market, prefs, mt)  # warm path
+    solve(CollectiveMode.individual(), market, prefs, mt)  # warm path
     t0 = time.perf_counter()
-    table = solve(CollectiveMode.individual(), grid, market, prefs, mt)
+    table = solve(CollectiveMode.individual(), market, prefs, mt)
     elapsed = time.perf_counter() - t0
     dz = abs(table.z[0] - 0.25)
     dc = abs(table.cstar[0] - 0.5)
@@ -72,7 +72,7 @@ def test_criterion_02_brute_force_oracle_equivalence():
         prefs = random_prefs(rng)
         market = random_market(rng)
         for n in (1, 2, 3):
-            z = solve(CollectiveMode.finite(n), grid, market, prefs, mt).z[n - 1, 0]
+            z = solve(CollectiveMode.finite(n), market, prefs, mt).z[n - 1, 0]
             w = oracle_values(n, grid, market, prefs, mt)[n - 1, 0]
             worst = max(worst, abs(z - w) / abs(w))
     elapsed = time.perf_counter() - t0
@@ -84,8 +84,8 @@ def test_criterion_03_single_member_fund_is_individual(mild_table, default_table
                                                        base_market, vnm_prefs):
     worst = 0.0
     for grid, mt in (mild_table, default_table):
-        ind = solve(CollectiveMode.individual(), grid, base_market, vnm_prefs, mt)
-        one = solve(CollectiveMode.finite(1), grid, base_market, vnm_prefs, mt)
+        ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
+        one = solve(CollectiveMode.finite(1), base_market, vnm_prefs, mt)
         worst = max(
             worst,
             float(np.max(np.abs(one.z[0] - ind.z))),
@@ -99,8 +99,8 @@ def test_criterion_04_distribution_verification(default_table, base_market, vnm_
     grid, mt = default_table
     paths = 100_000
     t0 = time.perf_counter()
-    table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
-    sched = wealth_schedule(table, mt, 1.0)
+    table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
+    sched = wealth_schedule(table, 1.0)
     res = simulate(
         SimulationConfig(paths=paths, seed=0, mode=CollectiveMode.infinite(),
                          policy=table, record=()),
@@ -129,7 +129,7 @@ def test_criterion_04_distribution_verification(default_table, base_market, vnm_
 
 
 def _perturbation_drops(table, mode, grid, market, prefs, mt, entry, k, hs):
-    base = evaluate_policy(extract_strategy(table), mode, grid, market, prefs, mt)
+    base = evaluate_policy(extract_strategy(table), mode, market, prefs, mt)
     out = {}
     for h in hs:
         for sign in (1.0, -1.0):
@@ -142,7 +142,7 @@ def _perturbation_drops(table, mode, grid, market, prefs, mt, entry, k, hs):
                 strat.c[entry, k] = scaled
             else:
                 strat.c[k] = scaled
-            out[(h, sign)] = base - evaluate_policy(strat, mode, grid, market, prefs, mt)
+            out[(h, sign)] = base - evaluate_policy(strat, mode, market, prefs, mt)
     return out
 
 
@@ -153,7 +153,7 @@ def test_criterion_05_optimality_perturbation(base_market, vnm_prefs):
     hs = (1e-2, 1e-3, 1e-4)
     failures = []
     for mode in (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(3)):
-        table = solve(mode, grid, base_market, vnm_prefs, mt)
+        table = solve(mode, base_market, vnm_prefs, mt)
         entries = range(mode.n) if mode.is_finite else [0]
         for entry in entries:
             for k in range(grid.n_steps):
@@ -228,8 +228,8 @@ def test_criterion_08_scenario4_zero(default_table):
     grid, mt = default_table
     market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
     prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-    table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
-    out = annuity_outperformance(table, 1.0, mt, market, prefs)
+    table = solve(CollectiveMode.infinite(), market, prefs, mt)
+    out = annuity_outperformance(table, 1.0)
     ok = abs(out) <= 1e-10
     report(8, ok, f"flat-market vNM infinite collective outperformance {out:.2e}")
 
@@ -244,8 +244,8 @@ def test_criterion_09_scenario_ordering(default_table, vnm_prefs):
         ("S4", 0.0, 0.0, CollectiveMode.infinite()),
     ]:
         market = MarketParams(mu=mu, r=r, sigma=0.15)
-        table = solve(mode, grid, market, vnm_prefs, mt)
-        outs[name] = annuity_outperformance(table, 1.0, mt, market, vnm_prefs)
+        table = solve(mode, market, vnm_prefs, mt)
+        outs[name] = annuity_outperformance(table, 1.0)
     order_ok = outs["S1"] > outs["S2"] > outs["S3"] > 0.0 and abs(outs["S4"]) <= 1e-10
     imp12 = improvement(0.591, 0.205)
     imp13 = improvement(0.591, 0.013)
@@ -264,7 +264,7 @@ def test_criterion_10_convergence(default_table, base_market, vnm_prefs):
     grid, mt = default_table
     n_list = [2**k for k in range(11)]  # 1 .. 1024
     t0 = time.perf_counter()
-    rep = convergence_study(n_list, grid, base_market, vnm_prefs, mt)
+    rep = convergence_study(n_list, base_market, vnm_prefs, mt)
     elapsed = time.perf_counter() - t0
     diffs = [abs(zn - rep.z_infinity) for _, zn in rep.entries]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))

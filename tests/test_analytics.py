@@ -22,15 +22,15 @@ class TestWealthSchedule:
     def test_riskless_market_gives_zero_spread(self, mild_table, vnm_prefs):
         grid, mt = mild_table
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
-        table = solve(CollectiveMode.infinite(), grid, market, vnm_prefs, mt)
-        sched = wealth_schedule(table, mt, 1.0)
+        table = solve(CollectiveMode.infinite(), market, vnm_prefs, mt)
+        sched = wealth_schedule(table, 1.0)
         assert np.all(sched.sigma_x == 0.0)
         assert np.all(sched.sigma_gamma == 0.0)
 
     def test_spread_closed_form(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
-        sched = wealth_schedule(table, mt, 1.0)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
+        sched = wealth_schedule(table, 1.0)
         # four years out: sigma a* sqrt(4), with a* = 7/9
         assert sched.sigma_x[4] == pytest.approx(0.15 * (7.0 / 9.0) * 2.0, rel=1e-12)
         expect = base_market.sigma * abs(table.astar) * np.sqrt(grid.dt * np.arange(grid.n_steps))
@@ -43,15 +43,15 @@ class TestWealthSchedule:
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         for mode in (CollectiveMode.individual(), CollectiveMode.infinite()):
-            table = solve(mode, grid, market, prefs, mt)
-            sched = wealth_schedule(table, mt, 1.0)
+            table = solve(mode, market, prefs, mt)
+            sched = wealth_schedule(table, 1.0)
             assert sched.mu_x[0] == 0.0
             assert sched.mu_x[1] == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_consumption_mean_offset_recomposes_bitwise(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
-        sched = wealth_schedule(table, mt, 2.5)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
+        sched = wealth_schedule(table, 2.5)
         rho = vnm_prefs.rho
         expect = sched.mu_x + (rho / (rho - 1.0)) * np.log(table.z)
         assert np.array_equal(sched.mu_gamma, expect)
@@ -59,8 +59,8 @@ class TestWealthSchedule:
     def test_telescoping_against_literal_increments(self, mild_table, base_market):
         grid, mt = mild_table
         prefs = Preferences(alpha=-0.7, rho=-2.0, b=0.02)
-        table = solve(CollectiveMode.infinite(), grid, base_market, prefs, mt)
-        sched = wealth_schedule(table, mt, 1.0)
+        table = solve(CollectiveMode.infinite(), base_market, prefs, mt)
+        sched = wealth_schedule(table, 1.0)
         xi_drift = growth_exponent(base_market, 0.0, optimal_proportion(base_market, prefs.alpha))
         mu = math.log(1.0)
         for k in range(grid.n_steps - 1):
@@ -69,15 +69,15 @@ class TestWealthSchedule:
 
     def test_finite_mode_rejected(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        table = solve(CollectiveMode.finite(2), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.finite(2), base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="individual and infinite"):
-            wealth_schedule(table, mt, 1.0)
+            wealth_schedule(table, 1.0)
 
     def test_bad_x0(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError):
-            wealth_schedule(table, mt, 0.0)
+            wealth_schedule(table, 0.0)
 
 
 class TestConsumptionDrift:

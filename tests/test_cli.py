@@ -113,7 +113,7 @@ class TestSolveCommand:
     def test_finite_table_matches_golden_digest(self):
         raw = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
         cfg = parse_config(dict(raw, mode="finite:2048"), REPO / "configs")
-        table = solve(cfg.mode, cfg.grid, cfg.market, cfg.prefs, cfg.mortality)
+        table = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
         assert hashlib.sha256(table.z.tobytes()).hexdigest() == (
             "82bde32ba2ba2aa78639ceab22c91a75d3350fa33ac63d17e01f6187fe7a05a0"
         )
@@ -253,6 +253,24 @@ class TestScenariosCommand:
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["scenarios", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    # each was once written unquoted: rows of 5, 6, 5, 1 and 5 fields, or two
+    # contradictory "a,b" rows in improvements.csv for a repeated id
+    @pytest.mark.parametrize(
+        "ids",
+        [["eq,uity", "b"], [{"k": 1}, "b"], ["line\nbreak", "b"], ["cr\rx", "b"],
+         ['quo"te', "b"], ["", "b"], [7, "b"], [None, "b"], ["a", "a"]],
+        ids=["comma", "object", "lf", "cr", "quote", "empty", "number", "null", "repeated"],
+    )
+    def test_bad_scenario_id_exits_2_before_output(self, tmp_path, capsys, ids):
+        cfg = dict(DEFAULTISH, scenarios=[
+            {"id": sid, "mu": 0.062, "r": 0.027, "n": "infinite"} for sid in ids
+        ])
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main(["scenarios", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenarios[")
+        assert not out.exists()
+
 
 class TestConvergeCommand:
     def test_bound_column(self, tmp_path, capsys):
@@ -338,7 +356,7 @@ class TestConfigHandling:
         original = parse_config(json.loads(p.read_text()), tmp_path)
         assert again.market == original.market
         assert again.prefs == original.prefs
-        assert again.grid == original.grid
+        assert again.mortality.grid == original.mortality.grid
         assert again.mode == original.mode
         assert np.array_equal(again.mortality.p, original.mortality.p)
 

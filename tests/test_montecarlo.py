@@ -30,7 +30,7 @@ class TestDeterministicCases:
         mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
+        table = solve(CollectiveMode.infinite(), market, prefs, mt)
         res = simulate(
             SimulationConfig(paths=32, seed=1, mode=CollectiveMode.infinite(), policy=table,
                              record=ALL_SERIES),
@@ -42,7 +42,7 @@ class TestDeterministicCases:
 
     def test_same_seed_bitwise_identical(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
-        table = solve(CollectiveMode.finite(30), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.finite(30), base_market, vnm_prefs, mt)
         cfg = SimulationConfig(paths=500, seed=77, mode=CollectiveMode.finite(30), policy=table,
                                 record=ALL_SERIES)
         a = simulate(cfg, grid, base_market, mt)
@@ -62,7 +62,7 @@ class TestBudgetIdentity:
     def test_finite_fund_redistribution(self, short_table, vnm_prefs):
         grid, mt = short_table
         market = MarketParams(mu=0.02, r=0.02, sigma=0.2)  # a* = 0: no market noise
-        table = solve(CollectiveMode.finite(40), grid, market, vnm_prefs, mt)
+        table = solve(CollectiveMode.finite(40), market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=300, seed=5, mode=CollectiveMode.finite(40), policy=table,
                              record=ALL_SERIES),
@@ -81,7 +81,7 @@ class TestBudgetIdentity:
     def test_infinite_fund_redistribution(self, short_table, vnm_prefs):
         grid, mt = short_table
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        table = solve(CollectiveMode.infinite(), grid, market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=10, seed=9, mode=CollectiveMode.infinite(), policy=table,
                              record=ALL_SERIES),
@@ -94,7 +94,7 @@ class TestBudgetIdentity:
     def test_individual_mode_is_one_member_fund(self, short_table, vnm_prefs):
         grid, mt = short_table
         market = MarketParams(mu=0.02, r=0.02, sigma=0.2)  # a* = 0
-        table = solve(CollectiveMode.individual(), grid, market, vnm_prefs, mt)
+        table = solve(CollectiveMode.individual(), market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=200, seed=15, mode=CollectiveMode.individual(), policy=table,
                              record=ALL_SERIES),
@@ -110,7 +110,7 @@ class TestBudgetIdentity:
 
     def test_consumption_is_rate_lookup(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=50, seed=3, mode=CollectiveMode.infinite(), policy=table,
                              record=ALL_SERIES),
@@ -123,14 +123,14 @@ class TestBudgetIdentity:
 class TestDistributionAgreement:
     def test_infinite_mode_matches_lognormal_schedule(self, base_market, vnm_prefs, default_table):
         grid, mt = default_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         paths = 20_000
         res = simulate(
             SimulationConfig(paths=paths, seed=2024, mode=CollectiveMode.infinite(),
                              policy=table, record=("wealth",)),
             grid, base_market, mt,
         )
-        sched = wealth_schedule(table, mt, 1.0)
+        sched = wealth_schedule(table, 1.0)
         se_mean = sched.sigma_x / math.sqrt(paths)
         var = sched.sigma_x**2
         se_var = var * math.sqrt(2.0 / (paths - 1))
@@ -142,7 +142,7 @@ class TestDistributionAgreement:
     def test_finite_mode_survivor_mean(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
         n0 = 1000
-        table = solve(CollectiveMode.finite(n0), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.finite(n0), base_market, vnm_prefs, mt)
         paths = 3000
         res = simulate(
             SimulationConfig(paths=paths, seed=11, mode=CollectiveMode.finite(n0),
@@ -160,7 +160,7 @@ class TestDistributionAgreement:
         mt = MortalityTable.from_pmf(grid, p)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
+        table = solve(CollectiveMode.infinite(), market, prefs, mt)
         res = simulate(
             SimulationConfig(paths=16, seed=6, mode=CollectiveMode.infinite(), policy=table,
                              record=ALL_SERIES),
@@ -178,7 +178,7 @@ class TestSummarize:
         mt = MortalityTable.from_pmf(grid, [0.0, 0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
+        table = solve(CollectiveMode.infinite(), market, prefs, mt)
         res = simulate(
             SimulationConfig(paths=1, seed=4, mode=CollectiveMode.infinite(), policy=table,
                              record=ALL_SERIES),
@@ -191,7 +191,7 @@ class TestSummarize:
 
     def test_median_of_two_paths_is_midpoint(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=2, seed=8, mode=CollectiveMode.infinite(), policy=table,
                              record=ALL_SERIES),
@@ -203,13 +203,13 @@ class TestSummarize:
 
     def test_median_tracks_lognormal_median(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         paths = 20_000
         res = simulate(
             SimulationConfig(paths=paths, seed=13, mode=CollectiveMode.infinite(), policy=table),
             grid, base_market, mt,
         )
-        sched = wealth_schedule(table, mt, 1.0)
+        sched = wealth_schedule(table, 1.0)
         pct = res.summary
         k = 10
         se = 1.2533 * sched.sigma_x[k] / math.sqrt(paths)  # asymptotic median error
@@ -241,7 +241,7 @@ class TestSummarize:
     def test_quantiles_of_alive_paths_in_dying_fund(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         mode = CollectiveMode.finite(3)
-        table = solve(mode, grid, base_market, vnm_prefs, mt)
+        table = solve(mode, base_market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, record=ALL_SERIES),
             grid, base_market, mt,
@@ -263,7 +263,7 @@ class TestSummarize:
 
     def test_validation(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         # quantiles no longer need recorded series
         res = simulate(
             SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
@@ -277,11 +277,24 @@ class TestSummarize:
 class TestValidation:
     def test_mode_mismatch(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError):
             SimulationConfig(paths=0, seed=1, mode=CollectiveMode.infinite(), policy=table)
         cfg = SimulationConfig(paths=4, seed=1, mode=CollectiveMode.finite(5), policy=table)
         with pytest.raises(ConfigurationError):
+            simulate(cfg, grid, base_market, mt)
+
+    def test_grid_mismatch_rejected(self, short_table, base_market, vnm_prefs):
+        grid, mt = short_table
+        other = gompertz_makeham(1e-3, 2e-4, 0.1, make_time_grid(65, 1, 80))
+        mode = CollectiveMode.infinite()
+        cfg = SimulationConfig(paths=4, seed=1, mode=mode, policy=Strategy(
+            a=np.zeros(grid.n_steps), c=np.ones(grid.n_steps)))
+        with pytest.raises(ConfigurationError, match="mortality table was built on a different"):
+            simulate(cfg, grid, base_market, other)
+        cfg = SimulationConfig(paths=4, seed=1, mode=mode,
+                               policy=solve(mode, base_market, vnm_prefs, other))
+        with pytest.raises(ConfigurationError, match="value table was solved on a different"):
             simulate(cfg, grid, base_market, mt)
 
     def test_strategy_policy_supported(self, short_table, vnm_prefs):
@@ -302,7 +315,7 @@ class TestValidation:
         p = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
         mt = MortalityTable.from_pmf(grid, p)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        table = solve(CollectiveMode.finite(2), grid, market, vnm_prefs, mt)
+        table = solve(CollectiveMode.finite(2), market, vnm_prefs, mt)
         res = simulate(
             SimulationConfig(paths=4000, seed=21, mode=CollectiveMode.finite(2), policy=table,
                              record=ALL_SERIES),

@@ -130,7 +130,6 @@ class TestConsumptionRate:
         p[-1] = 1.0
         table = solve(
             CollectiveMode.individual(),
-            grid,
             MarketParams(mu=0.0, r=0.0, sigma=0.2),
             Preferences(alpha=-1.0, rho=-1.0, b=0.0),
             MortalityTable.from_pmf(grid, p),
@@ -151,7 +150,7 @@ class TestSolve:
         mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
         for alpha in (-3.0, -1.0, 0.5):
-            t = solve(CollectiveMode.individual(), grid, market,
+            t = solve(CollectiveMode.individual(), market,
                       Preferences(alpha=alpha, rho=-1.0, b=0.0), mt)
             assert abs(t.z[0] - 0.25) <= 1e-12
             assert abs(t.cstar[0] - 0.5) <= 1e-12
@@ -160,15 +159,15 @@ class TestSolve:
     def test_terminal_consumes_everything_every_mode(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         for mode in (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(4)):
-            t = solve(mode, grid, base_market, vnm_prefs, mt)
+            t = solve(mode, base_market, vnm_prefs, mt)
             last = t.cstar[..., -1]
             assert np.all(last == 1.0)
             assert np.all(t.cstar > 0.0) and np.all(t.cstar <= 1.0)
 
     def test_single_member_fund_is_the_individual(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        ind = solve(CollectiveMode.individual(), grid, base_market, vnm_prefs, mt)
-        one = solve(CollectiveMode.finite(1), grid, base_market, vnm_prefs, mt)
+        ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
+        one = solve(CollectiveMode.finite(1), base_market, vnm_prefs, mt)
         assert np.max(np.abs(one.z[0] - ind.z)) <= 1e-12
         assert np.max(np.abs(one.cstar[0] - ind.cstar)) <= 1e-12
 
@@ -176,13 +175,13 @@ class TestSolve:
         grid = make_time_grid(0, 1, 3)
         mt = MortalityTable.from_pmf(grid, [0.2, 0.4, 0.4])  # s = (0.8, 0.5, 0)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        t = solve(CollectiveMode.finite(2), grid, base_market, prefs, mt)
+        t = solve(CollectiveMode.finite(2), base_market, prefs, mt)
         w = oracle_values(2, grid, base_market, prefs, mt)
         assert t.z[1, 0] == pytest.approx(w[1, 0], rel=1e-8)
 
     def test_transformed_recursion_recomputes_bitwise(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        t = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
+        t = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         q = vnm_prefs.rho / (1.0 - vnm_prefs.rho)
         y = np.empty(grid.n_steps)
         y[-1] = 1.0
@@ -195,18 +194,18 @@ class TestSolve:
 
     def test_astar_is_a_single_scalar_independent_of_rho(self, mild_table, base_market):
         grid, mt = mild_table
-        t1 = solve(CollectiveMode.infinite(), grid, base_market,
+        t1 = solve(CollectiveMode.infinite(), base_market,
                    Preferences(alpha=-1.0, rho=-1.0), mt)
-        t2 = solve(CollectiveMode.infinite(), grid, base_market,
+        t2 = solve(CollectiveMode.infinite(), base_market,
                    Preferences(alpha=-1.0, rho=0.5), mt)
         assert isinstance(t1.astar, float) and isinstance(t1.xi, float)
         assert t1.astar == t2.astar and t1.xi == t2.xi
 
     def test_finite_value_between_individual_and_infinite(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        z1 = solve(CollectiveMode.individual(), grid, base_market, vnm_prefs, mt).z
-        z8 = solve(CollectiveMode.finite(8), grid, base_market, vnm_prefs, mt).z[7]
-        zinf = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt).z
+        z1 = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt).z
+        z8 = solve(CollectiveMode.finite(8), base_market, vnm_prefs, mt).z[7]
+        zinf = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt).z
         ok = np.all(z1[:-1] <= z8[:-1] + 1e-14) and np.all(z8[:-1] <= zinf[:-1] + 1e-14)
         assert ok, "finite-collective value left the [individual, infinite] band"
 
@@ -218,9 +217,9 @@ class TestSolve:
         market = MarketParams(mu=10.0, r=10.0, sigma=0.2)
         prefs = Preferences(alpha=0.5, rho=0.5, b=0.0)
         with pytest.raises(DivergenceError, match="t="):
-            solve(CollectiveMode.individual(), grid, market, prefs, mt)
+            solve(CollectiveMode.individual(), market, prefs, mt)
         with pytest.raises(DivergenceError, match="survivor count"):
-            solve(CollectiveMode.finite(2), grid, market, prefs, mt)
+            solve(CollectiveMode.finite(2), market, prefs, mt)
 
     def test_divergence_with_negative_q_reported_where_it_overflows(self):
         # rho < 0: y overflows to inf and z = y^(1/q) would read 0, not diverge
@@ -231,15 +230,9 @@ class TestSolve:
         market = MarketParams(mu=-10.0, r=-10.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-3.0, b=0.0)
         with pytest.raises(DivergenceError, match=r"diverged at t=104\.0"):
-            solve(CollectiveMode.individual(), grid, market, prefs, mt)
+            solve(CollectiveMode.individual(), market, prefs, mt)
         with pytest.raises(DivergenceError, match=r"survivor count 1 at t=104\.0"):
-            solve(CollectiveMode.finite(2), grid, market, prefs, mt)
-
-    def test_grid_mismatch_rejected(self, mild_table, base_market, vnm_prefs):
-        _, mt = mild_table
-        other = make_time_grid(0, 1, 5)
-        with pytest.raises(ConfigurationError):
-            solve(CollectiveMode.individual(), other, base_market, vnm_prefs, mt)
+            solve(CollectiveMode.finite(2), market, prefs, mt)
 
     def test_finite_size_cap(self):
         with pytest.raises(ConfigurationError):
@@ -251,7 +244,7 @@ class TestSolve:
         grid, mt = default_table
         tracemalloc.start()
         try:
-            table = solve(CollectiveMode.finite(MAX_FINITE_N), grid, base_market, vnm_prefs, mt)
+            table = solve(CollectiveMode.finite(MAX_FINITE_N), base_market, vnm_prefs, mt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,8 +257,8 @@ class TestEvaluatePolicy:
     def test_matches_solver_on_optimal_strategy(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         for mode in (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(3)):
-            table = solve(mode, grid, base_market, vnm_prefs, mt)
-            v = evaluate_policy(extract_strategy(table), mode, grid, base_market, vnm_prefs, mt)
+            table = solve(mode, base_market, vnm_prefs, mt)
+            v = evaluate_policy(extract_strategy(table), mode, base_market, vnm_prefs, mt)
             assert v == pytest.approx(table.z_at_start(), rel=1e-10)
 
     def test_matches_solver_on_random_draws(self):
@@ -278,8 +271,8 @@ class TestEvaluatePolicy:
             market = random_market(rng)
             mt = random_mortality(rng, grid)
             for mode in (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(2)):
-                table = solve(mode, grid, market, prefs, mt)
-                v = evaluate_policy(extract_strategy(table), mode, grid, market, prefs, mt)
+                table = solve(mode, market, prefs, mt)
+                v = evaluate_policy(extract_strategy(table), mode, market, prefs, mt)
                 assert v == pytest.approx(table.z_at_start(), rel=1e-10)
 
     def test_two_point_hand_value(self):
@@ -288,30 +281,30 @@ class TestEvaluatePolicy:
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         strat = Strategy(a=np.zeros(2), c=np.array([0.3, 1.0]))
-        v = evaluate_policy(strat, CollectiveMode.individual(), grid, market, prefs, mt)
+        v = evaluate_policy(strat, CollectiveMode.individual(), market, prefs, mt)
         assert v == pytest.approx(0.21, abs=1e-12)  # (1/0.3 + 1/0.7)^-1
 
     def test_perturbing_initial_consumption_hurts(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         mode = CollectiveMode.infinite()
-        table = solve(mode, grid, base_market, vnm_prefs, mt)
+        table = solve(mode, base_market, vnm_prefs, mt)
         base = extract_strategy(table)
-        v0 = evaluate_policy(base, mode, grid, base_market, vnm_prefs, mt)
+        v0 = evaluate_policy(base, mode, base_market, vnm_prefs, mt)
         for dc in (0.01, -0.01):
             pert = extract_strategy(table)
             pert.c[0] += dc
-            assert evaluate_policy(pert, mode, grid, base_market, vnm_prefs, mt) < v0
+            assert evaluate_policy(pert, mode, base_market, vnm_prefs, mt) < v0
 
     def test_second_order_flatness_at_optimum(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         mode = CollectiveMode.individual()
-        table = solve(mode, grid, base_market, vnm_prefs, mt)
-        v0 = evaluate_policy(extract_strategy(table), mode, grid, base_market, vnm_prefs, mt)
+        table = solve(mode, base_market, vnm_prefs, mt)
+        v0 = evaluate_policy(extract_strategy(table), mode, base_market, vnm_prefs, mt)
         drops = {}
         for h in (1e-2, 1e-3, 1e-4):
             pert = extract_strategy(table)
             pert.c[0] *= 1.0 + h
-            drops[h] = v0 - evaluate_policy(pert, mode, grid, base_market, vnm_prefs, mt)
+            drops[h] = v0 - evaluate_policy(pert, mode, base_market, vnm_prefs, mt)
         k_fit = drops[1e-2] / 1e-4
         for h in (1e-3, 1e-4):
             assert drops[h] <= 2.0 * k_fit * h * h
@@ -321,12 +314,12 @@ class TestEvaluatePolicy:
         with pytest.raises(ConfigurationError):
             evaluate_policy(
                 Strategy(a=np.zeros(3), c=np.full(grid.n_steps, 0.1)),
-                CollectiveMode.individual(), grid, base_market, vnm_prefs, mt,
+                CollectiveMode.individual(), base_market, vnm_prefs, mt,
             )
         with pytest.raises(ConfigurationError):
             evaluate_policy(
                 Strategy(a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 1.2)),
-                CollectiveMode.individual(), grid, base_market, vnm_prefs, mt,
+                CollectiveMode.individual(), base_market, vnm_prefs, mt,
             )
 
     def test_zero_consumption_at_a_date(self):
@@ -341,11 +334,11 @@ class TestEvaluatePolicy:
         for rho, values in expected.items():
             prefs = Preferences(alpha=-1.0, rho=rho)
             for mode, value in zip(modes, values):
-                strat = extract_strategy(solve(mode, grid, market, prefs, mt))
+                strat = extract_strategy(solve(mode, market, prefs, mt))
                 strat.c[..., 1] = 0.0
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    v = evaluate_policy(strat, mode, grid, market, prefs, mt)
+                    v = evaluate_policy(strat, mode, market, prefs, mt)
                 if value == 0.0:
                     assert v == 0.0
                 else:
@@ -362,7 +355,7 @@ class TestBackwardDriver:
         market = MarketParams(mu=0.06, r=0.03, sigma=0.15)
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         q = rho / (1.0 - rho)
-        table = solve(CollectiveMode.finite(1), grid, market, prefs, mt)
+        table = solve(CollectiveMode.finite(1), market, prefs, mt)
         theta = math.exp(-b / rho) * math.exp(growth_exponent(market, alpha)) * s ** (1.0 / alpha)
         assert table.z[0, 1] == 1.0
         assert table.z[0, 0] == pytest.approx((1.0 + theta**q) ** (1.0 / q), rel=1e-13)

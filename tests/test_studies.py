@@ -60,23 +60,23 @@ class TestAnnuityOutperformance:
             mt = random_mortality(rng, grid)
             for rho in (-1.0, -2.5, 0.5):
                 prefs = Preferences(alpha=rho, rho=rho, b=0.0)
-                table = solve(CollectiveMode.infinite(), grid, market, prefs, mt)
-                out = annuity_outperformance(table, 1.0, mt, market, prefs)
+                table = solve(CollectiveMode.infinite(), market, prefs, mt)
+                out = annuity_outperformance(table, 1.0)
                 assert abs(out) <= 1e-10
 
     def test_budget_invariance(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
-        table = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
-        o1 = annuity_outperformance(table, 1.0, mt, base_market, vnm_prefs)
-        o2 = annuity_outperformance(table, 2_000_000.0, mt, base_market, vnm_prefs)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
+        o1 = annuity_outperformance(table, 1.0)
+        o2 = annuity_outperformance(table, 2_000_000.0)
         assert o1 == pytest.approx(o2, rel=1e-12)
 
     def test_pooling_beats_individual(self, default_table, mild_table, base_market, vnm_prefs):
         for grid, mt in (default_table, mild_table):
-            inf_t = solve(CollectiveMode.infinite(), grid, base_market, vnm_prefs, mt)
-            ind_t = solve(CollectiveMode.individual(), grid, base_market, vnm_prefs, mt)
-            o_inf = annuity_outperformance(inf_t, 1.0, mt, base_market, vnm_prefs)
-            o_ind = annuity_outperformance(ind_t, 1.0, mt, base_market, vnm_prefs)
+            inf_t = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
+            ind_t = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
+            o_inf = annuity_outperformance(inf_t, 1.0)
+            o_ind = annuity_outperformance(ind_t, 1.0)
             assert o_inf > o_ind
 
     def test_equity_premium_helps(self, default_table, vnm_prefs):
@@ -84,12 +84,10 @@ class TestAnnuityOutperformance:
         with_premium = MarketParams(mu=0.062, r=0.027, sigma=0.15)
         without = MarketParams(mu=0.027, r=0.027, sigma=0.15)
         o_with = annuity_outperformance(
-            solve(CollectiveMode.infinite(), grid, with_premium, vnm_prefs, mt),
-            1.0, mt, with_premium, vnm_prefs,
+            solve(CollectiveMode.infinite(), with_premium, vnm_prefs, mt), 1.0
         )
         o_without = annuity_outperformance(
-            solve(CollectiveMode.infinite(), grid, without, vnm_prefs, mt),
-            1.0, mt, without, vnm_prefs,
+            solve(CollectiveMode.infinite(), without, vnm_prefs, mt), 1.0
         )
         assert o_with > o_without
 
@@ -121,7 +119,7 @@ class TestScenarios:
         reports = run_scenarios(
             [("1", 0.062, 0.027, None), ("2", 0.062, 0.027, 1),
              ("3", 0.027, 0.027, None), ("4", 0.0, 0.0, None)],
-            grid, 0.15, vnm_prefs, mt, budget=1.0,
+            0.15, vnm_prefs, mt, budget=1.0,
         )
         o = [rep.outperformance for rep in reports]
         assert o[0] > o[1] > o[2] > abs(o[3]) - 1e-10
@@ -133,24 +131,24 @@ class TestScenarios:
     def test_finite_scenario_size(self, default_table, vnm_prefs):
         grid, mt = default_table
         reports = run_scenarios(
-            [("a", 0.062, 0.027, 5)], grid, 0.15, vnm_prefs, mt, budget=2.0
+            [("a", 0.062, 0.027, 5)], 0.15, vnm_prefs, mt, budget=2.0
         )
         assert reports[0].n == 5
 
     def test_empty_rejected(self, default_table, vnm_prefs):
         grid, mt = default_table
         with pytest.raises(ConfigurationError):
-            run_scenarios([], grid, 0.15, vnm_prefs, mt, budget=1.0)
+            run_scenarios([], 0.15, vnm_prefs, mt, budget=1.0)
 
 
 class TestFundSizeStudy:
     def test_small_fund_ladder(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         ns = [1, 2, 4, 8, 16, 32, 64]
-        rep = fund_size_study(ns, grid, base_market, vnm_prefs, mt, budget=1.0)
+        rep = fund_size_study(ns, base_market, vnm_prefs, mt, budget=1.0)
         # n = 1 coincides with the individual problem
-        ind = solve(CollectiveMode.individual(), grid, base_market, vnm_prefs, mt)
-        o_ind = annuity_outperformance(ind, 1.0, mt, base_market, vnm_prefs)
+        ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
+        o_ind = annuity_outperformance(ind, 1.0)
         assert rep.entries[0][1] == pytest.approx(o_ind, abs=1e-12)
         values = [o for _, o in rep.entries]
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:])), (
@@ -159,17 +157,31 @@ class TestFundSizeStudy:
         assert values[-1] < rep.infinite_outperformance
         assert rep.n_at_90pct is not None and rep.n_at_90pct <= 64
 
+    def test_n_at_90pct_measures_the_pooling_benefit(self, studies_config):
+        # o_inf is within rounding of 0 here, so o_n >= 0.9 o_inf never held
+        market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
+        ns = [2**k for k in range(13)]
+        rep = fund_size_study(
+            ns, market, studies_config.prefs, studies_config.mortality, budget=1.0
+        )
+        o_1 = rep.entries[0][1]
+        assert o_1 == pytest.approx(-0.0967, abs=1e-4)
+        assert abs(rep.infinite_outperformance) < 1e-12
+        gains = {n: (o - o_1) / (rep.infinite_outperformance - o_1) for n, o in rep.entries}
+        assert gains[16] < 0.9 <= gains[32]
+        assert rep.n_at_90pct == 32
+
     def test_size_order_validated(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         with pytest.raises(ConfigurationError):
-            fund_size_study([4, 2], grid, base_market, vnm_prefs, mt, budget=1.0)
+            fund_size_study([4, 2], base_market, vnm_prefs, mt, budget=1.0)
 
 
 @pytest.fixture(scope="module")
 def report(default_table, base_market, vnm_prefs):
     grid, mt = default_table
     ns = [1, 2, 4, 8, 16, 32, 64, 128]
-    return convergence_study(ns, grid, base_market, vnm_prefs, mt), ns
+    return convergence_study(ns, base_market, vnm_prefs, mt), ns
 
 
 class TestConvergenceStudy:
@@ -191,7 +203,7 @@ class TestConvergenceStudy:
 
     def test_bound_shape_on_other_mortality(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        rep = convergence_study([1, 2, 4, 8, 16, 32, 64], grid, base_market, vnm_prefs, mt)
+        rep = convergence_study([1, 2, 4, 8, 16, 32, 64], base_market, vnm_prefs, mt)
         for n, zn in rep.entries:
             if n >= rep.bound_anchor:
                 assert abs(zn - rep.z_infinity) <= rep.bound_constant * n**-0.5 * (1 + 1e-12)
@@ -199,9 +211,9 @@ class TestConvergenceStudy:
     def test_validation(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         with pytest.raises(ConfigurationError, match="decade"):
-            convergence_study([2, 4, 8], grid, base_market, vnm_prefs, mt)
+            convergence_study([2, 4, 8], base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="increasing"):
-            convergence_study([8, 4, 2, 64], grid, base_market, vnm_prefs, mt)
+            convergence_study([8, 4, 2, 64], base_market, vnm_prefs, mt)
 
 
 @pytest.fixture(scope="module")
@@ -212,8 +224,7 @@ def studies_config():
 
 def _z_at_start(cfg, prefs, n):
     """z at t0 for every fund size 1..n, and for the infinite collective."""
-    z_n, z_inf = _start_values(list(range(1, n + 1)), cfg.grid, cfg.market, prefs, cfg.mortality)
-    return np.array(z_n), z_inf
+    return _start_values(n, cfg.market, prefs, cfg.mortality)
 
 
 class TestConvergenceRegimes:
