@@ -8,8 +8,9 @@ immediately.  Rates in the ``market`` block are nominal; the optional
 ``r_CPI`` is subtracted from mu and r before solving.  Scenario entries give
 mu and r directly in real terms and reuse the shared sigma, preferences,
 grid and mortality.  A config that asks for more grid points, Monte Carlo
-paths or finite value-table cells (fund size times grid points) than the
-``MAX_*`` caps in ``solver`` is rejected before anything is allocated.
+paths, finite value-table cells (fund size times grid points) or scenarios
+than the ``MAX_*`` caps in ``solver`` is rejected before anything is
+allocated.
 
 Each command hands whole columns to one CSV writer, which streams the rows
 a block at a time.  Numbers print with 12 significant digits, and every CSV
@@ -36,7 +37,9 @@ from .core import (
     make_time_grid,
 )
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
-from .solver import MAX_FINITE_CELLS, MAX_GRID_POINTS, MAX_PATHS, CollectiveMode, solve
+from .solver import (
+    MAX_FINITE_CELLS, MAX_GRID_POINTS, MAX_PATHS, MAX_SCENARIOS, CollectiveMode, solve,
+)
 from .analytics import wealth_schedule
 from .montecarlo import QUANTILES, SimulationConfig, simulate
 from .studies import convergence_study, improvement, run_scenarios
@@ -156,8 +159,10 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
 
     scenarios = None
     if "scenarios" in raw:
+        entries = _list(raw["scenarios"], "scenarios")
+        _capped(len(entries), MAX_SCENARIOS, "scenarios")  # improvements.csv has k(k-1) rows
         scenarios, ids = [], set()
-        for idx, sc in enumerate(_list(raw["scenarios"], "scenarios")):
+        for idx, sc in enumerate(entries):
             where = f"scenarios[{idx}]"
             _require_keys(sc, {"id", "mu", "r", "n"}, {"id", "mu", "r", "n"}, where)
             sid = sc["id"]  # a CSV cell, and a unique key of improvements.csv
@@ -258,7 +263,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     sim = simulate(
         SimulationConfig(
             paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table, x0=cfg.budget,
-            record=(),
+            record=(), summary=("wealth",),  # paths_summary.csv has no consumption column
         ),
         grid, cfg.market, cfg.mortality,
     )

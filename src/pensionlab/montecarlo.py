@@ -15,10 +15,12 @@ identity
 The summary (moments of log wealth and log consumption, the empirical
 ``QUANTILES`` of wealth and consumption, survivor means) is computed inside the
 step loop over the paths still alive (no gather while every path is), so a
-run needs O(paths) memory.  Quantiles are taken on a sorted copy, which
-gives np.quantile's result at less cost; moments use the unsorted values,
-as summation order matters.  Full ``paths x n_steps`` series are kept only
-for the names in ``SimulationConfig.record``.
+run needs O(paths) memory.  Wealth and consumption statistics are computed
+only for the series ``SimulationConfig.summary`` names (both by default).
+Each summarised series is sorted once per step and its quantiles are read
+from that sorted copy, bitwise equal to np.quantile's; moments use the
+unsorted values, as summation order matters.  Full ``paths x n_steps``
+series are kept only for the names in ``SimulationConfig.record``.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, path, step, stream): stream 0 drives market growth, stream 1 the
@@ -54,6 +56,7 @@ __all__ = [
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)  # probabilities of the summary quantiles
 _RECORD_CHOICES = ("survivors", "wealth", "consumption")
+_SUMMARY_CHOICES = ("wealth", "consumption")
 _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
 _ALL = slice(None)  # the alive selector while no path has died out
@@ -64,7 +67,9 @@ class SimulationConfig:
     """One simulation run.
 
     ``record`` names the full ``paths x n_steps`` series to keep (none by
-    default).
+    default).  ``summary`` names the series whose log moments and quantiles
+    go into ``SummaryStats`` (wealth and consumption by default); the
+    statistics of a series it leaves out are NaN and cost nothing.
     """
 
     paths: int
@@ -73,15 +78,17 @@ class SimulationConfig:
     policy: Union[ValueTable, Strategy]
     x0: float = 1.0
     record: Sequence[str] = ()
+    summary: Sequence[str] = _SUMMARY_CHOICES
 
     def __post_init__(self):
         if self.paths < 1:
             raise ConfigurationError(f"paths must be >= 1, got {self.paths}")
         if not self.x0 > 0.0:
             raise ConfigurationError(f"x0 must be positive, got {self.x0}")
-        unknown = set(self.record) - set(_RECORD_CHOICES)
-        if unknown:
-            raise ConfigurationError(f"unknown record series {sorted(unknown)}")
+        for field, choices in (("record", _RECORD_CHOICES), ("summary", _SUMMARY_CHOICES)):
+            unknown = set(getattr(self, field)) - set(choices)
+            if unknown:
+                raise ConfigurationError(f"unknown {field} series {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,9 @@ class SummaryStats:
     ``x_quantiles`` and ``gamma_quantiles`` have one row per entry of
     ``QUANTILES`` and are NaN where no path is alive.  Quantiles use numpy's
     linear interpolation convention, so the 0.5 quantile of a two-value
-    sample is their midpoint.
+    sample is their midpoint; each step's are read from one sorted copy of
+    the alive values.  The log moments and quantiles of a series that
+    ``SimulationConfig.summary`` does not name are NaN at every step.
     """
 
     mean_log_x: np.ndarray
@@ -191,14 +200,34 @@ def _log_moments(values: np.ndarray):
     return mean, var
 
 
-def _quantiles(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """np.quantile (linear) taken on a sorted copy.
+def _quantiles(values: np.ndarray, probs) -> np.ndarray:
+    """np.quantile(values, probs, method="linear"), read from one sorted copy.
 
-    Sorting gives the same order statistics, and so the same result, as the
-    partition np.quantile runs on unsorted data, and at 100k values costs
-    less than a partition over several kth values.
+    ``values`` is a non-empty float array and ``probs`` holds floats in
+    [0, 1].  The steps are numpy's own: the virtual index (n-1)·p, its floor
+    and the next index (both -1, the last, once the virtual index reaches
+    n-1), the weight t = virtual index - floor, and the two-branch lerp
+    a + d·t, or b - d·(1-t) where t >= 0.5; a NaN, which sorts last, makes
+    every quantile NaN.  So the result is bitwise np.quantile's, without its
+    second pass (a partition of its own copy at the neighbour indices).
     """
-    return np.quantile(np.sort(values), probs, method="linear")
+    ordered = np.sort(values)
+    n = ordered.size
+    virtual = (n - 1) * np.asarray(probs, dtype=np.float64)
+    lo = np.floor(virtual)
+    hi = lo + 1
+    top = virtual >= n - 1
+    lo[top] = hi[top] = -1
+    lo = lo.astype(np.intp)
+    hi = hi.astype(np.intp)
+    t = virtual - lo
+    a, b = ordered[lo], ordered[hi]
+    d = b - a
+    out = a + d * t
+    np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(ordered[-1]):
+        out[:] = ordered[-1]
+    return out
 
 
 def simulate(
@@ -224,14 +253,15 @@ def simulate(
         model = _BinomialSurvivors(c_arr[None, :], 1, paths)
 
     recorded = {name: np.empty((paths, n_steps)) for name in config.record}
-    mean_lx = np.empty(n_steps)
-    var_lx = np.empty(n_steps)
-    mean_lg = np.empty(n_steps)
-    var_lg = np.empty(n_steps)
+    # (mean log, var log, quantiles) of each series, NaN unless summarised
+    stats = {
+        name: (np.full(n_steps, np.nan), np.full(n_steps, np.nan),
+               np.full((len(QUANTILES), n_steps), np.nan))
+        for name in _SUMMARY_CHOICES
+    }
+    summarised = {name: stats[name] for name in _SUMMARY_CHOICES if name in config.summary}
     mean_n = np.empty(n_steps)
     alive_ct = np.empty(n_steps, dtype=np.int64)
-    xq = np.full((len(QUANTILES), n_steps), np.nan)
-    gq = np.full((len(QUANTILES), n_steps), np.nan)
 
     growth_base = growth_exponent(market, 0.0, a_arr) * dt  # the drift of log wealth
     growth_vol = a_arr * market.sigma * math.sqrt(dt)
@@ -243,17 +273,17 @@ def simulate(
         series = {"survivors": model.survivors, "wealth": x, "consumption": gamma}
         for name, out in recorded.items():
             out[:, k] = series[name]
-        x_alive = x[model.alive]
-        gamma_alive = gamma[model.alive]
-        mean_lx[k], var_lx[k] = _log_moments(x_alive)
-        mean_lg[k], var_lg[k] = _log_moments(gamma_alive)
-        if x_alive.size:
-            xq[:, k] = _quantiles(x_alive, QUANTILES)
-            gq[:, k] = _quantiles(gamma_alive, QUANTILES)
+        alive = model.alive
+        alive_ct[k] = paths if alive is _ALL else np.count_nonzero(alive)
+        for name, (mean_log, var_log, quantiles) in summarised.items():
+            values = series[name][alive]
+            mean_log[k], var_log[k] = _log_moments(values)
+            if values.size:
+                quantiles[:, k] = _quantiles(values, QUANTILES)
+            del values  # free the gathered copy before the next one
         mean_n[k] = np.mean(model.survivors)
-        alive_ct[k] = x_alive.size
-        # free the gathered copies (and the counts series refers to) before the update
-        del x_alive, gamma_alive, series
+        # free the counts series refers to before the update
+        del series
         if k < n_steps - 1:
             h = step_hash(keys, k)
             x -= gamma  # x is this step's own array: reuse it for the spare wealth
@@ -263,6 +293,7 @@ def simulate(
             z += growth_base[k]
             x *= np.exp(z, out=z)
 
+    (mean_lx, var_lx, xq), (mean_lg, var_lg, gq) = stats["wealth"], stats["consumption"]
     summary = SummaryStats(
         mean_log_x=mean_lx,
         var_log_x=var_lx,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pensionlab import montecarlo
 from pensionlab.cli import main, parse_config
 from pensionlab.solver import solve
 
@@ -194,6 +195,28 @@ class TestSimulateCommand:
         gold = Path(__file__).parent / "data" / golden
         assert (tmp_path / "paths_summary.csv").read_bytes() == gold.read_bytes()
 
+    def test_simulate_sorts_once_per_step(self, tmp_path, monkeypatch):
+        # the CLI writes no consumption column, so each grid step with alive
+        # paths takes one quantile call (one sort), of wealth; the bundled
+        # 100k paths keep the finite:100 golden comparable
+        calls = []
+
+        def counting(values, probs):
+            calls.append(values.size)
+            return quantiles(values, probs)
+
+        quantiles = montecarlo._quantiles
+        monkeypatch.setattr(montecarlo, "_quantiles", counting)
+        cfg = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
+        cfg["mode"] = "finite:100"
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path)]) == 0
+        gold = Path(__file__).parent / "data" / "paths_summary_finite100.csv"
+        assert (tmp_path / "paths_summary.csv").read_bytes() == gold.read_bytes()
+        _, rows = read_csv(gold)
+        alive_steps = sum(row[3] != "nan" for row in rows)
+        assert alive_steps > 0 and len(calls) == alive_steps
+
     @pytest.mark.parametrize(
         "command, config, goldens",
         [
@@ -338,6 +361,9 @@ MALFORMED = {
     "mode-over-cell-cap": {"mode": "finite:10000", "grid": {"t0": 0, "dt": 1, "T": 1000}},
     "n_list-over-cell-cap": {"n_list": [1, 10000], "grid": {"t0": 0, "dt": 0.001, "T": 1}},
     "gompertz-hazard-overflows": {"mortality": {"gompertz": {"a": 0.0, "b": 1.0, "c": 800.0}}},
+    "scenarios-over-cap": {
+        "scenarios": [{"id": f"s{i}", "mu": 0.0, "r": 0.0, "n": 1} for i in range(1001)],
+    },
 }
 
 
@@ -345,8 +371,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_config_exits_2_with_error_line(self, tmp_path, capsys, change):
         p = write_cfg(tmp_path, dict(TRIVIAL, **change))
-        assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_print_config_roundtrip(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DEFAULTISH)

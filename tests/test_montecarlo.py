@@ -238,6 +238,25 @@ class TestSummarize:
             ref = np.quantile(values, probs, method="linear")
         assert np.array_equal(got, ref, equal_nan=True)
 
+    @pytest.mark.parametrize(
+        "values, probs",
+        [
+            ([-0.0], QUANTILES),
+            ([2.0, -1.0], QUANTILES),
+            ([4.0, 1.0, 3.0, 2.0, 0.0], [0.0, 0.25, 0.5, 0.75, 1.0]),
+            ([9.5, 1.4], [0.5]),  # b - d(1-t) = 5.45, where a + d*t = 5.449999999999999
+            ([3.0, math.nan, 1.0, 2.0], QUANTILES),
+            ([math.inf, 1.0, -math.inf, 2.0, 0.5], [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]),
+        ],
+        ids=["n=1", "n=2", "t=0", "t=0.5", "trailing-nan", "both-infs"],
+    )
+    def test_sorted_quantile_edge_cases(self, values, probs):
+        values, probs = np.array(values), np.array(probs)
+        with np.errstate(invalid="ignore"):
+            got = _quantiles(values, probs)
+            ref = np.quantile(values, probs, method="linear")
+        assert got.tobytes() == ref.tobytes()  # bitwise: the sign of zero and NaN count
+
     def test_quantiles_of_alive_paths_in_dying_fund(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         mode = CollectiveMode.finite(3)
@@ -260,6 +279,41 @@ class TestSummarize:
                     assert np.array_equal(got[:, k], ref)
                 else:
                     assert np.all(np.isnan(got[:, k]))
+
+    @pytest.mark.parametrize("mode", [CollectiveMode.finite(3), CollectiveMode.infinite()],
+                             ids=str)
+    def test_wealth_only_summary_matches_default_run(self, default_table, base_market,
+                                                     vnm_prefs, mode):
+        # finite:3 on the default table dies out, so the alive mask is exercised
+        grid, mt = default_table
+        table = solve(mode, base_market, vnm_prefs, mt)
+        full, wealth = [
+            simulate(SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, **kw),
+                     grid, base_market, mt).summary
+            for kw in ({}, {"summary": ("wealth",)})
+        ]
+        if mode.is_finite:
+            assert 0 in full.alive_paths and np.any(full.alive_paths < 3000)
+        for name in ("mean_log_x", "var_log_x", "x_quantiles", "mean_survivors", "alive_paths"):
+            assert getattr(wealth, name).tobytes() == getattr(full, name).tobytes(), name
+        for name in ("mean_log_gamma", "var_log_gamma", "gamma_quantiles"):
+            assert np.all(np.isnan(getattr(wealth, name))), name
+        assert not np.all(np.isnan(full.gamma_quantiles))
+
+    def test_summary_validation(self, short_table, base_market, vnm_prefs):
+        grid, mt = short_table
+        mode = CollectiveMode.infinite()
+        table = solve(mode, base_market, vnm_prefs, mt)
+        with pytest.raises(ConfigurationError, match="unknown summary series"):
+            SimulationConfig(paths=4, seed=1, mode=mode, policy=table,
+                             summary=("wealth", "bogus"))
+        res = simulate(SimulationConfig(paths=4, seed=1, mode=mode, policy=table, summary=()),
+                       grid, base_market, mt)
+        stats = res.summary
+        for name in ("mean_log_x", "var_log_x", "x_quantiles",
+                     "mean_log_gamma", "var_log_gamma", "gamma_quantiles"):
+            assert np.all(np.isnan(getattr(stats, name))), name
+        assert np.all(stats.alive_paths == 4) and np.all(stats.mean_survivors > 0)
 
     def test_validation(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
