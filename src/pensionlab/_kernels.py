@@ -13,12 +13,14 @@ Two operations dominate runtime and live here:
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode.  It is a table sampler: it
   builds the cumulative chop-down sums once per distinct count among the
-  draws, only as far as the call's largest uniform needs, and
-  binary-searches every uniform in its row.  A call costs
-  O(draws log window + distinct * window) time and O(draws + distinct *
-  window) memory, window being the pieces a row needs, O(sqrt(n s (1-s)))
-  for moderate uniforms.  Its draws are those of a per-draw loop, bit for
-  bit.
+  draws, only as far as the call's largest uniform needs, plus a guide
+  table of ``GUIDE_BUCKETS`` start positions per row, and finds every
+  uniform in its row by indexed search: one guide lookup and one compare
+  settle most draws, and only the rest are binary-searched.  A call costs
+  O(draws + distinct * (window + buckets)) expected time and
+  O(draws + distinct * (window + buckets)) memory, window being the pieces
+  a row needs, O(sqrt(n s (1-s))) for moderate uniforms.  Its draws are
+  those of a per-draw loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -190,7 +192,21 @@ def log_survivor_mixture(logw, s, lgam, alpha):
 # those of a per-draw loop, bit for bit.  The table stops growing once each
 # row's sum exceeds the call's largest uniform, or both of the row's tails
 # are exactly 0, after which further pieces add nothing.  Each draw is the
-# first entry of its row greater than u; entries past it do not change it.
+# first entry of its row greater than u, i.e. its position is the number of
+# the row's entries <= u; entries past it do not change it.
+#
+# That position is found by indexed search (Chen & Asau 1974; Devroye 1986,
+# III.2.4).  Each row gets a guide of G = GUIDE_BUCKETS entries, guide[r, b]
+# = the number of row-r sums <= b/G.  With b = min(floor(u G), G - 1),
+# b/G <= u, so the guide entry is a lower bound on the position, and it is
+# the position unless a sum lies in [b/G, u]: one gather and one compare
+# settle most draws, and only the rest are binary-searched in their row.
+# G is a power of two, so sums * G and u * G are exact and "sum <= b/G" is
+# "ceil(sum G) <= b": the guide is one histogram of those ceilings and its
+# running count.  A call costs O(draws + distinct * (window + G)) expected
+# time, against O(draws log window + distinct * window) for binary search.
+
+GUIDE_BUCKETS = 256  # guide entries per table row; a power of two
 
 
 def _chop_down_table(counts, s, umax, lgam):
@@ -198,8 +214,9 @@ def _chop_down_table(counts, s, umax, lgam):
 
     Row r holds the running sums pm, pm + p(m+1), pm + p(m+1) + p(m-1), ...
     for n = counts[r] with mode m, padded by repeating the last sum to a
-    width 2^k - 1, plus one final column; ``draws`` maps every column past
-    the row's real pieces (residual mass) to the mode.
+    width 2^k - 1, plus a final +inf column that no u reaches, so every
+    search ends inside its row; ``draws`` maps every column past the row's
+    real pieces (residual mass) to the mode.
     """
     ls = math.log(s)
     l1s = math.log1p(-s)
@@ -219,11 +236,25 @@ def _chop_down_table(counts, s, umax, lgam):
         acc = acc + pl
         sums.append(acc)
     width = (1 << len(sums).bit_length()) - 1
-    sums.extend([acc] * (width + 1 - len(sums)))
+    sums.extend([acc] * (width - len(sums)))
+    sums.append(np.full_like(acc, np.inf))
     offset = np.zeros(width + 1, dtype=np.int64)
     offset[1 : 2 * j + 1 : 2] = np.arange(1, j + 1)
     offset[2 : 2 * j + 1 : 2] = -np.arange(1, j + 1)
     return np.stack(sums, axis=1), m[:, None] + offset
+
+
+def _guide_table(sums):
+    """Flat guide: entry r * G + b is the flat index of row r's first sum > b/G."""
+    rows, width = sums.shape
+    g = GUIDE_BUCKETS
+    # a sum > (G-1)/G, the +inf column included, is counted in no bucket
+    key = np.minimum(np.ceil(sums * g), g).astype(np.int64)
+    key += np.arange(0, rows * (g + 1), g + 1)[:, None]
+    hist = np.bincount(key.ravel(), minlength=rows * (g + 1)).reshape(rows, g + 1)
+    guide = np.cumsum(hist[:, :g], axis=1)
+    guide += np.arange(0, rows * width, width)[:, None]
+    return guide.ravel()
 
 
 def binomial_inverse(n, s, u, lgam):
@@ -235,19 +266,28 @@ def binomial_inverse(n, s, u, lgam):
         return n.copy()
     flat_n, flat_u = n.ravel(), u.ravel()
     present = np.bincount(flat_n) > 0
-    counts = np.flatnonzero(present)
-    row = (np.cumsum(present) - 1)[flat_n]
-    sums, draws = _chop_down_table(counts, s, flat_u.max(initial=0.0), lgam)
-    # binary search: advance each draw's position while the entry it would
-    # step over is <= u, so it stops at the first entry greater than u
+    rank = np.cumsum(present) - 1  # table row of each count
+    sums, draws = _chop_down_table(np.flatnonzero(present), s, flat_u.max(initial=0.0), lgam)
     width = sums.shape[1]
-    pos = row * width
+    # start each draw at its bucket's guide entry, a lower bound on its
+    # position; the draws whose start entry is still <= u are unsettled
+    bucket = (flat_u * GUIDE_BUCKETS).astype(np.int64)
+    np.minimum(bucket, GUIDE_BUCKETS - 1, out=bucket)
+    bucket += (rank * GUIDE_BUCKETS)[flat_n]
+    pos = _guide_table(sums).take(bucket)
     sums = sums.ravel()
-    step = width // 2
-    while step:
-        pos += (sums.take(pos + (step - 1)) <= flat_u) * step
-        step //= 2
-    return draws.ravel()[pos].reshape(n.shape)
+    unsettled = np.flatnonzero(sums.take(pos) <= flat_u)
+    if unsettled.size:
+        # binary search in the row: advance while the entry stepped over is
+        # <= u, so the search stops at the first entry greater than u
+        u_open = flat_u[unsettled]
+        at = rank[flat_n[unsettled]] * width
+        step = width // 2
+        while step:
+            at += (sums.take(at + (step - 1)) <= u_open) * step
+            step //= 2
+        pos[unsettled] = at
+    return draws.ravel().take(pos).reshape(n.shape)
 
 
 binomial_inverse_numpy = binomial_inverse  # the name perfbench/tests still imports

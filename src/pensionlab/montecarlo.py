@@ -159,21 +159,22 @@ class _BinomialSurvivors:
     """Finite fund: each path's survivor count is a Binomial(n_t, s_t) draw.
 
     ``alive`` is ``_ALL`` until the first path dies out, then a boolean
-    mask.  ``redistribute`` finishes the survival stream from the step hash
-    ``h`` the growth stream shares.
+    mask.  The rates ``c`` (one row per survivor count 1..n0) are stored
+    as one contiguous row per step indexed by the count itself, with a
+    zero rate for 0 survivors, so a step's rates are one gather.
+    ``redistribute`` finishes the survival stream from the step hash ``h``
+    the growth stream shares.
     """
 
     def __init__(self, c: np.ndarray, n0: int, paths: int):
-        self.c = c
+        self.c = np.zeros((c.shape[1], n0 + 1))
+        self.c[:, 1:] = c.T
         self.lgam = lgamma_table(n0)
         self.survivors = np.full(paths, n0, dtype=np.int64)
         self.alive = _ALL
 
     def rate(self, k: int) -> np.ndarray:
-        rates = self.c[np.maximum(self.survivors, 1) - 1, k]
-        if self.alive is not _ALL:
-            rates[~self.alive] = 0.0
-        return rates
+        return self.c[k].take(self.survivors)
 
     def redistribute(self, k: int, s_k: float, spare: np.ndarray, h: np.ndarray) -> np.ndarray:
         n_cur = self.survivors

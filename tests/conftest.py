@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pensionlab import (
-    CollectiveMode,
     DEFAULT_GRID,
     GOMPERTZ_DEFAULT,
     MarketParams,
@@ -10,9 +9,7 @@ from pensionlab import (
     Preferences,
     gompertz_makeham,
     make_time_grid,
-    solve,
 )
-from pensionlab._kernels import binomial_inverse, lgamma_table
 
 
 @pytest.fixture(scope="session")
@@ -49,18 +46,3 @@ def random_mortality(rng: np.random.Generator, grid) -> MortalityTable:
     p /= p.sum()
     return MortalityTable.from_pmf(grid, p)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger jit compilation before any timed test runs."""
-    grid = make_time_grid(0.0, 1.0, 3.0)
-    mt = MortalityTable.from_pmf(grid, [0.2, 0.3, 0.5])
-    solve(
-        CollectiveMode.finite(2),
-        MarketParams(mu=0.03, r=0.01, sigma=0.2),
-        Preferences(alpha=-1.0, rho=-1.0),
-        mt,
-    )
-    binomial_inverse(
-        np.array([5, 9], dtype=np.int64), 0.7, np.array([0.3, 0.8]), lgamma_table(9)
-    )

@@ -226,6 +226,33 @@ class TestBinomialInverse:
         u = np.clip(u, 2.0**-54, 1.0 - 2.0**-54)
         assert np.array_equal(binomial_inverse(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
 
+    @pytest.mark.parametrize("s", [1e-12, 0.5, 1.0 - 1e-12])
+    def test_guide_edges_match_per_path_loop(self, s):
+        # 50k draws over counts from 0 to 10,000, with uniforms on the guide's
+        # bucket edges b/256 and on running sums, whose guide start is still
+        # <= u, so the binary search of the unsettled draws runs as well
+        n0, draws = 10_000, 50_000
+        lgam = lgamma_table(n0)
+        rng = np.random.default_rng(11)
+        values = np.concatenate([[0, 1, n0 - 1, n0], rng.integers(2, n0 - 1, 44)])
+        n = rng.choice(values, draws)
+        n[:2] = 0, n0
+        u = rng.uniform(0.0, 1.0, draws)
+        edges = rng.choice(draws, 5000, replace=False)
+        u[edges] = rng.integers(0, 256, edges.size) / 256.0
+        on_sums = rng.choice(np.setdiff1d(np.arange(draws), edges), 5000, replace=False)
+        for c in np.unique(n[on_sums]):
+            sums = np.array(chop_down_sums(c, s, lgam, rounds=8))
+            sums = sums[sums < sums[-1]]  # exceeded within 8 rounds, so the loop stays short
+            at = on_sums[n[on_sums] == c]
+            if sums.size:
+                u[at] = rng.choice(sums, at.size)
+        assert np.array_equal(binomial_inverse(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
+        # u at and just below 1, where the per-draw loop may run to n0 rounds
+        n = np.repeat(values, 2)
+        u = np.tile([1.0, 1.0 - 2.0**-53], values.size)
+        assert np.array_equal(binomial_inverse(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
+
 
 class TestFiniteValueStep:
     def test_lgamma_table(self):

@@ -119,6 +119,23 @@ class TestBudgetIdentity:
         # gamma was stored as cstar * wealth, so this recomposition is bitwise
         assert np.array_equal(res.consumption, table.cstar[None, :] * res.wealth)
 
+    def test_finite_consumption_is_rate_lookup(self, default_table, base_market, vnm_prefs):
+        # finite:3 on the default table dies out: the rate of n >= 1 survivors
+        # is cstar[n - 1, k], and an extinct path consumes exactly +0.0
+        grid, mt = default_table
+        mode = CollectiveMode.finite(3)
+        table = solve(mode, base_market, vnm_prefs, mt)
+        res = simulate(
+            SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, record=ALL_SERIES),
+            grid, base_market, mt,
+        )
+        n, x, g = res.survivors.astype(np.int64), res.wealth, res.consumption  # recorded as float
+        k = np.broadcast_to(np.arange(grid.n_steps), n.shape)
+        alive = n > 0
+        assert alive.any() and not alive.all()
+        assert np.array_equal(g[alive], table.cstar[n[alive] - 1, k[alive]] * x[alive])
+        assert g[~alive].tobytes() == np.zeros(np.count_nonzero(~alive)).tobytes()
+
 
 class TestDistributionAgreement:
     def test_infinite_mode_matches_lognormal_schedule(self, base_market, vnm_prefs, default_table):
