@@ -14,8 +14,13 @@ per-period growth exponent xi are constants of the market and alpha alone.
 A finite collective of n members is solved on the triangular table z_{i,t}
 (i = 1..n survivors): the continuation mixes next-step values over the
 binomial survivor transition, weighted by the wealth concentration
-(i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.  This solve and
-``evaluate_policy`` in every mode share one log-space driver, ``_backward``.
+(i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.
+
+``solve`` in every mode and ``evaluate_policy`` share one log-space driver,
+``_backward``: a pooled fund is the same step as a finite one with the
+mixture replaced by (1/alpha - C) log s_t.  The linear recursion above is
+the math of the pooled case, and the tests run it as an independent oracle;
+it is not a second code path.
 
 The terminal step is c* = 1, z = 1 for every survivor count: with death
 certain by T, consuming everything at the last date is forced, which is the
@@ -142,7 +147,9 @@ def continuation_factor(
         beta^(1/rho) exp(xi dt) s^(1/alpha - C)
 
     with C = ``collective`` (0 individual, 1 infinite).  Only valid at
-    non-terminal points, where s > 0.
+    non-terminal points, where s > 0.  Only ``analytics`` uses it (the
+    wealth schedule and the consumption drift); ``solve`` forms the same
+    factor in log space in ``_backward``.
     """
     if not 0.0 < s <= 1.0:
         raise ConfigurationError(
@@ -214,16 +221,17 @@ def _backward(mode, prefs, mortality, kappa, last, rule):
     logv[..., -1] = last
     log_beta = math.log(prefs.beta(grid.dt)) / prefs.rho
     lgam = lgamma_table(mode.n) if mode.is_finite else None
-    for k in range(grid.n_steps - 2, -1, -1):
-        s = float(mortality.s[k])
-        if mode.is_finite:
-            cont = log_survivor_mixture(logv[:, k + 1], s, lgam, alpha) / alpha
-        else:
-            cont = (1.0 / alpha - mode.pooling) * math.log(s) + logv[k + 1]
-        logv[..., k] = rule(k, log_beta + kappa[k] * grid.dt + cont)
-        bad = np.isnan(logv[..., k]) | (logv[..., k] == np.inf)
-        if np.any(bad):
-            raise _diverged(mode, grid, k, int(np.argmax(bad)))
+    with np.errstate(over="ignore"):  # overflow is caught below as NaN or +inf
+        for k in range(grid.n_steps - 2, -1, -1):
+            s = float(mortality.s[k])
+            if mode.is_finite:
+                cont = log_survivor_mixture(logv[:, k + 1], s, lgam, alpha) / alpha
+            else:
+                cont = (1.0 / alpha - mode.pooling) * math.log(s) + logv[k + 1]
+            logv[..., k] = rule(k, log_beta + kappa[k] * grid.dt + cont)
+            ok = logv[..., k] < np.inf  # False for NaN and +inf
+            if not ok.all():
+                raise _diverged(mode, grid, k, int(np.argmin(ok)))
     return logv
 
 
@@ -240,30 +248,17 @@ def solve(
     xi = growth_exponent(market, prefs.alpha)
     q = prefs.rho / (1.0 - prefs.rho)
 
-    if mode.is_finite:
+    def optimal(k, logtheta):
+        # overflow is divergence; as NaN, a negative q cannot make it log z = -inf
+        y = 1.0 + np.exp(q * logtheta)
+        return (1.0 / q) * np.log(np.where(y == np.inf, np.nan, y))
 
-        def optimal(k, logtheta):
-            # overflow is divergence; as NaN, a negative q cannot make it log z = -inf
-            with np.errstate(over="ignore"):
-                y = 1.0 + np.exp(q * logtheta)
-            y[y == np.inf] = np.nan
-            return (1.0 / q) * np.log(y)
-
-        kappa = np.full(grid.n_steps, xi)
-        logz = _backward(mode, prefs, mortality, kappa, np.zeros(mode.n), optimal)
+    kappa = np.full(grid.n_steps, xi)
+    last = np.zeros(mode.n) if mode.is_finite else 0.0
+    logz = _backward(mode, prefs, mortality, kappa, last, optimal)
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
         z = np.exp(logz)
         y = np.exp(q * logz)
-    else:
-        # the linear recursion in y, whose roundings the log-space driver would change
-        p = mode.pooling
-        y = np.ones(grid.n_steps)
-        with np.errstate(over="ignore"):  # overflow to inf is how divergence is detected
-            for k in range(grid.n_steps - 2, -1, -1):
-                phi = continuation_factor(prefs, market, float(mortality.s[k]), p, grid.dt)
-                y[k] = 1.0 + phi**q * y[k + 1]
-                if not math.isfinite(y[k]):
-                    raise _diverged(mode, grid, k)
-        z = y ** (1.0 / q)
     cstar = 1.0 / y
     bad = ~(np.isfinite(z) & (z > 0.0) & np.isfinite(y) & (cstar > 0.0) & (cstar <= 1.0))
     if np.any(bad):

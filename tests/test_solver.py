@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pensionlab.core import (
     ConfigurationError,
@@ -28,6 +30,7 @@ from pensionlab.solver import (
 
 from conftest import random_mortality
 from oracle_dp import best_growth_exponent, golden_max, oracle_values
+from oracle_pooled import linear_recursion
 
 
 def random_prefs(rng):
@@ -43,6 +46,28 @@ def random_prefs(rng):
 def random_market(rng):
     r = float(rng.uniform(0.0, 0.05))
     return MarketParams(mu=r + float(rng.uniform(0.0, 0.04)), r=r, sigma=float(rng.uniform(0.1, 0.3)))
+
+
+def assert_pooled_modes_match_linear_recursion(market, prefs, mortality):
+    """Pooled ``solve`` agrees with the linear recursion for C = 0 and C = 1.
+
+    Either both diverge with the same message, or neither does and z is
+    within 1e-12 and y, c* within 2e-12 relative.  The log-space driver's
+    rounding is absolute in log z, so the tolerances hold per 10 units of
+    the largest |log z|.
+    """
+    for pooling, mode in ((0, CollectiveMode.individual()), (1, CollectiveMode.infinite())):
+        try:
+            reference = linear_recursion(pooling, market, prefs, mortality)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as got:
+                solve(mode, market, prefs, mortality)
+            assert str(got.value) == str(err)
+            continue
+        table = solve(mode, market, prefs, mortality)
+        scale = max(1.0, float(np.max(np.abs(np.log(reference[0])))) / 10.0)
+        for got, want, rel in zip((table.z, table.y, table.cstar), reference, (1e-12, 2e-12, 2e-12)):
+            np.testing.assert_allclose(got, want, rtol=rel * scale, atol=0.0)
 
 
 class TestOptimalProportion:
@@ -179,18 +204,37 @@ class TestSolve:
         w = oracle_values(2, grid, base_market, prefs, mt)
         assert t.z[1, 0] == pytest.approx(w[1, 0], rel=1e-8)
 
-    def test_transformed_recursion_recomputes_bitwise(self, mild_table, base_market, vnm_prefs):
+    def test_pooled_modes_match_linear_recursion(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        t = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
-        q = vnm_prefs.rho / (1.0 - vnm_prefs.rho)
-        y = np.empty(grid.n_steps)
-        y[-1] = 1.0
-        for k in range(grid.n_steps - 2, -1, -1):
-            phi = continuation_factor(vnm_prefs, base_market, float(mt.s[k]), 1, grid.dt)
-            y[k] = 1.0 + phi**q * y[k + 1]
-        assert np.array_equal(y, t.y)
-        assert np.array_equal(t.cstar, 1.0 / t.y)
-        assert np.all(t.y >= 1.0)
+        assert_pooled_modes_match_linear_recursion(base_market, vnm_prefs, mt)
+        for mode in (CollectiveMode.individual(), CollectiveMode.infinite()):
+            t = solve(mode, base_market, vnm_prefs, mt)
+            assert np.array_equal(t.cstar, 1.0 / t.y)
+            assert np.all(t.y >= 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(-3.0, 0.9).filter(lambda x: abs(x) >= 0.05),
+        rho=st.floats(-3.0, 0.9).filter(lambda x: abs(x) >= 0.05),
+        b=st.floats(0.0, 0.1),
+        # calibrated rates, or rates at which about one solve in seven diverges
+        r=st.floats(0.0, 0.05) | st.floats(-12.0, 12.0),
+        premium=st.floats(0.0, 0.04),
+        sigma=st.floats(0.1, 0.3),
+        steps=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1) | st.none(),
+    )
+    def test_pooled_modes_match_linear_recursion_on_random_inputs(
+        self, mild_table, alpha, rho, b, r, premium, sigma, steps, seed
+    ):
+        # seed None takes the mild Gompertz table in place of a random one
+        if seed is None:
+            mt = mild_table[1]
+        else:
+            mt = random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps))
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        market = MarketParams(mu=r + premium, r=r, sigma=sigma)
+        assert_pooled_modes_match_linear_recursion(market, prefs, mt)
 
     def test_astar_is_a_single_scalar_independent_of_rho(self, mild_table, base_market):
         grid, mt = mild_table
@@ -218,6 +262,8 @@ class TestSolve:
         prefs = Preferences(alpha=0.5, rho=0.5, b=0.0)
         with pytest.raises(DivergenceError, match="t="):
             solve(CollectiveMode.individual(), market, prefs, mt)
+        with pytest.raises(DivergenceError, match=r"diverged at t=128\.0"):
+            solve(CollectiveMode.infinite(), market, prefs, mt)
         with pytest.raises(DivergenceError, match="survivor count"):
             solve(CollectiveMode.finite(2), market, prefs, mt)
 
@@ -231,6 +277,8 @@ class TestSolve:
         prefs = Preferences(alpha=-1.0, rho=-3.0, b=0.0)
         with pytest.raises(DivergenceError, match=r"diverged at t=104\.0"):
             solve(CollectiveMode.individual(), market, prefs, mt)
+        with pytest.raises(DivergenceError, match=r"diverged at t=104\.0"):
+            solve(CollectiveMode.infinite(), market, prefs, mt)
         with pytest.raises(DivergenceError, match=r"survivor count 1 at t=104\.0"):
             solve(CollectiveMode.finite(2), market, prefs, mt)
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pensionlab.cli import parse_config
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
@@ -20,6 +22,7 @@ from pensionlab.studies import (
 )
 
 from conftest import random_mortality
+from oracle_pooled import zero_return_outperformance
 
 
 class TestAnnuityUtility:
@@ -90,6 +93,51 @@ class TestAnnuityOutperformance:
             solve(CollectiveMode.infinite(), without, vnm_prefs, mt), 1.0
         )
         assert o_with > o_without
+
+
+class TestZeroReturnClosedForm:
+    """At mu = r = 0 the infinite fund's outperformance has a closed form
+    (``oracle_pooled.zero_return_outperformance``) that shares no recursion
+    with ``solve`` or ``annuity_utility``."""
+
+    FLAT = MarketParams(mu=0.0, r=0.0, sigma=0.15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.integers(-100, 18).filter(bool),
+        r=st.integers(-100, 18).filter(bool),
+        same=st.booleans(),
+        b=st.just(0.0) | st.floats(0.01, 0.05),
+        steps=st.integers(2, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_closed_form(self, a, r, same, b, steps, seed):
+        # alpha and rho on the 0.05 lattice of [-5, 0.9], often equal
+        alpha, rho = a / 20, (a if same else r) / 20
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        mt = random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps))
+        o = annuity_outperformance(solve(CollectiveMode.infinite(), self.FLAT, prefs, mt), 1.0)
+        closed = zero_return_outperformance(prefs, mt)
+        assert abs(o - closed) <= 1e-10 * (1.0 + closed)
+        # without discounting the annuity's level income is optimal only at
+        # alpha = rho; with it (b > 0) not even there
+        if b == 0.0 and alpha == rho:
+            assert abs(o) <= 1e-12
+        elif b == 0.0:
+            assert o > 0.0 and closed > 0.0
+
+    @pytest.mark.parametrize(
+        "alpha, rho, b",
+        [(-1.0, -1.0, 0.0), (-2.0, -1.0, 0.0), (-1.0, -2.0, 0.0), (0.5, -1.0, 0.0),
+         (-3.0, 0.5, 0.0), (-1.0, -1.0, 0.01), (-2.0, -0.5, 0.02), (-5.0, -1.0, 0.03),
+         (0.5, 0.5, 0.04), (-1.0, -3.0, 0.05)],
+    )
+    def test_bundled_table(self, default_table, alpha, rho, b):
+        _, mt = default_table
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        o = annuity_outperformance(solve(CollectiveMode.infinite(), self.FLAT, prefs, mt), 1.0)
+        closed = zero_return_outperformance(prefs, mt)
+        assert abs(o - closed) <= 1e-13 * (1.0 + closed)
 
 
 class TestImprovement:
