@@ -42,12 +42,10 @@ from .analytics import (
 from .montecarlo import SimulationConfig, SimulationResult, simulate
 from .studies import (
     ConvergenceReport,
-    FundSizeReport,
     ScenarioReport,
     annuity_outperformance,
     annuity_utility,
     convergence_study,
-    fund_size_study,
     improvement,
     run_scenarios,
 )

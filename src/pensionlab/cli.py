@@ -299,12 +299,17 @@ def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:
     report = convergence_study(cfg.n_list, cfg.market, cfg.prefs, cfg.mortality)
-    n, zn = map(np.array, zip(*report.entries))
+    n, zn = report.n, report.z_n
     # Python pow per entry: numpy's vectorised power need not round the same
     _write_csv(
         out / "convergence.csv", ["n", "z_n", "abs_diff", "bound"],
         [n, zn, np.abs(zn - report.z_infinity),
          [report.bound_constant * k**-0.5 for k in n.tolist()]],
+    )
+    _write_csv(
+        out / "fund_size.csv", ["n", "z_n", "outperformance", "rel_gap", "local_exponent"],
+        [n, zn, report.outperformance, np.abs(zn / report.z_infinity - 1.0),
+         report.local_exponent],
     )
     print(
         f"fit: |z_n - z_inf| ~ {_fmt(report.fit_constant)} * n^{report.fit_exponent:.4f}; "

@@ -1,5 +1,6 @@
-"""Annuity-equivalent metrics, market-scenario comparisons, the fund-size
-study, and the empirical large-n convergence check.
+"""Annuity-equivalent metrics, market-scenario comparisons, and the fund-size
+study: how the value and the annuity outperformance of a fund of n members
+approach the infinite-pooling limit, with the empirical large-n rate.
 
 The annuity equivalent of a strategy is the actuarial price of the constant
 lifetime income whose utility matches the strategy's: if the fund's utility
@@ -23,13 +24,11 @@ from .solver import CollectiveMode, ValueTable, solve
 
 __all__ = [
     "ScenarioReport",
-    "FundSizeReport",
     "ConvergenceReport",
     "annuity_utility",
     "annuity_outperformance",
     "improvement",
     "run_scenarios",
-    "fund_size_study",
     "convergence_study",
 ]
 
@@ -65,7 +64,8 @@ def annuity_outperformance(table: ValueTable, budget: float) -> float:
 
 
 def _outperformance(z0, budget, mortality, market, prefs):
-    """(annuity equivalent, outperformance) of a strategy worth budget*z0."""
+    """(annuity equivalent, outperformance) of a strategy worth budget*z0;
+    elementwise for an array ``z0``."""
     if not budget > 0.0:
         raise ConfigurationError(f"budget must be positive, got {budget}")
     unit_utility = annuity_utility(1.0, mortality, prefs)
@@ -132,43 +132,16 @@ def run_scenarios(
 
 
 @dataclass(frozen=True)
-class FundSizeReport:
-    entries: list  # (n, outperformance), ascending in n
-    infinite_outperformance: float
-    n_at_90pct: Optional[int]  # smallest n capturing 90% of the pooling benefit
-
-
-def fund_size_study(
-    n_list: Sequence[int],
-    market: MarketParams,
-    prefs: Preferences,
-    mortality: MortalityTable,
-    budget: float,
-) -> FundSizeReport:
-    """Annuity outperformance as the fund size grows, with the n = infinity
-    asymptote.  ``n_at_90pct`` is the smallest listed n whose gain over a
-    one-member fund is at least 90% of the infinite fund's:
-    o_n - o_1 >= 0.9 (o_inf - o_1).
-    """
-    n_list = _checked_sizes(n_list)
-    z0, z_inf = _start_values(n_list[-1], market, prefs, mortality)
-
-    def outperformance(z):
-        return _outperformance(float(z), budget, mortality, market, prefs)[1]
-
-    entries = [(n, outperformance(z0[n - 1])) for n in n_list]
-    one, inf_outperf = outperformance(z0[0]), outperformance(z_inf)
-    n_at_90 = next(
-        (n for n, outperf in entries if outperf - one >= 0.9 * (inf_outperf - one)), None
-    )
-    return FundSizeReport(
-        entries=entries, infinite_outperformance=inf_outperf, n_at_90pct=n_at_90
-    )
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
-    """How z_{n,t0} approaches the infinite-collective value as n grows.
+    """Fund size study: how z_{n,t0} and the annuity outperformance o_n
+    approach their infinite-collective values as n grows.
+
+    Per listed size: ``z_n`` at t0, ``outperformance`` o_n (invariant to the
+    budget) and ``local_exponent``, the slope of log |z_n - z_inf| against
+    log n from the previous listed size (NaN at the first).  ``n_at_90pct``
+    is the smallest listed n whose gain over a one-member fund is at least
+    90% of the infinite fund's, o_n - o_1 >= 0.9 (o_inf - o_1), with o_1 the
+    one-member fund's whether or not 1 is listed; None if no listed n does.
 
     The rate depends on the preferences.  On configs/studies.json the
     differences decay like n^(-0.97) for its own preferences and like n^(-0.48)
@@ -178,8 +151,13 @@ class ConvergenceReport:
     decay at least that fast.
     """
 
-    entries: list  # (n, z_n at t0), ascending in n
+    n: np.ndarray  # fund sizes, ascending
+    z_n: np.ndarray
+    outperformance: np.ndarray
+    local_exponent: np.ndarray
     z_infinity: float
+    infinite_outperformance: float
+    n_at_90pct: Optional[int]
     fit_constant: float  # |z_n - z_inf| ~ fit_constant * n^fit_exponent
     fit_exponent: float
     bound_constant: float  # bound_constant * n^(-1/2) majorises from the anchor on
@@ -192,6 +170,12 @@ def convergence_study(
     prefs: Preferences,
     mortality: MortalityTable,
 ) -> ConvergenceReport:
+    """The fund size study for the sizes in ``n_list`` from one finite solve
+    at the largest size and one infinite solve.
+
+    The finite solve yields every smaller fund: the recursion for i survivors
+    only references counts <= i, so the triangular table is shared.
+    """
     n_list = _checked_sizes(n_list)
     if n_list[-1] < 10 * n_list[0]:
         raise ConfigurationError(
@@ -201,35 +185,36 @@ def convergence_study(
     if not anchors:
         raise ConfigurationError("need a fund size >= 4 to anchor the root-n bound")
 
-    z0, z_inf = _start_values(n_list[-1], market, prefs, mortality)
-    entries = [(n, float(z0[n - 1])) for n in n_list]
-    diffs = np.array([abs(zn - z_inf) for _, zn in entries])
+    n = np.array(n_list)
+    z_all = solve(CollectiveMode.finite(n_list[-1]), market, prefs, mortality).z[:, 0]
+    z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z_at_start()
+    z_n = z_all[n - 1]
+    diffs = np.abs(z_n - z_inf)
     if not np.all(np.isfinite(diffs)):
         raise DivergenceError("non-finite difference in the convergence study")
 
-    slope, intercept = np.polyfit(np.log(np.asarray(n_list, dtype=float)), np.log(diffs), 1)
+    # one pricing of the annuity for every size 1..n_max and the limit
+    outperf = _outperformance(np.append(z_all, z_inf), 1.0, mortality, market, prefs)[1]
+    one, o_n, inf_outperf = outperf[0], outperf[n - 1], float(outperf[-1])
+    n_at_90 = next(
+        (int(k) for k, o in zip(n, o_n) if o - one >= 0.9 * (inf_outperf - one)), None
+    )
+    log_n, log_diffs = np.log(n.astype(float)), np.log(diffs)
+    slope, intercept = np.polyfit(log_n, log_diffs, 1)
     anchor = anchors[0]
-    bound_constant = float(diffs[n_list.index(anchor)] * math.sqrt(anchor))
     return ConvergenceReport(
-        entries=entries,
+        n=n,
+        z_n=z_n,
+        outperformance=o_n,
+        local_exponent=np.concatenate(([np.nan], np.diff(log_diffs) / np.diff(log_n))),
         z_infinity=z_inf,
+        infinite_outperformance=inf_outperf,
+        n_at_90pct=n_at_90,
         fit_constant=float(math.exp(intercept)),
         fit_exponent=float(slope),
-        bound_constant=bound_constant,
+        bound_constant=float(diffs[n_list.index(anchor)] * math.sqrt(anchor)),
         bound_anchor=anchor,
     )
-
-
-def _start_values(n_max, market, prefs, mortality):
-    """z at t0 for every fund size 1..n_max (entry n-1), and for the infinite
-    collective.
-
-    One solve at n_max yields every smaller fund: the recursion for i
-    survivors only references counts <= i, so the triangular table is shared.
-    """
-    table = solve(CollectiveMode.finite(n_max), market, prefs, mortality)
-    z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z_at_start()
-    return table.z[:, 0], z_inf
 
 
 def _checked_sizes(n_list: Sequence[int]) -> list[int]:

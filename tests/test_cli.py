@@ -229,13 +229,20 @@ class TestSimulateCommand:
                     "improvements.csv": "improvements_studies_logspace.csv",
                 },
             ),
-            ("converge", "studies.json", {"convergence.csv": "convergence_studies_logspace.csv"}),
+            (
+                "converge", "studies.json",
+                {
+                    "convergence.csv": "convergence_studies_logspace.csv",
+                    "fund_size.csv": "fund_size_studies.csv",
+                },
+            ),
         ],
     )
     def test_bundled_config_matches_golden_csvs(self, tmp_path, capsys, command, config, goldens):
         # written by the per-cell formatter that built each row as a list of
         # strings; the column writer must reproduce every byte.  The
-        # *_logspace goldens pin the pooled solve of the shared log-space driver.
+        # *_logspace goldens pin the pooled solve of the shared log-space driver;
+        # fund_size_studies.csv was written by the merged fund-size study.
         p = REPO / "configs" / config
         assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 0
         for name, golden in goldens.items():

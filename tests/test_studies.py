@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from pensionlab.cli import parse_config
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
 from pensionlab.mortality import MortalityTable, annuity_factor, gompertz_makeham
-from pensionlab.solver import CollectiveMode, solve
+from pensionlab.solver import CollectiveMode, Strategy, evaluate_policy, solve
 from pensionlab.studies import (
-    _start_values,
     annuity_outperformance,
     annuity_utility,
     convergence_study,
-    fund_size_study,
     improvement,
     run_scenarios,
 )
@@ -140,6 +138,52 @@ class TestZeroReturnClosedForm:
         assert abs(o - closed) <= 1e-13 * (1.0 + closed)
 
 
+def _annuity_strategy(mt, r):
+    """Infinite-fund strategy that buys the level annuity: no stock, and
+    consumption rate 1 / a_k at date k, a_k being the annuity factor of the
+    survivors at k, so that consumption per survivor stays constant."""
+    n = mt.grid.n_steps
+    disc = np.exp(-r * mt.grid.dt * np.arange(n))
+    due = np.array([np.dot(disc[: n - k], mt.tail[k:]) for k in range(n)])  # a_k tail_k
+    return Strategy(a=np.zeros(n), c=mt.tail / due)
+
+
+class TestAnnuityStrategy:
+    """The abstract's claim that annuities are suboptimal, checked with
+    ``evaluate_policy`` on the annuity-buying strategy.  alpha > 0 is left
+    out: there the last grid dates dominate both values, and the two
+    recursions agree only to about 1e-7."""
+
+    FLAT = MarketParams(mu=0.0, r=0.0, sigma=0.15)
+    EXPONENTS = (-5.0, -2.0, -1.0, -0.5)
+
+    @pytest.mark.parametrize("alpha", EXPONENTS)
+    @pytest.mark.parametrize("rho", EXPONENTS)
+    def test_policy_value_is_annuity_utility(self, default_table, alpha, rho):
+        # cross-checks _backward against the separate annuity loop
+        _, mt = default_table
+        prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
+        for market in (self.FLAT, MarketParams(mu=0.04, r=0.01, sigma=0.15)):
+            v = evaluate_policy(
+                _annuity_strategy(mt, market.r), CollectiveMode.infinite(), market, prefs, mt
+            )
+            u = annuity_utility(1.0 / annuity_factor(mt, market.r), mt, prefs)
+            assert v == pytest.approx(u, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", EXPONENTS)
+    @pytest.mark.parametrize("rho", EXPONENTS)
+    def test_annuity_suboptimal_unless_alpha_equals_rho(self, default_table, alpha, rho):
+        _, mt = default_table
+        prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
+        mode = CollectiveMode.infinite()
+        v = evaluate_policy(_annuity_strategy(mt, 0.0), mode, self.FLAT, prefs, mt)
+        z = solve(mode, self.FLAT, prefs, mt).z_at_start()
+        if alpha == rho:
+            assert z == pytest.approx(v, rel=1e-12)
+        else:
+            assert z >= v * (1.0 + 1e-3)
+
+
 class TestImprovement:
     def test_reference_pairs(self):
         # frozen outperformance pairs and their improvement ratios
@@ -193,36 +237,54 @@ class TestFundSizeStudy:
     def test_small_fund_ladder(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         ns = [1, 2, 4, 8, 16, 32, 64]
-        rep = fund_size_study(ns, base_market, vnm_prefs, mt, budget=1.0)
+        rep = convergence_study(ns, base_market, vnm_prefs, mt)
         # n = 1 coincides with the individual problem
         ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
         o_ind = annuity_outperformance(ind, 1.0)
-        assert rep.entries[0][1] == pytest.approx(o_ind, abs=1e-12)
-        values = [o for _, o in rep.entries]
+        assert rep.outperformance[0] == pytest.approx(o_ind, abs=1e-12)
+        values = rep.outperformance
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:])), (
             "outperformance failed to grow with fund size"
         )
         assert values[-1] < rep.infinite_outperformance
         assert rep.n_at_90pct is not None and rep.n_at_90pct <= 64
 
+    def test_outperformance_prices_each_size(self, default_table, base_market, vnm_prefs):
+        # the study's unit-budget pricing is annuity_outperformance of each solve
+        grid, mt = default_table
+        rep = convergence_study([1, 3, 12], base_market, vnm_prefs, mt)
+        for n, o in zip(rep.n.tolist(), rep.outperformance):
+            table = solve(CollectiveMode.finite(n), base_market, vnm_prefs, mt)
+            assert o == pytest.approx(annuity_outperformance(table, 1.0), abs=1e-12)
+        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
+        assert rep.infinite_outperformance == pytest.approx(
+            annuity_outperformance(table, 1.0), abs=1e-12
+        )
+
+    def test_n_at_90pct_on_bundled_market(self, studies_config):
+        cfg = studies_config
+        rep = convergence_study(cfg.n_list, cfg.market, cfg.prefs, cfg.mortality)
+        assert rep.n_at_90pct == 16
+
     def test_n_at_90pct_measures_the_pooling_benefit(self, studies_config):
         # o_inf is within rounding of 0 here, so o_n >= 0.9 o_inf never held
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
         ns = [2**k for k in range(13)]
-        rep = fund_size_study(
-            ns, market, studies_config.prefs, studies_config.mortality, budget=1.0
-        )
-        o_1 = rep.entries[0][1]
+        rep = convergence_study(ns, market, studies_config.prefs, studies_config.mortality)
+        o_1 = rep.outperformance[0]
         assert o_1 == pytest.approx(-0.0967, abs=1e-4)
         assert abs(rep.infinite_outperformance) < 1e-12
-        gains = {n: (o - o_1) / (rep.infinite_outperformance - o_1) for n, o in rep.entries}
+        gains = {
+            n: (o - o_1) / (rep.infinite_outperformance - o_1)
+            for n, o in zip(rep.n.tolist(), rep.outperformance)
+        }
         assert gains[16] < 0.9 <= gains[32]
         assert rep.n_at_90pct == 32
 
     def test_size_order_validated(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         with pytest.raises(ConfigurationError):
-            fund_size_study([4, 2], base_market, vnm_prefs, mt, budget=1.0)
+            convergence_study([4, 2], base_market, vnm_prefs, mt)
 
 
 @pytest.fixture(scope="module")
@@ -235,13 +297,21 @@ def report(default_table, base_market, vnm_prefs):
 class TestConvergenceStudy:
     def test_differences_strictly_decreasing(self, report):
         rep, _ = report
-        diffs = [abs(zn - rep.z_infinity) for _, zn in rep.entries]
+        diffs = np.abs(rep.z_n - rep.z_infinity)
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
+
+    def test_local_exponents(self, report):
+        rep, ns = report
+        diffs = np.abs(rep.z_n - rep.z_infinity)
+        assert rep.n.tolist() == ns and math.isnan(rep.local_exponent[0])
+        for j in range(1, len(ns)):
+            expected = math.log(diffs[j] / diffs[j - 1]) / math.log(ns[j] / ns[j - 1])
+            assert rep.local_exponent[j] == pytest.approx(expected, rel=1e-12)
 
     def test_root_n_bound_from_anchor(self, report):
         rep, _ = report
         assert rep.bound_anchor == 4
-        for n, zn in rep.entries:
+        for n, zn in zip(rep.n.tolist(), rep.z_n):
             if n >= rep.bound_anchor:
                 assert abs(zn - rep.z_infinity) <= rep.bound_constant * n**-0.5 * (1 + 1e-12)
 
@@ -252,7 +322,7 @@ class TestConvergenceStudy:
     def test_bound_shape_on_other_mortality(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         rep = convergence_study([1, 2, 4, 8, 16, 32, 64], base_market, vnm_prefs, mt)
-        for n, zn in rep.entries:
+        for n, zn in zip(rep.n.tolist(), rep.z_n):
             if n >= rep.bound_anchor:
                 assert abs(zn - rep.z_infinity) <= rep.bound_constant * n**-0.5 * (1 + 1e-12)
 
@@ -270,9 +340,8 @@ def studies_config():
     return parse_config(json.loads((configs / "studies.json").read_text()), configs)
 
 
-def _z_at_start(cfg, prefs, n):
-    """z at t0 for every fund size 1..n, and for the infinite collective."""
-    return _start_values(n, cfg.market, prefs, cfg.mortality)
+def _study(cfg, prefs, n_list):
+    return convergence_study(n_list, cfg.market, prefs, cfg.mortality)
 
 
 class TestConvergenceRegimes:
@@ -287,12 +356,12 @@ class TestConvergenceRegimes:
         prefs = studies_config.prefs
         if alpha is not None:
             prefs = Preferences(alpha=alpha, rho=rho, b=prefs.b)
-        z, z_inf = _z_at_start(studies_config, prefs, 8192)
-        exponent = math.log(abs(z[8191] - z_inf) / abs(z[2047] - z_inf)) / math.log(4.0)
-        assert lo <= exponent <= hi
+        rep = _study(studies_config, prefs, [1, 2048, 8192])
+        assert lo <= rep.local_exponent[-1] <= hi
 
     def test_linear_in_n_without_convergence(self, studies_config):
         prefs = Preferences(alpha=0.5, rho=-1.0, b=studies_config.prefs.b)
-        z, _ = _z_at_start(studies_config, prefs, 4096)
-        n = np.arange(1, 4097)
-        assert np.max(np.abs(z / (n * z[0]) - 1.0)) <= 1e-9
+        rep = _study(studies_config, prefs, range(1, 4097))
+        assert np.max(np.abs(rep.z_n / (rep.n * rep.z_n[0]) - 1.0)) <= 1e-9
+        # z_n is negligible against z_inf, so the gap does not shrink
+        assert rep.local_exponent[-1] > -0.25
