@@ -11,21 +11,24 @@ Two operations dominate runtime and live here:
   memory instead of O(n^2) for both.  Each term costs a few float
   operations on row copies of per-index vectors, not per-term gathers.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
-  chop-down inversion starting at the mode.  It is a table sampler: it
-  builds the cumulative chop-down sums once per distinct count among the
-  draws, only as far as the call's largest uniform needs, plus a guide
-  table of ``GUIDE_BUCKETS`` start positions per row, and finds every
-  uniform in its row by indexed search: one guide lookup and one compare
-  settle most draws, and only the rest are binary-searched.  A call costs
-  O(draws + distinct * (window + buckets)) expected time and
-  O(draws + distinct * (window + buckets)) memory, window being the pieces
-  a row needs, O(sqrt(n s (1-s))) for moderate uniforms.  Its draws are
+  chop-down inversion starting at the mode.  It is a table sampler in two
+  parts.  ``binomial_table`` builds the cumulative chop-down sums once per
+  distinct count, only as far as the largest uniform needs, plus a guide
+  table of ``GUIDE_BUCKETS`` start positions per row, in
+  O(distinct * (window + buckets)) time and memory, window being the pieces
+  a row needs, O(sqrt(n s (1-s))) for moderate uniforms.
+  ``binomial_draws`` finds each uniform in its row by indexed search: one
+  guide lookup and one compare settle most draws, and only the rest are
+  binary-searched, in O(draws) expected time and memory.  A simulation step
+  builds one table and draws a block of paths at a time from it;
+  ``binomial_inverse(n, s, u, lgam)`` is the two in one call.  The draws are
   those of a per-draw loop, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "lgamma_table",
     "log_survivor_mixture",
+    "BinomialTable",
+    "binomial_table",
+    "binomial_draws",
     "binomial_inverse",
 ]
 
@@ -190,10 +196,11 @@ def log_survivor_mixture(logw, s, lgam, alpha):
 # builds each distinct count's cumulative sums once, as one row of a table,
 # with the per-draw recurrences and float additions; the draws are therefore
 # those of a per-draw loop, bit for bit.  The table stops growing once each
-# row's sum exceeds the call's largest uniform, or both of the row's tails
-# are exactly 0, after which further pieces add nothing.  Each draw is the
-# first entry of its row greater than u, i.e. its position is the number of
-# the row's entries <= u; entries past it do not change it.
+# row's sum exceeds the largest uniform it is built for, or both of the
+# row's tails are exactly 0, after which further pieces add nothing.  Each
+# draw is the first entry of its row greater than u, i.e. its position is
+# the number of the row's entries <= u; entries past it do not change it,
+# so a table built for more counts or a larger uniform gives the same draws.
 #
 # That position is found by indexed search (Chen & Asau 1974; Devroye 1986,
 # III.2.4).  Each row gets a guide of G = GUIDE_BUCKETS entries, guide[r, b]
@@ -203,7 +210,7 @@ def log_survivor_mixture(logw, s, lgam, alpha):
 # settle most draws, and only the rest are binary-searched in their row.
 # G is a power of two, so sums * G and u * G are exact and "sum <= b/G" is
 # "ceil(sum G) <= b": the guide is one histogram of those ceilings and its
-# running count.  A call costs O(draws + distinct * (window + G)) expected
+# running count.  Drawing costs O(draws + distinct * (window + G)) expected
 # time, against O(draws log window + distinct * window) for binary search.
 
 GUIDE_BUCKETS = 256  # guide entries per table row; a power of two
@@ -257,37 +264,75 @@ def _guide_table(sums):
     return guide.ravel()
 
 
-def binomial_inverse(n, s, u, lgam):
+class BinomialTable(NamedTuple):
+    """The chop-down table of one survival probability, for the counts present.
+
+    ``rank[c]`` is the row of count c (meaningless for a count the table was
+    not built for); ``sums``, ``draws`` and ``guide`` are the flat table.  A
+    degenerate ``s`` (<= 0 or >= 1) needs no table and leaves the arrays
+    ``None``.
+    """
+
+    s: float
+    rank: Optional[np.ndarray] = None
+    sums: Optional[np.ndarray] = None
+    draws: Optional[np.ndarray] = None
+    guide: Optional[np.ndarray] = None
+    width: int = 0
+
+
+def binomial_table(n, s, umax, lgam) -> BinomialTable:
+    """The table ``binomial_draws`` reads for counts among ``n`` and uniforms <= ``umax``.
+
+    One row per distinct count, each grown until its sum exceeds ``umax``;
+    a row grown further gives the same draws, so one table built from a
+    whole step's counts and largest uniform serves every block of it.
+    """
+    if s <= 0.0 or s >= 1.0:
+        return BinomialTable(s)
+    present = np.bincount(np.ravel(np.asarray(n, dtype=np.int64))) > 0
+    sums, draws = _chop_down_table(np.flatnonzero(present), s, umax, lgam)
+    return BinomialTable(s, np.cumsum(present) - 1, sums.ravel(), draws.ravel(),
+                         _guide_table(sums), sums.shape[1])
+
+
+def binomial_draws(table: BinomialTable, n, u) -> np.ndarray:
+    """Binomial(n, table.s) draws, one per uniform in ``u``, shaped like ``n``.
+
+    Every count in ``n`` must be one the table was built for and every
+    uniform at most its ``umax``.  A call costs O(draws) time and memory.
+    """
     n = np.asarray(n, dtype=np.int64)
-    u = np.asarray(u, dtype=np.float64)
-    if s <= 0.0:
+    if table.s <= 0.0:
         return np.zeros_like(n)
-    if s >= 1.0:
+    if table.s >= 1.0:
         return n.copy()
-    flat_n, flat_u = n.ravel(), u.ravel()
-    present = np.bincount(flat_n) > 0
-    rank = np.cumsum(present) - 1  # table row of each count
-    sums, draws = _chop_down_table(np.flatnonzero(present), s, flat_u.max(initial=0.0), lgam)
-    width = sums.shape[1]
+    flat_n, flat_u = n.ravel(), np.asarray(u, dtype=np.float64).ravel()
+    sums = table.sums
     # start each draw at its bucket's guide entry, a lower bound on its
     # position; the draws whose start entry is still <= u are unsettled
     bucket = (flat_u * GUIDE_BUCKETS).astype(np.int64)
     np.minimum(bucket, GUIDE_BUCKETS - 1, out=bucket)
-    bucket += (rank * GUIDE_BUCKETS)[flat_n]
-    pos = _guide_table(sums).take(bucket)
-    sums = sums.ravel()
+    bucket += table.rank.take(flat_n) * GUIDE_BUCKETS
+    pos = table.guide.take(bucket)
     unsettled = np.flatnonzero(sums.take(pos) <= flat_u)
     if unsettled.size:
         # binary search in the row: advance while the entry stepped over is
         # <= u, so the search stops at the first entry greater than u
         u_open = flat_u[unsettled]
-        at = rank[flat_n[unsettled]] * width
-        step = width // 2
+        at = table.rank.take(flat_n[unsettled]) * table.width
+        step = table.width // 2
         while step:
             at += (sums.take(at + (step - 1)) <= u_open) * step
             step //= 2
         pos[unsettled] = at
-    return draws.ravel().take(pos).reshape(n.shape)
+    return table.draws.take(pos).reshape(n.shape)
+
+
+def binomial_inverse(n, s, u, lgam):
+    """Binomial(n, s) draws from the uniforms ``u``: one table, then its draws."""
+    u = np.asarray(u, dtype=np.float64)
+    return binomial_draws(binomial_table(n, s, u.max(initial=0.0), lgam), n, u)
 
 
 binomial_inverse_numpy = binomial_inverse  # the name perfbench/tests still imports

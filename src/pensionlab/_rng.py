@@ -188,7 +188,8 @@ def inverse_normal_cdf(p: np.ndarray) -> np.ndarray:
     r1 = r_t[near] - 1.6
     x_tail[near] = _poly(_C, r1) / _poly(_D, r1)
     far = ~near
-    r2 = r_t[far] - 5.0
-    x_tail[far] = _poly(_E, r2) / _poly(_F, r2)
+    if far.any():  # p < e^-25: rare, and its two polynomials are ~30 numpy calls
+        r2 = r_t[far] - 5.0
+        x_tail[far] = _poly(_E, r2) / _poly(_F, r2)
     out[tail] = np.where(q[tail] < 0.0, -x_tail, x_tail)
     return out.reshape(shape)

@@ -16,7 +16,8 @@ The summary (moments of log wealth and log consumption, the empirical
 ``QUANTILES`` of wealth and consumption, survivor means) is computed inside the
 step loop over the paths still alive (no gather while every path is), so a
 run needs O(paths) memory.  Wealth and consumption statistics are computed
-only for the series ``SimulationConfig.summary`` names (both by default).
+only for the series ``SimulationConfig.summary`` names (both by default), and
+consumption is formed for all paths only when it is summarised or recorded.
 Each summarised series is sorted once per step and its quantiles are read
 from that sorted copy, bitwise equal to np.quantile's; moments use the
 unsorted values, as summation order matters.  Full ``paths x n_steps``
@@ -28,6 +29,16 @@ survivor transition.  The per-path keys are hashed once per run and each
 step's hash once, shared by both streams.  Results are therefore bitwise
 reproducible for a given seed, independent of evaluation order or thread
 count.
+
+Each step runs over blocks of ``_BLOCK`` paths in two passes: the first
+writes the survival uniforms and the growth factors, the step's only two
+path-sized arrays; the second draws survivors from one sampler table per
+step and updates wealth and counts in place.  Per path, a run holds the
+keys, wealth and counts, plus those two arrays during a step: about 42 B
+per path for a finite fund and 25 B for the infinite fund under
+tracemalloc at 1,000,000 paths (wealth summarised), 49 and 32 B when
+consumption is summarised as well.  The results do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from .mortality import MortalityTable
 from .solver import (
     CollectiveMode, Strategy, ValueTable, _strategy_arrays, extract_strategy, growth_exponent,
 )
-from ._kernels import binomial_inverse, lgamma_table
+from ._kernels import binomial_draws, binomial_table, lgamma_table
 from ._rng import inverse_normal_cdf, path_keys, step_hash, stream_uniforms
 
 __all__ = [
@@ -60,6 +71,7 @@ _SUMMARY_CHOICES = ("wealth", "consumption")
 _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
 _ALL = slice(None)  # the alive selector while no path has died out
+_BLOCK = 2**14  # paths per block of the simulation step
 
 
 @dataclass(frozen=True)
@@ -142,17 +154,23 @@ class _SurvivorFraction:
     """Infinite fund: the fraction prod s_k survives on every path."""
 
     alive = _ALL
+    draws_survivors = False  # reads no survival uniforms
 
     def __init__(self, c: np.ndarray):
         self.c = c
         self.survivors = 1.0
 
-    def rate(self, k: int):
-        return self.c[k]
+    def consumption(self, k: int, x: np.ndarray) -> np.ndarray:
+        return self.c[k] * x
 
-    def redistribute(self, k: int, s_k: float, spare: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def advance(self, k: int, s_k: float, x: np.ndarray, u, growth: np.ndarray, blocks) -> None:
         self.survivors *= s_k
-        return spare / s_k
+        c = self.c[k]
+        for blk in blocks:
+            xb = x[blk]
+            spare = xb - c * xb
+            spare /= s_k
+            np.multiply(spare, growth[blk], out=xb)
 
 
 class _BinomialSurvivors:
@@ -162,9 +180,9 @@ class _BinomialSurvivors:
     mask.  The rates ``c`` (one row per survivor count 1..n0) are stored
     as one contiguous row per step indexed by the count itself, with a
     zero rate for 0 survivors, so a step's rates are one gather.
-    ``redistribute`` finishes the survival stream from the step hash ``h``
-    the growth stream shares.
     """
+
+    draws_survivors = True  # reads the survival stream's uniforms
 
     def __init__(self, c: np.ndarray, n0: int, paths: int):
         self.c = np.zeros((c.shape[1], n0 + 1))
@@ -173,32 +191,77 @@ class _BinomialSurvivors:
         self.survivors = np.full(paths, n0, dtype=np.int64)
         self.alive = _ALL
 
-    def rate(self, k: int) -> np.ndarray:
-        return self.c[k].take(self.survivors)
+    def consumption(self, k: int, x: np.ndarray) -> np.ndarray:
+        gamma = self.c[k].take(self.survivors)
+        gamma *= x
+        return gamma
 
-    def redistribute(self, k: int, s_k: float, spare: np.ndarray, h: np.ndarray) -> np.ndarray:
-        n_cur = self.survivors
-        u = stream_uniforms(h, _STREAM_SURVIVAL)
-        n_next = binomial_inverse(n_cur, s_k, u, self.lgam)
-        self.survivors = n_next
-        xbar = n_cur / np.maximum(n_next, 1)
-        xbar *= spare
-        dead = n_next == 0
-        if dead.any():
-            self.alive = ~dead
-            xbar[dead] = 0.0
-        return xbar
+    def advance(self, k: int, s_k: float, x: np.ndarray, u: np.ndarray, growth: np.ndarray,
+                blocks) -> None:
+        # one table serves the whole step: its counts and largest uniform
+        table = binomial_table(self.survivors, s_k, u.max(), self.lgam)
+        c = self.c[k]
+        died = False
+        for blk in blocks:
+            n_cur = self.survivors[blk]
+            xb = x[blk]
+            spare = xb - c.take(n_cur) * xb
+            n_next = binomial_draws(table, n_cur, u[blk])
+            xbar = n_cur / np.maximum(n_next, 1)
+            xbar *= spare
+            dead = n_next == 0
+            if dead.any():
+                died = True
+                xbar[dead] = 0.0
+            np.multiply(xbar, growth[blk], out=xb)
+            n_cur[...] = n_next
+        if died:
+            self.alive = self.survivors > 0
+
+
+def _advance(model, keys: np.ndarray, x: np.ndarray, k: int, s_k: float,
+             base: float, vol: float) -> None:
+    """Step every path from date k to k+1, ``_BLOCK`` paths at a time.
+
+    The first pass draws each block's streams from its step hash into the
+    step's only two path-sized arrays: the survival uniforms (finite funds)
+    and the growth factors exp(base + vol z).  The model's second pass then
+    redistributes and grows wealth in place, with each path's float
+    operations in the order of a whole-array update, so the results do not
+    depend on the block size.
+    """
+    paths = x.size
+    blocks = [slice(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
+    u = np.empty(paths) if model.draws_survivors else None
+    growth = np.empty(paths)
+    for blk in blocks:
+        h = step_hash(keys[blk], k)
+        if u is not None:
+            u[blk] = stream_uniforms(h, _STREAM_SURVIVAL)
+        z = inverse_normal_cdf(stream_uniforms(h, _STREAM_GROWTH))
+        z *= vol
+        z += base
+        np.exp(z, out=growth[blk])
+    model.advance(k, s_k, x, u, growth, blocks)
 
 
 def _log_moments(values: np.ndarray):
-    """Mean and ddof=1 variance of log(values)."""
+    """Mean and ddof=1 variance of log(values), with a variance of 0 for one value.
+
+    The variance is np.var's own steps (the pairwise sum of the squared
+    deviations from the mean, over n - 1) done in place on the logs, so it
+    is bitwise np.var(logs, ddof=1) with one path-sized array fewer.
+    """
     if values.size == 0:
         return math.nan, math.nan
     with np.errstate(divide="ignore"):
         logs = np.log(values)
-    mean = float(logs.mean())
-    var = float(logs.var(ddof=1)) if values.size > 1 else 0.0
-    return mean, var
+    mean = logs.mean()
+    if values.size == 1:
+        return float(mean), 0.0
+    logs -= mean
+    logs *= logs
+    return float(mean), float(logs.sum() / (values.size - 1))
 
 
 def _quantiles(values: np.ndarray, probs) -> np.ndarray:
@@ -269,9 +332,11 @@ def simulate(
 
     keys = path_keys(seed, paths)
     x = np.full(paths, config.x0)
+    with_gamma = "consumption" in config.record or "consumption" in config.summary
     for k in range(n_steps):
-        gamma = model.rate(k) * x
-        series = {"survivors": model.survivors, "wealth": x, "consumption": gamma}
+        series = {"survivors": model.survivors, "wealth": x}
+        if with_gamma:
+            series["consumption"] = model.consumption(k, x)
         for name, out in recorded.items():
             out[:, k] = series[name]
         alive = model.alive
@@ -283,16 +348,9 @@ def simulate(
                 quantiles[:, k] = _quantiles(values, QUANTILES)
             del values  # free the gathered copy before the next one
         mean_n[k] = np.mean(model.survivors)
-        # free the counts series refers to before the update
-        del series
+        del series  # free consumption before the update
         if k < n_steps - 1:
-            h = step_hash(keys, k)
-            x -= gamma  # x is this step's own array: reuse it for the spare wealth
-            x = model.redistribute(k, float(mortality.s[k]), x, h)
-            z = inverse_normal_cdf(stream_uniforms(h, _STREAM_GROWTH))
-            z *= growth_vol[k]
-            z += growth_base[k]
-            x *= np.exp(z, out=z)
+            _advance(model, keys, x, k, float(mortality.s[k]), growth_base[k], growth_vol[k])
 
     (mean_lx, var_lx, xq), (mean_lg, var_lg, gq) = stats["wealth"], stats["consumption"]
     summary = SummaryStats(

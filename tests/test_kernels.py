@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from pensionlab._kernels import (
     TAIL_NATS,
     _row_windows,
+    binomial_draws,
     binomial_inverse,
+    binomial_table,
     lgamma_table,
     log_survivor_mixture,
 )
@@ -252,6 +254,26 @@ class TestBinomialInverse:
         n = np.repeat(values, 2)
         u = np.tile([1.0, 1.0 - 2.0**-53], values.size)
         assert np.array_equal(binomial_inverse(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_one_table_drawn_in_blocks(self, data):
+        # a table built from all counts and the largest uniform gives every
+        # block the draws of a table built for that block alone
+        n0 = data.draw(st.integers(1, 2000), label="n0")
+        s = data.draw(st.sampled_from([0.0, 1e-9, 0.3, 0.97, 1.0]), label="s")
+        size = data.draw(st.integers(1, 300), label="size")
+        block = data.draw(st.integers(1, 64), label="block")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        n = rng.integers(0, n0 + 1, size)
+        u = rng.uniform(0.0, 1.0, size)
+        lgam = lgamma_table(n0)
+        table = binomial_table(n, s, u.max(initial=0.0), lgam)
+        got = [binomial_draws(table, n[lo : lo + block], u[lo : lo + block])
+               for lo in range(0, size, block)]
+        want = [binomial_inverse(n[lo : lo + block], s, u[lo : lo + block], lgam)
+                for lo in range(0, size, block)]
+        assert np.array_equal(np.concatenate(got), np.concatenate(want))
 
 
 class TestFiniteValueStep:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from pensionlab.analytics import wealth_schedule
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
-from pensionlab.montecarlo import QUANTILES, SimulationConfig, _quantiles, simulate
+from pensionlab import montecarlo
+from pensionlab.montecarlo import QUANTILES, SimulationConfig, _log_moments, _quantiles, simulate
 from pensionlab.mortality import MortalityTable, gompertz_makeham
 from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, solve
 
@@ -56,6 +58,29 @@ class TestDeterministicCases:
             grid, base_market, mt,
         )
         assert not np.array_equal(a.wealth, c.wealth)
+
+    @pytest.mark.parametrize(
+        "mode", [CollectiveMode.finite(2), CollectiveMode.individual(), CollectiveMode.infinite()],
+        ids=str,
+    )
+    def test_results_do_not_depend_on_block_size(self, default_table, base_market, vnm_prefs,
+                                                 mode, monkeypatch):
+        # 61 paths: eight blocks of 7 and a ragged one, or one short default block
+        grid, mt = default_table
+        table = solve(mode, base_market, vnm_prefs, mt)
+        cfg = SimulationConfig(paths=61, seed=19, mode=mode, policy=table, record=ALL_SERIES)
+        runs = []
+        for block in (1, 7, montecarlo._BLOCK):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            runs.append(simulate(cfg, grid, base_market, mt))
+        if mode.kind != "infinite":  # the fund dies out on some paths
+            assert runs[0].summary.alive_paths.min() < 61
+        for res in runs[1:]:
+            for name in ALL_SERIES:
+                assert getattr(res, name).tobytes() == getattr(runs[0], name).tobytes(), name
+            for name in res.summary.__dataclass_fields__:
+                got, want = getattr(res.summary, name), getattr(runs[0].summary, name)
+                assert got.tobytes() == want.tobytes(), name
 
 
 class TestBudgetIdentity:
@@ -274,6 +299,29 @@ class TestSummarize:
             ref = np.quantile(values, probs, method="linear")
         assert got.tobytes() == ref.tobytes()  # bitwise: the sign of zero and NaN count
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            arrays(np.float64, st.integers(0, 3), elements=st.floats(0.0, 1e300)),
+            arrays(np.float64, st.integers(2, 3000),
+                   elements=st.floats(1e-300, 1e300) | st.just(1.0)),
+        ),
+        zero=st.booleans(),
+    )
+    def test_log_moments_match_numpy(self, values, zero):
+        if zero and values.size:
+            values[values.size // 2] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # empty and one-value reductions
+            mean, var = _log_moments(values)
+            logs = np.log(values)
+            ref_mean, ref_var = np.mean(logs), np.var(logs, ddof=1)
+        assert np.array_equal(mean, ref_mean, equal_nan=True)
+        if values.size == 1:
+            assert var == 0.0  # one path has no spread, where np.var says NaN
+        else:
+            assert np.array_equal(var, ref_var, equal_nan=True)
+
     def test_quantiles_of_alive_paths_in_dying_fund(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
         mode = CollectiveMode.finite(3)
@@ -422,3 +470,27 @@ class TestBoundedMemory:
         assert res.summary.alive_paths[0] == 20_000
         assert np.all(np.isfinite(res.summary.x_quantiles[:, 0]))
         assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "mode, limit",
+        [(CollectiveMode.finite(100), 50), (CollectiveMode.individual(), 50),
+         (CollectiveMode.infinite(), 32)],
+        ids=str,
+    )
+    def test_bytes_per_path(self, default_table, base_market, vnm_prefs, mode, limit):
+        # the simulate command's run: nothing recorded, wealth summarised.  At
+        # the peak, a finite fund holds the path keys, wealth, counts, and one
+        # step's survival uniforms and growth factors (40 B) plus a few
+        # blocks; the infinite fund draws no survival uniforms and keeps no
+        # counts (24 B)
+        grid, mt = default_table
+        paths = 200_000
+        table = solve(mode, base_market, vnm_prefs, mt)
+        cfg = SimulationConfig(paths=paths, seed=5, mode=mode, policy=table, summary=("wealth",))
+        tracemalloc.start()
+        try:
+            simulate(cfg, grid, base_market, mt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / paths <= limit, f"{peak / paths:.1f} B per path"
