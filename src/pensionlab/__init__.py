@@ -23,8 +23,6 @@ from .solver import (
     CollectiveMode,
     Strategy,
     ValueTable,
-    consumption_rate,
-    continuation_factor,
     evaluate_policy,
     extract_strategy,
     growth_exponent,

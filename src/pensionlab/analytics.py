@@ -10,7 +10,9 @@ and the mean obeys
 
 where xi_drift is the growth quadratic at a* with alpha set to zero (the drift
 of log wealth rather than its power-mean growth).  Log consumption is log
-wealth shifted by log c*_t with identical spread.
+wealth shifted by log c*_t with identical spread.  The schedule is formed as
+whole arrays from the solved y and the solver's log phi terms, never phi
+itself, so it stays finite where phi under- or overflows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, MarketParams, Preferences, TimeGrid
-from .solver import ValueTable, continuation_factor, growth_exponent, optimal_proportion
+from .solver import ValueTable, _log_phi, growth_exponent, optimal_proportion
 
 __all__ = [
     "LognormalSchedule",
@@ -62,32 +64,20 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
 
     mortality = table.mortality
     grid = mortality.grid
-    n = grid.n_steps
     pool = table.mode.pooling
-    prefs = table.prefs
-    q = prefs.rho / (1.0 - prefs.rho)
-    xi_drift = growth_exponent(table.market, 0.0, table.astar)
-
-    mu_x = np.empty(n)
-    mu_x[0] = math.log(x0)
-    var_x = np.empty(n)
-    var_x[0] = 0.0
-    step_var = (table.astar * table.market.sigma) ** 2 * grid.dt
-    for k in range(n - 1):
-        # log(1 - c*_k) = log((y_k - 1)/y_k) with y_k - 1 = phi_k^q y_{k+1},
-        # which stays accurate when c* is within rounding of 1
-        phi = continuation_factor(prefs, table.market, float(mortality.s[k]), pool, grid.dt)
-        log_remaining = q * math.log(phi) + math.log(table.y[k + 1]) - math.log(table.y[k])
-        mu_x[k + 1] = (
-            mu_x[k]
-            - pool * math.log(mortality.s[k])
-            + log_remaining
-            + xi_drift * grid.dt
-        )
-        var_x[k + 1] = var_x[k] + step_var
-    sigma_x = np.sqrt(var_x)
-
     rho = table.prefs.rho
+    s = mortality.s[:-1]
+    log_y = np.log(table.y)
+    # log(1 - c*_k) = log((y_k - 1)/y_k) with y_k - 1 = phi_k^q y_{k+1},
+    # which stays accurate when c* is within rounding of 1
+    drift, surv = _log_phi(table.prefs, grid.dt, table.xi, s, pool)
+    log_remaining = (rho / (1.0 - rho)) * (drift + surv) + log_y[1:] - log_y[:-1]
+    xi_drift = growth_exponent(table.market, 0.0, table.astar)
+    steps = -pool * np.log(s) + log_remaining + xi_drift * grid.dt
+    # np.cumsum adds one date at a time, in the order of the recursion
+    mu_x = np.cumsum(np.concatenate(([math.log(x0)], steps)))
+    step_var = (table.astar * table.market.sigma) ** 2 * grid.dt
+    sigma_x = np.sqrt(np.cumsum(np.concatenate(([0.0], np.full(s.size, step_var)))))
     mu_gamma = mu_x + (rho / (rho - 1.0)) * np.log(table.z)
     sigma_gamma = sigma_x.copy()
     for arr in (mu_x, sigma_x, mu_gamma, sigma_gamma):
@@ -109,11 +99,13 @@ def consumption_drift(
         E(log gamma_{t+dt} | gamma_t) - log gamma_t
             = log(s^-C) + rho/(1-rho) log(phi) + xi_drift dt.
     """
-    phi = continuation_factor(prefs, market, s, collective, dt)
+    if not 0.0 < s <= 1.0:
+        raise ConfigurationError(f"survival probability must be in (0, 1], got {s}")
     rho = prefs.rho
-    return (
+    drift, surv = _log_phi(prefs, dt, growth_exponent(market, prefs.alpha), s, collective)
+    return float(
         -collective * math.log(s)
-        + (rho / (1.0 - rho)) * math.log(phi)
+        + (rho / (1.0 - rho)) * (drift + surv)
         + growth_exponent(market, 0.0, optimal_proportion(market, prefs.alpha)) * dt
     )
 

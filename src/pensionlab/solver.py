@@ -16,11 +16,12 @@ A finite collective of n members is solved on the triangular table z_{i,t}
 binomial survivor transition, weighted by the wealth concentration
 (i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.
 
-``solve`` in every mode and ``evaluate_policy`` share one log-space driver,
-``_backward``: a pooled fund is the same step as a finite one with the
-mixture replaced by (1/alpha - C) log s_t.  The linear recursion above is
-the math of the pooled case, and the tests run it as an independent oracle;
-it is not a second code path.
+``solve`` in every mode, ``evaluate_policy`` and ``studies.annuity_utility``
+share one log-space driver, ``_backward``: a pooled fund is the same step as
+a finite one with the mixture replaced by (1/alpha - C) log s_t.  Its two
+terms of log phi_t come from ``_log_phi``, which ``analytics`` uses too.
+The linear recursion above is the math of the pooled case, and the tests
+run it as an independent oracle; it is not a second code path.
 
 The terminal step is c* = 1, z = 1 for every survivor count: with death
 certain by T, consuming everything at the last date is forced, which is the
@@ -49,8 +50,6 @@ __all__ = [
     "MAX_SCENARIOS",
     "optimal_proportion",
     "growth_exponent",
-    "continuation_factor",
-    "consumption_rate",
     "solve",
     "extract_strategy",
     "evaluate_policy",
@@ -137,38 +136,20 @@ def growth_exponent(market: MarketParams, alpha: float, a: float | None = None) 
     return a * (market.mu - market.r) + market.r - 0.5 * a * a * (1.0 - alpha) * market.sigma**2
 
 
-def continuation_factor(
-    prefs: Preferences,
-    market: MarketParams,
-    s: float,
-    collective: int,
-    dt: float,
-) -> float:
-    """The per-step factor phi multiplying next-period value per unit wealth:
+def _log_phi(prefs: Preferences, dt: float, kappa, s, pooling: int):
+    """The two terms of log phi, phi = beta^(1/rho) exp(kappa dt) s^(1/alpha - C)
+    being the factor on next-period value per unit wealth, C = ``pooling``:
 
-        beta^(1/rho) exp(xi dt) s^(1/alpha - C)
+        (log(beta)/rho + kappa dt,  (1/alpha - C) log s),
 
-    with C = ``collective`` (0 individual, 1 infinite).  Only valid at
-    non-terminal points, where s > 0.  Only ``analytics`` uses it (the
-    wealth schedule and the consumption drift); ``solve`` forms the same
-    factor in log space in ``_backward``.
+    elementwise in ``kappa`` and ``s``.  ``_backward`` adds them as
+    drift + (surv + log v): summing the two first rounds differently and
+    moves the last printed digit of some CLI values.
     """
-    if not 0.0 < s <= 1.0:
-        raise ConfigurationError(
-            f"survival probability must be in (0, 1] at non-terminal points, got {s}"
-        )
-    xi = growth_exponent(market, prefs.alpha)
-    phi = prefs.beta(dt) ** (1.0 / prefs.rho) * math.exp(xi * dt) * s ** (1.0 / prefs.alpha)
-    if collective:
-        phi /= s
-    return phi
-
-
-def consumption_rate(z: float, rho: float) -> float:
-    """Optimal consumption rate z^(rho/(rho-1)) implied by a value z > 0."""
-    if not (z > 0.0 and math.isfinite(z)):
-        raise ConfigurationError(f"value per unit wealth must be positive finite, got {z}")
-    return z ** (rho / (rho - 1.0))
+    return (
+        math.log(prefs.beta(dt)) / prefs.rho + kappa * dt,
+        (1.0 / prefs.alpha - pooling) * np.log(s),
+    )
 
 
 @dataclass(frozen=True)
@@ -210,10 +191,11 @@ def _backward(mode, prefs, mortality, kappa, last, rule):
     """Log values log v on the grid, backward from their last-date values
     ``last`` (one per survivor count for a finite fund).  Step k forms
 
-        finite:  log theta_k = log(beta)/rho + kappa_k dt + log lam_k / alpha,
-        pooled:  log theta_k = log(beta)/rho + kappa_k dt + (1/alpha - C) log s_k + log v_{k+1},
+        finite:  log theta_k = drift_k + log lam_k / alpha,
+        pooled:  log theta_k = drift_k + (surv_k + log v_{k+1}),
 
-    lam_k being the survivor mixture of v_{k+1}, and log v_k = rule(k, log theta_k).
+    drift_k and surv_k being the terms of log phi_k (``_log_phi``) and lam_k
+    the survivor mixture of v_{k+1}, and log v_k = rule(k, log theta_k).
     NaN and +inf are divergence; -inf is v = 0, which a policy consuming
     nothing at some date earns when rho < 0.
     """
@@ -221,16 +203,18 @@ def _backward(mode, prefs, mortality, kappa, last, rule):
     alpha = prefs.alpha
     logv = np.empty(np.shape(last) + (grid.n_steps,))
     logv[..., -1] = last
-    log_beta = math.log(prefs.beta(grid.dt)) / prefs.rho
+    # a finite fund's step uses only the drift
+    pooling = 0 if mode.is_finite else mode.pooling
+    drift, surv = _log_phi(prefs, grid.dt, kappa[:-1], mortality.s[:-1], pooling)
     lgam = lgamma_table(mode.n) if mode.is_finite else None
     with np.errstate(over="ignore"):  # overflow is caught below as NaN or +inf
         for k in range(grid.n_steps - 2, -1, -1):
-            s = float(mortality.s[k])
             if mode.is_finite:
-                cont = log_survivor_mixture(logv[:, k + 1], s, lgam, alpha) / alpha
+                lam = log_survivor_mixture(logv[:, k + 1], float(mortality.s[k]), lgam, alpha)
+                cont = lam / alpha
             else:
-                cont = (1.0 / alpha - mode.pooling) * math.log(s) + logv[k + 1]
-            logv[..., k] = rule(k, log_beta + kappa[k] * grid.dt + cont)
+                cont = surv[k] + logv[k + 1]
+            logv[..., k] = rule(k, drift[k] + cont)
             ok = logv[..., k] < np.inf  # False for NaN and +inf
             if not ok.all():
                 raise _diverged(mode, grid, k, int(np.argmin(ok)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, Preferences
 from .mortality import MortalityTable, annuity_factor
-from .solver import CollectiveMode, ValueTable, solve
+from .solver import CollectiveMode, ValueTable, _backward, solve
 
 __all__ = [
     "ScenarioReport",
@@ -40,37 +40,51 @@ def annuity_utility(gamma: float, mortality: MortalityTable, prefs: Preferences)
 
         U_t = [gamma^rho + beta s_t^(rho/alpha) U_{t+dt}^rho]^(1/rho)
 
-    with U = gamma at the final date.  Positively homogeneous in gamma.
+    with U = gamma at the final date.  Positively homogeneous in gamma, so
+    U = gamma U(1), and log U(1) runs backward through the solver's log-space
+    driver as an individual fund with no growth (kappa = 0):
+
+        log U_t = log(1 + theta_t^rho) / rho,    log theta_t = log phi_t + log U_{t+dt}.
+
+    Raises DivergenceError when U is not a positive finite float, e.g. when
+    it underflows to 0 for a strongly negative rho, since every annuity
+    equivalent divides by it.
     """
     if not gamma > 0.0:
         raise ConfigurationError(f"annuity income must be positive, got {gamma}")
-    beta = prefs.beta(mortality.grid.dt)
-    rho, alpha = prefs.rho, prefs.alpha
-    u = float(gamma)
-    for k in range(mortality.grid.n_steps - 2, -1, -1):
-        u = (gamma**rho + beta * mortality.s[k] ** (rho / alpha) * u**rho) ** (1.0 / rho)
-        if not math.isfinite(u):
-            raise DivergenceError(
-                f"annuity utility diverged at t={mortality.grid.points[k]}"
-            )
+    rho = prefs.rho
+
+    def level(k, logtheta):
+        return np.logaddexp(0.0, rho * logtheta) / rho
+
+    kappa = np.zeros(mortality.grid.n_steps)
+    logu = _backward(CollectiveMode.individual(), prefs, mortality, kappa, 0.0, level)
+    with np.errstate(over="ignore"):
+        u = float(gamma * np.exp(logu[0]))
+    if not (u > 0.0 and math.isfinite(u)):
+        raise DivergenceError(
+            f"annuity utility {u} is out of floating-point range (log U = {float(logu[0]):.6g})"
+        )
     return u
 
 
 def annuity_outperformance(table: ValueTable, budget: float) -> float:
     """Annuity outperformance of the optimal strategy in ``table``, priced at
     the mortality, market and preferences it was solved for."""
-    z0 = table.z_at_start()
-    return _outperformance(z0, budget, table.mortality, table.market, table.prefs)[1]
+    unit_utility = annuity_utility(1.0, table.mortality, table.prefs)
+    return _outperformance(
+        table.z_at_start(), budget, unit_utility, table.mortality, table.market.r
+    )[1]
 
 
-def _outperformance(z0, budget, mortality, market, prefs):
-    """(annuity equivalent, outperformance) of a strategy worth budget*z0;
-    elementwise for an array ``z0``."""
+def _outperformance(z0, budget, unit_utility, mortality, r):
+    """(annuity equivalent, outperformance) of a strategy worth budget*z0
+    against an annuity at riskless rate ``r`` whose unit income has utility
+    ``unit_utility``; elementwise for an array ``z0``."""
     if not budget > 0.0:
         raise ConfigurationError(f"budget must be positive, got {budget}")
-    unit_utility = annuity_utility(1.0, mortality, prefs)
     gamma_star = budget * z0 / unit_utility
-    equivalent = gamma_star * annuity_factor(mortality, market.r)
+    equivalent = gamma_star * annuity_factor(mortality, r)
     return equivalent, equivalent / budget - 1.0
 
 
@@ -105,6 +119,7 @@ def run_scenarios(
     """
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
+    unit_utility = annuity_utility(1.0, mortality, prefs)  # the same for every market
     reports = []
     for scenario_id, mu, r, n in scenarios:
         market = MarketParams(mu=float(mu), r=float(r), sigma=sigma)
@@ -116,7 +131,7 @@ def run_scenarios(
             mode = CollectiveMode.finite(int(n))
         table = solve(mode, market, prefs, mortality)
         equivalent, outperf = _outperformance(
-            table.z_at_start(), budget, mortality, market, prefs
+            table.z_at_start(), budget, unit_utility, mortality, market.r
         )
         reports.append(
             ScenarioReport(
@@ -194,7 +209,8 @@ def convergence_study(
         raise DivergenceError("non-finite difference in the convergence study")
 
     # one pricing of the annuity for every size 1..n_max and the limit
-    outperf = _outperformance(np.append(z_all, z_inf), 1.0, mortality, market, prefs)[1]
+    unit_utility = annuity_utility(1.0, mortality, prefs)
+    outperf = _outperformance(np.append(z_all, z_inf), 1.0, unit_utility, mortality, market.r)[1]
     one, o_n, inf_outperf = outperf[0], outperf[n - 1], float(outperf[-1])
     n_at_90 = next(
         (int(k) for k, o in zip(n, o_n) if o - one >= 0.9 * (inf_outperf - one)), None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pensionlab import (
     DEFAULT_GRID,
@@ -46,3 +47,9 @@ def random_mortality(rng: np.random.Generator, grid) -> MortalityTable:
     p /= p.sum()
     return MortalityTable.from_pmf(grid, p)
 
+
+
+# exponents and discount rates of the properties that check the log-space
+# driver against the linear loops of tests/oracle_pooled.py
+EXPONENTS = st.floats(-8.0, -1e-3) | st.floats(1e-3, 0.95, exclude_max=True)
+DISCOUNTS = st.sampled_from([0.0, 0.02, 0.1])

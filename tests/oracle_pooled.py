@@ -21,7 +21,14 @@ and the annuity factor at r = 0 is sum_k S_k, so
 
     1 + o = y_0^(1/q) sum_k S_k / U(1).
 
-Both are kept here only to check ``solve`` and ``annuity_outperformance``.
+``annuity_loop`` and ``wealth_mean_loop`` are the linear loops that
+``annuity_utility`` and ``wealth_schedule`` once ran; both now go through
+the log-space driver and its log phi terms, and must match these loops to
+within rounding wherever the loops stay finite.
+
+All of these are kept here only to check ``solve``, ``annuity_utility``,
+``annuity_outperformance`` and ``wealth_schedule``; ``linear_phi`` is the
+oracles' own continuation factor, so none of them calls code under test.
 """
 
 import math
@@ -29,7 +36,18 @@ import math
 import numpy as np
 
 from pensionlab.core import DivergenceError
-from pensionlab.solver import continuation_factor
+
+
+def linear_phi(prefs, market, s, pooling, dt):
+    """The continuation factor beta^(1/rho) exp(xi dt) s^(1/alpha - C) with
+    C = ``pooling``, at the optimal proportion's growth rate xi."""
+    alpha = prefs.alpha
+    a = (market.mu - market.r) / ((1.0 - alpha) * market.sigma**2)
+    xi = a * (market.mu - market.r) + market.r - 0.5 * a * a * (1.0 - alpha) * market.sigma**2
+    phi = prefs.beta(dt) ** (1.0 / prefs.rho) * math.exp(xi * dt) * s ** (1.0 / alpha)
+    if pooling:
+        phi /= s
+    return phi
 
 
 def linear_recursion(pooling, market, prefs, mortality):
@@ -43,7 +61,7 @@ def linear_recursion(pooling, market, prefs, mortality):
     y = np.ones(grid.n_steps)
     with np.errstate(over="ignore"):
         for k in range(grid.n_steps - 2, -1, -1):
-            phi = continuation_factor(prefs, market, float(mortality.s[k]), pooling, grid.dt)
+            phi = linear_phi(prefs, market, float(mortality.s[k]), pooling, grid.dt)
             y[k] = 1.0 + phi**q * y[k + 1]
             if not math.isfinite(y[k]):
                 raise DivergenceError(f"value recursion diverged at t={grid.points[k]}")
@@ -53,6 +71,54 @@ def linear_recursion(pooling, market, prefs, mortality):
     if np.any(bad):
         raise DivergenceError(f"value recursion diverged at t={grid.points[np.argmax(bad)]}")
     return z, y, cstar
+
+
+def annuity_loop(gamma, mortality, prefs):
+    """Utility of the income ``gamma`` per date by the linear recursion
+
+        U_t = [gamma^rho + beta s_t^(rho/alpha) U_{t+dt}^rho]^(1/rho),
+
+    U = gamma at the final date.  Once U^rho overflows the loop returns 0
+    (rho < 0) or inf (rho > 0) in place of raising; callers compare only
+    where it is positive and finite.
+    """
+    beta = prefs.beta(mortality.grid.dt)
+    rho, alpha = prefs.rho, prefs.alpha
+    u = np.float64(gamma)
+    with np.errstate(over="ignore", divide="ignore"):
+        for k in range(mortality.grid.n_steps - 2, -1, -1):
+            u = (gamma**rho + beta * mortality.s[k] ** (rho / alpha) * u**rho) ** (1.0 / rho)
+    return float(u)
+
+
+def wealth_mean_loop(table, x0):
+    """Mean of log per-survivor wealth along the optimal strategy of a pooled
+    ``table``, stepped date by date:
+
+        mu_{k+1} = mu_k - C log s_k + log(1 - c*_k) + xi_drift dt,
+
+    with log(1 - c*_k) = q log phi_k + log y_{k+1} - log y_k.  NaN from the
+    first date at which phi is 0 or inf in floating point.
+    """
+    mortality, market, prefs = table.mortality, table.market, table.prefs
+    grid = mortality.grid
+    pool = table.mode.pooling
+    q = prefs.rho / (1.0 - prefs.rho)
+    a = table.astar
+    xi_drift = a * (market.mu - market.r) + market.r - 0.5 * a * a * market.sigma**2
+    mu_x = np.empty(grid.n_steps)
+    mu_x[0] = math.log(x0)
+    for k in range(grid.n_steps - 1):
+        try:
+            phi = linear_phi(prefs, market, float(mortality.s[k]), pool, grid.dt)
+        except OverflowError:
+            phi = math.inf
+        if not 0.0 < phi < math.inf:
+            mu_x[k + 1:] = np.nan
+            break
+        log_remaining = q * math.log(phi) + math.log(table.y[k + 1]) - math.log(table.y[k])
+        mu_x[k + 1] = mu_x[k] - pool * math.log(mortality.s[k]) + log_remaining + xi_drift * grid.dt
+    return mu_x
 
 
 def zero_return_outperformance(prefs, mortality):

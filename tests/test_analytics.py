@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pensionlab.analytics import (
     Direction,
@@ -10,11 +12,18 @@ from pensionlab.analytics import (
     eis,
     wealth_schedule,
 )
-from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
+from pensionlab.core import (
+    ConfigurationError,
+    DivergenceError,
+    MarketParams,
+    Preferences,
+    make_time_grid,
+)
 from pensionlab.mortality import MortalityTable
 from pensionlab.solver import CollectiveMode, growth_exponent, optimal_proportion, solve
 
-from conftest import random_mortality
+from conftest import DISCOUNTS, EXPONENTS, random_mortality
+from oracle_pooled import wealth_mean_loop
 from test_solver import random_market, random_prefs
 
 
@@ -67,6 +76,51 @@ class TestWealthSchedule:
             mu += -math.log(mt.s[k]) + math.log1p(-table.cstar[k]) + xi_drift * grid.dt
         assert sched.mu_x[-1] == pytest.approx(mu, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=EXPONENTS,
+        rho=EXPONENTS,
+        b=DISCOUNTS,
+        r=st.floats(0.0, 0.05),
+        premium=st.floats(0.0, 0.04),
+        sigma=st.floats(0.1, 0.3),
+        steps=st.integers(2, 120),
+        seed=st.integers(0, 2**32 - 1) | st.none(),
+        pooling=st.sampled_from([0, 1]),
+    )
+    def test_matches_date_by_date_loop(
+        self, mild_table, alpha, rho, b, r, premium, sigma, steps, seed, pooling
+    ):
+        # seed None takes the mild Gompertz table in place of a random one
+        if seed is None:
+            mt = mild_table[1]
+        else:
+            mt = random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps))
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        market = MarketParams(mu=r + premium, r=r, sigma=sigma)
+        mode = CollectiveMode.infinite() if pooling else CollectiveMode.individual()
+        try:
+            table = solve(mode, market, prefs, mt)
+        except DivergenceError:
+            assume(False)
+        want = wealth_mean_loop(table, 3.0)
+        assume(np.all(np.isfinite(want)))
+        got = wealth_schedule(table, 3.0).mu_x
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("alpha, rho", [(1e-3, 0.5), (-1e-3, -1.0)])
+    def test_finite_where_phi_leaves_float_range(self, mild_table, base_market, alpha, rho):
+        # phi = beta^(1/rho) exp(xi dt) s^(1/alpha) is 0 or inf in floating
+        # point at these exponents, but its logarithm is not
+        grid, mt = mild_table
+        prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
+        for mode in (CollectiveMode.individual(), CollectiveMode.infinite()):
+            table = solve(mode, base_market, prefs, mt)
+            assert np.isnan(wealth_mean_loop(table, 1.0)[-1])
+            sched = wealth_schedule(table, 1.0)
+            assert np.all(np.isfinite(sched.mu_x)) and np.all(np.isfinite(sched.mu_gamma))
+            assert np.all(np.diff(sched.mu_x) < 0.0)
+
     def test_finite_mode_rejected(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         table = solve(CollectiveMode.finite(2), base_market, vnm_prefs, mt)
@@ -85,6 +139,38 @@ class TestConsumptionDrift:
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         assert consumption_drift(prefs, market, 0.87, 1) == pytest.approx(0.0, abs=1e-15)
+
+    def test_neutral_parameters(self):
+        # mu = r = 0, beta = 1 and certain survival: phi = 1, no drift
+        prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
+        market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
+        assert consumption_drift(prefs, market, 1.0, 0) == 0.0
+        assert consumption_drift(prefs, market, 1.0, 1) == 0.0
+
+    def test_continuation_factor_value(self):
+        # drift = -C log s + q log phi with q = rho/(1-rho) = -1/2, and
+        # phi = s^(1/alpha - C) = 0.9^-2 for the collective at alpha = -1
+        prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
+        market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
+        log_phi = (consumption_drift(prefs, market, 0.9, 1) + math.log(0.9)) / -0.5
+        assert log_phi == pytest.approx(math.log(0.9**-2), rel=1e-14)
+
+    def test_pooling_shifts_drift_by_survival(self):
+        # phi_1 = phi_0 / s, so pooling adds -log(s) (1 + q) = -log(s)/(1-rho)
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            prefs = random_prefs(rng)
+            market = random_market(rng)
+            s = float(rng.uniform(0.01, 1.0))
+            shift = consumption_drift(prefs, market, s, 1) - consumption_drift(prefs, market, s, 0)
+            assert shift == pytest.approx(-math.log(s) / (1.0 - prefs.rho), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("s", [0.0, -0.1, 1.5, float("nan")])
+    def test_survival_outside_unit_interval_rejected(self, s):
+        prefs = Preferences(alpha=-1.0, rho=-1.0)
+        market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
+        with pytest.raises(ConfigurationError, match="survival probability"):
+            consumption_drift(prefs, market, s, 1)
 
     def test_satisfaction_averse_collective_increases(self):
         prefs = Preferences(alpha=-2.0, rho=-1.0, b=0.0)

@@ -507,6 +507,35 @@ class TestConfigHandling:
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 3
 
 
+class TestStudiesAtExtremePreferences:
+    """configs/studies.json with its preferences swapped for exponents at
+    which a linear-space annuity recursion leaves the floating-point range."""
+
+    def run(self, tmp_path, command, prefs):
+        cfg = json.loads((REPO / "configs" / "studies.json").read_text(encoding="utf-8"))
+        cfg["preferences"] = prefs
+        p = write_cfg(tmp_path, cfg)
+        return main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+
+    def test_overflowing_annuity_recursion_gives_finite_outperformance(self, tmp_path):
+        # U^rho overflows at rho = -7: a linear loop returned U = 0 and
+        # wrote inf for every outperformance
+        prefs = {"alpha": 0.3, "rho": -7.0, "b": 0.0}
+        assert self.run(tmp_path, "scenarios", prefs) == 0
+        assert self.run(tmp_path, "converge", prefs) == 0
+        for name, column in (("scenarios.csv", 4), ("improvements.csv", 2), ("fund_size.csv", 2)):
+            _, rows = read_csv(tmp_path / "out" / name)
+            assert rows and all(math.isfinite(float(row[column])) for row in rows), name
+
+    @pytest.mark.parametrize("command", ["scenarios", "converge"])
+    def test_zero_annuity_utility_exits_3(self, tmp_path, capsys, command):
+        # the infinite fund solves (z about 2e-314), but U(1) underflows to 0
+        prefs = {"alpha": 0.06001, "rho": -5.748, "b": 0.02}
+        assert self.run(tmp_path, command, prefs) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def _slots(node, path=()):
     """Key path of every value in a parsed JSON config, blocks and list entries included."""
     if isinstance(node, dict):

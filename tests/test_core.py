@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import pensionlab
 from pensionlab.core import (
     ConfigurationError,
     MarketParams,
@@ -62,3 +66,12 @@ class TestMarketAndPreferences:
             assert 0.0 < beta <= 1.0
         assert Preferences(alpha=-1.0, rho=-1.0, b=0.0).beta(1.0) == 1.0
 
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(pensionlab.__path__)))
+def test_every_exported_name_resolves(name):
+    # a deleted function must not leave its name behind in __all__
+    module = importlib.import_module(f"pensionlab.{name}")
+    exported = module.__all__
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []

@@ -19,8 +19,6 @@ from pensionlab.solver import (
     MAX_FINITE_N,
     CollectiveMode,
     Strategy,
-    consumption_rate,
-    continuation_factor,
     evaluate_policy,
     extract_strategy,
     growth_exponent,
@@ -112,42 +110,17 @@ class TestGrowthExponent:
             assert growth_exponent(market, -1.5, a=a) <= xi + 1e-15
 
 
-class TestContinuationFactor:
-    def test_neutral_parameters(self):
-        prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        assert continuation_factor(prefs, market, 1.0, 0, 1.0) == 1.0
-        assert continuation_factor(prefs, market, 1.0, 1, 1.0) == 1.0
-
-    def test_pooling_identity_is_exact(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            prefs = random_prefs(rng)
-            market = random_market(rng)
-            s = float(rng.uniform(0.01, 1.0))
-            phi0 = continuation_factor(prefs, market, s, 0, 1.0)
-            phi1 = continuation_factor(prefs, market, s, 1, 1.0)
-            assert phi1 == phi0 / s  # bitwise: same op as the implementation
-
-    def test_direct_value(self):
-        prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        phi = continuation_factor(prefs, market, 0.9, 1, 1.0)
-        assert phi == pytest.approx(0.9**-2, rel=1e-14)
-
-    def test_terminal_survival_rejected(self):
-        prefs = Preferences(alpha=-1.0, rho=-1.0)
-        market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        with pytest.raises(ConfigurationError):
-            continuation_factor(prefs, market, 0.0, 1, 1.0)
-
-
-class TestConsumptionRate:
-    def test_unit_value(self):
-        assert consumption_rate(1.0, -1.0) == 1.0
-
-    def test_two_period_value(self):
-        assert consumption_rate(0.25, -1.0) == pytest.approx(0.5, abs=1e-15)
+class TestSolve:
+    def test_two_period_equal_split(self):
+        grid = make_time_grid(0, 1, 2)
+        mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
+        market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
+        for alpha in (-3.0, -1.0, 0.5):
+            t = solve(CollectiveMode.individual(), market,
+                      Preferences(alpha=alpha, rho=-1.0, b=0.0), mt)
+            assert abs(t.z[0] - 0.25) <= 1e-12
+            assert abs(t.cstar[0] - 0.5) <= 1e-12
+            assert t.z[1] == 1.0 and t.cstar[1] == 1.0
 
     def test_ten_periods_of_certain_survival(self):
         grid = make_time_grid(0, 1, 10)
@@ -160,26 +133,8 @@ class TestConsumptionRate:
             MortalityTable.from_pmf(grid, p),
         )
         assert table.cstar[0] == pytest.approx(0.1, abs=1e-15)
-        assert consumption_rate(float(table.z[0]), -1.0) == pytest.approx(0.1, rel=1e-12)
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            consumption_rate(0.0, -1.0)
-        with pytest.raises(ConfigurationError):
-            consumption_rate(float("inf"), -1.0)
-
-
-class TestSolve:
-    def test_two_period_equal_split(self):
-        grid = make_time_grid(0, 1, 2)
-        mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
-        market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
-        for alpha in (-3.0, -1.0, 0.5):
-            t = solve(CollectiveMode.individual(), market,
-                      Preferences(alpha=alpha, rho=-1.0, b=0.0), mt)
-            assert abs(t.z[0] - 0.25) <= 1e-12
-            assert abs(t.cstar[0] - 0.5) <= 1e-12
-            assert t.z[1] == 1.0 and t.cstar[1] == 1.0
+        # c* = z^(rho/(rho-1)), here z^(1/2)
+        assert table.z[0] ** 0.5 == pytest.approx(0.1, rel=1e-12)
 
     def test_terminal_consumes_everything_every_mode(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table

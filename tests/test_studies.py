@@ -4,11 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pensionlab import studies
 from pensionlab.cli import parse_config
-from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
+from pensionlab.core import (
+    ConfigurationError,
+    DivergenceError,
+    MarketParams,
+    Preferences,
+    make_time_grid,
+)
 from pensionlab.mortality import MortalityTable, annuity_factor, gompertz_makeham
 from pensionlab.solver import CollectiveMode, Strategy, evaluate_policy, solve
 from pensionlab.studies import (
@@ -19,8 +26,8 @@ from pensionlab.studies import (
     run_scenarios,
 )
 
-from conftest import random_mortality
-from oracle_pooled import zero_return_outperformance
+from conftest import DISCOUNTS, EXPONENTS, random_mortality
+from oracle_pooled import annuity_loop, zero_return_outperformance
 
 
 class TestAnnuityUtility:
@@ -49,6 +56,47 @@ class TestAnnuityUtility:
         _, mt = mild_table
         with pytest.raises(ConfigurationError):
             annuity_utility(0.0, mt, Preferences(alpha=-1.0, rho=-1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=EXPONENTS,
+        rho=EXPONENTS,
+        b=DISCOUNTS,
+        gamma=st.floats(0.01, 100.0),
+        steps=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1) | st.none(),
+    )
+    def test_matches_linear_loop(self, mild_table, alpha, rho, b, gamma, steps, seed):
+        # seed None takes the mild Gompertz table in place of a random one
+        if seed is None:
+            mt = mild_table[1]
+        else:
+            mt = random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps))
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        want = annuity_loop(gamma, mt, prefs)
+        assume(0.0 < want < math.inf)
+        assert annuity_utility(gamma, mt, prefs) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    def test_log_space_survives_where_the_loop_overflows(self, studies_config):
+        # U^rho overflows in the loop, and inf^(1/rho) is exactly 0
+        prefs = Preferences(alpha=0.3, rho=-7.0, b=0.0)
+        mt = studies_config.mortality
+        assert annuity_loop(1.0, mt, prefs) == 0.0
+        u = annuity_utility(1.0, mt, prefs)
+        assert 0.0 < u < 1e-60
+        reports = run_scenarios(
+            studies_config.scenarios, studies_config.market.sigma, prefs, mt, budget=1.0
+        )
+        assert all(math.isfinite(rep.outperformance) for rep in reports)
+
+    def test_zero_utility_raises(self, studies_config):
+        # log U is about -770: U underflows although the infinite fund's
+        # z (about 2e-314) does not, so every equivalent would divide by 0
+        prefs = Preferences(alpha=0.06001, rho=-5.748, b=0.02)
+        mt = studies_config.mortality
+        assert 0.0 < solve(CollectiveMode.infinite(), studies_config.market, prefs, mt).z[0]
+        with pytest.raises(DivergenceError, match="annuity utility"):
+            annuity_utility(1.0, mt, prefs)
 
 
 class TestAnnuityOutperformance:
@@ -160,7 +208,7 @@ class TestAnnuityStrategy:
     @pytest.mark.parametrize("alpha", EXPONENTS)
     @pytest.mark.parametrize("rho", EXPONENTS)
     def test_policy_value_is_annuity_utility(self, default_table, alpha, rho):
-        # cross-checks _backward against the separate annuity loop
+        # evaluate_policy's fixed-rate rule against annuity_utility's level rule
         _, mt = default_table
         prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
         for market in (self.FLAT, MarketParams(mu=0.04, r=0.01, sigma=0.15)):
@@ -226,6 +274,19 @@ class TestScenarios:
             [("a", 0.062, 0.027, 5)], 0.15, vnm_prefs, mt, budget=2.0
         )
         assert reports[0].n == 5
+
+    def test_annuity_priced_once_per_call(self, default_table, vnm_prefs, monkeypatch):
+        grid, mt = default_table
+        calls = []
+        price = studies.annuity_utility
+        monkeypatch.setattr(
+            studies, "annuity_utility", lambda *args: calls.append(args) or price(*args)
+        )
+        run_scenarios(
+            [(str(k), 0.062, 0.027, n) for k, n in enumerate([None, 1, 3, None, 1])],
+            0.15, vnm_prefs, mt, budget=1.0,
+        )
+        assert len(calls) == 1
 
     def test_empty_rejected(self, default_table, vnm_prefs):
         grid, mt = default_table
