@@ -70,8 +70,8 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     log_y = np.log(table.y)
     # log(1 - c*_k) = log((y_k - 1)/y_k) with y_k - 1 = phi_k^q y_{k+1},
     # which stays accurate when c* is within rounding of 1
-    drift, surv = _log_phi(table.prefs, grid.dt, table.xi, s, pool)
-    log_remaining = (rho / (1.0 - rho)) * (drift + surv) + log_y[1:] - log_y[:-1]
+    log_phi = _log_phi(table.prefs, grid.dt, table.xi, s, pool)
+    log_remaining = (rho / (1.0 - rho)) * log_phi + log_y[1:] - log_y[:-1]
     xi_drift = growth_exponent(table.market, 0.0, table.astar)
     steps = -pool * np.log(s) + log_remaining + xi_drift * grid.dt
     # np.cumsum adds one date at a time, in the order of the recursion
@@ -102,10 +102,10 @@ def consumption_drift(
     if not 0.0 < s <= 1.0:
         raise ConfigurationError(f"survival probability must be in (0, 1], got {s}")
     rho = prefs.rho
-    drift, surv = _log_phi(prefs, dt, growth_exponent(market, prefs.alpha), s, collective)
+    log_phi = _log_phi(prefs, dt, growth_exponent(market, prefs.alpha), s, collective)
     return float(
         -collective * math.log(s)
-        + (rho / (1.0 - rho)) * (drift + surv)
+        + (rho / (1.0 - rho)) * log_phi
         + growth_exponent(market, 0.0, optimal_proportion(market, prefs.alpha)) * dt
     )
 

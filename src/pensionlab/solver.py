@@ -16,12 +16,11 @@ A finite collective of n members is solved on the triangular table z_{i,t}
 binomial survivor transition, weighted by the wealth concentration
 (i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.
 
-``solve`` in every mode, ``evaluate_policy`` and ``studies.annuity_utility``
-share one log-space driver, ``_backward``: a pooled fund is the same step as
-a finite one with the mixture replaced by (1/alpha - C) log s_t.  Its two
-terms of log phi_t come from ``_log_phi``, which ``analytics`` uses too.
-The linear recursion above is the math of the pooled case, and the tests
-run it as an independent oracle; it is not a second code path.
+The pooled recursions are linear, x_k = a_k + b_k x_{k+1} with x = a at the
+last date: y above (a = 1, b = phi^q), the annuity's U^rho and a fixed
+policy's v^rho.  ``_pooled`` sums them in closed form in log space, with no
+loop over dates; ``_backward`` runs only the finite step.  log phi comes from
+``_log_phi``, shared with ``analytics``; the tests loop over y as an oracle.
 
 The terminal step is c* = 1, z = 1 for every survivor count: with death
 certain by T, consuming everything at the last date is forced, which is the
@@ -137,19 +136,26 @@ def growth_exponent(market: MarketParams, alpha: float, a: float | None = None) 
 
 
 def _log_phi(prefs: Preferences, dt: float, kappa, s, pooling: int):
-    """The two terms of log phi, phi = beta^(1/rho) exp(kappa dt) s^(1/alpha - C)
-    being the factor on next-period value per unit wealth, C = ``pooling``:
-
-        (log(beta)/rho + kappa dt,  (1/alpha - C) log s),
-
-    elementwise in ``kappa`` and ``s``.  ``_backward`` adds them as
-    drift + (surv + log v): summing the two first rounds differently and
-    moves the last printed digit of some CLI values.
+    """log phi = log(beta)/rho + kappa dt + (1/alpha - C) log s, phi being the
+    factor on next-period value per unit wealth, C = ``pooling``; elementwise
+    in ``kappa`` and ``s``.  At s = 1, C = 0 it is the finite fund's drift.
     """
-    return (
-        math.log(prefs.beta(dt)) / prefs.rho + kappa * dt,
-        (1.0 / prefs.alpha - pooling) * np.log(s),
-    )
+    drift = math.log(prefs.beta(dt)) / prefs.rho + kappa * dt
+    return drift + (1.0 / prefs.alpha - pooling) * np.log(s)
+
+
+def _pooled(log_a, log_b):
+    """log x for x_k = a_k + b_k x_{k+1}, x = a at the last date:
+
+        x_k = a_k + exp(-B_k) sum_{j>k} a_j exp(B_j),    B_j = sum_{i<j} log b_i,
+
+    one cumulative sum and one reversed log-sum-exp scan.  a_k is added
+    last, exactly: folding it into the scan would leave an absolute error
+    of eps |B_k| in log x_k.  log b must be finite; log a may be +-inf.
+    """
+    big_b = np.concatenate(([0.0], np.cumsum(log_b)))
+    tail = np.logaddexp.accumulate((log_a + big_b)[::-1])[::-1]
+    return np.append(np.logaddexp(log_a[:-1], tail[1:] - big_b[:-1]), log_a[-1])
 
 
 @dataclass(frozen=True)
@@ -182,40 +188,29 @@ class ValueTable:
         return float(self.z[-1, 0] if self.mode.is_finite else self.z[0])
 
 
-def _diverged(mode, grid, k, row=0):
+def _diverged(mode, grid, k, row):
     count = f"for survivor count {row + 1} " if mode.is_finite else ""
     return DivergenceError(f"value recursion diverged {count}at t={grid.points[k]}")
 
 
 def _backward(mode, prefs, mortality, kappa, last, rule):
-    """Log values log v on the grid, backward from their last-date values
-    ``last`` (one per survivor count for a finite fund).  Step k forms
-
-        finite:  log theta_k = drift_k + log lam_k / alpha,
-        pooled:  log theta_k = drift_k + (surv_k + log v_{k+1}),
-
-    drift_k and surv_k being the terms of log phi_k (``_log_phi``) and lam_k
-    the survivor mixture of v_{k+1}, and log v_k = rule(k, log theta_k).
-    NaN and +inf are divergence; -inf is v = 0, which a policy consuming
-    nothing at some date earns when rho < 0.
+    """Log values log v of a finite fund, one row per survivor count,
+    backward from their last-date values ``last``: log v_k = rule(k, log
+    theta_k), log theta_k = drift_k + log lam_k / alpha, with drift_k = log
+    phi_k at s = 1 and lam_k the survivor mixture of v_{k+1}.  NaN and +inf
+    are divergence; -inf is v = 0, which a policy consuming nothing at some
+    date earns when rho < 0.
     """
     grid = mortality.grid
-    alpha = prefs.alpha
-    logv = np.empty(np.shape(last) + (grid.n_steps,))
-    logv[..., -1] = last
-    # a finite fund's step uses only the drift
-    pooling = 0 if mode.is_finite else mode.pooling
-    drift, surv = _log_phi(prefs, grid.dt, kappa[:-1], mortality.s[:-1], pooling)
-    lgam = lgamma_table(mode.n) if mode.is_finite else None
+    logv = np.empty((mode.n, grid.n_steps))
+    logv[:, -1] = last
+    drift = np.broadcast_to(_log_phi(prefs, grid.dt, kappa, 1.0, 0), grid.n_steps)
+    lgam = lgamma_table(mode.n)
     with np.errstate(over="ignore"):  # overflow is caught below as NaN or +inf
         for k in range(grid.n_steps - 2, -1, -1):
-            if mode.is_finite:
-                lam = log_survivor_mixture(logv[:, k + 1], float(mortality.s[k]), lgam, alpha)
-                cont = lam / alpha
-            else:
-                cont = surv[k] + logv[k + 1]
-            logv[..., k] = rule(k, drift[k] + cont)
-            ok = logv[..., k] < np.inf  # False for NaN and +inf
+            lam = log_survivor_mixture(logv[:, k + 1], float(mortality.s[k]), lgam, prefs.alpha)
+            logv[:, k] = rule(k, drift[k] + lam / prefs.alpha)
+            ok = logv[:, k] < np.inf  # False for NaN and +inf
             if not ok.all():
                 raise _diverged(mode, grid, k, int(np.argmin(ok)))
     return logv
@@ -239,16 +234,20 @@ def solve(
         y = 1.0 + np.exp(q * logtheta)
         return (1.0 / q) * np.log(np.where(y == np.inf, np.nan, y))
 
-    kappa = np.full(grid.n_steps, xi)
-    last = np.zeros(mode.n) if mode.is_finite else 0.0
-    logz = _backward(mode, prefs, mortality, kappa, last, optimal)
+    if mode.is_finite:
+        logz = _backward(mode, prefs, mortality, xi, np.zeros(mode.n), optimal)
+    else:
+        log_b = q * _log_phi(prefs, grid.dt, xi, mortality.s[:-1], mode.pooling)
+        logz = (1.0 / q) * _pooled(np.zeros(grid.n_steps), log_b)
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
         z = np.exp(logz)
         y = np.exp(q * logz)
     cstar = 1.0 / y
-    bad = ~(np.isfinite(z) & (z > 0.0) & np.isfinite(y) & (cstar > 0.0) & (cstar <= 1.0))
+    # NaN fails every test; a subnormal z has lost significant bits
+    bad = ~((z >= np.finfo(float).tiny) & (z < np.inf) & (y < np.inf) & (cstar <= 1.0))
     if np.any(bad):
-        where = np.argwhere(bad)[0]
+        # the last overflow of y, where a backward loop stops; else the first bad k
+        where = np.concatenate((np.argwhere(y == np.inf)[-1:], np.argwhere(bad)))[0]
         raise _diverged(mode, grid, where[-1], where[0])
     for arr in (z, y, cstar):
         arr.flags.writeable = False
@@ -315,10 +314,16 @@ def evaluate_policy(
     with np.errstate(divide="ignore"):
         logc = np.log(c)
         log1c = np.log1p(-c)
-
-    def fixed(k, logtheta):
-        return (1.0 / rho) * np.logaddexp(rho * logc[..., k], rho * (logtheta + log1c[..., k]))
-
     kappa = growth_exponent(market, prefs.alpha, a=a)
-    logv = _backward(mode, prefs, mortality, kappa, logc[..., -1], fixed)
-    return float(np.exp(logv[-1, 0] if mode.is_finite else logv[0]))
+    if mode.is_finite:
+        def fixed(k, logtheta):
+            return (1.0 / rho) * np.logaddexp(rho * logc[:, k], rho * (logtheta + log1c[:, k]))
+
+        return float(np.exp(_backward(mode, prefs, mortality, kappa, logc[:, -1], fixed)[-1, 0]))
+    # in x = v^rho, a = c^rho and b = (phi (1 - c))^rho.  Consuming everything
+    # at date m makes b_m 0 or inf: x_m = a_m + b_m x_{m+1} ends the recursion
+    log_phi = _log_phi(prefs, mortality.grid.dt, kappa[:-1], mortality.s[:-1], mode.pooling)
+    log_b = np.append(rho * (log_phi + log1c[:-1]), -np.inf)  # nothing follows the last date
+    m = int(np.argmax(np.isinf(log_b)))
+    log_a = np.append(rho * logc[:m], np.logaddexp(rho * logc[m], log_b[m]))
+    return float(np.exp(_pooled(log_a, log_b[:m])[0] / rho))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, Preferences
 from .mortality import MortalityTable, annuity_factor
-from .solver import CollectiveMode, ValueTable, _backward, solve
+from .solver import CollectiveMode, ValueTable, _pooled, solve
 
 __all__ = [
     "ScenarioReport",
@@ -41,10 +41,9 @@ def annuity_utility(gamma: float, mortality: MortalityTable, prefs: Preferences)
         U_t = [gamma^rho + beta s_t^(rho/alpha) U_{t+dt}^rho]^(1/rho)
 
     with U = gamma at the final date.  Positively homogeneous in gamma, so
-    U = gamma U(1), and log U(1) runs backward through the solver's log-space
-    driver as an individual fund with no growth (kappa = 0):
-
-        log U_t = log(1 + theta_t^rho) / rho,    log theta_t = log phi_t + log U_{t+dt}.
+    U = gamma U(1), and U(1)^rho = x_0 of the linear recursion
+    x_t = 1 + beta s_t^(rho/alpha) x_{t+dt}, x = 1 at the final date, which
+    the solver sums in closed form in log space.
 
     Raises DivergenceError when U is not a positive finite float, e.g. when
     it underflows to 0 for a strongly negative rho, since every annuity
@@ -52,18 +51,14 @@ def annuity_utility(gamma: float, mortality: MortalityTable, prefs: Preferences)
     """
     if not gamma > 0.0:
         raise ConfigurationError(f"annuity income must be positive, got {gamma}")
-    rho = prefs.rho
-
-    def level(k, logtheta):
-        return np.logaddexp(0.0, rho * logtheta) / rho
-
-    kappa = np.zeros(mortality.grid.n_steps)
-    logu = _backward(CollectiveMode.individual(), prefs, mortality, kappa, 0.0, level)
+    grid = mortality.grid
+    log_b = math.log(prefs.beta(grid.dt)) + (prefs.rho / prefs.alpha) * np.log(mortality.s[:-1])
+    logu = _pooled(np.zeros(grid.n_steps), log_b)[0] / prefs.rho
     with np.errstate(over="ignore"):
-        u = float(gamma * np.exp(logu[0]))
+        u = float(gamma * np.exp(logu))
     if not (u > 0.0 and math.isfinite(u)):
         raise DivergenceError(
-            f"annuity utility {u} is out of floating-point range (log U = {float(logu[0]):.6g})"
+            f"annuity utility {u} is out of floating-point range (log U = {float(logu):.6g})"
         )
     return u
 

@@ -50,6 +50,6 @@ def random_mortality(rng: np.random.Generator, grid) -> MortalityTable:
 
 
 # exponents and discount rates of the properties that check the log-space
-# driver against the linear loops of tests/oracle_pooled.py
+# pooled recursions against the linear loops of tests/oracle_pooled.py
 EXPONENTS = st.floats(-8.0, -1e-3) | st.floats(1e-3, 0.95, exclude_max=True)
 DISCOUNTS = st.sampled_from([0.0, 0.02, 0.1])

@@ -6,9 +6,11 @@ y = z^(rho/(1-rho)),
 
     y_t = 1 + phi_t^(rho/(1-rho)) y_{t+dt},     y at the last date = 1,
 
-as a plain loop.  Pooled ``solve`` once ran exactly this loop; it now runs
-the log-space driver that every mode shares, and must match it to within
-rounding and diverge where it diverges.
+as a plain loop.  Pooled ``solve`` once ran exactly this loop; it now sums
+the recursion in closed form in log space, and must match the loop to
+within rounding and diverge where it diverges.  ``decimal_start_value``
+runs the same loop in 40-digit decimal arithmetic, a reference for the
+last bits of z_0.
 
 ``zero_return_outperformance`` is the infinite fund's annuity
 outperformance in closed form when mu = r = 0.  Then xi = 0, and with
@@ -22,9 +24,9 @@ and the annuity factor at r = 0 is sum_k S_k, so
     1 + o = y_0^(1/q) sum_k S_k / U(1).
 
 ``annuity_loop`` and ``wealth_mean_loop`` are the linear loops that
-``annuity_utility`` and ``wealth_schedule`` once ran; both now go through
-the log-space driver and its log phi terms, and must match these loops to
-within rounding wherever the loops stay finite.
+``annuity_utility`` and ``wealth_schedule`` once ran; the first is now
+summed in closed form and the second uses the solver's log phi, and both
+must match these loops to within rounding wherever the loops stay finite.
 
 All of these are kept here only to check ``solve``, ``annuity_utility``,
 ``annuity_outperformance`` and ``wealth_schedule``; ``linear_phi`` is the
@@ -32,6 +34,7 @@ oracles' own continuation factor, so none of them calls code under test.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -54,7 +57,8 @@ def linear_recursion(pooling, market, prefs, mortality):
     """(z, y, c*) of the individual (``pooling`` 0) or infinite (1) fund.
 
     Raises DivergenceError naming the first date, going backward, at which y
-    overflows, or else the first date at which z or c* is out of range.
+    overflows, or else the first date at which z or c* is out of range; a
+    subnormal z is out of range.
     """
     grid = mortality.grid
     q = prefs.rho / (1.0 - prefs.rho)
@@ -67,10 +71,30 @@ def linear_recursion(pooling, market, prefs, mortality):
                 raise DivergenceError(f"value recursion diverged at t={grid.points[k]}")
         z = y ** (1.0 / q)
     cstar = 1.0 / y
-    bad = ~(np.isfinite(z) & (z > 0.0) & (cstar > 0.0) & (cstar <= 1.0))
+    bad = ~(np.isfinite(z) & (z >= np.finfo(float).tiny) & (cstar > 0.0) & (cstar <= 1.0))
     if np.any(bad):
         raise DivergenceError(f"value recursion diverged at t={grid.points[np.argmax(bad)]}")
     return z, y, cstar
+
+
+def decimal_start_value(pooling, market, prefs, mortality):
+    """z_0 of ``linear_recursion`` in 40-digit decimal arithmetic, from the
+    float parameters and survival probabilities taken as exact."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        mu, r, sigma, alpha, rho = (
+            Decimal(x) for x in (market.mu, market.r, market.sigma, prefs.alpha, prefs.rho)
+        )
+        dt = Decimal(mortality.grid.dt)
+        a = (mu - r) / ((1 - alpha) * sigma**2)
+        xi = a * (mu - r) + r - a * a * (1 - alpha) * sigma**2 / 2
+        q = rho / (1 - rho)
+        y = Decimal(1)
+        for k in range(mortality.grid.n_steps - 2, -1, -1):
+            log_s = Decimal(float(mortality.s[k])).ln()
+            log_phi = -Decimal(prefs.b) * dt / rho + xi * dt + (1 / alpha - pooling) * log_s
+            y = 1 + (q * log_phi).exp() * y
+        return (y.ln() / q).exp()
 
 
 def annuity_loop(gamma, mortality, prefs):

@@ -241,8 +241,8 @@ class TestSimulateCommand:
     def test_bundled_config_matches_golden_csvs(self, tmp_path, capsys, command, config, goldens):
         # written by the per-cell formatter that built each row as a list of
         # strings; the column writer must reproduce every byte.  The
-        # *_logspace goldens pin the pooled solve of the shared log-space driver;
-        # fund_size_studies.csv was written by the merged fund-size study.
+        # *_logspace goldens and fund_size_studies.csv pin the pooled solve's
+        # closed-form sum in log space.
         p = REPO / "configs" / config
         assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 0
         for name, golden in goldens.items():
@@ -256,8 +256,8 @@ class TestSimulateCommand:
     def test_studies_match_linear_recursion_goldens(self, tmp_path, capsys):
         # scenarios_studies.csv, improvements_studies.csv,
         # convergence_studies_exact.csv and converge_fit_studies.txt were
-        # written when pooled solve ran the linear recursion in y; the shared
-        # log-space driver rounds differently, by at most 2.1e-11 relative on
+        # written when pooled solve ran the linear recursion in y; its
+        # log-space form rounds differently, by at most 2.1e-11 relative on
         # a gap z_inf - z_n and 3.8e-12 on any other number.  Scenario 4's
         # outperformance is a rounding of 0 and is held to 1e-15 absolute.
         config = REPO / "configs" / "studies.json"
@@ -292,6 +292,23 @@ class TestSimulateCommand:
         for new, old, tol in zip(re.findall(number, fit[0]), re.findall(number, gold_fit[0]),
                                  (1e-11, 1e-10, 1e-11)):
             assert close(new, old, tol), (new, old)
+
+    def test_fund_size_matches_stepwise_golden(self, tmp_path):
+        # fund_size_studies_stepwise.csv was written when pooled solve stepped
+        # through the dates one by one in log space; the closed-form sum moves
+        # the last digits of rel_gap and local_exponent only
+        config = REPO / "configs" / "studies.json"
+        assert main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "fund_size.csv")
+        gold_header, gold = read_csv(
+            Path(__file__).parent / "data" / "fund_size_studies_stepwise.csv"
+        )
+        assert header == gold_header and len(rows) == len(gold)
+        for row, ref in zip(rows, gold):
+            assert row[0] == ref[0]
+            for new, old in zip(row[1:], ref[1:]):
+                same = new == old  # also the first row's nan exponent
+                assert same or math.isclose(float(new), float(old), rel_tol=1e-10), (row, ref)
 
     def test_simulation_block_required(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)

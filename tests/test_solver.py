@@ -327,18 +327,27 @@ class TestEvaluatePolicy:
 
     def test_zero_consumption_at_a_date(self):
         # a policy that consumes nothing at t=1 has v = 0 there when rho < 0,
-        # and v = 0 propagates back to t0 as log v = -inf, not as divergence
+        # and v = 0 propagates back to t0 as log v = -inf, not as divergence.
+        # Consuming everything at t=1 or t=0 leaves nothing for later dates:
+        # in v^rho its continuation factor is 0 (rho > 0) or inf (rho < 0)
         grid = make_time_grid(0, 1, 6)
         mt = MortalityTable.from_pmf(grid, [0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
         market = MarketParams(mu=0.06, r=0.03, sigma=0.15)
         modes = (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(3))
-        expected = {-1.0: (0.0, 0.0, 0.0),
-                    0.5: (10.300855153090351, 23.064952046523132, 15.62701358472201)}
-        for rho, values in expected.items():
+        # (rho, consumption rate, date): value per mode
+        expected = {
+            (-1.0, 0.0, 1): (0.0, 0.0, 0.0),
+            (0.5, 0.0, 1): (10.300855153090351, 23.064952046523132, 15.62701358472201),
+            (-1.0, 1.0, 1): (0.0, 0.0, 0.0),
+            (0.5, 1.0, 1): (1.6794217828508042, 1.574251215171747, 1.6297048305135011),
+            (-1.0, 1.0, 0): (0.0, 0.0, 0.0),
+            (0.5, 1.0, 0): (1.0, 1.0, 1.0),
+        }
+        for (rho, rate, k), values in expected.items():
             prefs = Preferences(alpha=-1.0, rho=rho)
             for mode, value in zip(modes, values):
                 strat = extract_strategy(solve(mode, market, prefs, mt))
-                strat.c[..., 1] = 0.0
+                strat.c[..., k] = rate
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     v = evaluate_policy(strat, mode, market, prefs, mt)

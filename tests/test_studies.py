@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from pensionlab.studies import (
 )
 
 from conftest import DISCOUNTS, EXPONENTS, random_mortality
-from oracle_pooled import annuity_loop, zero_return_outperformance
+from oracle_pooled import annuity_loop, decimal_start_value, zero_return_outperformance
 
 
 class TestAnnuityUtility:
@@ -90,11 +91,13 @@ class TestAnnuityUtility:
         assert all(math.isfinite(rep.outperformance) for rep in reports)
 
     def test_zero_utility_raises(self, studies_config):
-        # log U is about -770: U underflows although the infinite fund's
-        # z (about 2e-314) does not, so every equivalent would divide by 0
+        # log U is about -770: U underflows, so every equivalent would divide
+        # by 0; the infinite fund's z (about 2e-314) is subnormal, too few
+        # significant bits to print, and diverges as well
         prefs = Preferences(alpha=0.06001, rho=-5.748, b=0.02)
         mt = studies_config.mortality
-        assert 0.0 < solve(CollectiveMode.infinite(), studies_config.market, prefs, mt).z[0]
+        with pytest.raises(DivergenceError, match="diverged at t="):
+            solve(CollectiveMode.infinite(), studies_config.market, prefs, mt)
         with pytest.raises(DivergenceError, match="annuity utility"):
             annuity_utility(1.0, mt, prefs)
 
@@ -393,6 +396,18 @@ class TestConvergenceStudy:
             convergence_study([2, 4, 8], base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="increasing"):
             convergence_study([8, 4, 2, 64], base_market, vnm_prefs, mt)
+
+
+class TestPooledPrecision:
+    def test_start_value_matches_40_digit_reference(self, studies_config):
+        # a few ulps of z_0: the closed-form sum is within 9.1e-16 here
+        cfg = studies_config
+        for _, mu, r, _ in cfg.scenarios:
+            market = MarketParams(mu=float(mu), r=float(r), sigma=cfg.market.sigma)
+            for pooling, mode in ((0, CollectiveMode.individual()), (1, CollectiveMode.infinite())):
+                z0 = solve(mode, market, cfg.prefs, cfg.mortality).z[0]
+                want = decimal_start_value(pooling, market, cfg.prefs, cfg.mortality)
+                assert abs(Decimal(z0) / want - 1) <= Decimal("2e-15"), (mu, r, mode)
 
 
 @pytest.fixture(scope="module")
