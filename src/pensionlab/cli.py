@@ -22,10 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+# OpenBLAS reads this once, when numpy first loads it, and otherwise starts a
+# worker thread per core.  pensionlab's only BLAS calls are one dot product
+# over the time grid and one short polyfit, so in a CLI run the pool costs
+# start-up CPU and buys nothing.  An explicit value in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -356,6 +363,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigurationError(f"config file not found: {cfg_path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+            raise ConfigurationError(f"cannot read config {cfg_path}: {exc}") from None
         cfg = parse_config(raw, cfg_path.resolve().parent)
         if args.print_config:
             print(json.dumps(cfg.raw, indent=2, sort_keys=True))
@@ -364,7 +373,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if field is not None and getattr(cfg, field) in (None, []):
             raise ConfigurationError(f"the {args.command} command needs {what}")
         out = Path(args.out if args.out is not None else (cfg.output or "."))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
         _COMMANDS[args.command](cfg, out)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -53,3 +58,17 @@ def random_mortality(rng: np.random.Generator, grid) -> MortalityTable:
 # pooled recursions against the linear loops of tests/oracle_pooled.py
 EXPONENTS = st.floats(-8.0, -1e-3) | st.floats(1e-3, 0.95, exclude_max=True)
 DISCOUNTS = st.sampled_from([0.0, 0.02, 0.1])
+
+
+def run_child_python(code: str, **env: str) -> str:
+    """stdout of ``python -c code`` with this checkout's pensionlab on its
+    path.  The child gets no ``*_NUM_THREADS`` variable but those in `env`:
+    importing pensionlab.cli in this process sets one here."""
+    child = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child.update(env)
+    done = subprocess.run([sys.executable, "-c", code], env=child, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import time
 import tracemalloc
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from pensionlab import montecarlo
 from pensionlab.cli import main, parse_config
 from pensionlab.solver import solve
+
+from conftest import run_child_python
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -501,11 +504,28 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(f"error: the {command} command needs ")
         assert not out.exists()
 
-    def test_missing_file_and_bad_json(self, tmp_path):
-        assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
+    def test_missing_file_and_bad_json(self, tmp_path, capsys):
+        good = write_cfg(tmp_path, TRIVIAL)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
-        assert main(["solve", "--config", str(bad)]) == 2
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"mode": "individu\xe9"}')
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("", encoding="utf-8")
+        for args in (
+            ["--config", str(tmp_path / "nope.json")],
+            ["--config", str(bad)],
+            ["--config", str(latin1)],
+            ["--config", str(deep)],
+            ["--config", str(tmp_path)],
+            ["--config", str(good), "--out", str(a_file)],
+            ["--config", str(good), "--out", str(a_file / "below")],
+        ):
+            assert main(["solve"] + args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, err
 
     def test_bad_mode_string(self, tmp_path):
         p = write_cfg(tmp_path, dict(TRIVIAL, mode="finite:zero"))
@@ -522,6 +542,17 @@ class TestConfigHandling:
         }
         p = write_cfg(tmp_path, cfg)
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="counts threads in /proc/self/task; needs two CPUs")
+@pytest.mark.parametrize("env, tasks", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                         ids=["unset", "explicit-2"])
+def test_cli_starts_no_blas_worker_unless_asked(env, tasks):
+    # OpenBLAS starts a worker per core when numpy loads; the CLI asks for
+    # none, and an explicit setting still wins
+    code = "import os, pensionlab.cli; print(len(os.listdir('/proc/self/task')))"
+    assert int(run_child_python(code, **env)) == tasks
 
 
 class TestStudiesAtExtremePreferences:

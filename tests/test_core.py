@@ -13,6 +13,8 @@ from pensionlab.core import (
     make_time_grid,
 )
 
+from conftest import run_child_python
+
 
 class TestTimeGrid:
     def test_two_point_grid(self):
@@ -68,10 +70,24 @@ class TestMarketAndPreferences:
 
 
 
-@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(pensionlab.__path__)))
+@pytest.mark.parametrize(
+    "name",
+    sorted(m.name for m in pkgutil.iter_modules(pensionlab.__path__))
+    + [pytest.param("", id="pensionlab")],
+)
 def test_every_exported_name_resolves(name):
     # a deleted function must not leave its name behind in __all__
-    module = importlib.import_module(f"pensionlab.{name}")
+    module = importlib.import_module(f"pensionlab.{name}" if name else "pensionlab")
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_import_loads_no_numpy_and_keeps_the_environment():
+    # numpy reads its BLAS thread settings once, when it loads, so a program
+    # that imports pensionlab first must still get to choose them
+    out = run_child_python(
+        "import os, sys, pensionlab; "
+        "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)"
+    )
+    assert out.split() == ["False", "False"]
