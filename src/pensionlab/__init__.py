@@ -19,8 +19,6 @@ _EXPORTS = {
         "make_time_grid",
     ),
     "mortality": (
-        "DEFAULT_GRID",
-        "GOMPERTZ_DEFAULT",
         "IngestionError",
         "MortalityTable",
         "annuity_factor",

@@ -289,7 +289,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
-    reports = run_scenarios(cfg.scenarios, cfg.market.sigma, cfg.prefs, cfg.mortality, cfg.budget)
+    reports = run_scenarios(cfg.scenarios, cfg.market.sigma, cfg.prefs, cfg.mortality)
     _write_csv(
         out / "scenarios.csv", ["scenario", "mu", "r", "n", "outperformance"],
         [[rep.scenario for rep in reports], [rep.mu for rep in reports],

@@ -30,25 +30,11 @@ __all__ = [
     "load_mortality_csv",
     "gompertz_makeham",
     "annuity_factor",
-    "GOMPERTZ_DEFAULT",
-    "DEFAULT_GRID",
 ]
 
 
 class IngestionError(ConfigurationError):
     """Malformed or insufficient mortality input data."""
-
-
-# Synthetic stand-in table for a woman retiring at 65: median death age 87,
-# life expectancy ~21 years, death certain by 95.  Death ages are kept tightly
-# concentrated so the bundled scenario study sits in the regime where equity
-# investment outweighs mortality pooling.
-GOMPERTZ_DEFAULT = {
-    "a": 0.0,
-    "b": 0.6 * math.log(2.0) * math.exp(-0.6 * 87.0),
-    "c": 0.6,
-}
-DEFAULT_GRID = (65.0, 1.0, 95.0)
 
 
 @dataclass(frozen=True)

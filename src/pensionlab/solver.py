@@ -308,6 +308,11 @@ def evaluate_policy(
     and the growth exponent kappa(a) of the given proportion in place of
     the optimum; the supremum is removed, so comparing against ``solve``
     checks optimality.
+
+    Raises DivergenceError when the value is not a normal positive float,
+    as ``solve`` does, except that 0 passes: a policy consuming nothing at
+    some date earns it when rho < 0, and so does a value that underflows
+    to exactly 0.
     """
     a, c = _strategy_arrays(strategy, mode, mortality.grid.n_steps)
     rho = prefs.rho
@@ -319,11 +324,17 @@ def evaluate_policy(
         def fixed(k, logtheta):
             return (1.0 / rho) * np.logaddexp(rho * logc[:, k], rho * (logtheta + log1c[:, k]))
 
-        return float(np.exp(_backward(mode, prefs, mortality, kappa, logc[:, -1], fixed)[-1, 0]))
-    # in x = v^rho, a = c^rho and b = (phi (1 - c))^rho.  Consuming everything
-    # at date m makes b_m 0 or inf: x_m = a_m + b_m x_{m+1} ends the recursion
-    log_phi = _log_phi(prefs, mortality.grid.dt, kappa[:-1], mortality.s[:-1], mode.pooling)
-    log_b = np.append(rho * (log_phi + log1c[:-1]), -np.inf)  # nothing follows the last date
-    m = int(np.argmax(np.isinf(log_b)))
-    log_a = np.append(rho * logc[:m], np.logaddexp(rho * logc[m], log_b[m]))
-    return float(np.exp(_pooled(log_a, log_b[:m])[0] / rho))
+        logv = _backward(mode, prefs, mortality, kappa, logc[:, -1], fixed)[-1, 0]
+    else:
+        # in x = v^rho, a = c^rho and b = (phi (1 - c))^rho.  Consuming everything
+        # at date m makes b_m 0 or inf: x_m = a_m + b_m x_{m+1} ends the recursion
+        log_phi = _log_phi(prefs, mortality.grid.dt, kappa[:-1], mortality.s[:-1], mode.pooling)
+        log_b = np.append(rho * (log_phi + log1c[:-1]), -np.inf)  # nothing follows the last date
+        m = int(np.argmax(np.isinf(log_b)))
+        log_a = np.append(rho * logc[:m], np.logaddexp(rho * logc[m], log_b[m]))
+        logv = _pooled(log_a, log_b[:m])[0] / rho
+    with np.errstate(over="ignore"):
+        v = float(np.exp(logv))
+    if not (v == 0.0 or np.finfo(float).tiny <= v < math.inf):
+        raise DivergenceError(f"policy value {v} is not a normal float (log v = {logv:.6g})")
+    return v

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import strategies as st
 
 from pensionlab import (
-    DEFAULT_GRID,
-    GOMPERTZ_DEFAULT,
     MarketParams,
     MortalityTable,
     Preferences,
     gompertz_makeham,
     make_time_grid,
 )
+
+
+# the "gompertz" block of configs/*.json: median death age 87, death certain by 95
+BUNDLED_GOMPERTZ = {"a": 0.0, "b": 8.888014533421656e-24, "c": 0.6}
 
 
 @pytest.fixture(scope="session")
@@ -30,12 +32,9 @@ def vnm_prefs():
 
 @pytest.fixture(scope="session")
 def default_table():
-    """The shipped synthetic table on its 65..95 annual grid."""
-    grid = make_time_grid(*DEFAULT_GRID)
-    table = gompertz_makeham(
-        GOMPERTZ_DEFAULT["a"], GOMPERTZ_DEFAULT["b"], GOMPERTZ_DEFAULT["c"], grid
-    )
-    return grid, table
+    """The bundled configs' synthetic table on its 65..95 annual grid."""
+    grid = make_time_grid(65.0, 1.0, 95.0)
+    return grid, gompertz_makeham(**BUNDLED_GOMPERTZ, grid=grid)
 
 @pytest.fixture(scope="session")
 def mild_table():

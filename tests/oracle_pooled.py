@@ -97,21 +97,21 @@ def decimal_start_value(pooling, market, prefs, mortality):
         return (y.ln() / q).exp()
 
 
-def annuity_loop(gamma, mortality, prefs):
-    """Utility of the income ``gamma`` per date by the linear recursion
+def annuity_loop(mortality, prefs):
+    """Utility of a unit income per date by the linear recursion
 
-        U_t = [gamma^rho + beta s_t^(rho/alpha) U_{t+dt}^rho]^(1/rho),
+        U_t = [1 + beta s_t^(rho/alpha) U_{t+dt}^rho]^(1/rho),
 
-    U = gamma at the final date.  Once U^rho overflows the loop returns 0
+    U = 1 at the final date.  Once U^rho overflows the loop returns 0
     (rho < 0) or inf (rho > 0) in place of raising; callers compare only
     where it is positive and finite.
     """
     beta = prefs.beta(mortality.grid.dt)
     rho, alpha = prefs.rho, prefs.alpha
-    u = np.float64(gamma)
+    u = np.float64(1.0)
     with np.errstate(over="ignore", divide="ignore"):
         for k in range(mortality.grid.n_steps - 2, -1, -1):
-            u = (gamma**rho + beta * mortality.s[k] ** (rho / alpha) * u**rho) ** (1.0 / rho)
+            u = (1.0 + beta * mortality.s[k] ** (rho / alpha) * u**rho) ** (1.0 / rho)
     return float(u)
 
 

@@ -229,7 +229,7 @@ def test_criterion_08_scenario4_zero(default_table):
     market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
     prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
     table = solve(CollectiveMode.infinite(), market, prefs, mt)
-    out = annuity_outperformance(table, 1.0)
+    out = annuity_outperformance(table)
     ok = abs(out) <= 1e-10
     report(8, ok, f"flat-market vNM infinite collective outperformance {out:.2e}")
 
@@ -245,7 +245,7 @@ def test_criterion_09_scenario_ordering(default_table, vnm_prefs):
     ]:
         market = MarketParams(mu=mu, r=r, sigma=0.15)
         table = solve(mode, market, vnm_prefs, mt)
-        outs[name] = annuity_outperformance(table, 1.0)
+        outs[name] = annuity_outperformance(table)
     order_ok = outs["S1"] > outs["S2"] > outs["S3"] > 0.0 and abs(outs["S4"]) <= 1e-10
     imp12 = improvement(0.591, 0.205)
     imp13 = improvement(0.591, 0.013)

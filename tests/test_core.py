@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,3 +93,14 @@ def test_import_loads_no_numpy_and_keeps_the_environment():
         "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)"
     )
     assert out.split() == ["False", "False"]
+
+
+def test_readme_python_examples_run():
+    # every fenced python block of README.md, in order and in one namespace,
+    # so that an API change cannot leave the documented calls behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

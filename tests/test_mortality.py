@@ -6,8 +6,6 @@ import pytest
 
 from pensionlab.core import ConfigurationError, make_time_grid
 from pensionlab.mortality import (
-    DEFAULT_GRID,
-    GOMPERTZ_DEFAULT,
     IngestionError,
     MortalityTable,
     annuity_factor,
@@ -15,7 +13,7 @@ from pensionlab.mortality import (
     load_mortality_csv,
 )
 
-from conftest import random_mortality
+from conftest import BUNDLED_GOMPERTZ, random_mortality
 
 
 class TestSurvivalProb:
@@ -169,7 +167,7 @@ class TestStepSurvivalTail:
     @pytest.mark.parametrize("source", TABLE_DIGESTS)
     def test_tables_match_golden_digest(self, source):
         if source == "gompertz":
-            t = gompertz_makeham(**GOMPERTZ_DEFAULT, grid=make_time_grid(*DEFAULT_GRID))
+            t = gompertz_makeham(**BUNDLED_GOMPERTZ, grid=make_time_grid(65.0, 1.0, 95.0))
         else:
             dt = float(source.removeprefix("csv-dt"))
             t = load_mortality_csv(io.StringIO(QX_TEXT), make_time_grid(65.0, dt, 95.0))

@@ -325,6 +325,19 @@ class TestEvaluatePolicy:
                 CollectiveMode.individual(), base_market, vnm_prefs, mt,
             )
 
+    def test_subnormal_value_raises(self, default_table, base_market):
+        # about 1.96e-315, a subnormal with too few significant bits, where
+        # solve raises for the same preferences
+        _, mt = default_table
+        c = np.full(mt.grid.n_steps, 0.05)
+        c[-1] = 1.0
+        prefs = Preferences(alpha=0.06001, rho=-5.748, b=0.02)
+        with pytest.raises(DivergenceError, match="policy value"):
+            evaluate_policy(
+                Strategy(a=np.zeros(mt.grid.n_steps), c=c),
+                CollectiveMode.infinite(), base_market, prefs, mt,
+            )
+
     def test_zero_consumption_at_a_date(self):
         # a policy that consumes nothing at t=1 has v = 0 there when rho < 0,
         # and v = 0 propagates back to t0 as log v = -inf, not as divergence.

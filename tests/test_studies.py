@@ -38,56 +38,45 @@ class TestAnnuityUtility:
         mt = MortalityTable.from_pmf(grid, p)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         # k periods of certain consumption: U = k^(1/rho) = 1/4
-        assert annuity_utility(1.0, mt, prefs) == pytest.approx(0.25, abs=1e-14)
+        assert annuity_utility(mt, prefs) == pytest.approx(0.25, abs=1e-14)
 
     def test_single_period(self):
         grid = make_time_grid(0, 1, 1)
         mt = MortalityTable.from_pmf(grid, [1.0])
         prefs = Preferences(alpha=-2.0, rho=-0.5, b=0.1)
-        assert annuity_utility(3.7, mt, prefs) == 3.7
-
-    def test_positive_homogeneity(self, mild_table):
-        _, mt = mild_table
-        prefs = Preferences(alpha=-1.5, rho=-0.8, b=0.02)
-        u1 = annuity_utility(1.3, mt, prefs)
-        u2 = annuity_utility(2.6, mt, prefs)
-        assert u2 == pytest.approx(2.0 * u1, rel=1e-12)
-
-    def test_rejects_nonpositive_income(self, mild_table):
-        _, mt = mild_table
-        with pytest.raises(ConfigurationError):
-            annuity_utility(0.0, mt, Preferences(alpha=-1.0, rho=-1.0))
+        assert annuity_utility(mt, prefs) == 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(
         alpha=EXPONENTS,
         rho=EXPONENTS,
         b=DISCOUNTS,
-        gamma=st.floats(0.01, 100.0),
         steps=st.integers(1, 150),
         seed=st.integers(0, 2**32 - 1) | st.none(),
     )
-    def test_matches_linear_loop(self, mild_table, alpha, rho, b, gamma, steps, seed):
+    def test_matches_linear_loop(self, mild_table, alpha, rho, b, steps, seed):
         # seed None takes the mild Gompertz table in place of a random one
         if seed is None:
             mt = mild_table[1]
         else:
             mt = random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps))
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
-        want = annuity_loop(gamma, mt, prefs)
+        want = annuity_loop(mt, prefs)
         assume(0.0 < want < math.inf)
-        assert annuity_utility(gamma, mt, prefs) == pytest.approx(want, rel=1e-11, abs=0.0)
+        if want < np.finfo(float).tiny:  # subnormal: too few bits to divide by
+            with pytest.raises(DivergenceError, match="annuity utility"):
+                annuity_utility(mt, prefs)
+        else:
+            assert annuity_utility(mt, prefs) == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_log_space_survives_where_the_loop_overflows(self, studies_config):
         # U^rho overflows in the loop, and inf^(1/rho) is exactly 0
         prefs = Preferences(alpha=0.3, rho=-7.0, b=0.0)
         mt = studies_config.mortality
-        assert annuity_loop(1.0, mt, prefs) == 0.0
-        u = annuity_utility(1.0, mt, prefs)
+        assert annuity_loop(mt, prefs) == 0.0
+        u = annuity_utility(mt, prefs)
         assert 0.0 < u < 1e-60
-        reports = run_scenarios(
-            studies_config.scenarios, studies_config.market.sigma, prefs, mt, budget=1.0
-        )
+        reports = run_scenarios(studies_config.scenarios, studies_config.market.sigma, prefs, mt)
         assert all(math.isfinite(rep.outperformance) for rep in reports)
 
     def test_zero_utility_raises(self, studies_config):
@@ -99,7 +88,14 @@ class TestAnnuityUtility:
         with pytest.raises(DivergenceError, match="diverged at t="):
             solve(CollectiveMode.infinite(), studies_config.market, prefs, mt)
         with pytest.raises(DivergenceError, match="annuity utility"):
-            annuity_utility(1.0, mt, prefs)
+            annuity_utility(mt, prefs)
+
+    def test_subnormal_utility_raises(self):
+        # log U is about -713: U = 1.57e-310 is positive but carries too few
+        # significant bits for the outperformance that divides by it
+        mt = MortalityTable.from_pmf(make_time_grid(0, 1, 2), [0.51, 0.49])
+        with pytest.raises(DivergenceError, match="annuity utility"):
+            annuity_utility(mt, Preferences(alpha=0.001, rho=-1.0, b=0.0))
 
 
 class TestAnnuityOutperformance:
@@ -113,34 +109,54 @@ class TestAnnuityOutperformance:
             for rho in (-1.0, -2.5, 0.5):
                 prefs = Preferences(alpha=rho, rho=rho, b=0.0)
                 table = solve(CollectiveMode.infinite(), market, prefs, mt)
-                out = annuity_outperformance(table, 1.0)
+                out = annuity_outperformance(table)
                 assert abs(out) <= 1e-10
 
-    def test_budget_invariance(self, default_table, base_market, vnm_prefs):
-        grid, mt = default_table
-        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
-        o1 = annuity_outperformance(table, 1.0)
-        o2 = annuity_outperformance(table, 2_000_000.0)
-        assert o1 == pytest.approx(o2, rel=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mu=st.floats(-0.05, 0.15),
+        r=st.floats(-0.05, 0.1),
+        sigma=st.floats(0.05, 0.4),
+        alpha=EXPONENTS,
+        rho=EXPONENTS,
+        b=DISCOUNTS,
+        n=st.sampled_from([None, 1, 4]),
+        budget=st.floats(1e-3, 1e7),
+    )
+    def test_unit_pricing_matches_budget_scaled(
+        self, default_table, mu, r, sigma, alpha, rho, b, n, budget
+    ):
+        # the annuity equivalent at a budget, budget z0 / U(1) * ä, over the
+        # budget: within 4 ulp of 1 + o at every budget
+        _, mt = default_table
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        try:
+            (rep,) = run_scenarios([("s", mu, r, n)], sigma, prefs, mt)
+        except DivergenceError:
+            assume(False)
+        mode = {None: CollectiveMode.infinite(), 1: CollectiveMode.individual()}.get(
+            n, CollectiveMode.finite(4)
+        )
+        table = solve(mode, MarketParams(mu=mu, r=r, sigma=sigma), prefs, mt)
+        gamma_star = budget * table.z_at_start() / annuity_utility(mt, prefs)
+        scaled = gamma_star * annuity_factor(mt, r) / budget - 1.0
+        assert abs(rep.outperformance - scaled) <= 4 * np.spacing(1.0 + scaled)
 
     def test_pooling_beats_individual(self, default_table, mild_table, base_market, vnm_prefs):
         for grid, mt in (default_table, mild_table):
             inf_t = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
             ind_t = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
-            o_inf = annuity_outperformance(inf_t, 1.0)
-            o_ind = annuity_outperformance(ind_t, 1.0)
+            o_inf = annuity_outperformance(inf_t)
+            o_ind = annuity_outperformance(ind_t)
             assert o_inf > o_ind
 
     def test_equity_premium_helps(self, default_table, vnm_prefs):
         grid, mt = default_table
         with_premium = MarketParams(mu=0.062, r=0.027, sigma=0.15)
         without = MarketParams(mu=0.027, r=0.027, sigma=0.15)
-        o_with = annuity_outperformance(
-            solve(CollectiveMode.infinite(), with_premium, vnm_prefs, mt), 1.0
-        )
-        o_without = annuity_outperformance(
-            solve(CollectiveMode.infinite(), without, vnm_prefs, mt), 1.0
-        )
+        mode = CollectiveMode.infinite()
+        o_with = annuity_outperformance(solve(mode, with_premium, vnm_prefs, mt))
+        o_without = annuity_outperformance(solve(mode, without, vnm_prefs, mt))
         assert o_with > o_without
 
 
@@ -165,7 +181,7 @@ class TestZeroReturnClosedForm:
         alpha, rho = a / 20, (a if same else r) / 20
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         mt = random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps))
-        o = annuity_outperformance(solve(CollectiveMode.infinite(), self.FLAT, prefs, mt), 1.0)
+        o = annuity_outperformance(solve(CollectiveMode.infinite(), self.FLAT, prefs, mt))
         closed = zero_return_outperformance(prefs, mt)
         assert abs(o - closed) <= 1e-10 * (1.0 + closed)
         # without discounting the annuity's level income is optimal only at
@@ -184,7 +200,7 @@ class TestZeroReturnClosedForm:
     def test_bundled_table(self, default_table, alpha, rho, b):
         _, mt = default_table
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
-        o = annuity_outperformance(solve(CollectiveMode.infinite(), self.FLAT, prefs, mt), 1.0)
+        o = annuity_outperformance(solve(CollectiveMode.infinite(), self.FLAT, prefs, mt))
         closed = zero_return_outperformance(prefs, mt)
         assert abs(o - closed) <= 1e-13 * (1.0 + closed)
 
@@ -218,7 +234,7 @@ class TestAnnuityStrategy:
             v = evaluate_policy(
                 _annuity_strategy(mt, market.r), CollectiveMode.infinite(), market, prefs, mt
             )
-            u = annuity_utility(1.0 / annuity_factor(mt, market.r), mt, prefs)
+            u = annuity_utility(mt, prefs) / annuity_factor(mt, market.r)  # gamma U(1)
             assert v == pytest.approx(u, rel=1e-9)
 
     @pytest.mark.parametrize("alpha", EXPONENTS)
@@ -262,20 +278,15 @@ class TestScenarios:
         reports = run_scenarios(
             [("1", 0.062, 0.027, None), ("2", 0.062, 0.027, 1),
              ("3", 0.027, 0.027, None), ("4", 0.0, 0.0, None)],
-            0.15, vnm_prefs, mt, budget=1.0,
+            0.15, vnm_prefs, mt,
         )
         o = [rep.outperformance for rep in reports]
         assert o[0] > o[1] > o[2] > abs(o[3]) - 1e-10
         assert abs(o[3]) <= 1e-10
-        # report invariant: outperformance == equivalent/budget - 1 exactly
-        for rep in reports:
-            assert rep.outperformance == rep.annuity_equivalent / 1.0 - 1.0
 
     def test_finite_scenario_size(self, default_table, vnm_prefs):
         grid, mt = default_table
-        reports = run_scenarios(
-            [("a", 0.062, 0.027, 5)], 0.15, vnm_prefs, mt, budget=2.0
-        )
+        reports = run_scenarios([("a", 0.062, 0.027, 5)], 0.15, vnm_prefs, mt)
         assert reports[0].n == 5
 
     def test_annuity_priced_once_per_call(self, default_table, vnm_prefs, monkeypatch):
@@ -287,14 +298,25 @@ class TestScenarios:
         )
         run_scenarios(
             [(str(k), 0.062, 0.027, n) for k, n in enumerate([None, 1, 3, None, 1])],
-            0.15, vnm_prefs, mt, budget=1.0,
+            0.15, vnm_prefs, mt,
         )
         assert len(calls) == 1
 
     def test_empty_rejected(self, default_table, vnm_prefs):
         grid, mt = default_table
         with pytest.raises(ConfigurationError):
-            run_scenarios([], 0.15, vnm_prefs, mt, budget=1.0)
+            run_scenarios([], 0.15, vnm_prefs, mt)
+
+    def test_scenarios_and_converge_price_alike(self, studies_config):
+        # the two CLI commands report the infinite fund's outperformance to the bit
+        cfg = studies_config
+        _, mu, r, _ = cfg.scenarios[0]
+        market = MarketParams(mu=float(mu), r=float(r), sigma=cfg.market.sigma)
+        (rep,) = run_scenarios(
+            [("1", market.mu, market.r, None)], market.sigma, cfg.prefs, cfg.mortality
+        )
+        study = convergence_study(cfg.n_list, market, cfg.prefs, cfg.mortality)
+        assert rep.outperformance == study.infinite_outperformance
 
 
 class TestFundSizeStudy:
@@ -304,7 +326,7 @@ class TestFundSizeStudy:
         rep = convergence_study(ns, base_market, vnm_prefs, mt)
         # n = 1 coincides with the individual problem
         ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
-        o_ind = annuity_outperformance(ind, 1.0)
+        o_ind = annuity_outperformance(ind)
         assert rep.outperformance[0] == pytest.approx(o_ind, abs=1e-12)
         values = rep.outperformance
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:])), (
@@ -319,10 +341,10 @@ class TestFundSizeStudy:
         rep = convergence_study([1, 3, 12], base_market, vnm_prefs, mt)
         for n, o in zip(rep.n.tolist(), rep.outperformance):
             table = solve(CollectiveMode.finite(n), base_market, vnm_prefs, mt)
-            assert o == pytest.approx(annuity_outperformance(table, 1.0), abs=1e-12)
+            assert o == pytest.approx(annuity_outperformance(table), abs=1e-12)
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         assert rep.infinite_outperformance == pytest.approx(
-            annuity_outperformance(table, 1.0), abs=1e-12
+            annuity_outperformance(table), abs=1e-12
         )
 
     def test_n_at_90pct_on_bundled_market(self, studies_config):
