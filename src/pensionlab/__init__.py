@@ -46,7 +46,6 @@ _EXPORTS = {
     "montecarlo": ("SimulationConfig", "SimulationResult", "simulate"),
     "studies": (
         "ConvergenceReport",
-        "ScenarioReport",
         "annuity_outperformance",
         "annuity_utility",
         "convergence_study",

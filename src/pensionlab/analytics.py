@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, MarketParams, Preferences, TimeGrid
+from .core import ConfigurationError, MarketParams, Preferences
 from .solver import ValueTable, _log_phi, growth_exponent, optimal_proportion
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
 class LognormalSchedule:
     """Per-grid-point parameters of log wealth X and log consumption gamma."""
 
-    grid: TimeGrid
     mu_x: np.ndarray
     sigma_x: np.ndarray
     mu_gamma: np.ndarray
@@ -82,9 +81,7 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     sigma_gamma = sigma_x.copy()
     for arr in (mu_x, sigma_x, mu_gamma, sigma_gamma):
         arr.flags.writeable = False
-    return LognormalSchedule(
-        grid=grid, mu_x=mu_x, sigma_x=sigma_x, mu_gamma=mu_gamma, sigma_gamma=sigma_gamma
-    )
+    return LognormalSchedule(mu_x=mu_x, sigma_x=sigma_x, mu_gamma=mu_gamma, sigma_gamma=sigma_gamma)
 
 
 def consumption_drift(

@@ -289,18 +289,18 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
-    reports = run_scenarios(cfg.scenarios, cfg.market.sigma, cfg.prefs, cfg.mortality)
+    ids, mu, r, n = zip(*cfg.scenarios)
+    o = run_scenarios(cfg.scenarios, cfg.market.sigma, cfg.prefs, cfg.mortality)
     _write_csv(
         out / "scenarios.csv", ["scenario", "mu", "r", "n", "outperformance"],
-        [[rep.scenario for rep in reports], [rep.mu for rep in reports],
-         [rep.r for rep in reports], ["inf" if rep.n is None else rep.n for rep in reports],
-         [rep.outperformance for rep in reports]],
+        [ids, mu, r, ["inf" if size is None else size for size in n], o],
     )
-    pairs = [(ra, rb) for ra in reports for rb in reports if ra.scenario != rb.scenario]
+    # every ordered pair of distinct scenarios (ids are unique), row-major
+    a, b = np.nonzero(~np.eye(len(ids), dtype=bool))
+    ids = np.asarray(ids)
     _write_csv(
         out / "improvements.csv", ["scenario_a", "scenario_b", "improvement"],
-        [[ra.scenario for ra, _ in pairs], [rb.scenario for _, rb in pairs],
-         [improvement(ra.outperformance, rb.outperformance) for ra, rb in pairs]],
+        [ids[a], ids[b], improvement(o[a], o[b])],
     )
 
 

@@ -127,9 +127,6 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    grid: TimeGrid
-    mode: CollectiveMode
-    x0: float
     summary: SummaryStats
     survivors: Optional[np.ndarray] = None
     wealth: Optional[np.ndarray] = None
@@ -364,9 +361,6 @@ def simulate(
         gamma_quantiles=gq,
     )
     return SimulationResult(
-        grid=grid,
-        mode=mode,
-        x0=config.x0,
         summary=summary,
         survivors=recorded.get("survivors"),
         wealth=recorded.get("wealth"),

@@ -68,7 +68,7 @@ MAX_GRID_POINTS = 1_000_000
 MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
 MAX_PATHS = 5_000_000
 # The scenarios command writes all k(k-1) ordered pairs to improvements.csv;
-# at k = 1000 the command peaks at 191 MiB RSS and writes 27 MiB.
+# at k = 1000 the command peaks at 101 MiB RSS and writes 27 MiB.
 MAX_SCENARIOS = 1000
 
 

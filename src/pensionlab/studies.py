@@ -27,7 +27,6 @@ from .mortality import MortalityTable, annuity_factor
 from .solver import CollectiveMode, ValueTable, _pooled, solve
 
 __all__ = [
-    "ScenarioReport",
     "ConvergenceReport",
     "annuity_utility",
     "annuity_outperformance",
@@ -79,23 +78,14 @@ def _outperformance(z0, unit_utility, mortality, r):
     return z0 / unit_utility * annuity_factor(mortality, r) - 1.0
 
 
-def improvement(ra: float, rb: float) -> float:
-    """Relative improvement (1+ra)/(1+rb) - 1 of outperformance ra over rb."""
-    if rb <= -1.0:
-        raise ConfigurationError(f"baseline outperformance must exceed -1, got {rb}")
+def improvement(ra: float | np.ndarray, rb: float | np.ndarray) -> float | np.ndarray:
+    """Relative improvement (1+ra)/(1+rb) - 1 of outperformance ra over rb;
+    elementwise for arrays."""
+    base = np.asarray(rb)
+    low = base[base <= -1.0]
+    if low.size:
+        raise ConfigurationError(f"baseline outperformance must exceed -1, got {low[0]}")
     return (1.0 + ra) / (1.0 + rb) - 1.0
-
-
-@dataclass(frozen=True)
-class ScenarioReport:
-    """One scenario's outperformance; its annuity equivalent at a budget is
-    budget (1 + outperformance)."""
-
-    scenario: str
-    mu: float
-    r: float
-    n: Optional[int]  # None means the infinite collective
-    outperformance: float
 
 
 def run_scenarios(
@@ -103,8 +93,9 @@ def run_scenarios(
     sigma: float,
     prefs: Preferences,
     mortality: MortalityTable,
-) -> list[ScenarioReport]:
-    """Outperformance per (id, mu, r, n) scenario; mu and r are real rates.
+) -> np.ndarray:
+    """Outperformance per (id, mu, r, n) scenario, as a float64 array in the
+    order of ``scenarios``; mu and r are real rates.
 
     n is None for the infinite collective; n = 1 is solved as the individual
     problem (same value).
@@ -112,8 +103,8 @@ def run_scenarios(
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
     unit_utility = annuity_utility(mortality, prefs)  # the same for every market
-    reports = []
-    for scenario_id, mu, r, n in scenarios:
+    outperf = np.empty(len(scenarios))
+    for k, (_, mu, r, n) in enumerate(scenarios):
         market = MarketParams(mu=float(mu), r=float(r), sigma=sigma)
         if n is None:
             mode = CollectiveMode.infinite()
@@ -121,19 +112,9 @@ def run_scenarios(
             mode = CollectiveMode.individual()
         else:
             mode = CollectiveMode.finite(int(n))
-        table = solve(mode, market, prefs, mortality)
-        reports.append(
-            ScenarioReport(
-                scenario=str(scenario_id),
-                mu=float(mu),
-                r=float(r),
-                n=None if n is None else int(n),
-                outperformance=_outperformance(
-                    table.z_at_start(), unit_utility, mortality, market.r
-                ),
-            )
-        )
-    return reports
+        z0 = solve(mode, market, prefs, mortality).z_at_start()
+        outperf[k] = _outperformance(z0, unit_utility, mortality, market.r)
+    return outperf
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,23 @@ class TestScenariosCommand:
         )
         assert len(irows) == 12
 
+    def test_improvements_in_bounded_memory(self, tmp_path):
+        # one Python tuple of report objects per ordered pair peaks at 13 MiB here
+        sizes = ["infinite", 1, "infinite", "infinite"]
+        cfg = dict(DEFAULTISH, scenarios=[
+            {"id": str(k), "mu": 0.02 + 5e-5 * k, "r": 0.01 + 2e-5 * k, "n": sizes[k % 4]}
+            for k in range(300)
+        ])
+        p = write_cfg(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            assert main(["scenarios", "--config", str(p), "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert (tmp_path / "improvements.csv").read_bytes().count(b"\n") == 1 + 300 * 299
+
     def test_scenarios_required(self, tmp_path):
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["scenarios", "--config", str(p), "--out", str(tmp_path)]) == 2
