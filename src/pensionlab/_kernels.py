@@ -20,7 +20,7 @@ Two operations dominate runtime and live here:
   ``binomial_draws`` finds each uniform in its row by indexed search: one
   guide lookup and one compare settle most draws, and only the rest are
   binary-searched, in O(draws) expected time and memory.  A simulation step
-  builds one table and draws a block of paths at a time from it;
+  builds one table before it draws a block of paths at a time from it;
   ``binomial_inverse(n, s, u, lgam)`` is the two in one call.  The draws are
   those of a per-draw loop, bit for bit.
 """
@@ -285,8 +285,9 @@ def binomial_table(n, s, umax, lgam) -> BinomialTable:
     """The table ``binomial_draws`` reads for counts among ``n`` and uniforms <= ``umax``.
 
     One row per distinct count, each grown until its sum exceeds ``umax``;
-    a row grown further gives the same draws, so one table built from a
-    whole step's counts and largest uniform serves every block of it.
+    a row grown further gives the same draws, so one table built from the
+    counts present at a step's start serves every block of it, and is
+    rebuilt only for a block whose largest uniform exceeds ``umax``.
     """
     if s <= 0.0 or s >= 1.0:
         return BinomialTable(s)

@@ -13,7 +13,8 @@ than the ``MAX_*`` caps in ``solver`` is rejected before anything is
 allocated.
 
 Each command hands whole columns to one CSV writer, which streams the rows
-a block at a time.  Numbers print with 12 significant digits, and every CSV
+a block at a time; improvements.csv's columns are formed a few scenario_a
+rows at a time.  Numbers print with 12 significant digits, and every CSV
 is byte-identical across reruns of the same config and seed.  Exit codes:
 0 success, 2 validation error, 3 numeric divergence.
 """
@@ -230,16 +231,24 @@ def _parse_mode(text) -> CollectiveMode:
     )
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns (arrays or short lists) as CSV rows, ``_BLOCK_ROWS``
-    at a time.  Float columns print as ``%.11e``, the text of ``_fmt``; others as ``str``."""
-    columns = [np.asarray(col) for col in columns]
-    row = ",".join("%.11e" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    at a time.  Float columns print as ``%.11e``, the text of ``_fmt``; others as ``str``.
+
+    ``columns`` may instead be an iterator of such lists of columns, whose rows
+    are written one list after another.  The file is made once the first list
+    is formed, so an error in forming it leaves no file."""
+    parts = iter([columns] if isinstance(columns, list) else columns)
+    part = next(parts)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
-            fh.write("".join(row % cells for cells in zip(*block)))
+        while part is not None:
+            part = [np.asarray(col) for col in part]
+            row = ",".join("%.11e" if col.dtype.kind == "f" else "%s" for col in part) + "\n"
+            for start in range(0, len(part[0]), _BLOCK_ROWS):
+                block = [col[start:start + _BLOCK_ROWS].tolist() for col in part]
+                fh.write("".join(row % cells for cells in zip(*block)))
+            part = next(parts, None)
     print(f"wrote {path}")
 
 
@@ -295,13 +304,27 @@ def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
         out / "scenarios.csv", ["scenario", "mu", "r", "n", "outperformance"],
         [ids, mu, r, ["inf" if size is None else size for size in n], o],
     )
-    # every ordered pair of distinct scenarios (ids are unique), row-major
-    a, b = np.nonzero(~np.eye(len(ids), dtype=bool))
-    ids = np.asarray(ids)
     _write_csv(
         out / "improvements.csv", ["scenario_a", "scenario_b", "improvement"],
-        [ids[a], ids[b], improvement(o[a], o[b])],
+        _ordered_pairs(np.asarray(ids), o),
     )
+
+
+def _ordered_pairs(ids: np.ndarray, o: np.ndarray):
+    """The columns of improvements.csv, a few scenario_a rows at a time: every
+    ordered pair of distinct scenarios (ids are unique), row-major.
+
+    Every scenario is the baseline of a pair in the first block (it holds at
+    least two scenario_a rows), so an invalid baseline raises before any row
+    is formed."""
+    k = ids.size
+    per = max(2, _BLOCK_ROWS // max(k - 1, 1))  # scenario_a rows per block
+    others = np.arange(k - 1)
+    for lo in range(0, k, per):
+        a = np.arange(lo, min(lo + per, k))
+        b = (others + (others >= a[:, None])).ravel()  # every scenario but a, ascending
+        a = a.repeat(k - 1)
+        yield [ids[a], ids[b], improvement(o[a], o[b])]
 
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:

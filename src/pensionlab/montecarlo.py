@@ -30,15 +30,20 @@ step's hash once, shared by both streams.  Results are therefore bitwise
 reproducible for a given seed, independent of evaluation order or thread
 count.
 
-Each step runs over blocks of ``_BLOCK`` paths in two passes: the first
-writes the survival uniforms and the growth factors, the step's only two
-path-sized arrays; the second draws survivors from one sampler table per
-step and updates wealth and counts in place.  Per path, a run holds the
-keys, wealth and counts, plus those two arrays during a step: about 42 B
-per path for a finite fund and 25 B for the infinite fund under
-tracemalloc at 1,000,000 paths (wealth summarised), 49 and 32 B when
-consumption is summarised as well.  The results do not depend on the
-block size.
+Each step runs over blocks of ``_BLOCK`` paths in one pass: a block draws
+its step hash, survival uniforms and growth factors, then redistributes
+and grows its wealth, so a step holds no path-sized array of its own.  A
+finite fund stores its survivor counts in the narrowest unsigned type that
+holds n0 and draws them from one sampler table per step, built before the
+pass for the counts present at the step's start and for a uniform that the
+step's largest exceeds with probability 1 - ``_HEADROOM``; a block with a
+larger uniform rebuilds it.  The summary of a dying fund takes the logs of
+its gathered copy of the alive values in place, then sorts a second gather
+in place.  Per path, a run holds the keys, wealth, counts and alive mask,
+plus one path-sized temporary in the summary: about 27 B per path for a
+finite fund and 24 B for the infinite fund under tracemalloc at 1,000,000
+paths (wealth summarised), 35 and 32 B when consumption is summarised as
+well.  The results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
 _ALL = slice(None)  # the alive selector while no path has died out
 _BLOCK = 2**14  # paths per block of the simulation step
+_HEADROOM = 63 / 64  # the chance that a step's first survivor table serves all of it
 
 
 @dataclass(frozen=True)
@@ -160,23 +166,25 @@ class _SurvivorFraction:
     def consumption(self, k: int, x: np.ndarray) -> np.ndarray:
         return self.c[k] * x
 
-    def advance(self, k: int, s_k: float, x: np.ndarray, u, growth: np.ndarray, blocks) -> None:
+    def advance(self, k: int, s_k: float, x: np.ndarray, blocks) -> None:
         self.survivors *= s_k
         c = self.c[k]
-        for blk in blocks:
+        for blk, _, growth in blocks:
             xb = x[blk]
             spare = xb - c * xb
             spare /= s_k
-            np.multiply(spare, growth[blk], out=xb)
+            np.multiply(spare, growth, out=xb)
 
 
 class _BinomialSurvivors:
     """Finite fund: each path's survivor count is a Binomial(n_t, s_t) draw.
 
     ``alive`` is ``_ALL`` until the first path dies out, then a boolean
-    mask.  The rates ``c`` (one row per survivor count 1..n0) are stored
-    as one contiguous row per step indexed by the count itself, with a
-    zero rate for 0 survivors, so a step's rates are one gather.
+    mask.  The counts are stored in the narrowest unsigned type that holds
+    n0, and ``present`` flags the counts among them.  The rates ``c`` (one
+    row per survivor count 1..n0) are stored as one contiguous row per step
+    indexed by the count itself, with a zero rate for 0 survivors, so a
+    step's rates are one gather.
     """
 
     draws_survivors = True  # reads the survival stream's uniforms
@@ -185,74 +193,82 @@ class _BinomialSurvivors:
         self.c = np.zeros((c.shape[1], n0 + 1))
         self.c[:, 1:] = c.T
         self.lgam = lgamma_table(n0)
-        self.survivors = np.full(paths, n0, dtype=np.int64)
+        self.survivors = np.full(paths, n0, dtype=np.min_scalar_type(n0))
+        self.present = np.zeros(n0 + 1, dtype=bool)
+        self.present[n0] = True
         self.alive = _ALL
+        # a step's first table is built for at least this uniform, which the
+        # step's largest uniform stays below with probability _HEADROOM
+        self.floor = _HEADROOM ** (1.0 / paths)
 
     def consumption(self, k: int, x: np.ndarray) -> np.ndarray:
         gamma = self.c[k].take(self.survivors)
         gamma *= x
         return gamma
 
-    def advance(self, k: int, s_k: float, x: np.ndarray, u: np.ndarray, growth: np.ndarray,
-                blocks) -> None:
-        # one table serves the whole step: its counts and largest uniform
-        table = binomial_table(self.survivors, s_k, u.max(), self.lgam)
+    def advance(self, k: int, s_k: float, x: np.ndarray, blocks) -> None:
+        # one table serves the step: it is built for the counts present at
+        # the step's start, which the rows of later blocks still hold, and
+        # rebuilt only for a block whose largest uniform it does not reach;
+        # a table built for more counts or a larger uniform gives the same
+        # draws
+        counts = np.flatnonzero(self.present)
+        self.present[:] = False
+        table, umax = None, self.floor
         c = self.c[k]
-        died = False
-        for blk in blocks:
+        for blk, u, growth in blocks:
+            top = u.max()
+            if table is None or top > umax:
+                umax = max(umax, top)
+                table = binomial_table(counts, s_k, umax, self.lgam)
             n_cur = self.survivors[blk]
             xb = x[blk]
             spare = xb - c.take(n_cur) * xb
-            n_next = binomial_draws(table, n_cur, u[blk])
+            n_next = binomial_draws(table, n_cur, u)
             xbar = n_cur / np.maximum(n_next, 1)
             xbar *= spare
-            dead = n_next == 0
-            if dead.any():
-                died = True
-                xbar[dead] = 0.0
-            np.multiply(xbar, growth[blk], out=xb)
+            xbar[n_next == 0] = 0.0
+            np.multiply(xbar, growth, out=xb)
             n_cur[...] = n_next
-        if died:
+            self.present[n_next] = True
+        if self.present[0]:
             self.alive = self.survivors > 0
 
 
-def _advance(model, keys: np.ndarray, x: np.ndarray, k: int, s_k: float,
-             base: float, vol: float) -> None:
-    """Step every path from date k to k+1, ``_BLOCK`` paths at a time.
+def _blocks(keys: np.ndarray, k: int, base: float, vol: float, survival: bool):
+    """(slice, survival uniforms, growth factors) of each ``_BLOCK`` paths at step k.
 
-    The first pass draws each block's streams from its step hash into the
-    step's only two path-sized arrays: the survival uniforms (finite funds)
-    and the growth factors exp(base + vol z).  The model's second pass then
-    redistributes and grows wealth in place, with each path's float
-    operations in the order of a whole-array update, so the results do not
-    depend on the block size.
+    Each block's streams are drawn from its step hash: the survival
+    uniforms (None unless ``survival``) and the growth factors
+    exp(base + vol z).  A generator, so the model redistributes and grows a
+    block's wealth before the next block is drawn, and a step holds no
+    path-sized array of its own.  Each path's float operations are those of
+    a whole-array update, so the results do not depend on the block size.
     """
-    paths = x.size
-    blocks = [slice(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
-    u = np.empty(paths) if model.draws_survivors else None
-    growth = np.empty(paths)
-    for blk in blocks:
+    for lo in range(0, keys.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
         h = step_hash(keys[blk], k)
-        if u is not None:
-            u[blk] = stream_uniforms(h, _STREAM_SURVIVAL)
-        z = inverse_normal_cdf(stream_uniforms(h, _STREAM_GROWTH))
-        z *= vol
-        z += base
-        np.exp(z, out=growth[blk])
-    model.advance(k, s_k, x, u, growth, blocks)
+        u = stream_uniforms(h, _STREAM_SURVIVAL) if survival else None
+        growth = inverse_normal_cdf(stream_uniforms(h, _STREAM_GROWTH))
+        growth *= vol
+        growth += base
+        np.exp(growth, out=growth)
+        yield blk, u, growth
 
 
-def _log_moments(values: np.ndarray):
+def _log_moments(values: np.ndarray, overwrite: bool = False):
     """Mean and ddof=1 variance of log(values), with a variance of 0 for one value.
 
     The variance is np.var's own steps (the pairwise sum of the squared
     deviations from the mean, over n - 1) done in place on the logs, so it
-    is bitwise np.var(logs, ddof=1) with one path-sized array fewer.
+    is bitwise np.var(logs, ddof=1) with one path-sized array fewer.  With
+    ``overwrite`` the logs are taken in ``values`` itself, which then holds
+    neither the values nor their logs.
     """
     if values.size == 0:
         return math.nan, math.nan
     with np.errstate(divide="ignore"):
-        logs = np.log(values)
+        logs = np.log(values, out=values if overwrite else None)
     mean = logs.mean()
     if values.size == 1:
         return float(mean), 0.0
@@ -261,7 +277,7 @@ def _log_moments(values: np.ndarray):
     return float(mean), float(logs.sum() / (values.size - 1))
 
 
-def _quantiles(values: np.ndarray, probs) -> np.ndarray:
+def _quantiles(values: np.ndarray, probs, overwrite: bool = False) -> np.ndarray:
     """np.quantile(values, probs, method="linear"), read from one sorted copy.
 
     ``values`` is a non-empty float array and ``probs`` holds floats in
@@ -271,8 +287,10 @@ def _quantiles(values: np.ndarray, probs) -> np.ndarray:
     a + d·t, or b - d·(1-t) where t >= 0.5; a NaN, which sorts last, makes
     every quantile NaN.  So the result is bitwise np.quantile's, without its
     second pass (a partition of its own copy at the neighbour indices).
+    With ``overwrite``, ``values`` is sorted in place of the copy.
     """
-    ordered = np.sort(values)
+    ordered = values if overwrite else values.copy()
+    ordered.sort()
     n = ordered.size
     virtual = (n - 1) * np.asarray(probs, dtype=np.float64)
     lo = np.floor(virtual)
@@ -338,16 +356,18 @@ def simulate(
             out[:, k] = series[name]
         alive = model.alive
         alive_ct[k] = paths if alive is _ALL else np.count_nonzero(alive)
+        gathered = alive is not _ALL  # series[name][alive] is then a copy to overwrite
         for name, (mean_log, var_log, quantiles) in summarised.items():
             values = series[name][alive]
-            mean_log[k], var_log[k] = _log_moments(values)
-            if values.size:
-                quantiles[:, k] = _quantiles(values, QUANTILES)
-            del values  # free the gathered copy before the next one
+            mean_log[k], var_log[k] = _log_moments(values, overwrite=gathered)
+            del values  # free the logs before the copy the quantiles sort
+            if alive_ct[k]:
+                quantiles[:, k] = _quantiles(series[name][alive], QUANTILES, overwrite=gathered)
         mean_n[k] = np.mean(model.survivors)
         del series  # free consumption before the update
         if k < n_steps - 1:
-            _advance(model, keys, x, k, float(mortality.s[k]), growth_base[k], growth_vol[k])
+            blocks = _blocks(keys, k, growth_base[k], growth_vol[k], model.draws_survivors)
+            model.advance(k, float(mortality.s[k]), x, blocks)
 
     (mean_lx, var_lx, xq), (mean_lg, var_lg, gq) = stats["wealth"], stats["consumption"]
     summary = SummaryStats(

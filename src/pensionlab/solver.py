@@ -60,15 +60,16 @@ MAX_FINITE_N = 10_000
 # three caps keeps its tables and path arrays under 1 GiB on a 7.8 GiB machine.
 # Measured tracemalloc peaks per unit: about 200 B per grid point (simulate's
 # per-date statistics; solve needs 60 B), 60 B per finite table cell (the
-# value.csv columns of solve; simulate and converge need 32 B) and 42 B per
+# value.csv columns of solve; simulate and converge need 32 B) and 27 B per
 # Monte Carlo path (a finite fund at 1,000,000 paths with wealth summarised,
-# as the CLI runs it; 49 B with consumption too, 25 B for the infinite fund),
-# i.e. at most about 200 + 300 + 235 MiB, the last at 49 B per path.
+# as the CLI runs it; 35 B with consumption too, 24 B for the infinite fund),
+# i.e. at most about 200 + 300 + 167 MiB, the last at 35 B per path.
 MAX_GRID_POINTS = 1_000_000
 MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
 MAX_PATHS = 5_000_000
-# The scenarios command writes all k(k-1) ordered pairs to improvements.csv;
-# at k = 1000 the command peaks at 101 MiB RSS and writes 27 MiB.
+# The scenarios command writes all k(k-1) ordered pairs to improvements.csv,
+# a few scenario_a rows at a time; at k = 1000 the command peaks at 32 MiB
+# RSS and writes 27 MiB.
 MAX_SCENARIOS = 1000
 
 

@@ -198,15 +198,34 @@ class TestSimulateCommand:
         gold = Path(__file__).parent / "data" / golden
         assert (tmp_path / "paths_summary.csv").read_bytes() == gold.read_bytes()
 
+    @pytest.mark.parametrize("block, headroom", [(None, None), (256, 0.0)],
+                             ids=["default", "rebuilt-tables"])
+    @pytest.mark.parametrize("mode", ["finite:100", "individual", "infinite"])
+    def test_small_runs_match_goldens(self, tmp_path, monkeypatch, mode, block, headroom):
+        # 3,000 paths of configs/default.json, written by a step that drew
+        # all its uniforms and growth factors before updating any path, with
+        # int64 survivor counts.  With 256-path blocks and no headroom a
+        # finite fund rebuilds its survivor table within most steps
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            monkeypatch.setattr(montecarlo, "_HEADROOM", headroom)
+        cfg = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
+        cfg["mode"] = mode
+        cfg["simulation"]["paths"] = 3000
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path)]) == 0
+        gold = Path(__file__).parent / "data" / f"paths_summary_3k_{mode.replace(':', '')}.csv"
+        assert (tmp_path / "paths_summary.csv").read_bytes() == gold.read_bytes()
+
     def test_simulate_sorts_once_per_step(self, tmp_path, monkeypatch):
         # the CLI writes no consumption column, so each grid step with alive
         # paths takes one quantile call (one sort), of wealth; the bundled
         # 100k paths keep the finite:100 golden comparable
         calls = []
 
-        def counting(values, probs):
+        def counting(values, probs, **kwargs):
             calls.append(values.size)
-            return quantiles(values, probs)
+            return quantiles(values, probs, **kwargs)
 
         quantiles = montecarlo._quantiles
         monkeypatch.setattr(montecarlo, "_quantiles", counting)
@@ -344,7 +363,9 @@ class TestScenariosCommand:
         assert len(irows) == 12
 
     def test_improvements_in_bounded_memory(self, tmp_path):
-        # one Python tuple of report objects per ordered pair peaks at 13 MiB here
+        # one Python tuple of report objects per ordered pair peaked at 13 MiB
+        # here, and all k(k-1) rows formed at once at 6.3 MiB; a block of
+        # scenario_a rows at a time peaks at 1.5 MiB
         sizes = ["infinite", 1, "infinite", "infinite"]
         cfg = dict(DEFAULTISH, scenarios=[
             {"id": str(k), "mu": 0.02 + 5e-5 * k, "r": 0.01 + 2e-5 * k, "n": sizes[k % 4]}
@@ -357,8 +378,16 @@ class TestScenariosCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 2 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
         assert (tmp_path / "improvements.csv").read_bytes().count(b"\n") == 1 + 300 * 299
+
+    def test_improvements_in_blocks_match_golden(self, tmp_path, monkeypatch):
+        # one row per write and two scenario_a rows per block of pairs
+        monkeypatch.setattr("pensionlab.cli._BLOCK_ROWS", 1)
+        p = REPO / "configs" / "studies.json"
+        assert main(["scenarios", "--config", str(p), "--out", str(tmp_path)]) == 0
+        gold = Path(__file__).parent / "data" / "improvements_studies_logspace.csv"
+        assert (tmp_path / "improvements.csv").read_bytes() == gold.read_bytes()
 
     def test_scenarios_required(self, tmp_path):
         p = write_cfg(tmp_path, DEFAULTISH)
