@@ -10,18 +10,17 @@ turn, split into the pieces a simulation reuses:
   every stream of that step;
 * ``stream_uniforms(h, stream)`` = mix(h ^ stream) mapped to a float.
 
-``uniforms(seed, paths, step, stream)`` is their composition.  A uniform is
-the top 53 bits of the hash plus half a unit, (k + 1/2) 2^-53, clamped to
-1 - 2^-53 so that the largest k (which rounds to 1.0) stays inside (0, 1).
-Normals come from the rational-polynomial inverse normal CDF (Wichura's
-PPND16), accurate to ~1e-15.
+A uniform is the top 53 bits of the hash plus half a unit, (k + 1/2) 2^-53,
+clamped to 1 - 2^-53 so that the largest k (which rounds to 1.0) stays
+inside (0, 1).  Normals come from the rational-polynomial inverse normal
+CDF (Wichura's PPND16), accurate to ~1e-15.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["uniforms", "path_keys", "step_hash", "stream_uniforms", "inverse_normal_cdf"]
+__all__ = ["path_keys", "step_hash", "stream_uniforms", "inverse_normal_cdf"]
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -48,17 +47,10 @@ def _key(value: int) -> np.uint64:
     return _U64(value & 0xFFFFFFFFFFFFFFFF)
 
 
-def path_keys(seed: int, paths: np.ndarray | int) -> np.ndarray:
-    """Per-path keys mix(mix(seed) ^ path) of one run.
-
-    ``paths`` may be an index array or a count (meaning arange(count)).
-    """
-    if np.isscalar(paths):
-        paths = np.arange(int(paths), dtype=np.uint64)
-    else:
-        paths = np.asarray(paths, dtype=np.uint64)
+def path_keys(seed: int, paths: int) -> np.ndarray:
+    """Keys mix(mix(seed) ^ path) of paths 0 .. paths-1 of one run."""
     seed_key = _mix(np.array([_key(seed)]))[0]
-    return _mix(seed_key ^ paths)
+    return _mix(seed_key ^ np.arange(paths, dtype=np.uint64))
 
 
 def step_hash(keys: np.ndarray, step: int) -> np.ndarray:
@@ -77,15 +69,6 @@ def _unit_interval(h: np.ndarray) -> np.ndarray:
 def stream_uniforms(h: np.ndarray, stream: int) -> np.ndarray:
     """Uniforms strictly inside (0, 1) of one stream from a step hash."""
     return _unit_interval(_mix(h ^ _key(stream)))
-
-
-def uniforms(seed: int, paths: np.ndarray | int, step: int, stream: int) -> np.ndarray:
-    """Uniform(0,1) variates keyed by (seed, path, step, stream).
-
-    ``paths`` may be an index array or a count (meaning arange(count)).
-    Values lie strictly inside (0, 1).
-    """
-    return stream_uniforms(step_hash(path_keys(seed, paths), step), stream)
 
 
 # PPND16 (applied-statistics algorithm AS 241): rational approximations on a

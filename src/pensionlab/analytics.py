@@ -58,8 +58,8 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
             "wealth_schedule supports individual and infinite modes only; "
             "finite collectives need simulation"
         )
-    if not x0 > 0.0:
-        raise ConfigurationError(f"initial wealth must be positive, got {x0}")
+    if not 0.0 < x0 < math.inf:
+        raise ConfigurationError(f"initial wealth must be finite and positive, got {x0}")
 
     mortality = table.mortality
     grid = mortality.grid

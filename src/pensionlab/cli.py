@@ -9,8 +9,7 @@ immediately.  Rates in the ``market`` block are nominal; the optional
 mu and r directly in real terms and reuse the shared sigma, preferences,
 grid and mortality.  A config that asks for more grid points, Monte Carlo
 paths, finite value-table cells (fund size times grid points) or scenarios
-than the ``MAX_*`` caps in ``solver`` is rejected before anything is
-allocated.
+than the ``MAX_*`` caps below is rejected before anything is allocated.
 
 Each command hands whole columns to one CSV writer, which streams the rows
 a block at a time; improvements.csv's columns are formed a few scenario_a
@@ -45,9 +44,7 @@ from .core import (
     make_time_grid,
 )
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
-from .solver import (
-    MAX_FINITE_CELLS, MAX_GRID_POINTS, MAX_PATHS, MAX_SCENARIOS, CollectiveMode, solve,
-)
+from .solver import CollectiveMode, solve
 from .analytics import wealth_schedule
 from .montecarlo import QUANTILES, SimulationConfig, simulate
 from .studies import convergence_study, improvement, run_scenarios
@@ -55,6 +52,22 @@ from .studies import convergence_study, improvement, run_scenarios
 __all__ = ["main", "RunConfig", "parse_config"]
 
 _BLOCK_ROWS = 4096  # CSV rows formatted per write
+
+# Caps on what one accepted CLI config may ask for, so that a config at all
+# three caps keeps its tables and path arrays under 1 GiB on a 7.8 GiB machine.
+# Measured tracemalloc peaks per unit: about 200 B per grid point (simulate's
+# per-date statistics; solve needs 60 B), 60 B per finite table cell (the
+# value.csv columns of solve; simulate and converge need 32 B) and 27 B per
+# Monte Carlo path (a finite fund at 1,000,000 paths with wealth summarised,
+# as the CLI runs it; 35 B with consumption too, 24 B for the infinite fund),
+# i.e. at most about 200 + 300 + 167 MiB, the last at 35 B per path.
+MAX_GRID_POINTS = 1_000_000
+MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
+MAX_PATHS = 5_000_000
+# The scenarios command writes all k(k-1) ordered pairs to improvements.csv,
+# a few scenario_a rows at a time; at k = 1000 the command peaks at 32 MiB
+# RSS and writes 27 MiB.
+MAX_SCENARIOS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -223,9 +236,10 @@ def _parse_mode(text) -> CollectiveMode:
         return CollectiveMode.infinite()
     if isinstance(text, str) and text.startswith("finite:"):
         try:
-            return CollectiveMode.finite(int(text.split(":", 1)[1]))
+            n = int(text.split(":", 1)[1])
         except ValueError:
             raise ConfigurationError(f"bad finite mode string {text!r}") from None
+        return CollectiveMode.finite(n)
     raise ConfigurationError(
         f"mode must be 'individual', 'infinite' or 'finite:n', got {text!r}"
     )

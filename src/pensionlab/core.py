@@ -44,8 +44,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigurationError(f"grid dt must be > 0, got {self.dt}")
+        if not (math.isfinite(self.t0) and 0.0 < self.dt < math.inf):
+            raise ConfigurationError(f"grid needs a finite t0 and dt > 0, got {self.t0}, {self.dt}")
         if self.n_steps < 1:
             raise ConfigurationError("grid needs at least one point")
 
@@ -57,9 +57,6 @@ class TimeGrid:
     def points(self) -> np.ndarray:
         """Grid times as floats, for I/O only."""
         return self.t0 + self.dt * np.arange(self.n_steps)
-
-    def __len__(self) -> int:
-        return self.n_steps
 
 
 def make_time_grid(t0: float, dt: float, T: float) -> TimeGrid:
@@ -91,8 +88,10 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ConfigurationError(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.r)):
+            raise ConfigurationError(f"mu and r must be finite, got mu={self.mu}, r={self.r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -111,12 +110,12 @@ class Preferences:
     b: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha < 1.0) or self.alpha == 0.0:
+        if not (-math.inf < self.alpha < 1.0) or self.alpha == 0.0:
             raise ConfigurationError(f"alpha must be in (-inf,1) \\ {{0}}, got {self.alpha}")
-        if not (self.rho < 1.0) or self.rho == 0.0:
+        if not (-math.inf < self.rho < 1.0) or self.rho == 0.0:
             raise ConfigurationError(f"rho must be in (-inf,1) \\ {{0}}, got {self.rho}")
-        if self.b < 0.0:
-            raise ConfigurationError(f"discount rate b must be >= 0, got {self.b}")
+        if not 0.0 <= self.b < math.inf:
+            raise ConfigurationError(f"discount rate b must be finite and >= 0, got {self.b}")
 
     def beta(self, dt: float) -> float:
         """Per-step discount factor exp(-b * dt), in (0, 1]."""

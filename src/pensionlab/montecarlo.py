@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import math
+import numbers
 import numpy as np
 
 from .core import ConfigurationError, MarketParams, TimeGrid
@@ -99,10 +100,14 @@ class SimulationConfig:
     summary: Sequence[str] = _SUMMARY_CHOICES
 
     def __post_init__(self):
+        for field in ("paths", "seed"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{field} must be an integer, got {value!r}")
         if self.paths < 1:
             raise ConfigurationError(f"paths must be >= 1, got {self.paths}")
-        if not self.x0 > 0.0:
-            raise ConfigurationError(f"x0 must be positive, got {self.x0}")
+        if not 0.0 < self.x0 < math.inf:
+            raise ConfigurationError(f"x0 must be finite and positive, got {self.x0}")
         for field, choices in (("record", _RECORD_CHOICES), ("summary", _SUMMARY_CHOICES)):
             unknown = set(getattr(self, field)) - set(choices)
             if unknown:

@@ -18,7 +18,7 @@ import math
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class MortalityTable:
     tail: np.ndarray
 
     @classmethod
-    def from_pmf(cls, grid: TimeGrid, p: Iterable[float]) -> "MortalityTable":
-        p = np.asarray(list(p) if not isinstance(p, np.ndarray) else p, dtype=np.float64)
+    def from_pmf(cls, grid: TimeGrid, p: Sequence[float] | np.ndarray) -> "MortalityTable":
+        p = np.array(p, dtype=np.float64)  # a copy: the table's arrays are read-only
         if p.shape != (grid.n_steps,):
             raise ConfigurationError(
                 f"pmf length {p.shape} does not match grid with {grid.n_steps} points"
@@ -61,7 +61,7 @@ class MortalityTable:
             k = int(np.argmax(p < 0.0))
             raise ConfigurationError(f"pmf has negative mass {p[k]} at grid index {k}")
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails
             raise ConfigurationError(f"pmf must sum to 1 within 1e-12, got {total!r}")
         if not p[-1] > 0.0:
             raise ConfigurationError(
@@ -94,8 +94,10 @@ def gompertz_makeham(a: float, b: float, c: float, grid: TimeGrid) -> MortalityT
     The pmf discretizes the hazard over each step; residual mass is placed at
     the final grid point so death is certain by T.
     """
-    if a < 0.0 or b < 0.0 or c < 0.0:
-        raise ConfigurationError("Gompertz-Makeham parameters must be non-negative")
+    if not all(0.0 <= v < math.inf for v in (a, b, c)):
+        raise ConfigurationError(
+            f"Gompertz-Makeham parameters must be finite and non-negative, got {(a, b, c)}"
+        )
     t = grid.points
     dt = grid.dt
     # an integral that overflows to inf (or inf - inf = nan) before the final

@@ -30,6 +30,7 @@ resolved form of the symbolic utility-after-death convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,6 @@ __all__ = [
     "ValueTable",
     "Strategy",
     "MAX_FINITE_N",
-    "MAX_GRID_POINTS",
-    "MAX_FINITE_CELLS",
-    "MAX_PATHS",
-    "MAX_SCENARIOS",
     "optimal_proportion",
     "growth_exponent",
     "solve",
@@ -55,22 +52,6 @@ __all__ = [
 ]
 
 MAX_FINITE_N = 10_000
-
-# Caps on what one accepted CLI config may ask for, so that a config at all
-# three caps keeps its tables and path arrays under 1 GiB on a 7.8 GiB machine.
-# Measured tracemalloc peaks per unit: about 200 B per grid point (simulate's
-# per-date statistics; solve needs 60 B), 60 B per finite table cell (the
-# value.csv columns of solve; simulate and converge need 32 B) and 27 B per
-# Monte Carlo path (a finite fund at 1,000,000 paths with wealth summarised,
-# as the CLI runs it; 35 B with consumption too, 24 B for the infinite fund),
-# i.e. at most about 200 + 300 + 167 MiB, the last at 35 B per path.
-MAX_GRID_POINTS = 1_000_000
-MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
-MAX_PATHS = 5_000_000
-# The scenarios command writes all k(k-1) ordered pairs to improvements.csv,
-# a few scenario_a rows at a time; at k = 1000 the command peaks at 32 MiB
-# RSS and writes 27 MiB.
-MAX_SCENARIOS = 1000
 
 
 @dataclass(frozen=True)
@@ -90,14 +71,24 @@ class CollectiveMode:
 
     @classmethod
     def finite(cls, n: int) -> "CollectiveMode":
-        if int(n) != n or n < 1:
+        return cls("finite", n)
+
+    def __post_init__(self):
+        if self.kind not in ("individual", "infinite", "finite"):
+            raise ConfigurationError(f"unknown collective mode {self.kind!r}")
+        n = self.n
+        if self.kind != "finite":
+            if n is not None:
+                raise ConfigurationError(f"mode {self.kind!r} takes no fund size, got {n}")
+            return
+        if not (isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n):
             raise ConfigurationError(f"finite collective size must be an integer >= 1, got {n}")
         if n > MAX_FINITE_N:
             raise ConfigurationError(
                 f"finite collective size {n} exceeds the supported cap {MAX_FINITE_N} "
                 "(the largest size tested; use mode 'infinite' for larger funds)"
             )
-        return cls("finite", int(n))
+        object.__setattr__(self, "n", int(n))
 
     @property
     def is_finite(self) -> bool:
@@ -264,7 +255,8 @@ class Strategy:
 
     ``a`` is the stock proportion per grid point.  ``c`` is the consumption
     rate per grid point, additionally indexed by survivor count (rows i-1
-    for i survivors) for finite collectives.  Rates must lie in [0, 1].
+    for i survivors) for finite collectives.  Rates must lie in [0, 1] and
+    proportions be finite.
     """
 
     a: np.ndarray
@@ -287,7 +279,9 @@ def _strategy_arrays(strategy: Strategy, mode: CollectiveMode, n_steps: int):
     expected = (mode.n, n_steps) if mode.is_finite else (n_steps,)
     if c.shape != expected:
         raise ConfigurationError(f"strategy.c must have shape {expected}, got {c.shape}")
-    if np.any((c < 0.0) | (c > 1.0)):
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError("stock proportions must be finite")
+    if not np.all((c >= 0.0) & (c <= 1.0)):  # NaN fails
         raise ConfigurationError("consumption rates must lie in [0, 1]")
     return a, c
 

@@ -34,6 +34,7 @@ oracles' own continuation factor, so none of them calls code under test.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -122,7 +123,8 @@ def wealth_mean_loop(table, x0):
         mu_{k+1} = mu_k - C log s_k + log(1 - c*_k) + xi_drift dt,
 
     with log(1 - c*_k) = q log phi_k + log y_{k+1} - log y_k.  NaN from the
-    first date at which phi is 0 or inf in floating point.
+    first date at which phi is not a normal float: 0 or inf, or subnormal,
+    whose log has lost significant bits.
     """
     mortality, market, prefs = table.mortality, table.market, table.prefs
     grid = mortality.grid
@@ -137,7 +139,7 @@ def wealth_mean_loop(table, x0):
             phi = linear_phi(prefs, market, float(mortality.s[k]), pool, grid.dt)
         except OverflowError:
             phi = math.inf
-        if not 0.0 < phi < math.inf:
+        if not sys.float_info.min <= phi < math.inf:
             mu_x[k + 1:] = np.nan
             break
         log_remaining = q * math.log(phi) + math.log(table.y[k + 1]) - math.log(table.y[k])

@@ -1,4 +1,5 @@
-"""Scalar splitmix64 chain: the reference for ``_rng.uniforms``.
+"""Scalar splitmix64 chain: the reference for the split chain ``_rng.path_keys``
+-> ``step_hash`` -> ``stream_uniforms`` that ``montecarlo`` draws through.
 
 Plain Python integers modulo 2^64, one (seed, path, step, stream) at a time,
 with the float conversion and its clamp below 1.0 written out.

@@ -449,8 +449,9 @@ class TestConvergeCommand:
 
 MARKET = TRIVIAL["market"]
 
-# each case once ended in a traceback (exit 1), was silently truncated, or
-# was accepted with no bound on the memory it asks for
+# each case once ended in a traceback (exit 1), was silently truncated, was
+# accepted with no bound on the memory it asks for, or runs one of
+# parse_config's rejection branches
 MALFORMED = {
     "n_list-not-a-list": {"n_list": 5},
     "n_list-entry-string": {"n_list": ["a"]},
@@ -481,6 +482,16 @@ MALFORMED = {
     "scenarios-over-cap": {
         "scenarios": [{"id": f"s{i}", "mu": 0.0, "r": 0.0, "n": 1} for i in range(1001)],
     },
+    "budget-zero": {"budget": 0},
+    "budget-negative": {"budget": -1},
+    "mortality-both-sources": {"mortality": {"csv": "m.csv", **TRIVIAL["mortality"]}},
+    "mortality-no-source": {"mortality": {}},
+    "mode-unknown": {"mode": "pooled"},
+    "mode-number": {"mode": 5},
+    "mode-finite-not-a-number": {"mode": "finite:x"},
+    "mode-finite-zero": {"mode": "finite:0"},
+    "mode-finite-over-cap": {"mode": "finite:10001"},
+    "scenario-n-zero": {"scenarios": [{"id": "a", "mu": 0.0, "r": 0.0, "n": 0}]},
 }
 
 
@@ -576,6 +587,16 @@ class TestConfigHandling:
     def test_bad_mode_string(self, tmp_path):
         p = write_cfg(tmp_path, dict(TRIVIAL, mode="finite:zero"))
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("mode, message", [
+        ("finite:10001", "exceeds the supported cap 10000"),
+        ("finite:0", "must be an integer >= 1, got 0"),
+    ])
+    def test_finite_mode_error_keeps_its_message(self, tmp_path, capsys, mode, message):
+        # the size's own error, not "bad finite mode string"
+        p = write_cfg(tmp_path, dict(TRIVIAL, mode=mode))
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = {

@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import pensionlab
+from pensionlab.analytics import wealth_schedule
 from pensionlab.core import (
     ConfigurationError,
     MarketParams,
@@ -14,6 +16,9 @@ from pensionlab.core import (
     TimeGrid,
     make_time_grid,
 )
+from pensionlab.montecarlo import SimulationConfig
+from pensionlab.mortality import MortalityTable, gompertz_makeham
+from pensionlab.solver import CollectiveMode, Strategy, solve
 
 from conftest import run_child_python
 
@@ -70,6 +75,49 @@ class TestMarketAndPreferences:
             assert 0.0 < beta <= 1.0
         assert Preferences(alpha=-1.0, rho=-1.0, b=0.0).beta(1.0) == 1.0
 
+
+# each value is rejected where it is built, with an error naming it; a
+# NaN or infinity let through fails later as divergence or NaN results
+_GRID = make_time_grid(0, 1, 3)
+_MARKET = MarketParams(mu=0.05, r=0.02, sigma=0.15)
+_PREFS = Preferences(alpha=-1.0, rho=-1.0)
+_STRATEGY = Strategy(a=np.zeros(3), c=np.full(3, 0.5))
+NON_FINITE = {
+    "grid-dt-nan": (lambda: TimeGrid(t0=0.0, dt=math.nan, n_steps=3), "dt > 0"),
+    "grid-t0-inf": (lambda: TimeGrid(t0=math.inf, dt=1.0, n_steps=3), "finite t0"),
+    "preferences-b-nan": (lambda: Preferences(-1.0, -1.0, b=math.nan), "discount rate b"),
+    "preferences-b-inf": (lambda: Preferences(-1.0, -1.0, b=math.inf), "discount rate b"),
+    "preferences-alpha-minus-inf": (lambda: Preferences(-math.inf, -1.0), "alpha"),
+    "preferences-rho-minus-inf": (lambda: Preferences(-1.0, -math.inf), "rho"),
+    "market-mu-nan": (lambda: MarketParams(mu=math.nan, r=0.02, sigma=0.15), "mu and r"),
+    "market-r-inf": (lambda: MarketParams(mu=0.05, r=math.inf, sigma=0.15), "mu and r"),
+    "market-sigma-inf": (lambda: MarketParams(mu=0.05, r=0.02, sigma=math.inf), "sigma"),
+    "simulation-x0-inf": (
+        lambda: SimulationConfig(10, 0, CollectiveMode.infinite(), _STRATEGY, x0=math.inf), "x0",
+    ),
+    "simulation-paths-fraction": (
+        lambda: SimulationConfig(10.5, 0, CollectiveMode.infinite(), _STRATEGY), "paths",
+    ),
+    "mode-unknown-kind": (lambda: CollectiveMode("bogus"), "unknown collective mode"),
+    "mode-finite-zero": (lambda: CollectiveMode("finite", 0), "integer >= 1"),
+    "mode-finite-nan": (lambda: CollectiveMode.finite(math.nan), "integer >= 1"),
+    "mode-infinite-with-size": (lambda: CollectiveMode("infinite", 5), "takes no fund size"),
+    "gompertz-nan": (lambda: gompertz_makeham(math.nan, 0.0, 0.0, _GRID), "finite"),
+    "pmf-nan": (lambda: MortalityTable.from_pmf(_GRID, [math.nan, 0.5, 0.5]), "sum to 1"),
+    "wealth-schedule-x0-inf": (
+        lambda: wealth_schedule(
+            solve(CollectiveMode.infinite(), _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
+            math.inf,
+        ),
+        "initial wealth",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, fragment", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_constructors_reject_non_finite_input(build, fragment):
+    with pytest.raises(ConfigurationError, match=fragment):
+        build()
 
 
 @pytest.mark.parametrize(

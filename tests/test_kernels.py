@@ -21,7 +21,6 @@ from pensionlab._rng import (
     path_keys,
     step_hash,
     stream_uniforms,
-    uniforms,
 )
 
 from oracle_binomial import binomial_inverse_loop, chop_down_sums
@@ -35,37 +34,47 @@ from oracle_normal import inverse_normal_cdf_all_branches
 from oracle_rng import uniform as uniform_scalar
 
 
+def chain_uniforms(seed, paths, step, stream, block=None):
+    """The uniforms of paths 0..paths-1 as ``montecarlo._blocks`` draws them:
+    path keys once, then the step hash and the stream of each block."""
+    keys = path_keys(seed, paths)
+    block = block or paths
+    return np.concatenate([
+        stream_uniforms(step_hash(keys[lo:lo + block], step), stream)
+        for lo in range(0, paths, block)
+    ])
+
+
 class TestUniforms:
     def test_open_interval_and_determinism(self):
-        u1 = uniforms(12345, 10_000, step=3, stream=1)
-        u2 = uniforms(12345, 10_000, step=3, stream=1)
+        u1 = chain_uniforms(12345, 10_000, step=3, stream=1)
+        u2 = chain_uniforms(12345, 10_000, step=3, stream=1)
         assert np.array_equal(u1, u2)
         assert np.all((u1 > 0.0) & (u1 < 1.0))
 
     def test_streams_and_steps_decorrelate(self):
-        base = uniforms(1, 1000, step=0, stream=0)
-        assert not np.array_equal(base, uniforms(1, 1000, step=0, stream=1))
-        assert not np.array_equal(base, uniforms(1, 1000, step=1, stream=0))
-        assert not np.array_equal(base, uniforms(2, 1000, step=0, stream=0))
+        base = chain_uniforms(1, 1000, step=0, stream=0)
+        assert not np.array_equal(base, chain_uniforms(1, 1000, step=0, stream=1))
+        assert not np.array_equal(base, chain_uniforms(1, 1000, step=1, stream=0))
+        assert not np.array_equal(base, chain_uniforms(2, 1000, step=0, stream=0))
 
     def test_value_depends_only_on_path_key(self):
-        full = uniforms(99, 1000, step=5, stream=0)
-        single = uniforms(99, np.array([421]), step=5, stream=0)
-        assert full[421] == single[0]
+        # a path's draws do not depend on the run's size or its blocks
+        full = chain_uniforms(99, 1000, step=5, stream=0)
+        assert np.array_equal(full[:422], chain_uniforms(99, 422, step=5, stream=0))
+        assert np.array_equal(full, chain_uniforms(99, 1000, step=5, stream=0, block=64))
 
     def test_golden_values(self):
         # pinned from the implementation that hashed the seed once per path
-        assert uniforms(12345, 8, step=3, stream=1).tolist() == [
+        assert chain_uniforms(12345, 8, step=3, stream=1).tolist() == [
             0.6077405153369708, 0.4744116663223192, 0.253264101149189, 0.7887265065971674,
             0.5524181681024696, 0.8277142129465946, 0.8798613262080888, 0.8370982829321414,
         ]
-        assert uniforms(0, np.array([0, 2**40]), 7, 0).tolist() == [
-            0.7304758844200925, 0.2555907184034763,
-        ]
-        assert uniforms(-1, np.array([5]), 2**63, 2**32).tolist() == [0.46342369398685573]
+        assert chain_uniforms(0, 1, 7, 0).tolist() == [0.7304758844200925]
+        assert chain_uniforms(-1, 6, 2**63, 2**32)[5] == 0.46342369398685573
 
     def test_roughly_uniform(self):
-        u = uniforms(7, 200_000, step=0, stream=0)
+        u = chain_uniforms(7, 200_000, step=0, stream=0)
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.001
 
@@ -82,22 +91,14 @@ class TestUniforms:
         seed=st.one_of(st.integers(-(2**64), -1), st.integers(2**63, 2**64 - 1), st.just(0)),
         step=st.integers(0, 2**63),
         stream=st.integers(0, 2**63),
-        paths=st.one_of(
-            st.integers(1, 200),
-            st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20).map(
-                lambda p: np.array(p, dtype=np.uint64)
-            ),
-        ),
+        paths=st.integers(1, 200),
+        block=st.integers(1, 200),
     )
-    def test_split_chain_matches_uniforms(self, seed, step, stream, paths):
-        # path keys -> step hash -> stream is how simulate draws; uniforms
-        # must be the same chain, and both must match the scalar reference
-        split = stream_uniforms(step_hash(path_keys(seed, paths), step), stream)
-        whole = uniforms(seed, paths, step, stream)
-        assert split.tobytes() == whole.tobytes()
-        index = np.arange(paths) if np.isscalar(paths) else paths
-        ref = [uniform_scalar(seed, int(i), step, stream) for i in index]
-        assert whole.tolist() == ref
+    def test_split_chain_matches_scalar_reference(self, seed, step, stream, paths, block):
+        # path keys -> step hash -> stream, a block at a time, is how simulate
+        # draws; every draw must match the scalar reference
+        u = chain_uniforms(seed, paths, step, stream, block)
+        assert u.tolist() == [uniform_scalar(seed, i, step, stream) for i in range(paths)]
 
 
 class TestInverseNormal:
@@ -188,14 +189,14 @@ class TestBinomialInverse:
     def test_large_n_small_survival_no_underflow(self):
         # pmf(0) underflows in linear space; mode-start inversion must not care
         n = np.full(1000, 10_000, dtype=np.int64)
-        u = uniforms(3, 1000, step=0, stream=0)
+        u = chain_uniforms(3, 1000, step=0, stream=0)
         k = binomial_inverse(n, 0.5, u, lgamma_table(10_000))
         assert np.all((k > 4600) & (k < 5400))
         assert abs(k.mean() - 5000.0) < 4 * 50.0 / math.sqrt(1000)
 
     def test_moments_on_hashed_stream(self):
         n0, s, draws = 1000, 0.97, 100_000
-        u = uniforms(99, draws, step=0, stream=1)
+        u = chain_uniforms(99, draws, step=0, stream=1)
         k = binomial_inverse(np.full(draws, n0, dtype=np.int64), s, u, lgamma_table(n0))
         mean_se = math.sqrt(n0 * s * (1 - s) / draws)
         assert abs(k.mean() - n0 * s) < 4 * mean_se

@@ -55,6 +55,13 @@ class TestSurvivalProb:
         with pytest.raises(ConfigurationError):
             MortalityTable.from_pmf(g, [0.5, 0.5])
 
+    def test_caller_array_is_copied(self):
+        p = np.array([0.25, 0.75])
+        t = MortalityTable.from_pmf(make_time_grid(0, 1, 2), p)
+        assert t.p is not p and p.flags.writeable and not t.p.flags.writeable
+        p[0] = 0.5
+        assert t.p.tolist() == [0.25, 0.75]
+
 
 class TestCSVIngestion:
     def _load(self, text, grid, **kw):

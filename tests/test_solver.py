@@ -14,6 +14,7 @@ from pensionlab.core import (
     Preferences,
     make_time_grid,
 )
+from pensionlab.montecarlo import SimulationConfig, simulate
 from pensionlab.mortality import MortalityTable
 from pensionlab.solver import (
     MAX_FINITE_N,
@@ -324,6 +325,22 @@ class TestEvaluatePolicy:
                 Strategy(a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 1.2)),
                 CollectiveMode.individual(), base_market, vnm_prefs, mt,
             )
+
+    @pytest.mark.parametrize("series, value", [("c", math.nan), ("a", math.nan), ("a", math.inf)])
+    @pytest.mark.parametrize("mode", [CollectiveMode.infinite(), CollectiveMode.finite(3)], ids=str)
+    def test_non_finite_policy_rejected_by_both_callers(
+        self, default_table, base_market, vnm_prefs, mode, series, value
+    ):
+        # NaN passes a range check written as (c < 0) | (c > 1); unchecked,
+        # it turns every statistic from its date on into NaN
+        grid, mt = default_table
+        strategy = extract_strategy(solve(mode, base_market, vnm_prefs, mt))
+        getattr(strategy, series)[..., 3] = value
+        with pytest.raises(ConfigurationError):
+            evaluate_policy(strategy, mode, base_market, vnm_prefs, mt)
+        config = SimulationConfig(paths=100, seed=1, mode=mode, policy=strategy)
+        with pytest.raises(ConfigurationError):
+            simulate(config, grid, base_market, mt)
 
     def test_subnormal_value_raises(self, default_table, base_market):
         # about 1.96e-315, a subnormal with too few significant bits, where
