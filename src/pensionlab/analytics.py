@@ -10,7 +10,8 @@ and the mean obeys
 
 where xi_drift is the growth quadratic at a* with alpha set to zero (the drift
 of log wealth rather than its power-mean growth).  Log consumption is log
-wealth shifted by log c*_t with identical spread.  The schedule is formed as
+wealth shifted by log c*_t with identical spread, so ``LognormalSchedule``
+holds that spread once, as ``sigma_x``.  The schedule is formed as
 whole arrays from the solved y and the solver's log phi terms, never phi
 itself, so it stays finite where phi under- or overflows.
 """
@@ -38,12 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LognormalSchedule:
-    """Per-grid-point parameters of log wealth X and log consumption gamma."""
+    """Per-grid-point means of log wealth X and log consumption gamma, and
+    their standard deviation ``sigma_x``: log gamma is log X shifted by a
+    constant per date, so it has the spread of log X."""
 
     mu_x: np.ndarray
     sigma_x: np.ndarray
     mu_gamma: np.ndarray
-    sigma_gamma: np.ndarray
 
 
 def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
@@ -78,10 +80,9 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     step_var = (table.astar * table.market.sigma) ** 2 * grid.dt
     sigma_x = np.sqrt(np.cumsum(np.concatenate(([0.0], np.full(s.size, step_var)))))
     mu_gamma = mu_x + (rho / (rho - 1.0)) * np.log(table.z)
-    sigma_gamma = sigma_x.copy()
-    for arr in (mu_x, sigma_x, mu_gamma, sigma_gamma):
+    for arr in (mu_x, sigma_x, mu_gamma):
         arr.flags.writeable = False
-    return LognormalSchedule(mu_x=mu_x, sigma_x=sigma_x, mu_gamma=mu_gamma, sigma_gamma=sigma_gamma)
+    return LognormalSchedule(mu_x=mu_x, sigma_x=sigma_x, mu_gamma=mu_gamma)
 
 
 def consumption_drift(

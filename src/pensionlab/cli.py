@@ -128,7 +128,6 @@ class RunConfig:
     output: Optional[str]
     scenarios: Optional[list]
     n_list: Optional[list]
-    raw: dict
 
 
 def parse_config(raw: dict, base_dir: Path) -> RunConfig:
@@ -218,7 +217,7 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
     return RunConfig(
         market=market, prefs=prefs, mortality=mortality, mode=mode,
         budget=budget, paths=paths, seed=seed, output=output,
-        scenarios=scenarios, n_list=n_list, raw=raw,
+        scenarios=scenarios, n_list=n_list,
     )
 
 
@@ -283,7 +282,7 @@ def cmd_distribution(cfg: RunConfig, out: Path) -> None:
     sched = wealth_schedule(table, cfg.budget)
     _write_csv(
         out / "dist.csv", ["t", "mu_x", "sigma_x", "mu_gamma", "sigma_gamma"],
-        [table.grid.points, sched.mu_x, sched.sigma_x, sched.mu_gamma, sched.sigma_gamma],
+        [table.grid.points, sched.mu_x, sched.sigma_x, sched.mu_gamma, sched.sigma_x],
     )
 
 
@@ -306,14 +305,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         out / "paths_summary.csv",
         ["t", *(f"q{round(100 * p):02d}" for p in QUANTILES), "mean_log_x", "sd_log_x",
          "mean_log_x_analytic", "sd_log_x_analytic"],
-        [grid.points, *sim.summary.x_quantiles, sim.summary.mean_log_x,
-         np.sqrt(sim.summary.var_log_x), overlay_mu, overlay_sd],
+        [grid.points, *sim.x_quantiles, sim.mean_log_x, np.sqrt(sim.var_log_x),
+         overlay_mu, overlay_sd],
     )
 
 
 def cmd_scenarios(cfg: RunConfig, out: Path) -> None:
     ids, mu, r, n = zip(*cfg.scenarios)
-    o = run_scenarios(cfg.scenarios, cfg.market.sigma, cfg.prefs, cfg.mortality)
+    o = run_scenarios(list(zip(mu, r, n)), cfg.market.sigma, cfg.prefs, cfg.mortality)
     _write_csv(
         out / "scenarios.csv", ["scenario", "mu", "r", "n", "outperformance"],
         [ids, mu, r, ["inf" if size is None else size for size in n], o],
@@ -343,7 +342,7 @@ def _ordered_pairs(ids: np.ndarray, o: np.ndarray):
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:
     report = convergence_study(cfg.n_list, cfg.market, cfg.prefs, cfg.mortality)
-    n, zn = report.n, report.z_n
+    n, zn = np.array(cfg.n_list), report.z_n
     # Python pow per entry: numpy's vectorised power need not round the same
     _write_csv(
         out / "convergence.csv", ["n", "z_n", "abs_diff", "bound"],
@@ -404,7 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigurationError(f"cannot read config {cfg_path}: {exc}") from None
         cfg = parse_config(raw, cfg_path.resolve().parent)
         if args.print_config:
-            print(json.dumps(cfg.raw, indent=2, sort_keys=True))
+            print(json.dumps(raw, indent=2, sort_keys=True))
             return 0
         field, what = _NEEDS.get(args.command, (None, None))
         if field is not None and getattr(cfg, field) in (None, []):

@@ -21,7 +21,8 @@ consumption is formed for all paths only when it is summarised or recorded.
 Each summarised series is sorted once per step and its quantiles are read
 from that sorted copy, bitwise equal to np.quantile's; moments use the
 unsorted values, as summation order matters.  Full ``paths x n_steps``
-series are kept only for the names in ``SimulationConfig.record``.
+series are kept only for the names in ``SimulationConfig.record``.  Both
+come back in one flat ``SimulationResult``.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, path, step, stream): stream 0 drives market growth, stream 1 the
@@ -67,7 +68,6 @@ __all__ = [
     "QUANTILES",
     "SimulationConfig",
     "SimulationResult",
-    "SummaryStats",
     "simulate",
 ]
 
@@ -87,7 +87,7 @@ class SimulationConfig:
 
     ``record`` names the full ``paths x n_steps`` series to keep (none by
     default).  ``summary`` names the series whose log moments and quantiles
-    go into ``SummaryStats`` (wealth and consumption by default); the
+    go into ``SimulationResult`` (wealth and consumption by default); the
     statistics of a series it leaves out are NaN and cost nothing.
     """
 
@@ -115,8 +115,10 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class SummaryStats:
-    """Per-grid-point statistics over paths still alive (n_t > 0).
+class SimulationResult:
+    """Per-grid-point statistics over paths still alive (n_t > 0), then the
+    ``paths x n_steps`` series that ``SimulationConfig.record`` names (None
+    unless recorded).
 
     ``x_quantiles`` and ``gamma_quantiles`` have one row per entry of
     ``QUANTILES`` and are NaN where no path is alive.  Quantiles use numpy's
@@ -134,11 +136,6 @@ class SummaryStats:
     alive_paths: np.ndarray
     x_quantiles: np.ndarray
     gamma_quantiles: np.ndarray
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    summary: SummaryStats
     survivors: Optional[np.ndarray] = None
     wealth: Optional[np.ndarray] = None
     consumption: Optional[np.ndarray] = None
@@ -375,7 +372,7 @@ def simulate(
             model.advance(k, float(mortality.s[k]), x, blocks)
 
     (mean_lx, var_lx, xq), (mean_lg, var_lg, gq) = stats["wealth"], stats["consumption"]
-    summary = SummaryStats(
+    return SimulationResult(
         mean_log_x=mean_lx,
         var_log_x=var_lx,
         mean_log_gamma=mean_lg,
@@ -384,10 +381,5 @@ def simulate(
         alive_paths=alive_ct,
         x_quantiles=xq,
         gamma_quantiles=gq,
-    )
-    return SimulationResult(
-        summary=summary,
-        survivors=recorded.get("survivors"),
-        wealth=recorded.get("wealth"),
-        consumption=recorded.get("consumption"),
+        **recorded,  # the series not recorded stay None
     )

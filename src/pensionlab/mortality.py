@@ -165,6 +165,8 @@ def load_mortality_csv(
         raise IngestionError("mortality CSV has no data rows")
 
     base_age = grid.t0 if age_at_t0 is None else float(age_at_t0)
+    if not math.isfinite(base_age):
+        raise IngestionError(f"age_at_t0 must be finite, got {age_at_t0}")
     dt = grid.dt
     first, last = next(iter(qx)), prev_age
     log_step = np.zeros(grid.n_steps - 1)

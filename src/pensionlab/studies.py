@@ -12,6 +12,9 @@ riskless rate (no loading) is the annuity equivalent budget (1 + o), with
 
 the outperformance and ä the annuity factor.  o does not depend on the
 budget, so every function here prices per unit of budget and income.
+Results hold no copy of their inputs: ``run_scenarios`` takes (mu, r, n)
+triples and returns one o per triple, and the arrays of a
+``ConvergenceReport`` line up with the ``n_list`` it was given.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def run_scenarios(
     prefs: Preferences,
     mortality: MortalityTable,
 ) -> np.ndarray:
-    """Outperformance per (id, mu, r, n) scenario, as a float64 array in the
+    """Outperformance per (mu, r, n) scenario, as a float64 array in the
     order of ``scenarios``; mu and r are real rates.
 
     n is None for the infinite collective; n = 1 is solved as the individual
@@ -104,7 +107,7 @@ def run_scenarios(
         raise ConfigurationError("need at least one scenario")
     unit_utility = annuity_utility(mortality, prefs)  # the same for every market
     outperf = np.empty(len(scenarios))
-    for k, (_, mu, r, n) in enumerate(scenarios):
+    for k, (mu, r, n) in enumerate(scenarios):
         market = MarketParams(mu=float(mu), r=float(r), sigma=sigma)
         if n is None:
             mode = CollectiveMode.infinite()
@@ -122,12 +125,13 @@ class ConvergenceReport:
     """Fund size study: how z_{n,t0} and the annuity outperformance o_n
     approach their infinite-collective values as n grows.
 
-    Per listed size: ``z_n`` at t0, ``outperformance`` o_n (invariant to the
-    budget) and ``local_exponent``, the slope of log |z_n - z_inf| against
-    log n from the previous listed size (NaN at the first).  ``n_at_90pct``
-    is the smallest listed n whose gain over a one-member fund is at least
-    90% of the infinite fund's, o_n - o_1 >= 0.9 (o_inf - o_1), with o_1 the
-    one-member fund's whether or not 1 is listed; None if no listed n does.
+    Per size in the ``n_list`` studied: ``z_n`` at t0, ``outperformance``
+    o_n (invariant to the budget) and ``local_exponent``, the slope of
+    log |z_n - z_inf| against log n from the previous listed size (NaN at
+    the first).  ``n_at_90pct`` is the smallest listed n whose gain over a
+    one-member fund is at least 90% of the infinite fund's,
+    o_n - o_1 >= 0.9 (o_inf - o_1), with o_1 the one-member fund's whether
+    or not 1 is listed; None if no listed n does.
 
     On configs/studies.json, whose grid ends at T = 95, the local exponent
     from n = 4096 to 8192 is -0.97 for its own preferences and -0.48 for
@@ -140,7 +144,6 @@ class ConvergenceReport:
     differences decay at least that fast.
     """
 
-    n: np.ndarray  # fund sizes, ascending
     z_n: np.ndarray
     outperformance: np.ndarray
     local_exponent: np.ndarray
@@ -170,17 +173,16 @@ def convergence_study(
         raise ConfigurationError(
             "fund sizes should span at least a decade for a meaningful rate fit"
         )
-    anchors = [n for n in n_list if n >= 4]
-    if not anchors:
-        raise ConfigurationError("need a fund size >= 4 to anchor the root-n bound")
 
     n = np.array(n_list)
     z_all = solve(CollectiveMode.finite(n_list[-1]), market, prefs, mortality).z[:, 0]
     z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z_at_start()
     z_n = z_all[n - 1]
     diffs = np.abs(z_n - z_inf)
-    if not np.all(np.isfinite(diffs)):
-        raise DivergenceError("non-finite difference in the convergence study")
+    if not diffs.all():
+        raise ConfigurationError(
+            f"z_n equals z_inf at n = {n[diffs == 0][0]}: there is no rate to fit"
+        )
 
     # one pricing of the annuity for every size 1..n_max and the limit
     unit_utility = annuity_utility(mortality, prefs)
@@ -191,9 +193,8 @@ def convergence_study(
     )
     log_n, log_diffs = np.log(n.astype(float)), np.log(diffs)
     slope, intercept = np.polyfit(log_n, log_diffs, 1)
-    anchor = anchors[0]
+    anchor = next(k for k in n_list if k >= 4)  # the decade rule makes n_list[-1] >= 10
     return ConvergenceReport(
-        n=n,
         z_n=z_n,
         outperformance=o_n,
         local_exponent=np.concatenate(([np.nan], np.diff(log_diffs) / np.diff(log_n))),

@@ -116,8 +116,8 @@ def test_criterion_04_distribution_verification(default_table, base_market, vnm_
     var_ref = sched.sigma_x**2
     se_mean = sched.sigma_x / math.sqrt(paths)
     se_var = var_ref * math.sqrt(2.0 / (paths - 1))
-    d_mean = np.abs(res.summary.mean_log_x - sched.mu_x)
-    d_var = np.abs(res.summary.var_log_x - var_ref)
+    d_mean = np.abs(res.mean_log_x - sched.mu_x)
+    d_var = np.abs(res.var_log_x - var_ref)
     mean_ok = bool(np.all(d_mean <= 3.0 * se_mean + 1e-15))
     var_ok = bool(np.all(d_var <= 3.0 * se_var + 1e-15))
     zm = float(np.max(d_mean[1:] / se_mean[1:]))
@@ -270,7 +270,7 @@ def test_criterion_10_convergence(default_table, base_market, vnm_prefs):
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     bound_ok = all(
         d <= rep.bound_constant * n**-0.5 * (1 + 1e-12)
-        for n, d in zip(rep.n.tolist(), diffs)
+        for n, d in zip(n_list, diffs)
         if n >= rep.bound_anchor
     )
     slope_ok = rep.fit_exponent <= -0.4

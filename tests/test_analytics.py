@@ -34,7 +34,6 @@ class TestWealthSchedule:
         table = solve(CollectiveMode.infinite(), market, vnm_prefs, mt)
         sched = wealth_schedule(table, 1.0)
         assert np.all(sched.sigma_x == 0.0)
-        assert np.all(sched.sigma_gamma == 0.0)
 
     def test_spread_closed_form(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
@@ -44,7 +43,6 @@ class TestWealthSchedule:
         assert sched.sigma_x[4] == pytest.approx(0.15 * (7.0 / 9.0) * 2.0, rel=1e-12)
         expect = base_market.sigma * abs(table.astar) * np.sqrt(grid.dt * np.arange(grid.n_steps))
         assert np.allclose(sched.sigma_x, expect, rtol=1e-12, atol=1e-15)
-        assert np.array_equal(sched.sigma_gamma, sched.sigma_x)
 
     def test_two_periods_certain_survival_halves_wealth(self):
         grid = make_time_grid(0, 1, 2)

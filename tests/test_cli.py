@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pensionlab import montecarlo
@@ -431,6 +431,23 @@ class TestConvergeCommand:
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["converge", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"n_list": [0, 10]},
+        # z_n = z_inf at every n: the fit once read nan with exit 0
+        {"n_list": [1, 10, 100], "grid": {"t0": 65, "dt": 1, "T": 66}},
+        {"n_list": [1, 10, 100], "grid": {"t0": 65, "dt": 1, "T": 68},
+         "mortality": {"gompertz": {"a": 0.0, "b": 0.0, "c": 0.0}},
+         "market": {"mu": 0.05, "r": 0.02, "sigma": 0.15}},
+    ], ids=["size-zero", "one-grid-point", "zero-hazard"])
+    def test_rejected_study_exits_2_without_csv(self, tmp_path, capsys, change):
+        # rejected after the output directory is made, so not a MALFORMED entry
+        p = write_cfg(tmp_path, dict(DEFAULTISH, **change))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
     def test_bundled_study_matches_full_triangle_output(self, tmp_path):
         # tests/data/convergence_studies.csv was written by the full-triangle
         # (unwindowed) value step; the windowed one rounds differently only
@@ -719,7 +736,70 @@ def mutated_configs(draw):
     return cfg
 
 
+ZERO_HAZARD_STUDY = {  # z_n equals z_inf to the bit at every n
+    "market": {"mu": 0.05, "r": 0.02, "sigma": 0.15},
+    "preferences": {"alpha": -1.0, "rho": -1.0, "b": 0.0},
+    "grid": {"t0": 65, "dt": 1, "T": 68},
+    "mortality": {"gompertz": {"a": 0.0, "b": 0.0, "c": 0.0}},
+    "mode": "infinite",
+    "budget": 1.0,
+    "n_list": [1, 10, 16],
+}
+
+
+@st.composite
+def small_valid_configs(draw):
+    """A valid config that every command runs in milliseconds: 1 to 40 annual
+    grid points, Gompertz-Makeham parameters that may each be 0, any mode
+    with at most 32 members, at most 64 paths, two scenarios and the fund
+    sizes n, 10n and 16n."""
+    size = st.integers(1, 32)
+    mode = draw(st.sampled_from(["individual", "infinite"]) | size.map(lambda n: f"finite:{n}"))
+    n = draw(st.integers(1, 4))
+    return {
+        "market": {"mu": draw(st.sampled_from([0.0, 0.062, 0.082])), "r": 0.047,
+                   "sigma": 0.15, "r_CPI": 0.02},
+        "preferences": {"alpha": draw(st.sampled_from([-3.0, -1.0, 0.5])),
+                        "rho": draw(st.sampled_from([-1.0, -0.5, 0.5])),
+                        "b": draw(st.sampled_from([0.0, 0.02]))},
+        "grid": {"t0": 65, "dt": 1, "T": 65 + draw(st.integers(1, 40))},
+        "mortality": {"gompertz": {
+            "a": draw(st.sampled_from([0.0, 1e-3, 0.05])),
+            "b": draw(st.sampled_from([0.0, 8.888014533421656e-24, 1e-5])),
+            "c": draw(st.sampled_from([0.0, 0.1, 0.6])),
+        }},
+        "mode": mode,
+        "budget": 1.0,
+        "simulation": {"paths": draw(st.integers(1, 64)), "seed": draw(st.integers(0, 2**63 - 1))},
+        "scenarios": [
+            {"id": "a", "mu": 0.062, "r": 0.027, "n": "infinite"},
+            {"id": "b", "mu": 0.027, "r": 0.027, "n": draw(size)},
+        ],
+        "n_list": [n, 10 * n, 16 * n],
+    }
+
+
 class TestConfigFuzz:
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cfg=small_valid_configs(),
+        command=st.sampled_from(["solve", "distribution", "simulate", "scenarios", "converge"]),
+    )
+    @example(cfg=ZERO_HAZARD_STUDY, command="converge")  # once a nan fit with exit 0
+    def test_small_valid_config_runs_every_command(self, tmp_path, capsys, cfg, command):
+        # a warning escaping main fails the example, as does a traceback
+        p = write_cfg(tmp_path, cfg)
+        code = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @settings(
         max_examples=300, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],

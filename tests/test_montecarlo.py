@@ -11,12 +11,15 @@ from hypothesis.extra.numpy import arrays
 from pensionlab.analytics import wealth_schedule
 from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
 from pensionlab import montecarlo
-from pensionlab.montecarlo import QUANTILES, SimulationConfig, _log_moments, _quantiles, simulate
+from pensionlab.montecarlo import (
+    QUANTILES, SimulationConfig, SimulationResult, _log_moments, _quantiles, simulate,
+)
 from pensionlab.mortality import MortalityTable, gompertz_makeham
 from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, solve
 
 
 ALL_SERIES = ("survivors", "wealth", "consumption")
+STATS = tuple(name for name in SimulationResult.__dataclass_fields__ if name not in ALL_SERIES)
 MEDIAN = QUANTILES.index(0.5)
 
 
@@ -51,7 +54,7 @@ class TestDeterministicCases:
         b = simulate(cfg, grid, base_market, mt)
         assert np.array_equal(a.wealth, b.wealth)
         assert np.array_equal(a.survivors, b.survivors)
-        assert np.array_equal(a.summary.mean_log_x, b.summary.mean_log_x, equal_nan=True)
+        assert np.array_equal(a.mean_log_x, b.mean_log_x, equal_nan=True)
         c = simulate(
             SimulationConfig(paths=500, seed=78, mode=CollectiveMode.finite(30), policy=table,
                              record=ALL_SERIES),
@@ -74,13 +77,10 @@ class TestDeterministicCases:
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
             runs.append(simulate(cfg, grid, base_market, mt))
         if mode.kind != "infinite":  # the fund dies out on some paths
-            assert runs[0].summary.alive_paths.min() < 61
+            assert runs[0].alive_paths.min() < 61
         for res in runs[1:]:
-            for name in ALL_SERIES:
+            for name in res.__dataclass_fields__:
                 assert getattr(res, name).tobytes() == getattr(runs[0], name).tobytes(), name
-            for name in res.summary.__dataclass_fields__:
-                got, want = getattr(res.summary, name), getattr(runs[0].summary, name)
-                assert got.tobytes() == want.tobytes(), name
 
 
     def test_results_do_not_depend_on_table_rebuilds(self, default_table, base_market,
@@ -105,13 +105,13 @@ class TestDeterministicCases:
         for headroom in (montecarlo._HEADROOM, 0.0):
             monkeypatch.setattr(montecarlo, "_HEADROOM", headroom)
             builds.clear()
-            runs.append(simulate(cfg, grid, base_market, mt).summary)
+            runs.append(simulate(cfg, grid, base_market, mt))
             counts.append(len(builds))
         assert counts[0] == grid.n_steps - 1  # one table per step
         assert counts[1] > 2 * counts[0]
         alive = runs[0].alive_paths
         assert np.any((alive > 0) & (alive < 3000))  # some funds die out, not all at once
-        for name in runs[0].__dataclass_fields__:
+        for name in STATS:
             got, want = getattr(runs[1], name), getattr(runs[0], name)
             assert got.tobytes() == want.tobytes(), name
 
@@ -209,8 +209,8 @@ class TestDistributionAgreement:
         se_mean = sched.sigma_x / math.sqrt(paths)
         var = sched.sigma_x**2
         se_var = var * math.sqrt(2.0 / (paths - 1))
-        d_mean = np.abs(res.summary.mean_log_x - sched.mu_x)
-        d_var = np.abs(res.summary.var_log_x - var)
+        d_mean = np.abs(res.mean_log_x - sched.mu_x)
+        d_var = np.abs(res.var_log_x - var)
         assert np.all(d_mean <= 3.0 * se_mean + 1e-12)
         assert np.all(d_var <= 3.0 * se_var + 1e-12)
 
@@ -227,7 +227,7 @@ class TestDistributionAgreement:
         for k in range(grid.n_steps):
             expect = n0 * mt.tail[k]
             se = math.sqrt(n0 * mt.tail[k] * max(1.0 - mt.tail[k], 0.0) / paths)
-            assert abs(res.summary.mean_survivors[k] - expect) <= 4.0 * se + 1e-9
+            assert abs(res.mean_survivors[k] - expect) <= 4.0 * se + 1e-9
 
     def test_vnm_constant_consumption_per_path(self):
         grid = make_time_grid(0, 1, 8)
@@ -246,7 +246,7 @@ class TestDistributionAgreement:
 
 
 class TestSummarize:
-    """Per-step quantiles in ``SimulationResult.summary``."""
+    """Per-step quantiles in ``SimulationResult``."""
 
     def test_single_deterministic_path(self):
         grid = make_time_grid(0, 1, 3)
@@ -259,10 +259,9 @@ class TestSummarize:
                              record=ALL_SERIES),
             grid, market, mt,
         )
-        pct = res.summary
         for j in range(len(QUANTILES)):
-            assert np.array_equal(pct.x_quantiles[j], res.wealth[0])
-            assert np.array_equal(pct.gamma_quantiles[j], res.consumption[0])
+            assert np.array_equal(res.x_quantiles[j], res.wealth[0])
+            assert np.array_equal(res.gamma_quantiles[j], res.consumption[0])
 
     def test_median_of_two_paths_is_midpoint(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
@@ -272,9 +271,8 @@ class TestSummarize:
                              record=ALL_SERIES),
             grid, base_market, mt,
         )
-        pct = res.summary
         k = grid.n_steps // 2
-        assert pct.x_quantiles[MEDIAN, k] == pytest.approx(res.wealth[:, k].mean(), rel=1e-15)
+        assert res.x_quantiles[MEDIAN, k] == pytest.approx(res.wealth[:, k].mean(), rel=1e-15)
 
     def test_median_tracks_lognormal_median(self, default_table, base_market, vnm_prefs):
         grid, mt = default_table
@@ -285,10 +283,9 @@ class TestSummarize:
             grid, base_market, mt,
         )
         sched = wealth_schedule(table, 1.0)
-        pct = res.summary
         k = 10
         se = 1.2533 * sched.sigma_x[k] / math.sqrt(paths)  # asymptotic median error
-        assert abs(math.log(pct.x_quantiles[MEDIAN, k]) - sched.mu_x[k]) <= 3.0 * se
+        assert abs(math.log(res.x_quantiles[MEDIAN, k]) - sched.mu_x[k]) <= 3.0 * se
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -378,13 +375,13 @@ class TestSummarize:
         )
         alive = res.survivors > 0
         # members die, some funds die out, and later every fund has
-        counts = res.summary.alive_paths
+        counts = res.alive_paths
         assert np.any(np.diff(res.survivors, axis=1) < 0)
         assert np.any((counts > 0) & (counts < 3000)) and counts[-1] == 0
         for k in range(grid.n_steps):
             live = alive[:, k]
-            for got, series in ((res.summary.x_quantiles, res.wealth),
-                                (res.summary.gamma_quantiles, res.consumption)):
+            for got, series in ((res.x_quantiles, res.wealth),
+                                (res.gamma_quantiles, res.consumption)):
                 if live.any():
                     ref = np.quantile(series[live, k], QUANTILES, method="linear")
                     assert np.array_equal(got[:, k], ref)
@@ -400,7 +397,7 @@ class TestSummarize:
         table = solve(mode, base_market, vnm_prefs, mt)
         full, wealth = [
             simulate(SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, **kw),
-                     grid, base_market, mt).summary
+                     grid, base_market, mt)
             for kw in ({}, {"summary": ("wealth",)})
         ]
         if mode.is_finite:
@@ -420,11 +417,10 @@ class TestSummarize:
                              summary=("wealth", "bogus"))
         res = simulate(SimulationConfig(paths=4, seed=1, mode=mode, policy=table, summary=()),
                        grid, base_market, mt)
-        stats = res.summary
         for name in ("mean_log_x", "var_log_x", "x_quantiles",
                      "mean_log_gamma", "var_log_gamma", "gamma_quantiles"):
-            assert np.all(np.isnan(getattr(stats, name))), name
-        assert np.all(stats.alive_paths == 4) and np.all(stats.mean_survivors > 0)
+            assert np.all(np.isnan(getattr(res, name))), name
+        assert np.all(res.alive_paths == 4) and np.all(res.mean_survivors > 0)
 
     def test_validation(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
@@ -436,7 +432,7 @@ class TestSummarize:
             grid, base_market, mt,
         )
         assert res.consumption is None
-        assert res.summary.gamma_quantiles.shape == (len(QUANTILES), grid.n_steps)
+        assert res.gamma_quantiles.shape == (len(QUANTILES), grid.n_steps)
 
 
 class TestValidation:
@@ -486,8 +482,8 @@ class TestValidation:
                              record=ALL_SERIES),
             grid, market, mt,
         )
-        assert res.summary.alive_paths[0] == 4000
-        assert res.summary.alive_paths[-1] < 4000
+        assert res.alive_paths[0] == 4000
+        assert res.alive_paths[-1] < 4000
         dead_at = res.survivors == 0
         assert np.all(res.wealth[dead_at] == 0.0)
         # once dead, always dead with zero wealth
@@ -513,8 +509,8 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert res.wealth is None and res.survivors is None and res.consumption is None
-        assert res.summary.alive_paths[0] == 20_000
-        assert np.all(np.isfinite(res.summary.x_quantiles[:, 0]))
+        assert res.alive_paths[0] == 20_000
+        assert np.all(np.isfinite(res.x_quantiles[:, 0]))
         assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize(

@@ -86,6 +86,9 @@ class TestCSVIngestion:
         g = make_time_grid(65, 1, 68)
         t = self._load("age,qx\n65,0.1\n66,0.1\n67,0.1\n", g)
         assert np.allclose(t.p, [0.1, 0.09, 0.81], atol=1e-12)
+        # blank and whitespace-only lines are skipped
+        blank = self._load("age,qx\n65,0.1\n\n66,0.1\n \n67,0.1\n", g)
+        assert blank.p.tobytes() == t.p.tobytes()
 
     def test_fractional_step_geometric_interpolation(self):
         g = make_time_grid(65, 0.5, 68)
@@ -113,6 +116,14 @@ class TestCSVIngestion:
             self._load("age,qx\n65,0.1\n67,0.1\n", g)
         with pytest.raises(IngestionError, match="empty"):
             self._load("", g)
+        with pytest.raises(IngestionError, match="row 3: expected 2 fields, got 3"):
+            self._load("age,qx\n65,0.1\n66,0.1,x\n67,0.1\n", g)
+        with pytest.raises(IngestionError, match="no data rows"):
+            self._load("age,qx\n", g)
+        # a NaN age once surfaced as a coverage gap "from age nan to nan"
+        for age in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(IngestionError, match="age_at_t0 must be finite"):
+                self._load("age,qx\n65,0.1\n66,0.1\n67,0.1\n", g, age_at_t0=age)
         # ages past 2^53 were once stepped through one at a time, never ending
         far = make_time_grid(0, 1e307, 1e308)
         with pytest.raises(IngestionError, match="ages above 67"):

@@ -325,6 +325,12 @@ class TestEvaluatePolicy:
                 Strategy(a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 1.2)),
                 CollectiveMode.individual(), base_market, vnm_prefs, mt,
             )
+        # a finite fund needs one rate per survivor count and date
+        with pytest.raises(ConfigurationError, match=r"strategy\.c must have shape \(3, "):
+            evaluate_policy(
+                Strategy(a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 0.1)),
+                CollectiveMode.finite(3), base_market, vnm_prefs, mt,
+            )
 
     @pytest.mark.parametrize("series, value", [("c", math.nan), ("a", math.nan), ("a", math.inf)])
     @pytest.mark.parametrize("mode", [CollectiveMode.infinite(), CollectiveMode.finite(3)], ids=str)

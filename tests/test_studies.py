@@ -76,7 +76,8 @@ class TestAnnuityUtility:
         assert annuity_loop(mt, prefs) == 0.0
         u = annuity_utility(mt, prefs)
         assert 0.0 < u < 1e-60
-        o = run_scenarios(studies_config.scenarios, studies_config.market.sigma, prefs, mt)
+        scenarios = [sc[1:] for sc in studies_config.scenarios]  # (mu, r, n) without the id
+        o = run_scenarios(scenarios, studies_config.market.sigma, prefs, mt)
         assert np.all(np.isfinite(o))
 
     def test_zero_utility_raises(self, studies_config):
@@ -131,7 +132,7 @@ class TestAnnuityOutperformance:
         _, mt = default_table
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         try:
-            (o,) = run_scenarios([("s", mu, r, n)], sigma, prefs, mt)
+            (o,) = run_scenarios([(mu, r, n)], sigma, prefs, mt)
         except DivergenceError:
             assume(False)
         mode = {None: CollectiveMode.infinite(), 1: CollectiveMode.individual()}.get(
@@ -289,8 +290,7 @@ class TestScenarios:
     def test_scenario_ordering(self, default_table, vnm_prefs):
         grid, mt = default_table
         o = run_scenarios(
-            [("1", 0.062, 0.027, None), ("2", 0.062, 0.027, 1),
-             ("3", 0.027, 0.027, None), ("4", 0.0, 0.0, None)],
+            [(0.062, 0.027, None), (0.062, 0.027, 1), (0.027, 0.027, None), (0.0, 0.0, None)],
             0.15, vnm_prefs, mt,
         )
         assert o.dtype == np.float64 and o.shape == (4,)
@@ -302,7 +302,7 @@ class TestScenarios:
         _, mt = default_table
         prefs = Preferences(alpha=-3.0, rho=-1.0, b=0.02)
         m = base_market
-        o = run_scenarios([(str(n), m.mu, m.r, n) for n in (None, 1, 5)], m.sigma, prefs, mt)
+        o = run_scenarios([(m.mu, m.r, n) for n in (None, 1, 5)], m.sigma, prefs, mt)
         modes = (CollectiveMode.infinite(), CollectiveMode.individual(), CollectiveMode.finite(5))
         assert o.tolist() == [annuity_outperformance(solve(mode, m, prefs, mt)) for mode in modes]
 
@@ -322,7 +322,7 @@ class TestScenarios:
         _, mt = default_table
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         try:
-            (o,) = run_scenarios([("s", r + premium, r, None)], sigma, prefs, mt)
+            (o,) = run_scenarios([(r + premium, r, None)], sigma, prefs, mt)
         except DivergenceError:
             assume(False)
         assert o >= -1e-12
@@ -335,7 +335,7 @@ class TestScenarios:
             studies, "annuity_utility", lambda *args: calls.append(args) or price(*args)
         )
         run_scenarios(
-            [(str(k), 0.062, 0.027, n) for k, n in enumerate([None, 1, 3, None, 1])],
+            [(0.062, 0.027, n) for n in [None, 1, 3, None, 1]],
             0.15, vnm_prefs, mt,
         )
         assert len(calls) == 1
@@ -350,9 +350,7 @@ class TestScenarios:
         cfg = studies_config
         _, mu, r, _ = cfg.scenarios[0]
         market = MarketParams(mu=float(mu), r=float(r), sigma=cfg.market.sigma)
-        (o,) = run_scenarios(
-            [("1", market.mu, market.r, None)], market.sigma, cfg.prefs, cfg.mortality
-        )
+        (o,) = run_scenarios([(market.mu, market.r, None)], market.sigma, cfg.prefs, cfg.mortality)
         study = convergence_study(cfg.n_list, market, cfg.prefs, cfg.mortality)
         assert o == study.infinite_outperformance
 
@@ -376,8 +374,9 @@ class TestFundSizeStudy:
     def test_outperformance_prices_each_size(self, default_table, base_market, vnm_prefs):
         # the study's unit-budget pricing is annuity_outperformance of each solve
         grid, mt = default_table
-        rep = convergence_study([1, 3, 12], base_market, vnm_prefs, mt)
-        for n, o in zip(rep.n.tolist(), rep.outperformance):
+        ns = [1, 3, 12]
+        rep = convergence_study(ns, base_market, vnm_prefs, mt)
+        for n, o in zip(ns, rep.outperformance):
             table = solve(CollectiveMode.finite(n), base_market, vnm_prefs, mt)
             assert o == pytest.approx(annuity_outperformance(table), abs=1e-12)
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
@@ -400,7 +399,7 @@ class TestFundSizeStudy:
         assert abs(rep.infinite_outperformance) < 1e-12
         gains = {
             n: (o - o_1) / (rep.infinite_outperformance - o_1)
-            for n, o in zip(rep.n.tolist(), rep.outperformance)
+            for n, o in zip(ns, rep.outperformance)
         }
         assert gains[16] < 0.9 <= gains[32]
         assert rep.n_at_90pct == 32
@@ -427,15 +426,15 @@ class TestConvergenceStudy:
     def test_local_exponents(self, report):
         rep, ns = report
         diffs = np.abs(rep.z_n - rep.z_infinity)
-        assert rep.n.tolist() == ns and math.isnan(rep.local_exponent[0])
+        assert len(rep.z_n) == len(ns) and math.isnan(rep.local_exponent[0])
         for j in range(1, len(ns)):
             expected = math.log(diffs[j] / diffs[j - 1]) / math.log(ns[j] / ns[j - 1])
             assert rep.local_exponent[j] == pytest.approx(expected, rel=1e-12)
 
     def test_root_n_bound_from_anchor(self, report):
-        rep, _ = report
+        rep, ns = report
         assert rep.bound_anchor == 4
-        for n, zn in zip(rep.n.tolist(), rep.z_n):
+        for n, zn in zip(ns, rep.z_n):
             if n >= rep.bound_anchor:
                 assert abs(zn - rep.z_infinity) <= rep.bound_constant * n**-0.5 * (1 + 1e-12)
 
@@ -445,8 +444,9 @@ class TestConvergenceStudy:
 
     def test_bound_shape_on_other_mortality(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        rep = convergence_study([1, 2, 4, 8, 16, 32, 64], base_market, vnm_prefs, mt)
-        for n, zn in zip(rep.n.tolist(), rep.z_n):
+        ns = [1, 2, 4, 8, 16, 32, 64]
+        rep = convergence_study(ns, base_market, vnm_prefs, mt)
+        for n, zn in zip(ns, rep.z_n):
             if n >= rep.bound_anchor:
                 assert abs(zn - rep.z_infinity) <= rep.bound_constant * n**-0.5 * (1 + 1e-12)
 
@@ -456,6 +456,18 @@ class TestConvergenceStudy:
             convergence_study([2, 4, 8], base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="increasing"):
             convergence_study([8, 4, 2, 64], base_market, vnm_prefs, mt)
+        with pytest.raises(ConfigurationError, match="at least one fund size"):
+            convergence_study([], base_market, vnm_prefs, mt)
+
+    @pytest.mark.parametrize("T, hazard", [(66, (0.0, 1e-3, 0.1)), (68, (0.0, 0.0, 0.0))],
+                             ids=["one-grid-point", "zero-hazard"])
+    def test_no_rate_to_fit_when_z_n_equals_z_inf(self, vnm_prefs, T, hazard):
+        # every fund is worth the infinite fund's to the bit here: log 0 once
+        # made the fit NaN, which the CLI printed with exit 0
+        market = MarketParams(mu=0.05, r=0.02, sigma=0.15)
+        mt = gompertz_makeham(*hazard, make_time_grid(65, 1, T))
+        with pytest.raises(ConfigurationError, match="at n = 1: there is no rate to fit"):
+            convergence_study([1, 10, 100], market, vnm_prefs, mt)
 
 
 class TestPooledPrecision:
@@ -497,7 +509,8 @@ class TestConvergenceRegimes:
 
     def test_linear_in_n_without_convergence(self, studies_config):
         prefs = Preferences(alpha=0.5, rho=-1.0, b=studies_config.prefs.b)
-        rep = _study(studies_config, prefs, range(1, 4097))
-        assert np.max(np.abs(rep.z_n / (rep.n * rep.z_n[0]) - 1.0)) <= 1e-9
+        ns = np.arange(1, 4097)
+        rep = _study(studies_config, prefs, ns)
+        assert np.max(np.abs(rep.z_n / (ns * rep.z_n[0]) - 1.0)) <= 1e-9
         # z_n is negligible against z_inf, so the gap does not shrink
         assert rep.local_exponent[-1] > -0.25
