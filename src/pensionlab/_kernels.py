@@ -8,8 +8,8 @@ Two operations dominate runtime and live here:
   representable for large |alpha|.  Each survivor-count row is summed only
   over a window of O(sqrt(n)) terms around its mean, with a proven bound on
   the dropped mass, so a step costs O(n^1.5) time and O(n + chunk * window)
-  memory instead of O(n^2) for both.  Each term costs a few float
-  operations on row copies of per-index vectors, not per-term gathers.
+  memory instead of O(n^2) for both.  Each term is one addition of row
+  copies of two per-index vectors, not per-term gathers.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode.  It is a table sampler in two
   parts.  ``binomial_table`` builds the cumulative chop-down sums once per
@@ -82,14 +82,21 @@ def lgamma_table(nmax: int) -> np.ndarray:
 # covers all of 1..m (small m, or an infinite log z') get lo = 1, hi = m.
 #
 # Rows are evaluated CHUNK_ROWS at a time on a (rows x widest window) block,
-# so memory is O(n + CHUNK_ROWS * window), never O(n^2).  Every operand of a
-# term depends on m alone, on i alone or on d = m - i alone, so each call
-# tabulates the i- and d-operands once as vectors, and a block row, which
-# runs over consecutive i (and consecutive d), is a contiguous slice of each
-# vector: a block costs one row copy per operand plus the per-term
-# arithmetic, with no per-term gathers or index arithmetic.  The block shape
-# and the left-to-right order of the additions fix every rounding, and the
-# masked cells are -inf, as if the block had been evaluated term by term.
+# so memory is O(n + CHUNK_ROWS * window), never O(n^2).  Each term's log is
+# A_i + D_d with d = m - i and
+#
+#   A_i = i log s - log i! + (1-alpha) log i + alpha log z'_i
+#   D_d = d log(1-s) - log d!,
+#
+# and its row adds the constant log m! - (1-alpha) log m, which comes out of
+# the row's log-sum-exp exactly.  Each call tabulates A and D once as
+# vectors; a block row runs over consecutive i (and consecutive d), so it is
+# one row copy of each plus one addition, with no per-term gathers.  Each
+# term rounds at the scale of its largest operand, |log m!| or m |log s|,
+# not after log m! - log i! cancels, so log lam_m carries a few ulp of
+# log m!; each lgam entry already carries one.  The block shape and these
+# operations fix every rounding, and the masked cells are -inf, as if the
+# block had been evaluated term by term.
 
 TAIL_NATS = 40.0  # exp(-40) = 4.2e-18: the dropped/kept mass bound per row
 CHUNK_ROWS = 128
@@ -144,41 +151,26 @@ def log_survivor_mixture(logw, s, lgam, alpha):
     n = logw.shape[0]
     if s >= 1.0:
         return alpha * logw
-    ls = math.log(s)
-    l1s = math.log1p(-s)
-    logi = np.log(np.arange(1, n + 1, dtype=np.float64))
+    i = np.arange(1, n + 1, dtype=np.float64)
+    logi = np.log(i)
     lo, hi = _row_windows(alpha * logw, s, alpha)
     span = hi - lo
     width = int(span.max(initial=0)) + 1
-    # the operands of term (m, i) that depend on i alone sit at column i - 1,
-    # those of d = m - i at column n - d, zero-padded by the widest window, so
-    # the operands of a block row i = lo..lo+w-1 are one row of each view
-    ops = np.zeros((6, n + 1 + width))
-    ops[0, :n] = lgam[1 : n + 1]
-    ops[1, :n] = np.arange(1, n + 1) * ls
-    ops[2, :n] = logi
-    ops[3, :n] = alpha * logw
-    ops[4, : n + 1] = lgam[n::-1]
-    ops[5, : n + 1] = np.arange(n, -1, -1) * l1s
-    lgam_i, ls_i, logi_i, aw_i, lgam_d, l1s_d = sliding_window_view(ops, width, axis=1)
+    # A_i sits at column i - 1 and D_d at column n - d, zero-padded by the
+    # widest window, so a block row i = lo..lo+w-1 is one row of each view
+    ops = np.zeros((2, n + 1 + width))
+    ops[0, :n] = i * math.log(s) - lgam[1 : n + 1] + (1.0 - alpha) * logi + alpha * logw
+    ops[1, : n + 1] = np.arange(n, -1, -1) * math.log1p(-s) - lgam[n::-1]
+    a_i, d_d = sliding_window_view(ops, width, axis=1)
+    row_const = lgam[1 : n + 1] - (1.0 - alpha) * logi
     out = np.empty(n)
     for start in range(0, n, CHUNK_ROWS):
         rows = slice(start, min(start + CHUNK_ROWS, n))
-        m0 = np.arange(rows.start, rows.stop)  # m - 1
-        at_i = lo[rows] - 1
-        at_d = n - 1 - m0 + lo[rows]
         w = int(span[rows].max()) + 1
-        t = lgam[m0 + 1, None] - lgam_i[at_i, :w]
-        t -= lgam_d[at_d, :w]
-        t += ls_i[at_i, :w]
-        t += l1s_d[at_d, :w]
-        g = logi_i[at_i, :w]
-        g -= logi[m0, None]
-        g *= 1.0 - alpha
-        t += g
-        t += aw_i[at_i, :w]
+        t = a_i[lo[rows] - 1, :w]
+        t += d_d[n - 1 - np.arange(rows.start, rows.stop) + lo[rows], :w]
         np.copyto(t, -np.inf, where=np.arange(w) > span[rows, None])
-        out[rows] = _log_sum_exp_rows(t)
+        out[rows] = _log_sum_exp_rows(t) + row_const[rows]
     return out
 
 

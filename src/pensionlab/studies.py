@@ -179,9 +179,12 @@ def convergence_study(
     z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z_at_start()
     z_n = z_all[n - 1]
     diffs = np.abs(z_n - z_inf)
-    if not diffs.all():
+    # a gap this small is rounding, not a rate: the finite solve rounds by
+    # up to ~5e-11 relative at n = 10 000, and the infinite solve differently
+    noise = diffs <= 1e-9 * z_inf
+    if noise.any():
         raise ConfigurationError(
-            f"z_n equals z_inf at n = {n[diffs == 0][0]}: there is no rate to fit"
+            f"|z_n - z_inf| <= 1e-9 z_inf at n = {n[noise][0]}: there is no rate to fit"
         )
 
     # one pricing of the annuity for every size 1..n_max and the limit

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from oracle_mixture import (
     log_sum_exp_rows,
     log_survivor_mixture_full,
     log_survivor_mixture_gather,
+    log_survivor_mixture_split_gather,
     mixture_terms,
 )
 from oracle_normal import inverse_normal_cdf_all_branches
@@ -317,6 +319,29 @@ def mixture_inputs(draw, max_n=400, survival=survival):
     return logw, s, alpha
 
 
+def operand_ulps(logw, s, lgam, alpha, ulps=8):
+    """ulps units in the last place of row m's largest operand: log m!,
+    m |log s|, m |log(1-s)|, (1-alpha) log m or the largest finite
+    |alpha logw_i|, i <= m.  The kernel rounds each term at that scale."""
+    m = np.arange(1, logw.shape[0] + 1, dtype=np.float64)
+    aw = np.abs(alpha * logw)
+    scale = np.maximum.reduce([
+        lgam[1:],
+        m * abs(math.log(s)),
+        m * abs(math.log1p(-s)) if s < 1.0 else np.zeros_like(m),
+        (1.0 - alpha) * np.log(m),
+        np.maximum.accumulate(np.where(np.isfinite(aw), aw, 0.0)),
+    ])
+    return ulps * np.spacing(scale)
+
+
+def assert_within_operand_ulps(got, want, logw, s, lgam, alpha):
+    limit = ~np.isfinite(want)
+    assert np.array_equal(got[limit], want[limit])
+    bound = operand_ulps(logw, s, lgam, alpha)
+    assert np.all(np.abs(got[~limit] - want[~limit]) <= bound[~limit])
+
+
 class TestBandedMixture:
     @settings(max_examples=300, deadline=None)
     @given(mixture_inputs())
@@ -325,9 +350,18 @@ class TestBandedMixture:
         lgam = lgamma_table(logw.shape[0])
         got = log_survivor_mixture(logw, s, lgam, alpha)
         want = log_survivor_mixture_full(logw, s, lgam, alpha)
-        limit = ~np.isfinite(want)
-        assert np.array_equal(got[limit], want[limit])
-        assert np.all(np.abs(got[~limit] - want[~limit]) <= 1e-13)
+        assert_within_operand_ulps(got, want, logw, s, lgam, alpha)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture_inputs())
+    def test_matches_old_grouping_within_operand_ulps(self, inputs):
+        # the kernel once summed each term from log m! - log i! on; summing
+        # it as A_i + D_(m-i) moves log lam by a few ulp of the largest operand
+        logw, s, alpha = inputs
+        lgam = lgamma_table(logw.shape[0])
+        got = log_survivor_mixture(logw, s, lgam, alpha)
+        want = log_survivor_mixture_gather(logw, s, lgam, alpha)
+        assert_within_operand_ulps(got, want, logw, s, lgam, alpha)
 
     @settings(max_examples=300, deadline=None)
     @given(mixture_inputs().filter(lambda inputs: inputs[1] < 1.0))
@@ -358,7 +392,7 @@ class TestBandedMixture:
         logw, s, alpha = inputs
         lgam = lgamma_table(logw.shape[0])
         got = log_survivor_mixture(logw, s, lgam, alpha)
-        want = log_survivor_mixture_gather(logw, s, lgam, alpha)
+        want = log_survivor_mixture_split_gather(logw, s, lgam, alpha)
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_matches_gathered_block_bitwise_on_banded_rows(self):
@@ -368,8 +402,22 @@ class TestBandedMixture:
         assert np.any(hi < np.arange(1, n + 1)) and np.any(lo > 1)
         lgam = lgamma_table(n)
         got = log_survivor_mixture(logw, s, lgam, alpha)
-        want = log_survivor_mixture_gather(logw, s, lgam, alpha)
+        want = log_survivor_mixture_split_gather(logw, s, lgam, alpha)
         assert np.array_equal(got, want)
+
+    def test_one_call_allocates_two_operand_vectors_and_one_block(self):
+        # six operand rows and seven (rows x window) temporaries per block
+        # once peaked at 2.90 MiB here; two vectors and one block: 1.69 MiB
+        n = 10_000
+        logw = np.linspace(0.7, 3.0, n)
+        lgam = lgamma_table(n)
+        tracemalloc.start()
+        try:
+            log_survivor_mixture(logw, 0.93, lgam, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
 
     def test_window_is_a_band_at_large_n(self):
         # on a smooth z' the windows hold O(sqrt(m)) terms, not O(m)
