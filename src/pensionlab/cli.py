@@ -55,12 +55,11 @@ _BLOCK_ROWS = 4096  # CSV rows formatted per write
 
 # Caps on what one accepted CLI config may ask for, so that a config at all
 # three caps keeps its tables and path arrays under 1 GiB on a 7.8 GiB machine.
-# Measured tracemalloc peaks per unit: about 200 B per grid point (simulate's
+# Measured tracemalloc peaks per unit: about 152 B per grid point (simulate's
 # per-date statistics; solve needs 60 B), 60 B per finite table cell (the
 # value.csv columns of solve; simulate and converge need 32 B) and 27 B per
-# Monte Carlo path (a finite fund at 1,000,000 paths with wealth summarised,
-# as the CLI runs it; 35 B with consumption too, 24 B for the infinite fund),
-# i.e. at most about 200 + 300 + 167 MiB, the last at 35 B per path.
+# Monte Carlo path (a finite fund at 1,000,000 paths; 24 B for the infinite
+# fund), i.e. at most about 145 + 286 + 129 MiB, some 0.55 GiB.
 MAX_GRID_POINTS = 1_000_000
 MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
 MAX_PATHS = 5_000_000
@@ -253,15 +252,18 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     is formed, so an error in forming it leaves no file."""
     parts = iter([columns] if isinstance(columns, list) else columns)
     part = next(parts)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        while part is not None:
-            part = [np.asarray(col) for col in part]
-            row = ",".join("%.11e" if col.dtype.kind == "f" else "%s" for col in part) + "\n"
-            for start in range(0, len(part[0]), _BLOCK_ROWS):
-                block = [col[start:start + _BLOCK_ROWS].tolist() for col in part]
-                fh.write("".join(row % cells for cells in zip(*block)))
-            part = next(parts, None)
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            while part is not None:
+                part = [np.asarray(col) for col in part]
+                row = ",".join("%.11e" if col.dtype.kind == "f" else "%s" for col in part) + "\n"
+                for start in range(0, len(part[0]), _BLOCK_ROWS):
+                    block = [col[start:start + _BLOCK_ROWS].tolist() for col in part]
+                    fh.write("".join(row % cells for cells in zip(*block)))
+                part = next(parts, None)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from None
     print(f"wrote {path}")
 
 
@@ -290,10 +292,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     table = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
     grid = table.grid
     sim = simulate(
-        SimulationConfig(
-            paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table, x0=cfg.budget,
-            record=(), summary=("wealth",),  # paths_summary.csv has no consumption column
-        ),
+        SimulationConfig(paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table,
+                         x0=cfg.budget),
         grid, cfg.market, cfg.mortality,
     )
     if cfg.mode.is_finite:

@@ -9,6 +9,7 @@ floating-point drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t0) and 0.0 < self.dt < math.inf):
             raise ConfigurationError(f"grid needs a finite t0 and dt > 0, got {self.t0}, {self.dt}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ConfigurationError(f"grid n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ConfigurationError("grid needs at least one point")
 

@@ -12,17 +12,14 @@ identity
     Xbar_t = (n_t / n_{t+dt}) (X_t - gamma_t)        finite fund,
     Xbar_t = (X_t - gamma_t) / s_t                   infinite fund.
 
-The summary (moments of log wealth and log consumption, the empirical
-``QUANTILES`` of wealth and consumption, survivor means) is computed inside the
-step loop over the paths still alive (no gather while every path is), so a
-run needs O(paths) memory.  Wealth and consumption statistics are computed
-only for the series ``SimulationConfig.summary`` names (both by default), and
-consumption is formed for all paths only when it is summarised or recorded.
-Each summarised series is sorted once per step and its quantiles are read
-from that sorted copy, bitwise equal to np.quantile's; moments use the
-unsorted values, as summation order matters.  Full ``paths x n_steps``
-series are kept only for the names in ``SimulationConfig.record``.  Both
-come back in one flat ``SimulationResult``.
+The summary (moments of log wealth, the empirical ``QUANTILES`` of wealth,
+survivor means) is computed inside the step loop over the paths still alive
+(no gather while every path is), so a run needs O(paths) memory.  Wealth is
+sorted once per step and its quantiles are read from that sorted copy,
+bitwise equal to np.quantile's; moments use the unsorted values, as
+summation order matters.  Full ``paths x n_steps`` series are kept only for
+the names in ``SimulationConfig.record``; consumption is formed only when it
+is recorded.  Both come back in one flat ``SimulationResult``.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, path, step, stream): stream 0 drives market growth, stream 1 the
@@ -43,8 +40,7 @@ its gathered copy of the alive values in place, then sorts a second gather
 in place.  Per path, a run holds the keys, wealth, counts and alive mask,
 plus one path-sized temporary in the summary: about 27 B per path for a
 finite fund and 24 B for the infinite fund under tracemalloc at 1,000,000
-paths (wealth summarised), 35 and 32 B when consumption is summarised as
-well.  The results do not depend on the block size.
+paths.  The results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ __all__ = [
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)  # probabilities of the summary quantiles
 _RECORD_CHOICES = ("survivors", "wealth", "consumption")
-_SUMMARY_CHOICES = ("wealth", "consumption")
 _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
 _ALL = slice(None)  # the alive selector while no path has died out
@@ -86,9 +81,7 @@ class SimulationConfig:
     """One simulation run.
 
     ``record`` names the full ``paths x n_steps`` series to keep (none by
-    default).  ``summary`` names the series whose log moments and quantiles
-    go into ``SimulationResult`` (wealth and consumption by default); the
-    statistics of a series it leaves out are NaN and cost nothing.
+    default).
     """
 
     paths: int
@@ -97,7 +90,6 @@ class SimulationConfig:
     policy: Union[ValueTable, Strategy]
     x0: float = 1.0
     record: Sequence[str] = ()
-    summary: Sequence[str] = _SUMMARY_CHOICES
 
     def __post_init__(self):
         for field in ("paths", "seed"):
@@ -108,34 +100,29 @@ class SimulationConfig:
             raise ConfigurationError(f"paths must be >= 1, got {self.paths}")
         if not 0.0 < self.x0 < math.inf:
             raise ConfigurationError(f"x0 must be finite and positive, got {self.x0}")
-        for field, choices in (("record", _RECORD_CHOICES), ("summary", _SUMMARY_CHOICES)):
-            unknown = set(getattr(self, field)) - set(choices)
-            if unknown:
-                raise ConfigurationError(f"unknown {field} series {sorted(unknown)}")
+        unknown = set(self.record) - set(_RECORD_CHOICES)
+        if unknown:
+            raise ConfigurationError(f"unknown record series {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-grid-point statistics over paths still alive (n_t > 0), then the
-    ``paths x n_steps`` series that ``SimulationConfig.record`` names (None
-    unless recorded).
+    """Per-grid-point wealth statistics over paths still alive (n_t > 0),
+    then the ``paths x n_steps`` series that ``SimulationConfig.record``
+    names (None unless recorded).
 
-    ``x_quantiles`` and ``gamma_quantiles`` have one row per entry of
-    ``QUANTILES`` and are NaN where no path is alive.  Quantiles use numpy's
-    linear interpolation convention, so the 0.5 quantile of a two-value
-    sample is their midpoint; each step's are read from one sorted copy of
-    the alive values.  The log moments and quantiles of a series that
-    ``SimulationConfig.summary`` does not name are NaN at every step.
+    ``x_quantiles`` has one row per entry of ``QUANTILES`` and is NaN where
+    no path is alive, as are the log moments.  Quantiles use numpy's linear
+    interpolation convention, so the 0.5 quantile of a two-value sample is
+    their midpoint; each step's are read from one sorted copy of the alive
+    wealth.
     """
 
     mean_log_x: np.ndarray
     var_log_x: np.ndarray
-    mean_log_gamma: np.ndarray
-    var_log_gamma: np.ndarray
     mean_survivors: np.ndarray
     alive_paths: np.ndarray
     x_quantiles: np.ndarray
-    gamma_quantiles: np.ndarray
     survivors: Optional[np.ndarray] = None
     wealth: Optional[np.ndarray] = None
     consumption: Optional[np.ndarray] = None
@@ -334,13 +321,9 @@ def simulate(
         model = _BinomialSurvivors(c_arr[None, :], 1, paths)
 
     recorded = {name: np.empty((paths, n_steps)) for name in config.record}
-    # (mean log, var log, quantiles) of each series, NaN unless summarised
-    stats = {
-        name: (np.full(n_steps, np.nan), np.full(n_steps, np.nan),
-               np.full((len(QUANTILES), n_steps), np.nan))
-        for name in _SUMMARY_CHOICES
-    }
-    summarised = {name: stats[name] for name in _SUMMARY_CHOICES if name in config.summary}
+    mean_lx = np.empty(n_steps)
+    var_lx = np.empty(n_steps)
+    xq = np.full((len(QUANTILES), n_steps), np.nan)
     mean_n = np.empty(n_steps)
     alive_ct = np.empty(n_steps, dtype=np.int64)
 
@@ -349,37 +332,32 @@ def simulate(
 
     keys = path_keys(seed, paths)
     x = np.full(paths, config.x0)
-    with_gamma = "consumption" in config.record or "consumption" in config.summary
     for k in range(n_steps):
-        series = {"survivors": model.survivors, "wealth": x}
-        if with_gamma:
-            series["consumption"] = model.consumption(k, x)
         for name, out in recorded.items():
-            out[:, k] = series[name]
+            if name == "wealth":
+                out[:, k] = x
+            elif name == "survivors":
+                out[:, k] = model.survivors
+            else:  # consumption, formed only when recorded and freed before the update
+                out[:, k] = model.consumption(k, x)
         alive = model.alive
         alive_ct[k] = paths if alive is _ALL else np.count_nonzero(alive)
-        gathered = alive is not _ALL  # series[name][alive] is then a copy to overwrite
-        for name, (mean_log, var_log, quantiles) in summarised.items():
-            values = series[name][alive]
-            mean_log[k], var_log[k] = _log_moments(values, overwrite=gathered)
-            del values  # free the logs before the copy the quantiles sort
-            if alive_ct[k]:
-                quantiles[:, k] = _quantiles(series[name][alive], QUANTILES, overwrite=gathered)
+        gathered = alive is not _ALL  # x[alive] is then a copy to overwrite
+        values = x[alive]
+        mean_lx[k], var_lx[k] = _log_moments(values, overwrite=gathered)
+        del values  # free the logs before the copy the quantiles sort
+        if alive_ct[k]:
+            xq[:, k] = _quantiles(x[alive], QUANTILES, overwrite=gathered)
         mean_n[k] = np.mean(model.survivors)
-        del series  # free consumption before the update
         if k < n_steps - 1:
             blocks = _blocks(keys, k, growth_base[k], growth_vol[k], model.draws_survivors)
             model.advance(k, float(mortality.s[k]), x, blocks)
 
-    (mean_lx, var_lx, xq), (mean_lg, var_lg, gq) = stats["wealth"], stats["consumption"]
     return SimulationResult(
         mean_log_x=mean_lx,
         var_log_x=var_lx,
-        mean_log_gamma=mean_lg,
-        var_log_gamma=var_lg,
         mean_survivors=mean_n,
         alive_paths=alive_ct,
         x_quantiles=xq,
-        gamma_quantiles=gq,
         **recorded,  # the series not recorded stay None
     )

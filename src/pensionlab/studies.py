@@ -85,9 +85,9 @@ def improvement(ra: float | np.ndarray, rb: float | np.ndarray) -> float | np.nd
     """Relative improvement (1+ra)/(1+rb) - 1 of outperformance ra over rb;
     elementwise for arrays."""
     base = np.asarray(rb)
-    low = base[base <= -1.0]
-    if low.size:
-        raise ConfigurationError(f"baseline outperformance must exceed -1, got {low[0]}")
+    bad = base[~(base > -1.0)]  # NaN included
+    if bad.size:
+        raise ConfigurationError(f"baseline outperformance must exceed -1, got {bad[0]}")
     return (1.0 + ra) / (1.0 + rb) - 1.0
 
 
@@ -111,10 +111,10 @@ def run_scenarios(
         market = MarketParams(mu=float(mu), r=float(r), sigma=sigma)
         if n is None:
             mode = CollectiveMode.infinite()
-        elif int(n) == 1:
+        elif n == 1:
             mode = CollectiveMode.individual()
         else:
-            mode = CollectiveMode.finite(int(n))
+            mode = CollectiveMode.finite(n)
         z0 = solve(mode, market, prefs, mortality).z_at_start()
         outperf[k] = _outperformance(z0, unit_utility, mortality, market.r)
     return outperf
@@ -212,11 +212,12 @@ def convergence_study(
 
 
 def _checked_sizes(n_list: Sequence[int]) -> list[int]:
+    bad = [n for n in n_list if not (1 <= n < math.inf and int(n) == n)]  # 2.9 is not 2
+    if bad:
+        raise ConfigurationError(f"fund sizes must be integers >= 1, got {bad[0]!r}")
     sizes = [int(n) for n in n_list]
     if not sizes:
         raise ConfigurationError("need at least one fund size")
-    if any(n < 1 for n in sizes):
-        raise ConfigurationError("fund sizes must be >= 1")
     if sorted(set(sizes)) != sizes:
         raise ConfigurationError("fund sizes must be strictly increasing")
     return sizes

@@ -654,6 +654,14 @@ class TestConfigHandling:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, err
 
+    def test_unwritable_csv_exits_2(self, tmp_path, capsys):
+        # value.csv is a directory, so opening it for writing fails
+        good = write_cfg(tmp_path, TRIVIAL)
+        (tmp_path / "value.csv").mkdir()
+        assert main(["solve", "--config", str(good), "--out", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot write {tmp_path / 'value.csv'}: "), line
+
     def test_bad_mode_string(self, tmp_path):
         p = write_cfg(tmp_path, dict(TRIVIAL, mode="finite:zero"))
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2

@@ -85,6 +85,8 @@ _STRATEGY = Strategy(a=np.zeros(3), c=np.full(3, 0.5))
 NON_FINITE = {
     "grid-dt-nan": (lambda: TimeGrid(t0=0.0, dt=math.nan, n_steps=3), "dt > 0"),
     "grid-t0-inf": (lambda: TimeGrid(t0=math.inf, dt=1.0, n_steps=3), "finite t0"),
+    "grid-steps-fraction": (lambda: TimeGrid(t0=0.0, dt=1.0, n_steps=2.5), "n_steps"),
+    "grid-steps-bool": (lambda: TimeGrid(t0=0.0, dt=1.0, n_steps=True), "n_steps"),
     "preferences-b-nan": (lambda: Preferences(-1.0, -1.0, b=math.nan), "discount rate b"),
     "preferences-b-inf": (lambda: Preferences(-1.0, -1.0, b=math.inf), "discount rate b"),
     "preferences-alpha-minus-inf": (lambda: Preferences(-math.inf, -1.0), "alpha"),

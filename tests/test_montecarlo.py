@@ -261,7 +261,6 @@ class TestSummarize:
         )
         for j in range(len(QUANTILES)):
             assert np.array_equal(res.x_quantiles[j], res.wealth[0])
-            assert np.array_equal(res.gamma_quantiles[j], res.consumption[0])
 
     def test_median_of_two_paths_is_midpoint(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
@@ -380,47 +379,17 @@ class TestSummarize:
         assert np.any((counts > 0) & (counts < 3000)) and counts[-1] == 0
         for k in range(grid.n_steps):
             live = alive[:, k]
-            for got, series in ((res.x_quantiles, res.wealth),
-                                (res.gamma_quantiles, res.consumption)):
-                if live.any():
-                    ref = np.quantile(series[live, k], QUANTILES, method="linear")
-                    assert np.array_equal(got[:, k], ref)
-                else:
-                    assert np.all(np.isnan(got[:, k]))
-
-    @pytest.mark.parametrize("mode", [CollectiveMode.finite(3), CollectiveMode.infinite()],
-                             ids=str)
-    def test_wealth_only_summary_matches_default_run(self, default_table, base_market,
-                                                     vnm_prefs, mode):
-        # finite:3 on the default table dies out, so the alive mask is exercised
-        grid, mt = default_table
-        table = solve(mode, base_market, vnm_prefs, mt)
-        full, wealth = [
-            simulate(SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, **kw),
-                     grid, base_market, mt)
-            for kw in ({}, {"summary": ("wealth",)})
-        ]
-        if mode.is_finite:
-            assert 0 in full.alive_paths and np.any(full.alive_paths < 3000)
-        for name in ("mean_log_x", "var_log_x", "x_quantiles", "mean_survivors", "alive_paths"):
-            assert getattr(wealth, name).tobytes() == getattr(full, name).tobytes(), name
-        for name in ("mean_log_gamma", "var_log_gamma", "gamma_quantiles"):
-            assert np.all(np.isnan(getattr(wealth, name))), name
-        assert not np.all(np.isnan(full.gamma_quantiles))
-
-    def test_summary_validation(self, short_table, base_market, vnm_prefs):
-        grid, mt = short_table
-        mode = CollectiveMode.infinite()
-        table = solve(mode, base_market, vnm_prefs, mt)
-        with pytest.raises(ConfigurationError, match="unknown summary series"):
-            SimulationConfig(paths=4, seed=1, mode=mode, policy=table,
-                             summary=("wealth", "bogus"))
-        res = simulate(SimulationConfig(paths=4, seed=1, mode=mode, policy=table, summary=()),
-                       grid, base_market, mt)
-        for name in ("mean_log_x", "var_log_x", "x_quantiles",
-                     "mean_log_gamma", "var_log_gamma", "gamma_quantiles"):
-            assert np.all(np.isnan(getattr(res, name))), name
-        assert np.all(res.alive_paths == 4) and np.all(res.mean_survivors > 0)
+            if live.any():
+                wealth = res.wealth[live, k]
+                ref = np.quantile(wealth, QUANTILES, method="linear")
+                assert np.array_equal(res.x_quantiles[:, k], ref)
+                logs = np.log(wealth)
+                assert res.mean_log_x[k] == np.mean(logs)
+                # one path has no spread, where np.var says NaN
+                assert res.var_log_x[k] == (np.var(logs, ddof=1) if logs.size > 1 else 0.0)
+            else:
+                assert np.all(np.isnan(res.x_quantiles[:, k]))
+                assert np.isnan(res.mean_log_x[k]) and np.isnan(res.var_log_x[k])
 
     def test_validation(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
@@ -432,7 +401,7 @@ class TestSummarize:
             grid, base_market, mt,
         )
         assert res.consumption is None
-        assert res.gamma_quantiles.shape == (len(QUANTILES), grid.n_steps)
+        assert res.x_quantiles.shape == (len(QUANTILES), grid.n_steps)
 
 
 class TestValidation:
@@ -520,15 +489,15 @@ class TestBoundedMemory:
         ids=str,
     )
     def test_bytes_per_path(self, default_table, base_market, vnm_prefs, mode, limit):
-        # the simulate command's run: nothing recorded, wealth summarised.  At
-        # the peak, a finite fund holds the path keys, wealth, one-byte counts,
+        # the simulate command's run: nothing recorded.  At the peak, a
+        # finite fund holds the path keys, wealth, one-byte counts,
         # the alive mask and the gathered copy of the alive wealth (26 B), the
         # infinite fund the keys, wealth and the sorted copy (24 B); measured
         # 26.7, 26.1 and 24.1 B at 200,000 paths
         grid, mt = default_table
         paths = 200_000
         table = solve(mode, base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=paths, seed=5, mode=mode, policy=table, summary=("wealth",))
+        cfg = SimulationConfig(paths=paths, seed=5, mode=mode, policy=table)
         tracemalloc.start()
         try:
             simulate(cfg, grid, base_market, mt)

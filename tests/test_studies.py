@@ -271,6 +271,8 @@ class TestImprovement:
     def test_domain(self):
         with pytest.raises(ConfigurationError):
             improvement(0.1, -1.0)
+        with pytest.raises(ConfigurationError):
+            improvement(0.1, math.nan)
 
     def test_elementwise_matches_scalar(self):
         ra, rb = np.random.default_rng(11).uniform(-0.9, 2.0, size=(2, 200))
@@ -344,6 +346,9 @@ class TestScenarios:
         grid, mt = default_table
         with pytest.raises(ConfigurationError):
             run_scenarios([], 0.15, vnm_prefs, mt)
+        for n in (2.7, 1.5):  # not solved as finite:2 or as the individual
+            with pytest.raises(ConfigurationError, match=f"integer >= 1, got {n}"):
+                run_scenarios([(0.062, 0.027, n)], 0.15, vnm_prefs, mt)
 
     def test_scenarios_and_converge_price_alike(self, studies_config):
         # the two CLI commands report the infinite fund's outperformance to the bit
@@ -458,6 +463,9 @@ class TestConvergenceStudy:
             convergence_study([8, 4, 2, 64], base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="at least one fund size"):
             convergence_study([], base_market, vnm_prefs, mt)
+        for sizes, first in (([1, 2.9, 10.5, 100.2], "2.9"), ([1, math.nan, 100], "nan")):
+            with pytest.raises(ConfigurationError, match=f"integers >= 1, got {first}"):
+                convergence_study(sizes, base_market, vnm_prefs, mt)
 
     @pytest.mark.parametrize("T, hazard", [(66, (0.0, 1e-3, 0.1)), (68, (0.0, 0.0, 0.0))],
                              ids=["one-grid-point", "zero-hazard"])
