@@ -60,7 +60,7 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
             "wealth_schedule supports individual and infinite modes only; "
             "finite collectives need simulation"
         )
-    if not 0.0 < x0 < math.inf:
+    if isinstance(x0, bool) or not 0.0 < x0 < math.inf:
         raise ConfigurationError(f"initial wealth must be finite and positive, got {x0}")
 
     mortality = table.mortality

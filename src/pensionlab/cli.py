@@ -69,11 +69,6 @@ MAX_PATHS = 5_000_000
 MAX_SCENARIOS = 1000
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits, locale independent."""
-    return f"{x:.11e}"
-
-
 def _require_keys(block: dict, allowed: set, required: set, where: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {type(block).__name__}")
@@ -245,7 +240,7 @@ def _parse_mode(text) -> CollectiveMode:
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns (arrays or short lists) as CSV rows, ``_BLOCK_ROWS``
-    at a time.  Float columns print as ``%.11e``, the text of ``_fmt``; others as ``str``.
+    at a time.  Float columns print as ``%.11e`` (12 significant digits); others as ``str``.
 
     ``columns`` may instead be an iterator of such lists of columns, whose rows
     are written one list after another.  The file is made once the first list
@@ -292,8 +287,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     table = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
     grid = table.grid
     sim = simulate(
-        SimulationConfig(paths=cfg.paths, seed=cfg.seed, mode=cfg.mode, policy=table,
-                         x0=cfg.budget),
+        SimulationConfig(paths=cfg.paths, seed=cfg.seed, policy=table, x0=cfg.budget),
         grid, cfg.market, cfg.mortality,
     )
     if cfg.mode.is_finite:
@@ -354,10 +348,10 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
         [n, zn, report.outperformance, np.abs(zn / report.z_infinity - 1.0),
          report.local_exponent],
     )
-    print(
-        f"fit: |z_n - z_inf| ~ {_fmt(report.fit_constant)} * n^{report.fit_exponent:.4f}; "
-        f"bound {_fmt(report.bound_constant)} * n^-1/2 anchored at n={report.bound_anchor}; "
-        f"z_inf = {_fmt(report.z_infinity)}"
+    print(  # the text of the CSVs' %.11e
+        f"fit: |z_n - z_inf| ~ {report.fit_constant:.11e} * n^{report.fit_exponent:.4f}; "
+        f"bound {report.bound_constant:.11e} * n^-1/2 anchored at n={report.bound_anchor}; "
+        f"z_inf = {report.z_infinity:.11e}"
     )
 
 

@@ -54,9 +54,7 @@ import numpy as np
 
 from .core import ConfigurationError, MarketParams, TimeGrid
 from .mortality import MortalityTable
-from .solver import (
-    CollectiveMode, Strategy, ValueTable, _strategy_arrays, extract_strategy, growth_exponent,
-)
+from .solver import Strategy, ValueTable, _strategy_arrays, extract_strategy, growth_exponent
 from ._kernels import binomial_draws, binomial_table, lgamma_table
 from ._rng import inverse_normal_cdf, path_keys, step_hash, stream_uniforms
 
@@ -80,13 +78,12 @@ _HEADROOM = 63 / 64  # the chance that a step's first survivor table serves all 
 class SimulationConfig:
     """One simulation run.
 
-    ``record`` names the full ``paths x n_steps`` series to keep (none by
-    default).
+    The fund's survivor model is the ``mode`` of ``policy``.  ``record``
+    names the full ``paths x n_steps`` series to keep (none by default).
     """
 
     paths: int
     seed: int
-    mode: CollectiveMode
     policy: Union[ValueTable, Strategy]
     x0: float = 1.0
     record: Sequence[str] = ()
@@ -94,11 +91,11 @@ class SimulationConfig:
     def __post_init__(self):
         for field in ("paths", "seed"):
             value = getattr(self, field)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{field} must be an integer, got {value!r}")
         if self.paths < 1:
             raise ConfigurationError(f"paths must be >= 1, got {self.paths}")
-        if not 0.0 < self.x0 < math.inf:
+        if isinstance(self.x0, bool) or not 0.0 < self.x0 < math.inf:
             raise ConfigurationError(f"x0 must be finite and positive, got {self.x0}")
         unknown = set(self.record) - set(_RECORD_CHOICES)
         if unknown:
@@ -128,18 +125,13 @@ class SimulationResult:
     consumption: Optional[np.ndarray] = None
 
 
-def _policy_arrays(config: SimulationConfig, grid: TimeGrid):
+def _policy_arrays(pol: Union[ValueTable, Strategy], grid: TimeGrid):
     """(a per step, c lookup) from a ValueTable or explicit Strategy."""
-    pol = config.policy
     if isinstance(pol, ValueTable):
-        if pol.mode != config.mode:
-            raise ConfigurationError(
-                f"value table solved for mode {pol.mode}, simulation asked for {config.mode}"
-            )
         if pol.grid != grid:
             raise ConfigurationError("value table was solved on a different grid")
         pol = extract_strategy(pol)
-    return _strategy_arrays(pol, config.mode, grid.n_steps)
+    return _strategy_arrays(pol, grid.n_steps)
 
 
 class _SurvivorFraction:
@@ -169,16 +161,18 @@ class _BinomialSurvivors:
     """Finite fund: each path's survivor count is a Binomial(n_t, s_t) draw.
 
     ``alive`` is ``_ALL`` until the first path dies out, then a boolean
-    mask.  The counts are stored in the narrowest unsigned type that holds
-    n0, and ``present`` flags the counts among them.  The rates ``c`` (one
-    row per survivor count 1..n0) are stored as one contiguous row per step
-    indexed by the count itself, with a zero rate for 0 survivors, so a
-    step's rates are one gather.
+    mask.  The fund starts with n0 members, one per row of the rates ``c``
+    (row i-1 for i survivors).  The counts are stored in the narrowest
+    unsigned type that holds n0, and ``present`` flags the counts among
+    them.  The rates are stored as one contiguous row per step indexed by
+    the count itself, with a zero rate for 0 survivors, so a step's rates
+    are one gather.
     """
 
     draws_survivors = True  # reads the survival stream's uniforms
 
-    def __init__(self, c: np.ndarray, n0: int, paths: int):
+    def __init__(self, c: np.ndarray, paths: int):
+        n0 = c.shape[0]
         self.c = np.zeros((c.shape[1], n0 + 1))
         self.c[:, 1:] = c.T
         self.lgam = lgamma_table(n0)
@@ -256,13 +250,13 @@ def _log_moments(values: np.ndarray, overwrite: bool = False):
     """
     if values.size == 0:
         return math.nan, math.nan
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and -inf - -inf NaN
         logs = np.log(values, out=values if overwrite else None)
-    mean = logs.mean()
-    if values.size == 1:
-        return float(mean), 0.0
-    logs -= mean
-    logs *= logs
+        mean = logs.mean()
+        if values.size == 1:
+            return float(mean), 0.0
+        logs -= mean
+        logs *= logs
     return float(mean), float(logs.sum() / (values.size - 1))
 
 
@@ -307,18 +301,15 @@ def simulate(
     """Simulate fund-per-survivor wealth and consumption along the grid."""
     if mortality.grid != grid:
         raise ConfigurationError("mortality table was built on a different grid")
-    a_arr, c_arr = _policy_arrays(config, grid)
+    a_arr, c_arr = _policy_arrays(config.policy, grid)
     n_steps = grid.n_steps
     paths = config.paths
     dt = grid.dt
     seed = config.seed
-    mode = config.mode
-    if mode.kind == "infinite":
+    if config.policy.mode.kind == "infinite":
         model = _SurvivorFraction(c_arr)
-    elif mode.is_finite:
-        model = _BinomialSurvivors(c_arr, mode.n, paths)
-    else:  # the individual problem is a one-member fund
-        model = _BinomialSurvivors(c_arr[None, :], 1, paths)
+    else:  # the individual problem is a one-member fund: one row of rates
+        model = _BinomialSurvivors(np.atleast_2d(c_arr), paths)
 
     recorded = {name: np.empty((paths, n_steps)) for name in config.record}
     mean_lx = np.empty(n_steps)

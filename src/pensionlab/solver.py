@@ -81,7 +81,9 @@ class CollectiveMode:
             if n is not None:
                 raise ConfigurationError(f"mode {self.kind!r} takes no fund size, got {n}")
             return
-        if not (isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n):
+        if isinstance(n, bool) or not (
+            isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n
+        ):
             raise ConfigurationError(f"finite collective size must be an integer >= 1, got {n}")
         if n > MAX_FINITE_N:
             raise ConfigurationError(
@@ -251,7 +253,7 @@ def solve(
 
 @dataclass
 class Strategy:
-    """A constant-mix-within-period policy.
+    """A constant-mix-within-period policy for the fund ``mode``.
 
     ``a`` is the stock proportion per grid point.  ``c`` is the consumption
     rate per grid point, additionally indexed by survivor count (rows i-1
@@ -259,23 +261,26 @@ class Strategy:
     proportions be finite.
     """
 
+    mode: CollectiveMode
     a: np.ndarray
     c: np.ndarray
 
 
 def extract_strategy(table: ValueTable) -> Strategy:
     return Strategy(
+        mode=table.mode,
         a=np.full(table.grid.n_steps, table.astar),
         c=np.array(table.cstar, copy=True),
     )
 
 
-def _strategy_arrays(strategy: Strategy, mode: CollectiveMode, n_steps: int):
-    """(a, c) of a strategy as float arrays, checked against the mode and grid."""
+def _strategy_arrays(strategy: Strategy, n_steps: int):
+    """(a, c) of a strategy as float arrays, checked against its mode and the grid."""
     a = np.asarray(strategy.a, dtype=np.float64)
     c = np.asarray(strategy.c, dtype=np.float64)
     if a.shape != (n_steps,):
         raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {a.shape}")
+    mode = strategy.mode
     expected = (mode.n, n_steps) if mode.is_finite else (n_steps,)
     if c.shape != expected:
         raise ConfigurationError(f"strategy.c must have shape {expected}, got {c.shape}")
@@ -288,7 +293,6 @@ def _strategy_arrays(strategy: Strategy, mode: CollectiveMode, n_steps: int):
 
 def evaluate_policy(
     strategy: Strategy,
-    mode: CollectiveMode,
     market: MarketParams,
     prefs: Preferences,
     mortality: MortalityTable,
@@ -309,8 +313,8 @@ def evaluate_policy(
     some date earns it when rho < 0, and so does a value that underflows
     to exactly 0.
     """
-    a, c = _strategy_arrays(strategy, mode, mortality.grid.n_steps)
-    rho = prefs.rho
+    a, c = _strategy_arrays(strategy, mortality.grid.n_steps)
+    mode, rho = strategy.mode, prefs.rho
     with np.errstate(divide="ignore"):
         logc = np.log(c)
         log1c = np.log1p(-c)

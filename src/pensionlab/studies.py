@@ -20,6 +20,7 @@ triples and returns one o per triple, and the arrays of a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -212,7 +213,10 @@ def convergence_study(
 
 
 def _checked_sizes(n_list: Sequence[int]) -> list[int]:
-    bad = [n for n in n_list if not (1 <= n < math.inf and int(n) == n)]  # 2.9 is not 2
+    bad = [  # 2.9 is not 2, and True is not 1
+        n for n in n_list if isinstance(n, bool)
+        or not (isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n)
+    ]
     if bad:
         raise ConfigurationError(f"fund sizes must be integers >= 1, got {bad[0]!r}")
     sizes = [int(n) for n in n_list]

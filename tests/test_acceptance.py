@@ -102,8 +102,7 @@ def test_criterion_04_distribution_verification(default_table, base_market, vnm_
     table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
     sched = wealth_schedule(table, 1.0)
     res = simulate(
-        SimulationConfig(paths=paths, seed=0, mode=CollectiveMode.infinite(),
-                         policy=table, record=()),
+        SimulationConfig(paths=paths, seed=0, policy=table, record=()),
         grid, base_market, mt,
     )
     elapsed = time.perf_counter() - t0
@@ -128,8 +127,9 @@ def test_criterion_04_distribution_verification(default_table, base_market, vnm_
                   f"|sigma_x - closed form|={sd_gap:.1e}; {elapsed:.1f} s")
 
 
-def _perturbation_drops(table, mode, grid, market, prefs, mt, entry, k, hs):
-    base = evaluate_policy(extract_strategy(table), mode, market, prefs, mt)
+def _perturbation_drops(table, market, prefs, mt, entry, k, hs):
+    mode = table.mode
+    base = evaluate_policy(extract_strategy(table), market, prefs, mt)
     out = {}
     for h in hs:
         for sign in (1.0, -1.0):
@@ -142,7 +142,7 @@ def _perturbation_drops(table, mode, grid, market, prefs, mt, entry, k, hs):
                 strat.c[entry, k] = scaled
             else:
                 strat.c[k] = scaled
-            out[(h, sign)] = base - evaluate_policy(strat, mode, market, prefs, mt)
+            out[(h, sign)] = base - evaluate_policy(strat, market, prefs, mt)
     return out
 
 
@@ -159,8 +159,7 @@ def test_criterion_05_optimality_perturbation(base_market, vnm_prefs):
             for k in range(grid.n_steps):
                 if mode.is_finite and k == 0 and entry != mode.n - 1:
                     continue  # at t0 the fund has n members: other rows unreachable
-                drops = _perturbation_drops(table, mode, grid, base_market, vnm_prefs,
-                                            mt, entry, k, hs)
+                drops = _perturbation_drops(table, base_market, vnm_prefs, mt, entry, k, hs)
                 for key, d in drops.items():
                     if d <= 0.0:
                         failures.append(f"{mode} ({entry},{k}) h={key}: drop {d:.2e}")

@@ -81,7 +81,7 @@ class TestMarketAndPreferences:
 _GRID = make_time_grid(0, 1, 3)
 _MARKET = MarketParams(mu=0.05, r=0.02, sigma=0.15)
 _PREFS = Preferences(alpha=-1.0, rho=-1.0)
-_STRATEGY = Strategy(a=np.zeros(3), c=np.full(3, 0.5))
+_STRATEGY = Strategy(CollectiveMode.infinite(), a=np.zeros(3), c=np.full(3, 0.5))
 NON_FINITE = {
     "grid-dt-nan": (lambda: TimeGrid(t0=0.0, dt=math.nan, n_steps=3), "dt > 0"),
     "grid-t0-inf": (lambda: TimeGrid(t0=math.inf, dt=1.0, n_steps=3), "finite t0"),
@@ -94,15 +94,15 @@ NON_FINITE = {
     "market-mu-nan": (lambda: MarketParams(mu=math.nan, r=0.02, sigma=0.15), "mu and r"),
     "market-r-inf": (lambda: MarketParams(mu=0.05, r=math.inf, sigma=0.15), "mu and r"),
     "market-sigma-inf": (lambda: MarketParams(mu=0.05, r=0.02, sigma=math.inf), "sigma"),
-    "simulation-x0-inf": (
-        lambda: SimulationConfig(10, 0, CollectiveMode.infinite(), _STRATEGY, x0=math.inf), "x0",
-    ),
-    "simulation-paths-fraction": (
-        lambda: SimulationConfig(10.5, 0, CollectiveMode.infinite(), _STRATEGY), "paths",
-    ),
+    "simulation-x0-inf": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=math.inf), "x0"),
+    "simulation-x0-bool": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=True), "x0"),
+    "simulation-paths-fraction": (lambda: SimulationConfig(10.5, 0, _STRATEGY), "paths"),
+    "simulation-paths-bool": (lambda: SimulationConfig(True, 0, _STRATEGY), "paths"),
+    "simulation-seed-bool": (lambda: SimulationConfig(10, False, _STRATEGY), "seed"),
     "mode-unknown-kind": (lambda: CollectiveMode("bogus"), "unknown collective mode"),
     "mode-finite-zero": (lambda: CollectiveMode("finite", 0), "integer >= 1"),
     "mode-finite-nan": (lambda: CollectiveMode.finite(math.nan), "integer >= 1"),
+    "mode-finite-bool": (lambda: CollectiveMode.finite(True), "integer >= 1, got True"),
     "mode-infinite-with-size": (lambda: CollectiveMode("infinite", 5), "takes no fund size"),
     "gompertz-nan": (lambda: gompertz_makeham(math.nan, 0.0, 0.0, _GRID), "finite"),
     "pmf-nan": (lambda: MortalityTable.from_pmf(_GRID, [math.nan, 0.5, 0.5]), "sum to 1"),
@@ -110,6 +110,13 @@ NON_FINITE = {
         lambda: wealth_schedule(
             solve(CollectiveMode.infinite(), _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
             math.inf,
+        ),
+        "initial wealth",
+    ),
+    "wealth-schedule-x0-bool": (
+        lambda: wealth_schedule(
+            solve(CollectiveMode.infinite(), _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
+            True,
         ),
         "initial wealth",
     ),

@@ -37,8 +37,7 @@ class TestDeterministicCases:
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), market, prefs, mt)
         res = simulate(
-            SimulationConfig(paths=32, seed=1, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=32, seed=1, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
         assert np.all(res.wealth[:, 0] == 1.0)
@@ -48,16 +47,14 @@ class TestDeterministicCases:
     def test_same_seed_bitwise_identical(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
         table = solve(CollectiveMode.finite(30), base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=500, seed=77, mode=CollectiveMode.finite(30), policy=table,
-                                record=ALL_SERIES)
+        cfg = SimulationConfig(paths=500, seed=77, policy=table, record=ALL_SERIES)
         a = simulate(cfg, grid, base_market, mt)
         b = simulate(cfg, grid, base_market, mt)
         assert np.array_equal(a.wealth, b.wealth)
         assert np.array_equal(a.survivors, b.survivors)
         assert np.array_equal(a.mean_log_x, b.mean_log_x, equal_nan=True)
         c = simulate(
-            SimulationConfig(paths=500, seed=78, mode=CollectiveMode.finite(30), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=500, seed=78, policy=table, record=ALL_SERIES),
             grid, base_market, mt,
         )
         assert not np.array_equal(a.wealth, c.wealth)
@@ -71,7 +68,7 @@ class TestDeterministicCases:
         # 61 paths: eight blocks of 7 and a ragged one, or one short default block
         grid, mt = default_table
         table = solve(mode, base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=61, seed=19, mode=mode, policy=table, record=ALL_SERIES)
+        cfg = SimulationConfig(paths=61, seed=19, policy=table, record=ALL_SERIES)
         runs = []
         for block in (1, 7, montecarlo._BLOCK):
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
@@ -91,7 +88,7 @@ class TestDeterministicCases:
         grid, mt = default_table
         mode = CollectiveMode.finite(100)
         table = solve(mode, base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=3000, seed=23, mode=mode, policy=table)
+        cfg = SimulationConfig(paths=3000, seed=23, policy=table)
         build = montecarlo.binomial_table
         builds = []
 
@@ -122,8 +119,7 @@ class TestBudgetIdentity:
         market = MarketParams(mu=0.02, r=0.02, sigma=0.2)  # a* = 0: no market noise
         table = solve(CollectiveMode.finite(40), market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=300, seed=5, mode=CollectiveMode.finite(40), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=300, seed=5, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
         growth = math.exp(market.r * grid.dt)
@@ -141,8 +137,7 @@ class TestBudgetIdentity:
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         table = solve(CollectiveMode.infinite(), market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=10, seed=9, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=10, seed=9, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
         for k in range(grid.n_steps - 1):
@@ -154,8 +149,7 @@ class TestBudgetIdentity:
         market = MarketParams(mu=0.02, r=0.02, sigma=0.2)  # a* = 0
         table = solve(CollectiveMode.individual(), market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=200, seed=15, mode=CollectiveMode.individual(), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=200, seed=15, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
         growth = math.exp(market.r * grid.dt)
@@ -170,8 +164,7 @@ class TestBudgetIdentity:
         grid, mt = short_table
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=50, seed=3, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=50, seed=3, policy=table, record=ALL_SERIES),
             grid, base_market, mt,
         )
         # gamma was stored as cstar * wealth, so this recomposition is bitwise
@@ -184,7 +177,7 @@ class TestBudgetIdentity:
         mode = CollectiveMode.finite(3)
         table = solve(mode, base_market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, record=ALL_SERIES),
+            SimulationConfig(paths=3000, seed=17, policy=table, record=ALL_SERIES),
             grid, base_market, mt,
         )
         n, x, g = res.survivors.astype(np.int64), res.wealth, res.consumption  # recorded as float
@@ -201,8 +194,7 @@ class TestDistributionAgreement:
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         paths = 20_000
         res = simulate(
-            SimulationConfig(paths=paths, seed=2024, mode=CollectiveMode.infinite(),
-                             policy=table, record=("wealth",)),
+            SimulationConfig(paths=paths, seed=2024, policy=table, record=("wealth",)),
             grid, base_market, mt,
         )
         sched = wealth_schedule(table, 1.0)
@@ -220,8 +212,7 @@ class TestDistributionAgreement:
         table = solve(CollectiveMode.finite(n0), base_market, vnm_prefs, mt)
         paths = 3000
         res = simulate(
-            SimulationConfig(paths=paths, seed=11, mode=CollectiveMode.finite(n0),
-                             policy=table, record=("survivors",)),
+            SimulationConfig(paths=paths, seed=11, policy=table, record=("survivors",)),
             grid, base_market, mt,
         )
         for k in range(grid.n_steps):
@@ -237,8 +228,7 @@ class TestDistributionAgreement:
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), market, prefs, mt)
         res = simulate(
-            SimulationConfig(paths=16, seed=6, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=16, seed=6, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
         first = res.consumption[:, :1]
@@ -255,8 +245,7 @@ class TestSummarize:
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), market, prefs, mt)
         res = simulate(
-            SimulationConfig(paths=1, seed=4, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=1, seed=4, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
         for j in range(len(QUANTILES)):
@@ -266,8 +255,7 @@ class TestSummarize:
         grid, mt = short_table
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=2, seed=8, mode=CollectiveMode.infinite(), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=2, seed=8, policy=table, record=ALL_SERIES),
             grid, base_market, mt,
         )
         k = grid.n_steps // 2
@@ -278,7 +266,7 @@ class TestSummarize:
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         paths = 20_000
         res = simulate(
-            SimulationConfig(paths=paths, seed=13, mode=CollectiveMode.infinite(), policy=table),
+            SimulationConfig(paths=paths, seed=13, policy=table),
             grid, base_market, mt,
         )
         sched = wealth_schedule(table, 1.0)
@@ -351,6 +339,18 @@ class TestSummarize:
         else:
             assert np.array_equal(var, ref_var, equal_nan=True)
 
+    def test_zero_wealth_summarised_without_warning(self):
+        # c* rounds to 1 a date before the last here, so every path ends with
+        # no wealth: log 0 = -inf, and the moments' -inf - -inf once warned
+        grid = make_time_grid(65, 1, 97)
+        mt = gompertz_makeham(0.0, 8.888014533421656e-24, 0.6, grid)
+        market = MarketParams(mu=-0.02, r=0.027, sigma=0.15)
+        table = solve(CollectiveMode.infinite(), market, Preferences(-3.0, -1.0), mt)
+        assert table.cstar[-2] == 1.0
+        res = simulate(SimulationConfig(paths=2, seed=0, policy=table), grid, market, mt)
+        assert res.mean_log_x[-1] == -np.inf and np.isnan(res.var_log_x[-1])
+        assert np.all(res.x_quantiles[:, -1] == 0.0) and np.all(np.isfinite(res.var_log_x[:-1]))
+
     @settings(max_examples=100, deadline=None)
     @given(values=arrays(np.float64, st.integers(1, 500),
                          elements=st.floats(0.0, 1e300) | st.just(math.inf)))
@@ -369,7 +369,7 @@ class TestSummarize:
         mode = CollectiveMode.finite(3)
         table = solve(mode, base_market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=3000, seed=17, mode=mode, policy=table, record=ALL_SERIES),
+            SimulationConfig(paths=3000, seed=17, policy=table, record=ALL_SERIES),
             grid, base_market, mt,
         )
         alive = res.survivors > 0
@@ -396,8 +396,7 @@ class TestSummarize:
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         # quantiles no longer need recorded series
         res = simulate(
-            SimulationConfig(paths=4, seed=1, mode=CollectiveMode.infinite(), policy=table,
-                             record=("wealth",)),
+            SimulationConfig(paths=4, seed=1, policy=table, record=("wealth",)),
             grid, base_market, mt,
         )
         assert res.consumption is None
@@ -406,24 +405,20 @@ class TestSummarize:
 
 class TestValidation:
     def test_mode_mismatch(self, short_table, base_market, vnm_prefs):
-        grid, mt = short_table
+        _, mt = short_table
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError):
-            SimulationConfig(paths=0, seed=1, mode=CollectiveMode.infinite(), policy=table)
-        cfg = SimulationConfig(paths=4, seed=1, mode=CollectiveMode.finite(5), policy=table)
-        with pytest.raises(ConfigurationError):
-            simulate(cfg, grid, base_market, mt)
+            SimulationConfig(paths=0, seed=1, policy=table)
 
     def test_grid_mismatch_rejected(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
         other = gompertz_makeham(1e-3, 2e-4, 0.1, make_time_grid(65, 1, 80))
         mode = CollectiveMode.infinite()
-        cfg = SimulationConfig(paths=4, seed=1, mode=mode, policy=Strategy(
-            a=np.zeros(grid.n_steps), c=np.ones(grid.n_steps)))
+        cfg = SimulationConfig(paths=4, seed=1, policy=Strategy(
+            mode, a=np.zeros(grid.n_steps), c=np.ones(grid.n_steps)))
         with pytest.raises(ConfigurationError, match="mortality table was built on a different"):
             simulate(cfg, grid, base_market, other)
-        cfg = SimulationConfig(paths=4, seed=1, mode=mode,
-                               policy=solve(mode, base_market, vnm_prefs, other))
+        cfg = SimulationConfig(paths=4, seed=1, policy=solve(mode, base_market, vnm_prefs, other))
         with pytest.raises(ConfigurationError, match="value table was solved on a different"):
             simulate(cfg, grid, base_market, mt)
 
@@ -432,10 +427,9 @@ class TestValidation:
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         c = np.full(grid.n_steps, 0.2)
         c[-1] = 1.0
-        strat = Strategy(a=np.zeros(grid.n_steps), c=c)
+        strat = Strategy(CollectiveMode.infinite(), a=np.zeros(grid.n_steps), c=c)
         res = simulate(
-            SimulationConfig(paths=3, seed=2, mode=CollectiveMode.infinite(), policy=strat,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=3, seed=2, policy=strat, record=ALL_SERIES),
             grid, market, mt,
         )
         assert np.all(res.consumption[:, 0] == 0.2)
@@ -447,8 +441,7 @@ class TestValidation:
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         table = solve(CollectiveMode.finite(2), market, vnm_prefs, mt)
         res = simulate(
-            SimulationConfig(paths=4000, seed=21, mode=CollectiveMode.finite(2), policy=table,
-                             record=ALL_SERIES),
+            SimulationConfig(paths=4000, seed=21, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
         assert res.alive_paths[0] == 4000
@@ -468,9 +461,8 @@ class TestBoundedMemory:
         grid, mt = default_table
         c = np.full((MAX_FINITE_N, grid.n_steps), 0.05)
         c[:, -1] = 1.0
-        strat = Strategy(a=np.full(grid.n_steps, 0.5), c=c)
-        cfg = SimulationConfig(paths=20_000, seed=3, mode=CollectiveMode.finite(MAX_FINITE_N),
-                               policy=strat)
+        strat = Strategy(CollectiveMode.finite(MAX_FINITE_N), a=np.full(grid.n_steps, 0.5), c=c)
+        cfg = SimulationConfig(paths=20_000, seed=3, policy=strat)
         tracemalloc.start()
         try:
             res = simulate(cfg, grid, base_market, mt)
@@ -497,7 +489,7 @@ class TestBoundedMemory:
         grid, mt = default_table
         paths = 200_000
         table = solve(mode, base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=paths, seed=5, mode=mode, policy=table)
+        cfg = SimulationConfig(paths=paths, seed=5, policy=table)
         tracemalloc.start()
         try:
             simulate(cfg, grid, base_market, mt)

@@ -262,7 +262,7 @@ class TestEvaluatePolicy:
         grid, mt = mild_table
         for mode in (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(3)):
             table = solve(mode, base_market, vnm_prefs, mt)
-            v = evaluate_policy(extract_strategy(table), mode, base_market, vnm_prefs, mt)
+            v = evaluate_policy(extract_strategy(table), base_market, vnm_prefs, mt)
             assert v == pytest.approx(table.z_at_start(), rel=1e-10)
 
     def test_matches_solver_on_random_draws(self):
@@ -276,7 +276,7 @@ class TestEvaluatePolicy:
             mt = random_mortality(rng, grid)
             for mode in (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(2)):
                 table = solve(mode, market, prefs, mt)
-                v = evaluate_policy(extract_strategy(table), mode, market, prefs, mt)
+                v = evaluate_policy(extract_strategy(table), market, prefs, mt)
                 assert v == pytest.approx(table.z_at_start(), rel=1e-10)
 
     def test_two_point_hand_value(self):
@@ -284,8 +284,8 @@ class TestEvaluatePolicy:
         mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        strat = Strategy(a=np.zeros(2), c=np.array([0.3, 1.0]))
-        v = evaluate_policy(strat, CollectiveMode.individual(), market, prefs, mt)
+        strat = Strategy(CollectiveMode.individual(), a=np.zeros(2), c=np.array([0.3, 1.0]))
+        v = evaluate_policy(strat, market, prefs, mt)
         assert v == pytest.approx(0.21, abs=1e-12)  # (1/0.3 + 1/0.7)^-1
 
     def test_perturbing_initial_consumption_hurts(self, mild_table, base_market, vnm_prefs):
@@ -293,59 +293,70 @@ class TestEvaluatePolicy:
         mode = CollectiveMode.infinite()
         table = solve(mode, base_market, vnm_prefs, mt)
         base = extract_strategy(table)
-        v0 = evaluate_policy(base, mode, base_market, vnm_prefs, mt)
+        v0 = evaluate_policy(base, base_market, vnm_prefs, mt)
         for dc in (0.01, -0.01):
             pert = extract_strategy(table)
             pert.c[0] += dc
-            assert evaluate_policy(pert, mode, base_market, vnm_prefs, mt) < v0
+            assert evaluate_policy(pert, base_market, vnm_prefs, mt) < v0
 
     def test_second_order_flatness_at_optimum(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         mode = CollectiveMode.individual()
         table = solve(mode, base_market, vnm_prefs, mt)
-        v0 = evaluate_policy(extract_strategy(table), mode, base_market, vnm_prefs, mt)
+        v0 = evaluate_policy(extract_strategy(table), base_market, vnm_prefs, mt)
         drops = {}
         for h in (1e-2, 1e-3, 1e-4):
             pert = extract_strategy(table)
             pert.c[0] *= 1.0 + h
-            drops[h] = v0 - evaluate_policy(pert, mode, base_market, vnm_prefs, mt)
+            drops[h] = v0 - evaluate_policy(pert, base_market, vnm_prefs, mt)
         k_fit = drops[1e-2] / 1e-4
         for h in (1e-3, 1e-4):
             assert drops[h] <= 2.0 * k_fit * h * h
 
     def test_shape_validation(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
+        individual = CollectiveMode.individual()
         with pytest.raises(ConfigurationError):
             evaluate_policy(
-                Strategy(a=np.zeros(3), c=np.full(grid.n_steps, 0.1)),
-                CollectiveMode.individual(), base_market, vnm_prefs, mt,
+                Strategy(individual, a=np.zeros(3), c=np.full(grid.n_steps, 0.1)),
+                base_market, vnm_prefs, mt,
             )
         with pytest.raises(ConfigurationError):
             evaluate_policy(
-                Strategy(a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 1.2)),
-                CollectiveMode.individual(), base_market, vnm_prefs, mt,
+                Strategy(individual, a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 1.2)),
+                base_market, vnm_prefs, mt,
             )
         # a finite fund needs one rate per survivor count and date
         with pytest.raises(ConfigurationError, match=r"strategy\.c must have shape \(3, "):
             evaluate_policy(
-                Strategy(a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 0.1)),
-                CollectiveMode.finite(3), base_market, vnm_prefs, mt,
+                Strategy(CollectiveMode.finite(3), a=np.zeros(grid.n_steps),
+                         c=np.full(grid.n_steps, 0.1)),
+                base_market, vnm_prefs, mt,
             )
 
-    @pytest.mark.parametrize("series, value", [("c", math.nan), ("a", math.nan), ("a", math.inf)])
+    @pytest.mark.parametrize("series, value", [
+        ("c", math.nan), ("a", math.nan), ("a", math.inf),
+        pytest.param("mode", None, id="mode-swapped"),
+    ])
     @pytest.mark.parametrize("mode", [CollectiveMode.infinite(), CollectiveMode.finite(3)], ids=str)
     def test_non_finite_policy_rejected_by_both_callers(
         self, default_table, base_market, vnm_prefs, mode, series, value
     ):
         # NaN passes a range check written as (c < 0) | (c > 1); unchecked,
-        # it turns every statistic from its date on into NaN
+        # it turns every statistic from its date on into NaN.  A swapped mode
+        # leaves c in the solved fund's shape: 1-D with finite:3, 2-D with infinite
         grid, mt = default_table
         strategy = extract_strategy(solve(mode, base_market, vnm_prefs, mt))
-        getattr(strategy, series)[..., 3] = value
-        with pytest.raises(ConfigurationError):
-            evaluate_policy(strategy, mode, base_market, vnm_prefs, mt)
-        config = SimulationConfig(paths=100, seed=1, mode=mode, policy=strategy)
-        with pytest.raises(ConfigurationError):
+        fragment = None
+        if series == "mode":
+            strategy.mode = CollectiveMode.infinite() if mode.is_finite else CollectiveMode.finite(3)
+            fragment = r"strategy\.c must have shape"
+        else:
+            getattr(strategy, series)[..., 3] = value
+        with pytest.raises(ConfigurationError, match=fragment):
+            evaluate_policy(strategy, base_market, vnm_prefs, mt)
+        config = SimulationConfig(paths=100, seed=1, policy=strategy)
+        with pytest.raises(ConfigurationError, match=fragment):
             simulate(config, grid, base_market, mt)
 
     def test_subnormal_value_raises(self, default_table, base_market):
@@ -357,8 +368,8 @@ class TestEvaluatePolicy:
         prefs = Preferences(alpha=0.06001, rho=-5.748, b=0.02)
         with pytest.raises(DivergenceError, match="policy value"):
             evaluate_policy(
-                Strategy(a=np.zeros(mt.grid.n_steps), c=c),
-                CollectiveMode.infinite(), base_market, prefs, mt,
+                Strategy(CollectiveMode.infinite(), a=np.zeros(mt.grid.n_steps), c=c),
+                base_market, prefs, mt,
             )
 
     def test_zero_consumption_at_a_date(self):
@@ -386,7 +397,7 @@ class TestEvaluatePolicy:
                 strat.c[..., k] = rate
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    v = evaluate_policy(strat, mode, market, prefs, mt)
+                    v = evaluate_policy(strat, market, prefs, mt)
                 if value == 0.0:
                     assert v == 0.0
                 else:

@@ -213,7 +213,7 @@ def _annuity_strategy(mt, r):
     n = mt.grid.n_steps
     disc = np.exp(-r * mt.grid.dt * np.arange(n))
     due = np.array([np.dot(disc[: n - k], mt.tail[k:]) for k in range(n)])  # a_k tail_k
-    return Strategy(a=np.zeros(n), c=mt.tail / due)
+    return Strategy(CollectiveMode.infinite(), a=np.zeros(n), c=mt.tail / due)
 
 
 class TestAnnuityStrategy:
@@ -232,9 +232,7 @@ class TestAnnuityStrategy:
         _, mt = default_table
         prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
         for market in (self.FLAT, MarketParams(mu=0.04, r=0.01, sigma=0.15)):
-            v = evaluate_policy(
-                _annuity_strategy(mt, market.r), CollectiveMode.infinite(), market, prefs, mt
-            )
+            v = evaluate_policy(_annuity_strategy(mt, market.r), market, prefs, mt)
             u = annuity_utility(mt, prefs) / annuity_factor(mt, market.r)  # gamma U(1)
             assert v == pytest.approx(u, rel=1e-9)
 
@@ -244,7 +242,7 @@ class TestAnnuityStrategy:
         _, mt = default_table
         prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
         mode = CollectiveMode.infinite()
-        v = evaluate_policy(_annuity_strategy(mt, 0.0), mode, self.FLAT, prefs, mt)
+        v = evaluate_policy(_annuity_strategy(mt, 0.0), self.FLAT, prefs, mt)
         z = solve(mode, self.FLAT, prefs, mt).z_at_start()
         if alpha == rho:
             assert z == pytest.approx(v, rel=1e-12)
@@ -463,7 +461,10 @@ class TestConvergenceStudy:
             convergence_study([8, 4, 2, 64], base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="at least one fund size"):
             convergence_study([], base_market, vnm_prefs, mt)
-        for sizes, first in (([1, 2.9, 10.5, 100.2], "2.9"), ([1, math.nan, 100], "nan")):
+        for sizes, first in (
+            ([1, 2.9, 10.5, 100.2], "2.9"), ([1, math.nan, 100], "nan"),
+            ([True, 20], "True"), (["3"], "'3'"),  # True is not n = 1; a string is no size
+        ):
             with pytest.raises(ConfigurationError, match=f"integers >= 1, got {first}"):
                 convergence_study(sizes, base_market, vnm_prefs, mt)
 
