@@ -2,9 +2,9 @@
 strategy, the direction of consumption over time, and the elasticity of
 intertemporal substitution.
 
-For the individual and infinite-collective modes, log fund-per-survivor
-wealth at each date is normal: the standard deviation is sigma a* sqrt(t-t0)
-and the mean obeys
+For the infinite fund and the one-member fund (the individual), log wealth
+per survivor at each date is normal: the standard deviation is
+sigma a* sqrt(t-t0) and the mean obeys
 
     mu_{t+dt} = mu_t + log(s_t^-C) + log(1 - c*_t) + xi_drift dt,
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,16 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     """Lognormal parameters of per-survivor wealth and consumption over time,
     starting from wealth ``x0`` under the mortality and market of ``table``.
 
-    Only individual and infinite modes: with a random survivor count the
-    per-survivor wealth of a finite fund is not lognormal (use Monte Carlo).
+    Only the infinite and the one-member fund (``CollectiveMode.pooling``):
+    with a random survivor count the per-survivor wealth of a fund of n >= 2
+    is not lognormal (use Monte Carlo).
     """
-    if table.mode.is_finite:
+    if table.mode.pooling is None:
         raise ConfigurationError(
-            "wealth_schedule supports individual and infinite modes only; "
-            "finite collectives need simulation"
+            "wealth_schedule supports individual and infinite funds only; "
+            "a fund of n >= 2 members needs simulation"
         )
-    if isinstance(x0, bool) or not 0.0 < x0 < math.inf:
+    if isinstance(x0, bool) or not (isinstance(x0, numbers.Real) and 0.0 < x0 < math.inf):
         raise ConfigurationError(f"initial wealth must be finite and positive, got {x0}")
 
     mortality = table.mortality
@@ -68,7 +70,7 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     pool = table.mode.pooling
     rho = table.prefs.rho
     s = mortality.s[:-1]
-    log_y = np.log(table.y)
+    log_y = np.log(table.y.ravel())  # one member has one row
     # log(1 - c*_k) = log((y_k - 1)/y_k) with y_k - 1 = phi_k^q y_{k+1},
     # which stays accurate when c* is within rounding of 1
     log_phi = _log_phi(table.prefs, grid.dt, table.xi, s, pool)
@@ -79,7 +81,7 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     mu_x = np.cumsum(np.concatenate(([math.log(x0)], steps)))
     step_var = (table.astar * table.market.sigma) ** 2 * grid.dt
     sigma_x = np.sqrt(np.cumsum(np.concatenate(([0.0], np.full(s.size, step_var)))))
-    mu_gamma = mu_x + (rho / (rho - 1.0)) * np.log(table.z)
+    mu_gamma = mu_x + (rho / (rho - 1.0)) * np.log(table.z.ravel())
     for arr in (mu_x, sigma_x, mu_gamma):
         arr.flags.writeable = False
     return LognormalSchedule(mu_x=mu_x, sigma_x=sigma_x, mu_gamma=mu_gamma)

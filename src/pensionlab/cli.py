@@ -223,7 +223,7 @@ def _capped(count: int, cap: int, what: str) -> int:
 
 
 def _parse_mode(text) -> CollectiveMode:
-    if text == "individual":
+    if text == "individual":  # the one-member fund, finite:1
         return CollectiveMode.individual()
     if text == "infinite":
         return CollectiveMode.infinite()
@@ -290,7 +290,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
         SimulationConfig(paths=cfg.paths, seed=cfg.seed, policy=table, x0=cfg.budget),
         grid, cfg.market, cfg.mortality,
     )
-    if cfg.mode.is_finite:
+    if cfg.mode.pooling is None:  # no closed form for a fund of n >= 2
         overlay_mu = overlay_sd = np.full(grid.n_steps, np.nan)
     else:
         sched = wealth_schedule(table, cfg.budget)

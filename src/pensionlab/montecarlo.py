@@ -5,8 +5,8 @@ each period is sampled exactly: multiply by exp((abar - a^2 sigma^2/2) dt +
 a sigma sqrt(dt) Z) with abar = a(mu-r) + r; there is no discretisation
 error.  Survivors follow one of two models, both stepped by the same loop:
 a deterministic fraction prod s_k for the infinite fund, or per-path
-binomial survivor counts for a finite fund (the individual problem is a
-one-member fund).  The dead's wealth is redistributed through the budget
+binomial survivor counts for a finite fund, the individual's one-member
+fund included.  The dead's wealth is redistributed through the budget
 identity
 
     Xbar_t = (n_t / n_{t+dt}) (X_t - gamma_t)        finite fund,
@@ -95,8 +95,9 @@ class SimulationConfig:
                 raise ConfigurationError(f"{field} must be an integer, got {value!r}")
         if self.paths < 1:
             raise ConfigurationError(f"paths must be >= 1, got {self.paths}")
-        if isinstance(self.x0, bool) or not 0.0 < self.x0 < math.inf:
-            raise ConfigurationError(f"x0 must be finite and positive, got {self.x0}")
+        x0 = self.x0
+        if isinstance(x0, bool) or not (isinstance(x0, numbers.Real) and 0.0 < x0 < math.inf):
+            raise ConfigurationError(f"x0 must be finite and positive, got {x0}")
         unknown = set(self.record) - set(_RECORD_CHOICES)
         if unknown:
             raise ConfigurationError(f"unknown record series {sorted(unknown)}")
@@ -306,10 +307,10 @@ def simulate(
     paths = config.paths
     dt = grid.dt
     seed = config.seed
-    if config.policy.mode.kind == "infinite":
+    if config.policy.mode.is_finite:
+        model = _BinomialSurvivors(c_arr, paths)
+    else:
         model = _SurvivorFraction(c_arr)
-    else:  # the individual problem is a one-member fund: one row of rates
-        model = _BinomialSurvivors(np.atleast_2d(c_arr), paths)
 
     recorded = {name: np.empty((paths, n_steps)) for name in config.record}
     mean_lx = np.empty(n_steps)

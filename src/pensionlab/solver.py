@@ -2,8 +2,8 @@
 
 The value of one unit of fund-per-survivor wealth at grid point t is z_t
 (``value per unit wealth``): by positive homogeneity the full value function
-is x * z_t.  Writing y = z^(rho/(1-rho)), the individual (C=0) and infinite
-collective (C=1) cases satisfy the linear recursion
+is x * z_t.  Writing y = z^(rho/(1-rho)), the one-member fund (the
+individual, C=0) and the infinite fund (C=1) satisfy the linear recursion
 
     y_t = 1 + phi_t^(rho/(1-rho)) * y_{t+dt},     y at the last date = 1,
 
@@ -11,7 +11,7 @@ with phi_t = beta^(1/rho) exp(xi dt) s_t^(1/alpha - C), and the optimal
 consumption rate is c*_t = 1/y_t.  The optimal stock proportion a* and the
 per-period growth exponent xi are constants of the market and alpha alone.
 
-A finite collective of n members is solved on the triangular table z_{i,t}
+A fund of n >= 2 members is solved on the triangular table z_{i,t}
 (i = 1..n survivors): the continuation mixes next-step values over the
 binomial survivor transition, weighted by the wealth concentration
 (i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.
@@ -19,8 +19,9 @@ binomial survivor transition, weighted by the wealth concentration
 The pooled recursions are linear, x_k = a_k + b_k x_{k+1} with x = a at the
 last date: y above (a = 1, b = phi^q), the annuity's U^rho and a fixed
 policy's v^rho.  ``_pooled`` sums them in closed form in log space, with no
-loop over dates; ``_backward`` runs only the finite step.  log phi comes from
-``_log_phi``, shared with ``analytics``; the tests loop over y as an oracle.
+loop over dates; ``_backward`` runs only the step of a fund of n >= 2.  log
+phi comes from ``_log_phi``, shared with ``analytics``; the tests loop over y
+as an oracle.
 
 The terminal step is c* = 1, z = 1 for every survivor count: with death
 certain by T, consuming everything at the last date is forced, which is the
@@ -56,30 +57,25 @@ MAX_FINITE_N = 10_000
 
 @dataclass(frozen=True)
 class CollectiveMode:
-    """Individual (no pooling), infinite collective, or a fund of n members."""
+    """A fund of n members (the individual investor is n = 1), or the infinite fund, n = None."""
 
-    kind: str
-    n: int | None = None
+    n: int | None
 
     @classmethod
     def individual(cls) -> "CollectiveMode":
-        return cls("individual")
+        return cls(1)
 
     @classmethod
     def infinite(cls) -> "CollectiveMode":
-        return cls("infinite")
+        return cls(None)
 
     @classmethod
     def finite(cls, n: int) -> "CollectiveMode":
-        return cls("finite", n)
+        return cls(n)
 
     def __post_init__(self):
-        if self.kind not in ("individual", "infinite", "finite"):
-            raise ConfigurationError(f"unknown collective mode {self.kind!r}")
         n = self.n
-        if self.kind != "finite":
-            if n is not None:
-                raise ConfigurationError(f"mode {self.kind!r} takes no fund size, got {n}")
+        if n is None:
             return
         if isinstance(n, bool) or not (
             isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n
@@ -94,19 +90,16 @@ class CollectiveMode:
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return self.n is not None
 
     @property
-    def pooling(self) -> int:
-        """The indicator C: 0 for individual, 1 for infinite."""
-        if self.kind == "individual":
-            return 0
-        if self.kind == "infinite":
-            return 1
-        raise ConfigurationError("finite collectives have no pooling indicator")
+    def pooling(self) -> int | None:
+        """The indicator C of the funds with a closed form: 1 for the
+        infinite fund, 0 for one member; None for n >= 2, which the kernel solves."""
+        return {None: 1, 1: 0}.get(self.n)
 
     def __str__(self) -> str:
-        return f"finite:{self.n}" if self.is_finite else self.kind
+        return f"finite:{self.n}" if self.is_finite else "infinite"
 
 
 def optimal_proportion(market: MarketParams, alpha: float) -> float:
@@ -156,11 +149,11 @@ def _pooled(log_a, log_b):
 class ValueTable:
     """Solved values and controls.
 
-    ``z``, ``y`` and ``cstar`` have shape (n_steps,) for individual/infinite
-    modes and (n, n_steps) for a finite collective, row i-1 holding the
-    values with i survivors.  ``astar`` and ``xi`` are scalars.  The table
-    keeps the mortality, market and preferences it was solved for; its grid
-    is the mortality table's.
+    ``z``, ``y`` and ``cstar`` have shape (n_steps,) for the infinite fund
+    and (n, n_steps) for a fund of n members, one included, row i-1 holding
+    the values with i survivors.  ``astar`` and ``xi`` are scalars.  The
+    table keeps the mortality, market and preferences it was solved for; its
+    grid is the mortality table's.
     """
 
     mode: CollectiveMode
@@ -188,7 +181,7 @@ def _diverged(mode, grid, k, row):
 
 
 def _backward(mode, prefs, mortality, kappa, last, rule):
-    """Log values log v of a finite fund, one row per survivor count,
+    """Log values log v of a fund of n >= 2, one row per survivor count,
     backward from their last-date values ``last``: log v_k = rule(k, log
     theta_k), log theta_k = drift_k + log lam_k / alpha, with drift_k = log
     phi_k at s = 1 and lam_k the survivor mixture of v_{k+1}.  NaN and +inf
@@ -228,11 +221,13 @@ def solve(
         y = 1.0 + np.exp(q * logtheta)
         return (1.0 / q) * np.log(np.where(y == np.inf, np.nan, y))
 
-    if mode.is_finite:
+    if mode.pooling is None:
         logz = _backward(mode, prefs, mortality, xi, np.zeros(mode.n), optimal)
     else:
         log_b = q * _log_phi(prefs, grid.dt, xi, mortality.s[:-1], mode.pooling)
         logz = (1.0 / q) * _pooled(np.zeros(grid.n_steps), log_b)
+        if mode.is_finite:  # the one-member table's one row
+            logz = logz[np.newaxis]
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
         z = np.exp(logz)
         y = np.exp(q * logz)
@@ -256,9 +251,9 @@ class Strategy:
     """A constant-mix-within-period policy for the fund ``mode``.
 
     ``a`` is the stock proportion per grid point.  ``c`` is the consumption
-    rate per grid point, additionally indexed by survivor count (rows i-1
-    for i survivors) for finite collectives.  Rates must lie in [0, 1] and
-    proportions be finite.
+    rate per grid point, of shape (n_steps,) for the infinite fund and (n,
+    n_steps) for a fund of n members, one included (rows i-1 for i
+    survivors).  Rates must lie in [0, 1] and proportions be finite.
     """
 
     mode: CollectiveMode
@@ -319,7 +314,7 @@ def evaluate_policy(
         logc = np.log(c)
         log1c = np.log1p(-c)
     kappa = growth_exponent(market, prefs.alpha, a=a)
-    if mode.is_finite:
+    if mode.pooling is None:
         def fixed(k, logtheta):
             return (1.0 / rho) * np.logaddexp(rho * logc[:, k], rho * (logtheta + log1c[:, k]))
 
@@ -327,6 +322,7 @@ def evaluate_policy(
     else:
         # in x = v^rho, a = c^rho and b = (phi (1 - c))^rho.  Consuming everything
         # at date m makes b_m 0 or inf: x_m = a_m + b_m x_{m+1} ends the recursion
+        logc, log1c = logc.ravel(), log1c.ravel()  # one member has one row
         log_phi = _log_phi(prefs, mortality.grid.dt, kappa[:-1], mortality.s[:-1], mode.pooling)
         log_b = np.append(rho * (log_phi + log1c[:-1]), -np.inf)  # nothing follows the last date
         m = int(np.argmax(np.isinf(log_b)))

@@ -101,8 +101,8 @@ def run_scenarios(
     """Outperformance per (mu, r, n) scenario, as a float64 array in the
     order of ``scenarios``; mu and r are real rates.
 
-    n is None for the infinite collective; n = 1 is solved as the individual
-    problem (same value).
+    n is None for the infinite fund and 1 for the individual, the
+    one-member fund.
     """
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
@@ -110,13 +110,7 @@ def run_scenarios(
     outperf = np.empty(len(scenarios))
     for k, (mu, r, n) in enumerate(scenarios):
         market = MarketParams(mu=float(mu), r=float(r), sigma=sigma)
-        if n is None:
-            mode = CollectiveMode.infinite()
-        elif n == 1:
-            mode = CollectiveMode.individual()
-        else:
-            mode = CollectiveMode.finite(n)
-        z0 = solve(mode, market, prefs, mortality).z_at_start()
+        z0 = solve(CollectiveMode(n), market, prefs, mortality).z_at_start()
         outperf[k] = _outperformance(z0, unit_utility, mortality, market.r)
     return outperf
 

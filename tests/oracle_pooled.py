@@ -59,8 +59,10 @@ def linear_recursion(pooling, market, prefs, mortality):
 
     Raises DivergenceError naming the first date, going backward, at which y
     overflows, or else the first date at which z or c* is out of range; a
-    subnormal z is out of range.
+    subnormal z is out of range.  The individual's message names its one
+    survivor, as that of every finite fund does.
     """
+    count = "" if pooling else "for survivor count 1 "
     grid = mortality.grid
     q = prefs.rho / (1.0 - prefs.rho)
     y = np.ones(grid.n_steps)
@@ -69,12 +71,14 @@ def linear_recursion(pooling, market, prefs, mortality):
             phi = linear_phi(prefs, market, float(mortality.s[k]), pooling, grid.dt)
             y[k] = 1.0 + phi**q * y[k + 1]
             if not math.isfinite(y[k]):
-                raise DivergenceError(f"value recursion diverged at t={grid.points[k]}")
+                raise DivergenceError(f"value recursion diverged {count}at t={grid.points[k]}")
         z = y ** (1.0 / q)
     cstar = 1.0 / y
     bad = ~(np.isfinite(z) & (z >= np.finfo(float).tiny) & (cstar > 0.0) & (cstar <= 1.0))
     if np.any(bad):
-        raise DivergenceError(f"value recursion diverged at t={grid.points[np.argmax(bad)]}")
+        raise DivergenceError(
+            f"value recursion diverged {count}at t={grid.points[np.argmax(bad)]}"
+        )
     return z, y, cstar
 
 
@@ -129,6 +133,7 @@ def wealth_mean_loop(table, x0):
     mortality, market, prefs = table.mortality, table.market, table.prefs
     grid = mortality.grid
     pool = table.mode.pooling
+    y = table.y.ravel()  # the one-member table is one row
     q = prefs.rho / (1.0 - prefs.rho)
     a = table.astar
     xi_drift = a * (market.mu - market.r) + market.r - 0.5 * a * a * market.sigma**2
@@ -142,7 +147,7 @@ def wealth_mean_loop(table, x0):
         if not sys.float_info.min <= phi < math.inf:
             mu_x[k + 1:] = np.nan
             break
-        log_remaining = q * math.log(phi) + math.log(table.y[k + 1]) - math.log(table.y[k])
+        log_remaining = q * math.log(phi) + math.log(y[k + 1]) - math.log(y[k])
         mu_x[k + 1] = mu_x[k] - pool * math.log(mortality.s[k]) + log_remaining + xi_drift * grid.dt
     return mu_x
 

@@ -55,8 +55,8 @@ def test_criterion_01_two_period_equal_split():
     t0 = time.perf_counter()
     table = solve(CollectiveMode.individual(), market, prefs, mt)
     elapsed = time.perf_counter() - t0
-    dz = abs(table.z[0] - 0.25)
-    dc = abs(table.cstar[0] - 0.5)
+    dz = abs(table.z[0, 0] - 0.25)
+    dc = abs(table.cstar[0, 0] - 0.5)
     ok = dz <= 1e-12 and dc <= 1e-12 and elapsed < 1e-3
     report(1, ok, f"|z-0.25|={dz:.1e}, |c*-0.5|={dc:.1e}, runtime {elapsed*1e3:.3f} ms")
 
@@ -82,17 +82,18 @@ def test_criterion_02_brute_force_oracle_equivalence():
 
 def test_criterion_03_single_member_fund_is_individual(mild_table, default_table,
                                                        base_market, vnm_prefs):
+    # the closed form against the kernel's row of one survivor in a larger fund
     worst = 0.0
     for grid, mt in (mild_table, default_table):
         ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
-        one = solve(CollectiveMode.finite(1), base_market, vnm_prefs, mt)
+        fund = solve(CollectiveMode.finite(50), base_market, vnm_prefs, mt)
         worst = max(
             worst,
-            float(np.max(np.abs(one.z[0] - ind.z))),
-            float(np.max(np.abs(one.cstar[0] - ind.cstar))),
+            float(np.max(np.abs(fund.z[0] - ind.z[0]))),
+            float(np.max(np.abs(fund.cstar[0] - ind.cstar[0]))),
         )
     ok = worst <= 1e-12
-    report(3, ok, f"max |finite(1) - individual| = {worst:.2e} across z and c*")
+    report(3, ok, f"max |finite(50) row 1 - individual| = {worst:.2e} across z and c*")
 
 
 def test_criterion_04_distribution_verification(default_table, base_market, vnm_prefs):

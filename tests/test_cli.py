@@ -78,7 +78,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "value.csv")
         assert header == ["t", "i", "z", "c_star"]
-        assert float(rows[0][0]) == 0.0 and rows[0][1] == "0"
+        assert float(rows[0][0]) == 0.0 and rows[0][1] == "1"  # the one-member fund
         assert float(rows[0][2]) == 0.25 and float(rows[0][3]) == 0.5
         assert float(rows[1][2]) == 1.0 and float(rows[1][3]) == 1.0
         mheader, mrows = read_csv(tmp_path / "meta.csv")
@@ -86,20 +86,19 @@ class TestSolveCommand:
         assert float(mrows[0][0]) == 0.0 and float(mrows[0][1]) == 0.0
 
     def test_single_member_fund_matches_individual(self, tmp_path):
-        cfg_i = dict(DEFAULTISH, mode="individual")
-        cfg_f = dict(DEFAULTISH, mode="finite:1")
-        p_i = write_cfg(tmp_path, cfg_i, "i.json")
-        p_f = write_cfg(tmp_path, cfg_f, "f.json")
-        out_i, out_f = tmp_path / "oi", tmp_path / "of"
-        assert main(["solve", "--config", str(p_i), "--out", str(out_i)]) == 0
-        assert main(["solve", "--config", str(p_f), "--out", str(out_f)]) == 0
-        _, rows_i = read_csv(out_i / "value.csv")
-        _, rows_f = read_csv(out_f / "value.csv")
-        assert len(rows_i) == len(rows_f)
-        for ri, rf in zip(rows_i, rows_f):
-            assert ri[1] == "0" and rf[1] == "1"
-            assert abs(float(ri[2]) - float(rf[2])) <= 1e-12
-            assert abs(float(ri[3]) - float(rf[3])) <= 1e-12
+        # "individual" spells finite:1: every CSV of every command it runs is the same
+        p_i = write_cfg(tmp_path, dict(DEFAULTISH, mode="individual"), "i.json")
+        p_f = write_cfg(tmp_path, dict(DEFAULTISH, mode="finite:1"), "f.json")
+        for command, files in (("solve", ("value.csv", "meta.csv")),
+                               ("distribution", ("dist.csv",)),
+                               ("simulate", ("paths_summary.csv",))):
+            out_i, out_f = tmp_path / f"i-{command}", tmp_path / f"f-{command}"
+            assert main([command, "--config", str(p_i), "--out", str(out_i)]) == 0
+            assert main([command, "--config", str(p_f), "--out", str(out_f)]) == 0
+            for name in files:
+                assert (out_i / name).read_bytes() == (out_f / name).read_bytes(), name
+        _, rows = read_csv(out_f / "paths_summary.csv")
+        assert all(row[-2] != "nan" for row in rows)  # the analytic overlay
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, DEFAULTISH)

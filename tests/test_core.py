@@ -96,14 +96,16 @@ NON_FINITE = {
     "market-sigma-inf": (lambda: MarketParams(mu=0.05, r=0.02, sigma=math.inf), "sigma"),
     "simulation-x0-inf": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=math.inf), "x0"),
     "simulation-x0-bool": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=True), "x0"),
+    "simulation-x0-string": (lambda: SimulationConfig(10, 0, _STRATEGY, x0="1"), "x0"),
     "simulation-paths-fraction": (lambda: SimulationConfig(10.5, 0, _STRATEGY), "paths"),
     "simulation-paths-bool": (lambda: SimulationConfig(True, 0, _STRATEGY), "paths"),
     "simulation-seed-bool": (lambda: SimulationConfig(10, False, _STRATEGY), "seed"),
-    "mode-unknown-kind": (lambda: CollectiveMode("bogus"), "unknown collective mode"),
-    "mode-finite-zero": (lambda: CollectiveMode("finite", 0), "integer >= 1"),
+    "mode-unknown-kind": (lambda: CollectiveMode("bogus"), "integer >= 1"),
+    "mode-finite-zero": (lambda: CollectiveMode(0), "integer >= 1"),
     "mode-finite-nan": (lambda: CollectiveMode.finite(math.nan), "integer >= 1"),
     "mode-finite-bool": (lambda: CollectiveMode.finite(True), "integer >= 1, got True"),
-    "mode-infinite-with-size": (lambda: CollectiveMode("infinite", 5), "takes no fund size"),
+    # the infinite fund is n = None, not a size of inf
+    "mode-infinite-with-size": (lambda: CollectiveMode(math.inf), "integer >= 1, got inf"),
     "gompertz-nan": (lambda: gompertz_makeham(math.nan, 0.0, 0.0, _GRID), "finite"),
     "pmf-nan": (lambda: MortalityTable.from_pmf(_GRID, [math.nan, 0.5, 0.5]), "sum to 1"),
     "wealth-schedule-x0-inf": (
@@ -117,6 +119,13 @@ NON_FINITE = {
         lambda: wealth_schedule(
             solve(CollectiveMode.infinite(), _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
             True,
+        ),
+        "initial wealth",
+    ),
+    "wealth-schedule-x0-string": (
+        lambda: wealth_schedule(
+            solve(CollectiveMode.infinite(), _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
+            "1",
         ),
         "initial wealth",
     ),

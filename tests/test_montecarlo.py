@@ -60,7 +60,9 @@ class TestDeterministicCases:
         assert not np.array_equal(a.wealth, c.wealth)
 
     @pytest.mark.parametrize(
-        "mode", [CollectiveMode.finite(2), CollectiveMode.individual(), CollectiveMode.infinite()],
+        "mode",
+        [CollectiveMode.finite(2), pytest.param(CollectiveMode.individual(), id="individual"),
+         CollectiveMode.infinite()],
         ids=str,
     )
     def test_results_do_not_depend_on_block_size(self, default_table, base_market, vnm_prefs,
@@ -73,7 +75,7 @@ class TestDeterministicCases:
         for block in (1, 7, montecarlo._BLOCK):
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
             runs.append(simulate(cfg, grid, base_market, mt))
-        if mode.kind != "infinite":  # the fund dies out on some paths
+        if mode.is_finite:  # the fund dies out on some paths
             assert runs[0].alive_paths.min() < 61
         for res in runs[1:]:
             for name in res.__dataclass_fields__:
@@ -476,7 +478,8 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize(
         "mode, limit",
-        [(CollectiveMode.finite(100), 31), (CollectiveMode.individual(), 31),
+        [(CollectiveMode.finite(100), 31),
+         pytest.param(CollectiveMode.individual(), 31, id="individual-31"),
          (CollectiveMode.infinite(), 28)],
         ids=str,
     )

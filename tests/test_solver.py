@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pensionlab.core import (
@@ -15,7 +15,7 @@ from pensionlab.core import (
     make_time_grid,
 )
 from pensionlab.montecarlo import SimulationConfig, simulate
-from pensionlab.mortality import MortalityTable
+from pensionlab.mortality import MortalityTable, gompertz_makeham
 from pensionlab.solver import (
     MAX_FINITE_N,
     CollectiveMode,
@@ -27,7 +27,7 @@ from pensionlab.solver import (
     solve,
 )
 
-from conftest import random_mortality
+from conftest import BUNDLED_GOMPERTZ, DISCOUNTS, EXPONENTS, random_mortality
 from oracle_dp import best_growth_exponent, golden_max, oracle_values
 from oracle_pooled import linear_recursion
 
@@ -66,7 +66,8 @@ def assert_pooled_modes_match_linear_recursion(market, prefs, mortality):
         table = solve(mode, market, prefs, mortality)
         scale = max(1.0, float(np.max(np.abs(np.log(reference[0])))) / 10.0)
         for got, want, rel in zip((table.z, table.y, table.cstar), reference, (1e-12, 2e-12, 2e-12)):
-            np.testing.assert_allclose(got, want, rtol=rel * scale, atol=0.0)
+            # the one-member table is one row
+            np.testing.assert_allclose(got.ravel(), want, rtol=rel * scale, atol=0.0)
 
 
 class TestOptimalProportion:
@@ -119,9 +120,9 @@ class TestSolve:
         for alpha in (-3.0, -1.0, 0.5):
             t = solve(CollectiveMode.individual(), market,
                       Preferences(alpha=alpha, rho=-1.0, b=0.0), mt)
-            assert abs(t.z[0] - 0.25) <= 1e-12
-            assert abs(t.cstar[0] - 0.5) <= 1e-12
-            assert t.z[1] == 1.0 and t.cstar[1] == 1.0
+            assert abs(t.z[0, 0] - 0.25) <= 1e-12
+            assert abs(t.cstar[0, 0] - 0.5) <= 1e-12
+            assert t.z[0, 1] == 1.0 and t.cstar[0, 1] == 1.0
 
     def test_ten_periods_of_certain_survival(self):
         grid = make_time_grid(0, 1, 10)
@@ -133,9 +134,9 @@ class TestSolve:
             Preferences(alpha=-1.0, rho=-1.0, b=0.0),
             MortalityTable.from_pmf(grid, p),
         )
-        assert table.cstar[0] == pytest.approx(0.1, abs=1e-15)
+        assert table.cstar[0, 0] == pytest.approx(0.1, abs=1e-15)
         # c* = z^(rho/(rho-1)), here z^(1/2)
-        assert table.z[0] ** 0.5 == pytest.approx(0.1, rel=1e-12)
+        assert table.z[0, 0] ** 0.5 == pytest.approx(0.1, rel=1e-12)
 
     def test_terminal_consumes_everything_every_mode(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
@@ -146,11 +147,20 @@ class TestSolve:
             assert np.all(t.cstar > 0.0) and np.all(t.cstar <= 1.0)
 
     def test_single_member_fund_is_the_individual(self, mild_table, base_market, vnm_prefs):
+        # the closed form against the kernel's row of one survivor, which
+        # does not depend on the fund's size
         grid, mt = mild_table
         ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
-        one = solve(CollectiveMode.finite(1), base_market, vnm_prefs, mt)
-        assert np.max(np.abs(one.z[0] - ind.z)) <= 1e-12
-        assert np.max(np.abs(one.cstar[0] - ind.cstar)) <= 1e-12
+        fund = solve(CollectiveMode.finite(2), base_market, vnm_prefs, mt)
+        assert ind.z.shape == ind.cstar.shape == (1, grid.n_steps)
+        assert np.max(np.abs(fund.z[0] - ind.z[0])) <= 1e-12
+        assert np.max(np.abs(fund.cstar[0] - ind.cstar[0])) <= 1e-12
+
+    def test_individual_is_the_one_member_fund(self):
+        ind = CollectiveMode.individual()
+        assert ind == CollectiveMode.finite(1) == CollectiveMode(1)
+        assert ind.is_finite and str(ind) == "finite:1"
+        assert [CollectiveMode(n).pooling for n in (None, 1, 2)] == [1, 0, None]
 
     def test_two_member_fund_matches_brute_force(self, base_market):
         grid = make_time_grid(0, 1, 3)
@@ -203,7 +213,7 @@ class TestSolve:
 
     def test_finite_value_between_individual_and_infinite(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
-        z1 = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt).z
+        z1 = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt).z[0]
         z8 = solve(CollectiveMode.finite(8), base_market, vnm_prefs, mt).z[7]
         zinf = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt).z
         ok = np.all(z1[:-1] <= z8[:-1] + 1e-14) and np.all(z8[:-1] <= zinf[:-1] + 1e-14)
@@ -231,7 +241,7 @@ class TestSolve:
         mt = MortalityTable.from_pmf(grid, p)
         market = MarketParams(mu=-10.0, r=-10.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-3.0, b=0.0)
-        with pytest.raises(DivergenceError, match=r"diverged at t=104\.0"):
+        with pytest.raises(DivergenceError, match=r"survivor count 1 at t=104\.0"):
             solve(CollectiveMode.individual(), market, prefs, mt)
         with pytest.raises(DivergenceError, match=r"diverged at t=104\.0"):
             solve(CollectiveMode.infinite(), market, prefs, mt)
@@ -284,7 +294,7 @@ class TestEvaluatePolicy:
         mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
-        strat = Strategy(CollectiveMode.individual(), a=np.zeros(2), c=np.array([0.3, 1.0]))
+        strat = Strategy(CollectiveMode.individual(), a=np.zeros(2), c=np.array([[0.3, 1.0]]))
         v = evaluate_policy(strat, market, prefs, mt)
         assert v == pytest.approx(0.21, abs=1e-12)  # (1/0.3 + 1/0.7)^-1
 
@@ -307,7 +317,7 @@ class TestEvaluatePolicy:
         drops = {}
         for h in (1e-2, 1e-3, 1e-4):
             pert = extract_strategy(table)
-            pert.c[0] *= 1.0 + h
+            pert.c[0, 0] *= 1.0 + h
             drops[h] = v0 - evaluate_policy(pert, base_market, vnm_prefs, mt)
         k_fit = drops[1e-2] / 1e-4
         for h in (1e-3, 1e-4):
@@ -321,9 +331,9 @@ class TestEvaluatePolicy:
                 Strategy(individual, a=np.zeros(3), c=np.full(grid.n_steps, 0.1)),
                 base_market, vnm_prefs, mt,
             )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"lie in \[0, 1\]"):
             evaluate_policy(
-                Strategy(individual, a=np.zeros(grid.n_steps), c=np.full(grid.n_steps, 1.2)),
+                Strategy(individual, a=np.zeros(grid.n_steps), c=np.full((1, grid.n_steps), 1.2)),
                 base_market, vnm_prefs, mt,
             )
         # a finite fund needs one rate per survivor count and date
@@ -404,9 +414,51 @@ class TestEvaluatePolicy:
                     assert v == pytest.approx(value, rel=1e-12)
 
 
+# the bundled Gompertz table ending at any age to 95, or a random pmf
+MORTALITY = st.integers(66, 95).map(
+    lambda T: gompertz_makeham(**BUNDLED_GOMPERTZ, grid=make_time_grid(65, 1, T))
+) | st.builds(
+    lambda steps, seed: random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps)),
+    st.integers(2, 60), st.integers(0, 2**32 - 1),
+)
+
+
+class TestFiniteTableStructure:
+    """The kernel's table of a fund of n >= 2, cell by cell, against the
+    closed forms of the one-member and the infinite fund."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=EXPONENTS,
+        rho=EXPONENTS,
+        b=DISCOUNTS,
+        r=st.floats(0.0, 0.05),
+        premium=st.floats(0.0, 0.04),
+        sigma=st.floats(0.1, 0.3),
+        n=st.integers(2, 32),
+        mt=MORTALITY,
+    )
+    def test_values_rise_with_survivors_within_the_pooled_bracket(
+        self, alpha, rho, b, r, premium, sigma, n, mt
+    ):
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        market = MarketParams(mu=r + premium, r=r, sigma=sigma)
+        modes = (CollectiveMode.finite(n), CollectiveMode.individual(), CollectiveMode.infinite())
+        try:
+            fund, one, inf = [solve(mode, market, prefs, mt) for mode in modes]
+        except DivergenceError:
+            assume(False)
+        assert np.all(np.diff(np.log(fund.z), axis=0) >= 0.0), "log z falls with survivors"
+        lo = np.minimum(one.cstar, inf.cstar) * (1.0 - 1e-9)
+        hi = np.maximum(one.cstar, inf.cstar) * (1.0 + 1e-9)
+        assert np.all((lo <= fund.cstar) & (fund.cstar <= hi)), "c* left the pooled bracket"
+        # as alpha nears 0 the two agree to rounding: 1.6e-15 over, in 24,000 draws
+        assert fund.z_at_start() <= inf.z_at_start() * (1.0 + 1e-12)
+
+
 class TestBackwardDriver:
     def test_single_member_matches_scalar_recursion(self):
-        # two dates: the one-member fund is the individual recursion
+        # two dates: the kernel's row of one survivor is the individual recursion
         # z_0 = (1 + theta^q)^(1/q), theta = beta^(1/rho) exp(xi dt) s^(1/alpha) z_1
         grid = make_time_grid(0, 1, 2)
         s, alpha, rho, b = 0.8, -1.5, -0.5, 0.01
@@ -414,7 +466,7 @@ class TestBackwardDriver:
         market = MarketParams(mu=0.06, r=0.03, sigma=0.15)
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         q = rho / (1.0 - rho)
-        table = solve(CollectiveMode.finite(1), market, prefs, mt)
+        table = solve(CollectiveMode.finite(2), market, prefs, mt)
         theta = math.exp(-b / rho) * math.exp(growth_exponent(market, alpha)) * s ** (1.0 / alpha)
         assert table.z[0, 1] == 1.0
         assert table.z[0, 0] == pytest.approx((1.0 + theta**q) ** (1.0 / q), rel=1e-13)

@@ -135,10 +135,7 @@ class TestAnnuityOutperformance:
             (o,) = run_scenarios([(mu, r, n)], sigma, prefs, mt)
         except DivergenceError:
             assume(False)
-        mode = {None: CollectiveMode.infinite(), 1: CollectiveMode.individual()}.get(
-            n, CollectiveMode.finite(4)
-        )
-        table = solve(mode, MarketParams(mu=mu, r=r, sigma=sigma), prefs, mt)
+        table = solve(CollectiveMode(n), MarketParams(mu=mu, r=r, sigma=sigma), prefs, mt)
         gamma_star = budget * table.z_at_start() / annuity_utility(mt, prefs)
         scaled = gamma_star * annuity_factor(mt, r) / budget - 1.0
         assert abs(o - scaled) <= 4 * np.spacing(1.0 + scaled)
@@ -486,7 +483,7 @@ class TestPooledPrecision:
         for _, mu, r, _ in cfg.scenarios:
             market = MarketParams(mu=float(mu), r=float(r), sigma=cfg.market.sigma)
             for pooling, mode in ((0, CollectiveMode.individual()), (1, CollectiveMode.infinite())):
-                z0 = solve(mode, market, cfg.prefs, cfg.mortality).z[0]
+                z0 = solve(mode, market, cfg.prefs, cfg.mortality).z_at_start()
                 want = decimal_start_value(pooling, market, cfg.prefs, cfg.mortality)
                 assert abs(Decimal(z0) / want - 1) <= Decimal("2e-15"), (mu, r, mode)
 
