@@ -189,15 +189,13 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
                 raise ConfigurationError(f"{where}.id {sid!r} repeats an earlier scenario id")
             ids.add(sid)
             n = None if sc["n"] == "infinite" else _integer(sc["n"], f"{where}.n")
-            if n is not None and n < 1:
-                raise ConfigurationError(f"{where}.n must be >= 1, got {n}")
-            scenarios.append(
-                (sid, _number(sc["mu"], f"{where}.mu"), _number(sc["r"], f"{where}.r"), n)
-            )
+            scenarios.append((sid, _number(sc["mu"], f"{where}.mu"),
+                              _number(sc["r"], f"{where}.r"), CollectiveMode(n).n))
 
     n_list = None
     if "n_list" in raw:
-        n_list = [_integer(n, "n_list entry") for n in _list(raw["n_list"], "n_list")]
+        entries = _list(raw["n_list"], "n_list")
+        n_list = [CollectiveMode.finite(_integer(n, "n_list entry")).n for n in entries]
 
     # no command builds a value table larger than the largest fund on the grid
     largest = max([mode.n or 0, *(sc[3] or 0 for sc in scenarios or ()), *(n_list or ())])

@@ -71,6 +71,8 @@ class CollectiveMode:
 
     @classmethod
     def finite(cls, n: int) -> "CollectiveMode":
+        if n is None:  # None is the infinite fund, not a size
+            raise ConfigurationError("finite collective size must be an integer >= 1, got None")
         return cls(n)
 
     def __post_init__(self):
@@ -80,7 +82,7 @@ class CollectiveMode:
         if isinstance(n, bool) or not (
             isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n
         ):
-            raise ConfigurationError(f"finite collective size must be an integer >= 1, got {n}")
+            raise ConfigurationError(f"finite collective size must be an integer >= 1, got {n!r}")
         if n > MAX_FINITE_N:
             raise ConfigurationError(
                 f"finite collective size {n} exceeds the supported cap {MAX_FINITE_N} "

@@ -478,7 +478,6 @@ class TestConvergeCommand:
         assert main(["converge", "--config", str(p), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("change", [
-        {"n_list": [0, 10]},
         # z_n = z_inf at every n: the fit once read nan with exit 0
         {"n_list": [1, 10, 100], "grid": {"t0": 65, "dt": 1, "T": 66}},
         {"n_list": [1, 10, 100], "grid": {"t0": 65, "dt": 1, "T": 68},
@@ -488,7 +487,7 @@ class TestConvergeCommand:
         # ~ 4.16e-17 * n^-0.0000 with exit 0
         {"n_list": [1, 10, 100], "grid": {"t0": 65, "dt": 1, "T": 68},
          "mortality": {"gompertz": {"a": 0.0, "b": 0.0, "c": 0.0}}},
-    ], ids=["size-zero", "one-grid-point", "zero-hazard", "rounding-gap"])
+    ], ids=["one-grid-point", "zero-hazard", "rounding-gap"])
     def test_rejected_study_exits_2_without_csv(self, tmp_path, capsys, change):
         # rejected after the output directory is made, so not a MALFORMED entry
         p = write_cfg(tmp_path, dict(DEFAULTISH, **change))
@@ -561,6 +560,10 @@ MALFORMED = {
     "mode-finite-zero": {"mode": "finite:0"},
     "mode-finite-over-cap": {"mode": "finite:10001"},
     "scenario-n-zero": {"scenarios": [{"id": "a", "mu": 0.0, "r": 0.0, "n": 0}]},
+    # every fund size is a CollectiveMode size, checked for every command
+    "n_list-entry-zero": {"n_list": [0, 10, 100]},
+    "n_list-entry-over-cap": {"n_list": [1, 10001]},  # 20,002 cells: under the cell cap
+    "scenario-n-over-cap": {"scenarios": [{"id": "a", "mu": 0.0, "r": 0.0, "n": 10001}]},
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -128,7 +129,8 @@ class TestAnnuityOutperformance:
         self, default_table, mu, r, sigma, alpha, rho, b, n, budget
     ):
         # the annuity equivalent at a budget, budget z0 / U(1) * ä, over the
-        # budget: within 4 ulp of 1 + o at every budget
+        # budget: within 4 ulp of 1 + o at every budget.  z0 / U(1) comes
+        # first, as budget z0 overflows where z0 and U(1) are near 1e304.
         _, mt = default_table
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         try:
@@ -136,7 +138,7 @@ class TestAnnuityOutperformance:
         except DivergenceError:
             assume(False)
         table = solve(CollectiveMode(n), MarketParams(mu=mu, r=r, sigma=sigma), prefs, mt)
-        gamma_star = budget * table.z_at_start() / annuity_utility(mt, prefs)
+        gamma_star = budget * (table.z_at_start() / annuity_utility(mt, prefs))
         scaled = gamma_star * annuity_factor(mt, r) / budget - 1.0
         assert abs(o - scaled) <= 4 * np.spacing(1.0 + scaled)
 
@@ -294,14 +296,43 @@ class TestScenarios:
         assert o[0] > o[1] > o[2] > abs(o[3]) - 1e-10
         assert abs(o[3]) <= 1e-10
 
-    def test_each_size_solves_its_mode(self, default_table, base_market):
-        # n = None, 1 and 5 price the infinite, individual and five-member funds
+    def test_each_size_solves_its_mode(self, default_table):
+        # a market's smaller sizes are read from the table of its largest,
+        # whose row blocks can be wider than their own solve's, and n = 1 alone
+        # is a closed form: equal to rounding; the largest size and the
+        # infinite fund are their own solve to the bit
         _, mt = default_table
-        prefs = Preferences(alpha=-3.0, rho=-1.0, b=0.02)
-        m = base_market
-        o = run_scenarios([(m.mu, m.r, n) for n in (None, 1, 5)], m.sigma, prefs, mt)
-        modes = (CollectiveMode.infinite(), CollectiveMode.individual(), CollectiveMode.finite(5))
-        assert o.tolist() == [annuity_outperformance(solve(mode, m, prefs, mt)) for mode in modes]
+        sizes = (None, 1, 2, 10, 127, 128, 129, 300)
+        markets = [(0.062, 0.027), (0.027, 0.027), (0.09, 0.01)]
+        scenarios = [(mu, r, n) for mu, r in markets for n in sizes]
+        for alpha, rho, b in [(-1.0, -1.0, 0.0), (-3.0, -1.0, 0.02), (-5.0, -0.5, 0.0),
+                              (-0.5, 0.5, 0.0)]:
+            prefs = Preferences(alpha=alpha, rho=rho, b=b)
+            o = run_scenarios(scenarios, 0.15, prefs, mt)
+            for (mu, r, n), got in zip(scenarios, o.tolist()):
+                market = MarketParams(mu=mu, r=r, sigma=0.15)
+                own = annuity_outperformance(solve(CollectiveMode(n), market, prefs, mt))
+                if n in (None, 300):
+                    assert got == own, (alpha, rho, mu, r, n)
+                else:
+                    assert abs((1.0 + got) / (1.0 + own) - 1.0) <= 1e-12, (alpha, rho, mu, r, n)
+
+    def test_one_finite_solve_per_market(self, default_table, vnm_prefs, monkeypatch):
+        # each market is solved at its largest size, and at most once infinite
+        _, mt = default_table
+        calls = []
+        own = studies.solve
+        monkeypatch.setattr(studies, "solve", lambda mode, market, *args: (
+            calls.append((market.mu, market.r, mode.n)) or own(mode, market, *args)
+        ))
+        run_scenarios(
+            [(0.062, 0.027, n) for n in [None, 1, 3, None, 1]]
+            + [(0.027, 0.027, n) for n in [2, 1, 2]],
+            0.15, vnm_prefs, mt,
+        )
+        assert Counter(calls) == Counter(
+            [(0.062, 0.027, 3), (0.062, 0.027, None), (0.027, 0.027, 2)]
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -346,13 +377,20 @@ class TestScenarios:
                 run_scenarios([(0.062, 0.027, n)], 0.15, vnm_prefs, mt)
 
     def test_scenarios_and_converge_price_alike(self, studies_config):
-        # the two CLI commands report the infinite fund's outperformance to the bit
+        # the two CLI commands report the infinite fund's outperformance to
+        # the bit, and the one-member fund's when both read it from a table
+        # of the same size
         cfg = studies_config
         _, mu, r, _ = cfg.scenarios[0]
         market = MarketParams(mu=float(mu), r=float(r), sigma=cfg.market.sigma)
-        (o,) = run_scenarios([(market.mu, market.r, None)], market.sigma, cfg.prefs, cfg.mortality)
+        assert cfg.n_list[0] == 1 and cfg.n_list[-1] == 1024
+        o_inf, o_1, o_1024 = run_scenarios(
+            [(market.mu, market.r, n) for n in (None, 1, 1024)],
+            market.sigma, cfg.prefs, cfg.mortality,
+        )
         study = convergence_study(cfg.n_list, market, cfg.prefs, cfg.mortality)
-        assert o == study.infinite_outperformance
+        assert o_inf == study.infinite_outperformance
+        assert (o_1, o_1024) == (study.outperformance[0], study.outperformance[-1])
 
 
 class TestFundSizeStudy:
@@ -461,9 +499,12 @@ class TestConvergenceStudy:
         for sizes, first in (
             ([1, 2.9, 10.5, 100.2], "2.9"), ([1, math.nan, 100], "nan"),
             ([True, 20], "True"), (["3"], "'3'"),  # True is not n = 1; a string is no size
+            ([None, 20], "None"),  # None is the infinite fund, not a size
         ):
-            with pytest.raises(ConfigurationError, match=f"integers >= 1, got {first}"):
+            with pytest.raises(ConfigurationError, match=f"integer >= 1, got {first}"):
                 convergence_study(sizes, base_market, vnm_prefs, mt)
+        with pytest.raises(ConfigurationError, match="exceeds the supported cap 10000"):
+            convergence_study([1, 10, 10001], base_market, vnm_prefs, mt)
 
     @pytest.mark.parametrize("T, hazard", [(66, (0.0, 1e-3, 0.1)), (68, (0.0, 0.0, 0.0))],
                              ids=["one-grid-point", "zero-hazard"])
