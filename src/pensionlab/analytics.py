@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, MarketParams, Preferences
-from .solver import ValueTable, _log_phi, growth_exponent, optimal_proportion
+from .solver import CollectiveMode, ValueTable, _log_phi, growth_exponent, optimal_proportion
 
 __all__ = [
     "LognormalSchedule",
@@ -49,28 +49,31 @@ class LognormalSchedule:
     mu_gamma: np.ndarray
 
 
+def _pooling(mode: CollectiveMode, what: str) -> int:
+    """The indicator C of ``mode``, which the closed forms of ``what`` need."""
+    if mode.pooling is None:
+        raise ConfigurationError(f"{what} supports individual and infinite funds only; "
+                                 "a fund of n >= 2 members needs simulation")
+    return mode.pooling
+
+
 def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     """Lognormal parameters of per-survivor wealth and consumption over time,
     starting from wealth ``x0`` under the mortality and market of ``table``.
 
-    Only the infinite and the one-member fund (``CollectiveMode.pooling``):
-    with a random survivor count the per-survivor wealth of a fund of n >= 2
-    is not lognormal (use Monte Carlo).
+    Only the infinite and the one-member fund, whose tables are one row: with
+    a random survivor count the per-survivor wealth of a fund of n >= 2 is
+    not lognormal (use Monte Carlo), and it raises ConfigurationError.
     """
-    if table.mode.pooling is None:
-        raise ConfigurationError(
-            "wealth_schedule supports individual and infinite funds only; "
-            "a fund of n >= 2 members needs simulation"
-        )
+    pool = _pooling(table.mode, "wealth_schedule")
     if isinstance(x0, bool) or not (isinstance(x0, numbers.Real) and 0.0 < x0 < math.inf):
         raise ConfigurationError(f"initial wealth must be finite and positive, got {x0}")
 
     mortality = table.mortality
     grid = mortality.grid
-    pool = table.mode.pooling
     rho = table.prefs.rho
     s = mortality.s[:-1]
-    log_y = np.log(table.y.ravel())  # one member has one row
+    log_y = np.log(table.y[0])
     # log(1 - c*_k) = log((y_k - 1)/y_k) with y_k - 1 = phi_k^q y_{k+1},
     # which stays accurate when c* is within rounding of 1
     log_phi = _log_phi(table.prefs, grid.dt, table.xi, s, pool)
@@ -81,7 +84,7 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     mu_x = np.cumsum(np.concatenate(([math.log(x0)], steps)))
     step_var = (table.astar * table.market.sigma) ** 2 * grid.dt
     sigma_x = np.sqrt(np.cumsum(np.concatenate(([0.0], np.full(s.size, step_var)))))
-    mu_gamma = mu_x + (rho / (rho - 1.0)) * np.log(table.z.ravel())
+    mu_gamma = mu_x + (rho / (rho - 1.0)) * np.log(table.z[0])
     for arr in (mu_x, sigma_x, mu_gamma):
         arr.flags.writeable = False
     return LognormalSchedule(mu_x=mu_x, sigma_x=sigma_x, mu_gamma=mu_gamma)
@@ -91,20 +94,22 @@ def consumption_drift(
     prefs: Preferences,
     market: MarketParams,
     s: float,
-    collective: int,
+    mode: CollectiveMode,
     dt: float = 1.0,
 ) -> float:
-    """Expected one-step change of log consumption per survivor:
+    """Expected one-step change of log consumption per survivor in ``mode``,
+    the infinite or the one-member fund, with C = ``mode.pooling``:
 
         E(log gamma_{t+dt} | gamma_t) - log gamma_t
             = log(s^-C) + rho/(1-rho) log(phi) + xi_drift dt.
     """
+    pool = _pooling(mode, "consumption_drift")
     if not 0.0 < s <= 1.0:
         raise ConfigurationError(f"survival probability must be in (0, 1], got {s}")
     rho = prefs.rho
-    log_phi = _log_phi(prefs, dt, growth_exponent(market, prefs.alpha), s, collective)
+    log_phi = _log_phi(prefs, dt, growth_exponent(market, prefs.alpha), s, pool)
     return float(
-        -collective * math.log(s)
+        -pool * math.log(s)
         + (rho / (1.0 - rho)) * log_phi
         + growth_exponent(market, 0.0, optimal_proportion(market, prefs.alpha)) * dt
     )
@@ -116,14 +121,16 @@ class Direction(enum.Enum):
     CONSTANT = "constant"
 
 
-def consumption_direction(prefs: Preferences, collective: int) -> Direction:
-    """How optimal consumption moves over time when mu = r = 0 and beta = 1.
+def consumption_direction(prefs: Preferences, mode: CollectiveMode) -> Direction:
+    """How optimal consumption in ``mode``, the infinite or the one-member
+    fund, moves over time when mu = r = 0 and beta = 1.
 
-    Consumption then follows gamma_{t+dt} = s^e gamma_t with
-    e = (1/alpha - C/rho) rho/(1-rho); for survival probabilities strictly
-    inside (0, 1) the sign of e classifies the direction (s^e < 1 iff e > 0).
+    Consumption then follows gamma_{t+dt} = s^e gamma_t with e = (1/alpha -
+    C/rho) rho/(1-rho), C = ``mode.pooling``; for survival probabilities in
+    (0, 1) the sign of e classifies the direction (s^e < 1 iff e > 0).
     """
-    e = (1.0 / prefs.alpha - collective / prefs.rho) * prefs.rho / (1.0 - prefs.rho)
+    pool = _pooling(mode, "consumption_direction")
+    e = (1.0 / prefs.alpha - pool / prefs.rho) * prefs.rho / (1.0 - prefs.rho)
     if e > 0.0:
         return Direction.DECREASING
     if e < 0.0:

@@ -189,13 +189,14 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
                 raise ConfigurationError(f"{where}.id {sid!r} repeats an earlier scenario id")
             ids.add(sid)
             n = None if sc["n"] == "infinite" else _integer(sc["n"], f"{where}.n")
-            scenarios.append((sid, _number(sc["mu"], f"{where}.mu"),
-                              _number(sc["r"], f"{where}.r"), CollectiveMode(n).n))
+            mu, r = _number(sc["mu"], f"{where}.mu"), _number(sc["r"], f"{where}.r")
+            scenarios.append((sid, mu, r, _located(CollectiveMode, n, f"{where}.n").n))
 
     n_list = None
     if "n_list" in raw:
         entries = _list(raw["n_list"], "n_list")
-        n_list = [CollectiveMode.finite(_integer(n, "n_list entry")).n for n in entries]
+        n_list = [_located(CollectiveMode.finite, _integer(n, f"n_list[{i}]"), f"n_list[{i}]").n
+                  for i, n in enumerate(entries)]
 
     # no command builds a value table larger than the largest fund on the grid
     largest = max([mode.n or 0, *(sc[3] or 0 for sc in scenarios or ()), *(n_list or ())])
@@ -220,6 +221,14 @@ def _capped(count: int, cap: int, what: str) -> int:
     return count
 
 
+def _located(build, value, where: str):
+    """``build(value)``, with ``where`` heading the text of a ConfigurationError it raises."""
+    try:
+        return build(value)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
 def _parse_mode(text) -> CollectiveMode:
     if text == "individual":  # the one-member fund, finite:1
         return CollectiveMode.individual()
@@ -230,7 +239,7 @@ def _parse_mode(text) -> CollectiveMode:
             n = int(text.split(":", 1)[1])
         except ValueError:
             raise ConfigurationError(f"bad finite mode string {text!r}") from None
-        return CollectiveMode.finite(n)
+        return _located(CollectiveMode.finite, n, "mode")
     raise ConfigurationError(
         f"mode must be 'individual', 'infinite' or 'finite:n', got {text!r}"
     )
@@ -263,11 +272,10 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 def cmd_solve(cfg: RunConfig, out: Path) -> None:
     table = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
     counts = np.arange(1, cfg.mode.n + 1) if cfg.mode.is_finite else np.zeros(1, dtype=np.int64)
-    z, cstar = np.atleast_2d(table.z, table.cstar)
     _write_csv(
         out / "value.csv", ["t", "i", "z", "c_star"],
         [np.repeat(table.grid.points, counts.size), np.tile(counts, table.grid.n_steps),
-         z.T.ravel(), cstar.T.ravel()],
+         table.z.T.ravel(), table.cstar.T.ravel()],
     )
     _write_csv(out / "meta.csv", ["a_star", "xi"], [[table.astar], [table.xi]])
 

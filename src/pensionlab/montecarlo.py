@@ -136,13 +136,13 @@ def _policy_arrays(pol: Union[ValueTable, Strategy], grid: TimeGrid):
 
 
 class _SurvivorFraction:
-    """Infinite fund: the fraction prod s_k survives on every path."""
+    """Infinite fund: the fraction prod s_k survives on every path; ``c`` has one row."""
 
     alive = _ALL
     draws_survivors = False  # reads no survival uniforms
 
     def __init__(self, c: np.ndarray):
-        self.c = c
+        self.c = c[0]
         self.survivors = 1.0
 
     def consumption(self, k: int, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ per-period growth exponent xi are constants of the market and alpha alone.
 A fund of n >= 2 members is solved on the triangular table z_{i,t}
 (i = 1..n survivors): the continuation mixes next-step values over the
 binomial survivor transition, weighted by the wealth concentration
-(i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.
+(i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.  Every table and
+policy is (rows, n_steps): a row per survivor count, one for the infinite fund.
 
 The pooled recursions are linear, x_k = a_k + b_k x_{k+1} with x = a at the
 last date: y above (a = 1, b = phi^q), the annuity's U^rho and a fixed
@@ -151,11 +152,11 @@ def _pooled(log_a, log_b):
 class ValueTable:
     """Solved values and controls.
 
-    ``z``, ``y`` and ``cstar`` have shape (n_steps,) for the infinite fund
-    and (n, n_steps) for a fund of n members, one included, row i-1 holding
-    the values with i survivors.  ``astar`` and ``xi`` are scalars.  The
-    table keeps the mortality, market and preferences it was solved for; its
-    grid is the mortality table's.
+    ``z``, ``y`` and ``cstar`` have shape (rows, n_steps) for every fund:
+    n rows for a fund of n members, one included, row i-1 holding the values
+    with i survivors, and one row for the infinite fund.  ``astar`` and
+    ``xi`` are scalars.  The table keeps the mortality, market and
+    preferences it was solved for; its grid is the mortality table's.
     """
 
     mode: CollectiveMode
@@ -174,7 +175,7 @@ class ValueTable:
 
     def z_at_start(self) -> float:
         """z at t0 (for a finite fund: with all n members alive)."""
-        return float(self.z[-1, 0] if self.mode.is_finite else self.z[0])
+        return float(self.z[-1, 0])
 
 
 def _diverged(mode, grid, k, row):
@@ -227,9 +228,7 @@ def solve(
         logz = _backward(mode, prefs, mortality, xi, np.zeros(mode.n), optimal)
     else:
         log_b = q * _log_phi(prefs, grid.dt, xi, mortality.s[:-1], mode.pooling)
-        logz = (1.0 / q) * _pooled(np.zeros(grid.n_steps), log_b)
-        if mode.is_finite:  # the one-member table's one row
-            logz = logz[np.newaxis]
+        logz = (1.0 / q) * _pooled(np.zeros(grid.n_steps), log_b)[np.newaxis]
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
         z = np.exp(logz)
         y = np.exp(q * logz)
@@ -253,9 +252,9 @@ class Strategy:
     """A constant-mix-within-period policy for the fund ``mode``.
 
     ``a`` is the stock proportion per grid point.  ``c`` is the consumption
-    rate per grid point, of shape (n_steps,) for the infinite fund and (n,
-    n_steps) for a fund of n members, one included (rows i-1 for i
-    survivors).  Rates must lie in [0, 1] and proportions be finite.
+    rate per survivor count and grid point, shaped as ``ValueTable.cstar``,
+    so ``np.broadcast_to(c, (n, n_steps))`` runs the infinite fund's policy
+    in a fund of n.  Rates must lie in [0, 1] and proportions be finite.
     """
 
     mode: CollectiveMode
@@ -277,8 +276,7 @@ def _strategy_arrays(strategy: Strategy, n_steps: int):
     c = np.asarray(strategy.c, dtype=np.float64)
     if a.shape != (n_steps,):
         raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {a.shape}")
-    mode = strategy.mode
-    expected = (mode.n, n_steps) if mode.is_finite else (n_steps,)
+    expected = (strategy.mode.n or 1, n_steps)
     if c.shape != expected:
         raise ConfigurationError(f"strategy.c must have shape {expected}, got {c.shape}")
     if not np.all(np.isfinite(a)):
@@ -324,11 +322,10 @@ def evaluate_policy(
     else:
         # in x = v^rho, a = c^rho and b = (phi (1 - c))^rho.  Consuming everything
         # at date m makes b_m 0 or inf: x_m = a_m + b_m x_{m+1} ends the recursion
-        logc, log1c = logc.ravel(), log1c.ravel()  # one member has one row
         log_phi = _log_phi(prefs, mortality.grid.dt, kappa[:-1], mortality.s[:-1], mode.pooling)
-        log_b = np.append(rho * (log_phi + log1c[:-1]), -np.inf)  # nothing follows the last date
+        log_b = np.append(rho * (log_phi + log1c[0, :-1]), -np.inf)  # no date follows the last
         m = int(np.argmax(np.isinf(log_b)))
-        log_a = np.append(rho * logc[:m], np.logaddexp(rho * logc[m], log_b[m]))
+        log_a = np.append(rho * logc[0, :m], np.logaddexp(rho * logc[0, m], log_b[m]))
         logv = _pooled(log_a, log_b[:m])[0] / rho
     with np.errstate(over="ignore"):
         v = float(np.exp(logv))

@@ -129,20 +129,15 @@ def test_criterion_04_distribution_verification(default_table, base_market, vnm_
 
 
 def _perturbation_drops(table, market, prefs, mt, entry, k, hs):
-    mode = table.mode
     base = evaluate_policy(extract_strategy(table), market, prefs, mt)
     out = {}
     for h in hs:
         for sign in (1.0, -1.0):
             strat = extract_strategy(table)
-            c = strat.c[..., k] if not mode.is_finite else strat.c[entry, k]
-            scaled = c * (1.0 + sign * h)
+            scaled = strat.c[entry, k] * (1.0 + sign * h)
             if scaled > 1.0:
                 continue  # consuming more than everything is infeasible
-            if mode.is_finite:
-                strat.c[entry, k] = scaled
-            else:
-                strat.c[k] = scaled
+            strat.c[entry, k] = scaled
             out[(h, sign)] = base - evaluate_policy(strat, market, prefs, mt)
     return out
 
@@ -155,10 +150,10 @@ def test_criterion_05_optimality_perturbation(base_market, vnm_prefs):
     failures = []
     for mode in (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(3)):
         table = solve(mode, base_market, vnm_prefs, mt)
-        entries = range(mode.n) if mode.is_finite else [0]
-        for entry in entries:
+        rows = table.cstar.shape[0]
+        for entry in range(rows):
             for k in range(grid.n_steps):
-                if mode.is_finite and k == 0 and entry != mode.n - 1:
+                if k == 0 and entry != rows - 1:
                     continue  # at t0 the fund has n members: other rows unreachable
                 drops = _perturbation_drops(table, base_market, vnm_prefs, mt, entry, k, hs)
                 for key, d in drops.items():
@@ -193,8 +188,8 @@ def test_criterion_06_consumption_direction_table():
     bad = []
     for (alpha, rho), want_coll, want_ind in rows:
         prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
-        got_coll = consumption_direction(prefs, 1)
-        got_ind = consumption_direction(prefs, 0)
+        got_coll = consumption_direction(prefs, CollectiveMode.infinite())
+        got_ind = consumption_direction(prefs, CollectiveMode.individual())
         if got_coll is not want_coll or got_ind is not want_ind:
             bad.append(f"(alpha={alpha}, rho={rho}) -> ({got_coll}, {got_ind})")
     report(6, not bad, "all five parameter rows match" if not bad else "; ".join(bad))
@@ -207,6 +202,7 @@ def test_criterion_07_eis_vs_finite_difference():
 
     rng = np.random.default_rng(77)
     h = 1e-5
+    inf = CollectiveMode.infinite()
     worst = 0.0
     done = 0
     while done < 50:
@@ -217,7 +213,7 @@ def test_criterion_07_eis_vs_finite_difference():
             continue  # relative tolerance is meaningless at the zero crossing
         up = MarketParams(mu=m.mu, r=m.r + h, sigma=m.sigma)
         dn = MarketParams(mu=m.mu, r=m.r - h, sigma=m.sigma)
-        fd = (consumption_drift(p, up, 0.9, 1) - consumption_drift(p, dn, 0.9, 1)) / (2 * h)
+        fd = (consumption_drift(p, up, 0.9, inf) - consumption_drift(p, dn, 0.9, inf)) / (2 * h)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
         done += 1
     ok = exact_ok and worst <= 1e-6

@@ -26,6 +26,9 @@ from conftest import DISCOUNTS, EXPONENTS, random_mortality
 from oracle_pooled import wealth_mean_loop
 from test_solver import random_market, random_prefs
 
+INFINITE = CollectiveMode.infinite()
+INDIVIDUAL = CollectiveMode.individual()
+
 
 class TestWealthSchedule:
     def test_riskless_market_gives_zero_spread(self, mild_table, vnm_prefs):
@@ -60,7 +63,7 @@ class TestWealthSchedule:
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
         sched = wealth_schedule(table, 2.5)
         rho = vnm_prefs.rho
-        expect = sched.mu_x + (rho / (rho - 1.0)) * np.log(table.z)
+        expect = sched.mu_x + (rho / (rho - 1.0)) * np.log(table.z[0])
         assert np.array_equal(sched.mu_gamma, expect)
 
     def test_telescoping_against_literal_increments(self, mild_table, base_market):
@@ -71,7 +74,7 @@ class TestWealthSchedule:
         xi_drift = growth_exponent(base_market, 0.0, optimal_proportion(base_market, prefs.alpha))
         mu = math.log(1.0)
         for k in range(grid.n_steps - 1):
-            mu += -math.log(mt.s[k]) + math.log1p(-table.cstar[k]) + xi_drift * grid.dt
+            mu += -math.log(mt.s[k]) + math.log1p(-table.cstar[0, k]) + xi_drift * grid.dt
         assert sched.mu_x[-1] == pytest.approx(mu, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -136,21 +139,21 @@ class TestConsumptionDrift:
     def test_vnm_collectivised_is_flat(self):
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        assert consumption_drift(prefs, market, 0.87, 1) == pytest.approx(0.0, abs=1e-15)
+        assert consumption_drift(prefs, market, 0.87, INFINITE) == pytest.approx(0.0, abs=1e-15)
 
     def test_neutral_parameters(self):
         # mu = r = 0, beta = 1 and certain survival: phi = 1, no drift
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        assert consumption_drift(prefs, market, 1.0, 0) == 0.0
-        assert consumption_drift(prefs, market, 1.0, 1) == 0.0
+        assert consumption_drift(prefs, market, 1.0, INDIVIDUAL) == 0.0
+        assert consumption_drift(prefs, market, 1.0, INFINITE) == 0.0
 
     def test_continuation_factor_value(self):
         # drift = -C log s + q log phi with q = rho/(1-rho) = -1/2, and
         # phi = s^(1/alpha - C) = 0.9^-2 for the collective at alpha = -1
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        log_phi = (consumption_drift(prefs, market, 0.9, 1) + math.log(0.9)) / -0.5
+        log_phi = (consumption_drift(prefs, market, 0.9, INFINITE) + math.log(0.9)) / -0.5
         assert log_phi == pytest.approx(math.log(0.9**-2), rel=1e-14)
 
     def test_pooling_shifts_drift_by_survival(self):
@@ -160,7 +163,8 @@ class TestConsumptionDrift:
             prefs = random_prefs(rng)
             market = random_market(rng)
             s = float(rng.uniform(0.01, 1.0))
-            shift = consumption_drift(prefs, market, s, 1) - consumption_drift(prefs, market, s, 0)
+            pooled = consumption_drift(prefs, market, s, INFINITE)
+            shift = pooled - consumption_drift(prefs, market, s, INDIVIDUAL)
             assert shift == pytest.approx(-math.log(s) / (1.0 - prefs.rho), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("s", [0.0, -0.1, 1.5, float("nan")])
@@ -168,17 +172,22 @@ class TestConsumptionDrift:
         prefs = Preferences(alpha=-1.0, rho=-1.0)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         with pytest.raises(ConfigurationError, match="survival probability"):
-            consumption_drift(prefs, market, s, 1)
+            consumption_drift(prefs, market, s, INFINITE)
+
+    def test_fund_of_two_rejected(self, base_market, vnm_prefs):
+        # C is 0 or 1: a fund of n >= 2 has no closed form
+        with pytest.raises(ConfigurationError, match="^consumption_drift supports individual"):
+            consumption_drift(vnm_prefs, base_market, 0.9, CollectiveMode.finite(2))
 
     def test_satisfaction_averse_collective_increases(self):
         prefs = Preferences(alpha=-2.0, rho=-1.0, b=0.0)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        assert consumption_drift(prefs, market, 0.9, 1) > 0.0
+        assert consumption_drift(prefs, market, 0.9, INFINITE) > 0.0
 
     def test_satisfaction_averse_individual_decreases(self):
         prefs = Preferences(alpha=-2.0, rho=-1.0, b=0.0)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        assert consumption_drift(prefs, market, 0.9, 0) < 0.0
+        assert consumption_drift(prefs, market, 0.9, INDIVIDUAL) < 0.0
 
     def test_vnm_reduction(self):
         # with alpha = rho, mu = r = 0, beta = 1 the collectivised drift is
@@ -192,9 +201,9 @@ class TestConsumptionDrift:
                 rho = -0.5
             prefs = Preferences(alpha=rho, rho=rho, b=0.0)
             s = float(rng.uniform(0.05, 1.0))
-            assert consumption_drift(prefs, market, s, 1) == pytest.approx(0.0, abs=1e-13)
+            assert consumption_drift(prefs, market, s, INFINITE) == pytest.approx(0.0, abs=1e-13)
             expect = math.log(s) / (1.0 - rho)
-            assert consumption_drift(prefs, market, s, 0) == pytest.approx(expect, rel=1e-12)
+            assert consumption_drift(prefs, market, s, INDIVIDUAL) == pytest.approx(expect, rel=1e-12)
 
 
 class TestConsumptionDirection:
@@ -211,8 +220,12 @@ class TestConsumptionDirection:
     @pytest.mark.parametrize("params,collective,individual", CASES)
     def test_direction_table(self, params, collective, individual):
         prefs = Preferences(alpha=params[0], rho=params[1], b=0.0)
-        assert consumption_direction(prefs, 1) is collective
-        assert consumption_direction(prefs, 0) is individual
+        assert consumption_direction(prefs, INFINITE) is collective
+        assert consumption_direction(prefs, INDIVIDUAL) is individual
+
+    def test_fund_of_two_rejected(self, vnm_prefs):
+        with pytest.raises(ConfigurationError, match="^consumption_direction supports individual"):
+            consumption_direction(vnm_prefs, CollectiveMode.finite(2))
 
 
 class TestEIS:
@@ -243,16 +256,17 @@ class TestEIS:
             analytic = eis(prefs, market)
             if abs(analytic) < 0.05:
                 continue
-            fd = _fd_eis(prefs, market, s=0.9, pool=1)
+            fd = _fd_eis(prefs, market, s=0.9, mode=INFINITE)
             assert fd == pytest.approx(analytic, rel=1e-6)
             # the elasticity does not depend on survival or pooling
-            assert _fd_eis(prefs, market, s=0.4, pool=0) == pytest.approx(analytic, rel=1e-6)
+            fd = _fd_eis(prefs, market, s=0.4, mode=INDIVIDUAL)
+            assert fd == pytest.approx(analytic, rel=1e-6)
             done += 1
 
 
-def _fd_eis(prefs, market, s, pool, h=1e-5, dt=1.0):
+def _fd_eis(prefs, market, s, mode, h=1e-5, dt=1.0):
     up = MarketParams(mu=market.mu, r=market.r + h, sigma=market.sigma)
     dn = MarketParams(mu=market.mu, r=market.r - h, sigma=market.sigma)
     return (
-        consumption_drift(prefs, up, s, pool, dt) - consumption_drift(prefs, dn, s, pool, dt)
+        consumption_drift(prefs, up, s, mode, dt) - consumption_drift(prefs, dn, s, mode, dt)
     ) / (2.0 * h * dt)

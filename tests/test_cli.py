@@ -576,6 +576,21 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, where", [
+        ("mode-finite-zero", "mode: "),
+        ("mode-finite-over-cap", "mode: "),
+        ("scenario-n-zero", "scenarios[0].n: "),
+        ("scenario-n-over-cap", "scenarios[0].n: "),
+        ("n_list-entry-zero", "n_list[0]: "),
+        ("n_list-entry-over-cap", "n_list[1]: "),
+        ("n_list-entry-fraction", "n_list[0] must be an integer"),
+    ])
+    def test_bad_fund_size_error_names_its_field(self, tmp_path, capsys, case, where):
+        # the size's own error, headed by the config field that holds it
+        p = write_cfg(tmp_path, dict(TRIVIAL, **MALFORMED[case]))
+        assert main(["solve", "--config", str(p), "--print-config"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["solve", "--config", str(p), "--print-config"]) == 0

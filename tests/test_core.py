@@ -81,7 +81,7 @@ class TestMarketAndPreferences:
 _GRID = make_time_grid(0, 1, 3)
 _MARKET = MarketParams(mu=0.05, r=0.02, sigma=0.15)
 _PREFS = Preferences(alpha=-1.0, rho=-1.0)
-_STRATEGY = Strategy(CollectiveMode.infinite(), a=np.zeros(3), c=np.full(3, 0.5))
+_STRATEGY = Strategy(CollectiveMode.infinite(), a=np.zeros(3), c=np.full((1, 3), 0.5))
 NON_FINITE = {
     "grid-dt-nan": (lambda: TimeGrid(t0=0.0, dt=math.nan, n_steps=3), "dt > 0"),
     "grid-t0-inf": (lambda: TimeGrid(t0=math.inf, dt=1.0, n_steps=3), "finite t0"),

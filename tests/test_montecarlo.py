@@ -170,7 +170,7 @@ class TestBudgetIdentity:
             grid, base_market, mt,
         )
         # gamma was stored as cstar * wealth, so this recomposition is bitwise
-        assert np.array_equal(res.consumption, table.cstar[None, :] * res.wealth)
+        assert np.array_equal(res.consumption, table.cstar * res.wealth)
 
     def test_finite_consumption_is_rate_lookup(self, default_table, base_market, vnm_prefs):
         # finite:3 on the default table dies out: the rate of n >= 1 survivors
@@ -348,7 +348,7 @@ class TestSummarize:
         mt = gompertz_makeham(0.0, 8.888014533421656e-24, 0.6, grid)
         market = MarketParams(mu=-0.02, r=0.027, sigma=0.15)
         table = solve(CollectiveMode.infinite(), market, Preferences(-3.0, -1.0), mt)
-        assert table.cstar[-2] == 1.0
+        assert table.cstar[0, -2] == 1.0
         res = simulate(SimulationConfig(paths=2, seed=0, policy=table), grid, market, mt)
         assert res.mean_log_x[-1] == -np.inf and np.isnan(res.var_log_x[-1])
         assert np.all(res.x_quantiles[:, -1] == 0.0) and np.all(np.isfinite(res.var_log_x[:-1]))
@@ -417,7 +417,7 @@ class TestValidation:
         other = gompertz_makeham(1e-3, 2e-4, 0.1, make_time_grid(65, 1, 80))
         mode = CollectiveMode.infinite()
         cfg = SimulationConfig(paths=4, seed=1, policy=Strategy(
-            mode, a=np.zeros(grid.n_steps), c=np.ones(grid.n_steps)))
+            mode, a=np.zeros(grid.n_steps), c=np.ones((1, grid.n_steps))))
         with pytest.raises(ConfigurationError, match="mortality table was built on a different"):
             simulate(cfg, grid, base_market, other)
         cfg = SimulationConfig(paths=4, seed=1, policy=solve(mode, base_market, vnm_prefs, other))
@@ -427,8 +427,8 @@ class TestValidation:
     def test_strategy_policy_supported(self, short_table, vnm_prefs):
         grid, mt = short_table
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
-        c = np.full(grid.n_steps, 0.2)
-        c[-1] = 1.0
+        c = np.full((1, grid.n_steps), 0.2)
+        c[0, -1] = 1.0
         strat = Strategy(CollectiveMode.infinite(), a=np.zeros(grid.n_steps), c=c)
         res = simulate(
             SimulationConfig(paths=3, seed=2, policy=strat, record=ALL_SERIES),

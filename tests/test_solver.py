@@ -66,8 +66,7 @@ def assert_pooled_modes_match_linear_recursion(market, prefs, mortality):
         table = solve(mode, market, prefs, mortality)
         scale = max(1.0, float(np.max(np.abs(np.log(reference[0])))) / 10.0)
         for got, want, rel in zip((table.z, table.y, table.cstar), reference, (1e-12, 2e-12, 2e-12)):
-            # the one-member table is one row
-            np.testing.assert_allclose(got.ravel(), want, rtol=rel * scale, atol=0.0)
+            np.testing.assert_allclose(got[0], want, rtol=rel * scale, atol=0.0)
 
 
 class TestOptimalProportion:
@@ -211,11 +210,22 @@ class TestSolve:
         assert isinstance(t1.astar, float) and isinstance(t1.xi, float)
         assert t1.astar == t2.astar and t1.xi == t2.xi
 
+    @pytest.mark.parametrize("mode", [None, 1, 3], ids=lambda n: str(CollectiveMode(n)))
+    def test_every_fund_has_one_table_shape(self, mild_table, base_market, vnm_prefs, mode):
+        # one row per survivor count, and one for the infinite fund
+        grid, mt = mild_table
+        mode = CollectiveMode(mode)
+        table = solve(mode, base_market, vnm_prefs, mt)
+        shape = (mode.n or 1, grid.n_steps)
+        assert table.z.shape == table.y.shape == table.cstar.shape == shape
+        assert extract_strategy(table).c.shape == shape
+        assert table.z_at_start() == table.z[-1, 0]
+
     def test_finite_value_between_individual_and_infinite(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         z1 = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt).z[0]
         z8 = solve(CollectiveMode.finite(8), base_market, vnm_prefs, mt).z[7]
-        zinf = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt).z
+        zinf = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt).z[0]
         ok = np.all(z1[:-1] <= z8[:-1] + 1e-14) and np.all(z8[:-1] <= zinf[:-1] + 1e-14)
         assert ok, "finite-collective value left the [individual, infinite] band"
 
@@ -306,7 +316,7 @@ class TestEvaluatePolicy:
         v0 = evaluate_policy(base, base_market, vnm_prefs, mt)
         for dc in (0.01, -0.01):
             pert = extract_strategy(table)
-            pert.c[0] += dc
+            pert.c[0, 0] += dc
             assert evaluate_policy(pert, base_market, vnm_prefs, mt) < v0
 
     def test_second_order_flatness_at_optimum(self, mild_table, base_market, vnm_prefs):
@@ -347,6 +357,7 @@ class TestEvaluatePolicy:
     @pytest.mark.parametrize("series, value", [
         ("c", math.nan), ("a", math.nan), ("a", math.inf),
         pytest.param("mode", None, id="mode-swapped"),
+        pytest.param("flat-c", None, id="c-one-dimensional"),
     ])
     @pytest.mark.parametrize("mode", [CollectiveMode.infinite(), CollectiveMode.finite(3)], ids=str)
     def test_non_finite_policy_rejected_by_both_callers(
@@ -354,12 +365,16 @@ class TestEvaluatePolicy:
     ):
         # NaN passes a range check written as (c < 0) | (c > 1); unchecked,
         # it turns every statistic from its date on into NaN.  A swapped mode
-        # leaves c in the solved fund's shape: 1-D with finite:3, 2-D with infinite
+        # leaves c in the solved fund's shape: one row with finite:3, three
+        # with infinite.  One rate per date, with no row axis, fits no fund
         grid, mt = default_table
         strategy = extract_strategy(solve(mode, base_market, vnm_prefs, mt))
         fragment = None
         if series == "mode":
             strategy.mode = CollectiveMode.infinite() if mode.is_finite else CollectiveMode.finite(3)
+            fragment = r"strategy\.c must have shape"
+        elif series == "flat-c":
+            strategy.c = np.full(grid.n_steps, 0.5)
             fragment = r"strategy\.c must have shape"
         else:
             getattr(strategy, series)[..., 3] = value
@@ -373,8 +388,8 @@ class TestEvaluatePolicy:
         # about 1.96e-315, a subnormal with too few significant bits, where
         # solve raises for the same preferences
         _, mt = default_table
-        c = np.full(mt.grid.n_steps, 0.05)
-        c[-1] = 1.0
+        c = np.full((1, mt.grid.n_steps), 0.05)
+        c[0, -1] = 1.0
         prefs = Preferences(alpha=0.06001, rho=-5.748, b=0.02)
         with pytest.raises(DivergenceError, match="policy value"):
             evaluate_policy(
@@ -454,6 +469,51 @@ class TestFiniteTableStructure:
         assert np.all((lo <= fund.cstar) & (fund.cstar <= hi)), "c* left the pooled bracket"
         # as alpha nears 0 the two agree to rounding: 1.6e-15 over, in 24,000 draws
         assert fund.z_at_start() <= inf.z_at_start() * (1.0 + 1e-12)
+
+
+class TestInfinitePolicyInFiniteFund:
+    """The homogeneous form of the abstract's effective strategies: the
+    infinite fund's optimal policy, broadcast to every survivor count of a
+    fund of n, loses 1 - v/z_n of certainty-equivalent wealth, and the loss
+    vanishes as n grows.  On the bundled table with the grid ending at
+    T = 90 it is 5.3e-6 to 4.5e-5 at n = 128."""
+
+    @pytest.fixture(scope="class")
+    def mt(self):
+        return gompertz_makeham(**BUNDLED_GOMPERTZ, grid=make_time_grid(65, 1, 90))
+
+    @pytest.mark.parametrize("alpha, rho", [(-1.0, -1.0), (-3.0, -1.0), (-5.0, -0.5), (-0.5, 0.5)])
+    def test_loss_falls_with_fund_size(self, mt, base_market, alpha, rho):
+        prefs = Preferences(alpha=alpha, rho=rho, b=0.0)
+        limit = extract_strategy(solve(CollectiveMode.infinite(), base_market, prefs, mt))
+        losses = []
+        for n in (2, 16, 128):
+            mode = CollectiveMode.finite(n)
+            c = np.broadcast_to(limit.c, (n, mt.grid.n_steps))
+            v = evaluate_policy(Strategy(mode, limit.a, c), base_market, prefs, mt)
+            losses.append(1.0 - v / solve(mode, base_market, prefs, mt).z_at_start())
+        # a fixed policy never beats solve's optimum: _backward's two rules agree
+        assert min(losses) >= -1e-12, losses
+        assert losses[0] > losses[1] > losses[2], losses
+        assert losses[2] <= 1e-4, losses
+
+    def test_broadcast_policy_simulates(self, mt, base_market, vnm_prefs):
+        # simulate takes the read-only broadcast view, and every path with a
+        # survivor consumes the infinite fund's rate of its date
+        limit = extract_strategy(solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt))
+        c = np.broadcast_to(limit.c, (16, mt.grid.n_steps))
+        assert not c.flags.writeable
+        policy = Strategy(CollectiveMode.finite(16), limit.a, c)
+        res = simulate(
+            SimulationConfig(paths=50, seed=5, policy=policy,
+                             record=("survivors", "wealth", "consumption")),
+            mt.grid, base_market, mt,
+        )
+        alive = res.survivors > 0
+        assert alive[:, 0].all() and not alive[:, -1].all()  # some funds die out
+        rates = np.broadcast_to(limit.c, res.wealth.shape)
+        assert np.array_equal(res.consumption[alive], rates[alive] * res.wealth[alive])
+        assert np.all(res.consumption[~alive] == 0.0)
 
 
 class TestBackwardDriver:

@@ -212,7 +212,7 @@ def _annuity_strategy(mt, r):
     n = mt.grid.n_steps
     disc = np.exp(-r * mt.grid.dt * np.arange(n))
     due = np.array([np.dot(disc[: n - k], mt.tail[k:]) for k in range(n)])  # a_k tail_k
-    return Strategy(CollectiveMode.infinite(), a=np.zeros(n), c=mt.tail / due)
+    return Strategy(CollectiveMode.infinite(), a=np.zeros(n), c=(mt.tail / due)[np.newaxis])
 
 
 class TestAnnuityStrategy:
