@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, MarketParams, Preferences
+from .core import ConfigurationError, MarketParams, Preferences, _real
 from .solver import CollectiveMode, ValueTable, _log_phi, growth_exponent, optimal_proportion
 
 __all__ = [
@@ -66,7 +65,8 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     not lognormal (use Monte Carlo), and it raises ConfigurationError.
     """
     pool = _pooling(table.mode, "wealth_schedule")
-    if isinstance(x0, bool) or not (isinstance(x0, numbers.Real) and 0.0 < x0 < math.inf):
+    x0 = _real(x0, "initial wealth")
+    if not x0 > 0.0:
         raise ConfigurationError(f"initial wealth must be finite and positive, got {x0}")
 
     mortality = table.mortality
@@ -104,8 +104,11 @@ def consumption_drift(
             = log(s^-C) + rho/(1-rho) log(phi) + xi_drift dt.
     """
     pool = _pooling(mode, "consumption_drift")
+    s, dt = _real(s, "survival probability"), _real(dt, "dt")
     if not 0.0 < s <= 1.0:
         raise ConfigurationError(f"survival probability must be in (0, 1], got {s}")
+    if not dt > 0.0:
+        raise ConfigurationError(f"dt must be > 0, got {dt}")
     rho = prefs.rho
     log_phi = _log_phi(prefs, dt, growth_exponent(market, prefs.alpha), s, pool)
     return float(

@@ -41,6 +41,8 @@ from .core import (
     DivergenceError,
     MarketParams,
     Preferences,
+    _integer,
+    _real,
     make_time_grid,
 )
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
@@ -81,27 +83,10 @@ def _require_keys(block: dict, allowed: set, required: set, where: str) -> dict:
     return block
 
 
-def _number(value, where: str) -> float:
-    """A finite JSON number (not a string or a boolean) as a float."""
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
-        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _numbers(block: dict, allowed: set, required: set, where: str) -> dict:
     """A config block whose values are all numbers, as floats."""
     block = _require_keys(block, allowed, required, where)
-    return {key: _number(value, f"{where}.{key}") for key, value in block.items()}
-
-
-def _integer(value, where: str) -> int:
-    """A JSON number with an integral value as an int (2.7 is rejected, not truncated)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return {key: _real(value, f"{where}.{key}") for key, value in block.items()}
 
 
 def _list(value, where: str) -> list:
@@ -153,7 +138,7 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
         age0 = mb.get("age_at_t0")
         mortality = load_mortality_csv(  # an absolute path replaces base_dir
             base_dir / mb["csv"], grid,
-            None if age0 is None else _number(age0, "mortality.age_at_t0"),
+            None if age0 is None else _real(age0, "mortality.age_at_t0"),
         )
     else:
         g = _numbers(mb["gompertz"], {"a", "b", "c"}, {"a", "b", "c"}, "mortality.gompertz")
@@ -161,7 +146,7 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
 
     mode = _parse_mode(raw["mode"])
 
-    budget = _number(raw["budget"], "budget")
+    budget = _real(raw["budget"], "budget")
     if not budget > 0.0:
         raise ConfigurationError(f"budget must be positive, got {budget}")
 
@@ -189,7 +174,7 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
                 raise ConfigurationError(f"{where}.id {sid!r} repeats an earlier scenario id")
             ids.add(sid)
             n = None if sc["n"] == "infinite" else _integer(sc["n"], f"{where}.n")
-            mu, r = _number(sc["mu"], f"{where}.mu"), _number(sc["r"], f"{where}.r")
+            mu, r = _real(sc["mu"], f"{where}.mu"), _real(sc["r"], f"{where}.r")
             scenarios.append((sid, mu, r, _located(CollectiveMode, n, f"{where}.n").n))
 
     n_list = None

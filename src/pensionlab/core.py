@@ -8,6 +8,7 @@ floating-point drift.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,6 +33,25 @@ class DivergenceError(RuntimeError):
     """A value recursion produced a non-finite or out-of-range quantity."""
 
 
+# _real and _integer are the one test of a scalar input; callers add their range.
+def _real(value, what: str) -> float:
+    """``value`` as a float: a real number that is not a bool, NaN or +-inf."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integral real (3, 3.0 or np.int64(3)) that is not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):  # NaN, +-inf
+            if int(value) == value:  # exact: an int of any size never passes through float
+                return int(value)
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Consumption dates t0, t0+dt, ..., T-dt.
@@ -45,10 +65,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and 0.0 < self.dt < math.inf):
-            raise ConfigurationError(f"grid needs a finite t0 and dt > 0, got {self.t0}, {self.dt}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise ConfigurationError(f"grid n_steps must be an integer, got {self.n_steps!r}")
+        for field, check in (("t0", _real), ("dt", _real), ("n_steps", _integer)):
+            object.__setattr__(self, field, check(getattr(self, field), f"grid {field}"))
+        if not self.dt > 0.0:
+            raise ConfigurationError(f"grid dt must be > 0, got {self.dt}")
         if self.n_steps < 1:
             raise ConfigurationError("grid needs at least one point")
 
@@ -68,9 +88,8 @@ def make_time_grid(t0: float, dt: float, T: float) -> TimeGrid:
     (T - t0) must be a positive integer multiple of dt (tolerance 1e-9 on
     the step count, then rounded).
     """
-    if dt <= 0.0:
-        raise ConfigurationError(f"grid dt must be > 0, got {dt}")
-    ratio = (T - t0) / dt
+    first = TimeGrid(t0, dt, 1)  # checks t0 and dt
+    ratio = (_real(T, "grid T") - first.t0) / first.dt
     if not math.isfinite(ratio):
         raise ConfigurationError(f"grid step count (T - t0)/dt = {ratio!r} is not finite")
     n = round(ratio)
@@ -78,7 +97,7 @@ def make_time_grid(t0: float, dt: float, T: float) -> TimeGrid:
         raise ConfigurationError(
             f"horizon is not an integer number of steps: (T - t0)/dt = {ratio!r}"
         )
-    return TimeGrid(t0=float(t0), dt=float(dt), n_steps=int(n))
+    return TimeGrid(t0=first.t0, dt=first.dt, n_steps=n)
 
 
 @dataclass(frozen=True)
@@ -91,9 +110,9 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.r)):
-            raise ConfigurationError(f"mu and r must be finite, got mu={self.mu}, r={self.r}")
-        if not 0.0 < self.sigma < math.inf:
+        for name in ("mu", "r", "sigma"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not self.sigma > 0.0:
             raise ConfigurationError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
@@ -113,11 +132,13 @@ class Preferences:
     b: float = 0.0
 
     def __post_init__(self):
-        if not (-math.inf < self.alpha < 1.0) or self.alpha == 0.0:
+        for name, what in (("alpha", "alpha"), ("rho", "rho"), ("b", "discount rate b")):
+            object.__setattr__(self, name, _real(getattr(self, name), what))
+        if not self.alpha < 1.0 or self.alpha == 0.0:
             raise ConfigurationError(f"alpha must be in (-inf,1) \\ {{0}}, got {self.alpha}")
-        if not (-math.inf < self.rho < 1.0) or self.rho == 0.0:
+        if not self.rho < 1.0 or self.rho == 0.0:
             raise ConfigurationError(f"rho must be in (-inf,1) \\ {{0}}, got {self.rho}")
-        if not 0.0 <= self.b < math.inf:
+        if not self.b >= 0.0:
             raise ConfigurationError(f"discount rate b must be finite and >= 0, got {self.b}")
 
     def beta(self, dt: float) -> float:

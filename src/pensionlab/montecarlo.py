@@ -12,8 +12,8 @@ identity
     Xbar_t = (n_t / n_{t+dt}) (X_t - gamma_t)        finite fund,
     Xbar_t = (X_t - gamma_t) / s_t                   infinite fund.
 
-The summary (moments of log wealth, the empirical ``QUANTILES`` of wealth,
-survivor means) is computed inside the step loop over the paths still alive
+The summary (moments of log wealth and the empirical ``QUANTILES`` of
+wealth) is computed inside the step loop over the paths still alive
 (no gather while every path is), so a run needs O(paths) memory.  Wealth is
 sorted once per step and its quantiles are read from that sorted copy,
 bitwise equal to np.quantile's; moments use the unsorted values, as
@@ -49,10 +49,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import math
-import numbers
 import numpy as np
 
-from .core import ConfigurationError, MarketParams, TimeGrid
+from .core import ConfigurationError, MarketParams, TimeGrid, _integer, _real
 from .mortality import MortalityTable
 from .solver import Strategy, ValueTable, _strategy_arrays, extract_strategy, growth_exponent
 from ._kernels import binomial_draws, binomial_table, lgamma_table
@@ -89,15 +88,12 @@ class SimulationConfig:
     record: Sequence[str] = ()
 
     def __post_init__(self):
-        for field in ("paths", "seed"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{field} must be an integer, got {value!r}")
+        for field, check in (("paths", _integer), ("seed", _integer), ("x0", _real)):
+            object.__setattr__(self, field, check(getattr(self, field), field))
         if self.paths < 1:
             raise ConfigurationError(f"paths must be >= 1, got {self.paths}")
-        x0 = self.x0
-        if isinstance(x0, bool) or not (isinstance(x0, numbers.Real) and 0.0 < x0 < math.inf):
-            raise ConfigurationError(f"x0 must be finite and positive, got {x0}")
+        if not self.x0 > 0.0:
+            raise ConfigurationError(f"x0 must be finite and positive, got {self.x0}")
         unknown = set(self.record) - set(_RECORD_CHOICES)
         if unknown:
             raise ConfigurationError(f"unknown record series {sorted(unknown)}")
@@ -118,7 +114,6 @@ class SimulationResult:
 
     mean_log_x: np.ndarray
     var_log_x: np.ndarray
-    mean_survivors: np.ndarray
     alive_paths: np.ndarray
     x_quantiles: np.ndarray
     survivors: Optional[np.ndarray] = None
@@ -316,7 +311,6 @@ def simulate(
     mean_lx = np.empty(n_steps)
     var_lx = np.empty(n_steps)
     xq = np.full((len(QUANTILES), n_steps), np.nan)
-    mean_n = np.empty(n_steps)
     alive_ct = np.empty(n_steps, dtype=np.int64)
 
     growth_base = growth_exponent(market, 0.0, a_arr) * dt  # the drift of log wealth
@@ -340,7 +334,6 @@ def simulate(
         del values  # free the logs before the copy the quantiles sort
         if alive_ct[k]:
             xq[:, k] = _quantiles(x[alive], QUANTILES, overwrite=gathered)
-        mean_n[k] = np.mean(model.survivors)
         if k < n_steps - 1:
             blocks = _blocks(keys, k, growth_base[k], growth_vol[k], model.draws_survivors)
             model.advance(k, float(mortality.s[k]), x, blocks)
@@ -348,7 +341,6 @@ def simulate(
     return SimulationResult(
         mean_log_x=mean_lx,
         var_log_x=var_lx,
-        mean_survivors=mean_n,
         alive_paths=alive_ct,
         x_quantiles=xq,
         **recorded,  # the series not recorded stay None

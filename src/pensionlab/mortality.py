@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import ConfigurationError, TimeGrid
+from .core import ConfigurationError, TimeGrid, _real
 
 __all__ = [
     "IngestionError",
@@ -84,7 +84,7 @@ def annuity_factor(table: MortalityTable, r: float) -> float:
     exp(-r (t - t0)) P(tau >= t).
     """
     k = np.arange(table.grid.n_steps)
-    disc = np.exp(-r * table.grid.dt * k)
+    disc = np.exp(-_real(r, "r") * table.grid.dt * k)
     return float(np.dot(disc, table.tail))
 
 
@@ -94,7 +94,8 @@ def gompertz_makeham(a: float, b: float, c: float, grid: TimeGrid) -> MortalityT
     The pmf discretizes the hazard over each step; residual mass is placed at
     the final grid point so death is certain by T.
     """
-    if not all(0.0 <= v < math.inf for v in (a, b, c)):
+    a, b, c = (_real(v, f"Gompertz-Makeham {name}") for v, name in zip((a, b, c), "abc"))
+    if min(a, b, c) < 0.0:
         raise ConfigurationError(
             f"Gompertz-Makeham parameters must be finite and non-negative, got {(a, b, c)}"
         )
@@ -164,9 +165,10 @@ def load_mortality_csv(
     if not qx:
         raise IngestionError("mortality CSV has no data rows")
 
-    base_age = grid.t0 if age_at_t0 is None else float(age_at_t0)
-    if not math.isfinite(base_age):
-        raise IngestionError(f"age_at_t0 must be finite, got {age_at_t0}")
+    try:
+        base_age = grid.t0 if age_at_t0 is None else _real(age_at_t0, "age_at_t0")
+    except ConfigurationError as exc:
+        raise IngestionError(str(exc)) from None
     dt = grid.dt
     first, last = next(iter(qx)), prev_age
     log_step = np.zeros(grid.n_steps - 1)

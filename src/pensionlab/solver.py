@@ -32,12 +32,13 @@ resolved form of the symbolic utility-after-death convention.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, DivergenceError, MarketParams, Preferences, TimeGrid
+from .core import (
+    ConfigurationError, DivergenceError, MarketParams, Preferences, TimeGrid, _integer,
+)
 from .mortality import MortalityTable
 from ._kernels import lgamma_table, log_survivor_mixture
 
@@ -72,24 +73,20 @@ class CollectiveMode:
 
     @classmethod
     def finite(cls, n: int) -> "CollectiveMode":
-        if n is None:  # None is the infinite fund, not a size
-            raise ConfigurationError("finite collective size must be an integer >= 1, got None")
-        return cls(n)
+        return cls(_integer(n, "finite collective size"))  # None, the infinite fund, is no size
 
     def __post_init__(self):
-        n = self.n
-        if n is None:
+        if self.n is None:
             return
-        if isinstance(n, bool) or not (
-            isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n
-        ):
-            raise ConfigurationError(f"finite collective size must be an integer >= 1, got {n!r}")
+        n = _integer(self.n, "finite collective size")
+        if n < 1:
+            raise ConfigurationError(f"finite collective size must be an integer >= 1, got {n}")
         if n > MAX_FINITE_N:
             raise ConfigurationError(
                 f"finite collective size {n} exceeds the supported cap {MAX_FINITE_N} "
                 "(the largest size tested; use mode 'infinite' for larger funds)"
             )
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
 
     @property
     def is_finite(self) -> bool:

@@ -109,12 +109,11 @@ def run_scenarios(
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
     unit_utility = annuity_utility(mortality, prefs)  # the same for every market
-    markets: dict[tuple, list[int]] = {}
+    markets: dict[MarketParams, list[int]] = {}
     for k, (mu, r, _) in enumerate(scenarios):
-        markets.setdefault((float(mu), float(r)), []).append(k)
+        markets.setdefault(MarketParams(mu=mu, r=r, sigma=sigma), []).append(k)
     outperf = np.empty(len(scenarios))
-    for (mu, r), ks in markets.items():
-        market = MarketParams(mu=mu, r=r, sigma=sigma)
+    for market, ks in markets.items():
         z0 = _start_values([scenarios[k][2] for k in ks], market, prefs, mortality)
         outperf[ks] = _outperformance(z0, unit_utility, mortality, market.r)
     return outperf

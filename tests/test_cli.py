@@ -591,6 +591,13 @@ class TestConfigHandling:
         assert main(["solve", "--config", str(p), "--print-config"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {where}")
 
+    def test_huge_json_integer_is_not_a_finite_number(self, tmp_path, capsys):
+        # 10**400 parses as an exact int; as a float it would overflow
+        huge = 10**400
+        p = write_cfg(tmp_path, dict(TRIVIAL, market=dict(MARKET, mu=huge)))
+        assert main(["solve", "--config", str(p), "--print-config"]) == 2
+        assert capsys.readouterr().err == f"error: market.mu must be a finite number, got {huge}\n"
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["solve", "--config", str(p), "--print-config"]) == 0

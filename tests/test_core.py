@@ -1,4 +1,5 @@
 import importlib
+import io
 import math
 import pkgutil
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pensionlab
-from pensionlab.analytics import wealth_schedule
+from pensionlab.analytics import consumption_drift, wealth_schedule
 from pensionlab.core import (
     ConfigurationError,
     MarketParams,
@@ -17,8 +18,14 @@ from pensionlab.core import (
     make_time_grid,
 )
 from pensionlab.montecarlo import SimulationConfig
-from pensionlab.mortality import MortalityTable, gompertz_makeham
+from pensionlab.mortality import (
+    MortalityTable,
+    annuity_factor,
+    gompertz_makeham,
+    load_mortality_csv,
+)
 from pensionlab.solver import CollectiveMode, Strategy, solve
+from pensionlab.studies import run_scenarios
 
 from conftest import run_child_python
 
@@ -83,16 +90,16 @@ _MARKET = MarketParams(mu=0.05, r=0.02, sigma=0.15)
 _PREFS = Preferences(alpha=-1.0, rho=-1.0)
 _STRATEGY = Strategy(CollectiveMode.infinite(), a=np.zeros(3), c=np.full((1, 3), 0.5))
 NON_FINITE = {
-    "grid-dt-nan": (lambda: TimeGrid(t0=0.0, dt=math.nan, n_steps=3), "dt > 0"),
-    "grid-t0-inf": (lambda: TimeGrid(t0=math.inf, dt=1.0, n_steps=3), "finite t0"),
+    "grid-dt-nan": (lambda: TimeGrid(t0=0.0, dt=math.nan, n_steps=3), "grid dt"),
+    "grid-t0-inf": (lambda: TimeGrid(t0=math.inf, dt=1.0, n_steps=3), "grid t0"),
     "grid-steps-fraction": (lambda: TimeGrid(t0=0.0, dt=1.0, n_steps=2.5), "n_steps"),
     "grid-steps-bool": (lambda: TimeGrid(t0=0.0, dt=1.0, n_steps=True), "n_steps"),
     "preferences-b-nan": (lambda: Preferences(-1.0, -1.0, b=math.nan), "discount rate b"),
     "preferences-b-inf": (lambda: Preferences(-1.0, -1.0, b=math.inf), "discount rate b"),
     "preferences-alpha-minus-inf": (lambda: Preferences(-math.inf, -1.0), "alpha"),
     "preferences-rho-minus-inf": (lambda: Preferences(-1.0, -math.inf), "rho"),
-    "market-mu-nan": (lambda: MarketParams(mu=math.nan, r=0.02, sigma=0.15), "mu and r"),
-    "market-r-inf": (lambda: MarketParams(mu=0.05, r=math.inf, sigma=0.15), "mu and r"),
+    "market-mu-nan": (lambda: MarketParams(mu=math.nan, r=0.02, sigma=0.15), "mu must be a finite"),
+    "market-r-inf": (lambda: MarketParams(mu=0.05, r=math.inf, sigma=0.15), "r must be a finite"),
     "market-sigma-inf": (lambda: MarketParams(mu=0.05, r=0.02, sigma=math.inf), "sigma"),
     "simulation-x0-inf": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=math.inf), "x0"),
     "simulation-x0-bool": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=True), "x0"),
@@ -100,12 +107,12 @@ NON_FINITE = {
     "simulation-paths-fraction": (lambda: SimulationConfig(10.5, 0, _STRATEGY), "paths"),
     "simulation-paths-bool": (lambda: SimulationConfig(True, 0, _STRATEGY), "paths"),
     "simulation-seed-bool": (lambda: SimulationConfig(10, False, _STRATEGY), "seed"),
-    "mode-unknown-kind": (lambda: CollectiveMode("bogus"), "integer >= 1"),
+    "mode-unknown-kind": (lambda: CollectiveMode("bogus"), "an integer, got 'bogus'"),
     "mode-finite-zero": (lambda: CollectiveMode(0), "integer >= 1"),
-    "mode-finite-nan": (lambda: CollectiveMode.finite(math.nan), "integer >= 1"),
-    "mode-finite-bool": (lambda: CollectiveMode.finite(True), "integer >= 1, got True"),
+    "mode-finite-nan": (lambda: CollectiveMode.finite(math.nan), "an integer, got nan"),
+    "mode-finite-bool": (lambda: CollectiveMode.finite(True), "an integer, got True"),
     # the infinite fund is n = None, not a size of inf
-    "mode-infinite-with-size": (lambda: CollectiveMode(math.inf), "integer >= 1, got inf"),
+    "mode-infinite-with-size": (lambda: CollectiveMode(math.inf), "an integer, got inf"),
     "gompertz-nan": (lambda: gompertz_makeham(math.nan, 0.0, 0.0, _GRID), "finite"),
     "pmf-nan": (lambda: MortalityTable.from_pmf(_GRID, [math.nan, 0.5, 0.5]), "sum to 1"),
     "wealth-schedule-x0-inf": (
@@ -136,6 +143,107 @@ NON_FINITE = {
 def test_constructors_reject_non_finite_input(build, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
         build()
+
+
+def _table():
+    return solve(CollectiveMode.infinite(), _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID))
+
+
+def _age_at_t0(age):
+    csv = io.StringIO("age,qx\n65,0.1\n66,0.1\n67,0.1\n")
+    return load_mortality_csv(csv, make_time_grid(65, 1, 68), age_at_t0=age)
+
+
+# every scalar parameter as (builder of one value, the name its error gives);
+# each is checked by core._real or, below, core._integer
+REAL_PARAMETERS = {
+    "TimeGrid-t0": (lambda v: TimeGrid(t0=v, dt=1.0, n_steps=3), "grid t0"),
+    "TimeGrid-dt": (lambda v: TimeGrid(t0=0.0, dt=v, n_steps=3), "grid dt"),
+    "make_time_grid-t0": (lambda v: make_time_grid(v, 1, 3), "grid t0"),
+    "make_time_grid-dt": (lambda v: make_time_grid(0, v, 3), "grid dt"),
+    "make_time_grid-T": (lambda v: make_time_grid(0, 1, v), "grid T"),
+    "MarketParams-mu": (lambda v: MarketParams(mu=v, r=0.02, sigma=0.15), "mu"),
+    "MarketParams-r": (lambda v: MarketParams(mu=0.05, r=v, sigma=0.15), "r"),
+    "MarketParams-sigma": (lambda v: MarketParams(mu=0.05, r=0.02, sigma=v), "sigma"),
+    "Preferences-alpha": (lambda v: Preferences(v, -1.0), "alpha"),
+    "Preferences-rho": (lambda v: Preferences(-1.0, v), "rho"),
+    "Preferences-b": (lambda v: Preferences(-1.0, -1.0, b=v), "discount rate b"),
+    "SimulationConfig-x0": (lambda v: SimulationConfig(10, 0, _STRATEGY, x0=v), "x0"),
+    "wealth_schedule-x0": (lambda v: wealth_schedule(_table(), v), "initial wealth"),
+    "consumption_drift-s": (
+        lambda v: consumption_drift(_PREFS, _MARKET, v, CollectiveMode.infinite()),
+        "survival probability",
+    ),
+    "consumption_drift-dt": (
+        lambda v: consumption_drift(_PREFS, _MARKET, 0.9, CollectiveMode.infinite(), dt=v),
+        "dt",
+    ),
+    "gompertz_makeham-a": (lambda v: gompertz_makeham(v, 0.0, 0.0, _GRID), "Gompertz-Makeham a"),
+    "gompertz_makeham-b": (lambda v: gompertz_makeham(0.0, v, 0.0, _GRID), "Gompertz-Makeham b"),
+    "gompertz_makeham-c": (lambda v: gompertz_makeham(0.0, 0.0, v, _GRID), "Gompertz-Makeham c"),
+    "annuity_factor-r": (lambda v: annuity_factor(gompertz_makeham(0, 0, 0, _GRID), v), "r"),
+    "load_mortality_csv-age_at_t0": (_age_at_t0, "age_at_t0"),
+    "run_scenarios-mu": (
+        lambda v: run_scenarios([(v, 0.02, 1)], 0.15, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
+        "mu",
+    ),
+    "run_scenarios-r": (
+        lambda v: run_scenarios([(0.05, v, 1)], 0.15, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
+        "r",
+    ),
+}
+INTEGER_PARAMETERS = {
+    "TimeGrid-n_steps": (lambda v: TimeGrid(t0=0.0, dt=1.0, n_steps=v), "grid n_steps"),
+    "SimulationConfig-paths": (lambda v: SimulationConfig(v, 0, _STRATEGY), "paths"),
+    "SimulationConfig-seed": (lambda v: SimulationConfig(10, v, _STRATEGY), "seed"),
+    "CollectiveMode-n": (CollectiveMode, "finite collective size"),
+    "CollectiveMode.finite-n": (CollectiveMode.finite, "finite collective size"),
+}
+_NOT_REAL = {"bool": True, "string": "65", "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+_SCALAR_CASES = [
+    pytest.param(build, value, f"{name} must be a finite number", id=f"{key}-{value_id}")
+    for key, (build, name) in REAL_PARAMETERS.items()
+    for value_id, value in _NOT_REAL.items()
+] + [
+    pytest.param(build, value, f"{name} must be an integer", id=f"{key}-{value_id}")
+    for key, (build, name) in INTEGER_PARAMETERS.items()
+    for value_id, value in {**_NOT_REAL, "fraction": 2.5}.items()
+]
+
+
+@pytest.mark.parametrize("build, value, message", _SCALAR_CASES)
+def test_scalar_parameter_rejects_non_number(build, value, message):
+    # one rule for every scalar: no bool, string, NaN or infinity (nor a
+    # fraction for an integer), and the error names the parameter
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}, got "):
+        build(value)
+
+
+def test_integral_float_stored_as_int():
+    built = {
+        "n_steps": TimeGrid(t0=0.0, dt=1.0, n_steps=3.0).n_steps,
+        "paths": SimulationConfig(3.0, 0, _STRATEGY).paths,
+        "seed": SimulationConfig(10, 3.0, _STRATEGY).seed,
+        "n": CollectiveMode(3.0).n,
+        "finite n": CollectiveMode.finite(np.int64(3)).n,
+    }
+    assert all(type(v) is int and v == 3 for v in built.values()), built
+    # a seed is never converted through float
+    assert SimulationConfig(10, 10**400, _STRATEGY).seed == 10**400
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_consumption_drift_step_must_be_positive(dt):
+    with pytest.raises(ConfigurationError, match="dt must be > 0"):
+        consumption_drift(_PREFS, _MARKET, 0.9, CollectiveMode.infinite(), dt=dt)
+
+
+def test_number_rule_lives_in_core_only():
+    # what counts as a number is decided by core._real and core._integer
+    src = Path(pensionlab.__file__).parent
+    pattern = re.compile(r"isinstance\([^)]*\bbool\b|numbers\.(Real|Integral)")
+    found = sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text("utf-8")))
+    assert found == ["core.py"]
 
 
 @pytest.mark.parametrize(

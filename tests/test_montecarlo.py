@@ -220,7 +220,7 @@ class TestDistributionAgreement:
         for k in range(grid.n_steps):
             expect = n0 * mt.tail[k]
             se = math.sqrt(n0 * mt.tail[k] * max(1.0 - mt.tail[k], 0.0) / paths)
-            assert abs(res.mean_survivors[k] - expect) <= 4.0 * se + 1e-9
+            assert abs(res.survivors[:, k].mean() - expect) <= 4.0 * se + 1e-9
 
     def test_vnm_constant_consumption_per_path(self):
         grid = make_time_grid(0, 1, 8)

@@ -122,7 +122,7 @@ class TestCSVIngestion:
             self._load("age,qx\n", g)
         # a NaN age once surfaced as a coverage gap "from age nan to nan"
         for age in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(IngestionError, match="age_at_t0 must be finite"):
+            with pytest.raises(IngestionError, match="age_at_t0 must be a finite number"):
                 self._load("age,qx\n65,0.1\n66,0.1\n67,0.1\n", g, age_at_t0=age)
         # ages past 2^53 were once stepped through one at a time, never ending
         far = make_time_grid(0, 1e307, 1e308)

@@ -373,7 +373,7 @@ class TestScenarios:
         with pytest.raises(ConfigurationError):
             run_scenarios([], 0.15, vnm_prefs, mt)
         for n in (2.7, 1.5):  # not solved as finite:2 or as the individual
-            with pytest.raises(ConfigurationError, match=f"integer >= 1, got {n}"):
+            with pytest.raises(ConfigurationError, match=f"must be an integer, got {n}"):
                 run_scenarios([(0.062, 0.027, n)], 0.15, vnm_prefs, mt)
 
     def test_scenarios_and_converge_price_alike(self, studies_config):
@@ -501,7 +501,7 @@ class TestConvergenceStudy:
             ([True, 20], "True"), (["3"], "'3'"),  # True is not n = 1; a string is no size
             ([None, 20], "None"),  # None is the infinite fund, not a size
         ):
-            with pytest.raises(ConfigurationError, match=f"integer >= 1, got {first}"):
+            with pytest.raises(ConfigurationError, match=f"must be an integer, got {first}"):
                 convergence_study(sizes, base_market, vnm_prefs, mt)
         with pytest.raises(ConfigurationError, match="exceeds the supported cap 10000"):
             convergence_study([1, 10, 10001], base_market, vnm_prefs, mt)
