@@ -50,6 +50,8 @@ class LognormalSchedule:
 
 def _pooling(mode: CollectiveMode, what: str) -> int:
     """The indicator C of ``mode``, which the closed forms of ``what`` need."""
+    if not isinstance(mode, CollectiveMode):
+        raise ConfigurationError(f"mode must be a CollectiveMode, got {mode!r}")
     if mode.pooling is None:
         raise ConfigurationError(f"{what} supports individual and infinite funds only; "
                                  "a fund of n >= 2 members needs simulation")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import ConfigurationError, MarketParams, TimeGrid, _integer, _real
 from .mortality import MortalityTable
-from .solver import Strategy, ValueTable, _strategy_arrays, extract_strategy, growth_exponent
+from .solver import Strategy, ValueTable, extract_strategy, growth_exponent
 from ._kernels import binomial_draws, binomial_table, lgamma_table
 from ._rng import inverse_normal_cdf, path_keys, step_hash, stream_uniforms
 
@@ -77,8 +77,9 @@ _HEADROOM = 63 / 64  # the chance that a step's first survivor table serves all 
 class SimulationConfig:
     """One simulation run.
 
-    The fund's survivor model is the ``mode`` of ``policy``.  ``record``
-    names the full ``paths x n_steps`` series to keep (none by default).
+    ``policy`` is a ValueTable or a Strategy, and the fund's survivor model
+    is its ``mode``.  ``record`` is a sequence of the names of the full
+    ``paths x n_steps`` series to keep (none by default).
     """
 
     paths: int
@@ -94,6 +95,12 @@ class SimulationConfig:
             raise ConfigurationError(f"paths must be >= 1, got {self.paths}")
         if not self.x0 > 0.0:
             raise ConfigurationError(f"x0 must be finite and positive, got {self.x0}")
+        if not isinstance(self.policy, (ValueTable, Strategy)):
+            raise ConfigurationError(
+                f"policy must be a ValueTable or a Strategy, got {type(self.policy).__name__}"
+            )
+        if isinstance(self.record, str):
+            raise ConfigurationError(f"record must be a sequence of names, got {self.record!r}")
         unknown = set(self.record) - set(_RECORD_CHOICES)
         if unknown:
             raise ConfigurationError(f"unknown record series {sorted(unknown)}")
@@ -119,15 +126,6 @@ class SimulationResult:
     survivors: Optional[np.ndarray] = None
     wealth: Optional[np.ndarray] = None
     consumption: Optional[np.ndarray] = None
-
-
-def _policy_arrays(pol: Union[ValueTable, Strategy], grid: TimeGrid):
-    """(a per step, c lookup) from a ValueTable or explicit Strategy."""
-    if isinstance(pol, ValueTable):
-        if pol.grid != grid:
-            raise ConfigurationError("value table was solved on a different grid")
-        pol = extract_strategy(pol)
-    return _strategy_arrays(pol, grid.n_steps)
 
 
 class _SurvivorFraction:
@@ -297,15 +295,21 @@ def simulate(
     """Simulate fund-per-survivor wealth and consumption along the grid."""
     if mortality.grid != grid:
         raise ConfigurationError("mortality table was built on a different grid")
-    a_arr, c_arr = _policy_arrays(config.policy, grid)
+    policy = config.policy
+    if isinstance(policy, ValueTable):
+        if policy.grid != grid:
+            raise ConfigurationError("value table was solved on a different grid")
+        policy = extract_strategy(policy)
     n_steps = grid.n_steps
+    if policy.a.shape != (n_steps,):
+        raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {policy.a.shape}")
     paths = config.paths
     dt = grid.dt
     seed = config.seed
-    if config.policy.mode.is_finite:
-        model = _BinomialSurvivors(c_arr, paths)
+    if policy.mode.is_finite:
+        model = _BinomialSurvivors(policy.c, paths)
     else:
-        model = _SurvivorFraction(c_arr)
+        model = _SurvivorFraction(policy.c)
 
     recorded = {name: np.empty((paths, n_steps)) for name in config.record}
     mean_lx = np.empty(n_steps)
@@ -313,8 +317,8 @@ def simulate(
     xq = np.full((len(QUANTILES), n_steps), np.nan)
     alive_ct = np.empty(n_steps, dtype=np.int64)
 
-    growth_base = growth_exponent(market, 0.0, a_arr) * dt  # the drift of log wealth
-    growth_vol = a_arr * market.sigma * math.sqrt(dt)
+    growth_base = growth_exponent(market, 0.0, policy.a) * dt  # the drift of log wealth
+    growth_vol = policy.a * market.sigma * math.sqrt(dt)
 
     keys = path_keys(seed, paths)
     x = np.full(paths, config.x0)

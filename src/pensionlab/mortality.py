@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import ConfigurationError, TimeGrid, _real
+from .core import ConfigurationError, DivergenceError, TimeGrid, _real
 
 __all__ = [
     "IngestionError",
@@ -82,10 +82,17 @@ def annuity_factor(table: MortalityTable, r: float) -> float:
     Payments start at t0 (weight 1) and are made in the period of death,
     matching the consumption convention: sum over the grid of
     exp(-r (t - t0)) P(tau >= t).
+
+    Raises DivergenceError when the price is not finite, as a large
+    negative r makes it.
     """
-    k = np.arange(table.grid.n_steps)
-    disc = np.exp(-_real(r, "r") * table.grid.dt * k)
-    return float(np.dot(disc, table.tail))
+    r = _real(r, "r")
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
+        disc = np.exp(-r * table.grid.dt * np.arange(table.grid.n_steps))
+    price = float(np.dot(disc, table.tail))
+    if not math.isfinite(price):
+        raise DivergenceError(f"annuity price {price} is not finite at r = {r}")
+    return price
 
 
 def gompertz_makeham(a: float, b: float, c: float, grid: TimeGrid) -> MortalityTable:

@@ -211,6 +211,8 @@ def solve(
 ) -> ValueTable:
     """Backward induction for the optimal value and consumption tables on the
     grid of ``mortality``."""
+    if not isinstance(mode, CollectiveMode):
+        raise ConfigurationError(f"mode must be a CollectiveMode, got {mode!r}")
     grid = mortality.grid
     astar = optimal_proportion(market, prefs.alpha)
     xi = growth_exponent(market, prefs.alpha)
@@ -244,7 +246,7 @@ def solve(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Strategy:
     """A constant-mix-within-period policy for the fund ``mode``.
 
@@ -252,35 +254,35 @@ class Strategy:
     rate per survivor count and grid point, shaped as ``ValueTable.cstar``,
     so ``np.broadcast_to(c, (n, n_steps))`` runs the infinite fund's policy
     in a fund of n.  Rates must lie in [0, 1] and proportions be finite.
+    Both are checked here and kept as read-only float64 copies; a changed
+    policy is a new one, ``dataclasses.replace(strategy, c=c2)``.
     """
 
     mode: CollectiveMode
     a: np.ndarray
     c: np.ndarray
 
+    def __post_init__(self):
+        if not isinstance(self.mode, CollectiveMode):
+            raise ConfigurationError(f"strategy.mode must be a CollectiveMode, got {self.mode!r}")
+        a = np.array(self.a, dtype=np.float64)
+        c = np.array(self.c, dtype=np.float64)
+        if a.ndim != 1:
+            raise ConfigurationError(f"strategy.a must be one-dimensional, got shape {a.shape}")
+        expected = (self.mode.n or 1, a.size)
+        if c.shape != expected:
+            raise ConfigurationError(f"strategy.c must have shape {expected}, got {c.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ConfigurationError("stock proportions must be finite")
+        if not np.all((c >= 0.0) & (c <= 1.0)):  # NaN fails
+            raise ConfigurationError("consumption rates must lie in [0, 1]")
+        for name, arr in (("a", a), ("c", c)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
 
 def extract_strategy(table: ValueTable) -> Strategy:
-    return Strategy(
-        mode=table.mode,
-        a=np.full(table.grid.n_steps, table.astar),
-        c=np.array(table.cstar, copy=True),
-    )
-
-
-def _strategy_arrays(strategy: Strategy, n_steps: int):
-    """(a, c) of a strategy as float arrays, checked against its mode and the grid."""
-    a = np.asarray(strategy.a, dtype=np.float64)
-    c = np.asarray(strategy.c, dtype=np.float64)
-    if a.shape != (n_steps,):
-        raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {a.shape}")
-    expected = (strategy.mode.n or 1, n_steps)
-    if c.shape != expected:
-        raise ConfigurationError(f"strategy.c must have shape {expected}, got {c.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ConfigurationError("stock proportions must be finite")
-    if not np.all((c >= 0.0) & (c <= 1.0)):  # NaN fails
-        raise ConfigurationError("consumption rates must lie in [0, 1]")
-    return a, c
+    return Strategy(mode=table.mode, a=np.full(table.grid.n_steps, table.astar), c=table.cstar)
 
 
 def evaluate_policy(
@@ -305,8 +307,10 @@ def evaluate_policy(
     some date earns it when rho < 0, and so does a value that underflows
     to exactly 0.
     """
-    a, c = _strategy_arrays(strategy, mortality.grid.n_steps)
-    mode, rho = strategy.mode, prefs.rho
+    n_steps = mortality.grid.n_steps
+    if strategy.a.shape != (n_steps,):
+        raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {strategy.a.shape}")
+    mode, a, c, rho = strategy.mode, strategy.a, strategy.c, prefs.rho
     with np.errstate(divide="ignore"):
         logc = np.log(c)
         log1c = np.log1p(-c)

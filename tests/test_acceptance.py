@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  Tolerances are pinned in the assertions, not configurable.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -129,15 +130,16 @@ def test_criterion_04_distribution_verification(default_table, base_market, vnm_
 
 
 def _perturbation_drops(table, market, prefs, mt, entry, k, hs):
-    base = evaluate_policy(extract_strategy(table), market, prefs, mt)
+    optimal = extract_strategy(table)
+    base = evaluate_policy(optimal, market, prefs, mt)
     out = {}
     for h in hs:
         for sign in (1.0, -1.0):
-            strat = extract_strategy(table)
-            scaled = strat.c[entry, k] * (1.0 + sign * h)
-            if scaled > 1.0:
+            c = optimal.c.copy()
+            c[entry, k] *= 1.0 + sign * h
+            if c[entry, k] > 1.0:
                 continue  # consuming more than everything is infeasible
-            strat.c[entry, k] = scaled
+            strat = dataclasses.replace(optimal, c=c)
             out[(h, sign)] = base - evaluate_policy(strat, market, prefs, mt)
     return out
 

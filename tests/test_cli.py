@@ -435,6 +435,19 @@ class TestScenariosCommand:
         gold = Path(__file__).parent / "data" / "improvements_studies_logspace.csv"
         assert (tmp_path / "improvements.csv").read_bytes() == gold.read_bytes()
 
+    def test_overflowing_annuity_price_exits_3_without_csv(self, tmp_path, capsys):
+        # exp(800 k) overflows the annuity price: the run once leaked numpy's
+        # RuntimeWarning, wrote inf outperformances and improvements, and exited 0
+        cfg = dict(DEFAULTISH, scenarios=[
+            {"id": "1", "mu": 0.062, "r": 0.027, "n": "infinite"},
+            {"id": "a", "mu": 0.0, "r": -800.0, "n": "infinite"},
+        ])
+        p = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["scenarios", "--config", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: annuity price inf is not finite at r = -800.0\n"
+        assert list(out.iterdir()) == []
+
     def test_scenarios_required(self, tmp_path):
         p = write_cfg(tmp_path, DEFAULTISH)
         assert main(["scenarios", "--config", str(p), "--out", str(tmp_path)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import math
@@ -113,6 +114,59 @@ NON_FINITE = {
     "mode-finite-bool": (lambda: CollectiveMode.finite(True), "an integer, got True"),
     # the infinite fund is n = None, not a size of inf
     "mode-infinite-with-size": (lambda: CollectiveMode(math.inf), "an integer, got inf"),
+    # a policy is checked where it is built, and so is a config's policy and
+    # record; dataclasses.replace builds a new one, so it checks too
+    "strategy-mode-string": (
+        lambda: dataclasses.replace(_STRATEGY, mode="infinite"),
+        r"^strategy\.mode must be a CollectiveMode, got 'infinite'",
+    ),
+    "strategy-mode-int": (
+        lambda: dataclasses.replace(_STRATEGY, mode=3), r"^strategy\.mode must be a CollectiveMode, got 3"
+    ),
+    "strategy-a-nan": (
+        lambda: dataclasses.replace(_STRATEGY, a=[0.0, math.nan, 0.0]), "stock proportions must be finite"
+    ),
+    "strategy-a-inf": (
+        lambda: dataclasses.replace(_STRATEGY, a=[0.0, math.inf, 0.0]), "stock proportions must be finite"
+    ),
+    "strategy-a-minus-inf": (
+        lambda: dataclasses.replace(_STRATEGY, a=[0.0, 0.0, -math.inf]), "stock proportions must be finite"
+    ),
+    "strategy-a-two-dimensional": (
+        lambda: dataclasses.replace(_STRATEGY, a=np.zeros((1, 3))),
+        r"strategy\.a must be one-dimensional, got shape \(1, 3\)",
+    ),
+    "strategy-c-nan": (
+        lambda: dataclasses.replace(_STRATEGY, c=[[0.5, math.nan, 1.0]]), r"must lie in \[0, 1\]"
+    ),
+    "strategy-c-above-one": (
+        lambda: dataclasses.replace(_STRATEGY, c=[[0.5, 2.0, 1.0]]), r"must lie in \[0, 1\]"
+    ),
+    "strategy-c-negative": (
+        lambda: dataclasses.replace(_STRATEGY, c=[[0.5, -0.1, 1.0]]), r"must lie in \[0, 1\]"
+    ),
+    "strategy-c-one-dimensional": (
+        lambda: dataclasses.replace(_STRATEGY, c=np.full(3, 0.5)),
+        r"strategy\.c must have shape \(1, 3\), got \(3,\)",
+    ),
+    "strategy-c-rows-of-another-mode": (
+        lambda: dataclasses.replace(_STRATEGY, mode=CollectiveMode.finite(3)),
+        r"strategy\.c must have shape \(3, 3\), got \(1, 3\)",
+    ),
+    "simulation-policy-string": (
+        lambda: SimulationConfig(10, 0, "table"), "policy must be a ValueTable or a Strategy, got str"
+    ),
+    "simulation-record-string": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, record="wealth"),
+        "record must be a sequence of names, got 'wealth'",
+    ),
+    "solve-mode-string": (
+        lambda: solve("infinite", _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
+        "^mode must be a CollectiveMode, got 'infinite'",
+    ),
+    "consumption-drift-mode-int": (
+        lambda: consumption_drift(_PREFS, _MARKET, 0.9, 0), "^mode must be a CollectiveMode, got 0"
+    ),
     "gompertz-nan": (lambda: gompertz_makeham(math.nan, 0.0, 0.0, _GRID), "finite"),
     "pmf-nan": (lambda: MortalityTable.from_pmf(_GRID, [math.nan, 0.5, 0.5]), "sum to 1"),
     "wealth-schedule-x0-inf": (
@@ -244,6 +298,31 @@ def test_number_rule_lives_in_core_only():
     pattern = re.compile(r"isinstance\([^)]*\bbool\b|numbers\.(Real|Integral)")
     found = sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text("utf-8")))
     assert found == ["core.py"]
+
+
+def test_every_dataclass_is_frozen():
+    # each value is checked once, where it is built; a field set afterwards
+    # would skip that check
+    src = Path(pensionlab.__file__).parent
+    decorators = [
+        (f.name, line.strip())
+        for f in sorted(src.glob("*.py"))
+        for line in f.read_text("utf-8").splitlines()
+        if re.match(r"\s*@(dataclasses\.)?dataclass\b", line)
+    ]
+    assert decorators
+    assert [d for d in decorators if "frozen=True" not in d[1]] == []
+
+
+def test_strategy_holds_read_only_copies():
+    # the caller's arrays stay its own and writable; the strategy's cannot change
+    a, c = np.zeros(3, dtype=np.float32), np.full((1, 3), 1)
+    strategy = Strategy(CollectiveMode.infinite(), a, c)
+    assert a.flags.writeable and c.flags.writeable
+    assert strategy.a.dtype == strategy.c.dtype == np.float64
+    assert not (strategy.a.flags.writeable or strategy.c.flags.writeable)
+    a[0], c[0, 0] = 0.5, 0
+    assert strategy.a[0] == 0.0 and strategy.c[0, 0] == 1.0
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from pensionlab.core import ConfigurationError, make_time_grid
+from pensionlab.core import ConfigurationError, DivergenceError, make_time_grid
 from pensionlab.mortality import (
     IngestionError,
     MortalityTable,
@@ -213,3 +213,10 @@ class TestAnnuityFactor:
     def test_discounting_lowers_price(self, mild_table):
         _, t = mild_table
         assert annuity_factor(t, 0.03) < annuity_factor(t, 0.0)
+
+    def test_overflowing_price_raises(self, default_table):
+        # exp(800 k) overflows: the price once came back inf, with numpy's
+        # RuntimeWarning, and every outperformance priced with it was inf
+        _, t = default_table
+        with pytest.raises(DivergenceError, match=r"^annuity price inf is not finite at r = -800\.0$"):
+            annuity_factor(t, -800.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -315,19 +316,22 @@ class TestEvaluatePolicy:
         base = extract_strategy(table)
         v0 = evaluate_policy(base, base_market, vnm_prefs, mt)
         for dc in (0.01, -0.01):
-            pert = extract_strategy(table)
-            pert.c[0, 0] += dc
+            c = base.c.copy()
+            c[0, 0] += dc
+            pert = dataclasses.replace(base, c=c)
             assert evaluate_policy(pert, base_market, vnm_prefs, mt) < v0
 
     def test_second_order_flatness_at_optimum(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         mode = CollectiveMode.individual()
         table = solve(mode, base_market, vnm_prefs, mt)
-        v0 = evaluate_policy(extract_strategy(table), base_market, vnm_prefs, mt)
+        base = extract_strategy(table)
+        v0 = evaluate_policy(base, base_market, vnm_prefs, mt)
         drops = {}
         for h in (1e-2, 1e-3, 1e-4):
-            pert = extract_strategy(table)
-            pert.c[0, 0] *= 1.0 + h
+            c = base.c.copy()
+            c[0, 0] *= 1.0 + h
+            pert = dataclasses.replace(base, c=c)
             drops[h] = v0 - evaluate_policy(pert, base_market, vnm_prefs, mt)
         k_fit = drops[1e-2] / 1e-4
         for h in (1e-3, 1e-4):
@@ -353,6 +357,13 @@ class TestEvaluatePolicy:
                          c=np.full(grid.n_steps, 0.1)),
                 base_market, vnm_prefs, mt,
             )
+        # a strategy is built without a grid: both callers check its dates
+        short = Strategy(individual, a=np.zeros(3), c=np.full((1, 3), 0.1))
+        message = rf"^strategy\.a must have shape \({grid.n_steps},\), got \(3,\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_policy(short, base_market, vnm_prefs, mt)
+        with pytest.raises(ConfigurationError, match=message):
+            simulate(SimulationConfig(paths=10, seed=1, policy=short), grid, base_market, mt)
 
     @pytest.mark.parametrize("series, value", [
         ("c", math.nan), ("a", math.nan), ("a", math.inf),
@@ -366,23 +377,30 @@ class TestEvaluatePolicy:
         # NaN passes a range check written as (c < 0) | (c > 1); unchecked,
         # it turns every statistic from its date on into NaN.  A swapped mode
         # leaves c in the solved fund's shape: one row with finite:3, three
-        # with infinite.  One rate per date, with no row axis, fits no fund
+        # with infinite.  One rate per date, with no row axis, fits no fund.
+        # Each is rejected where the strategy is built, and a built one cannot
+        # be changed, so neither evaluate_policy nor simulate is handed one
         grid, mt = default_table
-        strategy = extract_strategy(solve(mode, base_market, vnm_prefs, mt))
-        fragment = None
+        table = solve(mode, base_market, vnm_prefs, mt)
+        strategy = extract_strategy(table)
+        fragment = r"strategy\.c must have shape"
         if series == "mode":
-            strategy.mode = CollectiveMode.infinite() if mode.is_finite else CollectiveMode.finite(3)
-            fragment = r"strategy\.c must have shape"
+            field = "mode"
+            bad = CollectiveMode.infinite() if mode.is_finite else CollectiveMode.finite(3)
         elif series == "flat-c":
-            strategy.c = np.full(grid.n_steps, 0.5)
-            fragment = r"strategy\.c must have shape"
+            field, bad = "c", np.full(grid.n_steps, 0.5)
         else:
-            getattr(strategy, series)[..., 3] = value
+            field, bad = series, getattr(strategy, series).copy()
+            bad[..., 3] = value
+            fragment = r"lie in \[0, 1\]" if series == "c" else "stock proportions must be finite"
         with pytest.raises(ConfigurationError, match=fragment):
-            evaluate_policy(strategy, base_market, vnm_prefs, mt)
-        config = SimulationConfig(paths=100, seed=1, policy=strategy)
-        with pytest.raises(ConfigurationError, match=fragment):
-            simulate(config, grid, base_market, mt)
+            dataclasses.replace(strategy, **{field: bad})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(strategy, field, bad)
+        for name in ("a", "c"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(strategy, name)[..., 3] = 0.5
+        assert np.all(strategy.a == table.astar) and np.array_equal(strategy.c, table.cstar)
 
     def test_subnormal_value_raises(self, default_table, base_market):
         # about 1.96e-315, a subnormal with too few significant bits, where
@@ -419,7 +437,9 @@ class TestEvaluatePolicy:
             prefs = Preferences(alpha=-1.0, rho=rho)
             for mode, value in zip(modes, values):
                 strat = extract_strategy(solve(mode, market, prefs, mt))
-                strat.c[..., k] = rate
+                c = strat.c.copy()
+                c[..., k] = rate
+                strat = dataclasses.replace(strat, c=c)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     v = evaluate_policy(strat, market, prefs, mt)
@@ -469,6 +489,34 @@ class TestFiniteTableStructure:
         assert np.all((lo <= fund.cstar) & (fund.cstar <= hi)), "c* left the pooled bracket"
         # as alpha nears 0 the two agree to rounding: 1.6e-15 over, in 24,000 draws
         assert fund.z_at_start() <= inf.z_at_start() * (1.0 + 1e-12)
+
+
+class TestFixedPolicyNearOptimum:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=EXPONENTS,
+        rho=EXPONENTS,
+        b=DISCOUNTS,
+        n=st.sampled_from([None, 1, 2, 3, 5, 8]),
+        mt=MORTALITY,
+        eps=st.sampled_from([1e-1, 1e-3, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_beats_solve(self, base_market, alpha, rho, b, n, mt, eps, seed):
+        # solve's z is the supremum over policies, so a random policy near
+        # the optimum, c* and a* with lognormal and normal noise of scale
+        # eps, is worth at most z (to rounding, where eps^2 is below it)
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        mode = CollectiveMode(n)
+        noise = np.random.default_rng(seed).standard_normal
+        try:
+            table = solve(mode, base_market, prefs, mt)
+            c = np.clip(table.cstar * np.exp(eps * noise(table.cstar.shape)), 0.0, 1.0)
+            a = table.astar + eps * noise(mt.grid.n_steps)
+            v = evaluate_policy(Strategy(mode, a, c), base_market, prefs, mt)
+        except DivergenceError:
+            assume(False)
+        assert v <= table.z_at_start() * (1.0 + 1e-12)
 
 
 class TestInfinitePolicyInFiniteFund:
