@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,8 @@ class DivergenceError(RuntimeError):
     """A value recursion produced a non-finite or out-of-range quantity."""
 
 
-# _real and _integer are the one test of a scalar input; callers add their range.
+# _real and _integer are the one test of a scalar input, and _real_array of an
+# array of numbers; callers add their range.
 def _real(value, what: str) -> float:
     """``value`` as a float: a real number that is not a bool, NaN or +-inf."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -50,6 +53,16 @@ def _integer(value, what: str) -> int:
             if int(value) == value:  # exact: an int of any size never passes through float
                 return int(value)
     raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
+def _real_array(value, what: str) -> np.ndarray:
+    """``value`` as a new float64 array: a rectangular array of ints or floats,
+    with no bool, string or other object in it.  Callers add shape and range."""
+    with contextlib.suppress(ValueError):  # a ragged sequence
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf":
+            return np.array(array, dtype=np.float64)
+    raise ConfigurationError(f"{what} must be an array of numbers, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,8 @@ class MarketParams:
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if not self.sigma > 0.0:
             raise ConfigurationError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not sys.float_info.min <= self.sigma * self.sigma < math.inf:
+            raise ConfigurationError(f"sigma^2 must be a normal float, got sigma = {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +157,13 @@ class Preferences:
             raise ConfigurationError(f"discount rate b must be finite and >= 0, got {self.b}")
 
     def beta(self, dt: float) -> float:
-        """Per-step discount factor exp(-b * dt), in (0, 1]."""
-        return math.exp(-self.b * dt)
+        """Per-step discount factor exp(-b * dt), in (0, 1]; a normal float,
+        as every recursion takes its log."""
+        beta = math.exp(-self.b * dt)
+        if not beta >= sys.float_info.min:
+            raise ConfigurationError(
+                f"discount rate b = {self.b} underflows the discount factor exp(-b dt) "
+                f"to {beta!r} at dt = {dt}"
+            )
+        return beta
 

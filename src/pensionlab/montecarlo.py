@@ -45,13 +45,14 @@ paths.  The results do not depend on the block size.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import math
 import numpy as np
 
-from .core import ConfigurationError, MarketParams, TimeGrid, _integer, _real
+from .core import ConfigurationError, DivergenceError, MarketParams, TimeGrid, _integer, _real
 from .mortality import MortalityTable
 from .solver import Strategy, ValueTable, extract_strategy, growth_exponent
 from ._kernels import binomial_draws, binomial_table, lgamma_table
@@ -79,7 +80,7 @@ class SimulationConfig:
 
     ``policy`` is a ValueTable or a Strategy, and the fund's survivor model
     is its ``mode``.  ``record`` is a sequence of the names of the full
-    ``paths x n_steps`` series to keep (none by default).
+    ``paths x n_steps`` series to keep (none by default), held as a tuple.
     """
 
     paths: int
@@ -99,11 +100,16 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"policy must be a ValueTable or a Strategy, got {type(self.policy).__name__}"
             )
-        if isinstance(self.record, str):
+        record = self.record
+        if not isinstance(record, str):
+            with contextlib.suppress(TypeError):  # not iterable
+                record = tuple(record)
+        if not (isinstance(record, tuple) and all(isinstance(name, str) for name in record)):
             raise ConfigurationError(f"record must be a sequence of names, got {self.record!r}")
-        unknown = set(self.record) - set(_RECORD_CHOICES)
+        unknown = set(record) - set(_RECORD_CHOICES)
         if unknown:
             raise ConfigurationError(f"unknown record series {sorted(unknown)}")
+        object.__setattr__(self, "record", record)
 
 
 @dataclass(frozen=True)
@@ -292,7 +298,11 @@ def simulate(
     market: MarketParams,
     mortality: MortalityTable,
 ) -> SimulationResult:
-    """Simulate fund-per-survivor wealth and consumption along the grid."""
+    """Simulate fund-per-survivor wealth and consumption along the grid.
+
+    Raises DivergenceError when wealth overflows, which a mean log wealth of
+    NaN or +inf over the paths alive at a date shows.
+    """
     if mortality.grid != grid:
         raise ConfigurationError("mortality table was built on a different grid")
     policy = config.policy
@@ -322,25 +332,33 @@ def simulate(
 
     keys = path_keys(seed, paths)
     x = np.full(paths, config.x0)
-    for k in range(n_steps):
-        for name, out in recorded.items():
-            if name == "wealth":
-                out[:, k] = x
-            elif name == "survivors":
-                out[:, k] = model.survivors
-            else:  # consumption, formed only when recorded and freed before the update
-                out[:, k] = model.consumption(k, x)
-        alive = model.alive
-        alive_ct[k] = paths if alive is _ALL else np.count_nonzero(alive)
-        gathered = alive is not _ALL  # x[alive] is then a copy to overwrite
-        values = x[alive]
-        mean_lx[k], var_lx[k] = _log_moments(values, overwrite=gathered)
-        del values  # free the logs before the copy the quantiles sort
-        if alive_ct[k]:
-            xq[:, k] = _quantiles(x[alive], QUANTILES, overwrite=gathered)
-        if k < n_steps - 1:
-            blocks = _blocks(keys, k, growth_base[k], growth_vol[k], model.draws_survivors)
-            model.advance(k, float(mortality.s[k]), x, blocks)
+    # wealth that overflows is caught below, as a mean log wealth of NaN or
+    # +inf; -inf, from paths that consumed everything, is a result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            for name, out in recorded.items():
+                if name == "wealth":
+                    out[:, k] = x
+                elif name == "survivors":
+                    out[:, k] = model.survivors
+                else:  # consumption, formed only when recorded and freed before the update
+                    out[:, k] = model.consumption(k, x)
+            alive = model.alive
+            alive_ct[k] = paths if alive is _ALL else np.count_nonzero(alive)
+            gathered = alive is not _ALL  # x[alive] is then a copy to overwrite
+            values = x[alive]
+            mean_lx[k], var_lx[k] = _log_moments(values, overwrite=gathered)
+            del values  # free the logs before the copy the quantiles sort
+            if alive_ct[k]:
+                if not mean_lx[k] < math.inf:
+                    raise DivergenceError(
+                        f"simulated wealth overflowed at t={grid.points[k]}: "
+                        f"mean log wealth {mean_lx[k]}"
+                    )
+                xq[:, k] = _quantiles(x[alive], QUANTILES, overwrite=gathered)
+            if k < n_steps - 1:
+                blocks = _blocks(keys, k, growth_base[k], growth_vol[k], model.draws_survivors)
+                model.advance(k, float(mortality.s[k]), x, blocks)
 
     return SimulationResult(
         mean_log_x=mean_lx,

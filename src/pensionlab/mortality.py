@@ -9,6 +9,12 @@ derived one-step survival probabilities
 computed as a ratio of tail sums.  Death is certain by the horizon T, so the
 final grid point always carries positive mass and is the only point with
 s_t = 0.
+
+``MortalityTable(grid, p)`` builds a table from any pmf, and it is the one
+way in: it checks the pmf where it is built (numbers only, one per grid
+point, no negative mass, a sum of 1 within 1e-12, mass at the final point)
+and derives s and the tail sums there.  ``gompertz_makeham`` and
+``load_mortality_csv`` build their tables through it.
 """
 
 from __future__ import annotations
@@ -16,13 +22,13 @@ from __future__ import annotations
 import csv
 import math
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .core import ConfigurationError, DivergenceError, TimeGrid, _real
+from .core import ConfigurationError, DivergenceError, TimeGrid, _real, _real_array
 
 __all__ = [
     "IngestionError",
@@ -39,20 +45,25 @@ class IngestionError(ConfigurationError):
 
 @dataclass(frozen=True)
 class MortalityTable:
-    """Death-time pmf and survival probabilities on a grid.
+    """Death-time pmf ``p`` on ``grid`` and its survival probabilities.
 
-    Arrays are read-only.  ``tail[k] = P(tau >= t_k)``; ``s[k]`` is the
-    one-step survival probability, zero exactly at the final point.
+    ``MortalityTable(grid, p)`` checks ``p`` against the grid and derives
+    ``tail[k] = P(tau >= t_k)`` and ``s[k]``, the one-step survival
+    probability, zero exactly at the final point.  All three are read-only
+    float64 copies; ``dataclasses.replace(table, p=p2)`` builds and checks a
+    new table.
     """
 
     grid: TimeGrid
     p: np.ndarray
-    s: np.ndarray
-    tail: np.ndarray
+    s: np.ndarray = field(init=False)
+    tail: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_pmf(cls, grid: TimeGrid, p: Sequence[float] | np.ndarray) -> "MortalityTable":
-        p = np.array(p, dtype=np.float64)  # a copy: the table's arrays are read-only
+    def __post_init__(self):
+        grid = self.grid
+        if not isinstance(grid, TimeGrid):
+            raise ConfigurationError(f"mortality grid must be a TimeGrid, got {grid!r}")
+        p = _real_array(self.p, "pmf")
         if p.shape != (grid.n_steps,):
             raise ConfigurationError(
                 f"pmf length {p.shape} does not match grid with {grid.n_steps} points"
@@ -71,9 +82,9 @@ class MortalityTable:
         tail = np.cumsum(p[::-1])[::-1]
         s = np.zeros_like(p)
         s[:-1] = tail[1:] / tail[:-1]
-        for arr in (p, s, tail):
+        for name, arr in (("p", p), ("s", s), ("tail", tail)):
             arr.flags.writeable = False
-        return cls(grid=grid, p=p, s=s, tail=tail)
+            object.__setattr__(self, name, arr)
 
 
 def annuity_factor(table: MortalityTable, r: float) -> float:
@@ -223,4 +234,4 @@ def _table_from_step_survival(
     p = np.empty(grid.n_steps)
     p[:-1] = cum[:-1] * (1.0 - step_surv)
     p[-1] = cum[-1]
-    return MortalityTable.from_pmf(grid, p)
+    return MortalityTable(grid, p)

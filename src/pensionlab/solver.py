@@ -32,12 +32,14 @@ resolved form of the symbolic utility-after-death convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ConfigurationError, DivergenceError, MarketParams, Preferences, TimeGrid, _integer,
+    _real_array,
 )
 from .mortality import MortalityTable
 from ._kernels import lgamma_table, log_survivor_mixture
@@ -105,9 +107,16 @@ class CollectiveMode:
 def optimal_proportion(market: MarketParams, alpha: float) -> float:
     """Optimal constant stock proportion (mu - r) / ((1 - alpha) sigma^2).
 
-    Independent of time, wealth and rho.
+    Independent of time, wealth and rho.  The risk term (1 - alpha) sigma^2
+    must not underflow the normal float range.
     """
-    return (market.mu - market.r) / ((1.0 - alpha) * market.sigma**2)
+    risk = (1.0 - alpha) * market.sigma**2
+    if not risk >= sys.float_info.min:
+        raise ConfigurationError(
+            f"the risk term (1 - alpha) sigma^2 underflows to {risk!r} at alpha = {alpha} "
+            f"and sigma = {market.sigma}"
+        )
+    return (market.mu - market.r) / risk
 
 
 def growth_exponent(market: MarketParams, alpha: float, a: float | None = None) -> float:
@@ -216,6 +225,8 @@ def solve(
     grid = mortality.grid
     astar = optimal_proportion(market, prefs.alpha)
     xi = growth_exponent(market, prefs.alpha)
+    if not math.isfinite(xi):  # mu - r or a* beyond the float range; xi is then NaN or +-inf
+        raise DivergenceError(f"growth exponent xi = {xi} is not finite at a* = {astar}")
     q = prefs.rho / (1.0 - prefs.rho)
 
     def optimal(k, logtheta):
@@ -227,6 +238,9 @@ def solve(
         logz = _backward(mode, prefs, mortality, xi, np.zeros(mode.n), optimal)
     else:
         log_b = q * _log_phi(prefs, grid.dt, xi, mortality.s[:-1], mode.pooling)
+        ok = np.isfinite(log_b)  # as _pooled needs
+        if not ok.all():
+            raise _diverged(mode, grid, int(np.argmin(ok)), 0)
         logz = (1.0 / q) * _pooled(np.zeros(grid.n_steps), log_b)[np.newaxis]
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
         z = np.exp(logz)
@@ -265,8 +279,8 @@ class Strategy:
     def __post_init__(self):
         if not isinstance(self.mode, CollectiveMode):
             raise ConfigurationError(f"strategy.mode must be a CollectiveMode, got {self.mode!r}")
-        a = np.array(self.a, dtype=np.float64)
-        c = np.array(self.c, dtype=np.float64)
+        a = _real_array(self.a, "strategy.a")
+        c = _real_array(self.c, "strategy.c")
         if a.ndim != 1:
             raise ConfigurationError(f"strategy.a must be one-dimensional, got shape {a.shape}")
         expected = (self.mode.n or 1, a.size)

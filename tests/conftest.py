@@ -49,7 +49,7 @@ def random_mortality(rng: np.random.Generator, grid) -> MortalityTable:
     p = rng.dirichlet(np.ones(grid.n_steps) * 2.0)
     p[-1] = max(p[-1], 0.05)
     p /= p.sum()
-    return MortalityTable.from_pmf(grid, p)
+    return MortalityTable(grid, p)
 
 
 

@@ -28,6 +28,18 @@ and the annuity factor at r = 0 is sum_k S_k, so
 summed in closed form and the second uses the solver's log phi, and both
 must match these loops to within rounding wherever the loops stay finite.
 
+``continuous_consumption_rate`` is the limit of c*_0 / dt as dt -> 0 for
+a Gompertz-Makeham hazard h(u) = a + b exp(c u), written from the model
+alone.  Let H(t0, u) = a (u - t0) + (b / c)(exp(c u) - exp(c t0)) be the
+cumulative hazard, kappa = xi - b_disc / rho the growth of log phi per unit
+time (b_disc being the discount rate) and C the pooling indicator.  Then
+y_0 dt is a left Riemann sum of the integral
+
+    1/c(t0) = int_t0^T exp(q kappa (u - t0) - q (1/alpha - C) H(t0, u)) du,
+
+so c*_0 / dt = 1 / (y_0 dt) tends to c(t0).  The oracle evaluates the
+integral by the trapezoid rule over 2,000,001 points.
+
 All of these are kept here only to check ``solve``, ``annuity_utility``,
 ``annuity_outperformance`` and ``wealth_schedule``; ``linear_phi`` is the
 oracles' own continuation factor, so none of them calls code under test.
@@ -163,3 +175,18 @@ def zero_return_outperformance(prefs, mortality):
     fund = np.sum(beta ** (k / (1.0 - rho)) * survival**p) ** (1.0 / q)
     annuity = np.sum(beta**k * survival ** (rho / alpha)) ** (1.0 / rho)
     return float(fund * np.sum(survival) / annuity - 1.0)
+
+
+def continuous_consumption_rate(gompertz, market, prefs, pooling, t0, T, points=2_000_001):
+    """c(t0), the consumption rate per unit time at t0 of the individual
+    (``pooling`` 0) or infinite (1) fund in continuous time, for the hazard
+    a + b exp(c u) of ``gompertz`` = (a, b, c), c > 0, with death certain at T."""
+    a, b, c = gompertz
+    alpha, rho = prefs.alpha, prefs.rho
+    astar = (market.mu - market.r) / ((1.0 - alpha) * market.sigma**2)
+    xi = astar * (market.mu - market.r) + market.r - 0.5 * astar**2 * (1.0 - alpha) * market.sigma**2
+    q = rho / (1.0 - rho)
+    u = np.linspace(t0, T, points)
+    hazard = a * (u - t0) + (b / c) * (np.exp(c * u) - math.exp(c * t0))
+    f = np.exp(q * (xi - prefs.b / rho) * (u - t0) - q * (1.0 / alpha - pooling) * hazard)
+    return 1.0 / float(np.sum((f[1:] + f[:-1]) * np.diff(u)) / 2.0)

@@ -49,7 +49,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_two_period_equal_split():
     grid = make_time_grid(0, 1, 2)
-    mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
+    mt = MortalityTable(grid, [0.0, 1.0])
     market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
     prefs = Preferences(alpha=-2.0, rho=-1.0, b=0.0)
     solve(CollectiveMode.individual(), market, prefs, mt)  # warm path

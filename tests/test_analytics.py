@@ -49,7 +49,7 @@ class TestWealthSchedule:
 
     def test_two_periods_certain_survival_halves_wealth(self):
         grid = make_time_grid(0, 1, 2)
-        mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
+        mt = MortalityTable(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         for mode in (CollectiveMode.individual(), CollectiveMode.infinite()):

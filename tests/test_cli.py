@@ -845,16 +845,95 @@ ZERO_HAZARD_STUDY = {  # z_n equals z_inf to the bit at every n
 }
 
 
+# values at the ends of the float range, as (block, key, value), None being the
+# top level: each once ended in a traceback, leaked numpy's warnings, or
+# wrote NaN with exit 0
+EXTREME_VALUES = [
+    ("preferences", "b", 800.0),
+    ("market", "sigma", 1e-300),
+    ("market", "sigma", 1e-100),
+    ("market", "sigma", 1e160),
+    ("market", "mu", 1e300),
+    (None, "budget", 1e308),
+    ("preferences", "alpha", 0.9999999999999999),
+]
+
+
+def _with(cfg, *values):
+    """A copy of ``cfg`` with each (block, key, value) of ``values`` set."""
+    cfg = json.loads(json.dumps(cfg))
+    for block, key, value in values:
+        (cfg if block is None else cfg[block])[key] = value
+    return cfg
+
+
+SMALL = {  # the bundled market, preferences and table, with every command's block
+    **DEFAULTISH,
+    "budget": 1.0,
+    "simulation": {"paths": 64, "seed": 0},
+    "scenarios": [
+        {"id": "a", "mu": 0.062, "r": 0.027, "n": "infinite"},
+        {"id": "b", "mu": 0.027, "r": 0.027, "n": 3},
+    ],
+    "n_list": [1, 10, 16],
+}
+
+
+class TestFloatRangeConfigs:
+    # (values set on SMALL, exit code, start of the one error line) per
+    # command; a command that does not read a value exits 0 with it
+    CASES = {
+        "b-800": ([("preferences", "b", 800.0)], 2, "discount rate b = 800.0 underflows"),
+        "sigma-1e160": ([("market", "sigma", 1e160)], 2, "sigma^2 must be a normal float"),
+        "sigma-1e-300": ([("market", "sigma", 1e-300)], 2, "sigma^2 must be a normal float"),
+        "alpha-near-1-sigma-1e-154": (
+            [("preferences", "alpha", 0.9999999999999999), ("market", "sigma", 1e-154)],
+            2, "sigma^2 must be a normal float",
+        ),
+        "alpha-near-1-sigma-1e-150": (
+            [("preferences", "alpha", 0.9999999999999999), ("market", "sigma", 1e-150)],
+            2, "the risk term (1 - alpha) sigma^2 underflows",
+        ),
+        "sigma-1e-100": ([("market", "sigma", 1e-100)], 3, "growth exponent xi = -inf"),
+        "mu-1e300": ([("market", "mu", 1e300)], 3, "growth exponent xi = nan"),
+        "budget-1e308": ([(None, "budget", 1e308)], 3, "simulated wealth overflowed"),
+    }
+    # scenarios read their own mu, and only simulate spends the budget
+    UNREAD = {("mu-1e300", "scenarios")} | {
+        ("budget-1e308", c) for c in ("solve", "distribution", "scenarios", "converge")
+    }
+
+    @pytest.mark.parametrize("mode", ["infinite", "individual", "finite:3"])
+    @pytest.mark.parametrize("command", ["solve", "distribution", "simulate", "scenarios", "converge"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_with_one_error_line_and_no_csv(self, tmp_path, capsys, case, command, mode):
+        # a warning escaping main fails the test, as does a traceback
+        values, code, message = self.CASES[case]
+        cfg = _with(SMALL, *values, (None, "mode", mode))
+        out = tmp_path / "out"
+        got = main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
+        err = capsys.readouterr().err
+        if (case, command) in self.UNREAD:
+            assert got in (0, 2) and (got == 0 or "n >= 2" in err), err
+            return
+        assert (got, err.count("\n")) == (code, 1), err
+        assert err.startswith(f"error: {message}"), err
+        assert list(out.glob("*.csv")) == []
+
+
 @st.composite
 def small_valid_configs(draw):
     """A valid config that every command runs in milliseconds: 1 to 40 annual
     grid points, Gompertz-Makeham parameters that may each be 0, any mode
     with at most 32 members, at most 64 paths, two scenarios and the fund
-    sizes n, 10n and 16n."""
+    sizes n, 10n and 16n; and in one example in three, one or two
+    ``EXTREME_VALUES``."""
     size = st.integers(1, 32)
     mode = draw(st.sampled_from(["individual", "infinite"]) | size.map(lambda n: f"finite:{n}"))
     n = draw(st.integers(1, 4))
-    return {
+    count = draw(st.sampled_from([0] * 6 + [1, 1, 2]))  # two in three keep ordinary magnitudes
+    extremes = [draw(st.sampled_from(EXTREME_VALUES)) for _ in range(count)]
+    return _with({
         "market": {"mu": draw(st.sampled_from([0.0, 0.062, 0.082])), "r": 0.047,
                    "sigma": 0.15, "r_CPI": 0.02},
         "preferences": {"alpha": draw(st.sampled_from([-3.0, -1.0, 0.5])),
@@ -874,7 +953,7 @@ def small_valid_configs(draw):
             {"id": "b", "mu": 0.027, "r": 0.027, "n": draw(size)},
         ],
         "n_list": [n, 10 * n, 16 * n],
-    }
+    }, *extremes)
 
 
 class TestConfigFuzz:
@@ -887,6 +966,14 @@ class TestConfigFuzz:
         command=st.sampled_from(["solve", "distribution", "simulate", "scenarios", "converge"]),
     )
     @example(cfg=ZERO_HAZARD_STUDY, command="converge")  # once a nan fit with exit 0
+    # each of EXTREME_VALUES once ended in a traceback, a warning or NaN with exit 0
+    @example(cfg=_with(SMALL, EXTREME_VALUES[0]), command="solve")
+    @example(cfg=_with(SMALL, EXTREME_VALUES[1]), command="distribution")
+    @example(cfg=_with(SMALL, EXTREME_VALUES[2]), command="solve")
+    @example(cfg=_with(SMALL, EXTREME_VALUES[3]), command="scenarios")
+    @example(cfg=_with(SMALL, EXTREME_VALUES[4]), command="simulate")
+    @example(cfg=_with(SMALL, EXTREME_VALUES[5]), command="simulate")
+    @example(cfg=_with(SMALL, EXTREME_VALUES[6], ("market", "sigma", 1e-154)), command="converge")
     def test_small_valid_config_runs_every_command(self, tmp_path, capsys, cfg, command):
         # a warning escaping main fails the example, as does a traceback
         p = write_cfg(tmp_path, cfg)

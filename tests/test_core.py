@@ -25,7 +25,7 @@ from pensionlab.mortality import (
     gompertz_makeham,
     load_mortality_csv,
 )
-from pensionlab.solver import CollectiveMode, Strategy, solve
+from pensionlab.solver import CollectiveMode, Strategy, optimal_proportion, solve
 from pensionlab.studies import run_scenarios
 
 from conftest import run_child_python
@@ -153,12 +153,39 @@ NON_FINITE = {
         lambda: dataclasses.replace(_STRATEGY, mode=CollectiveMode.finite(3)),
         r"strategy\.c must have shape \(3, 3\), got \(1, 3\)",
     ),
+    "strategy-a-string": (
+        lambda: dataclasses.replace(_STRATEGY, a=["x", 0, 0]),
+        r"^strategy\.a must be an array of numbers, got \['x', 0, 0\]$",
+    ),
+    "strategy-c-string": (
+        lambda: dataclasses.replace(_STRATEGY, c=[["0.5", 0.5, 0.5]]),
+        r"^strategy\.c must be an array of numbers, got \[\['0\.5', 0\.5, 0\.5\]\]$",
+    ),
+    "strategy-c-ragged": (
+        lambda: dataclasses.replace(_STRATEGY, c=[[0.5, 0.5], [0.5]]),
+        r"^strategy\.c must be an array of numbers, got \[\[0\.5, 0\.5\], \[0\.5\]\]$",
+    ),
+    "strategy-c-bool": (
+        lambda: dataclasses.replace(_STRATEGY, c=np.ones((1, 3), dtype=bool)),
+        r"^strategy\.c must be an array of numbers, got array\(",
+    ),
     "simulation-policy-string": (
         lambda: SimulationConfig(10, 0, "table"), "policy must be a ValueTable or a Strategy, got str"
     ),
     "simulation-record-string": (
         lambda: SimulationConfig(10, 0, _STRATEGY, record="wealth"),
         "record must be a sequence of names, got 'wealth'",
+    ),
+    "simulation-record-int": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, record=5), r"^record must be a sequence of names, got 5$"
+    ),
+    "simulation-record-none": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, record=None),
+        r"^record must be a sequence of names, got None$",
+    ),
+    "simulation-record-nested": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, record=[["wealth"]]),
+        r"^record must be a sequence of names, got \[\['wealth'\]\]$",
     ),
     "solve-mode-string": (
         lambda: solve("infinite", _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
@@ -168,7 +195,36 @@ NON_FINITE = {
         lambda: consumption_drift(_PREFS, _MARKET, 0.9, 0), "^mode must be a CollectiveMode, got 0"
     ),
     "gompertz-nan": (lambda: gompertz_makeham(math.nan, 0.0, 0.0, _GRID), "finite"),
-    "pmf-nan": (lambda: MortalityTable.from_pmf(_GRID, [math.nan, 0.5, 0.5]), "sum to 1"),
+    "pmf-nan": (lambda: MortalityTable(_GRID, [math.nan, 0.5, 0.5]), "sum to 1"),
+    "pmf-string": (
+        lambda: MortalityTable(_GRID, ["a", "b"]), r"^pmf must be an array of numbers, got \['a', 'b'\]$"
+    ),
+    "pmf-ragged": (
+        lambda: MortalityTable(_GRID, [[0.5], [0.25, 0.25]]), "^pmf must be an array of numbers, got "
+    ),
+    "mortality-grid-string": (
+        lambda: MortalityTable("grid", [1.0]), "^mortality grid must be a TimeGrid, got 'grid'$"
+    ),
+    # values whose square, product or exponential leaves the normal float
+    # range once ended in an OverflowError, a ZeroDivisionError or a math
+    # domain error
+    "market-sigma-square-overflows": (
+        lambda: MarketParams(mu=0.05, r=0.02, sigma=1e160),
+        r"^sigma\^2 must be a normal float, got sigma = 1e\+160$",
+    ),
+    "market-sigma-square-underflows": (
+        lambda: MarketParams(mu=0.05, r=0.02, sigma=1e-300),
+        r"^sigma\^2 must be a normal float, got sigma = 1e-300$",
+    ),
+    "preferences-beta-underflows": (
+        lambda: Preferences(-1.0, -1.0, b=800).beta(1.0),
+        r"^discount rate b = 800\.0 underflows the discount factor exp\(-b dt\) to 0\.0 at dt = 1\.0$",
+    ),
+    "risk-term-underflows": (
+        lambda: optimal_proportion(MarketParams(mu=0.05, r=0.02, sigma=1e-150), 0.9999999999999999),
+        r"^the risk term \(1 - alpha\) sigma\^2 underflows to 1\.1\d*e-316 at alpha = "
+        r"0\.9999999999999999 and sigma = 1e-150$",
+    ),
     "wealth-schedule-x0-inf": (
         lambda: wealth_schedule(
             solve(CollectiveMode.infinite(), _MARKET, _PREFS, gompertz_makeham(0, 0, 0, _GRID)),
@@ -312,6 +368,13 @@ def test_every_dataclass_is_frozen():
     ]
     assert decorators
     assert [d for d in decorators if "frozen=True" not in d[1]] == []
+
+
+def test_record_is_held_as_a_tuple():
+    # any iterable of names, a generator too, is read once and kept
+    names = (name for name in ["wealth", "survivors"])
+    assert SimulationConfig(10, 0, _STRATEGY, record=names).record == ("wealth", "survivors")
+    assert SimulationConfig(10, 0, _STRATEGY, record=["wealth"]).record == ("wealth",)
 
 
 def test_strategy_holds_read_only_copies():

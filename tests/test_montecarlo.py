@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pensionlab.analytics import wealth_schedule
-from pensionlab.core import ConfigurationError, MarketParams, Preferences, make_time_grid
+from pensionlab.core import (
+    ConfigurationError, DivergenceError, MarketParams, Preferences, make_time_grid,
+)
 from pensionlab import montecarlo
 from pensionlab.montecarlo import (
     QUANTILES, SimulationConfig, SimulationResult, _log_moments, _quantiles, simulate,
@@ -32,7 +34,7 @@ def short_table():
 class TestDeterministicCases:
     def test_two_period_halving(self):
         grid = make_time_grid(0, 1, 2)
-        mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
+        mt = MortalityTable(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), market, prefs, mt)
@@ -225,7 +227,7 @@ class TestDistributionAgreement:
     def test_vnm_constant_consumption_per_path(self):
         grid = make_time_grid(0, 1, 8)
         p = np.full(8, 0.125)
-        mt = MortalityTable.from_pmf(grid, p)
+        mt = MortalityTable(grid, p)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), market, prefs, mt)
@@ -242,7 +244,7 @@ class TestSummarize:
 
     def test_single_deterministic_path(self):
         grid = make_time_grid(0, 1, 3)
-        mt = MortalityTable.from_pmf(grid, [0.0, 0.0, 1.0])
+        mt = MortalityTable(grid, [0.0, 0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         table = solve(CollectiveMode.infinite(), market, prefs, mt)
@@ -353,6 +355,18 @@ class TestSummarize:
         assert res.mean_log_x[-1] == -np.inf and np.isnan(res.var_log_x[-1])
         assert np.all(res.x_quantiles[:, -1] == 0.0) and np.all(np.isfinite(res.var_log_x[:-1]))
 
+    @pytest.mark.parametrize(
+        "mode", [CollectiveMode.infinite(), CollectiveMode.individual(), CollectiveMode.finite(3)], ids=str
+    )
+    def test_overflowing_wealth_diverges(self, default_table, base_market, vnm_prefs, mode):
+        # from x0 = 1e308 some path's wealth overflows within a few dates: the
+        # summary once read NaN from there on, after numpy's warnings
+        grid, mt = default_table
+        table = solve(mode, base_market, vnm_prefs, mt)
+        config = SimulationConfig(paths=1000, seed=0, policy=table, x0=1e308)
+        with pytest.raises(DivergenceError, match=r"^simulated wealth overflowed at t=\d+\.0: "):
+            simulate(config, grid, base_market, mt)
+
     @settings(max_examples=100, deadline=None)
     @given(values=arrays(np.float64, st.integers(1, 500),
                          elements=st.floats(0.0, 1e300) | st.just(math.inf)))
@@ -439,7 +453,7 @@ class TestValidation:
     def test_dead_fund_excluded_from_stats(self, vnm_prefs):
         grid = make_time_grid(0, 1, 6)
         p = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
-        mt = MortalityTable.from_pmf(grid, p)
+        mt = MortalityTable(grid, p)
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         table = solve(CollectiveMode.finite(2), market, vnm_prefs, mt)
         res = simulate(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 
@@ -19,18 +20,18 @@ from conftest import BUNDLED_GOMPERTZ, random_mortality
 class TestSurvivalProb:
     def test_certain_death_at_last_date(self):
         g = make_time_grid(0, 1, 2)
-        t = MortalityTable.from_pmf(g, [0.0, 1.0])
+        t = MortalityTable(g, [0.0, 1.0])
         assert t.s[0] == 1.0
         assert t.s[1] == 0.0
 
     def test_ratio_of_tails(self):
         g = make_time_grid(0, 1, 2)
-        t = MortalityTable.from_pmf(g, [0.5, 0.5])
+        t = MortalityTable(g, [0.5, 0.5])
         assert t.s[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_four_dates(self):
         g = make_time_grid(0, 1, 4)
-        t = MortalityTable.from_pmf(g, [0.25] * 4)
+        t = MortalityTable(g, [0.25] * 4)
         # third date: remaining tail 0.5, surviving tail 0.25
         assert t.s[2] == pytest.approx(0.5, abs=1e-12)
 
@@ -47,20 +48,66 @@ class TestSurvivalProb:
     def test_validation(self):
         g = make_time_grid(0, 1, 3)
         with pytest.raises(ConfigurationError):
-            MortalityTable.from_pmf(g, [0.5, 0.6, -0.1])
+            MortalityTable(g, [0.5, 0.6, -0.1])
         with pytest.raises(ConfigurationError):
-            MortalityTable.from_pmf(g, [0.5, 0.4, 0.2])
+            MortalityTable(g, [0.5, 0.4, 0.2])
         with pytest.raises(ConfigurationError):
-            MortalityTable.from_pmf(g, [0.5, 0.5, 0.0])  # no mass at final date
+            MortalityTable(g, [0.5, 0.5, 0.0])  # no mass at final date
         with pytest.raises(ConfigurationError):
-            MortalityTable.from_pmf(g, [0.5, 0.5])
+            MortalityTable(g, [0.5, 0.5])
 
     def test_caller_array_is_copied(self):
         p = np.array([0.25, 0.75])
-        t = MortalityTable.from_pmf(make_time_grid(0, 1, 2), p)
+        t = MortalityTable(make_time_grid(0, 1, 2), p)
         assert t.p is not p and p.flags.writeable and not t.p.flags.writeable
         p[0] = 0.5
         assert t.p.tolist() == [0.25, 0.75]
+
+
+class TestTableIsCheckedWhereBuilt:
+    # MortalityTable(grid, p) is the one way in: the pmf is checked, and s and
+    # tail are derived from it, never taken from the caller
+    GRID = make_time_grid(0, 1, 5)
+    PMF = [0.2, 0.2, 0.2, 0.2, 0.2]
+
+    def test_pmf_is_the_only_settable_array(self):
+        assert [f.name for f in dataclasses.fields(MortalityTable) if f.init] == ["grid", "p"]
+        assert not hasattr(MortalityTable, "from_pmf")
+
+    def test_survival_cannot_be_passed(self):
+        # a survival probability of 2 was once accepted, and solve priced it
+        bad_s = np.array([2.0, 0.5, 0.5, 0.5, 0.0])
+        with pytest.raises(TypeError):
+            MortalityTable(self.GRID, self.PMF, bad_s, np.ones(5))
+        with pytest.raises(TypeError):
+            MortalityTable(self.GRID, self.PMF, s=bad_s)
+        with pytest.raises(TypeError):
+            MortalityTable(self.GRID, self.PMF, tail=np.ones(5))
+
+    @pytest.mark.parametrize("grid", ["grid", None, (0, 1, 5)])
+    def test_grid_must_be_a_time_grid(self, grid):
+        with pytest.raises(ConfigurationError, match=r"^mortality grid must be a TimeGrid, got "):
+            MortalityTable(grid, [1.0])
+
+    def test_arrays_are_read_only_copies(self):
+        p = np.array(self.PMF)
+        t = MortalityTable(self.GRID, p)
+        assert p.flags.writeable and not np.shares_memory(t.p, p)
+        for arr in (t.p, t.s, t.tail):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        assert t.s.tolist() == pytest.approx([0.8, 0.75, 2 / 3, 0.5, 0.0], abs=1e-15)
+
+    def test_replace_checks_the_new_pmf(self):
+        t = MortalityTable(self.GRID, self.PMF)
+        moved = dataclasses.replace(t, p=[0.0, 0.0, 0.0, 0.0, 1.0])
+        assert moved.s.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0]
+        assert moved.tail.tolist() == [1.0] * 5
+        with pytest.raises(ConfigurationError, match="sum to 1"):
+            dataclasses.replace(t, p=[0.5, 0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ConfigurationError, match="does not match grid"):
+            dataclasses.replace(t, grid=make_time_grid(0, 1, 4))
 
 
 class TestCSVIngestion:
@@ -196,18 +243,18 @@ class TestStepSurvivalTail:
 class TestAnnuityFactor:
     def test_certain_survival_k_periods(self):
         g = make_time_grid(0, 1, 6)
-        t = MortalityTable.from_pmf(g, [0, 0, 0, 0, 0, 1.0])
+        t = MortalityTable(g, [0, 0, 0, 0, 0, 1.0])
         assert annuity_factor(t, 0.0) == pytest.approx(6.0, abs=1e-12)
 
     def test_single_date(self):
         g = make_time_grid(0, 1, 1)
-        t = MortalityTable.from_pmf(g, [1.0])
+        t = MortalityTable(g, [1.0])
         assert annuity_factor(t, 0.0) == 1.0
         assert annuity_factor(t, 0.5) == 1.0  # t0 payment is undiscounted
 
     def test_half_half(self):
         g = make_time_grid(0, 1, 2)
-        t = MortalityTable.from_pmf(g, [0.5, 0.5])
+        t = MortalityTable(g, [0.5, 0.5])
         assert annuity_factor(t, 0.0) == pytest.approx(1.5, abs=1e-12)
 
     def test_discounting_lowers_price(self, mild_table):

@@ -30,7 +30,7 @@ from pensionlab.solver import (
 
 from conftest import BUNDLED_GOMPERTZ, DISCOUNTS, EXPONENTS, random_mortality
 from oracle_dp import best_growth_exponent, golden_max, oracle_values
-from oracle_pooled import linear_recursion
+from oracle_pooled import continuous_consumption_rate, linear_recursion
 
 
 def random_prefs(rng):
@@ -115,7 +115,7 @@ class TestGrowthExponent:
 class TestSolve:
     def test_two_period_equal_split(self):
         grid = make_time_grid(0, 1, 2)
-        mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
+        mt = MortalityTable(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.15)
         for alpha in (-3.0, -1.0, 0.5):
             t = solve(CollectiveMode.individual(), market,
@@ -132,7 +132,7 @@ class TestSolve:
             CollectiveMode.individual(),
             MarketParams(mu=0.0, r=0.0, sigma=0.2),
             Preferences(alpha=-1.0, rho=-1.0, b=0.0),
-            MortalityTable.from_pmf(grid, p),
+            MortalityTable(grid, p),
         )
         assert table.cstar[0, 0] == pytest.approx(0.1, abs=1e-15)
         # c* = z^(rho/(rho-1)), here z^(1/2)
@@ -164,7 +164,7 @@ class TestSolve:
 
     def test_two_member_fund_matches_brute_force(self, base_market):
         grid = make_time_grid(0, 1, 3)
-        mt = MortalityTable.from_pmf(grid, [0.2, 0.4, 0.4])  # s = (0.8, 0.5, 0)
+        mt = MortalityTable(grid, [0.2, 0.4, 0.4])  # s = (0.8, 0.5, 0)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         t = solve(CollectiveMode.finite(2), base_market, prefs, mt)
         w = oracle_values(2, grid, base_market, prefs, mt)
@@ -234,7 +234,7 @@ class TestSolve:
         grid = make_time_grid(0, 1, 200)
         p = np.zeros(200)
         p[-1] = 1.0
-        mt = MortalityTable.from_pmf(grid, p)
+        mt = MortalityTable(grid, p)
         market = MarketParams(mu=10.0, r=10.0, sigma=0.2)
         prefs = Preferences(alpha=0.5, rho=0.5, b=0.0)
         with pytest.raises(DivergenceError, match="t="):
@@ -249,7 +249,7 @@ class TestSolve:
         grid = make_time_grid(0, 1, 200)
         p = np.zeros(200)
         p[-1] = 1.0
-        mt = MortalityTable.from_pmf(grid, p)
+        mt = MortalityTable(grid, p)
         market = MarketParams(mu=-10.0, r=-10.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-3.0, b=0.0)
         with pytest.raises(DivergenceError, match=r"survivor count 1 at t=104\.0"):
@@ -258,6 +258,30 @@ class TestSolve:
             solve(CollectiveMode.infinite(), market, prefs, mt)
         with pytest.raises(DivergenceError, match=r"survivor count 1 at t=104\.0"):
             solve(CollectiveMode.finite(2), market, prefs, mt)
+
+    @pytest.mark.parametrize("mode", [CollectiveMode.infinite(), CollectiveMode.individual()], ids=str)
+    @pytest.mark.parametrize(
+        "market",
+        [MarketParams(mu=1e300, r=0.027, sigma=0.15), MarketParams(mu=0.062, r=0.027, sigma=1e-100)],
+        ids=["mu-1e300", "sigma-1e-100"],
+    )
+    def test_non_finite_growth_diverges(
+        self, default_table, vnm_prefs, mode, market
+    ):
+        # xi is NaN or -inf: the closed form once summed it, with numpy's warnings
+        _, mt = default_table
+        with pytest.raises(DivergenceError, match=r"^growth exponent xi = (nan|-inf) is not finite"):
+            solve(mode, market, vnm_prefs, mt)
+        one_date = gompertz_makeham(0.0, 0.0, 0.0, make_time_grid(65, 1, 66))
+        with pytest.raises(DivergenceError, match=r"^growth exponent xi"):  # once xi = nan, exit 0
+            solve(mode, market, vnm_prefs, one_date)
+
+    def test_overflowing_discount_term_diverges_before_the_closed_form(self, default_table):
+        # log(beta)/rho overflows to -inf at so small a rho
+        _, mt = default_table
+        prefs = Preferences(alpha=-1.0, rho=-1e-310, b=0.02)
+        with pytest.raises(DivergenceError, match=r"^value recursion diverged at t=65\.0$"):
+            solve(CollectiveMode.infinite(), MarketParams(0.062, 0.027, 0.15), prefs, mt)
 
     def test_finite_size_cap(self):
         with pytest.raises(ConfigurationError):
@@ -302,7 +326,7 @@ class TestEvaluatePolicy:
 
     def test_two_point_hand_value(self):
         grid = make_time_grid(0, 1, 2)
-        mt = MortalityTable.from_pmf(grid, [0.0, 1.0])
+        mt = MortalityTable(grid, [0.0, 1.0])
         market = MarketParams(mu=0.0, r=0.0, sigma=0.2)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         strat = Strategy(CollectiveMode.individual(), a=np.zeros(2), c=np.array([[0.3, 1.0]]))
@@ -421,7 +445,7 @@ class TestEvaluatePolicy:
         # Consuming everything at t=1 or t=0 leaves nothing for later dates:
         # in v^rho its continuation factor is 0 (rho > 0) or inf (rho < 0)
         grid = make_time_grid(0, 1, 6)
-        mt = MortalityTable.from_pmf(grid, [0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
+        mt = MortalityTable(grid, [0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
         market = MarketParams(mu=0.06, r=0.03, sigma=0.15)
         modes = (CollectiveMode.individual(), CollectiveMode.infinite(), CollectiveMode.finite(3))
         # (rho, consumption rate, date): value per mode
@@ -564,13 +588,38 @@ class TestInfinitePolicyInFiniteFund:
         assert np.all(res.consumption[~alive] == 0.0)
 
 
+class TestContinuousConsumptionLimit:
+    """c*_0 / dt tends to the continuous-time rate c(t0) as dt -> 0.  y_0 dt
+    is a left Riemann sum, so c*_0 / dt = c(t0) + A dt + B dt^2 + O(dt^3),
+    and a Richardson extrapolation over dt = 1/16, 1/32 and 1/64 removes the
+    first two terms.  The limit is a quadrature of the exact Gompertz-Makeham
+    hazard (``oracle_pooled.continuous_consumption_rate``), which shares no
+    code with ``gompertz_makeham``, ``_log_phi`` or ``_pooled``.  On the
+    bundled table the infinite fund's c*_0 is 0.05559 at dt = 1, against a
+    limit of 0.05719."""
+
+    @pytest.mark.parametrize("mode", [CollectiveMode.infinite(), CollectiveMode.finite(1)], ids=str)
+    @pytest.mark.parametrize("alpha, rho, b", [(-1.0, -1.0, 0.0), (-3.0, -1.0, 0.02), (-5.0, -0.5, 0.0)])
+    def test_richardson_limit_matches_the_integral(self, base_market, mode, alpha, rho, b):
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        rates = []
+        for dt in (1 / 16, 1 / 32, 1 / 64):
+            grid = make_time_grid(65, dt, 95)
+            mt = gompertz_makeham(**BUNDLED_GOMPERTZ, grid=grid)
+            rates.append(solve(mode, base_market, prefs, mt).cstar[0, 0] / dt)
+        extrapolated = (rates[0] - 6.0 * rates[1] + 8.0 * rates[2]) / 3.0
+        gompertz = tuple(BUNDLED_GOMPERTZ[k] for k in "abc")
+        limit = continuous_consumption_rate(gompertz, base_market, prefs, mode.pooling, 65.0, 95.0)
+        assert abs(extrapolated / limit - 1.0) <= 1e-8  # measured: 3.2e-10 to 5.7e-10
+
+
 class TestBackwardDriver:
     def test_single_member_matches_scalar_recursion(self):
         # two dates: the kernel's row of one survivor is the individual recursion
         # z_0 = (1 + theta^q)^(1/q), theta = beta^(1/rho) exp(xi dt) s^(1/alpha) z_1
         grid = make_time_grid(0, 1, 2)
         s, alpha, rho, b = 0.8, -1.5, -0.5, 0.01
-        mt = MortalityTable.from_pmf(grid, [1.0 - s, s])
+        mt = MortalityTable(grid, [1.0 - s, s])
         market = MarketParams(mu=0.06, r=0.03, sigma=0.15)
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         q = rho / (1.0 - rho)

@@ -36,14 +36,14 @@ class TestAnnuityUtility:
     def test_certain_survival_k_periods(self):
         grid = make_time_grid(0, 1, 4)
         p = [0.0, 0.0, 0.0, 1.0]
-        mt = MortalityTable.from_pmf(grid, p)
+        mt = MortalityTable(grid, p)
         prefs = Preferences(alpha=-1.0, rho=-1.0, b=0.0)
         # k periods of certain consumption: U = k^(1/rho) = 1/4
         assert annuity_utility(mt, prefs) == pytest.approx(0.25, abs=1e-14)
 
     def test_single_period(self):
         grid = make_time_grid(0, 1, 1)
-        mt = MortalityTable.from_pmf(grid, [1.0])
+        mt = MortalityTable(grid, [1.0])
         prefs = Preferences(alpha=-2.0, rho=-0.5, b=0.1)
         assert annuity_utility(mt, prefs) == 1.0
 
@@ -95,7 +95,7 @@ class TestAnnuityUtility:
     def test_subnormal_utility_raises(self):
         # log U is about -713: U = 1.57e-310 is positive but carries too few
         # significant bits for the outperformance that divides by it
-        mt = MortalityTable.from_pmf(make_time_grid(0, 1, 2), [0.51, 0.49])
+        mt = MortalityTable(make_time_grid(0, 1, 2), [0.51, 0.49])
         with pytest.raises(DivergenceError, match="annuity utility"):
             annuity_utility(mt, Preferences(alpha=0.001, rho=-1.0, b=0.0))
 
