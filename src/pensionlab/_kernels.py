@@ -7,9 +7,10 @@ Two operations dominate runtime and live here:
   ``solver._backward``), evaluated in log space so z^alpha stays
   representable for large |alpha|.  Each survivor-count row is summed only
   over a window of O(sqrt(n)) terms around its mean, with a proven bound on
-  the dropped mass, so a step costs O(n^1.5) time and O(n + chunk * window)
+  the dropped mass, so a step costs O(n^1.5) time and O(n + block)
   memory instead of O(n^2) for both.  Each term is one addition of row
-  copies of two per-index vectors, not per-term gathers.
+  copies of two per-index vectors, not per-term gathers.  A row plan
+  restricts a step to the rows a study reaches.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode.  It is a table sampler in two
   parts.  ``binomial_table`` builds the cumulative chop-down sums once per
@@ -80,10 +81,14 @@ def lgamma_table(nmax: int) -> np.ndarray:
 # depends on lo and lo on t; _row_windows iterates lo down to a fixed point,
 # where the bound holds for the window actually used.  Rows whose bound
 # covers all of 1..m (small m, or an infinite log z') get lo = 1, hi = m.
+# _windows takes the range of alpha log z' as an argument: the exact prefix
+# range (_row_windows), or any bound on it, which widens the windows.
 #
-# Rows are evaluated CHUNK_ROWS at a time on a (rows x widest window) block,
-# so memory is O(n + CHUNK_ROWS * window), never O(n^2).  Each term's log is
-# A_i + D_d with d = m - i and
+# Rows are grouped in chunks of CHUNK_ROWS counts, and a chunk is evaluated
+# on (rows x widest window) blocks of at most BLOCK_CELLS cells (one row, if
+# wider), so memory is O(n + BLOCK_CELLS + window), never O(n^2).  A row's
+# sum depends on its chunk's width, not on the rows beside it in the block.
+# Each term's log is A_i + D_d with d = m - i and
 #
 #   A_i = i log s - log i! + (1-alpha) log i + alpha log z'_i
 #   D_d = d log(1-s) - log d!,
@@ -100,20 +105,26 @@ def lgamma_table(nmax: int) -> np.ndarray:
 
 TAIL_NATS = 40.0  # exp(-40) = 4.2e-18: the dropped/kept mass bound per row
 CHUNK_ROWS = 128
+BLOCK_CELLS = 32_768  # cells of one (rows x chunk width) block: 256 KiB
 
 
 def _row_windows(alpha_logw, s, alpha):
-    """Per-row window bounds lo, hi (1-based, inclusive) for 0 < s < 1."""
-    m = np.arange(1, alpha_logw.shape[0] + 1, dtype=np.float64)
+    """Exact window bounds lo, hi (1-based, inclusive) of the rows m = 1..n
+    for 0 < s < 1, alpha_logw holding alpha log z' at the counts 1..n."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, a whole row below
+        spread = np.maximum.accumulate(alpha_logw) - np.minimum.accumulate(alpha_logw)
+    return _windows(np.arange(1, alpha_logw.shape[0] + 1), spread, s, alpha)
+
+
+def _windows(rows, spread, s, alpha):
+    """Window bounds lo, hi (1-based, inclusive) of the survivor counts
+    ``rows`` for 0 < s < 1, ``spread`` bounding each row's range of alpha
+    log z' over the counts 1..m (one bound for every row, or one per row)."""
+    m = np.asarray(rows, dtype=np.float64)
     ms = m * s
     v = ms * (1.0 - s)
     with np.errstate(invalid="ignore", divide="ignore"):
-        base = (
-            TAIL_NATS
-            + math.log(2.0)
-            + (np.maximum.accumulate(alpha_logw) - np.minimum.accumulate(alpha_logw))
-            - np.log(-np.expm1(m * math.log1p(-s)))
-        )
+        base = TAIL_NATS + math.log(2.0) + spread - np.log(-np.expm1(m * math.log1p(-s)))
         # lo only moves down, and a lower lo only widens t, so this ends;
         # fmax/fmin map a NaN bound (inf - inf, inf * 0) to the whole row
         lo = np.fmax(1.0, np.floor(ms))
@@ -141,36 +152,60 @@ def _log_sum_exp_rows(t):
         return np.where(finite, mx + np.log(adj), mx)
 
 
-def log_survivor_mixture(logw, s, lgam, alpha):
-    """log lam_m for m = 1..n, where
+def log_survivor_mixture(logw, s, lgam, alpha, step=None):
+    """log lam_m per survivor count m of the date, where
 
         lam_m = sum_{i=1..m} (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) exp(alpha logw_i)
 
-    via a row-wise log-sum-exp over each row's certified window of i.
+    via a row-wise log-sum-exp over each row's window of i.
+
+    ``step`` is one date of a row plan (``solver.RowPlan.step``): the counts
+    m to evaluate, each one's window lo..hi, and the counts i whose logw is
+    given, which hold every window; all ascending.  None is ``solve``'s
+    all-rows plan: m and i run over 1..n, n = len(logw), each row over its
+    exact window.  A pruned plan cannot know the exact windows, which need
+    every row's logw.  It bounds the range of alpha logw by the one-member
+    and the infinite fund, which bracket every count, widened by
+    ``solver.BRACKET_MARGIN``; its windows hold the exact ones while the
+    bracket holds, and ``solver._start_rows`` falls back to the all-rows
+    plan when a row leaves it.  A row's bits depend only on its window and
+    its 128-count chunk's width, so they match the all-rows plan's where
+    both do.
     """
-    n = logw.shape[0]
+    if step is None:
+        counts = np.arange(1, logw.shape[0] + 1)
+        lo, hi = (counts, counts) if s >= 1.0 else _row_windows(alpha * logw, s, alpha)
+        step = (counts, lo, hi, counts)
+    rows, lo, hi, given = step
+    at = np.searchsorted(given, lo)  # the position of each window's first logw
     if s >= 1.0:
-        return alpha * logw
-    i = np.arange(1, n + 1, dtype=np.float64)
+        return alpha * logw[at]
+    i = given.astype(np.float64)
     logi = np.log(i)
-    lo, hi = _row_windows(alpha * logw, s, alpha)
     span = hi - lo
     width = int(span.max(initial=0)) + 1
-    # A_i sits at column i - 1 and D_d at column n - d, zero-padded by the
-    # widest window, so a block row i = lo..lo+w-1 is one row of each view
-    ops = np.zeros((2, n + 1 + width))
-    ops[0, :n] = i * math.log(s) - lgam[1 : n + 1] + (1.0 - alpha) * logi + alpha * logw
-    ops[1, : n + 1] = np.arange(n, -1, -1) * math.log1p(-s) - lgam[n::-1]
+    back = rows - lo  # d = m - i at a block row's first column
+    top = int(back.max(initial=0))
+    # A_i sits at the position of i in ``given`` and D_d at column top - d,
+    # zero-padded by the widest window, so a block row i = lo..lo+w-1 is one
+    # row of each view
+    ops = np.zeros((2, max(given.size, top + 1) + width))
+    ops[0, : given.size] = i * math.log(s) - lgam[given] + (1.0 - alpha) * logi + alpha * logw
+    ops[1, : top + 1] = np.arange(top, -1, -1) * math.log1p(-s) - lgam[top::-1]
     a_i, d_d = sliding_window_view(ops, width, axis=1)
-    row_const = lgam[1 : n + 1] - (1.0 - alpha) * logi
-    out = np.empty(n)
-    for start in range(0, n, CHUNK_ROWS):
-        rows = slice(start, min(start + CHUNK_ROWS, n))
-        w = int(span[rows].max()) + 1
-        t = a_i[lo[rows] - 1, :w]
-        t += d_d[n - 1 - np.arange(rows.start, rows.stop) + lo[rows], :w]
-        np.copyto(t, -np.inf, where=np.arange(w) > span[rows, None])
-        out[rows] = _log_sum_exp_rows(t) + row_const[rows]
+    logm = logi if rows is given else np.log(rows.astype(np.float64))
+    row_const = lgam[rows] - (1.0 - alpha) * logm
+    edges = np.flatnonzero(np.diff((rows - 1) // CHUNK_ROWS, prepend=-1, append=-1))
+    out = np.empty(rows.size)
+    for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        w = int(span[start:stop].max()) + 1
+        per = max(1, BLOCK_CELLS // w)
+        for first in range(start, stop, per):
+            part = slice(first, min(first + per, stop))
+            t = a_i[at[part], :w]
+            t += d_d[top - back[part], :w]
+            np.copyto(t, -np.inf, where=np.arange(w) > span[part, None])
+            out[part] = _log_sum_exp_rows(t) + row_const[part]
     return out
 
 

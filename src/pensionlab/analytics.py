@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, MarketParams, Preferences, _real
+from .core import ConfigurationError, DivergenceError, MarketParams, Preferences, _real
 from .solver import CollectiveMode, ValueTable, _log_phi, growth_exponent, optimal_proportion
 
 __all__ = [
@@ -84,7 +84,15 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     steps = -pool * np.log(s) + log_remaining + xi_drift * grid.dt
     # np.cumsum adds one date at a time, in the order of the recursion
     mu_x = np.cumsum(np.concatenate(([math.log(x0)], steps)))
-    step_var = (table.astar * table.market.sigma) ** 2 * grid.dt
+    try:
+        step_var = (table.astar * table.market.sigma) ** 2 * grid.dt
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        step_var = math.inf
+    if not (math.isfinite(xi_drift) and math.isfinite(step_var)):
+        raise DivergenceError(
+            f"log wealth per step has drift {xi_drift} and variance {step_var} "
+            f"at a* = {table.astar}; both must be finite"
+        )
     sigma_x = np.sqrt(np.cumsum(np.concatenate(([0.0], np.full(s.size, step_var)))))
     mu_gamma = mu_x + (rho / (rho - 1.0)) * np.log(table.z[0])
     for arr in (mu_x, sigma_x, mu_gamma):

@@ -54,7 +54,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, TimeGrid, _integer, _real
 from .mortality import MortalityTable
-from .solver import Strategy, ValueTable, extract_strategy, growth_exponent
+from .solver import Strategy, ValueTable, _policy_growth, extract_strategy
 from ._kernels import binomial_draws, binomial_table, lgamma_table
 from ._rng import inverse_normal_cdf, path_keys, step_hash, stream_uniforms
 
@@ -327,7 +327,7 @@ def simulate(
     xq = np.full((len(QUANTILES), n_steps), np.nan)
     alive_ct = np.empty(n_steps, dtype=np.int64)
 
-    growth_base = growth_exponent(market, 0.0, policy.a) * dt  # the drift of log wealth
+    growth_base = _policy_growth(market, 0.0, policy.a, grid) * dt  # the drift of log wealth
     growth_vol = policy.a * market.sigma * math.sqrt(dt)
 
     keys = path_keys(seed, paths)

@@ -16,6 +16,8 @@ A fund of n >= 2 members is solved on the triangular table z_{i,t}
 binomial survivor transition, weighted by the wealth concentration
 (i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.  Every table and
 policy is (rows, n_steps): a row per survivor count, one for the infinite fund.
+A study that reads only some counts at t0 solves just the rows they reach
+(``_start_rows``), with no table.
 
 The pooled recursions are linear, x_k = a_k + b_k x_{k+1} with x = a at the
 last date: y above (a = 1, b = phi^q), the annuity's U^rho and a fixed
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .core import (
     _real_array,
 )
 from .mortality import MortalityTable
-from ._kernels import lgamma_table, log_survivor_mixture
+from ._kernels import _windows, lgamma_table, log_survivor_mixture
 
 __all__ = [
     "CollectiveMode",
@@ -131,6 +134,21 @@ def growth_exponent(market: MarketParams, alpha: float, a: float | None = None) 
     return a * (market.mu - market.r) + market.r - 0.5 * a * a * (1.0 - alpha) * market.sigma**2
 
 
+def _policy_growth(market: MarketParams, alpha: float, a: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """growth_exponent per date for the stock proportions ``a``, checked
+    finite at every date a step uses, all but the last: a proportion whose
+    square overflows gives -inf or NaN, which DivergenceError reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = growth_exponent(market, alpha, a)
+    ok = np.isfinite(kappa[:-1])
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DivergenceError(
+            f"growth exponent kappa = {kappa[k]} is not finite at t={grid.points[k]}, a = {a[k]}"
+        )
+    return kappa
+
+
 def _log_phi(prefs: Preferences, dt: float, kappa, s, pooling: int):
     """log phi = log(beta)/rho + kappa dt + (1/alpha - C) log s, phi being the
     factor on next-period value per unit wealth, C = ``pooling``; elementwise
@@ -189,27 +207,97 @@ def _diverged(mode, grid, k, row):
     return DivergenceError(f"value recursion diverged {count}at t={grid.points[k]}")
 
 
-def _backward(mode, prefs, mortality, kappa, last, rule):
-    """Log values log v of a fund of n >= 2, one row per survivor count,
-    backward from their last-date values ``last``: log v_k = rule(k, log
-    theta_k), log theta_k = drift_k + log lam_k / alpha, with drift_k = log
-    phi_k at s = 1 and lam_k the survivor mixture of v_{k+1}.  NaN and +inf
-    are divergence; -inf is v = 0, which a policy consuming nothing at some
-    date earns when rho < 0.
+class RowPlan(NamedTuple):
+    """The survivor counts a backward pass solves at each date k: the
+    intervals ``spans[k]``, rows [first, last], ascending.  ``spread[k]``
+    bounds the range of alpha log z over the counts at date k and sizes the
+    windows into it; every window of date k lies in the counts of k + 1."""
+
+    spans: list
+    spread: np.ndarray
+    mortality: MortalityTable
+    alpha: float
+
+    def rows(self, k):
+        return np.concatenate([np.arange(first, last + 1) for first, last in self.spans[k]])
+
+    def windows(self, k, rows):
+        """Each row's window lo, hi of counts at date k + 1."""
+        s = float(self.mortality.s[k])
+        return (rows, rows) if s >= 1.0 else _windows(rows, self.spread[k + 1], s, self.alpha)
+
+    def step(self, k):
+        """Date k as ``log_survivor_mixture`` takes it."""
+        rows = self.rows(k)
+        return rows, *self.windows(k, rows), self.rows(k + 1)
+
+
+def _row_plan(sizes, mortality, alpha, spread) -> RowPlan:
+    """The rows the counts ``sizes`` (ascending, distinct) reach at t0,
+    forward in time: at each date the union of the windows of its rows."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    plan = RowPlan([np.stack((sizes, sizes), axis=1)], spread, mortality, alpha)
+    n = int(sizes[-1])
+    for k in range(mortality.grid.n_steps - 1):
+        lo, hi = plan.windows(k, plan.rows(k))
+        covered = np.cumsum(np.bincount(lo, minlength=n + 2) - np.bincount(hi + 1, minlength=n + 2))
+        edges = np.flatnonzero(np.diff(covered > 0))  # count 0 and n + 1 are never covered
+        plan.spans.append(edges.reshape(-1, 2) + [1, 0])
+    return plan
+
+
+def _backward(mode, prefs, mortality, kappa, last, rule, plan=None):
+    """Log values log v of a fund of n >= 2, backward from their last-date
+    values ``last``: yields (k, log v_k) from the last date to t0, one entry
+    per row of the date.  log v_k = rule(k, log theta_k), log theta_k =
+    drift_k + log lam_k / alpha, with drift_k = log phi_k at s = 1 and lam_k
+    the survivor mixture of v_{k+1}.  NaN and +inf are divergence; -inf is
+    v = 0, which a policy consuming nothing at some date earns when rho < 0.
+
+    ``plan`` (a ``RowPlan``) solves only its rows, over its windows, and
+    holds two dates of them at a time; None, the all-rows plan, solves every
+    row 1..n over its exact window.  A pruned plan's windows come from a
+    bound on the range of alpha log z at the next date: |alpha| (log z_inf -
+    log z_1), from the infinite and the one-member fund, which bracket every
+    survivor count, plus BRACKET_MARGIN on each side.  They hold the exact
+    windows while every count stays in that bracket; ``_start_rows`` checks
+    each yielded date and, if a row leaves it, reruns with the all-rows plan.
     """
     grid = mortality.grid
-    logv = np.empty((mode.n, grid.n_steps))
-    logv[:, -1] = last
     drift = np.broadcast_to(_log_phi(prefs, grid.dt, kappa, 1.0, 0), grid.n_steps)
     lgam = lgamma_table(mode.n)
-    with np.errstate(over="ignore"):  # overflow is caught below as NaN or +inf
-        for k in range(grid.n_steps - 2, -1, -1):
-            lam = log_survivor_mixture(logv[:, k + 1], float(mortality.s[k]), lgam, prefs.alpha)
-            logv[:, k] = rule(k, drift[k] + lam / prefs.alpha)
-            ok = logv[:, k] < np.inf  # False for NaN and +inf
-            if not ok.all():
-                raise _diverged(mode, grid, k, int(np.argmin(ok)))
-    return logv
+    logv = last
+    yield grid.n_steps - 1, logv
+    for k in range(grid.n_steps - 2, -1, -1):
+        step = None if plan is None else plan.step(k)
+        with np.errstate(over="ignore"):  # overflow is caught below as NaN or +inf
+            lam = log_survivor_mixture(logv, float(mortality.s[k]), lgam, prefs.alpha, step)
+            logv = rule(k, drift[k] + lam / prefs.alpha)
+        ok = logv < np.inf  # False for NaN and +inf
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise _diverged(mode, grid, k, row if plan is None else int(plan.rows(k)[row]) - 1)
+        yield k, logv
+
+
+def _exponents(market, prefs):
+    """(a*, xi), xi checked finite."""
+    astar = optimal_proportion(market, prefs.alpha)
+    xi = growth_exponent(market, prefs.alpha)
+    if not math.isfinite(xi):  # mu - r or a* beyond the float range; xi is then NaN or +-inf
+        raise DivergenceError(f"growth exponent xi = {xi} is not finite at a* = {astar}")
+    return astar, xi
+
+
+def _optimal(q):
+    """``solve``'s rule: log z from log theta, with y = 1 + theta^q."""
+
+    def rule(k, logtheta):
+        # overflow is divergence; as NaN, a negative q cannot make it log z = -inf
+        y = 1.0 + np.exp(q * logtheta)
+        return (1.0 / q) * np.log(np.where(y == np.inf, np.nan, y))
+
+    return rule
 
 
 def solve(
@@ -223,19 +311,12 @@ def solve(
     if not isinstance(mode, CollectiveMode):
         raise ConfigurationError(f"mode must be a CollectiveMode, got {mode!r}")
     grid = mortality.grid
-    astar = optimal_proportion(market, prefs.alpha)
-    xi = growth_exponent(market, prefs.alpha)
-    if not math.isfinite(xi):  # mu - r or a* beyond the float range; xi is then NaN or +-inf
-        raise DivergenceError(f"growth exponent xi = {xi} is not finite at a* = {astar}")
+    astar, xi = _exponents(market, prefs)
     q = prefs.rho / (1.0 - prefs.rho)
-
-    def optimal(k, logtheta):
-        # overflow is divergence; as NaN, a negative q cannot make it log z = -inf
-        y = 1.0 + np.exp(q * logtheta)
-        return (1.0 / q) * np.log(np.where(y == np.inf, np.nan, y))
-
     if mode.pooling is None:
-        logz = _backward(mode, prefs, mortality, xi, np.zeros(mode.n), optimal)
+        logz = np.empty((mode.n, grid.n_steps))
+        for k, column in _backward(mode, prefs, mortality, xi, np.zeros(mode.n), _optimal(q)):
+            logz[:, k] = column
     else:
         log_b = q * _log_phi(prefs, grid.dt, xi, mortality.s[:-1], mode.pooling)
         ok = np.isfinite(log_b)  # as _pooled needs
@@ -258,6 +339,37 @@ def solve(
         mode=mode, mortality=mortality, market=market, prefs=prefs,
         z=z, y=y, cstar=cstar, astar=astar, xi=xi,
     )
+
+
+BRACKET_MARGIN = 1e-9  # nats of log z; the finite solve rounds by ~5e-11 at n = 10 000
+
+
+def _start_rows(counts, market, prefs, mortality, low, high) -> np.ndarray:
+    """z at t0 of the survivor counts ``counts`` (ascending, distinct) of a
+    fund of n = max(counts): ``solve(finite(n)).z[counts - 1, 0]``, solved
+    only on the rows they reach, inside the bracket ``low``, ``high``: log z
+    of the one-member and the infinite fund per date (see ``_backward``).
+    If a solved row leaves the bracket, or ``low`` is None, it is the
+    all-rows ``solve``'s result, or error.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    mode = CollectiveMode.finite(int(counts[-1]))
+    if low is None or mode.pooling is not None:
+        return solve(mode, market, prefs, mortality).z[counts - 1, 0]
+    _, xi = _exponents(market, prefs)
+    q = prefs.rho / (1.0 - prefs.rho)
+    low, high = low - BRACKET_MARGIN, high + BRACKET_MARGIN
+    plan = _row_plan(counts, mortality, prefs.alpha, abs(prefs.alpha) * (high - low))
+    last = np.zeros(plan.rows(-1).size)
+    try:
+        for k, logz in _backward(mode, prefs, mortality, xi, last, _optimal(q), plan):
+            if not np.all((low[k] <= logz) & (logz <= high[k])):  # NaN fails
+                break
+        else:
+            return np.exp(logz)
+    except DivergenceError:
+        pass  # the all-rows solve raises it, at the row and date it reaches first
+    return solve(mode, market, prefs, mortality).z[counts - 1, 0]
 
 
 @dataclass(frozen=True)
@@ -328,12 +440,14 @@ def evaluate_policy(
     with np.errstate(divide="ignore"):
         logc = np.log(c)
         log1c = np.log1p(-c)
-    kappa = growth_exponent(market, prefs.alpha, a=a)
+    kappa = _policy_growth(market, prefs.alpha, a, mortality.grid)
     if mode.pooling is None:
         def fixed(k, logtheta):
             return (1.0 / rho) * np.logaddexp(rho * logc[:, k], rho * (logtheta + log1c[:, k]))
 
-        logv = _backward(mode, prefs, mortality, kappa, logc[:, -1], fixed)[-1, 0]
+        for _, logv in _backward(mode, prefs, mortality, kappa, logc[:, -1], fixed):
+            pass
+        logv = logv[-1]
     else:
         # in x = v^rho, a = c^rho and b = (phi (1 - c))^rho.  Consuming everything
         # at date m makes b_m 0 or inf: x_m = a_m + b_m x_{m+1} ends the recursion

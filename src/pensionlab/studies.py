@@ -15,7 +15,9 @@ budget, so every function here prices per unit of budget and income.
 Results hold no copy of their inputs: ``run_scenarios`` takes (mu, r, n)
 triples and returns one o per triple, and the arrays of a
 ``ConvergenceReport`` line up with the ``n_list`` it was given.  Both read
-every size's z at t0 in a market from one solve at its largest finite size.
+every finite size's z at t0 in a market from one fund at its largest size,
+solved only on the survivor counts those sizes reach (``_start_values``),
+so a study costs O(rows reached) time and memory, not O(n_max * n_steps).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, Preferences
 from .mortality import MortalityTable, annuity_factor
-from .solver import CollectiveMode, ValueTable, _pooled, solve
+from .solver import CollectiveMode, ValueTable, _pooled, _start_rows, solve
 
 __all__ = [
     "ConvergenceReport",
@@ -102,8 +104,9 @@ def run_scenarios(
     order of ``scenarios``; mu and r are real rates.
 
     n is None for the infinite fund and 1 for the individual, the
-    one-member fund.  A market (mu, r) is solved once at its largest n, and
-    its smaller n are read from that table: within 1e-12 of their own solve
+    one-member fund.  A market (mu, r) solves its finite n together, as
+    rows of a fund at its largest n (``_start_values``): each equals that
+    fund's full table, and its smaller n are within 1e-12 of their own solve
     in 1 + o, as its row blocks are wider and n = 1 alone is a closed form.
     """
     if not scenarios:
@@ -120,16 +123,27 @@ def run_scenarios(
 
 
 def _start_values(sizes, market, prefs, mortality) -> np.ndarray:
-    """z at t0 per size in ``sizes`` (None: infinite), with at most one finite
-    and one infinite solve: the recursion for i survivors reads only counts
-    <= i, so the largest fund's table holds every smaller fund in its rows."""
+    """z at t0 per size in ``sizes`` (None: infinite): the finite sizes are
+    rows of one finite fund at their largest size, solved only where they
+    reach (``solver._start_rows``), inside the bracket of the one-member and
+    the infinite fund, which are solved once each.  The recursion for i
+    survivors reads only counts <= i, so the largest fund holds every
+    smaller one in its rows; no (n, n_steps) table is formed."""
     modes = [CollectiveMode(n) for n in sizes]
-    counts = [mode.n for mode in modes if mode.is_finite]
+    counts = sorted({mode.n for mode in modes if mode.is_finite})
+    try:
+        z_one, z_inf = (solve(CollectiveMode(n), market, prefs, mortality).z[0] for n in (1, None))
+    except DivergenceError:  # raised again below by the first solve that needs it
+        z_one = z_inf = None
+    z0 = {}
     if counts:
-        rows = solve(CollectiveMode(max(counts)), market, prefs, mortality).z[:, 0]
-    if len(counts) < len(modes):
-        z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z_at_start()
-    return np.array([rows[mode.n - 1] if mode.is_finite else z_inf for mode in modes])
+        bracket = (None, None) if z_inf is None else (np.log(z_one), np.log(z_inf))
+        z0.update(zip(counts, _start_rows(counts, market, prefs, mortality, *bracket)))
+    if not all(mode.is_finite for mode in modes):
+        if z_inf is None:
+            z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z[0]
+        z0[None] = z_inf[0]
+    return np.array([z0[mode.n] for mode in modes])
 
 
 @dataclass(frozen=True)
@@ -175,8 +189,9 @@ def convergence_study(
     mortality: MortalityTable,
 ) -> ConvergenceReport:
     """The fund size study for the sizes in ``n_list`` (each a
-    ``CollectiveMode`` size), read with n = 1 from one finite solve at the
-    largest size, and one infinite solve.
+    ``CollectiveMode`` size): they and n = 1 are read from one fund at the
+    largest size, solved only on the survivor counts they reach, and the
+    limit from one infinite solve (``_start_values``).
     """
     n_list = _checked_sizes(n_list)
     if n_list[-1] < 10 * n_list[0]:

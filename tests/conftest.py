@@ -58,6 +58,14 @@ def random_mortality(rng: np.random.Generator, grid) -> MortalityTable:
 EXPONENTS = st.floats(-8.0, -1e-3) | st.floats(1e-3, 0.95, exclude_max=True)
 DISCOUNTS = st.sampled_from([0.0, 0.02, 0.1])
 
+# the bundled Gompertz table ending at any age to 95, or a random pmf
+MORTALITY = st.integers(66, 95).map(
+    lambda T: gompertz_makeham(**BUNDLED_GOMPERTZ, grid=make_time_grid(65, 1, T))
+) | st.builds(
+    lambda steps, seed: random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps)),
+    st.integers(2, 60), st.integers(0, 2**32 - 1),
+)
+
 
 def run_child_python(code: str, **env: str) -> str:
     """stdout of ``python -c code`` with this checkout's pensionlab on its

@@ -128,6 +128,15 @@ class TestWealthSchedule:
         with pytest.raises(ConfigurationError, match="individual and infinite"):
             wealth_schedule(table, 1.0)
 
+    def test_overflowing_wealth_variance_diverges(self):
+        # (a* sigma)^2 = 1e310 with Python's float power once raised
+        # OverflowError: 34, 'Numerical result out of range'
+        mt = MortalityTable(make_time_grid(65, 1, 66), [1.0])
+        market = MarketParams(mu=1e154, r=0.0, sigma=10.0)
+        table = solve(CollectiveMode.infinite(), market, Preferences(alpha=0.99, rho=-1.0), mt)
+        with pytest.raises(DivergenceError, match=r"^log wealth per step has drift -inf and variance inf"):
+            wealth_schedule(table, 1.0)
+
     def test_bad_x0(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)

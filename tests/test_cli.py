@@ -150,7 +150,10 @@ class TestSolveCommand:
         raw = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
         cfg = parse_config(dict(raw, mode="finite:2048"), REPO / "configs")
         new = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
-        monkeypatch.setattr(solver, "log_survivor_mixture", log_survivor_mixture_gather)
+        # solve passes the all-rows plan, step None
+        monkeypatch.setattr(solver, "log_survivor_mixture", lambda logw, s, lgam, alpha, step: (
+            log_survivor_mixture_gather(logw, s, lgam, alpha)
+        ))
         old = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
         assert np.allclose(new.z, old.z, rtol=1e-10, atol=0.0)
         assert np.allclose(new.cstar, old.cstar, rtol=1e-10, atol=0.0)
@@ -177,6 +180,18 @@ class TestDistributionCommand:
     def test_finite_mode_unsupported(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(DEFAULTISH, mode="finite:3"))
         assert main(["distribution", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_overflowing_wealth_variance_exits_3_without_csv(self, tmp_path, capsys):
+        # the one-date solve succeeds; (a* sigma)^2 = 1e310 once escaped as OverflowError
+        cfg = write_cfg(tmp_path, dict(
+            DEFAULTISH, market={"mu": 1e154, "r": 0.0, "sigma": 10.0},
+            preferences={"alpha": 0.99, "rho": -1.0}, grid={"t0": 65, "dt": 1, "T": 66},
+        ))
+        out = tmp_path / "out"
+        assert main(["distribution", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: log wealth per step has drift -inf") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
 
 class TestSimulateCommand:

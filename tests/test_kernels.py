@@ -407,7 +407,8 @@ class TestBandedMixture:
 
     def test_one_call_allocates_two_operand_vectors_and_one_block(self):
         # six operand rows and seven (rows x window) temporaries per block
-        # once peaked at 2.90 MiB here; two vectors and one block: 1.69 MiB
+        # once peaked at 2.90 MiB here; two vectors and one block: 1.69 MiB;
+        # blocks of at most BLOCK_CELLS cells: 1.44 MiB
         n = 10_000
         logw = np.linspace(0.7, 3.0, n)
         lgam = lgamma_table(n)

@@ -28,7 +28,7 @@ from pensionlab.solver import (
     solve,
 )
 
-from conftest import BUNDLED_GOMPERTZ, DISCOUNTS, EXPONENTS, random_mortality
+from conftest import BUNDLED_GOMPERTZ, DISCOUNTS, EXPONENTS, MORTALITY, random_mortality
 from oracle_dp import best_growth_exponent, golden_max, oracle_values
 from oracle_pooled import continuous_consumption_rate, linear_recursion
 
@@ -426,6 +426,24 @@ class TestEvaluatePolicy:
                 getattr(strategy, name)[..., 3] = 0.5
         assert np.all(strategy.a == table.astar) and np.array_equal(strategy.c, table.cstar)
 
+    @pytest.mark.parametrize(
+        "mode", [CollectiveMode.infinite(), CollectiveMode.finite(1), CollectiveMode.finite(3)], ids=str
+    )
+    def test_overflowing_proportion_diverges_in_both_callers(
+        self, default_table, base_market, vnm_prefs, mode
+    ):
+        # a * a overflows at a = 1e200: numpy once warned and the run went on
+        _, mt = default_table
+        table = solve(mode, base_market, vnm_prefs, mt)
+        strategy = Strategy(mode, np.full(mt.grid.n_steps, 1e200), table.cstar)
+        message = r"^growth exponent kappa = -inf is not finite at t=65\.0, a = 1e\+200$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=message):
+                evaluate_policy(strategy, base_market, vnm_prefs, mt)
+            with pytest.raises(DivergenceError, match=message):
+                simulate(SimulationConfig(paths=16, seed=1, policy=strategy), mt.grid, base_market, mt)
+
     def test_subnormal_value_raises(self, default_table, base_market):
         # about 1.96e-315, a subnormal with too few significant bits, where
         # solve raises for the same preferences
@@ -471,15 +489,6 @@ class TestEvaluatePolicy:
                     assert v == 0.0
                 else:
                     assert v == pytest.approx(value, rel=1e-12)
-
-
-# the bundled Gompertz table ending at any age to 95, or a random pmf
-MORTALITY = st.integers(66, 95).map(
-    lambda T: gompertz_makeham(**BUNDLED_GOMPERTZ, grid=make_time_grid(65, 1, T))
-) | st.builds(
-    lambda steps, seed: random_mortality(np.random.default_rng(seed), make_time_grid(0, 1, steps)),
-    st.integers(2, 60), st.integers(0, 2**32 - 1),
-)
 
 
 class TestFiniteTableStructure:

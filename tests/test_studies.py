@@ -1,15 +1,19 @@
 import json
 import math
+import re
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pensionlab import studies
+from pensionlab import solver, studies
+from pensionlab._kernels import _row_windows
 from pensionlab.cli import parse_config
 from pensionlab.core import (
     ConfigurationError,
@@ -28,7 +32,7 @@ from pensionlab.studies import (
     run_scenarios,
 )
 
-from conftest import DISCOUNTS, EXPONENTS, random_mortality
+from conftest import DISCOUNTS, EXPONENTS, MORTALITY, random_mortality
 from oracle_pooled import annuity_loop, decimal_start_value, zero_return_outperformance
 
 
@@ -318,12 +322,16 @@ class TestScenarios:
                     assert abs((1.0 + got) / (1.0 + own) - 1.0) <= 1e-12, (alpha, rho, mu, r, n)
 
     def test_one_finite_solve_per_market(self, default_table, vnm_prefs, monkeypatch):
-        # each market is solved at its largest size, and at most once infinite
+        # each market solves the one-member and the infinite fund once, which
+        # bracket its finite funds, and its finite sizes once, together
         _, mt = default_table
-        calls = []
-        own = studies.solve
+        calls, finite = [], []
+        own, own_rows = studies.solve, studies._start_rows
         monkeypatch.setattr(studies, "solve", lambda mode, market, *args: (
             calls.append((market.mu, market.r, mode.n)) or own(mode, market, *args)
+        ))
+        monkeypatch.setattr(studies, "_start_rows", lambda counts, market, *args: (
+            finite.append((market.mu, market.r, tuple(counts))) or own_rows(counts, market, *args)
         ))
         run_scenarios(
             [(0.062, 0.027, n) for n in [None, 1, 3, None, 1]]
@@ -331,8 +339,9 @@ class TestScenarios:
             0.15, vnm_prefs, mt,
         )
         assert Counter(calls) == Counter(
-            [(0.062, 0.027, 3), (0.062, 0.027, None), (0.027, 0.027, 2)]
+            [(mu, r, n) for mu, r in ((0.062, 0.027), (0.027, 0.027)) for n in (1, None)]
         )
+        assert finite == [(0.062, 0.027, (1, 3)), (0.027, 0.027, (1, 2))]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -561,3 +570,176 @@ class TestConvergenceRegimes:
         assert np.max(np.abs(rep.z_n / (ns * rep.z_n[0]) - 1.0)) <= 1e-9
         # z_n is negligible against z_inf, so the gap does not shrink
         assert rep.local_exponent[-1] > -0.25
+
+
+def _bracket(market, prefs, mt):
+    """log z per date of the one-member and the infinite fund."""
+    return [np.log(solve(CollectiveMode(n), market, prefs, mt).z[0]) for n in (1, None)]
+
+
+def _pruned(counts, market, prefs, mt, bracket):
+    """(z at t0 of ``counts`` from the pruned plan, whether it fell back to solve)."""
+    with mock.patch.object(solver, "solve", wraps=solver.solve) as full:
+        z0 = solver._start_rows(counts, market, prefs, mt, *bracket)
+    return z0, full.called
+
+
+def _full(counts, market, prefs, mt):
+    return solve(CollectiveMode(max(counts)), market, prefs, mt).z[np.asarray(counts) - 1, 0]
+
+
+def _plan_of(n_list, cfg, prefs):
+    """The row plan ``convergence_study`` solves ``n_list`` on."""
+    plans = []
+    own = solver._row_plan
+    with mock.patch.object(solver, "_row_plan", lambda *args: plans.append(own(*args)) or plans[0]):
+        studies._start_values([*n_list, 1, None], cfg.market, prefs, cfg.mortality)
+    return plans[0]
+
+
+def _plan_windows(plan, k):
+    """The windows lo, hi of the rows ``plan`` solves at date k."""
+    return plan.windows(k, plan.rows(k))
+
+
+def _studies_at(T):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    raw = json.loads((configs / "studies.json").read_text())
+    return parse_config(dict(raw, grid=dict(raw["grid"], T=T)), configs)
+
+
+POWERS_TO_2048 = [2**k for k in range(12)]
+DECADES_TO_10000 = [1, 10, 100, 1000, 10_000]
+
+
+class TestPrunedRows:
+    """z at t0 of the listed sizes from the rows they reach, against the full table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=EXPONENTS,
+        rho=EXPONENTS,
+        b=DISCOUNTS,
+        mt=MORTALITY,
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6, unique=True)
+        .map(sorted).filter(lambda sizes: sizes[-1] >= 2),
+    )
+    def test_matches_the_full_table(self, alpha, rho, b, mt, sizes):
+        market = MarketParams(mu=0.062, r=0.027, sigma=0.15)
+        prefs = Preferences(alpha=alpha, rho=rho, b=b)
+        try:
+            bracket = _bracket(market, prefs, mt)
+            want = _full(sizes, market, prefs, mt)
+        except DivergenceError:
+            assume(False)
+        got, fell_back = _pruned(sizes, market, prefs, mt, bracket)
+        assert not fell_back
+        # A row groups its terms as in the full table unless its 128-count
+        # chunk holds fewer planned rows (a narrower block) or the bracket
+        # starts its window lower.  Then one log-sum-exp can round to the
+        # other side of an operand's last bit, and z moves by that ulp over
+        # |alpha|: 13 of 6000 draws to n = 600 did, by at most one such ulp
+        # (log z by 1.2e-12 at n = 544, alpha = 0.39, where log n! = 2,887).
+        n = sizes[-1]
+        s = mt.s[:-1][mt.s[:-1] < 1.0]
+        operand = max([math.lgamma(n + 1.0), *(n * np.abs(np.log(s))), *(n * np.abs(np.log1p(-s)))])
+        assert np.all(np.abs(np.log(got) - np.log(want)) <= 4 * np.spacing(operand) / abs(alpha))
+
+    @pytest.mark.parametrize("n_list", [POWERS_TO_2048, DECADES_TO_10000], ids=["2048", "10000"])
+    @pytest.mark.parametrize(
+        "alpha, rho", [(-1.0, -1.0), (-3.0, -1.0), (-5.0, -0.5), (-0.5, 0.5), (0.5, -1.0)]
+    )
+    @pytest.mark.parametrize("T", [95, 90])
+    def test_studies_config_to_the_bit(self, T, alpha, rho, n_list):
+        # (0.5, -1) at T = 95 is the loose bracket: z_inf / z_1 is about 4e17
+        cfg = _studies_at(T)
+        prefs = Preferences(alpha=alpha, rho=rho, b=cfg.prefs.b)
+        with mock.patch.object(solver, "solve", wraps=solver.solve) as full:
+            got = studies._start_values(n_list, cfg.market, prefs, cfg.mortality)
+        assert not full.called
+        assert np.array_equal(got, _full(n_list, cfg.market, prefs, cfg.mortality))
+
+    def test_certain_and_near_certain_death_dates(self, vnm_prefs):
+        # s = 1 maps each row to itself; s = 2e-12 reaches down to row 1
+        p = np.array([0.0, 1.0 - 3e-12, 0.0, 1e-12, 0.0, 1e-12, 1e-12])
+        mt = MortalityTable(make_time_grid(0, 1, p.size), p / p.sum())
+        assert np.any(mt.s[:-1] == 1.0) and np.min(mt.s[:-1]) < 1e-11
+        market = MarketParams(mu=0.062, r=0.027, sigma=0.15)
+        sizes = [1, 7, 50, 300]
+        got, fell_back = _pruned(sizes, market, vnm_prefs, mt, _bracket(market, vnm_prefs, mt))
+        assert not fell_back
+        assert np.array_equal(got, _full(sizes, market, vnm_prefs, mt))
+
+    def test_a_row_outside_the_bracket_falls_back_to_solve(self, studies_config):
+        # z_inf := z_1 is too tight a bracket: the first row above z_1 leaves it
+        cfg = studies_config
+        low, _ = _bracket(cfg.market, cfg.prefs, cfg.mortality)
+        sizes = [1, 10, 100]
+        got, fell_back = _pruned(sizes, cfg.market, cfg.prefs, cfg.mortality, (low, low))
+        assert fell_back
+        assert np.array_equal(got, _full(sizes, cfg.market, cfg.prefs, cfg.mortality))
+
+    def test_a_diverging_row_raises_solves_error(self):
+        # solve diverges at this market; an unbounded bracket lets the pruned
+        # pass run into it, and its error is solve's, with count and date
+        grid = make_time_grid(0, 1, 200)
+        p = np.zeros(200)
+        p[-1] = 1.0
+        mt = MortalityTable(grid, p)
+        market = MarketParams(mu=10.0, r=10.0, sigma=0.2)
+        prefs = Preferences(alpha=0.5, rho=0.5, b=0.0)
+        with pytest.raises(DivergenceError) as want:
+            solve(CollectiveMode.finite(40), market, prefs, mt)
+        assert re.fullmatch(r"value recursion diverged for survivor count \d+ at t=\S+",
+                            str(want.value))
+        unbounded = (np.full(grid.n_steps, -np.inf), np.full(grid.n_steps, np.inf))
+        passes = []
+        own = solver._backward
+        with mock.patch.object(solver, "_backward", lambda *args: passes.append(args[-1:]) or own(*args)):
+            with pytest.raises(DivergenceError) as got:
+                solver._start_rows([5, 40], market, prefs, mt, *unbounded)
+        assert str(got.value) == str(want.value)
+        assert len(passes) == 2 and isinstance(passes[0][0], solver.RowPlan)
+
+    @pytest.mark.parametrize("n_list, rows, terms", [
+        (POWERS_TO_2048, 27_452, 2_913_233),
+        (DECADES_TO_10000, 30_719, 9_287_217),
+    ], ids=["2048", "10000"])
+    def test_rows_and_terms_visited(self, studies_config, n_list, rows, terms):
+        # deterministic work counts in place of timings: the full table is
+        # n_max * 29 rows, 59,392 and 290,000, and 5,266,574 and 49,578,922
+        # window terms
+        plan = _plan_of(n_list, studies_config, studies_config.prefs)
+        dates = range(studies_config.mortality.grid.n_steps - 1)
+        assert len(plan.spans) == len(dates) + 1
+        assert sum(plan.rows(k).size for k in dates) == rows
+        windows = (_plan_windows(plan, k) for k in dates)
+        assert sum(int((hi - lo + 1).sum()) for lo, hi in windows) == terms
+
+    def test_bound_windows_hold_the_exact_ones(self, studies_config):
+        # the bracket widens 2,913,179 exact terms of the planned rows by 54;
+        # every exact window lies inside its planned one
+        cfg = studies_config
+        plan = _plan_of(POWERS_TO_2048, cfg, cfg.prefs)
+        alpha = cfg.prefs.alpha
+        logz = np.log(solve(CollectiveMode(2048), cfg.market, cfg.prefs, cfg.mortality).z)
+        exact = total = 0
+        for k in range(cfg.mortality.grid.n_steps - 1):
+            rows, (lo, hi) = plan.rows(k), _plan_windows(plan, k)
+            all_lo, all_hi = _row_windows(alpha * logz[:, k + 1], float(cfg.mortality.s[k]), alpha)
+            assert np.all((lo <= all_lo[rows - 1]) & (all_hi[rows - 1] <= hi))
+            exact += int((all_hi[rows - 1] - all_lo[rows - 1] + 1).sum())
+            total += int((all_hi - all_lo + 1).sum())
+        assert (exact, total) == (2_913_179, 5_266_574)
+
+    def test_study_memory_is_bounded_by_the_rows_reached(self, studies_config):
+        # the full table at n = 10 000 peaked at 9.74 MiB; the rows reached, 0.99 MiB
+        cfg = studies_config
+        convergence_study(DECADES_TO_10000, cfg.market, cfg.prefs, cfg.mortality)  # warm
+        tracemalloc.start()
+        try:
+            convergence_study(DECADES_TO_10000, cfg.market, cfg.prefs, cfg.mortality)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
