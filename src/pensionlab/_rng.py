@@ -5,10 +5,14 @@ are identical regardless of evaluation order, vectorisation or thread count.
 The generator is a chain of splitmix64 finalisers absorbing each key in
 turn, split into the pieces a simulation reuses:
 
-* ``path_keys(seed, paths)`` = mix(mix(seed) ^ path), once per run;
+* ``path_keys(seed, lo, hi)`` = mix(mix(seed) ^ path) of the paths
+  lo .. hi-1, formed by each block of paths where it is drawn, so a run
+  holds no key per path;
 * ``step_hash(keys, step)`` = mix(keys ^ step), once per step and shared by
   every stream of that step;
 * ``stream_uniforms(h, stream)`` = mix(h ^ stream) mapped to a float.
+
+Each piece finalises in place the fresh array that its xor makes.
 
 A uniform is the top 53 bits of the hash plus half a unit, (k + 1/2) 2^-53,
 clamped to 1 - 2^-53 so that the largest k (which rounds to 1.0) stays
@@ -17,6 +21,8 @@ CDF (Wichura's PPND16), accurate to ~1e-15.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,8 +36,8 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finaliser (full avalanche) on uint64 values, into a new array."""
-    x = x + _GOLDEN
+    """splitmix64 finaliser (full avalanche) on uint64 values, in place in ``x``."""
+    x += _GOLDEN
     t = np.empty_like(x)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(x, _U64(shift), out=t)
@@ -47,10 +53,17 @@ def _key(value: int) -> np.uint64:
     return _U64(value & 0xFFFFFFFFFFFFFFFF)
 
 
-def path_keys(seed: int, paths: int) -> np.ndarray:
-    """Keys mix(mix(seed) ^ path) of paths 0 .. paths-1 of one run."""
-    seed_key = _mix(np.array([_key(seed)]))[0]
-    return _mix(seed_key ^ np.arange(paths, dtype=np.uint64))
+@functools.lru_cache(maxsize=1)
+def _seed_key(seed: int) -> np.uint64:
+    """mix(seed), formed once for all the blocks of a run."""
+    return _mix(np.array([_key(seed)]))[0]
+
+
+def path_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Keys mix(mix(seed) ^ path) of paths lo .. hi-1 of one run."""
+    keys = np.arange(lo, hi, dtype=np.uint64)
+    keys ^= _seed_key(seed)
+    return _mix(keys)
 
 
 def step_hash(keys: np.ndarray, step: int) -> np.ndarray:

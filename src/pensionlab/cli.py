@@ -29,9 +29,9 @@ from pathlib import Path
 from typing import Optional
 
 # OpenBLAS reads this once, when numpy first loads it, and otherwise starts a
-# worker thread per core.  pensionlab's only BLAS calls are one dot product
-# over the time grid and one short polyfit, so in a CLI run the pool costs
-# start-up CPU and buys nothing.  An explicit value in the environment wins.
+# worker thread per core.  pensionlab's only BLAS call is one dot product
+# over the time grid, so in a CLI run the pool costs start-up CPU and buys
+# nothing.  An explicit value in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -59,9 +59,10 @@ _BLOCK_ROWS = 4096  # CSV rows formatted per write
 # three caps keeps its tables and path arrays under 1 GiB on a 7.8 GiB machine.
 # Measured tracemalloc peaks per unit: about 152 B per grid point (simulate's
 # per-date statistics; solve needs 60 B), 60 B per finite table cell (the
-# value.csv columns of solve; simulate and converge need 32 B) and 27 B per
-# Monte Carlo path (a finite fund at 1,000,000 paths; 24 B for the infinite
-# fund), i.e. at most about 145 + 286 + 129 MiB, some 0.55 GiB.
+# value.csv columns of solve; simulate and converge need 32 B) and 19 B per
+# Monte Carlo path (a finite fund: 18.7 B at 200,000 paths, 18.1 B at
+# 1,000,000; 16 B for the infinite fund), i.e. at most about
+# 145 + 286 + 91 MiB, some 0.51 GiB.
 MAX_GRID_POINTS = 1_000_000
 MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
 MAX_PATHS = 5_000_000

@@ -23,24 +23,26 @@ is recorded.  Both come back in one flat ``SimulationResult``.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, path, step, stream): stream 0 drives market growth, stream 1 the
-survivor transition.  The per-path keys are hashed once per run and each
-step's hash once, shared by both streams.  Results are therefore bitwise
-reproducible for a given seed, independent of evaluation order or thread
-count.
+survivor transition.  Each block of paths hashes its path keys and then
+its step hash where it draws, and both streams share that step hash.
+Results are therefore bitwise reproducible for a given seed, independent
+of evaluation order or thread count.
 
 Each step runs over blocks of ``_BLOCK`` paths in one pass: a block draws
-its step hash, survival uniforms and growth factors, then redistributes
-and grows its wealth, so a step holds no path-sized array of its own.  A
-finite fund stores its survivor counts in the narrowest unsigned type that
-holds n0 and draws them from one sampler table per step, built before the
-pass for the counts present at the step's start and for a uniform that the
-step's largest exceeds with probability 1 - ``_HEADROOM``; a block with a
-larger uniform rebuilds it.  The summary of a dying fund takes the logs of
-its gathered copy of the alive values in place, then sorts a second gather
-in place.  Per path, a run holds the keys, wealth, counts and alive mask,
-plus one path-sized temporary in the summary: about 27 B per path for a
-finite fund and 24 B for the infinite fund under tracemalloc at 1,000,000
-paths.  The results do not depend on the block size.
+its path keys, step hash, survival uniforms and growth factors, then
+redistributes and grows its wealth, so a step holds no path-sized array of
+its own.  Once no fund is alive on any path, the remaining steps draw
+nothing.  A finite fund stores its survivor counts in the narrowest
+unsigned type that holds n0 and draws them from one sampler table per
+step, built before the pass for the counts present at the step's start and
+for a uniform that the step's largest exceeds with probability
+1 - ``_HEADROOM``; a block with a larger uniform rebuilds it.  The summary
+of a dying fund takes the logs of its gathered copy of the alive values in
+place, then sorts a second gather in place.  Per path, a run holds
+wealth, counts and alive mask, plus one path-sized temporary in the
+summary: about 18 B per path for a finite fund and 16 B for the infinite
+fund under tracemalloc at 1,000,000 paths.  The results do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -218,25 +220,25 @@ class _BinomialSurvivors:
             self.alive = self.survivors > 0
 
 
-def _blocks(keys: np.ndarray, k: int, base: float, vol: float, survival: bool):
+def _blocks(seed: int, paths: int, k: int, base: float, vol: float, survival: bool):
     """(slice, survival uniforms, growth factors) of each ``_BLOCK`` paths at step k.
 
-    Each block's streams are drawn from its step hash: the survival
-    uniforms (None unless ``survival``) and the growth factors
-    exp(base + vol z).  A generator, so the model redistributes and grows a
-    block's wealth before the next block is drawn, and a step holds no
-    path-sized array of its own.  Each path's float operations are those of
+    Each block forms its path keys and its step hash, and draws its streams
+    from that hash: the survival uniforms (None unless ``survival``) and the
+    growth factors exp(base + vol z).  A generator, so the model
+    redistributes and grows a block's wealth before the next block is drawn,
+    and a step holds no path-sized array of its own.  Each path's float operations are those of
     a whole-array update, so the results do not depend on the block size.
     """
-    for lo in range(0, keys.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        h = step_hash(keys[blk], k)
+    for lo in range(0, paths, _BLOCK):
+        hi = min(lo + _BLOCK, paths)
+        h = step_hash(path_keys(seed, lo, hi), k)
         u = stream_uniforms(h, _STREAM_SURVIVAL) if survival else None
         growth = inverse_normal_cdf(stream_uniforms(h, _STREAM_GROWTH))
         growth *= vol
         growth += base
         np.exp(growth, out=growth)
-        yield blk, u, growth
+        yield slice(lo, hi), u, growth
 
 
 def _log_moments(values: np.ndarray, overwrite: bool = False):
@@ -315,7 +317,6 @@ def simulate(
         raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {policy.a.shape}")
     paths = config.paths
     dt = grid.dt
-    seed = config.seed
     if policy.mode.is_finite:
         model = _BinomialSurvivors(policy.c, paths)
     else:
@@ -330,7 +331,6 @@ def simulate(
     growth_base = _policy_growth(market, 0.0, policy.a, grid) * dt  # the drift of log wealth
     growth_vol = policy.a * market.sigma * math.sqrt(dt)
 
-    keys = path_keys(seed, paths)
     x = np.full(paths, config.x0)
     # wealth that overflows is caught below, as a mean log wealth of NaN or
     # +inf; -inf, from paths that consumed everything, is a result
@@ -356,8 +356,9 @@ def simulate(
                         f"mean log wealth {mean_lx[k]}"
                     )
                 xq[:, k] = _quantiles(x[alive], QUANTILES, overwrite=gathered)
-            if k < n_steps - 1:
-                blocks = _blocks(keys, k, growth_base[k], growth_vol[k], model.draws_survivors)
+            if k < n_steps - 1 and alive_ct[k]:  # a fund that died out stays at 0
+                blocks = _blocks(config.seed, paths, k, growth_base[k], growth_vol[k],
+                                 model.draws_survivors)
                 model.advance(k, float(mortality.s[k]), x, blocks)
 
     return SimulationResult(

@@ -218,7 +218,7 @@ def convergence_study(
         (int(k) for k, o in zip(n, o_n) if o - one >= 0.9 * (inf_outperf - one)), None
     )
     log_n, log_diffs = np.log(n.astype(float)), np.log(diffs)
-    slope, intercept = np.polyfit(log_n, log_diffs, 1)
+    slope, intercept = _line_fit(log_n, log_diffs)
     anchor = next(k for k in n_list if k >= 4)  # the decade rule makes n_list[-1] >= 10
     return ConvergenceReport(
         z_n=z_n,
@@ -232,6 +232,15 @@ def convergence_study(
         bound_constant=float(diffs[n_list.index(anchor)] * math.sqrt(anchor)),
         bound_anchor=anchor,
     )
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept of the line through (x, y), from
+    centred sums: np.polyfit's degree-1 fit without its LAPACK solve."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = (dx * (y - y_mean)).sum() / (dx * dx).sum()
+    return float(slope), float(y_mean - slope * x_mean)
 
 
 def _checked_sizes(n_list: Sequence[int]) -> list[int]:

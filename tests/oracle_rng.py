@@ -15,6 +15,10 @@ def mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def key(seed: int, path: int) -> int:
+    return mix(mix(seed & _M64) ^ path)
+
+
 def uniform(seed: int, path: int, step: int, stream: int) -> float:
-    h = mix(mix(mix(mix(seed & _M64) ^ path) ^ (step & _M64)) ^ (stream & _M64))
+    h = mix(mix(key(seed, path) ^ (step & _M64)) ^ (stream & _M64))
     return min((h >> 11) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)

@@ -17,6 +17,7 @@ from pensionlab._kernels import (
     log_survivor_mixture,
 )
 from pensionlab._rng import (
+    _mix,
     _unit_interval,
     inverse_normal_cdf,
     path_keys,
@@ -33,16 +34,17 @@ from oracle_mixture import (
     mixture_terms,
 )
 from oracle_normal import inverse_normal_cdf_all_branches
+from oracle_rng import key as key_scalar
+from oracle_rng import mix as mix_scalar
 from oracle_rng import uniform as uniform_scalar
 
 
 def chain_uniforms(seed, paths, step, stream, block=None):
     """The uniforms of paths 0..paths-1 as ``montecarlo._blocks`` draws them:
-    path keys once, then the step hash and the stream of each block."""
-    keys = path_keys(seed, paths)
+    each block's path keys, then its step hash and its stream."""
     block = block or paths
     return np.concatenate([
-        stream_uniforms(step_hash(keys[lo:lo + block], step), stream)
+        stream_uniforms(step_hash(path_keys(seed, lo, min(lo + block, paths)), step), stream)
         for lo in range(0, paths, block)
     ])
 
@@ -101,6 +103,26 @@ class TestUniforms:
         # draws; every draw must match the scalar reference
         u = chain_uniforms(seed, paths, step, stream, block)
         assert u.tolist() == [uniform_scalar(seed, i, step, stream) for i in range(paths)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70), st.integers(0, 2**64)),
+        lo=st.integers(0, 2**64 - 300),
+        size=st.integers(0, 200),
+    )
+    def test_keys_of_any_range_match_scalar_reference(self, seed, lo, size):
+        # a block forms the keys of its own range [lo, hi); seeds reduce modulo 2^64
+        keys = path_keys(seed, lo, lo + size)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [key_scalar(seed, path) for path in range(lo, lo + size)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(0, 2**64 - 1), max_size=50))
+    def test_mix_in_place_matches_scalar_reference(self, values):
+        x = np.array(values, dtype=np.uint64)
+        out = _mix(x)
+        assert out is x
+        assert x.tolist() == [mix_scalar(v) for v in values]
 
 
 class TestInverseNormal:

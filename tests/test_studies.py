@@ -489,6 +489,36 @@ class TestConvergenceStudy:
         rep, _ = report
         assert rep.fit_exponent <= -0.4
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 10_000), min_size=2, max_size=14, unique=True),
+        slope=st.floats(-2.0, 0.0),
+        intercept=st.floats(-30.0, 0.0),
+        noise=st.lists(st.floats(-1.0, 1.0), min_size=14, max_size=14),
+    )
+    def test_line_fit_matches_polyfit(self, sizes, slope, intercept, noise):
+        # the closed-form fit is np.polyfit's line up to rounding
+        log_n = np.log(np.array(sorted(sizes), dtype=float))
+        log_diffs = intercept + slope * log_n + np.array(noise[:log_n.size])
+        got = studies._line_fit(log_n, log_diffs)
+        want = np.polyfit(log_n, log_diffs, 1)
+        assert got == pytest.approx(tuple(want), rel=1e-12, abs=1e-12)
+
+    def test_fit_calls_no_lapack(self, default_table, base_market, vnm_prefs, monkeypatch):
+        # the rate fit is closed form: the study runs with polyfit and lstsq gone
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK least squares called")
+
+        grid, mt = default_table
+        ns = [1, 2, 4, 8, 16, 32, 64, 128]
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        rep = convergence_study(ns, base_market, vnm_prefs, mt)
+        monkeypatch.undo()
+        slope, intercept = np.polyfit(np.log(ns), np.log(np.abs(rep.z_n - rep.z_infinity)), 1)
+        assert rep.fit_exponent == pytest.approx(slope, rel=1e-12)
+        assert rep.fit_constant == pytest.approx(math.exp(intercept), rel=1e-12)
+
     def test_bound_shape_on_other_mortality(self, mild_table, base_market, vnm_prefs):
         grid, mt = mild_table
         ns = [1, 2, 4, 8, 16, 32, 64]
