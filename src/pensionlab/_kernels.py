@@ -9,8 +9,8 @@ Two operations dominate runtime and live here:
   over a window of O(sqrt(n)) terms around its mean, with a proven bound on
   the dropped mass, so a step costs O(n^1.5) time and O(n + block)
   memory instead of O(n^2) for both.  Each term is one addition of row
-  copies of two per-index vectors, not per-term gathers.  A row plan
-  restricts a step to the rows a study reaches.
+  copies of two per-index vectors, not per-term gathers.  A ``step``
+  restricts it to given rows, over given windows.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode.  It is a table sampler in two
   parts.  ``binomial_table`` builds the cumulative chop-down sums once per
@@ -78,7 +78,7 @@ def lgamma_table(nmax: int) -> np.ndarray:
 # Bernstein's inequality, P(|X - ms| >= t) <= 2 exp(-t^2 / (2 (v + t/3))) with
 # v = m s (1-s), gives t = L'/3 + sqrt((L'/3)^2 + 2 L' v), L' = L + log 2.  So
 # the window is O(sqrt(m)) wide wherever z' varies by a bounded factor.  L
-# depends on lo and lo on t; _row_windows iterates lo down to a fixed point,
+# depends on lo and lo on t; _windows iterates lo down to a fixed point,
 # where the bound holds for the window actually used.  Rows whose bound
 # covers all of 1..m (small m, or an infinite log z') get lo = 1, hi = m.
 # _windows takes the range of alpha log z' as an argument: the exact prefix
@@ -109,8 +109,8 @@ BLOCK_CELLS = 32_768  # cells of one (rows x chunk width) block: 256 KiB
 
 
 def _row_windows(alpha_logw, s, alpha):
-    """Exact window bounds lo, hi (1-based, inclusive) of the rows m = 1..n
-    for 0 < s < 1, alpha_logw holding alpha log z' at the counts 1..n."""
+    """Exact window bounds lo, hi (1-based, inclusive) of the rows m = 1..n,
+    alpha_logw holding alpha log z' at the counts 1..n."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, a whole row below
         spread = np.maximum.accumulate(alpha_logw) - np.minimum.accumulate(alpha_logw)
     return _windows(np.arange(1, alpha_logw.shape[0] + 1), spread, s, alpha)
@@ -118,8 +118,11 @@ def _row_windows(alpha_logw, s, alpha):
 
 def _windows(rows, spread, s, alpha):
     """Window bounds lo, hi (1-based, inclusive) of the survivor counts
-    ``rows`` for 0 < s < 1, ``spread`` bounding each row's range of alpha
-    log z' over the counts 1..m (one bound for every row, or one per row)."""
+    ``rows``, ``spread`` bounding each row's range of alpha log z' over the
+    counts 1..m (one bound for every row, or one per row).  At s >= 1 each
+    row's window is the row itself."""
+    if s >= 1.0:
+        return rows, rows
     m = np.asarray(rows, dtype=np.float64)
     ms = m * s
     v = ms * (1.0 - s)
@@ -159,23 +162,18 @@ def log_survivor_mixture(logw, s, lgam, alpha, step=None):
 
     via a row-wise log-sum-exp over each row's window of i.
 
-    ``step`` is one date of a row plan (``solver.RowPlan.step``): the counts
-    m to evaluate, each one's window lo..hi, and the counts i whose logw is
-    given, which hold every window; all ascending.  None is ``solve``'s
-    all-rows plan: m and i run over 1..n, n = len(logw), each row over its
-    exact window.  A pruned plan cannot know the exact windows, which need
-    every row's logw.  It bounds the range of alpha logw by the one-member
-    and the infinite fund, which bracket every count, widened by
-    ``solver.BRACKET_MARGIN``; its windows hold the exact ones while the
-    bracket holds, and ``solver._start_rows`` falls back to the all-rows
-    plan when a row leaves it.  A row's bits depend only on its window and
-    its 128-count chunk's width, so they match the all-rows plan's where
-    both do.
+    ``step`` is (rows, lo, hi, given): the counts m to evaluate, each one's
+    window lo..hi, and the counts i whose logw is given, which hold every
+    window; all ascending.  None evaluates every count: m and i run over
+    1..n, n = len(logw), each row over its exact window (``_row_windows``).
+    Any window that holds the exact one keeps the dropped mass within the
+    bound.  A row's bits depend only on its window and its 128-count
+    chunk's width, so two steps that give a row the same window and chunk
+    width agree on it to the bit.
     """
     if step is None:
         counts = np.arange(1, logw.shape[0] + 1)
-        lo, hi = (counts, counts) if s >= 1.0 else _row_windows(alpha * logw, s, alpha)
-        step = (counts, lo, hi, counts)
+        step = (counts, *_row_windows(alpha * logw, s, alpha), counts)
     rows, lo, hi, given = step
     at = np.searchsorted(given, lo)  # the position of each window's first logw
     if s >= 1.0:

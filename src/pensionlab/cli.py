@@ -221,10 +221,16 @@ def _parse_mode(text) -> CollectiveMode:
     if text == "infinite":
         return CollectiveMode.infinite()
     if isinstance(text, str) and text.startswith("finite:"):
+        # ASCII digits as str(CollectiveMode) writes them: int() alone also
+        # reads spaces, signs, underscores, leading zeros and the digits of
+        # other scripts
+        digits = text[len("finite:"):]
         try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigurationError(f"bad finite mode string {text!r}") from None
+            n = int(digits) if digits.isascii() and digits.isdigit() else None
+        except ValueError:  # past int()'s digit limit
+            n = None
+        if n is None or str(n) != digits:
+            raise ConfigurationError(f"bad finite mode string {text!r}")
         return _located(CollectiveMode.finite, n, "mode")
     raise ConfigurationError(
         f"mode must be 'individual', 'infinite' or 'finite:n', got {text!r}"

@@ -16,8 +16,8 @@ A fund of n >= 2 members is solved on the triangular table z_{i,t}
 binomial survivor transition, weighted by the wealth concentration
 (i/n)^(1-alpha); see ``_kernels.log_survivor_mixture``.  Every table and
 policy is (rows, n_steps): a row per survivor count, one for the infinite fund.
-A study that reads only some counts at t0 solves just the rows they reach
-(``_start_rows``), with no table.
+A study that reads only some sizes at t0 solves just the rows they reach,
+with no table (``_start_values``).
 
 The pooled recursions are linear, x_k = a_k + b_k x_{k+1} with x = a at the
 last date: y above (a = 1, b = phi^q), the annuity's U^rho and a fixed
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -207,43 +206,26 @@ def _diverged(mode, grid, k, row):
     return DivergenceError(f"value recursion diverged {count}at t={grid.points[k]}")
 
 
-class RowPlan(NamedTuple):
-    """The survivor counts a backward pass solves at each date k: the
-    intervals ``spans[k]``, rows [first, last], ascending.  ``spread[k]``
-    bounds the range of alpha log z over the counts at date k and sizes the
-    windows into it; every window of date k lies in the counts of k + 1."""
-
-    spans: list
-    spread: np.ndarray
-    mortality: MortalityTable
-    alpha: float
-
-    def rows(self, k):
-        return np.concatenate([np.arange(first, last + 1) for first, last in self.spans[k]])
-
-    def windows(self, k, rows):
-        """Each row's window lo, hi of counts at date k + 1."""
-        s = float(self.mortality.s[k])
-        return (rows, rows) if s >= 1.0 else _windows(rows, self.spread[k + 1], s, self.alpha)
-
-    def step(self, k):
-        """Date k as ``log_survivor_mixture`` takes it."""
-        rows = self.rows(k)
-        return rows, *self.windows(k, rows), self.rows(k + 1)
+def _rows(spans):
+    """The survivor counts of the intervals ``spans``, rows [first, last]."""
+    return np.concatenate([np.arange(first, last + 1) for first, last in spans])
 
 
-def _row_plan(sizes, mortality, alpha, spread) -> RowPlan:
-    """The rows the counts ``sizes`` (ascending, distinct) reach at t0,
-    forward in time: at each date the union of the windows of its rows."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    plan = RowPlan([np.stack((sizes, sizes), axis=1)], spread, mortality, alpha)
-    n = int(sizes[-1])
+def _row_plan(counts, mortality, alpha, spread):
+    """The plan of the rows the counts ``counts`` (ascending, distinct) reach
+    from t0: per date k, the intervals of counts it solves, rows [first,
+    last], ascending, plus ``spread``, whose entry k bounds the range of
+    alpha log z over the counts at date k and sizes the windows into it.
+    Forward in time, each date's counts are the union of the windows of the
+    rows before it, so every window of date k lies in the counts of k + 1."""
+    spans = [np.stack((counts, counts), axis=1)]
+    n = int(counts[-1])
     for k in range(mortality.grid.n_steps - 1):
-        lo, hi = plan.windows(k, plan.rows(k))
+        lo, hi = _windows(_rows(spans[k]), spread[k + 1], float(mortality.s[k]), alpha)
         covered = np.cumsum(np.bincount(lo, minlength=n + 2) - np.bincount(hi + 1, minlength=n + 2))
         edges = np.flatnonzero(np.diff(covered > 0))  # count 0 and n + 1 are never covered
-        plan.spans.append(edges.reshape(-1, 2) + [1, 0])
-    return plan
+        spans.append(edges.reshape(-1, 2) + [1, 0])
+    return spans, spread
 
 
 def _backward(mode, prefs, mortality, kappa, last, rule, plan=None):
@@ -254,29 +236,29 @@ def _backward(mode, prefs, mortality, kappa, last, rule, plan=None):
     the survivor mixture of v_{k+1}.  NaN and +inf are divergence; -inf is
     v = 0, which a policy consuming nothing at some date earns when rho < 0.
 
-    ``plan`` (a ``RowPlan``) solves only its rows, over its windows, and
-    holds two dates of them at a time; None, the all-rows plan, solves every
-    row 1..n over its exact window.  A pruned plan's windows come from a
-    bound on the range of alpha log z at the next date: |alpha| (log z_inf -
-    log z_1), from the infinite and the one-member fund, which bracket every
-    survivor count, plus BRACKET_MARGIN on each side.  They hold the exact
-    windows while every count stays in that bracket; ``_start_rows`` checks
-    each yielded date and, if a row leaves it, reruns with the all-rows plan.
+    ``plan`` (from ``_row_plan``) solves only its rows, over the windows its
+    spread gives, and holds two dates of them at a time; None solves every
+    row 1..n over its exact window.
     """
     grid = mortality.grid
     drift = np.broadcast_to(_log_phi(prefs, grid.dt, kappa, 1.0, 0), grid.n_steps)
     lgam = lgamma_table(mode.n)
+    spans, spread = plan or (None, None)
+    rows = np.arange(1, mode.n + 1) if spans is None else _rows(spans[-1])
     logv = last
     yield grid.n_steps - 1, logv
     for k in range(grid.n_steps - 2, -1, -1):
-        step = None if plan is None else plan.step(k)
+        s = float(mortality.s[k])
+        step = None
+        if spans is not None:
+            given, rows = rows, _rows(spans[k])
+            step = rows, *_windows(rows, spread[k + 1], s, prefs.alpha), given
         with np.errstate(over="ignore"):  # overflow is caught below as NaN or +inf
-            lam = log_survivor_mixture(logv, float(mortality.s[k]), lgam, prefs.alpha, step)
+            lam = log_survivor_mixture(logv, s, lgam, prefs.alpha, step)
             logv = rule(k, drift[k] + lam / prefs.alpha)
         ok = logv < np.inf  # False for NaN and +inf
         if not ok.all():
-            row = int(np.argmin(ok))
-            raise _diverged(mode, grid, k, row if plan is None else int(plan.rows(k)[row]) - 1)
+            raise _diverged(mode, grid, k, int(rows[np.argmin(ok)]) - 1)
         yield k, logv
 
 
@@ -341,35 +323,70 @@ def solve(
     )
 
 
-BRACKET_MARGIN = 1e-9  # nats of log z; the finite solve rounds by ~5e-11 at n = 10 000
+# The bracket's widening, in nats of log z, above the finite table's own
+# rounding: against extended precision on configs/studies.json that is at
+# most 1.1e-11, 1.9e-12 and 2.4e-11 relative at n = 2048 for three
+# preference pairs, and about 1.2e-10 extrapolated to n = 10 000 (ROADMAP
+# direction 14).
+BRACKET_MARGIN = 1e-9
 
 
-def _start_rows(counts, market, prefs, mortality, low, high) -> np.ndarray:
-    """z at t0 of the survivor counts ``counts`` (ascending, distinct) of a
-    fund of n = max(counts): ``solve(finite(n)).z[counts - 1, 0]``, solved
-    only on the rows they reach, inside the bracket ``low``, ``high``: log z
-    of the one-member and the infinite fund per date (see ``_backward``).
-    If a solved row leaves the bracket, or ``low`` is None, it is the
-    all-rows ``solve``'s result, or error.
+def _start_values(sizes, market, prefs, mortality) -> np.ndarray:
+    """z at t0 per fund size in ``sizes`` (None: the infinite fund), as a
+    study reads them; each size is a ``CollectiveMode`` size.
+
+    The one-member and the infinite fund are their own closed-form
+    ``solve``, each solved once if listed or needed as a bracket.
+    The sizes n >= 2 are rows of one fund at their largest size: the
+    recursion for i survivors reads only counts <= i, so z at t0 of size i
+    is that fund's ``z[i - 1, 0]``.  They are solved only on the rows they
+    reach (``_row_plan``), two dates at a time, with no (n, n_steps) table.
+    Their windows need a bound on the range of alpha log z at the next
+    date, and the two closed-form funds bracket every count, z_1 <= z_i <=
+    z_inf: the bound is |alpha| (log z_inf - log z_1), widened by
+    BRACKET_MARGIN on each side.  The windows hold the exact ones while
+    every row stays in that bracket, which each date checks.  If a row
+    leaves it, a row diverges or a bracket fund diverges, the sizes n >= 2
+    are the all-rows ``solve(finite(n))``'s result, or its error.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    mode = CollectiveMode.finite(int(counts[-1]))
-    if low is None or mode.pooling is not None:
-        return solve(mode, market, prefs, mortality).z[counts - 1, 0]
-    _, xi = _exponents(market, prefs)
-    q = prefs.rho / (1.0 - prefs.rho)
-    low, high = low - BRACKET_MARGIN, high + BRACKET_MARGIN
-    plan = _row_plan(counts, mortality, prefs.alpha, abs(prefs.alpha) * (high - low))
-    last = np.zeros(plan.rows(-1).size)
-    try:
-        for k, logz in _backward(mode, prefs, mortality, xi, last, _optimal(q), plan):
-            if not np.all((low[k] <= logz) & (logz <= high[k])):  # NaN fails
-                break
-        else:
-            return np.exp(logz)
-    except DivergenceError:
-        pass  # the all-rows solve raises it, at the row and date it reaches first
-    return solve(mode, market, prefs, mortality).z[counts - 1, 0]
+    modes = [CollectiveMode(n) for n in sizes]
+    listed = {mode.n for mode in modes}
+    counts = np.array(sorted({mode.n for mode in modes if mode.pooling is None}), dtype=np.int64)
+    closed = {}  # z per date of the funds n = 1 and None, or their DivergenceError
+    for n in (1, None):
+        if n in listed or counts.size:
+            try:
+                closed[n] = solve(CollectiveMode(n), market, prefs, mortality).z[0]
+            except DivergenceError as err:
+                closed[n] = err
+    z0 = {}
+    if counts.size:
+        mode = CollectiveMode.finite(int(counts[-1]))
+        z = None
+        if all(isinstance(bound, np.ndarray) for bound in closed.values()):
+            _, xi = _exponents(market, prefs)
+            q = prefs.rho / (1.0 - prefs.rho)
+            low = np.log(closed[1]) - BRACKET_MARGIN
+            high = np.log(closed[None]) + BRACKET_MARGIN
+            plan = _row_plan(counts, mortality, prefs.alpha, abs(prefs.alpha) * (high - low))
+            last = np.zeros(_rows(plan[0][-1]).size)
+            try:
+                for k, logz in _backward(mode, prefs, mortality, xi, last, _optimal(q), plan):
+                    if not np.all((low[k] <= logz) & (logz <= high[k])):  # NaN fails
+                        break
+                else:
+                    z = np.exp(logz)
+            except DivergenceError:
+                pass  # the all-rows solve raises it, at the row and date it reaches first
+        if z is None:
+            z = solve(mode, market, prefs, mortality).z[counts - 1, 0]
+        z0.update(zip(counts.tolist(), z))
+    for n, z in closed.items():
+        if n in listed:
+            if isinstance(z, DivergenceError):
+                raise z
+            z0[n] = z[0]
+    return np.array([z0[mode.n] for mode in modes])
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ budget, so every function here prices per unit of budget and income.
 Results hold no copy of their inputs: ``run_scenarios`` takes (mu, r, n)
 triples and returns one o per triple, and the arrays of a
 ``ConvergenceReport`` line up with the ``n_list`` it was given.  Both read
-every finite size's z at t0 in a market from one fund at its largest size,
-solved only on the survivor counts those sizes reach (``_start_values``),
-so a study costs O(rows reached) time and memory, not O(n_max * n_steps).
+z at t0 of every size in a market from ``solver._start_values``: the
+one-member and the infinite fund from their closed form, and the sizes
+n >= 2 from one fund at their largest size, solved only on the survivor
+counts they reach, so a study costs O(rows reached) time and memory, not
+O(n_max * n_steps).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, Preferences
 from .mortality import MortalityTable, annuity_factor
-from .solver import CollectiveMode, ValueTable, _pooled, _start_rows, solve
+from .solver import CollectiveMode, ValueTable, _pooled, _start_values
 
 __all__ = [
     "ConvergenceReport",
@@ -104,10 +106,9 @@ def run_scenarios(
     order of ``scenarios``; mu and r are real rates.
 
     n is None for the infinite fund and 1 for the individual, the
-    one-member fund.  A market (mu, r) solves its finite n together, as
-    rows of a fund at its largest n (``_start_values``): each equals that
-    fund's full table, and its smaller n are within 1e-12 of their own solve
-    in 1 + o, as its row blocks are wider and n = 1 alone is a closed form.
+    one-member fund.  A market (mu, r) reads all its sizes at once
+    (``_start_values``).  n = 1 and the infinite fund are their own solve,
+    bit for bit; the sizes n >= 2 are rows of one fund at their largest.
     """
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
@@ -120,30 +121,6 @@ def run_scenarios(
         z0 = _start_values([scenarios[k][2] for k in ks], market, prefs, mortality)
         outperf[ks] = _outperformance(z0, unit_utility, mortality, market.r)
     return outperf
-
-
-def _start_values(sizes, market, prefs, mortality) -> np.ndarray:
-    """z at t0 per size in ``sizes`` (None: infinite): the finite sizes are
-    rows of one finite fund at their largest size, solved only where they
-    reach (``solver._start_rows``), inside the bracket of the one-member and
-    the infinite fund, which are solved once each.  The recursion for i
-    survivors reads only counts <= i, so the largest fund holds every
-    smaller one in its rows; no (n, n_steps) table is formed."""
-    modes = [CollectiveMode(n) for n in sizes]
-    counts = sorted({mode.n for mode in modes if mode.is_finite})
-    try:
-        z_one, z_inf = (solve(CollectiveMode(n), market, prefs, mortality).z[0] for n in (1, None))
-    except DivergenceError:  # raised again below by the first solve that needs it
-        z_one = z_inf = None
-    z0 = {}
-    if counts:
-        bracket = (None, None) if z_inf is None else (np.log(z_one), np.log(z_inf))
-        z0.update(zip(counts, _start_rows(counts, market, prefs, mortality, *bracket)))
-    if not all(mode.is_finite for mode in modes):
-        if z_inf is None:
-            z_inf = solve(CollectiveMode.infinite(), market, prefs, mortality).z[0]
-        z0[None] = z_inf[0]
-    return np.array([z0[mode.n] for mode in modes])
 
 
 @dataclass(frozen=True)
@@ -189,9 +166,8 @@ def convergence_study(
     mortality: MortalityTable,
 ) -> ConvergenceReport:
     """The fund size study for the sizes in ``n_list`` (each a
-    ``CollectiveMode`` size): they and n = 1 are read from one fund at the
-    largest size, solved only on the survivor counts they reach, and the
-    limit from one infinite solve (``_start_values``).
+    ``CollectiveMode`` size), n = 1 and the limit, all read at once
+    (``_start_values``).
     """
     n_list = _checked_sizes(n_list)
     if n_list[-1] < 10 * n_list[0]:
@@ -203,8 +179,10 @@ def convergence_study(
     z0 = _start_values([*n_list, 1, None], market, prefs, mortality)
     z_n, z_inf = z0[:-2], float(z0[-1])
     diffs = np.abs(z_n - z_inf)
-    # a gap this small is rounding, not a rate: the finite solve rounds by
-    # up to ~5e-11 relative at n = 10 000, and the infinite solve differently
+    # a gap this small is rounding, not a rate: the finite table rounds by
+    # at most 1.1e-11, 1.9e-12 and 2.4e-11 relative at n = 2048 for three
+    # preference pairs, about 1.2e-10 extrapolated to n = 10 000 (ROADMAP
+    # direction 14), and the infinite solve differently
     noise = diffs <= 1e-9 * z_inf
     if noise.any():
         raise ConfigurationError(

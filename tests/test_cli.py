@@ -586,6 +586,14 @@ MALFORMED = {
     "mode-number": {"mode": 5},
     "mode-finite-not-a-number": {"mode": "finite:x"},
     "mode-finite-zero": {"mode": "finite:0"},
+    # int() reads each of these as a size; the strict config does not
+    "mode-finite-inner-space": {"mode": "finite: 5"},
+    "mode-finite-trailing-space": {"mode": "finite:5 "},
+    "mode-finite-plus-sign": {"mode": "finite:+5"},
+    "mode-finite-leading-zero": {"mode": "finite:05"},
+    "mode-finite-underscore": {"mode": "finite:1_0"},
+    "mode-finite-fullwidth-digit": {"mode": "finite:\uff15"},
+    "mode-finite-arabic-indic-digit": {"mode": "finite:\u0663"},
     "mode-finite-over-cap": {"mode": "finite:10001"},
     "scenario-n-zero": {"scenarios": [{"id": "a", "mu": 0.0, "r": 0.0, "n": 0}]},
     # every fund size is a CollectiveMode size, checked for every command
@@ -714,9 +722,25 @@ class TestConfigHandling:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot write {tmp_path / 'value.csv'}: "), line
 
-    def test_bad_mode_string(self, tmp_path):
-        p = write_cfg(tmp_path, dict(TRIVIAL, mode="finite:zero"))
+    @pytest.mark.parametrize("mode", ["finite:zero"] + [
+        MALFORMED[case]["mode"] for case in (
+            "mode-finite-not-a-number", "mode-finite-inner-space", "mode-finite-trailing-space",
+            "mode-finite-plus-sign", "mode-finite-leading-zero", "mode-finite-underscore",
+            "mode-finite-fullwidth-digit", "mode-finite-arabic-indic-digit",
+        )
+    ])
+    def test_bad_mode_string(self, tmp_path, capsys, mode):
+        # after "finite:" only ASCII digits, without a leading zero
+        p = write_cfg(tmp_path, dict(TRIVIAL, mode=mode))
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: bad finite mode string {mode!r}\n"
+
+    def test_finite_mode_past_the_digit_limit_is_an_error_line(self, tmp_path, capsys):
+        # int() may refuse a string of more than 4300 digits with a ValueError
+        p = write_cfg(tmp_path, dict(TRIVIAL, mode="finite:" + "9" * 5000))
+        assert main(["solve", "--config", str(p), "--print-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("mode, message", [
         ("finite:10001", "exceeds the supported cap 10000"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pensionlab._kernels import (
     TAIL_NATS,
     _row_windows,
+    _windows,
     binomial_draws,
     binomial_inverse,
     binomial_table,
@@ -441,6 +442,13 @@ class TestBandedMixture:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
+
+    def test_windows_at_certain_survival_are_the_rows(self):
+        # s = 1 leaves each count where it is, whatever the spread
+        rows = np.array([1, 7, 128, 300])
+        for spread in (0.0, 5.0, np.inf):
+            lo, hi = _windows(rows, spread, 1.0, -1.0)
+            assert lo is rows and hi is rows
 
     def test_window_is_a_band_at_large_n(self):
         # on a smooth z' the windows hold O(sqrt(m)) terms, not O(m)

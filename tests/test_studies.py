@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -5,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pensionlab import solver, studies
-from pensionlab._kernels import _row_windows
+from pensionlab._kernels import _row_windows, _windows
 from pensionlab.cli import parse_config
 from pensionlab.core import (
     ConfigurationError,
@@ -301,10 +303,10 @@ class TestScenarios:
         assert abs(o[3]) <= 1e-10
 
     def test_each_size_solves_its_mode(self, default_table):
-        # a market's smaller sizes are read from the table of its largest,
-        # whose row blocks can be wider than their own solve's, and n = 1 alone
-        # is a closed form: equal to rounding; the largest size and the
-        # infinite fund are their own solve to the bit
+        # a market's smaller sizes n >= 2 are read from the table of its
+        # largest, whose row blocks can be wider than their own solve's: equal
+        # to rounding; n = 1, the largest size and the infinite fund are their
+        # own solve to the bit
         _, mt = default_table
         sizes = (None, 1, 2, 10, 127, 128, 129, 300)
         markets = [(0.062, 0.027), (0.027, 0.027), (0.09, 0.01)]
@@ -316,22 +318,23 @@ class TestScenarios:
             for (mu, r, n), got in zip(scenarios, o.tolist()):
                 market = MarketParams(mu=mu, r=r, sigma=0.15)
                 own = annuity_outperformance(solve(CollectiveMode(n), market, prefs, mt))
-                if n in (None, 300):
+                if n in (None, 1, 300):
                     assert got == own, (alpha, rho, mu, r, n)
                 else:
                     assert abs((1.0 + got) / (1.0 + own) - 1.0) <= 1e-12, (alpha, rho, mu, r, n)
 
     def test_one_finite_solve_per_market(self, default_table, vnm_prefs, monkeypatch):
-        # each market solves the one-member and the infinite fund once, which
-        # bracket its finite funds, and its finite sizes once, together
+        # each market solves the one-member and the infinite fund at most
+        # once, as listed or as the bracket of its sizes n >= 2, and those
+        # sizes in one pruned pass
         _, mt = default_table
-        calls, finite = [], []
-        own, own_rows = studies.solve, studies._start_rows
-        monkeypatch.setattr(studies, "solve", lambda mode, market, *args: (
-            calls.append((market.mu, market.r, mode.n)) or own(mode, market, *args)
+        calls, plans = [], []
+        own_solve, own_plan = solver.solve, solver._row_plan
+        monkeypatch.setattr(solver, "solve", lambda mode, market, *args: (
+            calls.append((market.mu, market.r, mode.n)) or own_solve(mode, market, *args)
         ))
-        monkeypatch.setattr(studies, "_start_rows", lambda counts, market, *args: (
-            finite.append((market.mu, market.r, tuple(counts))) or own_rows(counts, market, *args)
+        monkeypatch.setattr(solver, "_row_plan", lambda counts, *args: (
+            plans.append(tuple(counts.tolist())) or own_plan(counts, *args)
         ))
         run_scenarios(
             [(0.062, 0.027, n) for n in [None, 1, 3, None, 1]]
@@ -341,7 +344,22 @@ class TestScenarios:
         assert Counter(calls) == Counter(
             [(mu, r, n) for mu, r in ((0.062, 0.027), (0.027, 0.027)) for n in (1, None)]
         )
-        assert finite == [(0.062, 0.027, (1, 3)), (0.027, 0.027, (1, 2))]
+        assert plans == [(3,), (2,)]
+
+    def test_bundled_scenarios_solve_only_what_they_list(self, studies_config, monkeypatch):
+        # no size n >= 2 is listed, so nothing needs a bracket: one individual
+        # solve where n = 1 is listed, one infinite solve per market
+        cfg = studies_config
+        calls = []
+        own = solver.solve
+        monkeypatch.setattr(solver, "solve", lambda mode, market, *args: (
+            calls.append((market.mu, market.r, mode.n)) or own(mode, market, *args)
+        ))
+        run_scenarios([(float(mu), float(r), n) for _, mu, r, n in cfg.scenarios],
+                      cfg.market.sigma, cfg.prefs, cfg.mortality)
+        assert Counter(calls) == Counter(
+            [(0.062, 0.027, 1), (0.062, 0.027, None), (0.027, 0.027, None), (0.0, 0.0, None)]
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -386,9 +404,9 @@ class TestScenarios:
                 run_scenarios([(0.062, 0.027, n)], 0.15, vnm_prefs, mt)
 
     def test_scenarios_and_converge_price_alike(self, studies_config):
-        # the two CLI commands report the infinite fund's outperformance to
-        # the bit, and the one-member fund's when both read it from a table
-        # of the same size
+        # the two CLI commands report the infinite and the one-member fund's
+        # outperformance to the bit, and a size n >= 2's when both read it
+        # from a table of the same size
         cfg = studies_config
         _, mu, r, _ = cfg.scenarios[0]
         market = MarketParams(mu=float(mu), r=float(r), sigma=cfg.market.sigma)
@@ -407,10 +425,10 @@ class TestFundSizeStudy:
         grid, mt = default_table
         ns = [1, 2, 4, 8, 16, 32, 64]
         rep = convergence_study(ns, base_market, vnm_prefs, mt)
-        # n = 1 coincides with the individual problem
+        # n = 1 is the individual problem's own solve, to the bit
         ind = solve(CollectiveMode.individual(), base_market, vnm_prefs, mt)
-        o_ind = annuity_outperformance(ind)
-        assert rep.outperformance[0] == pytest.approx(o_ind, abs=1e-12)
+        assert rep.z_n[0] == ind.z_at_start()
+        assert rep.outperformance[0] == annuity_outperformance(ind)
         values = rep.outperformance
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:])), (
             "outperformance failed to grow with fund size"
@@ -602,20 +620,24 @@ class TestConvergenceRegimes:
         assert rep.local_exponent[-1] > -0.25
 
 
-def _bracket(market, prefs, mt):
-    """log z per date of the one-member and the infinite fund."""
-    return [np.log(solve(CollectiveMode(n), market, prefs, mt).z[0]) for n in (1, None)]
+def _fell_back(solves):
+    """Whether ``solves``, a mock wrapping ``solve``, solved a fund of n >= 2."""
+    return any(call.args[0].pooling is None for call in solves.call_args_list)
 
 
-def _pruned(counts, market, prefs, mt, bracket):
-    """(z at t0 of ``counts`` from the pruned plan, whether it fell back to solve)."""
+def _pruned(sizes, market, prefs, mt):
+    """(z at t0 of ``sizes`` as a study reads them, whether it fell back to solve)."""
     with mock.patch.object(solver, "solve", wraps=solver.solve) as full:
-        z0 = solver._start_rows(counts, market, prefs, mt, *bracket)
-    return z0, full.called
+        z0 = solver._start_values(sizes, market, prefs, mt)
+    return z0, _fell_back(full)
 
 
-def _full(counts, market, prefs, mt):
-    return solve(CollectiveMode(max(counts)), market, prefs, mt).z[np.asarray(counts) - 1, 0]
+def _full(sizes, market, prefs, mt):
+    """z at t0 of ``sizes``: n = 1 from its own solve, n >= 2 from the full
+    table of the largest."""
+    table = solve(CollectiveMode(max(sizes)), market, prefs, mt)
+    one = solve(CollectiveMode.individual(), market, prefs, mt).z_at_start()
+    return np.array([one if n == 1 else table.z[n - 1, 0] for n in sizes])
 
 
 def _plan_of(n_list, cfg, prefs):
@@ -623,13 +645,15 @@ def _plan_of(n_list, cfg, prefs):
     plans = []
     own = solver._row_plan
     with mock.patch.object(solver, "_row_plan", lambda *args: plans.append(own(*args)) or plans[0]):
-        studies._start_values([*n_list, 1, None], cfg.market, prefs, cfg.mortality)
+        solver._start_values([*n_list, 1, None], cfg.market, prefs, cfg.mortality)
     return plans[0]
 
 
-def _plan_windows(plan, k):
-    """The windows lo, hi of the rows ``plan`` solves at date k."""
-    return plan.windows(k, plan.rows(k))
+def _plan_rows(plan, k, mortality, alpha):
+    """The rows ``plan`` solves at date k and their windows lo, hi."""
+    spans, spread = plan
+    rows = solver._rows(spans[k])
+    return rows, *_windows(rows, spread[k + 1], float(mortality.s[k]), alpha)
 
 
 def _studies_at(T):
@@ -658,11 +682,11 @@ class TestPrunedRows:
         market = MarketParams(mu=0.062, r=0.027, sigma=0.15)
         prefs = Preferences(alpha=alpha, rho=rho, b=b)
         try:
-            bracket = _bracket(market, prefs, mt)
+            solve(CollectiveMode.infinite(), market, prefs, mt)  # the bracket's other end
             want = _full(sizes, market, prefs, mt)
         except DivergenceError:
             assume(False)
-        got, fell_back = _pruned(sizes, market, prefs, mt, bracket)
+        got, fell_back = _pruned(sizes, market, prefs, mt)
         assert not fell_back
         # A row groups its terms as in the full table unless its 128-count
         # chunk holds fewer planned rows (a narrower block) or the bracket
@@ -684,9 +708,8 @@ class TestPrunedRows:
         # (0.5, -1) at T = 95 is the loose bracket: z_inf / z_1 is about 4e17
         cfg = _studies_at(T)
         prefs = Preferences(alpha=alpha, rho=rho, b=cfg.prefs.b)
-        with mock.patch.object(solver, "solve", wraps=solver.solve) as full:
-            got = studies._start_values(n_list, cfg.market, prefs, cfg.mortality)
-        assert not full.called
+        got, fell_back = _pruned(n_list, cfg.market, prefs, cfg.mortality)
+        assert not fell_back
         assert np.array_equal(got, _full(n_list, cfg.market, prefs, cfg.mortality))
 
     def test_certain_and_near_certain_death_dates(self, vnm_prefs):
@@ -696,21 +719,27 @@ class TestPrunedRows:
         assert np.any(mt.s[:-1] == 1.0) and np.min(mt.s[:-1]) < 1e-11
         market = MarketParams(mu=0.062, r=0.027, sigma=0.15)
         sizes = [1, 7, 50, 300]
-        got, fell_back = _pruned(sizes, market, vnm_prefs, mt, _bracket(market, vnm_prefs, mt))
+        got, fell_back = _pruned(sizes, market, vnm_prefs, mt)
         assert not fell_back
         assert np.array_equal(got, _full(sizes, market, vnm_prefs, mt))
 
     def test_a_row_outside_the_bracket_falls_back_to_solve(self, studies_config):
         # z_inf := z_1 is too tight a bracket: the first row above z_1 leaves it
         cfg = studies_config
-        low, _ = _bracket(cfg.market, cfg.prefs, cfg.mortality)
+        own = solver.solve
+
+        def tight(mode, *args):
+            return own(CollectiveMode.individual() if mode.n is None else mode, *args)
+
         sizes = [1, 10, 100]
-        got, fell_back = _pruned(sizes, cfg.market, cfg.prefs, cfg.mortality, (low, low))
-        assert fell_back
+        with mock.patch.object(solver, "solve", side_effect=tight) as full:
+            got = solver._start_values(sizes, cfg.market, cfg.prefs, cfg.mortality)
+        assert _fell_back(full)
         assert np.array_equal(got, _full(sizes, cfg.market, cfg.prefs, cfg.mortality))
 
     def test_a_diverging_row_raises_solves_error(self):
-        # solve diverges at this market; an unbounded bracket lets the pruned
+        # solve diverges at this market, and so does the one-member fund.
+        # Bracket funds that solve, with an unbounded margin, let the pruned
         # pass run into it, and its error is solve's, with count and date
         grid = make_time_grid(0, 1, 200)
         p = np.zeros(200)
@@ -722,32 +751,68 @@ class TestPrunedRows:
             solve(CollectiveMode.finite(40), market, prefs, mt)
         assert re.fullmatch(r"value recursion diverged for survivor count \d+ at t=\S+",
                             str(want.value))
-        unbounded = (np.full(grid.n_steps, -np.inf), np.full(grid.n_steps, np.inf))
-        passes = []
-        own = solver._backward
-        with mock.patch.object(solver, "_backward", lambda *args: passes.append(args[-1:]) or own(*args)):
-            with pytest.raises(DivergenceError) as got:
-                solver._start_rows([5, 40], market, prefs, mt, *unbounded)
-        assert str(got.value) == str(want.value)
-        assert len(passes) == 2 and isinstance(passes[0][0], solver.RowPlan)
+        own_solve, own_backward = solver.solve, solver._backward
+
+        def bounded(mode, *args):
+            if mode.pooling is None:
+                return own_solve(mode, *args)
+            return SimpleNamespace(z=np.ones((1, grid.n_steps)))
+
+        for pooled, margin, plans in ((own_solve, solver.BRACKET_MARGIN, 1), (bounded, math.inf, 2)):
+            passes = []
+            with mock.patch.multiple(
+                solver, solve=mock.Mock(side_effect=pooled), BRACKET_MARGIN=margin,
+                _backward=lambda *args: passes.append(len(args) == 7) or own_backward(*args),
+            ):
+                with pytest.raises(DivergenceError) as got:
+                    solver._start_values([5, 40], market, prefs, mt)
+            assert str(got.value) == str(want.value)
+            # the pruned pass, given a plan, runs only when both bracket funds solve
+            assert passes == [True] * (plans - 1) + [False]
+
+    def test_a_diverging_bracket_fund_falls_back_to_solve(self, studies_config):
+        # the infinite fund diverges: the sizes n >= 2 are the all-rows solve's,
+        # and a listed infinite fund raises its error
+        cfg = studies_config
+        own = solver.solve
+
+        def diverging(mode, *args):
+            if mode.n is None:
+                raise DivergenceError("value recursion diverged at t=65.0")
+            return own(mode, *args)
+
+        sizes = [1, 10, 100]
+        with mock.patch.object(solver, "solve", side_effect=diverging) as full:
+            got = solver._start_values(sizes, cfg.market, cfg.prefs, cfg.mortality)
+            with pytest.raises(DivergenceError, match="^value recursion diverged at t=65.0$"):
+                solver._start_values([None, *sizes], cfg.market, cfg.prefs, cfg.mortality)
+        assert [call.args[0].n for call in full.call_args_list] == [1, None, 100] * 2
+        assert np.array_equal(got, _full(sizes, cfg.market, cfg.prefs, cfg.mortality))
 
     @pytest.mark.parametrize("n_list, rows, terms", [
-        (POWERS_TO_2048, 27_452, 2_913_233),
-        (DECADES_TO_10000, 30_719, 9_287_217),
+        (POWERS_TO_2048, 27_451, 2_913_232),
+        (DECADES_TO_10000, 30_718, 9_287_216),
     ], ids=["2048", "10000"])
     def test_rows_and_terms_visited(self, studies_config, n_list, rows, terms):
         # deterministic work counts in place of timings: the full table is
         # n_max * 29 rows, 59,392 and 290,000, and 5,266,574 and 49,578,922
         # window terms
-        plan = _plan_of(n_list, studies_config, studies_config.prefs)
-        dates = range(studies_config.mortality.grid.n_steps - 1)
-        assert len(plan.spans) == len(dates) + 1
-        assert sum(plan.rows(k).size for k in dates) == rows
-        windows = (_plan_windows(plan, k) for k in dates)
-        assert sum(int((hi - lo + 1).sum()) for lo, hi in windows) == terms
+        cfg = studies_config
+        plan = _plan_of(n_list, cfg, cfg.prefs)
+        dates = range(cfg.mortality.grid.n_steps - 1)
+        assert len(plan[0]) == len(dates) + 1
+        planned = [_plan_rows(plan, k, cfg.mortality, cfg.prefs.alpha) for k in dates]
+        assert sum(rows_k.size for rows_k, _, _ in planned) == rows
+        assert sum(int((hi - lo + 1).sum()) for _, lo, hi in planned) == terms
+
+    def test_plan_starts_from_the_sizes_above_one(self, studies_config):
+        # n = 1 and the limit are closed forms; the plan starts from the rest
+        cfg = studies_config
+        spans, _ = _plan_of(cfg.n_list, cfg, cfg.prefs)
+        assert solver._rows(spans[0]).tolist() == cfg.n_list[1:]
 
     def test_bound_windows_hold_the_exact_ones(self, studies_config):
-        # the bracket widens 2,913,179 exact terms of the planned rows by 54;
+        # the bracket widens 2,913,178 exact terms of the planned rows by 54;
         # every exact window lies inside its planned one
         cfg = studies_config
         plan = _plan_of(POWERS_TO_2048, cfg, cfg.prefs)
@@ -755,12 +820,12 @@ class TestPrunedRows:
         logz = np.log(solve(CollectiveMode(2048), cfg.market, cfg.prefs, cfg.mortality).z)
         exact = total = 0
         for k in range(cfg.mortality.grid.n_steps - 1):
-            rows, (lo, hi) = plan.rows(k), _plan_windows(plan, k)
+            rows, lo, hi = _plan_rows(plan, k, cfg.mortality, alpha)
             all_lo, all_hi = _row_windows(alpha * logz[:, k + 1], float(cfg.mortality.s[k]), alpha)
             assert np.all((lo <= all_lo[rows - 1]) & (all_hi[rows - 1] <= hi))
             exact += int((all_hi[rows - 1] - all_lo[rows - 1] + 1).sum())
             total += int((all_hi - all_lo + 1).sum())
-        assert (exact, total) == (2_913_179, 5_266_574)
+        assert (exact, total) == (2_913_178, 5_266_574)
 
     def test_study_memory_is_bounded_by_the_rows_reached(self, studies_config):
         # the full table at n = 10 000 peaked at 9.74 MiB; the rows reached, 0.99 MiB
@@ -773,3 +838,18 @@ class TestPrunedRows:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
+
+
+def test_the_study_path_lives_in_solver():
+    # which funds bracket a study's sizes, its row plan and its fallbacks are
+    # solver._start_values's; studies imports no other private solver name
+    # than the pooled sum
+    tree = ast.parse(Path(studies.__file__).read_text("utf-8"))
+    private = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("solver")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == ["_pooled", "_start_values"]
