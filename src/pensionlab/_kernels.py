@@ -9,8 +9,8 @@ Two operations dominate runtime and live here:
   over a window of O(sqrt(n)) terms around its mean, with a proven bound on
   the dropped mass, so a step costs O(n^1.5) time and O(n + block)
   memory instead of O(n^2) for both.  Each term is one addition of row
-  copies of two per-index vectors, not per-term gathers.  A ``step``
-  restricts it to given rows, over given windows.
+  copies of two per-index vectors, not per-term gathers.  Its caller
+  passes every date's rows and windows as a ``step``.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode.  It is a table sampler in two
   parts.  ``binomial_table`` builds the cumulative chop-down sums once per
@@ -155,7 +155,7 @@ def _log_sum_exp_rows(t):
         return np.where(finite, mx + np.log(adj), mx)
 
 
-def log_survivor_mixture(logw, s, lgam, alpha, step=None):
+def log_survivor_mixture(logw, s, lgam, alpha, step):
     """log lam_m per survivor count m of the date, where
 
         lam_m = sum_{i=1..m} (i/m)^(1-alpha) C(m,i) s^i (1-s)^(m-i) exp(alpha logw_i)
@@ -164,16 +164,11 @@ def log_survivor_mixture(logw, s, lgam, alpha, step=None):
 
     ``step`` is (rows, lo, hi, given): the counts m to evaluate, each one's
     window lo..hi, and the counts i whose logw is given, which hold every
-    window; all ascending.  None evaluates every count: m and i run over
-    1..n, n = len(logw), each row over its exact window (``_row_windows``).
-    Any window that holds the exact one keeps the dropped mass within the
-    bound.  A row's bits depend only on its window and its 128-count
-    chunk's width, so two steps that give a row the same window and chunk
-    width agree on it to the bit.
+    window; all ascending.  The exact windows (``_row_windows``), or any
+    that hold them, keep the dropped mass within the bound.  A row's bits
+    depend only on its window and its 128-count chunk's width, so two steps
+    that give a row the same window and chunk width agree on it to the bit.
     """
-    if step is None:
-        counts = np.arange(1, logw.shape[0] + 1)
-        step = (counts, *_row_windows(alpha * logw, s, alpha), counts)
     rows, lo, hi, given = step
     at = np.searchsorted(given, lo)  # the position of each window's first logw
     if s >= 1.0:

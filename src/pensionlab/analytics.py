@@ -11,8 +11,8 @@ sigma a* sqrt(t-t0) and the mean obeys
 where xi_drift is the growth quadratic at a* with alpha set to zero (the drift
 of log wealth rather than its power-mean growth).  Log consumption is log
 wealth shifted by log c*_t with identical spread, so ``LognormalSchedule``
-holds that spread once, as ``sigma_x``.  The schedule is formed as
-whole arrays from the solved y and the solver's log phi terms, never phi
+holds that spread once, as ``sigma_x``.  The schedule is formed as whole
+arrays from the solved c* = 1/y and the solver's log phi terms, never phi
 itself, so it stays finite where phi under- or overflows.
 """
 
@@ -75,7 +75,7 @@ def wealth_schedule(table: ValueTable, x0: float) -> LognormalSchedule:
     grid = mortality.grid
     rho = table.prefs.rho
     s = mortality.s[:-1]
-    log_y = np.log(table.y[0])
+    log_y = -np.log(table.cstar[0])  # c* = 1/y
     # log(1 - c*_k) = log((y_k - 1)/y_k) with y_k - 1 = phi_k^q y_{k+1},
     # which stays accurate when c* is within rounding of 1
     log_phi = _log_phi(table.prefs, grid.dt, table.xi, s, pool)

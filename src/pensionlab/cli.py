@@ -47,7 +47,7 @@ from .core import (
 )
 from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
 from .solver import CollectiveMode, solve
-from .analytics import wealth_schedule
+from .analytics import _pooling, wealth_schedule
 from .montecarlo import QUANTILES, SimulationConfig, simulate
 from .studies import convergence_study, improvement, run_scenarios
 
@@ -58,11 +58,12 @@ _BLOCK_ROWS = 4096  # CSV rows formatted per write
 # Caps on what one accepted CLI config may ask for, so that a config at all
 # three caps keeps its tables and path arrays under 1 GiB on a 7.8 GiB machine.
 # Measured tracemalloc peaks per unit: about 152 B per grid point (simulate's
-# per-date statistics; solve needs 60 B), 60 B per finite table cell (the
-# value.csv columns of solve; simulate and converge need 32 B) and 19 B per
-# Monte Carlo path (a finite fund: 18.7 B at 200,000 paths, 18.1 B at
-# 1,000,000; 16 B for the infinite fund), i.e. at most about
-# 145 + 286 + 91 MiB, some 0.51 GiB.
+# per-date statistics; solve needs 60 B), 53 B per finite table cell (the
+# value.csv columns of solve; simulate needs 35 B, and converge, which holds
+# no table, 3.5 B at n = 10,000 on 31 grid points) and 19 B per Monte Carlo
+# path (a finite fund: 18.7 B at 200,000 paths, 18.1 B at 1,000,000; 16 B
+# for the infinite fund), i.e. at most about 145 + 253 + 91 MiB, some
+# 0.48 GiB.
 MAX_GRID_POINTS = 1_000_000
 MAX_FINITE_CELLS = 5_000_000  # fund size n times grid points
 MAX_PATHS = 5_000_000
@@ -400,6 +401,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         field, what = _NEEDS.get(args.command, (None, None))
         if field is not None and getattr(cfg, field) in (None, []):
             raise ConfigurationError(f"the {args.command} command needs {what}")
+        if args.command == "distribution":  # its closed form has no fund of n >= 2 to solve
+            _pooling(cfg.mode, "wealth_schedule")
         out = Path(args.out if args.out is not None else (cfg.output or "."))
         try:
             out.mkdir(parents=True, exist_ok=True)

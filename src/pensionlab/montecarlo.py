@@ -37,12 +37,11 @@ unsigned type that holds n0 and draws them from one sampler table per
 step, built before the pass for the counts present at the step's start and
 for a uniform that the step's largest exceeds with probability
 1 - ``_HEADROOM``; a block with a larger uniform rebuilds it.  The summary
-of a dying fund takes the logs of its gathered copy of the alive values in
-place, then sorts a second gather in place.  Per path, a run holds
-wealth, counts and alive mask, plus one path-sized temporary in the
-summary: about 18 B per path for a finite fund and 16 B for the infinite
-fund under tracemalloc at 1,000,000 paths.  The results do not depend on
-the block size.
+takes the logs of one copy of the alive wealth in place, then sorts a
+second copy in place.  Per path, a run holds wealth, counts and alive
+mask, plus one path-sized temporary in the summary: about 18 B per path
+for a finite fund and 16 B for the infinite fund under tracemalloc at
+1,000,000 paths.  The results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -241,19 +240,19 @@ def _blocks(seed: int, paths: int, k: int, base: float, vol: float, survival: bo
         yield slice(lo, hi), u, growth
 
 
-def _log_moments(values: np.ndarray, overwrite: bool = False):
+def _log_moments(values: np.ndarray):
     """Mean and ddof=1 variance of log(values), with a variance of 0 for one value.
 
-    The variance is np.var's own steps (the pairwise sum of the squared
-    deviations from the mean, over n - 1) done in place on the logs, so it
-    is bitwise np.var(logs, ddof=1) with one path-sized array fewer.  With
-    ``overwrite`` the logs are taken in ``values`` itself, which then holds
-    neither the values nor their logs.
+    The logs are taken in ``values`` itself, which then holds neither the
+    values nor their logs.  The variance is np.var's own steps (the pairwise
+    sum of the squared deviations from the mean, over n - 1) done in place
+    on the logs, so it is bitwise np.var(logs, ddof=1) with no array of its
+    own.
     """
     if values.size == 0:
         return math.nan, math.nan
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and -inf - -inf NaN
-        logs = np.log(values, out=values if overwrite else None)
+        logs = np.log(values, out=values)
         mean = logs.mean()
         if values.size == 1:
             return float(mean), 0.0
@@ -262,8 +261,9 @@ def _log_moments(values: np.ndarray, overwrite: bool = False):
     return float(mean), float(logs.sum() / (values.size - 1))
 
 
-def _quantiles(values: np.ndarray, probs, overwrite: bool = False) -> np.ndarray:
-    """np.quantile(values, probs, method="linear"), read from one sorted copy.
+def _quantiles(values: np.ndarray, probs) -> np.ndarray:
+    """np.quantile(values, probs, method="linear"), read from ``values``
+    sorted in place.
 
     ``values`` is a non-empty float array and ``probs`` holds floats in
     [0, 1].  The steps are numpy's own: the virtual index (n-1)·p, its floor
@@ -271,12 +271,10 @@ def _quantiles(values: np.ndarray, probs, overwrite: bool = False) -> np.ndarray
     n-1), the weight t = virtual index - floor, and the two-branch lerp
     a + d·t, or b - d·(1-t) where t >= 0.5; a NaN, which sorts last, makes
     every quantile NaN.  So the result is bitwise np.quantile's, without its
-    second pass (a partition of its own copy at the neighbour indices).
-    With ``overwrite``, ``values`` is sorted in place of the copy.
+    copy and its second pass (a partition at the neighbour indices).
     """
-    ordered = values if overwrite else values.copy()
-    ordered.sort()
-    n = ordered.size
+    values.sort()
+    n = values.size
     virtual = (n - 1) * np.asarray(probs, dtype=np.float64)
     lo = np.floor(virtual)
     hi = lo + 1
@@ -285,12 +283,12 @@ def _quantiles(values: np.ndarray, probs, overwrite: bool = False) -> np.ndarray
     lo = lo.astype(np.intp)
     hi = hi.astype(np.intp)
     t = virtual - lo
-    a, b = ordered[lo], ordered[hi]
+    a, b = values[lo], values[hi]
     d = b - a
     out = a + d * t
     np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
-    if np.isnan(ordered[-1]):
-        out[:] = ordered[-1]
+    if np.isnan(values[-1]):
+        out[:] = values[-1]
     return out
 
 
@@ -345,17 +343,15 @@ def simulate(
                     out[:, k] = model.consumption(k, x)
             alive = model.alive
             alive_ct[k] = paths if alive is _ALL else np.count_nonzero(alive)
-            gathered = alive is not _ALL  # x[alive] is then a copy to overwrite
-            values = x[alive]
-            mean_lx[k], var_lx[k] = _log_moments(values, overwrite=gathered)
-            del values  # free the logs before the copy the quantiles sort
+            # each summary helper overwrites its own copy of the alive wealth
+            mean_lx[k], var_lx[k] = _log_moments(x.copy() if alive is _ALL else x[alive])
             if alive_ct[k]:
                 if not mean_lx[k] < math.inf:
                     raise DivergenceError(
                         f"simulated wealth overflowed at t={grid.points[k]}: "
                         f"mean log wealth {mean_lx[k]}"
                     )
-                xq[:, k] = _quantiles(x[alive], QUANTILES, overwrite=gathered)
+                xq[:, k] = _quantiles(x.copy() if alive is _ALL else x[alive], QUANTILES)
             if k < n_steps - 1 and alive_ct[k]:  # a fund that died out stays at 0
                 blocks = _blocks(config.seed, paths, k, growth_base[k], growth_vol[k],
                                  model.draws_survivors)

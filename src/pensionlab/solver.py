@@ -44,7 +44,7 @@ from .core import (
     _real_array,
 )
 from .mortality import MortalityTable
-from ._kernels import _windows, lgamma_table, log_survivor_mixture
+from ._kernels import _row_windows, _windows, lgamma_table, log_survivor_mixture
 
 __all__ = [
     "CollectiveMode",
@@ -175,7 +175,7 @@ def _pooled(log_a, log_b):
 class ValueTable:
     """Solved values and controls.
 
-    ``z``, ``y`` and ``cstar`` have shape (rows, n_steps) for every fund:
+    ``z`` and ``cstar`` have shape (rows, n_steps) for every fund:
     n rows for a fund of n members, one included, row i-1 holding the values
     with i survivors, and one row for the infinite fund.  ``astar`` and
     ``xi`` are scalars.  The table keeps the mortality, market and
@@ -187,7 +187,6 @@ class ValueTable:
     market: MarketParams
     prefs: Preferences
     z: np.ndarray
-    y: np.ndarray
     cstar: np.ndarray
     astar: float
     xi: float
@@ -236,11 +235,13 @@ def _backward(mode, prefs, mortality, kappa, last, rule, plan=None):
     the survivor mixture of v_{k+1}.  NaN and +inf are divergence; -inf is
     v = 0, which a policy consuming nothing at some date earns when rho < 0.
 
-    ``plan`` (from ``_row_plan``) solves only its rows, over the windows its
-    spread gives, and holds two dates of them at a time; None solves every
-    row 1..n over its exact window.
+    Each date hands the kernel its rows and windows.  ``plan`` (from
+    ``_row_plan``) solves only its rows, over the windows its spread gives,
+    and holds two dates of them at a time; None solves every row 1..n over
+    its exact window (``_row_windows``).
     """
     grid = mortality.grid
+    alpha = prefs.alpha
     drift = np.broadcast_to(_log_phi(prefs, grid.dt, kappa, 1.0, 0), grid.n_steps)
     lgam = lgamma_table(mode.n)
     spans, spread = plan or (None, None)
@@ -249,13 +250,14 @@ def _backward(mode, prefs, mortality, kappa, last, rule, plan=None):
     yield grid.n_steps - 1, logv
     for k in range(grid.n_steps - 2, -1, -1):
         s = float(mortality.s[k])
-        step = None
-        if spans is not None:
-            given, rows = rows, _rows(spans[k])
-            step = rows, *_windows(rows, spread[k + 1], s, prefs.alpha), given
         with np.errstate(over="ignore"):  # overflow is caught below as NaN or +inf
-            lam = log_survivor_mixture(logv, s, lgam, prefs.alpha, step)
-            logv = rule(k, drift[k] + lam / prefs.alpha)
+            if spans is None:
+                step = rows, *_row_windows(alpha * logv, s, alpha), rows
+            else:
+                given, rows = rows, _rows(spans[k])
+                step = rows, *_windows(rows, spread[k + 1], s, alpha), given
+            lam = log_survivor_mixture(logv, s, lgam, alpha, step)
+            logv = rule(k, drift[k] + lam / alpha)
         ok = logv < np.inf  # False for NaN and +inf
         if not ok.all():
             raise _diverged(mode, grid, k, int(rows[np.argmin(ok)]) - 1)
@@ -315,11 +317,11 @@ def solve(
         # the last overflow of y, where a backward loop stops; else the first bad k
         where = np.concatenate((np.argwhere(y == np.inf)[-1:], np.argwhere(bad)))[0]
         raise _diverged(mode, grid, where[-1], where[0])
-    for arr in (z, y, cstar):
+    for arr in (z, cstar):
         arr.flags.writeable = False
     return ValueTable(
         mode=mode, mortality=mortality, market=market, prefs=prefs,
-        z=z, y=y, cstar=cstar, astar=astar, xi=xi,
+        z=z, cstar=cstar, astar=astar, xi=xi,
     )
 
 

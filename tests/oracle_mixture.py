@@ -14,6 +14,9 @@ largest operand.
 ``log_survivor_mixture_split_gather`` gathers every term's operands the
 same way but groups them as the kernel does, so the kernel must match it
 bit for bit.  All three are kept here only to check the kernel.
+
+``all_rows`` is the kernel's ``step`` that ``solve`` passes: every count
+1..n, each over its exact window.
 """
 
 import math
@@ -21,6 +24,12 @@ import math
 import numpy as np
 
 from pensionlab._kernels import CHUNK_ROWS, _row_windows
+
+
+def all_rows(logw, s, alpha):
+    """(rows, lo, hi, given) for every count m = 1..n over its exact window."""
+    counts = np.arange(1, logw.shape[0] + 1)
+    return (counts, *_row_windows(alpha * logw, s, alpha), counts)
 
 
 def mixture_terms(logw, s, lgam, alpha):

@@ -145,7 +145,7 @@ def wealth_mean_loop(table, x0):
     mortality, market, prefs = table.mortality, table.market, table.prefs
     grid = mortality.grid
     pool = table.mode.pooling
-    y = table.y[0]
+    y = 1.0 / table.cstar[0]
     q = prefs.rho / (1.0 - prefs.rho)
     a = table.astar
     xi_drift = a * (market.mu - market.r) + market.r - 0.5 * a * a * market.sigma**2

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pensionlab import montecarlo, solver
+from pensionlab import cli, montecarlo, solver
 from pensionlab.cli import main, parse_config
 from pensionlab.solver import solve
 
@@ -150,7 +150,7 @@ class TestSolveCommand:
         raw = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
         cfg = parse_config(dict(raw, mode="finite:2048"), REPO / "configs")
         new = solve(cfg.mode, cfg.market, cfg.prefs, cfg.mortality)
-        # solve passes the all-rows plan, step None
+        # solve passes every row over its exact window, the gather oracle's
         monkeypatch.setattr(solver, "log_survivor_mixture", lambda logw, s, lgam, alpha, step: (
             log_survivor_mixture_gather(logw, s, lgam, alpha)
         ))
@@ -177,9 +177,21 @@ class TestDistributionCommand:
             for cell in row:
                 assert f"{float(cell):.11e}" == cell
 
-    def test_finite_mode_unsupported(self, tmp_path):
-        cfg = write_cfg(tmp_path, dict(DEFAULTISH, mode="finite:3"))
-        assert main(["distribution", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("mode, rho", [("finite:3", -1.0), ("finite:5", -1e-300),
+                                           ("finite:10000", -1.0)])
+    def test_finite_mode_unsupported(self, tmp_path, capsys, monkeypatch, mode, rho):
+        # rejected before the solve (at rho = -1e-300 it diverges) and
+        # before the output directory is made
+        monkeypatch.setattr(cli, "solve", None)
+        cfg = write_cfg(tmp_path, dict(DEFAULTISH, mode=mode,
+                                       preferences=dict(DEFAULTISH["preferences"], rho=rho)))
+        out = tmp_path / "out"
+        assert main(["distribution", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: wealth_schedule supports individual and infinite funds only; "
+            "a fund of n >= 2 members needs simulation\n"
+        )
+        assert not out.exists()
 
     def test_overflowing_wealth_variance_exits_3_without_csv(self, tmp_path, capsys):
         # the one-date solve succeeds; (a* sigma)^2 = 1e310 once escaped as OverflowError
@@ -941,6 +953,8 @@ class TestFloatRangeConfigs:
     UNREAD = {("mu-1e300", "scenarios")} | {
         ("budget-1e308", c) for c in ("solve", "distribution", "scenarios", "converge")
     }
+    # the values a solve rejects: distribution rejects a fund of n >= 2 before it
+    SOLVED = {"b-800", "alpha-near-1-sigma-1e-150", "sigma-1e-100", "mu-1e300"}
 
     @pytest.mark.parametrize("mode", ["infinite", "individual", "finite:3"])
     @pytest.mark.parametrize("command", ["solve", "distribution", "simulate", "scenarios", "converge"])
@@ -955,6 +969,8 @@ class TestFloatRangeConfigs:
         if (case, command) in self.UNREAD:
             assert got in (0, 2) and (got == 0 or "n >= 2" in err), err
             return
+        if (command, mode) == ("distribution", "finite:3") and case in self.SOLVED:
+            code, message = 2, "wealth_schedule supports individual and infinite funds only"
         assert (got, err.count("\n")) == (code, 1), err
         assert err.startswith(f"error: {message}"), err
         assert list(out.glob("*.csv")) == []

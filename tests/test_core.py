@@ -105,6 +105,12 @@ NON_FINITE = {
     "simulation-x0-inf": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=math.inf), "x0"),
     "simulation-x0-bool": (lambda: SimulationConfig(10, 0, _STRATEGY, x0=True), "x0"),
     "simulation-x0-string": (lambda: SimulationConfig(10, 0, _STRATEGY, x0="1"), "x0"),
+    "simulation-x0-zero": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, x0=0), r"^x0 must be finite and positive, got 0\.0$"
+    ),
+    "simulation-x0-negative": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, x0=-1), r"^x0 must be finite and positive, got -1\.0$"
+    ),
     "simulation-paths-fraction": (lambda: SimulationConfig(10.5, 0, _STRATEGY), "paths"),
     "simulation-paths-bool": (lambda: SimulationConfig(True, 0, _STRATEGY), "paths"),
     "simulation-seed-bool": (lambda: SimulationConfig(10, False, _STRATEGY), "seed"),
@@ -171,6 +177,10 @@ NON_FINITE = {
     ),
     "simulation-policy-string": (
         lambda: SimulationConfig(10, 0, "table"), "policy must be a ValueTable or a Strategy, got str"
+    ),
+    "simulation-record-unknown-name": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, record=("wealth", "bogus")),
+        r"^unknown record series \['bogus'\]$",
     ),
     "simulation-record-string": (
         lambda: SimulationConfig(10, 0, _STRATEGY, record="wealth"),

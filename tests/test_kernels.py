@@ -28,6 +28,7 @@ from pensionlab._rng import (
 
 from oracle_binomial import binomial_inverse_loop, chop_down_sums
 from oracle_mixture import (
+    all_rows,
     log_sum_exp_rows,
     log_survivor_mixture_full,
     log_survivor_mixture_gather,
@@ -371,7 +372,7 @@ class TestBandedMixture:
     def test_matches_full_triangle(self, inputs):
         logw, s, alpha = inputs
         lgam = lgamma_table(logw.shape[0])
-        got = log_survivor_mixture(logw, s, lgam, alpha)
+        got = log_survivor_mixture(logw, s, lgam, alpha, all_rows(logw, s, alpha))
         want = log_survivor_mixture_full(logw, s, lgam, alpha)
         assert_within_operand_ulps(got, want, logw, s, lgam, alpha)
 
@@ -382,7 +383,7 @@ class TestBandedMixture:
         # it as A_i + D_(m-i) moves log lam by a few ulp of the largest operand
         logw, s, alpha = inputs
         lgam = lgamma_table(logw.shape[0])
-        got = log_survivor_mixture(logw, s, lgam, alpha)
+        got = log_survivor_mixture(logw, s, lgam, alpha, all_rows(logw, s, alpha))
         want = log_survivor_mixture_gather(logw, s, lgam, alpha)
         assert_within_operand_ulps(got, want, logw, s, lgam, alpha)
 
@@ -414,7 +415,7 @@ class TestBandedMixture:
         # block shape, as gathering every term's operands by index
         logw, s, alpha = inputs
         lgam = lgamma_table(logw.shape[0])
-        got = log_survivor_mixture(logw, s, lgam, alpha)
+        got = log_survivor_mixture(logw, s, lgam, alpha, all_rows(logw, s, alpha))
         want = log_survivor_mixture_split_gather(logw, s, lgam, alpha)
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -424,7 +425,7 @@ class TestBandedMixture:
         lo, hi = _row_windows(alpha * logw, s, alpha)
         assert np.any(hi < np.arange(1, n + 1)) and np.any(lo > 1)
         lgam = lgamma_table(n)
-        got = log_survivor_mixture(logw, s, lgam, alpha)
+        got = log_survivor_mixture(logw, s, lgam, alpha, all_rows(logw, s, alpha))
         want = log_survivor_mixture_split_gather(logw, s, lgam, alpha)
         assert np.array_equal(got, want)
 
@@ -437,7 +438,7 @@ class TestBandedMixture:
         lgam = lgamma_table(n)
         tracemalloc.start()
         try:
-            log_survivor_mixture(logw, 0.93, lgam, -1.0)
+            log_survivor_mixture(logw, 0.93, lgam, -1.0, all_rows(logw, 0.93, -1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

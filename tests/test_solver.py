@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pensionlab import solver
+from pensionlab._kernels import _row_windows, log_survivor_mixture
 from pensionlab.core import (
     ConfigurationError,
     DivergenceError,
@@ -51,10 +53,10 @@ def random_market(rng):
 def assert_pooled_modes_match_linear_recursion(market, prefs, mortality):
     """Pooled ``solve`` agrees with the linear recursion for C = 0 and C = 1.
 
-    Either both diverge with the same message, or neither does and z is
-    within 1e-12 and y, c* within 2e-12 relative.  The log-space driver's
-    rounding is absolute in log z, so the tolerances hold per 10 units of
-    the largest |log z|.
+    Either both diverge with the same message, or neither does, z is within
+    1e-12 relative and c* within 2e-12 of 1/y, and c* lies in (0, 1].  The
+    log-space driver's rounding is absolute in log z, so the tolerances hold
+    per 10 units of the largest |log z|.
     """
     for pooling, mode in ((0, CollectiveMode.individual()), (1, CollectiveMode.infinite())):
         try:
@@ -66,8 +68,10 @@ def assert_pooled_modes_match_linear_recursion(market, prefs, mortality):
             continue
         table = solve(mode, market, prefs, mortality)
         scale = max(1.0, float(np.max(np.abs(np.log(reference[0])))) / 10.0)
-        for got, want, rel in zip((table.z, table.y, table.cstar), reference, (1e-12, 2e-12, 2e-12)):
-            np.testing.assert_allclose(got[0], want, rtol=rel * scale, atol=0.0)
+        z, y, _ = reference
+        np.testing.assert_allclose(table.z[0], z, rtol=1e-12 * scale, atol=0.0)
+        np.testing.assert_allclose(table.cstar[0], 1.0 / y, rtol=2e-12 * scale, atol=0.0)
+        assert np.all((table.cstar > 0.0) & (table.cstar <= 1.0))
 
 
 class TestOptimalProportion:
@@ -175,8 +179,7 @@ class TestSolve:
         assert_pooled_modes_match_linear_recursion(base_market, vnm_prefs, mt)
         for mode in (CollectiveMode.individual(), CollectiveMode.infinite()):
             t = solve(mode, base_market, vnm_prefs, mt)
-            assert np.array_equal(t.cstar, 1.0 / t.y)
-            assert np.all(t.y >= 1.0)
+            assert np.all((t.cstar > 0.0) & (t.cstar <= 1.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -218,7 +221,7 @@ class TestSolve:
         mode = CollectiveMode(mode)
         table = solve(mode, base_market, vnm_prefs, mt)
         shape = (mode.n or 1, grid.n_steps)
-        assert table.z.shape == table.y.shape == table.cstar.shape == shape
+        assert table.z.shape == table.cstar.shape == shape
         assert extract_strategy(table).c.shape == shape
         assert table.z_at_start() == table.z[-1, 0]
 
@@ -636,3 +639,27 @@ class TestBackwardDriver:
         theta = math.exp(-b / rho) * math.exp(growth_exponent(market, alpha)) * s ** (1.0 / alpha)
         assert table.z[0, 1] == 1.0
         assert table.z[0, 0] == pytest.approx((1.0 + theta**q) ** (1.0 / q), rel=1e-13)
+
+    def test_every_date_gets_each_row_over_its_exact_window(
+        self, default_table, base_market, vnm_prefs, monkeypatch
+    ):
+        # solve and evaluate_policy hand the kernel every count 1..n at every
+        # date, each over the window _row_windows gives for that date's values
+        grid, mt = default_table
+        n = 300
+        calls = []
+
+        def recorded(logw, s, lgam, alpha, step):
+            calls.append((alpha * logw, s, alpha, step))
+            return log_survivor_mixture(logw, s, lgam, alpha, step)
+
+        monkeypatch.setattr(solver, "log_survivor_mixture", recorded)
+        table = solve(CollectiveMode.finite(n), base_market, vnm_prefs, mt)
+        evaluate_policy(extract_strategy(table), base_market, vnm_prefs, mt)
+        assert [s for _, s, _, _ in calls] == 2 * mt.s[-2::-1].tolist()
+        counts = np.arange(1, n + 1)
+        for alpha_logw, s, alpha, (rows, lo, hi, given) in calls:
+            assert np.array_equal(rows, counts) and np.array_equal(given, counts)
+            want_lo, want_hi = _row_windows(alpha_logw, s, alpha)
+            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+        assert any(np.any(hi - lo < rows - 1) for _, _, _, (rows, lo, hi, _) in calls)
