@@ -186,8 +186,7 @@ def log_survivor_mixture(logw, s, lgam, alpha, step):
     ops[0, : given.size] = i * math.log(s) - lgam[given] + (1.0 - alpha) * logi + alpha * logw
     ops[1, : top + 1] = np.arange(top, -1, -1) * math.log1p(-s) - lgam[top::-1]
     a_i, d_d = sliding_window_view(ops, width, axis=1)
-    logm = logi if rows is given else np.log(rows.astype(np.float64))
-    row_const = lgam[rows] - (1.0 - alpha) * logm
+    row_const = lgam[rows] - (1.0 - alpha) * np.log(rows.astype(np.float64))
     edges = np.flatnonzero(np.diff((rows - 1) // CHUNK_ROWS, prepend=-1, append=-1))
     out = np.empty(rows.size)
     for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):

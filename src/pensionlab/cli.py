@@ -49,7 +49,7 @@ from .mortality import MortalityTable, gompertz_makeham, load_mortality_csv
 from .solver import CollectiveMode, solve
 from .analytics import _pooling, wealth_schedule
 from .montecarlo import QUANTILES, SimulationConfig, simulate
-from .studies import convergence_study, improvement, run_scenarios
+from .studies import _checked_sizes, convergence_study, improvement, run_scenarios
 
 __all__ = ["main", "RunConfig", "parse_config"]
 
@@ -184,6 +184,8 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
         entries = _list(raw["n_list"], "n_list")
         n_list = [_located(CollectiveMode.finite, _integer(n, f"n_list[{i}]"), f"n_list[{i}]").n
                   for i, n in enumerate(entries)]
+        if n_list:  # an empty list is the converge command's own error
+            _located(_checked_sizes, n_list, "n_list")
 
     # no command builds a value table larger than the largest fund on the grid
     largest = max([mode.n or 0, *(sc[3] or 0 for sc in scenarios or ()), *(n_list or ())])

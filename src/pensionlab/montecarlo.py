@@ -311,10 +311,11 @@ def simulate(
             raise ConfigurationError("value table was solved on a different grid")
         policy = extract_strategy(policy)
     n_steps = grid.n_steps
-    if policy.a.shape != (n_steps,):
-        raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {policy.a.shape}")
     paths = config.paths
     dt = grid.dt
+    # formed before the survivor model, so the policy's dates are checked first
+    growth_base = _policy_growth(market, 0.0, policy.a, grid) * dt  # the drift of log wealth
+    growth_vol = policy.a * market.sigma * math.sqrt(dt)
     if policy.mode.is_finite:
         model = _BinomialSurvivors(policy.c, paths)
     else:
@@ -325,9 +326,6 @@ def simulate(
     var_lx = np.empty(n_steps)
     xq = np.full((len(QUANTILES), n_steps), np.nan)
     alive_ct = np.empty(n_steps, dtype=np.int64)
-
-    growth_base = _policy_growth(market, 0.0, policy.a, grid) * dt  # the drift of log wealth
-    growth_vol = policy.a * market.sigma * math.sqrt(dt)
 
     x = np.full(paths, config.x0)
     # wealth that overflows is caught below, as a mean log wealth of NaN or

@@ -134,9 +134,12 @@ def growth_exponent(market: MarketParams, alpha: float, a: float | None = None) 
 
 
 def _policy_growth(market: MarketParams, alpha: float, a: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """growth_exponent per date for the stock proportions ``a``, checked
-    finite at every date a step uses, all but the last: a proportion whose
-    square overflows gives -inf or NaN, which DivergenceError reports."""
+    """growth_exponent per date for the stock proportions ``a``, one per
+    date of ``grid``, checked finite at every date a step uses, all but the
+    last: a proportion whose square overflows gives -inf or NaN, which
+    DivergenceError reports."""
+    if a.shape != (grid.n_steps,):
+        raise ConfigurationError(f"strategy.a must have shape ({grid.n_steps},), got {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = growth_exponent(market, alpha, a)
     ok = np.isfinite(kappa[:-1])
@@ -333,61 +336,56 @@ def solve(
 BRACKET_MARGIN = 1e-9
 
 
+def _bracketed(counts, market, prefs, mortality) -> np.ndarray:
+    """z at t0 per fund size in ``counts`` (ascending, distinct, n >= 2).
+
+    The sizes are rows of one fund at their largest size: the recursion
+    for i survivors reads only counts <= i, so z at t0 of size i is that
+    fund's ``z[i - 1, 0]``.  They are solved only on the rows they reach
+    (``_row_plan``), two dates at a time, with no (n, n_steps) table.
+    Their windows need a bound on the range of alpha log z at the next
+    date, and the one-member and the infinite fund bracket every count,
+    z_1 <= z_i <= z_inf: the bound is |alpha| (log z_inf - log z_1),
+    widened by BRACKET_MARGIN on each side.  The windows hold the exact
+    ones while every row stays in that bracket, which each date checks.
+    If a row leaves it, a row diverges or a bracket fund diverges, the
+    sizes are the all-rows ``solve``'s result, or its error.
+    """
+    mode = CollectiveMode.finite(int(counts[-1]))
+    try:
+        low = np.log(solve(CollectiveMode(1), market, prefs, mortality).z[0]) - BRACKET_MARGIN
+        high = np.log(solve(CollectiveMode(None), market, prefs, mortality).z[0]) + BRACKET_MARGIN
+        _, xi = _exponents(market, prefs)
+        q = prefs.rho / (1.0 - prefs.rho)
+        plan = _row_plan(counts, mortality, prefs.alpha, abs(prefs.alpha) * (high - low))
+        last = np.zeros(_rows(plan[0][-1]).size)
+        for k, logz in _backward(mode, prefs, mortality, xi, last, _optimal(q), plan):
+            if not np.all((low[k] <= logz) & (logz <= high[k])):  # NaN fails
+                break
+        else:
+            return np.exp(logz)
+    except DivergenceError:
+        pass  # the all-rows solve raises it, at the row and date it reaches first
+    return solve(mode, market, prefs, mortality).z[counts - 1, 0]
+
+
 def _start_values(sizes, market, prefs, mortality) -> np.ndarray:
     """z at t0 per fund size in ``sizes`` (None: the infinite fund), as a
     study reads them; each size is a ``CollectiveMode`` size.
 
-    The one-member and the infinite fund are their own closed-form
-    ``solve``, each solved once if listed or needed as a bracket.
-    The sizes n >= 2 are rows of one fund at their largest size: the
-    recursion for i survivors reads only counts <= i, so z at t0 of size i
-    is that fund's ``z[i - 1, 0]``.  They are solved only on the rows they
-    reach (``_row_plan``), two dates at a time, with no (n, n_steps) table.
-    Their windows need a bound on the range of alpha log z at the next
-    date, and the two closed-form funds bracket every count, z_1 <= z_i <=
-    z_inf: the bound is |alpha| (log z_inf - log z_1), widened by
-    BRACKET_MARGIN on each side.  The windows hold the exact ones while
-    every row stays in that bracket, which each date checks.  If a row
-    leaves it, a row diverges or a bracket fund diverges, the sizes n >= 2
-    are the all-rows ``solve(finite(n))``'s result, or its error.
+    The sizes n >= 2 come from ``_bracketed``.  A listed one-member or
+    infinite fund is then its own closed-form ``solve``, solved where it
+    is read, n = 1 first, so a study raises its errors in that order
+    whatever the order of ``sizes``.
     """
     modes = [CollectiveMode(n) for n in sizes]
-    listed = {mode.n for mode in modes}
     counts = np.array(sorted({mode.n for mode in modes if mode.pooling is None}), dtype=np.int64)
-    closed = {}  # z per date of the funds n = 1 and None, or their DivergenceError
-    for n in (1, None):
-        if n in listed or counts.size:
-            try:
-                closed[n] = solve(CollectiveMode(n), market, prefs, mortality).z[0]
-            except DivergenceError as err:
-                closed[n] = err
     z0 = {}
     if counts.size:
-        mode = CollectiveMode.finite(int(counts[-1]))
-        z = None
-        if all(isinstance(bound, np.ndarray) for bound in closed.values()):
-            _, xi = _exponents(market, prefs)
-            q = prefs.rho / (1.0 - prefs.rho)
-            low = np.log(closed[1]) - BRACKET_MARGIN
-            high = np.log(closed[None]) + BRACKET_MARGIN
-            plan = _row_plan(counts, mortality, prefs.alpha, abs(prefs.alpha) * (high - low))
-            last = np.zeros(_rows(plan[0][-1]).size)
-            try:
-                for k, logz in _backward(mode, prefs, mortality, xi, last, _optimal(q), plan):
-                    if not np.all((low[k] <= logz) & (logz <= high[k])):  # NaN fails
-                        break
-                else:
-                    z = np.exp(logz)
-            except DivergenceError:
-                pass  # the all-rows solve raises it, at the row and date it reaches first
-        if z is None:
-            z = solve(mode, market, prefs, mortality).z[counts - 1, 0]
-        z0.update(zip(counts.tolist(), z))
-    for n, z in closed.items():
-        if n in listed:
-            if isinstance(z, DivergenceError):
-                raise z
-            z0[n] = z[0]
+        z0.update(zip(counts.tolist(), _bracketed(counts, market, prefs, mortality)))
+    for mode in (CollectiveMode(1), CollectiveMode(None)):
+        if mode in modes:
+            z0[mode.n] = solve(mode, market, prefs, mortality).z_at_start()
     return np.array([z0[mode.n] for mode in modes])
 
 
@@ -452,9 +450,6 @@ def evaluate_policy(
     some date earns it when rho < 0, and so does a value that underflows
     to exactly 0.
     """
-    n_steps = mortality.grid.n_steps
-    if strategy.a.shape != (n_steps,):
-        raise ConfigurationError(f"strategy.a must have shape ({n_steps},), got {strategy.a.shape}")
     mode, a, c, rho = strategy.mode, strategy.a, strategy.c, prefs.rho
     with np.errstate(divide="ignore"):
         logc = np.log(c)

@@ -170,11 +170,6 @@ def convergence_study(
     (``_start_values``).
     """
     n_list = _checked_sizes(n_list)
-    if n_list[-1] < 10 * n_list[0]:
-        raise ConfigurationError(
-            "fund sizes should span at least a decade for a meaningful rate fit"
-        )
-
     n = np.array(n_list)
     z0 = _start_values([*n_list, 1, None], market, prefs, mortality)
     z_n, z_inf = z0[:-2], float(z0[-1])
@@ -222,9 +217,15 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _checked_sizes(n_list: Sequence[int]) -> list[int]:
+    """The fund sizes of a study: finite, strictly increasing and spanning
+    at least a decade."""
     sizes = [CollectiveMode.finite(n).n for n in n_list]
     if not sizes:
         raise ConfigurationError("need at least one fund size")
     if sorted(set(sizes)) != sizes:
         raise ConfigurationError("fund sizes must be strictly increasing")
+    if sizes[-1] < 10 * sizes[0]:
+        raise ConfigurationError(
+            "fund sizes should span at least a decade for a meaningful rate fit"
+        )
     return sizes

@@ -611,6 +611,10 @@ MALFORMED = {
     # every fund size is a CollectiveMode size, checked for every command
     "n_list-entry-zero": {"n_list": [0, 10, 100]},
     "n_list-entry-over-cap": {"n_list": [1, 10001]},  # 20,002 cells: under the cell cap
+    # a study's sizes are checked as the config is parsed, before any directory is made
+    "n_list-repeated": {"n_list": [1, 10, 10]},
+    "n_list-under-a-decade": {"n_list": [2, 4, 8]},
+    "n_list-decreasing": {"n_list": [100, 10, 1]},
     "scenario-n-over-cap": {"scenarios": [{"id": "a", "mu": 0.0, "r": 0.0, "n": 10001}]},
 }
 
@@ -632,6 +636,9 @@ class TestConfigHandling:
         ("n_list-entry-zero", "n_list[0]: "),
         ("n_list-entry-over-cap", "n_list[1]: "),
         ("n_list-entry-fraction", "n_list[0] must be an integer"),
+        ("n_list-repeated", "n_list: fund sizes must be strictly increasing"),
+        ("n_list-under-a-decade", "n_list: fund sizes should span at least a decade"),
+        ("n_list-decreasing", "n_list: fund sizes must be strictly increasing"),
     ])
     def test_bad_fund_size_error_names_its_field(self, tmp_path, capsys, case, where):
         # the size's own error, headed by the config field that holds it

@@ -324,9 +324,9 @@ class TestScenarios:
                     assert abs((1.0 + got) / (1.0 + own) - 1.0) <= 1e-12, (alpha, rho, mu, r, n)
 
     def test_one_finite_solve_per_market(self, default_table, vnm_prefs, monkeypatch):
-        # each market solves the one-member and the infinite fund at most
-        # once, as listed or as the bracket of its sizes n >= 2, and those
-        # sizes in one pruned pass
+        # each market solves the one-member and the infinite fund once as
+        # the bracket of its sizes n >= 2, which it solves in one pruned
+        # pass, and then once more each where it lists them
         _, mt = default_table
         calls, plans = [], []
         own_solve, own_plan = solver.solve, solver._row_plan
@@ -341,9 +341,9 @@ class TestScenarios:
             + [(0.027, 0.027, n) for n in [2, 1, 2]],
             0.15, vnm_prefs, mt,
         )
-        assert Counter(calls) == Counter(
-            [(mu, r, n) for mu, r in ((0.062, 0.027), (0.027, 0.027)) for n in (1, None)]
-        )
+        assert calls == [(0.062, 0.027, n) for n in (1, None, 1, None)] + [
+            (0.027, 0.027, n) for n in (1, None, 1)
+        ]
         assert plans == [(3,), (2,)]
 
     def test_bundled_scenarios_solve_only_what_they_list(self, studies_config, monkeypatch):
@@ -662,6 +662,14 @@ def _studies_at(T):
     return parse_config(dict(raw, grid=dict(raw["grid"], T=T)), configs)
 
 
+def _diverging_market():
+    """(market, prefs, mortality) at which every fund's value diverges, at t = 128."""
+    p = np.zeros(200)
+    p[-1] = 1.0
+    mt = MortalityTable(make_time_grid(0, 1, 200), p)
+    return MarketParams(mu=10.0, r=10.0, sigma=0.2), Preferences(alpha=0.5, rho=0.5, b=0.0), mt
+
+
 POWERS_TO_2048 = [2**k for k in range(12)]
 DECADES_TO_10000 = [1, 10, 100, 1000, 10_000]
 
@@ -741,12 +749,8 @@ class TestPrunedRows:
         # solve diverges at this market, and so does the one-member fund.
         # Bracket funds that solve, with an unbounded margin, let the pruned
         # pass run into it, and its error is solve's, with count and date
-        grid = make_time_grid(0, 1, 200)
-        p = np.zeros(200)
-        p[-1] = 1.0
-        mt = MortalityTable(grid, p)
-        market = MarketParams(mu=10.0, r=10.0, sigma=0.2)
-        prefs = Preferences(alpha=0.5, rho=0.5, b=0.0)
+        market, prefs, mt = _diverging_market()
+        grid = mt.grid
         with pytest.raises(DivergenceError) as want:
             solve(CollectiveMode.finite(40), market, prefs, mt)
         assert re.fullmatch(r"value recursion diverged for survivor count \d+ at t=\S+",
@@ -770,9 +774,19 @@ class TestPrunedRows:
             # the pruned pass, given a plan, runs only when both bracket funds solve
             assert passes == [True] * (plans - 1) + [False]
 
+    def test_the_one_member_funds_error_comes_first(self):
+        # both closed-form funds diverge here, at the same date; the
+        # one-member fund is solved first whatever the order of the sizes
+        market, prefs, mt = _diverging_market()
+        message = "^value recursion diverged for survivor count 1 at t=128.0$"
+        with pytest.raises(DivergenceError, match=message):
+            solver._start_values([None, 1], market, prefs, mt)
+        with pytest.raises(DivergenceError, match=message):
+            run_scenarios([(market.mu, market.r, n) for n in (None, 1)], market.sigma, prefs, mt)
+
     def test_a_diverging_bracket_fund_falls_back_to_solve(self, studies_config):
         # the infinite fund diverges: the sizes n >= 2 are the all-rows solve's,
-        # and a listed infinite fund raises its error
+        # and a listed infinite fund, solved again where it is read, raises its error
         cfg = studies_config
         own = solver.solve
 
@@ -786,7 +800,9 @@ class TestPrunedRows:
             got = solver._start_values(sizes, cfg.market, cfg.prefs, cfg.mortality)
             with pytest.raises(DivergenceError, match="^value recursion diverged at t=65.0$"):
                 solver._start_values([None, *sizes], cfg.market, cfg.prefs, cfg.mortality)
-        assert [call.args[0].n for call in full.call_args_list] == [1, None, 100] * 2
+        assert [call.args[0].n for call in full.call_args_list] == (
+            [1, None, 100, 1] + [1, None, 100, 1, None]
+        )
         assert np.array_equal(got, _full(sizes, cfg.market, cfg.prefs, cfg.mortality))
 
     @pytest.mark.parametrize("n_list, rows, terms", [
