@@ -1,6 +1,10 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels: the finite value step and the survivor sampler.
 
-Two operations dominate runtime and live here:
+Their share of a run depends on the workload.  Measured in process on a
+2-CPU host, mean of 5 runs: the fund size study up to n = 2048 spends about
+32 of 43 ms in the value step, and a 100,000-path simulation of a fund of
+100 about 38 of 233 ms in the sampler, against about 116 ms in ``_rng``'s
+hashing and inverse normal.
 
 * ``log_survivor_mixture`` - the binomial survivor mixture at the heart of
   one backward step of the finite-collective value recursion (see

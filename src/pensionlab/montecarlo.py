@@ -17,9 +17,10 @@ wealth) is computed inside the step loop over the paths still alive
 (no gather while every path is), so a run needs O(paths) memory.  Wealth is
 sorted once per step and its quantiles are read from that sorted copy,
 bitwise equal to np.quantile's; moments use the unsorted values, as
-summation order matters.  Full ``paths x n_steps`` series are kept only for
-the names in ``SimulationConfig.record``; consumption is formed only when it
-is recorded.  Both come back in one flat ``SimulationResult``.
+summation order matters.  Full ``paths x n_steps`` series of survivors and
+wealth are kept only for the names in ``SimulationConfig.record``; a path's
+consumption is c*(N_k, k) X_k of those two.  Summary and series come back in
+one flat ``SimulationResult``.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, path, step, stream): stream 0 drives market growth, stream 1 the
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)  # probabilities of the summary quantiles
-_RECORD_CHOICES = ("survivors", "wealth", "consumption")
+_RECORD_CHOICES = ("survivors", "wealth")
 _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
 _ALL = slice(None)  # the alive selector while no path has died out
@@ -132,7 +133,6 @@ class SimulationResult:
     x_quantiles: np.ndarray
     survivors: Optional[np.ndarray] = None
     wealth: Optional[np.ndarray] = None
-    consumption: Optional[np.ndarray] = None
 
 
 class _SurvivorFraction:
@@ -144,9 +144,6 @@ class _SurvivorFraction:
     def __init__(self, c: np.ndarray):
         self.c = c[0]
         self.survivors = 1.0
-
-    def consumption(self, k: int, x: np.ndarray) -> np.ndarray:
-        return self.c[k] * x
 
     def advance(self, k: int, s_k: float, x: np.ndarray, blocks) -> None:
         self.survivors *= s_k
@@ -184,11 +181,6 @@ class _BinomialSurvivors:
         # a step's first table is built for at least this uniform, which the
         # step's largest uniform stays below with probability _HEADROOM
         self.floor = _HEADROOM ** (1.0 / paths)
-
-    def consumption(self, k: int, x: np.ndarray) -> np.ndarray:
-        gamma = self.c[k].take(self.survivors)
-        gamma *= x
-        return gamma
 
     def advance(self, k: int, s_k: float, x: np.ndarray, blocks) -> None:
         # one table serves the step: it is built for the counts present at
@@ -298,7 +290,7 @@ def simulate(
     market: MarketParams,
     mortality: MortalityTable,
 ) -> SimulationResult:
-    """Simulate fund-per-survivor wealth and consumption along the grid.
+    """Simulate survivors and fund-per-survivor wealth along the grid.
 
     Raises DivergenceError when wealth overflows, which a mean log wealth of
     NaN or +inf over the paths alive at a date shows.
@@ -333,12 +325,7 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             for name, out in recorded.items():
-                if name == "wealth":
-                    out[:, k] = x
-                elif name == "survivors":
-                    out[:, k] = model.survivors
-                else:  # consumption, formed only when recorded and freed before the update
-                    out[:, k] = model.consumption(k, x)
+                out[:, k] = x if name == "wealth" else model.survivors
             alive = model.alive
             alive_ct[k] = paths if alive is _ALL else np.count_nonzero(alive)
             # each summary helper overwrites its own copy of the alive wealth

@@ -328,11 +328,12 @@ def solve(
     )
 
 
-# The bracket's widening, in nats of log z, above the finite table's own
-# rounding: against extended precision on configs/studies.json that is at
-# most 1.1e-11, 1.9e-12 and 2.4e-11 relative at n = 2048 for three
-# preference pairs, and about 1.2e-10 extrapolated to n = 10 000 (ROADMAP
-# direction 14).
+# A rounding floor of z, relative (so in nats of log z), above the finite
+# table's own rounding: against extended precision on configs/studies.json
+# that is at most 1.1e-11, 1.9e-12 and 2.4e-11 relative at n = 2048 for
+# three preference pairs, and about 1.2e-10 extrapolated to n = 10 000
+# (ROADMAP direction 14).  It widens the study's bracket, and the study
+# reads a gap to the limit below it as rounding.
 BRACKET_MARGIN = 1e-9
 
 

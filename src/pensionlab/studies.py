@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import ConfigurationError, DivergenceError, MarketParams, Preferences
 from .mortality import MortalityTable, annuity_factor
-from .solver import CollectiveMode, ValueTable, _pooled, _start_values
+from .solver import BRACKET_MARGIN, CollectiveMode, ValueTable, _pooled, _start_values
 
 __all__ = [
     "ConvergenceReport",
@@ -174,11 +174,8 @@ def convergence_study(
     z0 = _start_values([*n_list, 1, None], market, prefs, mortality)
     z_n, z_inf = z0[:-2], float(z0[-1])
     diffs = np.abs(z_n - z_inf)
-    # a gap this small is rounding, not a rate: the finite table rounds by
-    # at most 1.1e-11, 1.9e-12 and 2.4e-11 relative at n = 2048 for three
-    # preference pairs, about 1.2e-10 extrapolated to n = 10 000 (ROADMAP
-    # direction 14), and the infinite solve differently
-    noise = diffs <= 1e-9 * z_inf
+    # a gap below the finite table's rounding floor is rounding, not a rate
+    noise = diffs <= BRACKET_MARGIN * z_inf
     if noise.any():
         raise ConfigurationError(
             f"|z_n - z_inf| <= 1e-9 z_inf at n = {n[noise][0]}: there is no rate to fit"

@@ -182,6 +182,10 @@ NON_FINITE = {
         lambda: SimulationConfig(10, 0, _STRATEGY, record=("wealth", "bogus")),
         r"^unknown record series \['bogus'\]$",
     ),
+    "simulation-record-consumption": (
+        lambda: SimulationConfig(10, 0, _STRATEGY, record=("survivors", "consumption")),
+        r"^unknown record series \['consumption'\]$",
+    ),
     "simulation-record-string": (
         lambda: SimulationConfig(10, 0, _STRATEGY, record="wealth"),
         "record must be a sequence of names, got 'wealth'",

@@ -22,10 +22,10 @@ from pensionlab.montecarlo import (
 from pensionlab.mortality import MortalityTable, gompertz_makeham
 from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, solve
 
-from oracle_objective import path_objectives, z_score
+from oracle_objective import consumption, path_objectives, z_score
 
 
-ALL_SERIES = ("survivors", "wealth", "consumption")
+ALL_SERIES = ("survivors", "wealth")
 STATS = tuple(name for name in SimulationResult.__dataclass_fields__ if name not in ALL_SERIES)
 MEDIAN = QUANTILES.index(0.5)
 
@@ -49,7 +49,7 @@ class TestDeterministicCases:
         )
         assert np.all(res.wealth[:, 0] == 1.0)
         assert np.all(res.wealth[:, 1] == 0.5)
-        assert np.all(res.consumption == 0.5)
+        assert np.all(consumption(table.mode, table.cstar, res) == 0.5)
 
     def test_same_seed_bitwise_identical(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
@@ -135,7 +135,7 @@ class TestBudgetIdentity:
             grid, market, mt,
         )
         growth = math.exp(market.r * grid.dt)
-        n, x, g = res.survivors, res.wealth, res.consumption
+        n, x, g = res.survivors, res.wealth, consumption(table.mode, table.cstar, res)
         for k in range(grid.n_steps - 1):
             live = n[:, k + 1] > 0
             expect = (n[live, k] / n[live, k + 1]) * (x[live, k] - g[live, k]) * growth
@@ -152,8 +152,9 @@ class TestBudgetIdentity:
             SimulationConfig(paths=10, seed=9, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
+        g = consumption(table.mode, table.cstar, res)
         for k in range(grid.n_steps - 1):
-            expect = (res.wealth[:, k] - res.consumption[:, k]) / float(mt.s[k])
+            expect = (res.wealth[:, k] - g[:, k]) / float(mt.s[k])
             assert np.allclose(res.wealth[:, k + 1], expect, rtol=1e-10)
 
     def test_individual_mode_is_one_member_fund(self, short_table, vnm_prefs):
@@ -165,26 +166,17 @@ class TestBudgetIdentity:
             grid, market, mt,
         )
         growth = math.exp(market.r * grid.dt)
+        g = consumption(table.mode, table.cstar, res)
         # while alive the budget carries wealth without redistribution
         for k in range(grid.n_steps - 1):
             live = res.survivors[:, k + 1] > 0
-            expect = (res.wealth[live, k] - res.consumption[live, k]) * growth
+            expect = (res.wealth[live, k] - g[live, k]) * growth
             assert np.allclose(res.wealth[live, k + 1], expect, rtol=1e-12)
         assert set(np.unique(res.survivors)) <= {0, 1}
 
-    def test_consumption_is_rate_lookup(self, short_table, base_market, vnm_prefs):
-        grid, mt = short_table
-        table = solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt)
-        res = simulate(
-            SimulationConfig(paths=50, seed=3, policy=table, record=ALL_SERIES),
-            grid, base_market, mt,
-        )
-        # gamma was stored as cstar * wealth, so this recomposition is bitwise
-        assert np.array_equal(res.consumption, table.cstar * res.wealth)
-
-    def test_finite_consumption_is_rate_lookup(self, default_table, base_market, vnm_prefs):
-        # finite:3 on the default table dies out: the rate of n >= 1 survivors
-        # is cstar[n - 1, k], and an extinct path consumes exactly +0.0
+    def test_extinct_fund_holds_positive_zero(self, default_table, base_market, vnm_prefs):
+        # finite:3 on the default table dies out, and a path whose fund has
+        # died holds exactly +0.0
         grid, mt = default_table
         mode = CollectiveMode.finite(3)
         table = solve(mode, base_market, vnm_prefs, mt)
@@ -192,12 +184,9 @@ class TestBudgetIdentity:
             SimulationConfig(paths=3000, seed=17, policy=table, record=ALL_SERIES),
             grid, base_market, mt,
         )
-        n, x, g = res.survivors.astype(np.int64), res.wealth, res.consumption  # recorded as float
-        k = np.broadcast_to(np.arange(grid.n_steps), n.shape)
-        alive = n > 0
+        alive = res.survivors > 0
         assert alive.any() and not alive.all()
-        assert np.array_equal(g[alive], table.cstar[n[alive] - 1, k[alive]] * x[alive])
-        assert g[~alive].tobytes() == np.zeros(np.count_nonzero(~alive)).tobytes()
+        assert res.wealth[~alive].tobytes() == np.zeros(np.count_nonzero(~alive)).tobytes()
 
 
 class TestDistributionAgreement:
@@ -243,8 +232,8 @@ class TestDistributionAgreement:
             SimulationConfig(paths=16, seed=6, policy=table, record=ALL_SERIES),
             grid, market, mt,
         )
-        first = res.consumption[:, :1]
-        assert np.allclose(res.consumption, first, rtol=1e-12)
+        g = consumption(table.mode, table.cstar, res)
+        assert np.allclose(g, g[:, :1], rtol=1e-12)
 
 
 class TestSummarize:
@@ -423,7 +412,7 @@ class TestSummarize:
             SimulationConfig(paths=4, seed=1, policy=table, record=("wealth",)),
             grid, base_market, mt,
         )
-        assert res.consumption is None
+        assert res.survivors is None
         assert res.x_quantiles.shape == (len(QUANTILES), grid.n_steps)
 
 
@@ -456,7 +445,9 @@ class TestValidation:
             SimulationConfig(paths=3, seed=2, policy=strat, record=ALL_SERIES),
             grid, market, mt,
         )
-        assert np.all(res.consumption[:, 0] == 0.2)
+        # no market growth: the first date consumes 0.2 of unit wealth and
+        # shares the rest among the survivors
+        assert np.all(res.wealth[:, 1] == (1.0 - 0.2) / mt.s[0])
 
     def test_dead_fund_excluded_from_stats(self, vnm_prefs):
         grid = make_time_grid(0, 1, 6)
@@ -493,7 +484,7 @@ class TestBoundedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.wealth is None and res.survivors is None and res.consumption is None
+        assert res.wealth is None and res.survivors is None
         assert res.alive_paths[0] == 20_000
         assert np.all(np.isfinite(res.x_quantiles[:, 0]))
         assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"

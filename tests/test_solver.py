@@ -32,6 +32,7 @@ from pensionlab.solver import (
 
 from conftest import BUNDLED_GOMPERTZ, DISCOUNTS, EXPONENTS, MORTALITY, random_mortality
 from oracle_dp import best_growth_exponent, golden_max, oracle_values
+from oracle_objective import consumption
 from oracle_pooled import continuous_consumption_rate, linear_recursion
 
 
@@ -581,23 +582,28 @@ class TestInfinitePolicyInFiniteFund:
         assert losses[0] > losses[1] > losses[2], losses
         assert losses[2] <= 1e-4, losses
 
-    def test_broadcast_policy_simulates(self, mt, base_market, vnm_prefs):
-        # simulate takes the read-only broadcast view, and every path with a
-        # survivor consumes the infinite fund's rate of its date
-        limit = extract_strategy(solve(CollectiveMode.infinite(), base_market, vnm_prefs, mt))
+    def test_broadcast_policy_simulates(self, mt, vnm_prefs):
+        # simulate takes the read-only broadcast view: while a path's fund
+        # lives, its wealth follows the budget identity at the infinite
+        # fund's rate of each date (a* = 0, so the market adds no noise)
+        market = MarketParams(mu=0.02, r=0.02, sigma=0.2)
+        limit = extract_strategy(solve(CollectiveMode.infinite(), market, vnm_prefs, mt))
         c = np.broadcast_to(limit.c, (16, mt.grid.n_steps))
         assert not c.flags.writeable
         policy = Strategy(CollectiveMode.finite(16), limit.a, c)
         res = simulate(
-            SimulationConfig(paths=50, seed=5, policy=policy,
-                             record=("survivors", "wealth", "consumption")),
-            mt.grid, base_market, mt,
+            SimulationConfig(paths=50, seed=5, policy=policy, record=("survivors", "wealth")),
+            mt.grid, market, mt,
         )
-        alive = res.survivors > 0
+        n, x = res.survivors, res.wealth
+        alive = n > 0
         assert alive[:, 0].all() and not alive[:, -1].all()  # some funds die out
-        rates = np.broadcast_to(limit.c, res.wealth.shape)
-        assert np.array_equal(res.consumption[alive], rates[alive] * res.wealth[alive])
-        assert np.all(res.consumption[~alive] == 0.0)
+        spare = x - consumption(policy.mode, c, res)
+        growth = math.exp(market.r * mt.grid.dt)
+        expect = n[:, :-1] / np.maximum(n[:, 1:], 1) * spare[:, :-1] * growth
+        later, live = x[:, 1:], alive[:, 1:]
+        assert np.allclose(later[live], expect[live], rtol=1e-12)
+        assert np.all(later[~live] == 0.0)
 
 
 class TestContinuousConsumptionLimit:
