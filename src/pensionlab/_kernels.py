@@ -24,8 +24,10 @@ hashing and inverse normal.
   a row needs, O(sqrt(n s (1-s))) for moderate uniforms.
   ``binomial_draws`` finds each uniform in its row by indexed search: one
   guide lookup and one compare settle most draws, and only the rest are
-  binary-searched, in O(draws) expected time and memory.  A simulation step
-  builds one table before it draws a block of paths at a time from it;
+  binary-searched, in O(draws) expected time.  It reads the counts in their
+  own integer type, one byte wide in a fund of up to 255, and holds about
+  three draw-sized arrays at a time.  A simulation step builds one table
+  before it draws a block of paths at a time from it;
   ``binomial_inverse(n, s, u, lgam)`` is the two in one call.  The draws are
   those of a per-draw loop, bit for bit.
 """
@@ -321,24 +323,31 @@ def binomial_table(n, s, umax, lgam) -> BinomialTable:
 
 
 def binomial_draws(table: BinomialTable, n, u) -> np.ndarray:
-    """Binomial(n, table.s) draws, one per uniform in ``u``, shaped like ``n``.
+    """Binomial(n, table.s) int64 draws, one per uniform in ``u``, shaped like ``n``.
 
     Every count in ``n`` must be one the table was built for and every
-    uniform at most its ``umax``.  A call costs O(draws) time and memory.
+    uniform at most its ``umax``.  The counts are read in their own integer
+    type, and each index array is dropped once it has been read, so a call
+    holds about three draw-sized arrays besides ``n`` and ``u`` and costs
+    O(draws) time.
     """
-    n = np.asarray(n, dtype=np.int64)
+    n = np.asarray(n)
     if table.s <= 0.0:
-        return np.zeros_like(n)
+        return np.zeros(n.shape, dtype=np.int64)
     if table.s >= 1.0:
-        return n.copy()
+        return n.astype(np.int64)
     flat_n, flat_u = n.ravel(), np.asarray(u, dtype=np.float64).ravel()
     sums = table.sums
     # start each draw at its bucket's guide entry, a lower bound on its
     # position; the draws whose start entry is still <= u are unsettled
     bucket = (flat_u * GUIDE_BUCKETS).astype(np.int64)
     np.minimum(bucket, GUIDE_BUCKETS - 1, out=bucket)
-    bucket += table.rank.take(flat_n) * GUIDE_BUCKETS
+    row = table.rank.take(flat_n)
+    row *= GUIDE_BUCKETS
+    bucket += row
+    del row
     pos = table.guide.take(bucket)
+    del bucket
     unsettled = np.flatnonzero(sums.take(pos) <= flat_u)
     if unsettled.size:
         # binary search in the row: advance while the entry stepped over is

@@ -12,7 +12,8 @@ turn, split into the pieces a simulation reuses:
   every stream of that step;
 * ``stream_uniforms(h, stream)`` = mix(h ^ stream) mapped to a float.
 
-Each piece finalises in place the fresh array that its xor makes.
+Each piece finalises in place the fresh array that its xor makes, and
+``stream_uniforms`` also shifts it in place to its top 53 bits.
 
 A uniform is the top 53 bits of the hash plus half a unit, (k + 1/2) 2^-53,
 clamped to 1 - 2^-53 so that the largest k (which rounds to 1.0) stays
@@ -72,8 +73,10 @@ def step_hash(keys: np.ndarray, step: int) -> np.ndarray:
 
 
 def _unit_interval(h: np.ndarray) -> np.ndarray:
-    """(top 53 bits of h + 1/2) 2^-53, clamped to at most 1 - 2^-53."""
-    u = (h >> _U64(11)).astype(np.float64)
+    """(top 53 bits of h + 1/2) 2^-53, clamped to at most 1 - 2^-53; shifts
+    the fresh hash ``h`` in place."""
+    h >>= _U64(11)
+    u = h.astype(np.float64)
     u *= 2.0**-53
     u += 2.0**-54
     return np.minimum(u, _BELOW_ONE, out=u)

@@ -42,7 +42,7 @@ from oracle_rng import uniform as uniform_scalar
 
 
 def chain_uniforms(seed, paths, step, stream, block=None):
-    """The uniforms of paths 0..paths-1 as ``montecarlo._blocks`` draws them:
+    """The uniforms of paths 0..paths-1 as ``montecarlo._draw`` draws them:
     each block's path keys, then its step hash and its stream."""
     block = block or paths
     return np.concatenate([
@@ -281,6 +281,21 @@ class TestBinomialInverse:
         n = np.repeat(values, 2)
         u = np.tile([1.0, 1.0 - 2.0**-53], values.size)
         assert np.array_equal(binomial_inverse(n, s, u, lgam), binomial_inverse_loop(n, s, u, lgam))
+
+    @pytest.mark.parametrize("dtype, n0", [(np.uint8, 255), (np.uint16, 10_000)],
+                             ids=["uint8", "uint16"])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+    def test_narrow_counts_give_int64_draws(self, dtype, n0, s):
+        # simulate passes its counts in their own one- or two-byte type
+        rng = np.random.default_rng(29)
+        n = rng.integers(0, n0 + 1, 500)
+        n[:2] = 0, n0
+        u = rng.uniform(0.0, 1.0, 500)
+        table = binomial_table(n, s, u.max(), lgamma_table(n0))
+        want = binomial_draws(table, n, u)
+        got = binomial_draws(table, n.astype(dtype), u)
+        assert want.dtype == got.dtype == np.int64
+        assert np.array_equal(got, want)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

@@ -28,6 +28,7 @@ from oracle_objective import consumption, path_objectives, z_score
 ALL_SERIES = ("survivors", "wealth")
 STATS = tuple(name for name in SimulationResult.__dataclass_fields__ if name not in ALL_SERIES)
 MEDIAN = QUANTILES.index(0.5)
+BLOCK = montecarlo._BLOCK  # the default block size
 
 
 @pytest.fixture(scope="module")
@@ -67,27 +68,32 @@ class TestDeterministicCases:
         assert not np.array_equal(a.wealth, c.wealth)
 
     @pytest.mark.parametrize(
-        "mode",
-        [CollectiveMode.finite(2), pytest.param(CollectiveMode.individual(), id="individual"),
-         CollectiveMode.infinite()],
-        ids=str,
+        "mode, paths, blocks",
+        # 61 paths: eight blocks of 7 and a ragged one, or one short default
+        # block; then, for each survivor model, two default blocks and a
+        # ragged one of 3 paths against one block that holds every path
+        [pytest.param(CollectiveMode.finite(2), 61, (1, 7, BLOCK), id="finite:2"),
+         pytest.param(CollectiveMode.individual(), 61, (1, 7, BLOCK), id="individual"),
+         pytest.param(CollectiveMode.infinite(), 61, (1, 7, BLOCK), id="infinite"),
+         pytest.param(CollectiveMode.finite(2), 2 * BLOCK + 3, (2 * BLOCK + 3, BLOCK),
+                      id="finite:2-2*BLOCK+3"),
+         pytest.param(CollectiveMode.infinite(), 2 * BLOCK + 3, (2 * BLOCK + 3, BLOCK),
+                      id="infinite-2*BLOCK+3")],
     )
     def test_results_do_not_depend_on_block_size(self, default_table, base_market, vnm_prefs,
-                                                 mode, monkeypatch):
-        # 61 paths: eight blocks of 7 and a ragged one, or one short default block
+                                                 mode, paths, blocks, monkeypatch):
         grid, mt = default_table
         table = solve(mode, base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=61, seed=19, policy=table, record=ALL_SERIES)
+        cfg = SimulationConfig(paths=paths, seed=19, policy=table, record=ALL_SERIES)
         runs = []
-        for block in (1, 7, montecarlo._BLOCK):
+        for block in blocks:
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
             runs.append(simulate(cfg, grid, base_market, mt))
         if mode.is_finite:  # the fund dies out on some paths
-            assert runs[0].alive_paths.min() < 61
+            assert runs[0].alive_paths.min() < paths
         for res in runs[1:]:
             for name in res.__dataclass_fields__:
                 assert getattr(res, name).tobytes() == getattr(runs[0], name).tobytes(), name
-
 
     def test_results_do_not_depend_on_table_rebuilds(self, default_table, base_market,
                                                      vnm_prefs, monkeypatch):
@@ -496,15 +502,17 @@ class TestBoundedMemory:
          (CollectiveMode.infinite(), 18)],
         ids=str,
     )
-    def test_bytes_per_path(self, default_table, base_market, vnm_prefs, mode, limit):
+    @pytest.mark.parametrize("paths", [100_000, 200_000])
+    def test_bytes_per_path(self, default_table, base_market, vnm_prefs, mode, limit, paths):
         # the simulate command's run: nothing recorded.  At the peak, a
         # finite fund holds wealth, one-byte counts, the alive mask and the
         # gathered copy of the alive wealth (18 B), the infinite fund wealth
         # and the sorted copy (16 B); each block forms its own path keys, so
-        # no key per path is held.  Measured 18.7, 18.1 and 16.0 B at
-        # 200,000 paths
+        # no key per path is held, and a step holds one block's draws at a
+        # time, which at 100,000 paths rival the path arrays.  Measured 19.5,
+        # 18.4 and 16.1 B at 100,000 paths and 18.3, 18.1 and 16.0 B at
+        # 200,000
         grid, mt = default_table
-        paths = 200_000
         table = solve(mode, base_market, vnm_prefs, mt)
         cfg = SimulationConfig(paths=paths, seed=5, policy=table)
         tracemalloc.start()
