@@ -293,9 +293,9 @@ class BinomialTable(NamedTuple):
     """The chop-down table of one survival probability, for the counts present.
 
     ``rank[c]`` is the row of count c (meaningless for a count the table was
-    not built for); ``sums``, ``draws`` and ``guide`` are the flat table.  A
-    degenerate ``s`` (<= 0 or >= 1) needs no table and leaves the arrays
-    ``None``.
+    not built for); ``sums``, ``draws`` and ``guide`` are the flat table.  At
+    ``s`` >= 1 every member survives, which needs no table and leaves the
+    arrays ``None``.
     """
 
     s: float
@@ -309,21 +309,24 @@ class BinomialTable(NamedTuple):
 def binomial_table(n, s, umax, lgam) -> BinomialTable:
     """The table ``binomial_draws`` reads for counts among ``n`` and uniforms <= ``umax``.
 
-    One row per distinct count, each grown until its sum exceeds ``umax``;
-    a row grown further gives the same draws, so one table built from the
-    counts present at a step's start serves every block of it, and is
-    rebuilt only for a block whose largest uniform exceeds ``umax``.
+    ``n`` holds 1-D counts and ``s`` > 0, as a ``MortalityTable``'s s is at
+    every date a step starts from.  One row per distinct count, each grown
+    until its sum exceeds ``umax``; a row grown further gives the same
+    draws, so one table built from the counts present at a step's start
+    serves every block of it, and is rebuilt only for a block whose largest
+    uniform exceeds ``umax``.
     """
-    if s <= 0.0 or s >= 1.0:
+    if s >= 1.0:
         return BinomialTable(s)
-    present = np.bincount(np.ravel(np.asarray(n, dtype=np.int64))) > 0
+    present = np.bincount(n) > 0
     sums, draws = _chop_down_table(np.flatnonzero(present), s, umax, lgam)
     return BinomialTable(s, np.cumsum(present) - 1, sums.ravel(), draws.ravel(),
                          _guide_table(sums), sums.shape[1])
 
 
 def binomial_draws(table: BinomialTable, n, u) -> np.ndarray:
-    """Binomial(n, table.s) int64 draws, one per uniform in ``u``, shaped like ``n``.
+    """Binomial(n, table.s) int64 draws of the 1-D counts ``n``, one per
+    uniform of the 1-D float64 ``u``.
 
     Every count in ``n`` must be one the table was built for and every
     uniform at most its ``umax``.  The counts are read in their own integer
@@ -331,40 +334,35 @@ def binomial_draws(table: BinomialTable, n, u) -> np.ndarray:
     holds about three draw-sized arrays besides ``n`` and ``u`` and costs
     O(draws) time.
     """
-    n = np.asarray(n)
-    if table.s <= 0.0:
-        return np.zeros(n.shape, dtype=np.int64)
     if table.s >= 1.0:
         return n.astype(np.int64)
-    flat_n, flat_u = n.ravel(), np.asarray(u, dtype=np.float64).ravel()
     sums = table.sums
     # start each draw at its bucket's guide entry, a lower bound on its
     # position; the draws whose start entry is still <= u are unsettled
-    bucket = (flat_u * GUIDE_BUCKETS).astype(np.int64)
+    bucket = (u * GUIDE_BUCKETS).astype(np.int64)
     np.minimum(bucket, GUIDE_BUCKETS - 1, out=bucket)
-    row = table.rank.take(flat_n)
+    row = table.rank.take(n)
     row *= GUIDE_BUCKETS
     bucket += row
     del row
     pos = table.guide.take(bucket)
     del bucket
-    unsettled = np.flatnonzero(sums.take(pos) <= flat_u)
+    unsettled = np.flatnonzero(sums.take(pos) <= u)
     if unsettled.size:
         # binary search in the row: advance while the entry stepped over is
         # <= u, so the search stops at the first entry greater than u
-        u_open = flat_u[unsettled]
-        at = table.rank.take(flat_n[unsettled]) * table.width
+        u_open = u[unsettled]
+        at = table.rank.take(n[unsettled]) * table.width
         step = table.width // 2
         while step:
             at += (sums.take(at + (step - 1)) <= u_open) * step
             step //= 2
         pos[unsettled] = at
-    return table.draws.take(pos).reshape(n.shape)
+    return table.draws.take(pos)
 
 
 def binomial_inverse(n, s, u, lgam):
-    """Binomial(n, s) draws from the uniforms ``u``: one table, then its draws."""
-    u = np.asarray(u, dtype=np.float64)
+    """Binomial(n, s) draws of the 1-D uniforms ``u``: one table, then its draws."""
     return binomial_draws(binomial_table(n, s, u.max(initial=0.0), lgam), n, u)
 
 

@@ -162,33 +162,33 @@ def _poly(coeffs, x):
 
 
 def inverse_normal_cdf(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of p in (0, 1), vectorised.
+    """Standard normal quantile of each p in (0, 1) of a 1-D float64 ``p``.
 
     The central polynomial (the branch for |p - 0.5| <= 0.425) is evaluated
-    in place on every element; only the tail elements, about 15% of uniform
-    draws, are gathered for sqrt(-log(min(p, 1 - p))) and the near (r <= 5)
-    or far tail polynomial, and written back over it.
+    on every element with at most three arrays of p's size alive.  Only the
+    tail elements, about 15% of uniform draws, are gathered: each gets
+    r = sqrt(-log(min(p, 1 - p))) and the near tail polynomial, the far one
+    where r > 5, and is written back over the central value.
     """
-    p = np.asarray(p, dtype=np.float64)
-    shape = p.shape
-    p = p.ravel()
     q = p - 0.5
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    lower = q[tail] < 0.0
     r = np.multiply(q, q)
     np.subtract(0.180625, r, out=r)
     out = _poly(_A, r)
     out *= q
+    del q
     out /= _poly(_B, r)
 
-    tail = np.flatnonzero(np.abs(q) > 0.425)
     pt = p[tail]
     r_t = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    near = r_t <= 5.0
-    x_tail = np.empty_like(r_t)
-    r1 = r_t[near] - 1.6
-    x_tail[near] = _poly(_C, r1) / _poly(_D, r1)
-    far = ~near
-    if far.any():  # p < e^-25: rare, and its two polynomials are ~30 numpy calls
+    r1 = r_t - 1.6
+    x_tail = _poly(_C, r1)
+    x_tail /= _poly(_D, r1)
+    far = np.flatnonzero(r_t > 5.0)
+    if far.size:  # p < e^-25: rare, and its two polynomials are ~30 numpy calls
         r2 = r_t[far] - 5.0
         x_tail[far] = _poly(_E, r2) / _poly(_F, r2)
-    out[tail] = np.where(q[tail] < 0.0, -x_tail, x_tail)
-    return out.reshape(shape)
+    np.negative(x_tail, out=x_tail, where=lower)
+    out[tail] = x_tail
+    return out

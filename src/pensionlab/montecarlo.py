@@ -44,11 +44,10 @@ second copy in place.  Per path, a run holds wealth, counts and alive
 mask, plus one path-sized temporary in the summary: about 18 B per path
 for a finite fund and 16 B for the infinite fund under tracemalloc at
 1,000,000 paths.  At 100,000 paths one block's draws rival the path
-arrays.  There a fund of 100 peaks at 1.86 MiB under tracemalloc, with
-the summary at 1.78 MiB, and a CLI run takes about 5.4k minor faults on
-a 2-CPU Linux host; while a block's arrays outlived its update, the step
-peaked at 2.61 MiB and a run took 15.1k faults.  The results do not
-depend on the block size.
+arrays.  There a fund of 100 peaks at 1.82 MiB under tracemalloc, in a
+block's update, with the summary at 1.78 MiB and the inverse normal at
+1.72 MiB, and a CLI run takes about 5.4k minor faults on a 2-CPU Linux
+host.  The results do not depend on the block size.
 """
 
 from __future__ import annotations

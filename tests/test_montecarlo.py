@@ -52,6 +52,20 @@ class TestDeterministicCases:
         assert np.all(res.wealth[:, 1] == 0.5)
         assert np.all(consumption(table.mode, table.cstar, res) == 0.5)
 
+    def test_certain_survival_keeps_every_count(self, base_market, vnm_prefs):
+        # no death mass at dates 2, 3 and 5 makes s = 1 exactly at dates 1,
+        # 2 and 4, the one survival the sampler draws without a table
+        mt = MortalityTable(make_time_grid(0, 1, 6), [0.1, 0.0, 0.0, 0.3, 0.0, 0.6])
+        certain = np.flatnonzero(mt.s == 1.0)
+        assert certain.tolist() == [1, 2, 4]
+        table = solve(CollectiveMode.finite(5), base_market, vnm_prefs, mt)
+        res = simulate(SimulationConfig(paths=2000, seed=3, policy=table, record=("survivors",)),
+                       mt.grid, base_market, mt)
+        n = res.survivors
+        assert np.array_equal(n[:, certain + 1], n[:, certain])
+        # while at dates 0 and 3, with s < 1, some paths lose members
+        assert np.any(n[:, 1] < n[:, 0]) and np.any(n[:, 4] < n[:, 3])
+
     def test_same_seed_bitwise_identical(self, short_table, base_market, vnm_prefs):
         grid, mt = short_table
         table = solve(CollectiveMode.finite(30), base_market, vnm_prefs, mt)

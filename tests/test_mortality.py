@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pensionlab._kernels import binomial_inverse, lgamma_table
 from pensionlab.core import ConfigurationError, DivergenceError, make_time_grid
 from pensionlab.mortality import (
     IngestionError,
@@ -62,6 +66,29 @@ class TestSurvivalProb:
         assert t.p is not p and p.flags.writeable and not t.p.flags.writeable
         p[0] = 0.5
         assert t.p.tolist() == [0.25, 0.75]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        interior=st.lists(st.floats(0.0, 1.0) | st.just(0.0), max_size=30),
+        last=st.just(5e-324) | st.floats(5e-324, 1.0),
+    )
+    def test_survival_is_positive_before_the_last_date(self, interior, last):
+        # s[k] = tail[k+1] / tail[k] with tail[k+1] >= p[-1] > 0, so the
+        # survivor sampler never meets s <= 0 at a date a step starts from
+        w = np.array([1.0, *interior])
+        p = np.append(w / w.sum() * (1.0 - last), last)
+        t = MortalityTable(make_time_grid(0, 1, p.size), p)
+        assert np.all(t.s[:-1] > 0.0)
+
+    def test_sampler_at_the_smallest_survival_draws_no_survivor(self):
+        t = MortalityTable(make_time_grid(0, 1, 4), [1.0, 0.0, 0.0, 5e-324])
+        assert t.s.tolist() == [5e-324, 1.0, 1.0, 0.0]
+        n = np.array([0, 1, 7, 100])
+        u = np.array([0.5, 2.0**-54, 0.999, 1.0 - 2.0**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = binomial_inverse(n, float(t.s[0]), u, lgamma_table(100))
+        assert draws.tolist() == [0, 0, 0, 0]
 
 
 class TestTableIsCheckedWhereBuilt:

@@ -821,6 +821,35 @@ class TestPrunedRows:
         assert sum(rows_k.size for rows_k, _, _ in planned) == rows
         assert sum(int((hi - lo + 1).sum()) for _, lo, hi in planned) == terms
 
+    @pytest.mark.parametrize("n_list", [POWERS_TO_2048, DECADES_TO_10000], ids=["2048", "10000"])
+    def test_every_window_lies_in_one_span_of_the_next_date(self, studies_config, n_list):
+        # the kernel reads a window as the run of the next date's counts
+        # from searchsorted(given, lo): a window across a gap between two
+        # spans would read other counts' values, with no error
+        cfg = studies_config
+        plans, steps = [], []
+        own_plan, own_kernel = solver._row_plan, solver.log_survivor_mixture
+
+        def plan(*args):
+            plans.append(own_plan(*args))
+            return plans[-1]
+
+        def kernel(logw, s, lgam, alpha, step):
+            steps.append(step)
+            return own_kernel(logw, s, lgam, alpha, step)
+
+        with mock.patch.multiple(solver, _row_plan=plan, log_survivor_mixture=kernel):
+            solver._start_values([*n_list, 1, None], cfg.market, cfg.prefs, cfg.mortality)
+        n_steps = cfg.mortality.grid.n_steps
+        spans, _ = plans[0]
+        for k, (rows, lo, hi, given) in zip(range(n_steps - 2, -1, -1), steps):
+            assert np.array_equal(rows, solver._rows(spans[k]))
+            assert np.array_equal(given, solver._rows(spans[k + 1]))
+            first, last = spans[k + 1].T
+            at = np.searchsorted(first, lo, side="right") - 1
+            assert np.all(at >= 0) and np.all(hi <= last[at]), f"date {k}"
+        assert len(plans) == 1 and len(steps) == n_steps - 1  # one pruned pass, no fallback
+
     def test_plan_starts_from_the_sizes_above_one(self, studies_config):
         # n = 1 and the limit are closed forms; the plan starts from the rest
         cfg = studies_config
