@@ -313,8 +313,7 @@ def binomial_table(n, s, umax, lgam) -> BinomialTable:
     every date a step starts from.  One row per distinct count, each grown
     until its sum exceeds ``umax``; a row grown further gives the same
     draws, so one table built from the counts present at a step's start
-    serves every block of it, and is rebuilt only for a block whose largest
-    uniform exceeds ``umax``.
+    serves every block of it whose largest uniform is at most ``umax``.
     """
     if s >= 1.0:
         return BinomialTable(s)

@@ -29,31 +29,33 @@ its step hash where it draws, and both streams share that step hash.
 Results are therefore bitwise reproducible for a given seed, independent
 of evaluation order or thread count.
 
-Each step runs over blocks of ``_BLOCK`` paths in one pass: a block draws
-its path keys, step hash, survival uniforms and growth factors, then
-redistributes and grows its wealth, and its draws die with that update,
-so a step holds one block's draws at a time and no path-sized array of its
-own.  Once no fund is alive on any path, the remaining steps draw nothing.
-A finite fund stores its survivor counts in the narrowest unsigned type
-that holds n0 and draws them from one sampler table per step, built at
-the step's first block for the counts present at the step's start and for
-a uniform that the step's largest exceeds with probability
-1 - ``_HEADROOM``; a block with a larger uniform rebuilds it.  The summary
-takes the logs of one copy of the alive wealth in place, then sorts a
-second copy in place.  Per path, a run holds wealth, counts and alive
-mask, plus one path-sized temporary in the summary: about 18 B per path
-for a finite fund and 16 B for the infinite fund under tracemalloc at
-1,000,000 paths.  At 100,000 paths one block's draws rival the path
-arrays.  There a fund of 100 peaks at 1.82 MiB under tracemalloc, in a
-block's update, with the summary at 1.78 MiB and the inverse normal at
-1.72 MiB, and a CLI run takes about 5.4k minor faults on a 2-CPU Linux
-host.  The results do not depend on the block size.
+Each step runs over blocks of ``_BLOCK`` paths in one pass: a block's
+update draws what it reads (its path keys, step hash, survival uniforms if
+its survivor model reads them, and growth factors), then redistributes and
+grows its wealth, and its draws die with that update, so a step holds one
+block's draws at a time and no path-sized array of its own.  Once no fund
+is alive on any path, the remaining steps draw nothing.  A finite fund
+stores its survivor counts in the narrowest unsigned type that holds n0
+and draws them from one sampler table per step, built at the step's start
+for the counts present and for a uniform that the step's largest exceeds
+with probability 1 - ``_HEADROOM``; a block with a larger uniform draws
+from a table built for it alone.  A block drops its survival uniforms once
+its counts are drawn.  The summary takes the logs of one copy of the alive
+wealth in place, then sorts a second copy in place.  Per path, a run holds
+wealth, counts and alive mask, plus one path-sized temporary in the
+summary: about 18 B per path for a finite fund and 16 B for the infinite
+fund under tracemalloc at 1,000,000 paths.  At 100,000 paths one block's
+draws rival the path arrays.  There a fund of 100 peaks at about 1.77 MiB
+under tracemalloc, set by the summary, and a CLI run takes about 5.4k
+minor faults on a 2-CPU Linux host.  The results do not depend on the
+block size.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import math
@@ -144,18 +146,18 @@ class _SurvivorFraction:
     """Infinite fund: the fraction prod s_k survives on every path; ``c`` has one row."""
 
     alive = _ALL
-    draws_survivors = False  # reads no survival uniforms
 
     def __init__(self, c: np.ndarray):
         self.c = c[0]
         self.survivors = 1.0
 
-    def step(self, k: int, s_k: float):
-        """The update of one block of paths from date k to k+1."""
+    def step(self, k: int, s_k: float, draw):
+        """The update of paths ``blk`` from date k to k+1; it draws growth factors only."""
         self.survivors *= s_k
         c = self.c[k]
 
-        def update(blk, x, u, growth):
+        def update(blk, x):
+            growth = draw(blk, False)[1]
             xb = x[blk]
             spare = xb - c * xb
             spare /= s_k
@@ -176,8 +178,6 @@ class _BinomialSurvivors:
     are one gather.
     """
 
-    draws_survivors = True  # reads the survival stream's uniforms
-
     def __init__(self, c: np.ndarray, paths: int):
         n0 = c.shape[0]
         self.c = np.zeros((c.shape[1], n0 + 1))
@@ -186,8 +186,8 @@ class _BinomialSurvivors:
         self.survivors = np.full(paths, n0, dtype=np.min_scalar_type(n0))
         self.present = np.zeros(n0 + 1, dtype=bool)
         self.present[n0] = True
-        # a step's first table is built for at least this uniform, which the
-        # step's largest uniform stays below with probability _HEADROOM
+        # a step's table is built for this uniform, which the step's largest
+        # uniform stays below with probability _HEADROOM
         self.floor = _HEADROOM ** (1.0 / paths)
 
     @property
@@ -195,26 +195,24 @@ class _BinomialSurvivors:
         # a fund that died out draws 0 at every later step, so present[0] stays set
         return self.survivors > 0 if self.present[0] else _ALL
 
-    def step(self, k: int, s_k: float):
-        """The update of one block of paths from date k to k+1."""
-        # one table serves the step: it is built for the counts present at
-        # the step's start, which the rows of later blocks still hold, and
-        # rebuilt only for a block whose largest uniform it does not reach;
-        # a table built for more counts or a larger uniform gives the same
-        # draws
+    def step(self, k: int, s_k: float, draw):
+        """The update of paths ``blk`` from date k to k+1; it draws survival and growth."""
+        # the step's table, built for the counts present at its start (later
+        # blocks' rows still hold them) and the floor, serves each block whose
+        # largest uniform is at most the floor; a table built for more counts
+        # or a larger uniform gives the same draws
         counts = np.flatnonzero(self.present)
         self.present[:] = False
-        table, umax = None, self.floor
+        table = binomial_table(counts, s_k, self.floor, self.lgam)
         c = self.c[k]
 
-        def update(blk, x, u, growth):
-            nonlocal table, umax
+        def update(blk, x):
+            u, growth = draw(blk, True)
             top = u.max()
-            if table is None or top > umax:
-                umax = max(umax, top)
-                table = binomial_table(counts, s_k, umax, self.lgam)
             n_cur = self.survivors[blk]
-            n_next = binomial_draws(table, n_cur, u)
+            n_next = binomial_draws(table if top <= self.floor else
+                                    binomial_table(counts, s_k, top, self.lgam), n_cur, u)
+            del u
             xbar = n_cur / np.maximum(n_next, 1)
             xb = x[blk]
             spare = c.take(n_cur)
@@ -229,15 +227,16 @@ class _BinomialSurvivors:
         return update
 
 
-def _draw(seed: int, blk: slice, k: int, base: float, vol: float, survival: bool):
+def _draw(seed: int, k: int, base: float, vol: float, blk: slice, survival: bool):
     """(survival uniforms, growth factors) of the paths ``blk`` at step k.
 
     The block's path keys give its step hash, and the hash its survival
     uniforms (None unless ``survival``) and growth uniforms; it is dropped
     before the inverse normal maps the latter to exp(base + vol z).  The
-    step passes the pair straight to the block's update, so it holds one
-    block's draws at a time.  Each path's float operations are those of a
-    whole-array update, so the results do not depend on the block size.
+    step binds seed, k, base and vol, and a block's update draws its pair
+    itself, so a step holds one block's draws at a time.  Each path's float
+    operations are those of a whole-array update, so the results do not
+    depend on the block size.
     """
     h = step_hash(path_keys(seed, blk.start, blk.stop), k)
     u = stream_uniforms(h, _STREAM_SURVIVAL) if survival else None
@@ -356,13 +355,13 @@ def simulate(
                     )
                 xq[:, k] = _quantiles(x.copy() if alive is _ALL else x[alive], QUANTILES)
             if k < n_steps - 1 and alive_ct[k]:  # a fund that died out stays at 0
-                # a block's draws die with its update, so no array of a block
-                # is alive while the next one is hashed, sampled or updated
-                update = model.step(k, float(mortality.s[k]))
+                # each block's update draws what it reads and its draws die
+                # with it, so no array of a block is alive while the next one
+                # is hashed, sampled or updated
+                update = model.step(k, float(mortality.s[k]),
+                                    partial(_draw, config.seed, k, growth_base[k], growth_vol[k]))
                 for lo in range(0, paths, _BLOCK):
-                    blk = slice(lo, min(lo + _BLOCK, paths))
-                    update(blk, x, *_draw(config.seed, blk, k, growth_base[k], growth_vol[k],
-                                          model.draws_survivors))
+                    update(slice(lo, min(lo + _BLOCK, paths)), x)
                 del update  # and the step's survivor table, before the next summary
 
     return SimulationResult(

@@ -109,11 +109,35 @@ class TestDeterministicCases:
             for name in res.__dataclass_fields__:
                 assert getattr(res, name).tobytes() == getattr(runs[0], name).tobytes(), name
 
+    @pytest.mark.parametrize("mode, streams", [(CollectiveMode.infinite(), [0]),
+                                               (CollectiveMode.finite(3), [1, 0])], ids=str)
+    def test_each_block_draws_only_the_streams_it_reads(self, short_table, base_market,
+                                                        vnm_prefs, mode, streams, monkeypatch):
+        # per block and per step with a fund alive: the infinite fund reads
+        # growth only, so it never hashes the survival stream; a finite fund
+        # draws survival, then growth, once each
+        grid, mt = short_table
+        table = solve(mode, base_market, vnm_prefs, mt)
+        draw = montecarlo.stream_uniforms
+        drawn = []
+
+        def counting(h, stream):
+            drawn.append(stream)
+            return draw(h, stream)
+
+        monkeypatch.setattr(montecarlo, "stream_uniforms", counting)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 10)
+        res = simulate(SimulationConfig(paths=30, seed=32, policy=table), grid, base_market, mt)
+        steps = np.count_nonzero(res.alive_paths[:-1])
+        if mode.is_finite:  # every fund dies out, and the later steps draw nothing
+            assert steps < grid.n_steps - 1
+        assert drawn == streams * (3 * steps)
+
     def test_results_do_not_depend_on_table_rebuilds(self, default_table, base_market,
                                                      vnm_prefs, monkeypatch):
-        # with no headroom each step's survivor table is built for the first
-        # block's largest uniform and rebuilt at every later block that
-        # exceeds it: more builds, the same draws
+        # with no headroom each step's survivor table is built for a uniform
+        # of 0 and every block draws from a table built for it alone: more
+        # builds, the same draws
         grid, mt = default_table
         mode = CollectiveMode.finite(100)
         table = solve(mode, base_market, vnm_prefs, mt)
@@ -511,7 +535,7 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize(
         "mode, limit",
-        [(CollectiveMode.finite(100), 21),
+        [(CollectiveMode.finite(100), 18.9),
          pytest.param(CollectiveMode.individual(), 21, id="individual-21"),
          (CollectiveMode.infinite(), 18)],
         ids=str,
@@ -523,8 +547,9 @@ class TestBoundedMemory:
         # gathered copy of the alive wealth (18 B), the infinite fund wealth
         # and the sorted copy (16 B); each block forms its own path keys, so
         # no key per path is held, and a step holds one block's draws at a
-        # time, which at 100,000 paths rival the path arrays.  Measured 19.5,
-        # 18.4 and 16.1 B at 100,000 paths and 18.3, 18.1 and 16.0 B at
+        # time, which at 100,000 paths rival the path arrays; a block's
+        # survival uniforms die once its counts are drawn.  Measured 18.7,
+        # 18.1 and 16.1 B at 100,000 paths and 18.3, 18.1 and 16.0 B at
         # 200,000
         grid, mt = default_table
         table = solve(mode, base_market, vnm_prefs, mt)

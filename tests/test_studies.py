@@ -120,6 +120,30 @@ class TestAnnuityOutperformance:
                 out = annuity_outperformance(table)
                 assert abs(out) <= 1e-10
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dt=st.sampled_from([1.0, 0.5, 0.25]),
+        steps=st.integers(2, 59),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([-5.0, -3.0, -1.0, -0.5, 0.3, 0.5, 0.9]),
+        r=st.floats(0.0, 0.08),
+    )
+    def test_replicates_annuity_exactly_when_discount_equals_rate(self, dt, steps, seed, alpha, r):
+        # at alpha = rho and mu = r the infinite fund holds no stock and
+        # consumes level income, the annuity's, exactly when b = r (so b = 0
+        # only at r = 0); a discount or an equity premium off that case
+        # makes it strictly better
+        mt = random_mortality(np.random.default_rng(seed), make_time_grid(0, dt, steps * dt))
+
+        def outperformance(mu, b):
+            prefs = Preferences(alpha=alpha, rho=alpha, b=b)
+            table = solve(CollectiveMode.infinite(), MarketParams(mu=mu, r=r, sigma=0.15), prefs, mt)
+            return annuity_outperformance(table)
+
+        assert abs(outperformance(r, r)) <= 1e-13
+        assert outperformance(r, r + 0.01) > 1e-12
+        assert outperformance(r + 0.01, r) > 1e-12
+
     @settings(max_examples=100, deadline=None)
     @given(
         mu=st.floats(-0.05, 0.15),
