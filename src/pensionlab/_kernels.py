@@ -1,10 +1,11 @@
 """Hot numeric kernels: the finite value step and the survivor sampler.
 
 Their share of a run depends on the workload.  Measured in process on a
-2-CPU host, mean of 5 runs: the fund size study up to n = 2048 spends about
-32 of 43 ms in the value step, and a 100,000-path simulation of a fund of
-100 about 38 of 233 ms in the sampler, against about 116 ms in ``_rng``'s
-hashing and inverse normal.
+loaded 2-CPU host (Python 3.11, numpy 2.4), median of 9 runs: the fund size
+study up to n = 2048 spends about 35 of 48 ms in the value step, and a
+100,000-path simulation of a fund of 100 about 42 of 236 ms in the sampler
+(10 ms of it building tables), against about 120 ms in ``_rng``'s hashing
+and inverse normal.
 
 * ``log_survivor_mixture`` - the binomial survivor mixture at the heart of
   one backward step of the finite-collective value recursion (see
@@ -18,16 +19,17 @@ hashing and inverse normal.
 * ``binomial_inverse`` - exact binomial sampling from a single uniform by
   chop-down inversion starting at the mode.  It is a table sampler in two
   parts.  ``binomial_table`` builds the cumulative chop-down sums once per
-  distinct count, only as far as the largest uniform needs, plus a guide
-  table of ``GUIDE_BUCKETS`` start positions per row, in
-  O(distinct * (window + buckets)) time and memory, window being the pieces
-  a row needs, O(sqrt(n s (1-s))) for moderate uniforms.
+  distinct count, out to the last piece that still changes a sum in
+  float64, plus a guide table of ``GUIDE_BUCKETS`` start positions per row,
+  in O(distinct * (window + buckets)) time and memory, window being the
+  O(sqrt(n s (1-s))) pieces that a Bernstein bound allows a row.
   ``binomial_draws`` finds each uniform in its row by indexed search: one
   guide lookup and one compare settle most draws, and only the rest are
   binary-searched, in O(draws) expected time.  It reads the counts in their
   own integer type, one byte wide in a fund of up to 255, and holds about
-  three draw-sized arrays at a time.  A simulation step builds one table
-  before it draws a block of paths at a time from it;
+  three draw-sized arrays at a time.  A simulation step builds one table,
+  which serves every uniform, before it draws a block of paths at a time
+  from it;
   ``binomial_inverse(n, s, u, lgam)`` is the two in one call.  The draws are
   those of a per-draw loop, bit for bit.
 """
@@ -218,14 +220,23 @@ def log_survivor_mixture(logw, s, lgam, alpha, step):
 #
 # The pieces depend only on the count n, and a call's counts take few
 # distinct values (at most n0 + 1 in a simulation), so the sampler
-# builds each distinct count's cumulative sums once, as one row of a table,
-# with the per-draw recurrences and float additions; the draws are therefore
-# those of a per-draw loop, bit for bit.  The table stops growing once each
-# row's sum exceeds the largest uniform it is built for, or both of the
-# row's tails are exactly 0, after which further pieces add nothing.  Each
-# draw is the first entry of its row greater than u, i.e. its position is
-# the number of the row's entries <= u; entries past it do not change it,
-# so a table built for more counts or a larger uniform gives the same draws.
+# builds each distinct count's cumulative sums once, as one row of a table.
+# Each side's pieces are one running product of the per-draw recurrence's
+# ratios, the first premultiplied by the mode's pmf, and the sums one
+# running sum in the order above; both run in sequence, so the sums and the
+# draws are those of a per-draw loop, bit for bit.  The pieces shrink away
+# from the mode on each side and float addition is monotone, so once a pair
+# of pieces leaves a row's sum as it is, every later pair does too.  The
+# rows run out to the last pair that changes some row's sum, so one table
+# serves every uniform, up to 1 - 2^-53.  Bernstein's inequality bounds
+# that reach: a piece more than t = L/3 + sqrt((L/3)^2 + 2 L v) from n s,
+# with v = n s (1-s) and L = TAIL_NATS, is below exp(-L) < 2^-54, which a
+# sum above 1/2 rounds away.  Every pair past ceil(t) is such a piece, so
+# the table forms ceil(t) pairs per row and keeps those up to the last
+# that grows a sum.  Each draw is the first entry of its row greater than
+# u, i.e. its position is the number of the row's entries <= u; entries
+# past it do not change it, so a table built for more counts gives the
+# same draws.
 #
 # That position is found by indexed search (Chen & Asau 1974; Devroye 1986,
 # III.2.4).  Each row gets a guide of G = GUIDE_BUCKETS entries, guide[r, b]
@@ -241,39 +252,50 @@ def log_survivor_mixture(logw, s, lgam, alpha, step):
 GUIDE_BUCKETS = 256  # guide entries per table row; a power of two
 
 
-def _chop_down_table(counts, s, umax, lgam):
+def _chop_down_table(counts, s, lgam):
     """(cumulative piece sums, draw of each piece) per row, for 0 < s < 1.
 
     Row r holds the running sums pm, pm + p(m+1), pm + p(m+1) + p(m-1), ...
-    for n = counts[r] with mode m, padded by repeating the last sum to a
-    width 2^k - 1, plus a final +inf column that no u reaches, so every
-    search ends inside its row; ``draws`` maps every column past the row's
-    real pieces (residual mass) to the mode.
+    for n = counts[r] with mode m, out to the last pair of pieces that
+    changes some row's sum, padded by repeating the last sum to a width
+    2^k - 1, plus a final +inf column that no u reaches, so every search
+    ends inside its row; ``draws`` maps every column past the row's real
+    pieces (residual mass) to the mode.
     """
     ls = math.log(s)
     l1s = math.log1p(-s)
     m = np.minimum(np.floor((counts + 1) * s).astype(np.int64), counts)
     pm = np.exp(lgam[counts] - lgam[m] - lgam[counts - m] + m * ls + (counts - m) * l1s)
-    acc = pr = pl = pm
-    sums = [acc]
-    j = 0
-    while not np.all((umax < acc) | ((pr == 0.0) & (pl == 0.0))):
-        j += 1
-        ir = m + j
-        pr = np.where(ir <= counts, pr * (((counts - ir + 1) * s) / (ir * (1.0 - s))), 0.0)
-        acc = acc + pr
-        sums.append(acc)
-        il = m - j
-        pl = np.where(il >= 0, pl * (((il + 1) * (1.0 - s)) / ((counts - il) * s)), 0.0)
-        acc = acc + pl
-        sums.append(acc)
-    width = (1 << len(sums).bit_length()) - 1
-    sums.extend([acc] * (width - len(sums)))
-    sums.append(np.full_like(acc, np.inf))
+    # pairs past ceil(t) are rounded away (see above), and pairs past both
+    # n - m and m are empty
+    big_l = TAIL_NATS / 3.0
+    t = big_l + math.sqrt(big_l**2 + 6.0 * big_l * counts.max(initial=0) * s * (1.0 - s))
+    pairs = np.arange(1, min(math.ceil(t), int(np.maximum(counts - m, m).max(initial=0))) + 1)
+    n = counts[:, None]
+    ir = m[:, None] + pairs
+    il = m[:, None] - pairs
+    with np.errstate(over="ignore"):  # a ratio past a row's end, at s = 5e-324
+        right = np.where(ir <= n, ((n - ir + 1) * s) / (ir * (1.0 - s)), 0.0)
+        left = np.where(il >= 0, ((il + 1) * (1.0 - s)) / ((n - il) * s), 0.0)
+    del ir, il
+    right[:, :1] *= pm[:, None]
+    left[:, :1] *= pm[:, None]
+    sums = np.empty((counts.size, 2 * pairs.size + 1))
+    sums[:, 0] = pm
+    np.cumprod(right, axis=1, out=sums[:, 1::2])
+    np.cumprod(left, axis=1, out=sums[:, 2::2])
+    del right, left
+    np.cumsum(sums, axis=1, out=sums)
+    grows = np.flatnonzero(np.any(sums[:, 2::2] != sums[:, :-2:2], axis=0))
+    j = int(grows[-1]) + 1 if grows.size else 0  # the last pair that grows a sum
+    width = (1 << (2 * j + 1).bit_length()) - 1
+    table = np.full((counts.size, width + 1), np.inf)
+    table[:, :width] = sums[:, 2 * j : 2 * j + 1]
+    table[:, : 2 * j + 1] = sums[:, : 2 * j + 1]
     offset = np.zeros(width + 1, dtype=np.int64)
     offset[1 : 2 * j + 1 : 2] = np.arange(1, j + 1)
     offset[2 : 2 * j + 1 : 2] = -np.arange(1, j + 1)
-    return np.stack(sums, axis=1), m[:, None] + offset
+    return table, m[:, None] + offset
 
 
 def _guide_table(sums):
@@ -306,19 +328,18 @@ class BinomialTable(NamedTuple):
     width: int = 0
 
 
-def binomial_table(n, s, umax, lgam) -> BinomialTable:
-    """The table ``binomial_draws`` reads for counts among ``n`` and uniforms <= ``umax``.
+def binomial_table(n, s, lgam) -> BinomialTable:
+    """The table ``binomial_draws`` reads for counts among ``n``.
 
     ``n`` holds 1-D counts and ``s`` > 0, as a ``MortalityTable``'s s is at
-    every date a step starts from.  One row per distinct count, each grown
-    until its sum exceeds ``umax``; a row grown further gives the same
-    draws, so one table built from the counts present at a step's start
-    serves every block of it whose largest uniform is at most ``umax``.
+    every date a step starts from.  One row per distinct count, out to the
+    last piece that changes a sum, so one table built from the counts
+    present at a step's start serves every uniform of every block of it.
     """
     if s >= 1.0:
         return BinomialTable(s)
     present = np.bincount(n) > 0
-    sums, draws = _chop_down_table(np.flatnonzero(present), s, umax, lgam)
+    sums, draws = _chop_down_table(np.flatnonzero(present), s, lgam)
     return BinomialTable(s, np.cumsum(present) - 1, sums.ravel(), draws.ravel(),
                          _guide_table(sums), sums.shape[1])
 
@@ -327,8 +348,7 @@ def binomial_draws(table: BinomialTable, n, u) -> np.ndarray:
     """Binomial(n, table.s) int64 draws of the 1-D counts ``n``, one per
     uniform of the 1-D float64 ``u``.
 
-    Every count in ``n`` must be one the table was built for and every
-    uniform at most its ``umax``.  The counts are read in their own integer
+    Every count in ``n`` must be one the table was built for.  The counts are read in their own integer
     type, and each index array is dropped once it has been read, so a call
     holds about three draw-sized arrays besides ``n`` and ``u`` and costs
     O(draws) time.
@@ -362,7 +382,7 @@ def binomial_draws(table: BinomialTable, n, u) -> np.ndarray:
 
 def binomial_inverse(n, s, u, lgam):
     """Binomial(n, s) draws of the 1-D uniforms ``u``: one table, then its draws."""
-    return binomial_draws(binomial_table(n, s, u.max(initial=0.0), lgam), n, u)
+    return binomial_draws(binomial_table(n, s, lgam), n, u)
 
 
 binomial_inverse_numpy = binomial_inverse  # the name perfbench/tests still imports

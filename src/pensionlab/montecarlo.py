@@ -37,18 +37,16 @@ block's draws at a time and no path-sized array of its own.  Once no fund
 is alive on any path, the remaining steps draw nothing.  A finite fund
 stores its survivor counts in the narrowest unsigned type that holds n0
 and draws them from one sampler table per step, built at the step's start
-for the counts present and for a uniform that the step's largest exceeds
-with probability 1 - ``_HEADROOM``; a block with a larger uniform draws
-from a table built for it alone.  A block drops its survival uniforms once
-its counts are drawn.  The summary takes the logs of one copy of the alive
-wealth in place, then sorts a second copy in place.  Per path, a run holds
-wealth, counts and alive mask, plus one path-sized temporary in the
+for the counts present and out to its full float64 reach, so that it
+serves every uniform of every block.  A block drops its survival uniforms
+once its counts are drawn.  The summary takes the logs of one copy of the
+alive wealth in place, then sorts a second copy in place.  Per path, a run
+holds wealth, counts and alive mask, plus one path-sized temporary in the
 summary: about 18 B per path for a finite fund and 16 B for the infinite
 fund under tracemalloc at 1,000,000 paths.  At 100,000 paths one block's
 draws rival the path arrays.  There a fund of 100 peaks at about 1.77 MiB
-under tracemalloc, set by the summary, and a CLI run takes about 5.4k
-minor faults on a 2-CPU Linux host.  The results do not depend on the
-block size.
+under tracemalloc, set by the summary, and a CLI run takes about 5.4k minor
+faults on a 2-CPU Linux host.  The results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -80,7 +78,6 @@ _STREAM_GROWTH = 0
 _STREAM_SURVIVAL = 1
 _ALL = slice(None)  # the alive selector while no path has died out
 _BLOCK = 2**14  # paths per block of the simulation step
-_HEADROOM = 63 / 64  # the chance that a step's first survivor table serves all of it
 
 
 @dataclass(frozen=True)
@@ -186,9 +183,6 @@ class _BinomialSurvivors:
         self.survivors = np.full(paths, n0, dtype=np.min_scalar_type(n0))
         self.present = np.zeros(n0 + 1, dtype=bool)
         self.present[n0] = True
-        # a step's table is built for this uniform, which the step's largest
-        # uniform stays below with probability _HEADROOM
-        self.floor = _HEADROOM ** (1.0 / paths)
 
     @property
     def alive(self):
@@ -198,20 +192,15 @@ class _BinomialSurvivors:
     def step(self, k: int, s_k: float, draw):
         """The update of paths ``blk`` from date k to k+1; it draws survival and growth."""
         # the step's table, built for the counts present at its start (later
-        # blocks' rows still hold them) and the floor, serves each block whose
-        # largest uniform is at most the floor; a table built for more counts
-        # or a larger uniform gives the same draws
-        counts = np.flatnonzero(self.present)
+        # blocks' rows still hold them), serves every uniform of every block
+        table = binomial_table(np.flatnonzero(self.present), s_k, self.lgam)
         self.present[:] = False
-        table = binomial_table(counts, s_k, self.floor, self.lgam)
         c = self.c[k]
 
         def update(blk, x):
             u, growth = draw(blk, True)
-            top = u.max()
             n_cur = self.survivors[blk]
-            n_next = binomial_draws(table if top <= self.floor else
-                                    binomial_table(counts, s_k, top, self.lgam), n_cur, u)
+            n_next = binomial_draws(table, n_cur, u)
             del u
             xbar = n_cur / np.maximum(n_next, 1)
             xb = x[blk]

@@ -32,7 +32,8 @@ def binomial_inverse_loop(n, s, u, lgam):
         acc = acc + pr
         res = np.where((res < 0) & (u < acc), ir, res)
         il = m - j
-        pl = np.where(il >= 0, pl * (((il + 1) * (1.0 - s)) / ((n - il) * s)), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the row's end, at s = 5e-324
+            pl = np.where(il >= 0, pl * (((il + 1) * (1.0 - s)) / ((n - il) * s)), 0.0)
         acc = acc + pl
         res = np.where((res < 0) & (u < acc), il, res)
         if np.all(res >= 0):
@@ -57,7 +58,8 @@ def chop_down_sums(n, s, lgam, rounds):
         acc = acc + pr
         sums.append(acc[0])
         il = m - j
-        pl = np.where(il >= 0, pl * (((il + 1) * (1.0 - s)) / ((n - il) * s)), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the row's end, at s = 5e-324
+            pl = np.where(il >= 0, pl * (((il + 1) * (1.0 - s)) / ((n - il) * s)), 0.0)
         acc = acc + pl
         sums.append(acc[0])
     return sums

@@ -258,19 +258,12 @@ class TestSimulateCommand:
         gold = Path(__file__).parent / "data" / golden
         assert (tmp_path / "paths_summary.csv").read_bytes() == gold.read_bytes()
 
-    @pytest.mark.parametrize("block, headroom", [(None, None), (256, 0.0)],
-                             ids=["default", "rebuilt-tables"])
     @pytest.mark.parametrize("mode", ["finite:100", "individual", "infinite"])
-    def test_small_runs_match_goldens(self, tmp_path, monkeypatch, mode, block, headroom):
+    def test_small_runs_match_goldens(self, tmp_path, mode):
         # 3,000 paths of configs/default.json, written by a step that drew
         # all its uniforms and growth factors before updating any path, with
         # int64 survivor counts (finite:100 re-pinned from the A_i + D_(m-i)
-        # value step: q75 at t = 81 moved one last digit).  With 256-path
-        # blocks and no headroom a finite fund rebuilds its survivor table
-        # within most steps
-        if block is not None:
-            monkeypatch.setattr(montecarlo, "_BLOCK", block)
-            monkeypatch.setattr(montecarlo, "_HEADROOM", headroom)
+        # value step: q75 at t = 81 moved one last digit)
         cfg = json.loads((REPO / "configs" / "default.json").read_text(encoding="utf-8"))
         cfg["mode"] = mode
         cfg["simulation"]["paths"] = 3000

@@ -18,6 +18,7 @@ from pensionlab._kernels import (
     log_survivor_mixture,
 )
 from pensionlab._rng import (
+    _BELOW_ONE,
     _mix,
     _unit_interval,
     inverse_normal_cdf,
@@ -296,7 +297,7 @@ class TestBinomialInverse:
         n = rng.integers(0, n0 + 1, 500)
         n[:2] = 0, n0
         u = rng.uniform(0.0, 1.0, 500)
-        table = binomial_table(n, s, u.max(), lgamma_table(n0))
+        table = binomial_table(n, s, lgamma_table(n0))
         want = binomial_draws(table, n, u)
         got = binomial_draws(table, n.astype(dtype), u)
         assert want.dtype == got.dtype == np.int64
@@ -305,8 +306,8 @@ class TestBinomialInverse:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_one_table_drawn_in_blocks(self, data):
-        # a table built from all counts and the largest uniform gives every
-        # block the draws of a table built for that block alone
+        # a table built from all counts gives every block the draws of a
+        # table built for that block alone
         n0 = data.draw(st.integers(1, 2000), label="n0")
         s = data.draw(st.sampled_from([1e-9, 0.3, 0.97, 1.0]), label="s")
         size = data.draw(st.integers(1, 300), label="size")
@@ -315,12 +316,56 @@ class TestBinomialInverse:
         n = rng.integers(0, n0 + 1, size)
         u = rng.uniform(0.0, 1.0, size)
         lgam = lgamma_table(n0)
-        table = binomial_table(n, s, u.max(initial=0.0), lgam)
+        table = binomial_table(n, s, lgam)
         got = [binomial_draws(table, n[lo : lo + block], u[lo : lo + block])
                for lo in range(0, size, block)]
         want = [binomial_inverse(n[lo : lo + block], s, u[lo : lo + block], lgam)
                 for lo in range(0, size, block)]
         assert np.array_equal(np.concatenate(got), np.concatenate(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_table_reaches_every_uniform(self, data):
+        # one table per count set, then draws at the uniforms at its reach:
+        # the largest and smallest a stream returns, each row's last sums,
+        # and random ones, against the per-path loop
+        n0 = data.draw(st.integers(1, 10_000), label="n0")
+        s = data.draw(st.just(5e-324) | st.floats(1e-12, 1.0 - 1e-12), label="s")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        counts = np.unique(np.append(rng.integers(0, n0 + 1, data.draw(st.integers(1, 8))), n0))
+        lgam = lgamma_table(n0)
+        table = binomial_table(counts, s, lgam)
+        rows = table.sums.reshape(counts.size, table.width)[:, :-1]
+        u = np.array([_BELOW_ONE, 2.0**-54, *rng.uniform(0.0, 1.0, 4),
+                      *(x for row in rows for x in np.unique(row)[-3:])])
+        n = np.repeat(counts, u.size)
+        u = np.tile(u, counts.size)
+        got = binomial_draws(table, n, u)
+        assert np.array_equal(got, binomial_inverse_loop(n, s, u, lgam))
+
+    def test_one_table_serves_uniforms_far_in_the_tails(self):
+        # a row built only out to the uniforms up to 0.5 would draw the mode,
+        # 90, for each of these
+        lgam = lgamma_table(100)
+        table = binomial_table(np.array([100]), 0.9, lgam)
+        u = np.array([0.6, 0.99, 0.999999])
+        assert binomial_draws(table, np.full(3, 100), u).tolist() == [93, 82, 73]
+
+    @pytest.mark.parametrize("n0, s", [(1, 0.5), (100, 0.9), (10_000, 0.3), (10_000, 1e-9)])
+    def test_table_ends_at_the_last_growing_pair(self, n0, s):
+        # each row holds the loop's sums out to the last pair of pieces that
+        # changes some row's sum, then repeats its last sum to the next
+        # 2^k - 1 columns, then +inf; later pairs change no sum
+        lgam = lgamma_table(n0)
+        counts = np.unique(np.linspace(0, n0, 12).astype(np.int64))
+        table = binomial_table(counts, s, lgam)
+        rows = table.sums.reshape(counts.size, table.width)
+        loop = np.array([chop_down_sums(c, s, lgam, rounds=table.width) for c in counts])
+        grows = np.flatnonzero(np.any(loop[:, 2::2] != loop[:, :-2:2], axis=0))
+        real = 2 * (int(grows[-1]) + 1 if grows.size else 0) + 1
+        assert table.width == 1 << real.bit_length()
+        assert np.array_equal(rows[:, :real], loop[:, :real])
+        assert np.all(rows[:, real:-1] == loop[:, -1:]) and np.all(rows[:, -1] == np.inf)
 
 
 class TestFiniteValueStep:

@@ -144,6 +144,38 @@ class TestAnnuityOutperformance:
         assert outperformance(r, r + 0.01) > 1e-12
         assert outperformance(r + 0.01, r) > 1e-12
 
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        r=st.floats(0.0, 0.08),
+        sigma=st.floats(0.05, 0.4),
+        rho=EXPONENTS,
+        premium=st.just(0.0) | st.floats(1e-3, 0.1),
+        discount=st.just(0.0) | st.floats(1e-3, 0.1) | st.floats(-0.1, -1e-3),
+        spread=st.just(0.0) | st.floats(1e-2, 1.0) | st.floats(-1.0, -1e-2),
+    )
+    def test_beats_the_annuity_strictly_off_the_replicating_case(
+        self, studies_config, r, sigma, rho, premium, discount, spread
+    ):
+        # the abstract's claim on the bundled studies table: the infinite
+        # fund beats a fair annuity by o > 1e-10 once mu - r >= 1e-3,
+        # |b - r| >= 1e-3 or |alpha - rho| >= 1e-2, and ties it at mu = r,
+        # b = r and alpha = rho.  Measured over about 30,000 random draws
+        # off the tie, the smallest o was 2.6e-6, 2.0e-6 and 2.0e-9 at each
+        # smallest offset alone, of either sign, near rho = -8 and r = 0.08;
+        # over 30,000 draws at the tie, the largest |o| was 2.3e-13
+        try:
+            prefs = Preferences(alpha=rho + spread, rho=rho, b=r + discount)
+            market = MarketParams(mu=r + premium, r=r, sigma=sigma)
+            o = annuity_outperformance(
+                solve(CollectiveMode.infinite(), market, prefs, studies_config.mortality)
+            )
+        except (ConfigurationError, DivergenceError):  # alpha >= 1 or 0, b < 0, or no finite value
+            assume(False)
+        if premium == discount == spread == 0.0:
+            assert abs(o) <= 1e-12
+        else:
+            assert o > 1e-10
+
     @settings(max_examples=100, deadline=None)
     @given(
         mu=st.floats(-0.05, 0.15),
