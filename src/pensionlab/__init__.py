@@ -29,6 +29,7 @@ _EXPORTS = {
         "CollectiveMode",
         "Strategy",
         "ValueTable",
+        "annuity_utility",
         "evaluate_policy",
         "extract_strategy",
         "growth_exponent",
@@ -47,7 +48,6 @@ _EXPORTS = {
     "studies": (
         "ConvergenceReport",
         "annuity_outperformance",
-        "annuity_utility",
         "convergence_study",
         "improvement",
         "run_scenarios",

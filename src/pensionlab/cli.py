@@ -137,12 +137,12 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
     if "csv" in mb:
         if not isinstance(mb["csv"], str) or "\0" in mb["csv"]:
             raise ConfigurationError(f"mortality.csv must be a file name, got {mb['csv']!r}")
-        age0 = mb.get("age_at_t0")
-        mortality = load_mortality_csv(  # an absolute path replaces base_dir
-            base_dir / mb["csv"], grid,
-            None if age0 is None else _real(age0, "mortality.age_at_t0"),
-        )
+        age0 = _real(mb["age_at_t0"], "mortality.age_at_t0") if "age_at_t0" in mb else None
+        # an absolute path replaces base_dir
+        mortality = load_mortality_csv(base_dir / mb["csv"], grid, age0)
     else:
+        if "age_at_t0" in mb:  # a Gompertz hazard is already in grid time
+            raise ConfigurationError("mortality.age_at_t0 applies to a 'csv' table only")
         g = _numbers(mb["gompertz"], {"a", "b", "c"}, {"a", "b", "c"}, "mortality.gompertz")
         mortality = gompertz_makeham(**g, grid=grid)
 

@@ -20,11 +20,12 @@ A study that reads only some sizes at t0 solves just the rows they reach,
 with no table (``_start_values``).
 
 The pooled recursions are linear, x_k = a_k + b_k x_{k+1} with x = a at the
-last date: y above (a = 1, b = phi^q), the annuity's U^rho and a fixed
-policy's v^rho.  ``_pooled`` sums them in closed form in log space, with no
-loop over dates; ``_backward`` runs only the step of a fund of n >= 2.  log
-phi comes from ``_log_phi``, shared with ``analytics``; the tests loop over y
-as an oracle.
+last date: y above (a = 1, b = phi^q), the annuity's U^rho (a = 1, b = phi^rho
+of one member at zero growth; ``annuity_utility``) and a fixed policy's
+v^rho.  ``_pooled`` sums them in closed form in log space, with no loop over
+dates; ``_backward`` runs only the step of a fund of n >= 2.  log phi comes
+from ``_log_phi``, the one place beta enters, shared with ``analytics``; the
+tests loop over y as an oracle.
 
 The terminal step is c* = 1, z = 1 for every survivor count: with death
 certain by T, consuming everything at the last date is forced, which is the
@@ -56,6 +57,7 @@ __all__ = [
     "solve",
     "extract_strategy",
     "evaluate_policy",
+    "annuity_utility",
 ]
 
 MAX_FINITE_N = 10_000
@@ -172,6 +174,34 @@ def _pooled(log_a, log_b):
     big_b = np.concatenate(([0.0], np.cumsum(log_b)))
     tail = np.logaddexp.accumulate((log_a + big_b)[::-1])[::-1]
     return np.append(np.logaddexp(log_a[:-1], tail[1:] - big_b[:-1]), log_a[-1])
+
+
+def annuity_utility(mortality: MortalityTable, prefs: Preferences) -> float:
+    """Utility U(1) of a unit income per grid date until death.
+
+    Specialising the recursive utility to deterministic consumption gives
+
+        U_t = [1 + phi_t^rho U_{t+dt}^rho]^(1/rho),    U = 1 at the final date,
+
+    with phi_t the one-member fund's factor at zero growth, kappa = 0 and
+    C = 0, so phi_t^rho = beta s_t^(rho/alpha).  U(1)^rho is x_0 of the
+    linear recursion x_t = 1 + phi_t^rho x_{t+dt}, summed by ``_pooled``.
+    An income gamma has utility gamma U(1).
+
+    Raises DivergenceError when U(1) is not a normal positive float, e.g.
+    when it underflows for a strongly negative rho, since every
+    outperformance divides by it.
+    """
+    grid = mortality.grid
+    log_b = prefs.rho * _log_phi(prefs, grid.dt, 0.0, mortality.s[:-1], 0)
+    logu = _pooled(np.zeros(grid.n_steps), log_b)[0] / prefs.rho
+    with np.errstate(over="ignore"):
+        u = float(np.exp(logu))
+    if not np.finfo(float).tiny <= u < math.inf:
+        raise DivergenceError(
+            f"annuity utility {u} is not a normal positive float (log U = {float(logu):.6g})"
+        )
+    return u
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@ study: how the value and the annuity outperformance of a fund of n members
 approach the infinite-pooling limit, with the empirical large-n rate.
 
 A unit income per grid date until death has utility U(1)
-(``annuity_utility``); an income gamma has utility gamma U(1) by positive
-homogeneity.  A strategy worth z per unit budget therefore matches the
-income gamma* = budget z / U(1), whose actuarial price at the market's
-riskless rate (no loading) is the annuity equivalent budget (1 + o), with
+(``solver.annuity_utility``, beside the other pooled recursions); an income
+gamma has utility gamma U(1) by positive homogeneity.  A strategy worth z
+per unit budget therefore matches the income gamma* = budget z / U(1),
+whose actuarial price at the market's riskless rate (no loading) is the
+annuity equivalent budget (1 + o), with
 
     o = z ä / U(1) - 1
 
@@ -30,46 +31,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, DivergenceError, MarketParams, Preferences
+from .core import ConfigurationError, MarketParams, Preferences
 from .mortality import MortalityTable, annuity_factor
-from .solver import BRACKET_MARGIN, CollectiveMode, ValueTable, _pooled, _start_values
+from .solver import BRACKET_MARGIN, CollectiveMode, ValueTable, _start_values, annuity_utility
 
 __all__ = [
     "ConvergenceReport",
-    "annuity_utility",
     "annuity_outperformance",
     "improvement",
     "run_scenarios",
     "convergence_study",
 ]
-
-
-def annuity_utility(mortality: MortalityTable, prefs: Preferences) -> float:
-    """Utility U(1) of a unit income per grid date until death.
-
-    Specialising the recursive utility to deterministic consumption gives
-
-        U_t = [1 + beta s_t^(rho/alpha) U_{t+dt}^rho]^(1/rho)
-
-    with U = 1 at the final date, so U(1)^rho = x_0 of the linear recursion
-    x_t = 1 + beta s_t^(rho/alpha) x_{t+dt}, x = 1 at the final date, which
-    the solver sums in closed form in log space.  An income gamma has
-    utility gamma U(1).
-
-    Raises DivergenceError when U(1) is not a normal positive float, e.g.
-    when it underflows for a strongly negative rho, since every
-    outperformance divides by it.
-    """
-    grid = mortality.grid
-    log_b = math.log(prefs.beta(grid.dt)) + (prefs.rho / prefs.alpha) * np.log(mortality.s[:-1])
-    logu = _pooled(np.zeros(grid.n_steps), log_b)[0] / prefs.rho
-    with np.errstate(over="ignore"):
-        u = float(np.exp(logu))
-    if not np.finfo(float).tiny <= u < math.inf:
-        raise DivergenceError(
-            f"annuity utility {u} is not a normal positive float (log U = {float(logu):.6g})"
-        )
-    return u
 
 
 def annuity_outperformance(table: ValueTable) -> float:

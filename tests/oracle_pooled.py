@@ -43,6 +43,26 @@ integral by the trapezoid rule over 2,000,001 points.
 All of these are kept here only to check ``solve``, ``annuity_utility``,
 ``annuity_outperformance`` and ``wealth_schedule``; ``linear_phi`` is the
 oracles' own continuation factor, so none of them calls code under test.
+
+Two more read a solved table and nothing else.  ``first_order_coefficient``
+is the 1/n term of z_n, z_n = z_inf + c_0 / n + O(n^-2), from the infinite
+fund's table: the delta method applied to the binomial mixture
+E[(I/m)^(1-alpha) z'_I^alpha] of a fund of m gives, with c = 0 at the last
+date, the linear backward pass
+
+    c_k = z_k (1 - c*_k) [c_{k+1} / (s_k z_{k+1}) - (1 - alpha)(1 - s_k) / (2 s_k)]
+
+in O(n_steps).  ``finite_consumption_drift`` is the expected one-step change
+of log consumption per survivor in a fund of n at mu = r = 0, where a* = 0
+and wealth does not grow.  A member alive at date k with m survivors stays
+alive, and each of the other m - 1 survives with s_k, so the count after
+the step is N' = 1 + Bin(m - 1, s_k) and
+
+    d_{m,k} = E[log c*(N', k+1)] - log c*(m, k) + log(1 - c*(m, k))
+              + log m - E[log N'],
+
+the binomial pmf taken from ``math.lgamma``.  At m = 1 it is the
+individual's ``consumption_drift``.
 """
 
 import math
@@ -190,3 +210,34 @@ def continuous_consumption_rate(gompertz, market, prefs, pooling, t0, T, points=
     hazard = a * (u - t0) + (b / c) * (np.exp(c * u) - math.exp(c * t0))
     f = np.exp(q * (xi - prefs.b / rho) * (u - t0) - q * (1.0 / alpha - pooling) * hazard)
     return 1.0 / float(np.sum((f[1:] + f[:-1]) * np.diff(u)) / 2.0)
+
+
+def first_order_coefficient(table):
+    """c_k, the coefficient of 1/n in z_n - z_inf at each date, from the
+    infinite fund's ``table`` (c = 0 at the last date)."""
+    z, cstar = table.z[0], table.cstar[0]
+    s, alpha = table.mortality.s, table.prefs.alpha
+    c = np.zeros(z.size)
+    for k in range(z.size - 2, -1, -1):
+        mixture = c[k + 1] / (s[k] * z[k + 1]) - (1.0 - alpha) * (1.0 - s[k]) / (2.0 * s[k])
+        c[k] = z[k] * (1.0 - cstar[k]) * mixture
+    return c
+
+
+def finite_consumption_drift(table, m, k):
+    """d_{m,k} of a fund's ``table`` solved at mu = r = 0, for m survivors
+    at date k < n_steps - 1."""
+    s = float(table.mortality.s[k])
+    j = np.arange(m)  # the other members who survive the step
+    log_pmf = [
+        math.lgamma(m) - math.lgamma(i + 1.0) - math.lgamma(m - i)
+        + i * math.log(s) + (m - 1 - i) * math.log1p(-s)
+        for i in range(m)
+    ]
+    pmf = np.exp(log_pmf)
+    pmf /= pmf.sum()
+    c = table.cstar[m - 1, k]
+    return float(
+        pmf @ (np.log(table.cstar[j, k + 1]) - np.log1p(j))
+        - math.log(c) + math.log1p(-c) + math.log(m)
+    )

@@ -19,11 +19,11 @@ from pensionlab.core import (
     Preferences,
     make_time_grid,
 )
-from pensionlab.mortality import MortalityTable
+from pensionlab.mortality import MortalityTable, gompertz_makeham
 from pensionlab.solver import CollectiveMode, growth_exponent, optimal_proportion, solve
 
-from conftest import DISCOUNTS, EXPONENTS, random_mortality
-from oracle_pooled import wealth_mean_loop
+from conftest import BUNDLED_GOMPERTZ, DISCOUNTS, EXPONENTS, random_mortality
+from oracle_pooled import finite_consumption_drift, wealth_mean_loop
 from test_solver import random_market, random_prefs
 
 INFINITE = CollectiveMode.infinite()
@@ -213,6 +213,61 @@ class TestConsumptionDrift:
             assert consumption_drift(prefs, market, s, INFINITE) == pytest.approx(0.0, abs=1e-13)
             expect = math.log(s) / (1.0 - rho)
             assert consumption_drift(prefs, market, s, INDIVIDUAL) == pytest.approx(expect, rel=1e-12)
+
+
+ZERO_RETURN = MarketParams(mu=0.0, r=0.0, sigma=0.15)
+
+
+def _fund_of_200(T, alpha):
+    """(table, dates): a fund of 200 at mu = r = 0 and alpha = rho, b = 0, on
+    configs/studies.json's table with its grid ending at T, and the dates
+    k < n_steps - 1 with survival S_k >= 1e-2 from t0."""
+    mt = gompertz_makeham(**BUNDLED_GOMPERTZ, grid=make_time_grid(65, 1, T))
+    table = solve(CollectiveMode.finite(200), ZERO_RETURN, Preferences(alpha, alpha, 0.0), mt)
+    dates = [k for k in range(mt.grid.n_steps - 1) if mt.tail[k] >= 1e-2]
+    assert len(dates) == {90: 24, 95: 26}[T]
+    return table, dates
+
+
+class TestFiniteFundDrift:
+    """The abstract's constant-consumption claim in a fund of n.  At mu = r
+    = 0 and alpha = rho the infinite fund keeps consumption constant; the
+    expected change of log consumption per survivor in a fund of n, d_{m,k}
+    (``oracle_pooled.finite_consumption_drift``), is negative at every row
+    and date for alpha = rho >= -1, and positive at t0 below it.  The sign
+    flips at alpha = rho = -1, where |d| is largest (-6.2e-12 at T = 90,
+    m = 200, t0)."""
+
+    @pytest.mark.parametrize("alpha", [-8.0, -3.0, -1.5, -1.05, -1.0, -0.9, -0.5, 0.25, 0.5])
+    def test_one_member_row_is_the_individual(self, alpha):
+        # measured: at most 1.0e-15; alpha = 0.9 gives 1.1e-13 at the last dates
+        table, dates = _fund_of_200(90, alpha)
+        for k in dates:
+            want = consumption_drift(table.prefs, ZERO_RETURN, float(table.mortality.s[k]), INDIVIDUAL)
+            assert abs(finite_consumption_drift(table, 1, k) - want) <= 2e-15
+
+    @pytest.mark.parametrize("T", [90, 95])
+    @pytest.mark.parametrize("alpha", [-1.0, -0.9, -0.5, 0.25, 0.5, 0.9])
+    def test_falls_from_alpha_rho_minus_one_up(self, T, alpha):
+        table, dates = _fund_of_200(T, alpha)
+        for m in (2, 5, 20, 200):
+            assert all(finite_consumption_drift(table, m, k) < 0.0 for k in dates)
+
+    @pytest.mark.parametrize("T", [90, 95])
+    @pytest.mark.parametrize("alpha", [-1.05, -1.5, -3.0, -8.0])
+    def test_rises_at_t0_below_alpha_rho_minus_one(self, T, alpha):
+        # measured: 1.2e-10 to 1.8e-8
+        table, _ = _fund_of_200(T, alpha)
+        assert finite_consumption_drift(table, 200, 0) > 0.0
+
+    def test_vanishes_like_the_inverse_square_of_the_survivors(self):
+        # alpha = rho = -1 at age 75 on the grid ending at 90: -1.25e-8 at
+        # m = 100 and -1.25e-10 at m = 1000, a local exponent of -2.00
+        mt = gompertz_makeham(**BUNDLED_GOMPERTZ, grid=make_time_grid(65, 1, 90))
+        table = solve(CollectiveMode.finite(1000), ZERO_RETURN, Preferences(-1.0, -1.0, 0.0), mt)
+        k = int(np.flatnonzero(mt.grid.points == 75.0)[0])
+        d100, d1000 = (finite_consumption_drift(table, m, k) for m in (100, 1000))
+        assert -2.05 <= math.log(d1000 / d100) / math.log(10.0) <= -1.95
 
 
 class TestConsumptionDirection:

@@ -587,6 +587,9 @@ MALFORMED = {
     "budget-negative": {"budget": -1},
     "mortality-both-sources": {"mortality": {"csv": "m.csv", **TRIVIAL["mortality"]}},
     "mortality-no-source": {"mortality": {}},
+    # each was once taken as no age at all: the table was read from t0
+    "age_at_t0-null": {"mortality": {"csv": "mort.csv", "age_at_t0": None}},
+    "age_at_t0-beside-gompertz": {"mortality": {**TRIVIAL["mortality"], "age_at_t0": 70}},
     "mode-unknown": {"mode": "pooled"},
     "mode-number": {"mode": 5},
     "mode-finite-not-a-number": {"mode": "finite:x"},
@@ -680,6 +683,13 @@ class TestConfigHandling:
         cfg = dict(DEFAULTISH, mortality={"csv": "mort.csv"})
         p = write_cfg(tmp_path, cfg)
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("case", ["age_at_t0-null", "age_at_t0-beside-gompertz"])
+    def test_unread_age_at_t0_is_rejected(self, tmp_path, capsys, case):
+        (tmp_path / "mort.csv").write_text("age,qx\n0,0.1\n", encoding="utf-8")
+        p = write_cfg(tmp_path, dict(TRIVIAL, **MALFORMED[case]))
+        assert main(["solve", "--config", str(p), "--print-config"]) == 2
+        assert capsys.readouterr().err.startswith("error: mortality.age_at_t0 ")
 
     @pytest.mark.parametrize("age", [1.7e308, -1.7e308])
     def test_csv_mortality_at_far_ages_exits_2_quickly(self, tmp_path, capsys, age):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import io
@@ -368,6 +369,20 @@ def test_number_rule_lives_in_core_only():
     pattern = re.compile(r"isinstance\([^)]*\bbool\b|numbers\.(Real|Integral)")
     found = sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text("utf-8")))
     assert found == ["core.py"]
+
+
+def test_discount_factor_enters_through_log_phi_only():
+    # every value recursion, the annuity's included, takes beta inside phi:
+    # Preferences.beta is called by solver._log_phi and nowhere else
+    callers = []
+    for f in sorted(Path(pensionlab.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(f.read_text("utf-8"))))
+        defs = [n for n in nodes if isinstance(n, ast.FunctionDef)]
+        for call in nodes:
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "beta":
+                inside = [d for d in defs if d.lineno <= call.lineno <= d.end_lineno]
+                callers.append((f.name, max(inside, key=lambda d: d.lineno).name))
+    assert callers == [("solver.py", "_log_phi")]
 
 
 def test_every_dataclass_is_frozen():

@@ -25,17 +25,21 @@ from pensionlab.core import (
     make_time_grid,
 )
 from pensionlab.mortality import MortalityTable, annuity_factor, gompertz_makeham
-from pensionlab.solver import CollectiveMode, Strategy, evaluate_policy, solve
+from pensionlab.solver import CollectiveMode, Strategy, annuity_utility, evaluate_policy, solve
 from pensionlab.studies import (
     annuity_outperformance,
-    annuity_utility,
     convergence_study,
     improvement,
     run_scenarios,
 )
 
 from conftest import DISCOUNTS, EXPONENTS, MORTALITY, random_mortality
-from oracle_pooled import annuity_loop, decimal_start_value, zero_return_outperformance
+from oracle_pooled import (
+    annuity_loop,
+    decimal_start_value,
+    first_order_coefficient,
+    zero_return_outperformance,
+)
 
 
 class TestAnnuityUtility:
@@ -667,6 +671,23 @@ class TestConvergenceRegimes:
         rep = _study(studies_config, prefs, [1, 2048, 8192])
         assert lo <= rep.local_exponent[-1] <= hi
 
+    @pytest.mark.parametrize("alpha, rho", [(-1.0, -1.0), (-3.0, -1.0), (-5.0, -0.5), (-0.5, 0.5)])
+    def test_first_order_term_on_the_grid_ending_at_90(self, alpha, rho):
+        """z_n = z_inf + c_0 / n + O(n^-2), c_0 from the infinite table's
+        backward pass (``oracle_pooled.first_order_coefficient``).  Measured
+        at n = 8192: residuals 1.5e-9 to 4.4e-7 of z_inf, ratios 0.998 to
+        0.9999.  Ending the grid at T = 95 the ratio is 0.65 at (-1, -1) and
+        about 0 for the other three: the last ages, where n S_k < 1, set the
+        gap there (the terminal regime), so nothing is asserted at T = 95."""
+        cfg = _studies_at(90)
+        prefs = Preferences(alpha=alpha, rho=rho, b=cfg.prefs.b)
+        rep = _study(cfg, prefs, [512, 1024, 2048, 4096, 8192])
+        infinite = solve(CollectiveMode.infinite(), cfg.market, prefs, cfg.mortality)
+        c0 = first_order_coefficient(infinite)[0]
+        gap = rep.z_n[-1] - rep.z_infinity
+        assert abs(gap - c0 / 8192) <= 1e-6 * rep.z_infinity
+        assert 0.995 <= 8192 * gap / c0 <= 1.005
+
     def test_linear_in_n_without_convergence(self, studies_config):
         prefs = Preferences(alpha=0.5, rho=-1.0, b=studies_config.prefs.b)
         ns = np.arange(1, 4097)
@@ -943,8 +964,8 @@ class TestPrunedRows:
 
 def test_the_study_path_lives_in_solver():
     # which funds bracket a study's sizes, its row plan and its fallbacks are
-    # solver._start_values's; studies imports no other private solver name
-    # than the pooled sum
+    # solver._start_values's; every pooled recursion, the annuity's too, is
+    # solver's, so studies imports no other private solver name
     tree = ast.parse(Path(studies.__file__).read_text("utf-8"))
     private = sorted(
         alias.name
@@ -953,4 +974,4 @@ def test_the_study_path_lives_in_solver():
         for alias in node.names
         if alias.name.startswith("_")
     )
-    assert private == ["_pooled", "_start_values"]
+    assert private == ["_start_values"]
