@@ -27,6 +27,7 @@ _EXPORTS = {
     ),
     "solver": (
         "CollectiveMode",
+        "MAX_FINITE_N",
         "Strategy",
         "ValueTable",
         "annuity_utility",
@@ -44,7 +45,7 @@ _EXPORTS = {
         "eis",
         "wealth_schedule",
     ),
-    "montecarlo": ("SimulationConfig", "SimulationResult", "simulate"),
+    "montecarlo": ("QUANTILES", "SimulationConfig", "SimulationResult", "simulate"),
     "studies": (
         "ConvergenceReport",
         "annuity_outperformance",

@@ -141,13 +141,19 @@ def _windows(rows, spread, s, alpha):
         lo = np.fmax(1.0, np.floor(ms))
         while True:
             big_l = base + (1.0 - alpha) * np.log(m / lo)
-            t = big_l / 3.0 + np.sqrt((big_l / 3.0) ** 2 + 2.0 * big_l * v)
+            t = _bernstein_reach(big_l, v)
             new_lo = np.fmax(1.0, np.floor(ms - t))
             if np.array_equal(new_lo, lo):
                 break
             lo = new_lo
         hi = np.fmin(m, np.ceil(ms + t))
     return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _bernstein_reach(big_l, v):
+    """t = L/3 + sqrt((L/3)^2 + 2 L v), where Bernstein's exponent
+    t^2 / (2 (v + t/3)) reaches ``big_l`` for a sum of variance ``v``."""
+    return big_l / 3.0 + np.sqrt((big_l / 3.0) ** 2 + 2.0 * big_l * v)
 
 
 def _log_sum_exp_rows(t):
@@ -268,8 +274,7 @@ def _chop_down_table(counts, s, lgam):
     pm = np.exp(lgam[counts] - lgam[m] - lgam[counts - m] + m * ls + (counts - m) * l1s)
     # pairs past ceil(t) are rounded away (see above), and pairs past both
     # n - m and m are empty
-    big_l = TAIL_NATS / 3.0
-    t = big_l + math.sqrt(big_l**2 + 6.0 * big_l * counts.max(initial=0) * s * (1.0 - s))
+    t = _bernstein_reach(TAIL_NATS, counts.max(initial=0) * s * (1.0 - s))
     pairs = np.arange(1, min(math.ceil(t), int(np.maximum(counts - m, m).max(initial=0))) + 1)
     n = counts[:, None]
     ir = m[:, None] + pairs
@@ -331,14 +336,16 @@ class BinomialTable(NamedTuple):
 def binomial_table(n, s, lgam) -> BinomialTable:
     """The table ``binomial_draws`` reads for counts among ``n``.
 
-    ``n`` holds 1-D counts and ``s`` > 0, as a ``MortalityTable``'s s is at
-    every date a step starts from.  One row per distinct count, out to the
-    last piece that changes a sum, so one table built from the counts
-    present at a step's start serves every uniform of every block of it.
+    ``n`` holds 1-D counts of any integer type, per path or distinct, and
+    ``s`` > 0, as a ``MortalityTable``'s s is at every date a step starts
+    from.  One row per distinct count, out to the last piece that changes a
+    sum, so one table built from a step's counts at its start serves every
+    uniform of every block of it.
     """
     if s >= 1.0:
         return BinomialTable(s)
-    present = np.bincount(n) > 0
+    present = np.zeros(int(n.max(initial=0)) + 1, dtype=bool)  # no intp copy of the counts
+    present[n] = True
     sums, draws = _chop_down_table(np.flatnonzero(present), s, lgam)
     return BinomialTable(s, np.cumsum(present) - 1, sums.ravel(), draws.ravel(),
                          _guide_table(sums), sums.shape[1])

@@ -156,6 +156,8 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
     if "simulation" in raw:
         sb = _require_keys(raw["simulation"], {"paths", "seed"}, {"paths", "seed"}, "simulation")
         paths = _capped(_integer(sb["paths"], "simulation.paths"), MAX_PATHS, "simulation.paths")
+        if paths < 1:
+            raise ConfigurationError(f"simulation.paths must be >= 1, got {paths}")
         seed = _integer(sb["seed"], "simulation.seed")
 
     scenarios = None

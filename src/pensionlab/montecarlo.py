@@ -35,16 +35,17 @@ its survivor model reads them, and growth factors), then redistributes and
 grows its wealth, and its draws die with that update, so a step holds one
 block's draws at a time and no path-sized array of its own.  Once no fund
 is alive on any path, the remaining steps draw nothing.  A finite fund
-stores its survivor counts in the narrowest unsigned type that holds n0
-and draws them from one sampler table per step, built at the step's start
-for the counts present and out to its full float64 reach, so that it
-serves every uniform of every block.  A block drops its survival uniforms
+keeps only its survivor counts, in the narrowest unsigned type that holds
+n0, and draws them from one sampler table per step, built at the step's
+start from the counts themselves and out to its full float64 reach, so
+that it serves every uniform of every block; the step's rate per count is
+one column of the policy's rates.  A block drops its survival uniforms
 once its counts are drawn.  The summary takes the logs of one copy of the
 alive wealth in place, then sorts a second copy in place.  Per path, a run
 holds wealth, counts and alive mask, plus one path-sized temporary in the
 summary: about 18 B per path for a finite fund and 16 B for the infinite
 fund under tracemalloc at 1,000,000 paths.  At 100,000 paths one block's
-draws rival the path arrays.  There a fund of 100 peaks at about 1.77 MiB
+draws rival the path arrays.  There a fund of 100 peaks at about 1.76 MiB
 under tracemalloc, set by the summary, and a CLI run takes about 5.4k minor
 faults on a 2-CPU Linux host.  The results do not depend on the block size.
 """
@@ -166,36 +167,30 @@ class _SurvivorFraction:
 class _BinomialSurvivors:
     """Finite fund: each path's survivor count is a Binomial(n_t, s_t) draw.
 
-    ``alive`` is ``_ALL`` until the first path dies out, then a boolean
+    ``alive`` is ``_ALL`` while every path has a member, then a boolean
     mask.  The fund starts with n0 members, one per row of the rates ``c``
     (row i-1 for i survivors).  The counts are stored in the narrowest
-    unsigned type that holds n0, and ``present`` flags the counts among
-    them.  The rates are stored as one contiguous row per step indexed by
-    the count itself, with a zero rate for 0 survivors, so a step's rates
-    are one gather.
+    unsigned type that holds n0, and each step reads its sampler table and
+    its rates per count from them and from ``c`` as given.
     """
 
     def __init__(self, c: np.ndarray, paths: int):
         n0 = c.shape[0]
-        self.c = np.zeros((c.shape[1], n0 + 1))
-        self.c[:, 1:] = c.T
+        self.c = c
         self.lgam = lgamma_table(n0)
         self.survivors = np.full(paths, n0, dtype=np.min_scalar_type(n0))
-        self.present = np.zeros(n0 + 1, dtype=bool)
-        self.present[n0] = True
 
     @property
     def alive(self):
-        # a fund that died out draws 0 at every later step, so present[0] stays set
-        return self.survivors > 0 if self.present[0] else _ALL
+        alive = self.survivors > 0
+        return _ALL if alive.all() else alive
 
     def step(self, k: int, s_k: float, draw):
         """The update of paths ``blk`` from date k to k+1; it draws survival and growth."""
-        # the step's table, built for the counts present at its start (later
-        # blocks' rows still hold them), serves every uniform of every block
-        table = binomial_table(np.flatnonzero(self.present), s_k, self.lgam)
-        self.present[:] = False
-        c = self.c[k]
+        # the step's table, built for the counts at its start (later blocks'
+        # rows still hold them), serves every uniform of every block
+        table = binomial_table(self.survivors, s_k, self.lgam)
+        c = np.concatenate(([0.0], self.c[:, k]))  # the rate of each count, 0 for none
 
         def update(blk, x):
             u, growth = draw(blk, True)
@@ -211,7 +206,6 @@ class _BinomialSurvivors:
             xbar[n_next == 0] = 0.0
             np.multiply(xbar, growth, out=xb)
             n_cur[...] = n_next
-            self.present[n_next] = True
 
         return update
 

@@ -575,6 +575,9 @@ MALFORMED = {
     "output-nul-byte": {"output": "a\0b"},
     "mortality-csv-nul-byte": {"mortality": {"csv": "a\0b"}},
     "paths-over-cap": {"simulation": {"paths": 10**15, "seed": 1}},
+    # each once passed parse_config and failed in simulate, after the solve
+    "paths-zero": {"simulation": {"paths": 0, "seed": 1}},
+    "paths-negative": {"simulation": {"paths": -3, "seed": 1}},
     "grid-points-over-cap": {"grid": {"t0": 0, "dt": 1e-12, "T": 1e6}},
     "grid-steps-not-finite": {"grid": {"t0": 0, "dt": 5e-324, "T": 30}},
     "mode-over-cell-cap": {"mode": "finite:10000", "grid": {"t0": 0, "dt": 1, "T": 1000}},
@@ -690,6 +693,12 @@ class TestConfigHandling:
         p = write_cfg(tmp_path, dict(TRIVIAL, **MALFORMED[case]))
         assert main(["solve", "--config", str(p), "--print-config"]) == 2
         assert capsys.readouterr().err.startswith("error: mortality.age_at_t0 ")
+
+    @pytest.mark.parametrize("case", ["paths-zero", "paths-negative"])
+    def test_no_paths_is_rejected_by_its_field(self, tmp_path, capsys, case):
+        p = write_cfg(tmp_path, dict(TRIVIAL, **MALFORMED[case]))
+        assert main(["simulate", "--config", str(p), "--print-config"]) == 2
+        assert capsys.readouterr().err.startswith("error: simulation.paths must be >= 1")
 
     @pytest.mark.parametrize("age", [1.7e308, -1.7e308])
     def test_csv_mortality_at_far_ages_exits_2_quickly(self, tmp_path, capsys, age):

@@ -430,6 +430,13 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+@pytest.mark.parametrize("module", sorted(pensionlab._EXPORTS))
+def test_package_exports_each_modules_public_names(module):
+    # a name a module lists but the package does not map raises AttributeError
+    listed = importlib.import_module(f"pensionlab.{module}").__all__
+    assert set(pensionlab._EXPORTS[module]) == set(listed)
+
+
 def test_import_loads_no_numpy_and_keeps_the_environment():
     # numpy reads its BLAS thread settings once, when it loads, so a program
     # that imports pensionlab first must still get to choose them

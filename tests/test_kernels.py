@@ -303,6 +303,33 @@ class TestBinomialInverse:
         assert want.dtype == got.dtype == np.int64
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype, n0", [(np.uint8, 255), (np.uint16, 10_000)],
+                             ids=["uint8", "uint16"])
+    @pytest.mark.parametrize("s", [1e-9, 0.3, 0.97])
+    def test_per_path_counts_give_the_table_of_their_distinct_counts(self, dtype, n0, s):
+        # simulate builds each step's table from its per-path counts as they are
+        rng = np.random.default_rng(31)
+        n = rng.integers(0, n0 + 1, 5000).astype(dtype)
+        n[:2] = 0, n0
+        lgam = lgamma_table(n0)
+        got, want = binomial_table(n, s, lgam), binomial_table(np.unique(n), s, lgam)
+        for field, value in zip(want._fields, want):
+            assert np.array_equal(getattr(got, field), value), field
+
+    def test_table_makes_no_intp_copy_of_its_counts(self):
+        # a million one-byte counts of a fund of 255 one step on, some died
+        # out: an intp copy of them alone is 8 B per count
+        n = np.random.default_rng(37).binomial(255, 0.97, 1_000_000).astype(np.uint8)
+        n[:10] = 0
+        lgam = lgamma_table(255)
+        tracemalloc.start()
+        try:
+            binomial_table(n, 0.97, lgam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n.size, f"{peak / n.size:.2f} B per count"
+
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_one_table_drawn_in_blocks(self, data):

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from pensionlab.montecarlo import (
     QUANTILES, SimulationConfig, SimulationResult, _log_moments, _quantiles, simulate,
 )
 from pensionlab.mortality import MortalityTable, gompertz_makeham
-from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, solve
+from pensionlab.solver import MAX_FINITE_N, CollectiveMode, Strategy, extract_strategy, solve
 
 from oracle_objective import consumption, path_objectives, z_score
 
@@ -138,19 +139,40 @@ class TestDeterministicCases:
         # after the last fund died out draws nothing
         grid, mt = default_table
         table = solve(CollectiveMode.finite(100), base_market, vnm_prefs, mt)
-        cfg = SimulationConfig(paths=3000, seed=23, policy=table)
+        cfg = SimulationConfig(paths=3000, seed=23, policy=table, record=("survivors",))
         build = montecarlo.binomial_table
         builds = []
 
-        def counting(*args):
-            builds.append(args)
-            return build(*args)
+        def counting(n, s, lgam):
+            builds.append((n, n.copy(), s))
+            return build(n, s, lgam)
 
         monkeypatch.setattr(montecarlo, "binomial_table", counting)
         monkeypatch.setattr(montecarlo, "_BLOCK", 100)
-        alive = simulate(cfg, grid, base_market, mt).alive_paths
+        res = simulate(cfg, grid, base_market, mt)
+        alive = res.alive_paths
         assert len(builds) == np.count_nonzero(alive[:-1]) < grid.n_steps - 1
         assert np.any((alive > 0) & (alive < 3000))  # some funds die out, not all at once
+        # each table is built from the survivor array itself, at the step's counts
+        for k, (n, counts, s) in enumerate(builds):
+            assert n is builds[0][0] and counts.dtype == np.uint8
+            assert np.array_equal(counts, res.survivors[:, k]) and s == mt.s[k]
+
+    def test_a_finite_fund_keeps_its_counts_and_the_policys_rates(self, short_table,
+                                                                  base_market, vnm_prefs):
+        # no copy of the rates and no state beside the counts; a block's
+        # update writes only its own wealth and counts
+        grid, mt = short_table
+        strat = extract_strategy(solve(CollectiveMode.finite(40), base_market, vnm_prefs, mt))
+        model = montecarlo._BinomialSurvivors(strat.c, 10)
+        assert sorted(vars(model)) == ["c", "lgam", "survivors"] and model.c is strat.c
+        lgam = model.lgam.copy()
+        x = np.ones(10)
+        update = model.step(0, 0.5, partial(montecarlo._draw, 7, 0, 0.0, 0.1))
+        update(slice(2, 6), x)
+        assert np.all(x[:2] == 1.0) and np.all(x[6:] == 1.0) and np.any(x[2:6] != 1.0)
+        assert np.all(model.survivors[:2] == 40) and np.all(model.survivors[6:] == 40)
+        assert np.all(model.survivors[2:6] < 40) and np.array_equal(model.lgam, lgam)
 
 
 class TestBudgetIdentity:
@@ -532,8 +554,8 @@ class TestBoundedMemory:
         # and the sorted copy (16 B); each block forms its own path keys, so
         # no key per path is held, and a step holds one block's draws at a
         # time, which at 100,000 paths rival the path arrays; a block's
-        # survival uniforms die once its counts are drawn.  Measured 18.7,
-        # 18.1 and 16.1 B at 100,000 paths and 18.3, 18.1 and 16.0 B at
+        # survival uniforms die once its counts are drawn.  Measured 18.4,
+        # 18.1 and 16.1 B at 100,000 paths and 18.2, 18.1 and 16.0 B at
         # 200,000
         grid, mt = default_table
         table = solve(mode, base_market, vnm_prefs, mt)
