@@ -134,10 +134,11 @@ def _windows(rows, spread, s, alpha):
     m = np.asarray(rows, dtype=np.float64)
     ms = m * s
     v = ms * (1.0 - s)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         base = TAIL_NATS + math.log(2.0) + spread - np.log(-np.expm1(m * math.log1p(-s)))
         # lo only moves down, and a lower lo only widens t, so this ends;
-        # fmax/fmin map a NaN bound (inf - inf, inf * 0) to the whole row
+        # fmax/fmin map an infinite reach (L^2 overflows at large |alpha|)
+        # or a NaN bound (inf - inf, inf * 0) to the whole row
         lo = np.fmax(1.0, np.floor(ms))
         while True:
             big_l = base + (1.0 - alpha) * np.log(m / lo)

@@ -169,11 +169,19 @@ def _pooled(log_a, log_b):
 
     one cumulative sum and one reversed log-sum-exp scan.  a_k is added
     last, exactly: folding it into the scan would leave an absolute error
-    of eps |B_k| in log x_k.  log b must be finite; log a may be +-inf.
+    of eps |B_k| in log x_k.
+
+    log a and log b may be +-inf.  Where every infinity among them has one
+    sign, as in logs of rates in [0, 1] times one power, b = 0 or inf at
+    date m ends the recursion there, x_m = a_m + b_m x_{m+1}: x is exact
+    up to m and NaN after it, but at the last date, and no caller reads
+    those.  Infinities of both signs can make x_0 NaN, which every caller
+    reports as divergence.
     """
-    big_b = np.concatenate(([0.0], np.cumsum(log_b)))
-    tail = np.logaddexp.accumulate((log_a + big_b)[::-1])[::-1]
-    return np.append(np.logaddexp(log_a[:-1], tail[1:] - big_b[:-1]), log_a[-1])
+    with np.errstate(invalid="ignore"):  # inf - inf past b = 0 or inf, or of mixed signs
+        big_b = np.concatenate(([0.0], np.cumsum(log_b)))
+        tail = np.logaddexp.accumulate((log_a + big_b)[::-1])[::-1]
+        return np.append(np.logaddexp(log_a[:-1], tail[1:] - big_b[:-1]), log_a[-1])
 
 
 def annuity_utility(mortality: MortalityTable, prefs: Preferences) -> float:
@@ -297,15 +305,6 @@ def _backward(mode, prefs, mortality, kappa, last, rule, plan=None):
         yield k, logv
 
 
-def _exponents(market, prefs):
-    """(a*, xi), xi checked finite."""
-    astar = optimal_proportion(market, prefs.alpha)
-    xi = growth_exponent(market, prefs.alpha)
-    if not math.isfinite(xi):  # mu - r or a* beyond the float range; xi is then NaN or +-inf
-        raise DivergenceError(f"growth exponent xi = {xi} is not finite at a* = {astar}")
-    return astar, xi
-
-
 def _optimal(q):
     """``solve``'s rule: log z from log theta, with y = 1 + theta^q."""
 
@@ -328,7 +327,10 @@ def solve(
     if not isinstance(mode, CollectiveMode):
         raise ConfigurationError(f"mode must be a CollectiveMode, got {mode!r}")
     grid = mortality.grid
-    astar, xi = _exponents(market, prefs)
+    astar = optimal_proportion(market, prefs.alpha)
+    xi = growth_exponent(market, prefs.alpha, astar)
+    if not math.isfinite(xi):  # mu - r or a* beyond the float range; xi is then NaN or +-inf
+        raise DivergenceError(f"growth exponent xi = {xi} is not finite at a* = {astar}")
     q = prefs.rho / (1.0 - prefs.rho)
     if mode.pooling is None:
         logz = np.empty((mode.n, grid.n_steps))
@@ -336,7 +338,7 @@ def solve(
             logz[:, k] = column
     else:
         log_b = q * _log_phi(prefs, grid.dt, xi, mortality.s[:-1], mode.pooling)
-        ok = np.isfinite(log_b)  # as _pooled needs
+        ok = np.isfinite(log_b)  # here an infinite log b, phi^q = 0 or inf, is divergence
         if not ok.all():
             raise _diverged(mode, grid, int(np.argmin(ok)), 0)
         logz = (1.0 / q) * _pooled(np.zeros(grid.n_steps), log_b)[np.newaxis]
@@ -384,13 +386,13 @@ def _bracketed(counts, market, prefs, mortality) -> np.ndarray:
     """
     mode = CollectiveMode.finite(int(counts[-1]))
     try:
-        low = np.log(solve(CollectiveMode(1), market, prefs, mortality).z[0]) - BRACKET_MARGIN
+        one = solve(CollectiveMode(1), market, prefs, mortality)
+        low = np.log(one.z[0]) - BRACKET_MARGIN
         high = np.log(solve(CollectiveMode(None), market, prefs, mortality).z[0]) + BRACKET_MARGIN
-        _, xi = _exponents(market, prefs)
         q = prefs.rho / (1.0 - prefs.rho)
         plan = _row_plan(counts, mortality, prefs.alpha, abs(prefs.alpha) * (high - low))
         last = np.zeros(_rows(plan[0][-1]).size)
-        for k, logz in _backward(mode, prefs, mortality, xi, last, _optimal(q), plan):
+        for k, logz in _backward(mode, prefs, mortality, one.xi, last, _optimal(q), plan):
             if not np.all((low[k] <= logz) & (logz <= high[k])):  # NaN fails
                 break
         else:
@@ -495,12 +497,9 @@ def evaluate_policy(
         logv = logv[-1]
     else:
         # in x = v^rho, a = c^rho and b = (phi (1 - c))^rho.  Consuming everything
-        # at date m makes b_m 0 or inf: x_m = a_m + b_m x_{m+1} ends the recursion
+        # at a date makes b 0 or inf there, which ends the recursion (``_pooled``)
         log_phi = _log_phi(prefs, mortality.grid.dt, kappa[:-1], mortality.s[:-1], mode.pooling)
-        log_b = np.append(rho * (log_phi + log1c[0, :-1]), -np.inf)  # no date follows the last
-        m = int(np.argmax(np.isinf(log_b)))
-        log_a = np.append(rho * logc[0, :m], np.logaddexp(rho * logc[0, m], log_b[m]))
-        logv = _pooled(log_a, log_b[:m])[0] / rho
+        logv = _pooled(rho * logc[0], rho * (log_phi + log1c[0, :-1]))[0] / rho
     with np.errstate(over="ignore"):
         v = float(np.exp(logv))
     if not (v == 0.0 or np.finfo(float).tiny <= v < math.inf):

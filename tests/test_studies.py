@@ -808,6 +808,19 @@ class TestPrunedRows:
         assert not fell_back
         assert np.array_equal(got, _full(sizes, market, vnm_prefs, mt))
 
+    @pytest.mark.parametrize("alpha", [-1e155, -1e300])
+    def test_a_reach_past_the_float_range_is_the_whole_row(self, studies_config, alpha):
+        # at |alpha| >= about 1e155 the windows' reach squares past the float
+        # range: it is infinite, each window its whole row, and no warning
+        # is raised, which this suite would turn into an error
+        cfg = studies_config
+        prefs = Preferences(alpha=alpha, rho=cfg.prefs.rho, b=cfg.prefs.b)
+        rep = _study(cfg, prefs, [1, 10])
+        assert np.array_equal(rep.z_n, _full([1, 10], cfg.market, prefs, cfg.mortality))
+        scenarios = [(cfg.market.mu, cfg.market.r, n) for n in (2, 40)]
+        o = run_scenarios(scenarios, cfg.market.sigma, prefs, cfg.mortality)
+        assert np.all(np.isfinite(o))
+
     def test_a_row_outside_the_bracket_falls_back_to_solve(self, studies_config):
         # z_inf := z_1 is too tight a bracket: the first row above z_1 leaves it
         cfg = studies_config
@@ -837,7 +850,8 @@ class TestPrunedRows:
         def bounded(mode, *args):
             if mode.pooling is None:
                 return own_solve(mode, *args)
-            return SimpleNamespace(z=np.ones((1, grid.n_steps)))
+            xi = solver.growth_exponent(market, prefs.alpha)
+            return SimpleNamespace(z=np.ones((1, grid.n_steps)), xi=xi)
 
         for pooled, margin, plans in ((own_solve, solver.BRACKET_MARGIN, 1), (bounded, math.inf, 2)):
             passes = []
