@@ -495,7 +495,6 @@ class TestEvaluatePolicy:
                 else:
                     assert v == pytest.approx(value, rel=1e-12)
 
-
     @settings(max_examples=200, deadline=None)
     @given(
         alpha=EXPONENTS, rho=EXPONENTS, b=DISCOUNTS, mt=MORTALITY,
@@ -529,6 +528,7 @@ class TestEvaluatePolicy:
             assert whole == (0.0).hex()
         else:
             assert whole == value(Strategy(mode, a[: m + 1], c[:, : m + 1]), cut)
+
 
 class TestFiniteTableStructure:
     """The kernel's table of a fund of n >= 2, cell by cell, against the
